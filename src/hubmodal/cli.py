@@ -38,11 +38,9 @@ from .fixtures import generate_fixture
 from .geo import derive_threshold, detour_ratio, identify_potential_trips
 from .hubs import Hub, MarketTable, build_combos, prepare_hub
 from .impacts import EmissionFactor, assess_hub
-from .siting import Candidate, assign_services, cluster_stops, evaluate_candidates, rank_and_summarize
+from .siting import METRIC_KEYS, Candidate, assign_services, cluster_stops, evaluate_candidates, rank_and_summarize
 
 ENV_THREADS = "HUBMODAL_THREADS"
-
-METRIC_COLUMNS = ("potential_demand", "transit_delta", "vmt_reduced", "cs_total")
 
 
 def _resolve_threads(arg_threads: int | None, cfg: PipelineConfig) -> int:
@@ -141,7 +139,6 @@ def _build_hub(rec: io.HubRecord, survey) -> Hub:
 
 def _build_setups(table, hub_recs, survey, matrices, fares, config, threshold):
     setups = {}
-    potentials = {}
     for rec in hub_recs:
         hub = _build_hub(rec, survey)
         ids = identify_potential_trips(
@@ -153,7 +150,7 @@ def _build_setups(table, hub_recs, survey, matrices, fares, config, threshold):
         )
         if not ids:
             raise ValueError(f"hub {rec.hub_id}: no potential trips at threshold {threshold}")
-        setup = prepare_hub(
+        setups[rec.hub_id] = prepare_hub(
             table,
             hub,
             ids,
@@ -162,9 +159,7 @@ def _build_setups(table, hub_recs, survey, matrices, fares, config, threshold):
             car_cost_per_mile=config.car_cost_per_mile,
             circuity_factor=config.circuity_factor,
         )
-        setups[rec.hub_id] = setup
-        potentials[rec.hub_id] = float(setup.trips.sum())
-    return setups, potentials
+    return setups
 
 
 def _resolve_observed(hub_recs, potentials) -> tuple[list[ObservedUsage], dict]:
@@ -247,14 +242,14 @@ def _read_params(path: str | Path) -> HubParams:
         raise ValueError(f"{path}: malformed params: {err}") from None
 
 
-def _run_calibration(table, hub_recs, survey, matrices, fares, config, threshold):
-    setups, potentials = _build_setups(table, hub_recs, survey, matrices, fares, config, threshold)
+def _run_calibration(setups, hub_recs, config):
+    potentials = {hub_id: float(setup.trips.sum()) for hub_id, setup in setups.items()}
     observed, obs_meta = _resolve_observed(hub_recs, potentials)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = calibrate(observed, setups, settings=config.optimizer)
     notes = [str(w.message) for w in caught]
-    return result, observed, obs_meta, setups, notes
+    return result, observed, obs_meta, notes
 
 
 def _calibration_report(result: CalibrationResult, observed, obs_meta) -> dict:
@@ -348,7 +343,8 @@ def _load_model_inputs(args):
 
 def _cmd_calibrate(args) -> int:
     manifest, config, table, survey, hub_recs, matrices, fares, thr, thr_meta = _load_model_inputs(args)
-    result, observed, obs_meta, _, notes = _run_calibration(table, hub_recs, survey, matrices, fares, config, thr)
+    setups = _build_setups(table, hub_recs, survey, matrices, fares, config, thr)
+    result, observed, obs_meta, notes = _run_calibration(setups, hub_recs, config)
     report = {
         "threshold": thr,
         **thr_meta,
@@ -362,19 +358,20 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _obtain_params(args, table, survey, hub_recs, matrices, fares, config, thr):
-    """Params from --params when given, else a fresh in-process fit."""
+def _obtain_params(args, setups, hub_recs, config):
+    """Params from --params when given, else a fresh in-process fit over
+    the observed hubs' setups."""
     if args.params:
-        return _read_params(args.params), None, []
-    result, observed, obs_meta, _, notes = _run_calibration(table, hub_recs, survey, matrices, fares, config, thr)
+        return _read_params(args.params), None
+    result, observed, obs_meta, notes = _run_calibration(setups, hub_recs, config)
     calib = {**_calibration_report(result, observed, obs_meta), "warnings": notes}
-    return result.params, calib, notes
+    return result.params, calib
 
 
 def _cmd_assess(args) -> int:
     manifest, config, table, survey, hub_recs, matrices, fares, thr, thr_meta = _load_model_inputs(args)
-    params, calib, _ = _obtain_params(args, table, survey, hub_recs, matrices, fares, config, thr)
-    setups, _ = _build_setups(table, hub_recs, survey, matrices, fares, config, thr)
+    setups = _build_setups(table, hub_recs, survey, matrices, fares, config, thr)
+    params, calib = _obtain_params(args, setups, hub_recs, config)
     emissions = EmissionFactor(grams_co2_per_mile=config.grams_co2_per_mile, days_per_year=config.days_per_year)
 
     hubs_out = {}
@@ -425,7 +422,9 @@ def _cmd_rank(args) -> int:
     stops = io.load_stops(manifest.stops)
     lots = io.load_pr_lots(manifest.pr_lots)
     threads = _resolve_threads(args.threads, config)
-    params, calib, _ = _obtain_params(args, table, survey, hub_recs, matrices, fares, config, thr)
+    # a fit needs the observed hubs' setups; scoring builds its own in siting
+    setups = None if args.params else _build_setups(table, hub_recs, survey, matrices, fares, config, thr)
+    params, calib = _obtain_params(args, setups, hub_recs, config)
 
     candidates = assign_services(cluster_stops(stops), lots)
     references = [
@@ -449,17 +448,17 @@ def _cmd_rank(args) -> int:
     ranking, summary = rank_and_summarize(evaluated, reference_ids=reference_ids)
 
     header = ["candidate_id", "is_reference"]
-    header += list(METRIC_COLUMNS)
-    header += [f"rank_{k}" for k in METRIC_COLUMNS]
-    header += [f"percentile_{k}" for k in METRIC_COLUMNS]
+    header += list(METRIC_KEYS)
+    header += [f"rank_{k}" for k in METRIC_KEYS]
+    header += [f"percentile_{k}" for k in METRIC_KEYS]
     ref_set = set(reference_ids)
     ordered = sorted(ranking.rows, key=lambda r: (r.rank["potential_demand"], r.candidate_id))
     rows = []
     for r in ordered:
         row = [r.candidate_id, r.candidate_id in ref_set]
-        row += [r.metrics.get(k) for k in METRIC_COLUMNS]
-        row += [r.rank[k] for k in METRIC_COLUMNS]
-        row += [r.percentile[k] for k in METRIC_COLUMNS]
+        row += [r.metrics.get(k) for k in METRIC_KEYS]
+        row += [r.rank[k] for k in METRIC_KEYS]
+        row += [r.percentile[k] for k in METRIC_KEYS]
         rows.append(row)
 
     out = _out_dir(args)

@@ -103,15 +103,6 @@ def _market_coord_arrays(markets):
     return ids, o_lat, o_lon, d_lat, d_lon
 
 
-def detour_components(markets, hub_location: GeoPoint):
-    """Vectorized (od, oh, hd) great-circle km for every market against one hub."""
-    _, o_lat, o_lon, d_lat, d_lon = _market_coord_arrays(markets)
-    od = haversine_km(o_lat, o_lon, d_lat, d_lon)
-    oh = haversine_km(o_lat, o_lon, hub_location.lat, hub_location.lon)
-    hd = haversine_km(hub_location.lat, hub_location.lon, d_lat, d_lon)
-    return od, oh, hd
-
-
 def identify_potential_trips(
     markets,
     hub_location: GeoPoint,

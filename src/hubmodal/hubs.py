@@ -12,8 +12,6 @@ car cost, walking free.
 
 from __future__ import annotations
 
-import bisect
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -162,14 +160,8 @@ class FareTable:
         if any(f < 0 for _, f in self.bike_share_steps):
             raise ValueError("fares must be non-negative")
 
-    def bike_share_fare(self, minutes: float) -> float:
-        bounds = [b for b, _ in self.bike_share_steps]
-        i = bisect.bisect_left(bounds, minutes)
-        if i >= len(bounds):
-            i = len(bounds) - 1
-        return self.bike_share_steps[i][1]
-
-    def bike_share_fare_array(self, minutes: np.ndarray) -> np.ndarray:
+    def bike_share_fare(self, minutes):
+        """Fare for a ride of ``minutes``; elementwise over scalars or arrays."""
         bounds = np.array([b for b, _ in self.bike_share_steps], dtype=float)
         fares = np.array([f for _, f in self.bike_share_steps], dtype=float)
         idx = np.searchsorted(bounds, minutes, side="left")
@@ -214,24 +206,28 @@ class LegMatrices:
 
 def leg_cost_usd(
     mode: Mode,
-    times: LegTimes,
-    leg_miles: float,
+    minutes,
+    miles,
     fares: FareTable,
     *,
     car_cost_per_mile: float = 0.20,
-) -> float:
-    """Out-of-pocket cost of one leg."""
+):
+    """Out-of-pocket cost of one leg; elementwise over scalars or arrays of
+    ride minutes and leg miles."""
+    minutes = np.asarray(minutes, dtype=float)
     if mode == Mode.BUS:
-        return fares.bus_fare_usd
-    if mode == Mode.CAR:
-        return car_cost_per_mile * leg_miles
-    if mode == Mode.CAR_SHARE:
-        return fares.car_share_usd_per_hour * times.minutes / 60.0
-    if mode == Mode.BIKE_SHARE:
-        return fares.bike_share_fare(times.minutes)
-    if mode == Mode.WALK_LEG:
-        return 0.0
-    raise ValueError(f"not a leg mode: {mode.value}")
+        cost = np.full(minutes.shape, fares.bus_fare_usd)
+    elif mode == Mode.CAR:
+        cost = car_cost_per_mile * np.asarray(miles, dtype=float)
+    elif mode == Mode.CAR_SHARE:
+        cost = fares.car_share_usd_per_hour * minutes / 60.0
+    elif mode == Mode.BIKE_SHARE:
+        cost = fares.bike_share_fare(minutes)
+    elif mode == Mode.WALK_LEG:
+        cost = np.zeros(minutes.shape)
+    else:
+        raise ValueError(f"not a leg mode: {mode.value}")
+    return cost[()]
 
 
 def assemble_leg_attrs(
@@ -262,7 +258,7 @@ def assemble_leg_attrs(
         return haversine_km(frm.lat, frm.lon, to.lat, to.lon) * MILES_PER_KM * circuity_factor
 
     def _attr(mode: Mode, times: LegTimes, frm: GeoPoint, to: GeoPoint) -> ModeAttr:
-        cost = leg_cost_usd(mode, times, _miles(times, frm, to), fares, car_cost_per_mile=car_cost_per_mile)
+        cost = leg_cost_usd(mode, times.minutes, _miles(times, frm, to), fares, car_cost_per_mile=car_cost_per_mile)
         return ModeAttr(
             ivt_min=times.minutes,
             access_min=times.access_min,
@@ -330,7 +326,19 @@ class MarketTable:
                 self.attr_transfers[i, j] = attr.transfers
                 self.attr_cost[i, j] = attr.cost_usd
                 self.attr_avail[i, j] = attr.available
-        self._uni_cache: np.ndarray | None = None
+        uni = np.full((n, k), -np.inf)
+        for j, mode in enumerate(MAIN_MODES):
+            u = mode_utility(
+                self.taste,
+                mode,
+                ivt_min=self.attr_ivt[:, j],
+                access_min=self.attr_access[:, j],
+                egress_min=self.attr_egress[:, j],
+                transfers=self.attr_transfers[:, j],
+                cost_usd=self.attr_cost[:, j],
+            )
+            uni[:, j] = np.where(self.attr_avail[:, j], u, -np.inf)
+        self._unimodal_utilities = uni
 
     @classmethod
     def ensure(cls, markets) -> "MarketTable":
@@ -341,22 +349,7 @@ class MarketTable:
 
     def unimodal_utilities(self) -> np.ndarray:
         """(n, 6) systematic utilities over MAIN_MODES, -inf where unavailable."""
-        if self._uni_cache is None:
-            n = len(self)
-            out = np.full((n, len(MAIN_MODES)), -np.inf)
-            for j, mode in enumerate(MAIN_MODES):
-                u = mode_utility(
-                    self.taste,
-                    mode,
-                    ivt_min=self.attr_ivt[:, j],
-                    access_min=self.attr_access[:, j],
-                    egress_min=self.attr_egress[:, j],
-                    transfers=self.attr_transfers[:, j],
-                    cost_usd=self.attr_cost[:, j],
-                )
-                out[:, j] = np.where(self.attr_avail[:, j], u, -np.inf)
-            self._uni_cache = out
-        return self._uni_cache
+        return self._unimodal_utilities
 
 
 # ----------------------------------------------------------------------
@@ -435,40 +428,31 @@ class HubChoiceSetup:
     def n_combos(self) -> int:
         return len(self.combos)
 
-    def weight_miles(self) -> np.ndarray:
-        """(m, k, 2) leg distances for trip weighting: network when known,
-        otherwise plain great-circle."""
+    def leg_miles(self, circuity: float) -> np.ndarray:
+        """(m, k, 2) leg distances: network miles when the matrices carry
+        them, otherwise great-circle miles times ``circuity``.  Trip
+        weighting uses plain great-circle (circuity 1), VMT the setup's
+        circuity factor."""
+        shape = self.matrix_miles.shape[:2]
         gc = np.stack(
             [
-                np.broadcast_to(self.entry_gc_miles[:, None], self.matrix_miles.shape[:2]),
-                np.broadcast_to(self.exit_gc_miles[:, None], self.matrix_miles.shape[:2]),
+                np.broadcast_to(self.entry_gc_miles[:, None], shape),
+                np.broadcast_to(self.exit_gc_miles[:, None], shape),
             ],
             axis=2,
         )
-        return np.where(np.isnan(self.matrix_miles), gc, self.matrix_miles)
+        return np.where(np.isnan(self.matrix_miles), gc * circuity, self.matrix_miles)
 
-    def vmt_miles(self) -> np.ndarray:
-        """(m, k, 2) leg distances for VMT: network when known, otherwise
-        circuity-adjusted great-circle."""
-        gc = np.stack(
-            [
-                np.broadcast_to(self.entry_gc_miles[:, None], self.matrix_miles.shape[:2]),
-                np.broadcast_to(self.exit_gc_miles[:, None], self.matrix_miles.shape[:2]),
-            ],
-            axis=2,
-        )
-        return np.where(np.isnan(self.matrix_miles), gc * self.circuity_factor, self.matrix_miles)
-
-    def _nest_pieces(self, params):
+    def _upper_level(self, params):
+        """Pieces of the upper-level softmax over the unimodal modes and the
+        hub nest: which markets have a reachable combo, the combo anchor,
+        the nest utility, the shifted exponentials and their total."""
         beta = params.beta_hub
         if not 0.0 < beta <= 1.0:
             raise ValueError(f"invalid nesting coefficient: {beta}")
-        m = self.n_markets
-        if self.n_combos == 0:
-            return None
         c = self.combo_util
         with np.errstate(invalid="ignore"):
-            c_max = c.max(axis=1)
+            c_max = c.max(axis=1, initial=-np.inf)
         has = np.isfinite(c_max)
         anchor = np.where(has, c_max, 0.0)
         e_c = np.exp((c - anchor[:, None]) / beta)
@@ -476,51 +460,27 @@ class HubChoiceSetup:
         logsum = np.where(has, anchor + beta * np.log(np.where(has, sum_c, 1.0)), -np.inf)
         asc = np.array([params.asc_by_segment[s] for s in SEGMENTS])[self.segment_codes]
         v_hub = np.where(has, logsum + asc, -np.inf)
-        return has, anchor, v_hub
+
+        uni = self.uni_util
+        m_all = np.maximum(uni.max(axis=1), np.where(has, v_hub, -np.inf))
+        e_u = np.exp(uni - m_all[:, None])
+        e_h = np.where(has, np.exp(v_hub - m_all), 0.0)
+        return has, anchor, v_hub, e_u, e_h, e_u.sum(axis=1) + e_h
 
     def hub_nest_share(self, params) -> np.ndarray:
         """(m,) upper-level probability of the hub nest; the hot path for
         calibration."""
-        uni = self.uni_util
-        m_j = uni.max(axis=1)
-        pieces = self._nest_pieces(params)
-        if pieces is None:
-            return np.zeros(self.n_markets)
-        has, _, v_hub = pieces
-        m_all = np.maximum(m_j, np.where(has, v_hub, -np.inf))
-        e_u = np.exp(uni - m_all[:, None])
-        e_h = np.where(has, np.exp(v_hub - m_all), 0.0)
-        return e_h / (e_u.sum(axis=1) + e_h)
+        _, _, _, _, e_h, total = self._upper_level(params)
+        return e_h / total
 
     def choice_shares(self, params, *, literal_lower_branch: bool = False) -> HubShares:
         """Full before/after share arrays for one parameter vector."""
+        has, anchor, v_hub, e_u, e_h, total = self._upper_level(params)
         uni = self.uni_util
-        n = self.n_markets
         m_j = uni.max(axis=1)
         e_j = np.exp(uni - m_j[:, None])
         sum_j = e_j.sum(axis=1)
-        before = e_j / sum_j[:, None]
         logsum_j = m_j + np.log(sum_j)
-
-        pieces = self._nest_pieces(params)
-        if pieces is None:
-            return HubShares(
-                before=before,
-                upper=before.copy(),
-                hub=np.zeros(n),
-                lower=np.zeros((n, 0)),
-                logsum_j=logsum_j,
-                v_hub=np.full(n, -np.inf),
-                cs_gain_util=np.zeros(n),
-            )
-
-        has, anchor, v_hub = pieces
-        m_all = np.maximum(m_j, np.where(has, v_hub, -np.inf))
-        e_u = np.exp(uni - m_all[:, None])
-        e_h = np.where(has, np.exp(v_hub - m_all), 0.0)
-        total = e_u.sum(axis=1) + e_h
-        upper = e_u / total[:, None]
-        hub = e_h / total
 
         scale = 1.0 if literal_lower_branch else params.beta_hub
         e_l = np.exp((self.combo_util - anchor[:, None]) / scale)
@@ -531,9 +491,9 @@ class HubChoiceSetup:
         # and exactly zero where the nest is empty.
         cs_gain = np.logaddexp(0.0, v_hub - logsum_j)
         return HubShares(
-            before=before,
-            upper=upper,
-            hub=hub,
+            before=e_j / sum_j[:, None],
+            upper=e_u / total[:, None],
+            hub=e_h / total,
             lower=lower,
             logsum_j=logsum_j,
             v_hub=v_hub,
@@ -610,9 +570,6 @@ def prepare_hub(
     exit_gc = (
         haversine_km(hub.location.lat, hub.location.lon, table.d_lat[idx], table.d_lon[idx]) * MILES_PER_KM
     )
-    if m == 0:
-        entry_gc = np.zeros(0)
-        exit_gc = np.zeros(0)
 
     o_zones = table.o_zones
     d_zones = table.d_zones
@@ -633,18 +590,7 @@ def prepare_hub(
             gc = entry_gc if direction == "to" else exit_gc
             minutes = np.where(data["avail"], data["minutes"], 0.0)
             cost_miles = np.where(np.isnan(data["miles"]), gc * circuity_factor, data["miles"])
-            if mode == Mode.BUS:
-                cost = np.full(len(idx), fares.bus_fare_usd)
-            elif mode == Mode.CAR:
-                cost = car_cost_per_mile * cost_miles
-            elif mode == Mode.CAR_SHARE:
-                cost = fares.car_share_usd_per_hour * minutes / 60.0
-            elif mode == Mode.BIKE_SHARE:
-                cost = fares.bike_share_fare_array(minutes)
-            elif mode == Mode.WALK_LEG:
-                cost = np.zeros(len(idx))
-            else:
-                raise ValueError(f"not a leg mode: {mode.value}")
+            cost = leg_cost_usd(mode, minutes, cost_miles, fares, car_cost_per_mile=car_cost_per_mile)
             u = mode_utility(
                 taste,
                 mode,

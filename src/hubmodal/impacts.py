@@ -108,7 +108,7 @@ def mode_shift(
 
     leg_trips: dict[Mode, float] = {}
     if setup.n_combos:
-        w = setup.weight_miles()
+        w = setup.leg_miles(1.0)
         total_w = w.sum(axis=2)
         with np.errstate(invalid="ignore", divide="ignore"):
             frac_entry = np.where(total_w > 0.0, w[:, :, 0] / total_w, 0.5)
@@ -191,7 +191,7 @@ def vmt_delta(
     after_carpool = float((w * s.upper[:, cp]).sum())
 
     if setup.n_combos:
-        leg_miles = setup.vmt_miles()
+        leg_miles = setup.leg_miles(setup.circuity_factor)
         joint_trips = (setup.trips * ok)[:, None] * s.joint
         for j, combo in enumerate(setup.combos):
             for leg_pos, leg_mode in ((0, combo.entry), (1, combo.exit)):

@@ -29,7 +29,7 @@ from .hubs import (
     MarketTable,
     prepare_hub,
 )
-from .impacts import EmissionFactor, consumer_surplus_delta, mode_shift, transit_delta, vmt_delta
+from .impacts import EmissionFactor, assess_hub
 
 logger = logging.getLogger(__name__)
 
@@ -215,23 +215,20 @@ def evaluate_candidates(
             car_cost_per_mile=cfg.car_cost_per_mile,
             circuity_factor=cfg.circuity_factor,
         )
-        shares = setup.choice_shares(params, literal_lower_branch=cfg.literal_lower_branch)
-        shift = mode_shift(setup, params, shares=shares)
-        vmt = vmt_delta(
+        report = assess_hub(
             setup,
             params,
             emissions=emissions,
             include_on_demand_auto=cfg.include_on_demand_auto_vmt,
-            shares=shares,
+            literal_lower_branch=cfg.literal_lower_branch,
         )
-        cs = consumer_surplus_delta(setup, params, shares=shares)
         return replace(
             cand,
             metrics=CandidateMetrics(
-                potential_demand=float(setup.trips.sum()),
-                transit_delta=transit_delta(shift),
-                vmt_reduced=vmt.reduced,
-                cs_total=cs.cs_total,
+                potential_demand=report.potential_demand,
+                transit_delta=report.transit_delta,
+                vmt_reduced=report.vmt.reduced,
+                cs_total=report.cs_total,
             ),
         )
 

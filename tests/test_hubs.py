@@ -117,13 +117,13 @@ def test_sorted_combos_is_deterministic():
 def test_leg_costs():
     fares = simple_fares()
     walk = LegTimes(minutes=12.0)
-    assert leg_cost_usd(Mode.WALK_LEG, walk, 0.5, fares) == 0.0
+    assert leg_cost_usd(Mode.WALK_LEG, walk.minutes, 0.5, fares) == 0.0
     # 30 minutes of car share at $5/hour
-    assert leg_cost_usd(Mode.CAR_SHARE, LegTimes(minutes=30.0), 0.0, fares) == pytest.approx(2.50)
-    assert leg_cost_usd(Mode.BUS, LegTimes(minutes=20.0), 3.0, fares) == 1.50
-    assert leg_cost_usd(Mode.CAR, LegTimes(minutes=10.0), 4.0, fares) == pytest.approx(0.80)
+    assert leg_cost_usd(Mode.CAR_SHARE, 30.0, 0.0, fares) == pytest.approx(2.50)
+    assert leg_cost_usd(Mode.BUS, 20.0, 3.0, fares) == 1.50
+    assert leg_cost_usd(Mode.CAR, 10.0, 4.0, fares) == pytest.approx(0.80)
     with pytest.raises(ValueError, match="not a leg mode"):
-        leg_cost_usd(Mode.DRIVING, walk, 1.0, fares)
+        leg_cost_usd(Mode.DRIVING, walk.minutes, 1.0, fares)
 
 
 def test_bike_share_step_schedule():
@@ -136,7 +136,7 @@ def test_bike_share_step_schedule():
     assert fares.bike_share_fare(31.0) == 2.5
     assert fares.bike_share_fare(60.0) == 2.5
     assert fares.bike_share_fare(200.0) == 5.0
-    got = fares.bike_share_fare_array(np.array([10.0, 30.0, 31.0, 60.0, 200.0]))
+    got = fares.bike_share_fare(np.array([10.0, 30.0, 31.0, 60.0, 200.0]))
     assert list(got) == [1.0, 1.0, 2.5, 2.5, 5.0]
 
 
@@ -289,6 +289,59 @@ def test_prepare_hub_marks_missing_legs_unavailable():
     assert setup.hub_nest_share(make_params())[row1] == 0.0
 
 
+# Only beta_cost is non-zero, and at -1, so a leg's utility is minus its cost.
+COST_ONLY_TASTE = make_taste(
+    beta_auto_tt=0.0, beta_trans_ivt=0.0, beta_trans_at=0.0, beta_trans_et=0.0,
+    beta_trans_n=0.0, beta_nonveh_tt=0.0, beta_cost=-1.0,
+    asc_driving=0.0, asc_transit=0.0, asc_ondemand=0.0, asc_biking=0.0, asc_walking=0.0,
+)
+
+
+def _entry_leg_costs(entry_mode: Mode, legs: list[LegTimes], fares: FareTable) -> np.ndarray:
+    """Entry-leg cost per market as prepare_hub prices it, read off the
+    combo utility of entry_mode + a free walk exit leg."""
+    markets = [make_market(od_id=f"od{i}", taste=COST_ONLY_TASTE) for i in range(len(legs))]
+    matrices = LegMatrices()
+    for market, leg in zip(markets, legs):
+        matrices.add(market.o_zone, "h1", entry_mode, leg, None)
+        matrices.add(market.d_zone, "h1", Mode.WALK_LEG, None, LegTimes(minutes=5.0))
+    hub = make_hub(combos=(ComboId(entry_mode, Mode.WALK_LEG),))
+    setup = prepare_hub(markets, hub, [m.market_id for m in markets], matrices, fares)
+    assert list(setup.market_ids) == [m.market_id for m in markets]
+    return -setup.combo_util[:, 0]
+
+
+def test_prepare_hub_prices_car_leg_by_circuity_adjusted_great_circle():
+    from hubmodal import MILES_PER_KM, great_circle_km
+
+    market = make_market()
+    hub = make_hub()
+    gc_miles = great_circle_km(market.origin, hub.location) * MILES_PER_KM
+    # no network miles: origin to hub is 3.311 km = 2.0575 mi great-circle,
+    # x 1.3 circuity x $0.20/mi = $0.5349; 4 network miles cost $0.80
+    got = _entry_leg_costs(Mode.CAR, [LegTimes(minutes=10.0), LegTimes(minutes=10.0, miles=4.0)], simple_fares())
+    assert got[0] == pytest.approx(gc_miles * 1.3 * 0.20, rel=1e-12)
+    assert got[0] == pytest.approx(0.5349, abs=1e-4)
+    assert got[1] == pytest.approx(0.80, rel=1e-12)
+
+
+def test_prepare_hub_prices_bike_share_leg_on_the_step_schedule():
+    fares = FareTable(
+        bus_fare_usd=1.0, car_share_usd_per_hour=5.0,
+        bike_share_steps=((30.0, 1.0), (60.0, 2.5), (math.inf, 5.0)),
+    )
+    legs = [LegTimes(minutes=t) for t in (10.0, 30.0, 31.0, 60.0, 200.0)]
+    # a ride of exactly a step's bound pays that step's fare
+    assert list(_entry_leg_costs(Mode.BIKE_SHARE, legs, fares)) == [1.0, 1.0, 2.5, 2.5, 5.0]
+
+
+def test_prepare_hub_prices_car_share_leg_at_the_hourly_rate():
+    legs = [LegTimes(minutes=t) for t in (30.0, 90.0, 12.0)]
+    # $5/hour
+    got = _entry_leg_costs(Mode.CAR_SHARE, legs, simple_fares())
+    np.testing.assert_allclose(got, [2.50, 7.50, 1.00], rtol=1e-12)
+
+
 def test_weight_and_vmt_miles_fallbacks():
     markets, hub, _, _ = _small_setup(1)
     m0 = markets[0]
@@ -297,8 +350,8 @@ def test_weight_and_vmt_miles_fallbacks():
     matrices.add(m0.d_zone, "h1", Mode.BUS, LegTimes(minutes=14.0, miles=3.1), LegTimes(minutes=14.0, miles=3.1))
     setup = prepare_hub(markets, hub, [m0.market_id], matrices, simple_fares())
     j = setup.combos.index(ComboId(Mode.WALK_LEG, Mode.BUS))
-    weight = setup.weight_miles()
-    vmt = setup.vmt_miles()
+    weight = setup.leg_miles(1.0)
+    vmt = setup.leg_miles(setup.circuity_factor)
     # entry leg has no network miles: weighting uses raw great-circle,
     # VMT applies the circuity factor on top
     assert weight[0, j, 0] == pytest.approx(setup.entry_gc_miles[0])

@@ -430,6 +430,29 @@ def test_cli_threads_env_default(fixture_dir, tmp_path, monkeypatch):
     assert code == 1
 
 
+def test_cli_builds_each_observed_hub_setup_once(fixture_dir, tmp_path, monkeypatch):
+    import hubmodal.cli as cli
+
+    built = []
+    real = cli.prepare_hub
+
+    def counting(markets, hub, *args, **kwargs):
+        built.append(hub.id)
+        return real(markets, hub, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "prepare_hub", counting)
+    manifest = str(fixture_dir / "manifest.json")
+    # the in-process fit and the impact report share one setup per hub
+    assert main(["assess", "--manifest", manifest, "--out-dir", str(tmp_path / "a")]) == 0
+    assert sorted(built) == ["hub-a", "hub-b"]
+
+    built.clear()
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"beta_hub": 0.3, "asc_by_segment": {s.value: -4.0 for s in Segment}}))
+    assert main(["rank", "--manifest", manifest, "--params", str(params), "--out-dir", str(tmp_path / "r")]) == 0
+    assert built == []
+
+
 def test_cli_missing_manifest_is_an_error(tmp_path, capsys):
     code = main(["derive-threshold", "--out-dir", str(tmp_path / "x")])
     assert code == 1
