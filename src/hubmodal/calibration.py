@@ -8,11 +8,9 @@ proportion the model is fit to.
 
 Calibration searches the five hub parameters (beta_hub plus one nest
 constant per segment) minimizing the sum of squared gaps between
-predicted and observed proportions across hubs.  The default method is
-bounded Nelder-Mead with deterministic restarts; a projected
-finite-difference gradient descent is available as a cross-check.  Both
-are derivative-free of the caller's viewpoint, fully deterministic, and
-respect box bounds.
+predicted and observed proportions across hubs.  The fit is bounded
+Nelder-Mead with deterministic restarts: derivative-free, fully
+deterministic, and kept within the box bounds.
 """
 
 from __future__ import annotations
@@ -161,7 +159,6 @@ class CalibrationResult:
     objective: float
     converged: bool
     rank_deficient: bool
-    method: str
     n_evaluations: int
     trace: tuple[float, ...]
     per_hub: tuple[HubFit, ...]
@@ -223,8 +220,6 @@ def calibrate(
     else:
         x0 = np.array([settings.init_beta] + [settings.init_asc] * len(SEGMENTS), dtype=float)
     x0 = np.clip(x0, lo, hi)
-    ridge = settings.ridge_weight
-    x_ref = x0.copy()
 
     trace: list[float] = []
     best = {"x": x0.copy(), "f": np.inf}
@@ -238,38 +233,30 @@ def calibrate(
         f = 0.0
         for setup, target in pairs:
             f += (predict_hub_proportion(setup, params) - target) ** 2
-        if ridge > 0.0:
-            f += ridge * float(((x - x_ref) ** 2).sum())
         if f < best["f"]:
             best["f"] = f
             best["x"] = x.copy()
             trace.append(f)
         return f
 
-    converged = False
-    if settings.method == "nelder-mead":
-        x = x0
-        for _ in range(settings.restarts + 1):
-            res = minimize(
-                objective,
-                x,
-                method="Nelder-Mead",
-                bounds=Bounds(lo, hi),
-                options={
-                    "maxiter": settings.max_iter,
-                    "fatol": settings.objective_tol,
-                    "xatol": settings.simplex_tol,
-                    "adaptive": True,
-                },
-            )
-            x = np.clip(res.x, lo, hi)
-            converged = bool(res.success) or best["f"] <= settings.objective_tol
-            if best["f"] <= settings.objective_tol:
-                break
-    elif settings.method == "projected-gradient":
-        converged = _projected_gradient(objective, best, lo, hi, settings)
-    else:
-        raise ValueError(f"unknown optimizer method: {settings.method!r}")
+    x = x0
+    for _ in range(settings.restarts + 1):
+        res = minimize(
+            objective,
+            x,
+            method="Nelder-Mead",
+            bounds=Bounds(lo, hi),
+            options={
+                "maxiter": settings.max_iter,
+                "fatol": settings.objective_tol,
+                "xatol": settings.simplex_tol,
+                "adaptive": True,
+            },
+        )
+        x = np.clip(res.x, lo, hi)
+        converged = bool(res.success) or best["f"] <= settings.objective_tol
+        if best["f"] <= settings.objective_tol:
+            break
 
     params = HubParams.from_vector(best["x"])
     per_hub = tuple(
@@ -283,48 +270,10 @@ def calibrate(
         objective=float(best["f"]),
         converged=converged,
         rank_deficient=rank_deficient,
-        method=settings.method,
         n_evaluations=n_eval,
         trace=tuple(trace),
         per_hub=per_hub,
     )
-
-
-def _projected_gradient(objective, best, lo, hi, settings: OptimizerSettings) -> bool:
-    """Forward-difference gradient descent projected onto the box."""
-    x = best["x"].copy()
-    f = objective(x)
-    for _ in range(settings.max_iter):
-        if f <= settings.objective_tol:
-            return True
-        g = np.zeros_like(x)
-        for i in range(len(x)):
-            h = 1e-7 * (1.0 + abs(x[i]))
-            xp = x.copy()
-            xp[i] = min(x[i] + h, hi[i])
-            step = xp[i] - x[i]
-            if step == 0.0:  # pinned at the upper bound, probe downward
-                xp[i] = max(x[i] - h, lo[i])
-                step = xp[i] - x[i]
-                if step == 0.0:
-                    continue
-            g[i] = (objective(xp) - f) / step
-        gnorm = float(np.linalg.norm(g))
-        if gnorm < 1e-14:
-            return True
-        alpha = 1.0 / max(1.0, gnorm)
-        improved = False
-        while alpha > 1e-18:
-            xn = np.clip(x - alpha * g, lo, hi)
-            fn = objective(xn)
-            if fn < f:
-                x, f = xn, fn
-                improved = True
-                break
-            alpha /= 2.0
-        if not improved:
-            return f <= settings.objective_tol
-    return best["f"] <= settings.objective_tol
 
 
 def percent_difference(predicted: float, observed: float) -> float | None:

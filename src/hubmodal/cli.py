@@ -8,8 +8,7 @@ carry sha256 digests of every input consumed, so a result can always be
 traced back to its exact inputs.  Failures print a single-line JSON
 error record to stderr and exit 1.
 
-Worker threads resolve in order: --threads flag, config threads (when
-positive), the HUBMODAL_THREADS environment variable, then 1.  Thread
+rank takes its worker thread count from --threads (default 1).  Thread
 count never changes any output byte, only wall time.
 """
 
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -39,28 +37,6 @@ from .geo import derive_threshold, detour_ratio, identify_potential_trips
 from .hubs import Hub, MarketTable, build_combos, prepare_hub
 from .impacts import EmissionFactor, assess_hub
 from .siting import METRIC_KEYS, Candidate, assign_services, cluster_stops, evaluate_candidates, rank_and_summarize
-
-ENV_THREADS = "HUBMODAL_THREADS"
-
-
-def _resolve_threads(arg_threads: int | None, cfg: PipelineConfig) -> int:
-    if arg_threads is not None:
-        if arg_threads < 1:
-            raise ValueError("--threads must be >= 1")
-        return arg_threads
-    if cfg.threads > 0:
-        return cfg.threads
-    raw = os.environ.get(ENV_THREADS, "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(f"{ENV_THREADS} must be an integer, got {raw!r}") from None
-        if n < 1:
-            raise ValueError(f"{ENV_THREADS} must be >= 1, got {n}")
-        return n
-    return 1
-
 
 def _load_base(args) -> tuple[Manifest, PipelineConfig]:
     if not args.manifest:
@@ -258,7 +234,6 @@ def _calibration_report(result: CalibrationResult, observed, obs_meta) -> dict:
         "objective": result.objective,
         "converged": result.converged,
         "rank_deficient": result.rank_deficient,
-        "method": result.method,
         "n_evaluations": result.n_evaluations,
         "trace": list(result.trace),
         "per_hub": [
@@ -417,11 +392,12 @@ def _cmd_assess(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    if args.threads < 1:
+        raise ValueError("--threads must be >= 1")
     manifest, config, table, survey, hub_recs, matrices, fares, thr, thr_meta = _load_model_inputs(args)
     manifest.require("stops", "pr_lots")
     stops = io.load_stops(manifest.stops)
     lots = io.load_pr_lots(manifest.pr_lots)
-    threads = _resolve_threads(args.threads, config)
     # a fit needs the observed hubs' setups; scoring builds its own in siting
     setups = None if args.params else _build_setups(table, hub_recs, survey, matrices, fares, config, thr)
     params, calib = _obtain_params(args, setups, hub_recs, config)
@@ -443,7 +419,7 @@ def _cmd_rank(args) -> int:
         raise ValueError(f"hub ids collide with candidate ids: {sorted(overlap)}")
 
     evaluated = evaluate_candidates(
-        candidates + references, table, params, thr, matrices, fares, config=config, threads=threads
+        candidates + references, table, params, thr, matrices, fares, config=config, threads=args.threads
     )
     ranking, summary = rank_and_summarize(evaluated, reference_ids=reference_ids)
 
@@ -507,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON run configuration")
     common.add_argument("--seed", type=int, default=None, help="RNG seed (fixture generation) and report echo")
     common.add_argument("--out-dir", default="out", help="directory for outputs (default: out)")
-    common.add_argument("--threads", type=int, default=None, help=f"worker threads; default from config or ${ENV_THREADS}")
 
     parser = argparse.ArgumentParser(prog="hubmodal", description="Mobility hub demand, impact, and siting pipeline.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -527,6 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", parents=[common], help="score and rank siting candidates")
     p.add_argument("--params", help="params JSON (a calibration report); omitted: calibrate in process")
+    p.add_argument("--threads", type=int, default=1, help="worker threads for candidate evaluation (default: 1)")
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("gen-fixture", parents=[common], help="write a synthetic input set")

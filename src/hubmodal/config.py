@@ -14,8 +14,6 @@ from pathlib import Path
 
 from .geo import CONDITION2_MODES
 
-OPTIMIZER_METHODS = ("nelder-mead", "projected-gradient")
-
 
 @dataclass
 class OptimizerSettings:
@@ -24,11 +22,9 @@ class OptimizerSettings:
     Defaults: bounded Nelder-Mead started at beta_hub = 0.5 and all nest
     constants at -5, with beta_hub in [0.01, 1] and constants in [-12, 0].
     Convergence: objective below objective_tol or simplex spread below
-    simplex_tol.  ridge_weight adds an L2 pull toward the start point for
-    under-determined fits (off by default).
+    simplex_tol.
     """
 
-    method: str = "nelder-mead"
     beta_bounds: tuple[float, float] = (0.01, 1.0)
     asc_bounds: tuple[float, float] = (-12.0, 0.0)
     init_beta: float = 0.5
@@ -37,11 +33,8 @@ class OptimizerSettings:
     objective_tol: float = 1e-12
     simplex_tol: float = 1e-10
     restarts: int = 3
-    ridge_weight: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.method not in OPTIMIZER_METHODS:
-            raise ValueError(f"unknown optimizer method: {self.method!r}")
         if isinstance(self.beta_bounds, list):
             self.beta_bounds = tuple(self.beta_bounds)
         if isinstance(self.asc_bounds, list):
@@ -50,8 +43,6 @@ class OptimizerSettings:
             raise ValueError("max_iter must be >= 1 and restarts >= 0")
         if self.objective_tol <= 0 or self.simplex_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.ridge_weight < 0:
-            raise ValueError("ridge_weight must be non-negative")
 
 
 @dataclass
@@ -74,8 +65,6 @@ class PipelineConfig:
     car_cost_per_mile: float = 0.20
     # count on-demand auto into the driving VMT category
     include_on_demand_auto_vmt: bool = False
-    # worker threads for candidate evaluation (0 means use the env default)
-    threads: int = 0
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
 
     def __post_init__(self) -> None:
@@ -90,8 +79,6 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be positive")
         if self.car_cost_per_mile < 0:
             raise ValueError("car_cost_per_mile must be non-negative")
-        if self.threads < 0:
-            raise ValueError("threads must be non-negative")
         if isinstance(self.optimizer, dict):
             self.optimizer = _settings_from_dict(self.optimizer)
 

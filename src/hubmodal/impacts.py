@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from .calibration import HubParams
-from .choice import MAIN_MODES, Market, Mode
-from .hubs import HubChoiceSetup, HubShares, MarketTable
+from .choice import MAIN_MODES, Mode
+from .hubs import HubChoiceSetup, HubShares
 
 logger = logging.getLogger(__name__)
 
@@ -55,14 +54,9 @@ class EmissionFactor:
         return vmt_per_day * self.days_per_year / 1000.0
 
 
-def potential_demand(markets) -> float:
-    """Total trips/day over the potential markets.
-
-    Accepts a Market sequence, a MarketTable, or a HubChoiceSetup.
-    """
-    if isinstance(markets, (HubChoiceSetup, MarketTable)):
-        return float(markets.trips.sum())
-    return float(sum(m.trips_per_day for m in markets))
+def potential_demand(setup: HubChoiceSetup) -> float:
+    """Total trips/day over the hub's potential markets."""
+    return float(setup.trips.sum())
 
 
 @dataclass(frozen=True)

@@ -289,8 +289,9 @@ def rank_and_summarize(
         for pos, cid in enumerate(by_rank, start=1):
             ranks[cid][key] = pos
         vals = np.array([values[i] for i in ids])
-        for cid in ids:
-            pcts[cid][key] = float((vals < values[cid]).sum()) / n
+        below = np.searchsorted(np.sort(vals), vals, side="left")
+        for cid, k in zip(ids, below.tolist()):
+            pcts[cid][key] = float(k) / n
         counts, edges = np.histogram(vals, bins=bins)
         summary_metrics[key] = {
             "mean": float(vals.mean()),

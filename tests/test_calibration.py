@@ -19,7 +19,6 @@ from hubmodal import (
     HubParams,
     Mode,
     ObservedUsage,
-    OptimizerSettings,
     Segment,
     calibrate,
     derive_observed_rate,
@@ -224,26 +223,6 @@ def test_calibrate_input_validation():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             calibrate([obs], {"h1": setup}, bounds=[(0.0, 1.0)])
-
-
-def test_projected_gradient_agrees_with_nelder_mead():
-    setup = _setup_for(Segment.STUDENT, n=5)
-    target = predict_hub_proportion(setup, make_params(beta=0.5, asc=-1.5))
-    observed = ObservedUsage("h1", target * setup.trips.sum(), setup.trips.sum(), target)
-    bounds = [(0.5, 0.5)] + [(-12.0, 0.0)] * 4
-    init = make_params(beta=0.5, asc=-2.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        nm = calibrate([observed], {"h1": setup}, bounds=bounds, init=init)
-        pg = calibrate(
-            [observed], {"h1": setup}, bounds=bounds, init=init,
-            settings=OptimizerSettings(method="projected-gradient", max_iter=20000),
-        )
-    assert nm.method == "nelder-mead" and pg.method == "projected-gradient"
-    nm_pred = predict_hub_proportion(setup, nm.params)
-    pg_pred = predict_hub_proportion(setup, pg.params)
-    assert nm_pred == pytest.approx(target, abs=1e-6)
-    assert pg_pred == pytest.approx(target, abs=1e-5)
 
 
 def test_percent_difference_examples():

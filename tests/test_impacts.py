@@ -62,7 +62,8 @@ def test_emission_factor_validation():
 
 def test_potential_demand_sums_trips():
     markets = [make_market(od_id=f"od{i}", trips=t) for i, t in enumerate([3.0, 4.0, 5.0])]
-    assert potential_demand(markets) == 12.0
+    _, _, _, setup = _impact_setup(markets=markets)
+    assert potential_demand(setup) == 12.0
 
 
 def _impact_setup(n: int = 4, combos=None, markets=None):

@@ -24,6 +24,7 @@ from hubmodal import (
     LegTimes,
     Mode,
     ParseError,
+    PipelineConfig,
     Segment,
     StopRecord,
     SurveyRecord,
@@ -47,7 +48,7 @@ from hubmodal import (
     write_stops,
     write_survey,
 )
-from hubmodal.cli import ENV_THREADS, main
+from hubmodal.cli import main
 
 
 def test_fmt_values():
@@ -420,14 +421,23 @@ def test_cli_rank_is_thread_invariant(fixture_dir, tmp_path):
     assert _tree_digest(a) == _tree_digest(b)
 
 
-def test_cli_threads_env_default(fixture_dir, tmp_path, monkeypatch):
+def test_cli_rank_rejects_threads_below_one(fixture_dir, tmp_path, capsys):
     manifest = str(fixture_dir / "manifest.json")
-    monkeypatch.setenv(ENV_THREADS, "3")
-    out = tmp_path / "env"
-    assert main(["rank", "--manifest", manifest, "--out-dir", str(out)]) == 0
-    monkeypatch.setenv(ENV_THREADS, "not-a-number")
-    code = main(["rank", "--manifest", manifest, "--out-dir", str(tmp_path / "bad")])
+    code = main(["rank", "--manifest", manifest, "--threads", "0", "--out-dir", str(tmp_path / "x")])
     assert code == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert "--threads" in record["message"]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"threads": 2}, {"optimizer": {"method": "nelder-mead"}}, {"optimizer": {"ridge_weight": 0.1}}],
+    ids=["threads", "method", "ridge_weight"],
+)
+def test_config_rejects_removed_keys(data):
+    with pytest.raises(ValueError, match=r"unknown (config|optimizer) keys"):
+        PipelineConfig.from_dict(data)
 
 
 def test_cli_builds_each_observed_hub_setup_once(fixture_dir, tmp_path, monkeypatch):
