@@ -23,9 +23,9 @@ max-subtraction and are stable for utilities anywhere in [-700, 700].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 import numpy as np
 

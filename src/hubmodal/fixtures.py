@@ -23,7 +23,7 @@ import numpy as np
 from .choice import SEGMENTS, ComboId, Market, Mode, ModeAttr, TasteVector
 from .config import PipelineConfig
 from .geo import MILES_PER_KM, GeoPoint, haversine_km
-from .hubs import CAR_SHARE_PROFILE_COMBOS, STANDARD_PROFILE_COMBOS, LegMatrices, LegTimes, SurveyRecord
+from .hubs import CAR_SHARE_PROFILE_COMBOS, LEG_MODE_ORDER, STANDARD_PROFILE_COMBOS, LegMatrices, SurveyRecord
 from .io import (
     HubRecord,
     write_fares,
@@ -279,9 +279,10 @@ def _make_matrices(
     bus_transfers = (rng.random(shape) < 0.35).astype(float)
     mile_jit = {m: rng.uniform(0.98, 1.10, shape) for m in (Mode.CAR, Mode.CAR_SHARE, Mode.BUS)}
 
-    matrices = LegMatrices()
+    zone_codes, hub_codes, mode_codes, blocks = [], [], [], []
+    zero, nan = np.zeros(shape), np.full(shape, np.nan)
     for mode in (Mode.BUS, Mode.CAR, Mode.CAR_SHARE, Mode.BIKE_SHARE, Mode.WALK_LEG):
-        keep = avail[mode] & ~dropped[mode]
+        zi, hi = np.nonzero(avail[mode] & ~dropped[mode])
         base_min = d * circuity[mode] / speeds_kmh[mode] * 60.0
         to_min = np.round(base_min * to_jit[mode], 2)
         from_min = np.round(base_min * from_jit[mode], 2)
@@ -291,34 +292,26 @@ def _make_matrices(
             from_acc = np.round(bus_egress + bus_wait_from * 0.3, 2)
             from_egr = np.round(bus_access * 0.8, 2)
             miles = np.round(d * 1.25 * MILES_PER_KM * mile_jit[mode], 3)
-        elif mode in mile_jit:
-            miles = np.round(d * 1.3 * MILES_PER_KM * mile_jit[mode], 3)
+            to_cells = (to_min, to_acc, to_egr, bus_transfers, miles)
+            from_cells = (from_min, from_acc, from_egr, bus_transfers, miles)
         else:
-            miles = None
-        for zi, hi in np.argwhere(keep):
-            row_miles = None if miles is None else float(miles[zi, hi])
-            if mode is Mode.BUS:
-                to = LegTimes(
-                    minutes=float(to_min[zi, hi]),
-                    access_min=float(to_acc[zi, hi]),
-                    egress_min=float(to_egr[zi, hi]),
-                    transfers=float(bus_transfers[zi, hi]),
-                    miles=row_miles,
-                )
-                from_leg = LegTimes(
-                    minutes=float(from_min[zi, hi]),
-                    access_min=float(from_acc[zi, hi]),
-                    egress_min=float(from_egr[zi, hi]),
-                    transfers=float(bus_transfers[zi, hi]),
-                    miles=row_miles,
-                )
-            else:
-                to = LegTimes(minutes=float(to_min[zi, hi]), miles=row_miles)
-                from_leg = LegTimes(minutes=float(from_min[zi, hi]), miles=row_miles)
-            if oneway[mode][zi, hi]:
-                from_leg = None
-            matrices.add(zone_ids[zi], hub_ids[hi], mode, to, from_leg)
-    return matrices
+            miles = np.round(d * 1.3 * MILES_PER_KM * mile_jit[mode], 3) if mode in mile_jit else nan
+            to_cells = (to_min, zero, zero, zero, miles)
+            from_cells = (from_min, zero, zero, zero, miles)
+        block = np.stack([np.stack([c[zi, hi] for c in cells], axis=1) for cells in (to_cells, from_cells)])
+        block[1, oneway[mode][zi, hi]] = np.nan
+        zone_codes.append(zi)
+        hub_codes.append(hi)
+        mode_codes.append(np.full(len(zi), LEG_MODE_ORDER.index(mode)))
+        blocks.append(block)
+    return LegMatrices(
+        zone_ids,
+        hub_ids,
+        np.concatenate(zone_codes),
+        np.concatenate(hub_codes),
+        np.concatenate(mode_codes),
+        np.concatenate(blocks, axis=1),
+    )
 
 
 def generate_fixture(

@@ -12,14 +12,16 @@ car cost, walking free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+import itertools
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .choice import (
+    LEG_MODES,
     MAIN_MODES,
-    MODE_FAMILY,
     SEGMENTS,
     TASTE_FIELDS,
     ComboId,
@@ -185,23 +187,152 @@ class LegTimes:
     miles: float | None = None
 
 
-@dataclass
-class LegMatrices:
-    """Zone-to-hub leg lookup.  Keys are (zone_id, hub_id, mode); each
-    entry holds the to-hub and from-hub directions, either possibly None."""
+# Leg modes in the order of their names.  A row's mode code indexes this
+# tuple, so rows sorted by code are sorted by mode name.
+LEG_MODE_ORDER: tuple[Mode, ...] = tuple(sorted(LEG_MODES, key=lambda m: m.value))
+_LEG_MODE_CODE = {mode: i for i, mode in enumerate(LEG_MODE_ORDER)}
 
-    entries: dict[tuple[str, str, Mode], tuple[LegTimes | None, LegTimes | None]] = field(default_factory=dict)
+
+def _sorted_codes(ids: Sequence[str], codes) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted distinct ``ids`` and ``codes`` re-pointed into them."""
+    distinct = tuple(sorted(set(ids)))
+    rank = {v: i for i, v in enumerate(distinct)}
+    remap = np.array([rank[v] for v in ids], dtype=np.int64)
+    return distinct, remap[np.asarray(codes, dtype=np.int64)]
+
+
+def _leg_times(cells: np.ndarray) -> LegTimes | None:
+    minutes, access, egress, transfers, miles = cells.tolist()
+    if minutes != minutes:
+        return None
+    return LegTimes(minutes, access, egress, transfers, None if miles != miles else miles)
+
+
+def _leg_cells(leg: LegTimes | None) -> list[float]:
+    if leg is None:
+        return [np.nan] * 5
+    return [leg.minutes, leg.access_min, leg.egress_min, leg.transfers, np.nan if leg.miles is None else leg.miles]
+
+
+class LegMatrices:
+    """Zone-to-hub leg store: one row per (zone, hub, leg mode), held as
+    columns.
+
+    ``zone_ids`` and ``hub_ids`` are sorted; the per-row ``zone``, ``hub``
+    and ``mode`` codes index them and LEG_MODE_ORDER.  Rows are sorted by
+    ``key``, which orders them by (zone, hub, mode name).  ``legs[0]`` and
+    ``legs[1]`` are the to-hub and from-hub (n, 5) blocks of minutes,
+    access, egress, transfers and miles: NaN minutes means the direction
+    is absent, NaN miles that no network distance is known.
+
+    The constructor takes rows column-wise: ``zone``/``hub`` codes into
+    ``zone_ids``/``hub_ids`` (in any order, repeats allowed), ``mode``
+    codes into LEG_MODE_ORDER, and ``legs`` of shape (2, n, 5).  A later
+    row replaces an earlier one with the same key.  The store is complete
+    once built; lookups never change it.
+    """
+
+    def __init__(
+        self,
+        zone_ids: Sequence[str] = (),
+        hub_ids: Sequence[str] = (),
+        zone=(),
+        hub=(),
+        mode=(),
+        legs=None,
+    ):
+        self.zone_ids, zone = _sorted_codes(zone_ids, zone)
+        self.hub_ids, hub = _sorted_codes(hub_ids, hub)
+        mode = np.asarray(mode, dtype=np.int64)
+        legs = np.empty((2, 0, 5)) if legs is None else np.asarray(legs, dtype=float)
+        key = (zone * len(self.hub_ids) + hub) * len(LEG_MODE_ORDER) + mode
+        order = np.argsort(key, kind="stable")
+        last = np.ones(len(order), dtype=bool)
+        last[:-1] = key[order][1:] != key[order][:-1]
+        rows = order[last]
+        n = len(rows)
+        # One trailing row past the end: an all-NaN leg for absent keys and
+        # a key no lookup can equal.
+        self._legs = np.full((2, n + 1, 5), np.nan)
+        self._legs[:, :n] = legs[:, rows]
+        self._key = np.append(key[rows], np.iinfo(np.int64).max)
+        self.legs = self._legs[:, :n]
+        self.key = self._key[:n]
+        self.zone, self.hub, self.mode = zone[rows], hub[rows], mode[rows]
+        self._zone_code = {z: i for i, z in enumerate(self.zone_ids)}
+        self._hub_code = {h: i for i, h in enumerate(self.hub_ids)}
+
+    def __len__(self) -> int:
+        return len(self.key)
+
+    @property
+    def entries(self) -> Mapping[tuple[str, str, Mode], tuple[LegTimes | None, LegTimes | None]]:
+        """Read-only view of the rows as (zone, hub, mode) -> (to-hub, from-hub)."""
+        return _LegEntries(self)
 
     def add(self, zone_id: str, hub_id: str, mode: Mode, to_hub: LegTimes | None, from_hub: LegTimes | None) -> None:
-        self.entries[(zone_id, hub_id, mode)] = (to_hub, from_hub)
+        """Add one row, replacing any row with the same key.  Each call
+        rebuilds the store; bulk data goes through the constructor."""
+        self.__init__(
+            self.zone_ids + (zone_id,),
+            self.hub_ids + (hub_id,),
+            np.append(self.zone, len(self.zone_ids)),
+            np.append(self.hub, len(self.hub_ids)),
+            np.append(self.mode, _LEG_MODE_CODE[mode]),
+            np.concatenate([self.legs, [[_leg_cells(to_hub)], [_leg_cells(from_hub)]]], axis=1),
+        )
+
+    def zone_codes(self, zone_ids: Sequence[str]) -> np.ndarray:
+        """This store's code for each zone id, -1 where it has none."""
+        codes = map(self._zone_code.get, zone_ids, itertools.repeat(-1))
+        return np.fromiter(codes, dtype=np.int64, count=len(zone_ids))
+
+    def rows(self, zones: np.ndarray, hub_id: str, mode: Mode) -> np.ndarray:
+        """Row of each (zone code, hub, mode) key; ``len(self)`` where the
+        store has no such row (and for zone code -1)."""
+        hub = self._hub_code.get(hub_id)
+        mode_code = _LEG_MODE_CODE.get(mode)
+        if hub is None or mode_code is None:
+            return np.full(len(zones), len(self))
+        # A zone code of -1 gives a negative key, which matches no row.
+        key = (zones * len(self.hub_ids) + hub) * len(LEG_MODE_ORDER) + mode_code
+        pos = np.searchsorted(self.key, key)
+        return np.where(self._key[pos] == key, pos, len(self))
+
+    def _leg(self, zone_id: str, hub_id: str, mode: Mode, direction: int) -> LegTimes | None:
+        row = self.rows(self.zone_codes([zone_id]), hub_id, mode)[0]
+        return _leg_times(self._legs[direction, row])
 
     def to_hub(self, zone_id: str, hub_id: str, mode: Mode) -> LegTimes | None:
-        entry = self.entries.get((zone_id, hub_id, mode))
-        return entry[0] if entry else None
+        return self._leg(zone_id, hub_id, mode, 0)
 
     def from_hub(self, zone_id: str, hub_id: str, mode: Mode) -> LegTimes | None:
-        entry = self.entries.get((zone_id, hub_id, mode))
-        return entry[1] if entry else None
+        return self._leg(zone_id, hub_id, mode, 1)
+
+
+class _LegEntries(Mapping):
+    """(zone, hub, mode) -> (to-hub, from-hub) view over a LegMatrices."""
+
+    def __init__(self, matrices: LegMatrices):
+        self._m = matrices
+
+    def __len__(self) -> int:
+        return len(self._m)
+
+    def __iter__(self):
+        m = self._m
+        for z, h, c in zip(m.zone.tolist(), m.hub.tolist(), m.mode.tolist()):
+            yield m.zone_ids[z], m.hub_ids[h], LEG_MODE_ORDER[c]
+
+    def __getitem__(self, key):
+        try:
+            zone_id, hub_id, mode = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        row = self._m.rows(self._m.zone_codes([zone_id]), hub_id, mode)[0]
+        if row == len(self._m):
+            raise KeyError(key)
+        return _leg_times(self._m.legs[0, row]), _leg_times(self._m.legs[1, row])
 
 
 def leg_cost_usd(
@@ -303,8 +434,12 @@ class MarketTable:
         self.o_lon = np.array([m.origin.lon for m in ms], dtype=float)
         self.d_lat = np.array([m.destination.lat for m in ms], dtype=float)
         self.d_lon = np.array([m.destination.lon for m in ms], dtype=float)
-        self.o_zones: tuple[str, ...] = tuple(m.o_zone for m in ms)
-        self.d_zones: tuple[str, ...] = tuple(m.d_zone for m in ms)
+        zone_code: dict[str, int] = {}
+        o_codes = [zone_code.setdefault(m.o_zone, len(zone_code)) for m in ms]
+        d_codes = [zone_code.setdefault(m.d_zone, len(zone_code)) for m in ms]
+        self.zone_ids: tuple[str, ...] = tuple(zone_code)
+        self.o_zone_codes = np.array(o_codes, dtype=np.int64)
+        self.d_zone_codes = np.array(d_codes, dtype=np.int64)
         self.taste: dict[str, np.ndarray] = {
             name: np.array([getattr(m.taste, name) for m in ms], dtype=float) for name in TASTE_FIELDS
         }
@@ -501,41 +636,10 @@ class HubChoiceSetup:
         )
 
 
-def _gather_leg(
-    idx: np.ndarray,
-    zones: Sequence[str],
-    hub: Hub,
-    mode: Mode,
-    matrices: LegMatrices,
-    direction: str,
-) -> dict[str, np.ndarray]:
-    m = len(idx)
-    minutes = np.full(m, np.nan)
-    access = np.zeros(m)
-    egress = np.zeros(m)
-    transfers = np.zeros(m)
-    miles = np.full(m, np.nan)
-    avail = np.zeros(m, dtype=bool)
-    get = matrices.to_hub if direction == "to" else matrices.from_hub
-    for row, i in enumerate(idx):
-        times = get(zones[i], hub.id, mode)
-        if times is None:
-            continue
-        avail[row] = True
-        minutes[row] = times.minutes
-        access[row] = times.access_min
-        egress[row] = times.egress_min
-        transfers[row] = times.transfers
-        if times.miles is not None:
-            miles[row] = times.miles
-    return {
-        "minutes": minutes,
-        "access": access,
-        "egress": egress,
-        "transfers": transfers,
-        "miles": miles,
-        "avail": avail,
-    }
+def _gather_leg(matrices: LegMatrices, zones: np.ndarray, hub: Hub, mode: Mode, direction: int) -> np.ndarray:
+    """(m, 5) leg cells of ``mode`` between each zone code and the hub,
+    to it (direction 0) or from it (1); all NaN where the leg is absent."""
+    return matrices._legs[direction, matrices.rows(zones, hub.id, mode)]
 
 
 def prepare_hub(
@@ -571,46 +675,46 @@ def prepare_hub(
         haversine_km(hub.location.lat, hub.location.lon, table.d_lat[idx], table.d_lon[idx]) * MILES_PER_KM
     )
 
-    o_zones = table.o_zones
-    d_zones = table.d_zones
-    leg_cache: dict[tuple[Mode, str], dict[str, np.ndarray]] = {}
-    util_cache: dict[tuple[Mode, str], np.ndarray] = {}
+    # Zone codes of the selected markets' origins (to-hub legs) and
+    # destinations (from-hub legs) in the matrices' own coding.
+    zone_map = matrices.zone_codes(table.zone_ids)
+    zones = (zone_map[table.o_zone_codes[idx]], zone_map[table.d_zone_codes[idx]])
+    gcs = (entry_gc, exit_gc)
+    leg_cache: dict[tuple[Mode, int], np.ndarray] = {}
+    util_cache: dict[tuple[Mode, int], np.ndarray] = {}
 
-    def leg_data(mode: Mode, direction: str) -> dict[str, np.ndarray]:
+    def leg_data(mode: Mode, direction: int) -> np.ndarray:
         key = (mode, direction)
         if key not in leg_cache:
-            zones = o_zones if direction == "to" else d_zones
-            leg_cache[key] = _gather_leg(idx, zones, hub, mode, matrices, direction)
+            leg_cache[key] = _gather_leg(matrices, zones[direction], hub, mode, direction)
         return leg_cache[key]
 
-    def leg_util(mode: Mode, direction: str) -> np.ndarray:
+    def leg_util(mode: Mode, direction: int) -> np.ndarray:
         key = (mode, direction)
         if key not in util_cache:
-            data = leg_data(mode, direction)
-            gc = entry_gc if direction == "to" else exit_gc
-            minutes = np.where(data["avail"], data["minutes"], 0.0)
-            cost_miles = np.where(np.isnan(data["miles"]), gc * circuity_factor, data["miles"])
+            minutes, access, egress, transfers, miles = leg_data(mode, direction).T
+            avail = ~np.isnan(minutes)
+            minutes = np.where(avail, minutes, 0.0)
+            cost_miles = np.where(np.isnan(miles), gcs[direction] * circuity_factor, miles)
             cost = leg_cost_usd(mode, minutes, cost_miles, fares, car_cost_per_mile=car_cost_per_mile)
             u = mode_utility(
                 taste,
                 mode,
                 ivt_min=minutes,
-                access_min=data["access"],
-                egress_min=data["egress"],
-                transfers=data["transfers"],
+                access_min=access,
+                egress_min=egress,
+                transfers=transfers,
                 cost_usd=cost,
             )
-            util_cache[key] = np.where(data["avail"], u, -np.inf)
+            util_cache[key] = np.where(avail, u, -np.inf)
         return util_cache[key]
 
     combo_util = np.full((m, k), -np.inf)
     matrix_miles = np.full((m, k, 2), np.nan)
     for j, combo in enumerate(combos):
-        eu = leg_util(combo.entry, "to")
-        xu = leg_util(combo.exit, "from")
-        combo_util[:, j] = eu + xu
-        matrix_miles[:, j, 0] = leg_data(combo.entry, "to")["miles"]
-        matrix_miles[:, j, 1] = leg_data(combo.exit, "from")["miles"]
+        combo_util[:, j] = leg_util(combo.entry, 0) + leg_util(combo.exit, 1)
+        matrix_miles[:, j, 0] = leg_data(combo.entry, 0)[:, 4]
+        matrix_miles[:, j, 1] = leg_data(combo.exit, 1)[:, 4]
 
     return HubChoiceSetup(
         hub=hub,

@@ -20,7 +20,7 @@ Emission factors turn VMT reductions into CO2 at a flat grams/mile rate.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

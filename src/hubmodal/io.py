@@ -16,14 +16,22 @@ available flag is 0 and the mode's numeric cells may be blank.
 
 Leg matrices columns: zone_id, hub_id, mode, then to_hub_* and
 from_hub_* column groups (min, access_min, egress_min, transfers,
-miles).  A blank minutes cell means that direction is unavailable; blank
-miles means no network distance is known.
+miles); other columns are ignored.  One row per (zone, hub, leg mode): a
+key repeated within or across files is an error, and so is a row with
+fewer cells than the columns it needs.  Blank-cell rules: the key cells
+may not be blank; a blank minutes cell means that direction is
+unavailable (its other cells are then ignored, but any non-blank cell
+must still be a finite number); blank access, egress and transfers mean
+0; blank miles means no network distance is known.  Files are parsed
+column-wise in batches of rows and written back sorted by (zone, hub,
+mode name), an unavailable direction as five blank cells.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -33,9 +41,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .choice import LEG_MODES, TASTE_FIELDS, ComboId, Market, Mode, ModeAttr, Segment, TasteVector
+from .choice import LEG_MODES, TASTE_FIELDS, Market, Mode, ModeAttr, Segment, TasteVector
 from .geo import GeoPoint
-from .hubs import FareTable, Hub, LegMatrices, LegTimes, SurveyRecord
+from .hubs import LEG_MODE_ORDER, FareTable, LegMatrices, SurveyRecord
 from .siting import Candidate, StopRecord
 
 _INF = float("inf")
@@ -120,6 +128,18 @@ def sha256_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
+def _number(value: str) -> float:
+    """The finite float in stripped, non-empty cell text; ValueError says
+    why there is none."""
+    try:
+        out = float(value)
+    except ValueError:
+        raise ValueError(f"malformed number {value!r}") from None
+    if not math.isfinite(out):
+        raise ValueError(f"non-finite number {value!r}")
+    return out
+
+
 class _Row:
     """One CSV row with typed, error-reporting cell access."""
 
@@ -150,12 +170,9 @@ class _Row:
                 return None
             raise self.fail(column, "empty value")
         try:
-            out = float(value)
-        except ValueError:
-            raise self.fail(column, f"malformed number {value!r}") from None
-        if not math.isfinite(out):
-            raise self.fail(column, f"non-finite number {value!r}")
-        return out
+            return _number(value)
+        except ValueError as err:
+            raise self.fail(column, str(err)) from None
 
     def flag(self, column: str, *, default: bool | None = None) -> bool:
         value = self.text(column)
@@ -425,43 +442,171 @@ MATRIX_COLUMNS = (
 )
 
 
-def _parse_direction(row: _Row, prefix: str) -> LegTimes | None:
-    minutes = row.number(f"{prefix}_min", optional=True)
-    if minutes is None:
+# Rows parsed per batch: a batch's cell strings are dropped once its
+# columns are arrays, so the strings held at once do not grow with the file.
+_MATRIX_BATCH_ROWS = 2048
+
+
+def _matrix_key_cell(ids: dict[str, int]):
+    def convert(text: str) -> int:
+        text = text.strip()
+        if not text:
+            raise ValueError("empty value")
+        return ids.setdefault(text, len(ids))
+
+    return convert
+
+
+def _matrix_mode_cell(text: str) -> int:
+    text = text.strip()
+    if not text:
+        raise ValueError("empty value")
+    mode = _LEG_MODE_BY_VALUE.get(text)
+    if mode is None:
+        raise ValueError(f"unknown leg mode {text!r}")
+    return LEG_MODE_ORDER.index(mode)
+
+
+def _matrix_number_cell(text: str) -> float:
+    text = text.strip()
+    return _number(text) if text else math.nan
+
+
+def _float_column(cells: Sequence[str]) -> np.ndarray | None:
+    """The cells as floats, NaN for empty ones, when every other cell is a
+    finite float literal (the common case, converted in bulk); else None."""
+    literals = list(filter(None, cells))
+    try:
+        numbers = np.fromiter(map(float, literals), dtype=float, count=len(literals))
+    except ValueError:
         return None
-    access = row.number(f"{prefix}_access_min", optional=True) or 0.0
-    egress = row.number(f"{prefix}_egress_min", optional=True) or 0.0
-    transfers = row.number(f"{prefix}_transfers", optional=True) or 0.0
-    miles = row.number(f"{prefix}_miles", optional=True)
-    return LegTimes(minutes=minutes, access_min=access, egress_min=egress, transfers=transfers, miles=miles)
+    if not np.isfinite(numbers).all():
+        return None
+    if len(literals) == len(cells):
+        return numbers
+    column = np.full(len(cells), np.nan)
+    column[np.fromiter(map(bool, cells), dtype=bool, count=len(cells))] = numbers
+    return column
+
+
+def _matrix_batch(path, first_row: int, rows: list[list[str]], picks: Sequence[int], converters) -> list[np.ndarray]:
+    """One array per matrix column of ``rows``.  Cells the bulk path does
+    not take are converted once per distinct text; the first bad cell, in
+    row then column order, raises a ParseError naming it."""
+    columns = list(zip(*rows))
+    out = []
+    bad_cell = None  # (row index, column index, why)
+    for j, (pick, convert) in enumerate(zip(picks, converters)):
+        cells = columns[pick]
+        column = _float_column(cells) if convert is _matrix_number_cell else None
+        if column is None:
+            values = dict.fromkeys(cells)
+            bad = {}
+            for text in values:
+                try:
+                    values[text] = convert(text)
+                except ValueError as err:
+                    bad[text] = str(err)
+            if bad:
+                i = min(cells.index(text) for text in bad)
+                if bad_cell is None or i < bad_cell[0]:
+                    bad_cell = (i, j, bad[cells[i]])
+                continue
+            dtype = np.int64 if j < 3 else float  # codes, then numbers
+            column = np.fromiter(map(values.__getitem__, cells), dtype=dtype, count=len(cells))
+        out.append(column)
+    if bad_cell is not None:
+        i, j, why = bad_cell
+        raise ParseError(f"{path} row {first_row + i}: {why} in column '{MATRIX_COLUMNS[j]}'")
+    return out
 
 
 def load_matrices(paths: Sequence[str | Path]) -> LegMatrices:
-    """Merge one or more leg matrix files; duplicate keys are an error."""
-    matrices = LegMatrices()
+    """Merge one or more leg matrix files; a key repeated within or across
+    files is an error."""
+    zone_ids: dict[str, int] = {}
+    hub_ids: dict[str, int] = {}
+    converters = [_matrix_key_cell(zone_ids), _matrix_key_cell(hub_ids), _matrix_mode_cell]
+    converters += [_matrix_number_cell] * (len(MATRIX_COLUMNS) - 3)
+    batches = []
+    row_files = []  # (path, number of rows) per file
     for path in paths:
-        for row in _read_rows(path, MATRIX_COLUMNS):
-            zone = row.require("zone_id")
-            hub_id = row.require("hub_id")
-            mode = _parse_leg_mode(row, "mode")
-            if (zone, hub_id, mode) in matrices.entries:
-                raise row.fail("zone_id", f"duplicate matrix entry ({zone}, {hub_id}, {mode.value})")
-            matrices.add(zone, hub_id, mode, _parse_direction(row, "to_hub"), _parse_direction(row, "from_hub"))
+        n_rows = 0
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            where = {name: i for i, name in enumerate(header)}
+            for col in MATRIX_COLUMNS:
+                if col not in where:
+                    raise ParseError(f"{path}: missing column '{col}'")
+            picks = [where[col] for col in MATRIX_COLUMNS]
+            width = max(picks) + 1
+            while raw := list(itertools.islice(reader, _MATRIX_BATCH_ROWS)):
+                rows = list(filter(None, raw))  # blank lines are skipped, not counted
+                if rows and min(map(len, rows)) < width:
+                    short = next(i for i, r in enumerate(rows) if len(r) < width)
+                    if short:
+                        _matrix_batch(path, n_rows + 2, rows[:short], picks, converters)
+                    missing = next(c for c, p in zip(MATRIX_COLUMNS, picks) if p >= len(rows[short]))
+                    raise ParseError(f"{path} row {n_rows + short + 2}: missing cell in column '{missing}'")
+                if rows:
+                    zone, hub, mode, *numbers = _matrix_batch(path, n_rows + 2, rows, picks, converters)
+                    batches.append((zone, hub, mode, np.stack(numbers, axis=1)))
+                n_rows += len(rows)
+        row_files.append((path, n_rows))
+
+    if not batches:
+        return LegMatrices()
+    zone, hub, mode, numbers = (np.concatenate(col) for col in zip(*batches))
+    del batches
+    legs = numbers.reshape(len(zone), 2, 5).transpose(1, 0, 2)
+    # Blank access, egress and transfers cells mean 0; blank minutes and
+    # miles stay NaN.
+    counts = legs[:, :, 1:4]
+    counts[np.isnan(counts)] = 0.0
+    matrices = LegMatrices(list(zone_ids), list(hub_ids), zone, hub, mode, legs)
+    if len(matrices) < len(zone):
+        _raise_repeated_key(zone_ids, hub_ids, zone, hub, mode, row_files)
     return matrices
 
 
-def write_matrices(matrices: LegMatrices, path: str | Path) -> Path:
-    rows = []
-    for (zone, hub_id, mode), (to_hub, from_hub) in sorted(
-        matrices.entries.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value)
-    ):
-        def cells(leg: LegTimes | None):
-            if leg is None:
-                return [None, None, None, None, None]
-            return [leg.minutes, leg.access_min, leg.egress_min, leg.transfers, leg.miles]
+def _raise_repeated_key(zone_ids, hub_ids, zone, hub, mode, row_files) -> None:
+    """Name the first row whose (zone, hub, mode) key an earlier row has."""
+    zone_names, hub_names = list(zone_ids), list(hub_ids)
+    seen = set()
+    keys = zip(zone.tolist(), hub.tolist(), mode.tolist())
+    for path, n_rows in row_files:
+        for i, key in zip(range(n_rows), keys):
+            if key in seen:
+                z, h, m = key
+                raise ParseError(
+                    f"{path} row {i + 2}: duplicate matrix entry "
+                    f"({zone_names[z]}, {hub_names[h]}, {LEG_MODE_ORDER[m].value}) in column 'zone_id'"
+                )
+            seen.add(key)
 
-        rows.append([zone, hub_id, mode.value] + cells(to_hub) + cells(from_hub))
-    return write_csv(path, MATRIX_COLUMNS, rows)
+
+def write_matrices(matrices: LegMatrices, path: str | Path) -> Path:
+    """Rows in (zone, hub, mode name) order; an absent direction is five
+    blank cells and unknown miles one."""
+    columns = [
+        list(map(matrices.zone_ids.__getitem__, matrices.zone.tolist())),
+        list(map(matrices.hub_ids.__getitem__, matrices.hub.tolist())),
+        [LEG_MODE_ORDER[c].value for c in matrices.mode.tolist()],
+    ]
+    for block in matrices.legs:
+        absent = np.isnan(block[:, 0])
+        if np.isnan(block[~absent, 1:4]).any():
+            raise ValueError("refusing to write NaN")
+        for f in range(5):
+            cells = list(map(repr, block[:, f].tolist()))
+            for i in np.flatnonzero(absent | np.isnan(block[:, f])).tolist():
+                cells[i] = ""
+            columns.append(cells)
+    lines = [",".join(MATRIX_COLUMNS), *map(",".join, zip(*columns))]
+    return atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 # ----------------------------------------------------------------------

@@ -18,13 +18,13 @@ from hubmodal import (
     Hub,
     HubParams,
     LegMatrices,
-    LegTimes,
     Market,
     Mode,
     ModeAttr,
     Segment,
     TasteVector,
 )
+from hubmodal.hubs import LEG_MODE_ORDER
 
 BASE_TASTE = dict(
     beta_auto_tt=-0.05,
@@ -107,18 +107,22 @@ def full_matrices(
     miles: float | None = 2.0,
 ) -> LegMatrices:
     """Every leg mode available both directions for every zone."""
-    matrices = LegMatrices()
-    for zone in zones:
-        for mode in (Mode.BUS, Mode.CAR, Mode.CAR_SHARE, Mode.BIKE_SHARE, Mode.WALK_LEG):
-            leg = LegTimes(
-                minutes=minutes,
-                access_min=3.0 if mode is Mode.BUS else 0.0,
-                egress_min=2.0 if mode is Mode.BUS else 0.0,
-                transfers=0.0,
-                miles=miles,
-            )
-            matrices.add(zone, hub_id, mode, leg, leg)
-    return matrices
+    zone_ids = list(zones)
+    n_modes = len(LEG_MODE_ORDER)
+    leg_miles = math.nan if miles is None else miles
+    legs = [
+        [minutes, 3.0, 2.0, 0.0, leg_miles] if mode is Mode.BUS else [minutes, 0.0, 0.0, 0.0, leg_miles]
+        for mode in LEG_MODE_ORDER
+    ]
+    block = np.tile(legs, (len(zone_ids), 1))
+    return LegMatrices(
+        zone_ids,
+        [hub_id],
+        np.repeat(np.arange(len(zone_ids)), n_modes),
+        np.zeros(len(block), dtype=int),
+        np.tile(np.arange(n_modes), len(zone_ids)),
+        np.stack([block, block]),
+    )
 
 
 def make_hub(

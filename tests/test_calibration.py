@@ -6,7 +6,6 @@ solver; multi-hub fits are checked in prediction space.
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from conftest import (
@@ -21,7 +20,6 @@ from hubmodal import (
     ComboId,
     EmissionFactor,
     GeoPoint,
-    Hub,
     LegMatrices,
     LegTimes,
     Market,

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_market, make_taste, simple_fares
+from conftest import make_market, make_taste
 
 from hubmodal import (
     FareTable,
@@ -29,7 +28,6 @@ from hubmodal import (
     StopRecord,
     SurveyRecord,
     fmt,
-    generate_fixture,
     jsonable,
     load_fares,
     load_hub_records,
@@ -49,6 +47,7 @@ from hubmodal import (
     write_survey,
 )
 from hubmodal.cli import main
+from hubmodal.io import MATRIX_COLUMNS
 
 
 def test_fmt_values():
@@ -243,6 +242,33 @@ def test_matrices_duplicate_key_across_files_rejected(tmp_path):
     assert len(load_matrices([p1]).entries) == 1
     with pytest.raises(ParseError, match="duplicate matrix entry"):
         load_matrices([p1, p2])
+
+
+MATRIX_HEADER = ",".join(MATRIX_COLUMNS)
+
+
+@pytest.mark.parametrize(
+    "row, column",
+    [
+        # the blank to_hub_min makes the direction absent, which must not
+        # hide the malformed access cell beside it
+        ("z1,h1,bus,,abc,,,,5.0,,,,", "to_hub_access_min"),
+        # a row with fewer cells than the header
+        ("z1,h1,bus,5.0", "to_hub_access_min"),
+    ],
+)
+def test_matrices_malformed_row_names_row_and_column(tmp_path, row, column):
+    path = tmp_path / "m.csv"
+    path.write_text(f"{MATRIX_HEADER}\n{row}\n")
+    with pytest.raises(ParseError, match=rf"row 2: .* in column '{column}'"):
+        load_matrices([path])
+
+
+def test_matrices_rewrite_generated_fixture_byte_for_byte(fixture_dir, tmp_path):
+    original = fixture_dir / "matrices.csv"
+    copy = tmp_path / "matrices.csv"
+    write_matrices(load_matrices([original]), copy)
+    assert copy.read_bytes() == original.read_bytes()
 
 
 def test_fares_round_trip(tmp_path):

@@ -198,13 +198,10 @@ def _market_cloud(n: int = 12):
 
 def _matrices_for(markets, hub_ids):
     zones = {z: None for m in markets for z in (m.o_zone, m.d_zone)}
-    out = None
-    for hid in hub_ids:
-        built = full_matrices(zones, hid, minutes=12.0, miles=2.2)
-        if out is None:
-            out = built
-        else:
-            out.entries.update(built.entries)
+    out = full_matrices(zones, hub_ids[0], minutes=12.0, miles=2.2)
+    for hid in hub_ids[1:]:
+        for (zone, hub, mode), (to_hub, from_hub) in full_matrices(zones, hid, minutes=12.0, miles=2.2).entries.items():
+            out.add(zone, hub, mode, to_hub, from_hub)
     return out
 
 
