@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .choice import SEGMENTS, Mode, Segment
 from .config import OptimizerSettings
@@ -238,6 +237,10 @@ def calibrate(
             best["x"] = x.copy()
             trace.append(f)
         return f
+
+    # scipy is imported here, not at module top: it is most of the
+    # package's import time, and only the fit uses it.
+    from scipy.optimize import Bounds, minimize
 
     x = x0
     for _ in range(settings.restarts + 1):

@@ -523,6 +523,12 @@ class HubChoiceSetup:
     ``matrix_miles`` is NaN where the matrices carried no network
     distance; distance weighting then uses plain great-circle leg miles
     and VMT/cost use the circuity-adjusted value.
+
+    The softmax terms that do not depend on the parameters (which markets
+    have a reachable combo, the combo utilities shifted by their row
+    maximum, the unimodal row maximum) are computed once here, so each
+    evaluation during calibration does only the parameter-dependent work.
+    The utility arrays are treated as read-only after construction.
     """
 
     def __init__(
@@ -554,6 +560,12 @@ class HubChoiceSetup:
         self.exit_gc_miles = exit_gc_miles
         self.beta_cost = beta_cost
         self.circuity_factor = circuity_factor
+        with np.errstate(invalid="ignore"):
+            c_max = combo_util.max(axis=1, initial=-np.inf)
+        self._has = np.isfinite(c_max)
+        self._anchor = np.where(self._has, c_max, 0.0)
+        self._c_shift = combo_util - self._anchor[:, None]
+        self._uni_max = uni_util.max(axis=1)
 
     @property
     def n_markets(self) -> int:
@@ -580,47 +592,40 @@ class HubChoiceSetup:
 
     def _upper_level(self, params):
         """Pieces of the upper-level softmax over the unimodal modes and the
-        hub nest: which markets have a reachable combo, the combo anchor,
-        the nest utility, the shifted exponentials and their total."""
+        hub nest: the nest utility, the shifted exponentials and their
+        total."""
         beta = params.beta_hub
         if not 0.0 < beta <= 1.0:
             raise ValueError(f"invalid nesting coefficient: {beta}")
-        c = self.combo_util
-        with np.errstate(invalid="ignore"):
-            c_max = c.max(axis=1, initial=-np.inf)
-        has = np.isfinite(c_max)
-        anchor = np.where(has, c_max, 0.0)
-        e_c = np.exp((c - anchor[:, None]) / beta)
-        sum_c = e_c.sum(axis=1)
+        has, anchor = self._has, self._anchor
+        sum_c = np.exp(self._c_shift / beta).sum(axis=1)
         logsum = np.where(has, anchor + beta * np.log(np.where(has, sum_c, 1.0)), -np.inf)
         asc = np.array([params.asc_by_segment[s] for s in SEGMENTS])[self.segment_codes]
         v_hub = np.where(has, logsum + asc, -np.inf)
 
-        uni = self.uni_util
-        m_all = np.maximum(uni.max(axis=1), np.where(has, v_hub, -np.inf))
-        e_u = np.exp(uni - m_all[:, None])
+        m_all = np.maximum(self._uni_max, v_hub)
+        e_u = np.exp(self.uni_util - m_all[:, None])
         e_h = np.where(has, np.exp(v_hub - m_all), 0.0)
-        return has, anchor, v_hub, e_u, e_h, e_u.sum(axis=1) + e_h
+        return v_hub, e_u, e_h, e_u.sum(axis=1) + e_h
 
     def hub_nest_share(self, params) -> np.ndarray:
         """(m,) upper-level probability of the hub nest; the hot path for
         calibration."""
-        _, _, _, _, e_h, total = self._upper_level(params)
+        _, _, e_h, total = self._upper_level(params)
         return e_h / total
 
     def choice_shares(self, params, *, literal_lower_branch: bool = False) -> HubShares:
         """Full before/after share arrays for one parameter vector."""
-        has, anchor, v_hub, e_u, e_h, total = self._upper_level(params)
-        uni = self.uni_util
-        m_j = uni.max(axis=1)
-        e_j = np.exp(uni - m_j[:, None])
+        v_hub, e_u, e_h, total = self._upper_level(params)
+        m_j = self._uni_max
+        e_j = np.exp(self.uni_util - m_j[:, None])
         sum_j = e_j.sum(axis=1)
         logsum_j = m_j + np.log(sum_j)
 
         scale = 1.0 if literal_lower_branch else params.beta_hub
-        e_l = np.exp((self.combo_util - anchor[:, None]) / scale)
+        e_l = np.exp(self._c_shift / scale)
         sum_l = e_l.sum(axis=1)
-        lower = np.where(has[:, None], e_l / np.where(sum_l > 0.0, sum_l, 1.0)[:, None], 0.0)
+        lower = np.where(self._has[:, None], e_l / np.where(sum_l > 0.0, sum_l, 1.0)[:, None], 0.0)
 
         # logaddexp keeps the logsum gain non-negative in floating point
         # and exactly zero where the nest is empty.

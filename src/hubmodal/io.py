@@ -2,10 +2,11 @@
 
 All tabular inputs are UTF-8 CSV with a header row and dot decimal
 separators; fares and the manifest are JSON.  Parse failures raise
-ParseError naming the file, row, and column.  Floats are emitted with
-repr (shortest round-trip form), so loading and re-emitting a file is
-lossless; every writer goes through a temp-file-then-rename so readers
-never observe a partial file.
+ParseError naming the file, row, and column; the row is the file line
+(the header is line 1), so blank lines, which are skipped, still count.
+Floats are emitted with repr (shortest round-trip form), so loading and
+re-emitting a file is lossless; every writer goes through a
+temp-file-then-rename so readers never observe a partial file.
 
 Markets file columns, in order: od_id, segment, o_lat, o_lon, d_lat,
 d_lon, trips_per_day, driving_miles, the per-mode attribute columns, the
@@ -194,7 +195,18 @@ def _read_rows(path: str | Path, required: Sequence[str]) -> list[_Row]:
         for col in required:
             if col not in reader.fieldnames:
                 raise ParseError(f"{path}: missing column '{col}'")
-        return [_Row(str(path), i, row) for i, row in enumerate(reader, start=2)]
+        return [_Row(str(path), reader.line_num, row) for row in reader]
+
+
+def _record_line(path: str | Path, index: int) -> int:
+    """File line of the ``index``-th (0-based) non-blank record after the
+    header.  Bulk parsers count records, not lines; only their error paths
+    call this, re-reading the file to name the line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        next(itertools.islice(filter(None, reader), index, None))
+        return reader.line_num
 
 
 # ----------------------------------------------------------------------
@@ -489,10 +501,11 @@ def _float_column(cells: Sequence[str]) -> np.ndarray | None:
     return column
 
 
-def _matrix_batch(path, first_row: int, rows: list[list[str]], picks: Sequence[int], converters) -> list[np.ndarray]:
-    """One array per matrix column of ``rows``.  Cells the bulk path does
-    not take are converted once per distinct text; the first bad cell, in
-    row then column order, raises a ParseError naming it."""
+def _matrix_batch(path, first: int, rows: list[list[str]], picks: Sequence[int], converters) -> list[np.ndarray]:
+    """One array per matrix column of ``rows``, records ``first`` onward of
+    the file.  Cells the bulk path does not take are converted once per
+    distinct text; the first bad cell, in row then column order, raises a
+    ParseError naming it."""
     columns = list(zip(*rows))
     out = []
     bad_cell = None  # (row index, column index, why)
@@ -517,7 +530,7 @@ def _matrix_batch(path, first_row: int, rows: list[list[str]], picks: Sequence[i
         out.append(column)
     if bad_cell is not None:
         i, j, why = bad_cell
-        raise ParseError(f"{path} row {first_row + i}: {why} in column '{MATRIX_COLUMNS[j]}'")
+        raise ParseError(f"{path} row {_record_line(path, first + i)}: {why} in column '{MATRIX_COLUMNS[j]}'")
     return out
 
 
@@ -544,15 +557,18 @@ def load_matrices(paths: Sequence[str | Path]) -> LegMatrices:
             picks = [where[col] for col in MATRIX_COLUMNS]
             width = max(picks) + 1
             while raw := list(itertools.islice(reader, _MATRIX_BATCH_ROWS)):
-                rows = list(filter(None, raw))  # blank lines are skipped, not counted
+                # Blank lines are skipped; n_rows counts records, which
+                # error paths map back to file lines.
+                rows = list(filter(None, raw))
                 if rows and min(map(len, rows)) < width:
                     short = next(i for i, r in enumerate(rows) if len(r) < width)
                     if short:
-                        _matrix_batch(path, n_rows + 2, rows[:short], picks, converters)
+                        _matrix_batch(path, n_rows, rows[:short], picks, converters)
                     missing = next(c for c, p in zip(MATRIX_COLUMNS, picks) if p >= len(rows[short]))
-                    raise ParseError(f"{path} row {n_rows + short + 2}: missing cell in column '{missing}'")
+                    line = _record_line(path, n_rows + short)
+                    raise ParseError(f"{path} row {line}: missing cell in column '{missing}'")
                 if rows:
-                    zone, hub, mode, *numbers = _matrix_batch(path, n_rows + 2, rows, picks, converters)
+                    zone, hub, mode, *numbers = _matrix_batch(path, n_rows, rows, picks, converters)
                     batches.append((zone, hub, mode, np.stack(numbers, axis=1)))
                 n_rows += len(rows)
         row_files.append((path, n_rows))
@@ -582,7 +598,7 @@ def _raise_repeated_key(zone_ids, hub_ids, zone, hub, mode, row_files) -> None:
             if key in seen:
                 z, h, m = key
                 raise ParseError(
-                    f"{path} row {i + 2}: duplicate matrix entry "
+                    f"{path} row {_record_line(path, i)}: duplicate matrix entry "
                     f"({zone_names[z]}, {hub_names[h]}, {LEG_MODE_ORDER[m].value}) in column 'zone_id'"
                 )
             seen.add(key)

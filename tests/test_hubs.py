@@ -4,6 +4,7 @@ vectorized choice setup checked against the scalar share functions."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,47 @@ def test_prepare_hub_against_scalar_shares(literal_lower_branch):
         # setup columns follow MAIN_MODES order
         for col, mode in enumerate(MAIN_MODES):
             assert shares.upper[row, col] == pytest.approx(ns.upper[mode], abs=1e-12)
+
+
+def test_setup_evaluations_carry_no_state_between_parameter_sets():
+    """The parameter-free softmax terms are computed once per setup; each of
+    two parameter sets evaluated in turn matches the scalar reference,
+    including markets with some or no reachable combos."""
+    markets, hub, _, _ = _small_setup()
+    fares = simple_fares()
+    full = [markets[0], markets[3]]
+    matrices = full_matrices({z: None for m in full for z in (m.o_zone, m.d_zone)}, "h1", minutes=11.0, miles=2.5)
+    # market 1 reaches only the walk+bus combo; market 2 reaches none
+    matrices.add(markets[1].o_zone, "h1", Mode.WALK_LEG, LegTimes(minutes=9.0), None)
+    matrices.add(markets[1].d_zone, "h1", Mode.BUS, None, LegTimes(minutes=14.0, access_min=3.0))
+    setup = prepare_hub(markets, hub, [m.market_id for m in markets], matrices, fares)
+    combo_util, uni_util = setup.combo_util.copy(), setup.uni_util.copy()
+    by_id = {m.market_id: m for m in markets}
+    unreachable = setup.market_ids.index(markets[2].market_id)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params in (make_params(beta=0.4, asc=-3.0), make_params(beta=0.9, asc=-5.0, senior=-1.0)):
+            nest = setup.hub_nest_share(params)
+            shares = setup.choice_shares(params)
+            assert nest[unreachable] == 0.0
+            assert shares.hub[unreachable] == 0.0
+            for row, mid in enumerate(setup.market_ids):
+                market = by_id[mid]
+                uni = {m: systematic_utility(market.taste, a, m) for m, a in market.attrs.items()}
+                combo_u = {}
+                for combo in setup.combos:
+                    legs = assemble_leg_attrs(market, hub, combo, matrices, fares)
+                    if legs is not None:
+                        combo_u[combo] = combo_utility(market, hub, combo, legs)
+                ns = nested_shares(uni, combo_u, params, market.segment)
+                assert nest[row] == pytest.approx(ns.hub_share, abs=1e-12)
+                assert shares.hub[row] == pytest.approx(ns.hub_share, abs=1e-12)
+                for j, combo in enumerate(setup.combos):
+                    assert shares.lower[row, j] == pytest.approx(ns.lower.get(combo, 0.0), abs=1e-12)
+                for col, mode in enumerate(MAIN_MODES):
+                    assert shares.upper[row, col] == pytest.approx(ns.upper[mode], abs=1e-12)
+    np.testing.assert_array_equal(setup.combo_util, combo_util)
+    np.testing.assert_array_equal(setup.uni_util, uni_util)
 
 
 def test_prepare_hub_sorts_and_validates_market_ids():

@@ -1,14 +1,23 @@
-"""Every module imports only names it uses.
+"""Every module imports only names it uses, and start-up loads only what
+a stage runs.
 
 An AST scan, standard library only: a name bound by an import must be
 read somewhere in the same module, in code, in an annotation (string
 annotations included) or in ``__all__``.  Package ``__init__.py`` files
 re-export names and are skipped.
+
+scipy is most of the package's import time and only the calibration fit
+uses it, so importing the CLI and running any stage that does not fit
+must leave it unloaded.  These checks run in a fresh interpreter.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +73,53 @@ def test_scan_flags_an_unused_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text('import os\nfrom typing import Mapping, Sequence\n\ndef f(x: "Sequence[int]"):\n    return x\n')
     assert unused_imports(module) == ["os (line 1)", "Mapping (line 2)"]
+
+
+def _fresh_python(code: str, cwd: Path) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')"
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    out = _fresh_python(f"import sys, hubmodal.cli; print({SCIPY_LOADED})", tmp_path)
+    assert out.strip() == "[]"
+
+
+# Runs each stage in process through main() and records the scipy
+# modules loaded after it; calibrate goes last.
+STAGE_SCRIPT = f"""
+import contextlib, io, json, sys
+from hubmodal.choice import Segment
+from hubmodal.cli import main
+
+params = {{"beta_hub": 0.5, "asc_by_segment": {{s.value: -4.0 for s in Segment}}}}
+with open("params.json", "w") as fh:
+    json.dump(params, fh)
+fx = ["--manifest", "fx/manifest.json", "--out-dir", "run"]
+stages = {{
+    "gen-fixture": ["gen-fixture", "--seed", "3", "--od-pairs", "12", "--stops", "6", "--out-dir", "fx"],
+    "derive-threshold": ["derive-threshold", *fx],
+    "identify-trips": ["identify-trips", *fx],
+    "assess --params": ["assess", *fx, "--params", "params.json"],
+    "rank --params": ["rank", *fx, "--params", "params.json"],
+    "calibrate": ["calibrate", *fx],
+}}
+loaded = {{}}
+for name, argv in stages.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, name
+    loaded[name] = {SCIPY_LOADED}
+print(json.dumps(loaded))
+"""
+
+
+def test_only_calibrate_loads_scipy(tmp_path):
+    loaded = json.loads(_fresh_python(STAGE_SCRIPT, tmp_path).splitlines()[-1])
+    fit = loaded.pop("calibrate")
+    assert loaded == {stage: [] for stage in loaded}
+    assert "scipy.optimize" in fit

@@ -264,6 +264,41 @@ def test_matrices_malformed_row_names_row_and_column(tmp_path, row, column):
         load_matrices([path])
 
 
+# Error rows are file lines: a blank line is skipped but still counted.
+def test_error_row_counts_blank_lines(tmp_path):
+    path = tmp_path / "stops.csv"
+    path.write_text("stop_id,lat,lon\ns1,42.6,-73.7\n\ns2,abc,-73.8\n")
+    with pytest.raises(ParseError, match=r"row 4: malformed number 'abc' in column 'lat'$"):
+        load_stops(path)
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ("z2,h1,bus,abc,,,,,,,,,", "malformed number 'abc' in column 'to_hub_min'"),
+        ("z2,h1,bus,5.0", "missing cell in column 'to_hub_access_min'"),
+        ("z1,h1,bus,7.0,,,,,,,,,", r"duplicate matrix entry \(z1, h1, bus\) in column 'zone_id'"),
+    ],
+)
+def test_matrices_error_row_counts_blank_lines(tmp_path, row, error):
+    path = tmp_path / "m.csv"
+    path.write_text(f"{MATRIX_HEADER}\nz1,h1,bus,5.0,,,,,,,,,\n\n{row}\n")
+    with pytest.raises(ParseError, match=rf"row 4: {error}$"):
+        load_matrices([path])
+
+
+def test_matrices_error_row_counts_blank_lines_across_batches(tmp_path):
+    # blank lines in earlier parse batches shift the failing row's line
+    lines = [MATRIX_HEADER]
+    for i in range(3000):
+        lines += [f"z{i},h1,bus,5.0,,,,,,,,,", ""]
+    lines[-2] = "z2999,h1,bus,5.0,,,,,,,,,x"
+    path = tmp_path / "m.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=rf"row {len(lines) - 1}: malformed number 'x' in column 'from_hub_miles'$"):
+        load_matrices([path])
+
+
 def test_matrices_rewrite_generated_fixture_byte_for_byte(fixture_dir, tmp_path):
     original = fixture_dir / "matrices.csv"
     copy = tmp_path / "matrices.csv"
