@@ -103,7 +103,9 @@ for hub_id, setup in setups.items():
 
 result = calibrate(observed, setups, settings=OptimizerSettings())
 
-print(f"\nconverged: {result.converged}   objective: {result.objective:.3e}   evaluations: {result.n_evaluations}")
+print(f"\nconverged: {result.converged}   rank: {result.rank} of {result.n_free}   "
+      f"fit_within_tolerance: {result.fit_within_tolerance}")
+print(f"objective: {result.objective:.3e}   evaluations: {result.n_evaluations}")
 print(f"beta_hub: {result.params.beta_hub:.6f}   (truth {TRUTH.beta_hub})")
 for seg in Segment:
     got = result.params.asc_by_segment[seg]
@@ -111,7 +113,8 @@ for seg in Segment:
 
 print("\nper-hub fit:")
 for fit in result.per_hub:
-    print(f"  {fit.hub_id}: observed {fit.observed:.6e}  predicted {fit.predicted:.6e}")
+    print(f"  {fit.hub_id}: observed {fit.observed:.6e}  predicted {fit.predicted:.6e}"
+          f"  relative residual {fit.relative_residual:+.1e}")
 
-print(f"\ntrace is best-so-far, {len(result.trace)} entries; last five: "
+print(f"\ntrace is the objective at each accepted step, {len(result.trace)} entries; last five: "
       + ", ".join(f"{v:.2e}" for v in result.trace[-5:]))

@@ -40,8 +40,13 @@ for hub, info in identify["hubs"].items():
 
 out = run("calibrate")
 calib = json.loads((out / "calibration.json").read_text())
+ident = calib["identification"]
 print(f"\ncalibrated beta_hub {calib['params']['beta_hub']:.4f}, "
-      f"objective {calib['objective']:.3e}, converged {calib['converged']}")
+      f"objective {calib['objective']:.3e}, converged {calib['converged']}, "
+      f"rank {ident['rank']} of {ident['n_free_params']}, "
+      f"fit_within_tolerance {ident['fit_within_tolerance']}")
+for fit in calib["per_hub"]:
+    print(f"  {fit['hub_id']}: predicted {100 * fit['relative_residual']:+.1f}% against observed")
 params_file = out / "calibration.json"  # downstream stages accept it directly
 
 out = run("assess", "--params", str(params_file))

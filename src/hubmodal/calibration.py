@@ -8,9 +8,15 @@ proportion the model is fit to.
 
 Calibration searches the five hub parameters (beta_hub plus one nest
 constant per segment) minimizing the sum of squared gaps between
-predicted and observed proportions across hubs.  The fit is bounded
-Nelder-Mead with deterministic restarts: derivative-free, fully
-deterministic, and kept within the box bounds.
+predicted and observed proportions across hubs.  The fit is a bounded
+Levenberg-Marquardt least-squares fit on the analytic Jacobian of the
+predicted proportions (``HubChoiceSetup.hub_nest_share_and_gradient``).
+Each step goes through a truncated SVD of that Jacobian, so it moves only
+along directions the observations identify at the current point, and
+parameters the observations do not reach at all keep their start values
+instead of drifting to a bound.  The result reports the Jacobian's
+singular values and rank, so a reader can see how many directions the
+counts pin down.  It is numpy only and fully deterministic.
 """
 
 from __future__ import annotations
@@ -27,6 +33,20 @@ from .config import OptimizerSettings
 from .hubs import HubChoiceSetup
 
 N_PARAMS = 1 + len(SEGMENTS)
+PARAM_NAMES: tuple[str, ...] = ("beta_hub", *(f"asc_by_segment.{s.value}" for s in SEGMENTS))
+
+# Singular values of the Jacobian below this fraction of the largest mark
+# directions the observations do not identify: steps leave them alone and
+# the report does not count them in the rank.
+RANK_CUTOFF = 1e-3
+# The fit stops once a step moves the parameters by less than this,
+# relative to their norm.
+STEP_TOL = 1e-10
+# Starting Levenberg-Marquardt damping, relative to the largest squared
+# column norm of the Jacobian at the start point.
+INITIAL_DAMPING = 1.0
+# A hub fits when its prediction is within this fraction of its observation.
+FIT_REL_TOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -139,10 +159,23 @@ def infer_trips_from_sample(
 
 def predict_hub_proportion(setup: HubChoiceSetup, params: HubParams) -> float:
     """Trip-weighted mean upper-level hub share over the potential markets."""
+    total = _total_trips(setup)
+    return float((setup.trips * setup.hub_nest_share(params)).sum() / total)
+
+
+def _total_trips(setup: HubChoiceSetup) -> float:
     total = setup.trips.sum()
     if setup.n_markets == 0 or total <= 0.0:
         raise ValueError(f"hub {setup.hub.id}: no potential trips to predict over")
-    return float((setup.trips * setup.hub_nest_share(params)).sum() / total)
+    return total
+
+
+def _proportion_and_gradient(setup: HubChoiceSetup, params: HubParams) -> tuple[float, np.ndarray]:
+    """``predict_hub_proportion`` and its (N_PARAMS,) gradient: trip-weighted
+    means of the market nest shares and of their derivatives."""
+    total = _total_trips(setup)
+    share, grad = setup.hub_nest_share_and_gradient(params)
+    return float((setup.trips * share).sum() / total), setup.trips @ grad / total
 
 
 @dataclass(frozen=True)
@@ -151,9 +184,29 @@ class HubFit:
     observed: float
     predicted: float
 
+    @property
+    def relative_residual(self) -> float | None:
+        """(predicted - observed) / observed; None when nothing was observed."""
+        if self.observed == 0.0:
+            return None
+        return (self.predicted - self.observed) / self.observed
+
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """A fitted parameter vector and what the observations say about it.
+
+    ``converged`` means the optimizer's stop test fired (a step below
+    ``STEP_TOL``) before ``max_iter`` ran out; it says nothing about fit
+    quality.  ``fit_within_tolerance`` does: every hub's prediction is
+    within ``FIT_REL_TOL`` of its observation.  ``singular_values`` are
+    those of the Jacobian of the predicted proportions with respect to
+    the free parameters at the returned point, and ``rank`` counts those
+    above ``RANK_CUTOFF`` times the largest: the number of parameter
+    directions the observations identify.  ``params_at_bound`` names the
+    free parameters that ended on a bound.
+    """
+
     params: HubParams
     objective: float
     converged: bool
@@ -161,10 +214,32 @@ class CalibrationResult:
     n_evaluations: int
     trace: tuple[float, ...]
     per_hub: tuple[HubFit, ...]
+    singular_values: tuple[float, ...]
+    rank: int
+    n_free: int
+    params_at_bound: tuple[str, ...]
+    fit_within_tolerance: bool
 
 
 def _default_bounds(settings: OptimizerSettings) -> list[tuple[float, float]]:
     return [settings.beta_bounds] + [settings.asc_bounds] * len(SEGMENTS)
+
+
+def _rank(sv: np.ndarray) -> int:
+    """Number of singular values (sorted, largest first) above
+    ``RANK_CUTOFF`` times the largest."""
+    return int((sv > RANK_CUTOFF * sv[0]).sum()) if sv.size and sv[0] > 0.0 else 0
+
+
+def _truncated_step(jac: np.ndarray, resid: np.ndarray, damping: float) -> np.ndarray:
+    """Levenberg-Marquardt step -(J'J + damping I)^-1 J' r through the SVD
+    of ``jac``, keeping only the singular values ``_rank`` counts, so the
+    step has no component along directions the data do not identify.
+    With no damping it is the truncated Gauss-Newton step -J+ r."""
+    u, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    k = _rank(sv)
+    sv = sv[:k]
+    return -vt[:k].T @ (sv / (sv**2 + damping) * (u[:, :k].T @ resid))
 
 
 def calibrate(
@@ -179,8 +254,9 @@ def calibrate(
 
     Fewer observations than parameters leaves the fit rank-deficient; a
     RuntimeWarning is emitted and the flag is set on the result, but the
-    best-fit point is still returned.  The trace records best-so-far
-    objective values (accepted improvements), so it is non-increasing.
+    best-fit point is still returned.  Parameters whose bounds coincide
+    are held there.  The trace records the objective at each accepted
+    step, so it is non-increasing.
     """
     settings = settings or OptimizerSettings()
     obs = sorted(observed, key=lambda o: o.hub_id)
@@ -213,69 +289,82 @@ def calibrate(
     hi = np.array([b[1] for b in box], dtype=float)
     if (lo > hi).any():
         raise ValueError("lower bound exceeds upper bound")
+    free = lo < hi
 
     if init is not None:
         x0 = init.as_vector()
     else:
         x0 = np.array([settings.init_beta] + [settings.init_asc] * len(SEGMENTS), dtype=float)
-    x0 = np.clip(x0, lo, hi)
+    x = np.clip(x0, lo, hi)
 
-    trace: list[float] = []
-    best = {"x": x0.copy(), "f": np.inf}
+    targets = np.array([target for _, target in pairs])
     n_eval = 0
 
-    def objective(x: np.ndarray) -> float:
+    def residuals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         nonlocal n_eval
         n_eval += 1
-        x = np.clip(x, lo, hi)
         params = HubParams.from_vector(x)
-        f = 0.0
-        for setup, target in pairs:
-            f += (predict_hub_proportion(setup, params) - target) ** 2
-        if f < best["f"]:
-            best["f"] = f
-            best["x"] = x.copy()
-            trace.append(f)
-        return f
+        fits = [_proportion_and_gradient(setup, params) for setup, _ in pairs]
+        resid = np.array([p for p, _ in fits]) - targets
+        return resid, np.array([g for _, g in fits]), float(resid @ resid)
 
-    # scipy is imported here, not at module top: it is most of the
-    # package's import time, and only the fit uses it.
-    from scipy.optimize import Bounds, minimize
+    def lm_step(x: np.ndarray, resid: np.ndarray, jac: np.ndarray, damping: float) -> np.ndarray:
+        # hold free parameters on a bound the gradient pushes against, and
+        # those the data do not touch at all, where they are
+        grad = jac.T @ resid
+        move = free & ~((x <= lo) & (grad > 0.0)) & ~((x >= hi) & (grad < 0.0)) & (jac != 0.0).any(axis=0)
+        step = np.zeros(N_PARAMS)
+        step[move] = _truncated_step(jac[:, move], resid, damping)
+        return np.clip(x + step, lo, hi)
 
-    x = x0
-    for _ in range(settings.restarts + 1):
-        res = minimize(
-            objective,
-            x,
-            method="Nelder-Mead",
-            bounds=Bounds(lo, hi),
-            options={
-                "maxiter": settings.max_iter,
-                "fatol": settings.objective_tol,
-                "xatol": settings.simplex_tol,
-                "adaptive": True,
-            },
-        )
-        x = np.clip(res.x, lo, hi)
-        converged = bool(res.success) or best["f"] <= settings.objective_tol
-        if best["f"] <= settings.objective_tol:
+    # Levenberg-Marquardt with Nielsen's damping update: a step that
+    # lowers the objective is taken and the damping eased by how well the
+    # linear model predicted the drop; any other step raises the damping,
+    # doubling the factor on each refusal in a row.
+    resid, jac, f = residuals(x)
+    trace = [f]
+    damping = INITIAL_DAMPING * float(np.max((jac[:, free] ** 2).sum(axis=0), initial=0.0))
+    growth = 2.0
+    converged = False
+    for _ in range(settings.max_iter):
+        trial = lm_step(x, resid, jac, damping)
+        if np.linalg.norm(trial - x) <= STEP_TOL * (STEP_TOL + np.linalg.norm(x)):
+            converged = True
             break
+        t_resid, t_jac, t_f = residuals(trial)
+        model = resid + jac @ (trial - x)
+        predicted = f - float(model @ model)
+        if t_f < f and predicted > 0.0:
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * (f - t_f) / predicted - 1.0) ** 3)
+            growth = 2.0
+            x, resid, jac, f = trial, t_resid, t_jac, t_f
+            trace.append(f)
+        else:
+            damping *= growth
+            growth *= 2.0
 
-    params = HubParams.from_vector(best["x"])
+    params = HubParams.from_vector(x)
     per_hub = tuple(
         HubFit(hub_id=o.hub_id, observed=o.observed_proportion, predicted=predict_hub_proportion(setup, params))
         for (setup, _), o in zip(pairs, obs)
     )
     if not converged:
         warnings.warn("calibration did not converge; returning best point found", RuntimeWarning, stacklevel=2)
+    sv = np.linalg.svd(jac[:, free], compute_uv=False)
+    at_bound = free & ((x <= lo) | (x >= hi))
     return CalibrationResult(
         params=params,
-        objective=float(best["f"]),
+        objective=f,
         converged=converged,
         rank_deficient=rank_deficient,
         n_evaluations=n_eval,
         trace=tuple(trace),
         per_hub=per_hub,
+        singular_values=tuple(float(v) for v in sv),
+        rank=_rank(sv),
+        n_free=int(free.sum()),
+        params_at_bound=tuple(name for name, hit in zip(PARAM_NAMES, at_bound) if hit),
+        fit_within_tolerance=all(abs(h.predicted - h.observed) <= FIT_REL_TOL * h.observed for h in per_hub),
     )
 
 

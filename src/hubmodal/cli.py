@@ -22,6 +22,8 @@ from pathlib import Path
 
 from . import io
 from .calibration import (
+    FIT_REL_TOL,
+    RANK_CUTOFF,
     CalibrationResult,
     HubParams,
     ObservedUsage,
@@ -236,8 +238,23 @@ def _calibration_report(result: CalibrationResult, observed, obs_meta) -> dict:
         "rank_deficient": result.rank_deficient,
         "n_evaluations": result.n_evaluations,
         "trace": list(result.trace),
+        "identification": {
+            "singular_values": list(result.singular_values),
+            "rank": result.rank,
+            "n_free_params": result.n_free,
+            "rank_cutoff": RANK_CUTOFF,
+            "params_at_bound": list(result.params_at_bound),
+            "fit_rel_tol": FIT_REL_TOL,
+            "fit_within_tolerance": result.fit_within_tolerance,
+        },
         "per_hub": [
-            {"hub_id": f.hub_id, "observed": f.observed, "predicted": f.predicted} for f in result.per_hub
+            {
+                "hub_id": f.hub_id,
+                "observed": f.observed,
+                "predicted": f.predicted,
+                "relative_residual": f.relative_residual,
+            }
+            for f in result.per_hub
         ],
         "observed": {
             u.hub_id: {

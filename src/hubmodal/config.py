@@ -19,10 +19,11 @@ from .geo import CONDITION2_MODES
 class OptimizerSettings:
     """Calibration optimizer knobs.
 
-    Defaults: bounded Nelder-Mead started at beta_hub = 0.5 and all nest
-    constants at -5, with beta_hub in [0.01, 1] and constants in [-12, 0].
-    Convergence: objective below objective_tol or simplex spread below
-    simplex_tol.
+    Defaults: the bounded Levenberg-Marquardt fit starts at beta_hub = 0.5
+    and all nest constants at -5, with beta_hub in [0.01, 1] and constants
+    in [-12, 0], and tries at most max_iter steps.  Its stop test (a step
+    below ``calibration.STEP_TOL``), starting damping and rank cutoff are
+    constants in ``calibration``, not settings.
     """
 
     beta_bounds: tuple[float, float] = (0.01, 1.0)
@@ -30,19 +31,14 @@ class OptimizerSettings:
     init_beta: float = 0.5
     init_asc: float = -5.0
     max_iter: int = 4000
-    objective_tol: float = 1e-12
-    simplex_tol: float = 1e-10
-    restarts: int = 3
 
     def __post_init__(self) -> None:
         if isinstance(self.beta_bounds, list):
             self.beta_bounds = tuple(self.beta_bounds)
         if isinstance(self.asc_bounds, list):
             self.asc_bounds = tuple(self.asc_bounds)
-        if self.max_iter < 1 or self.restarts < 0:
-            raise ValueError("max_iter must be >= 1 and restarts >= 0")
-        if self.objective_tol <= 0 or self.simplex_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass

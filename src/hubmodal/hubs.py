@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -590,33 +591,63 @@ class HubChoiceSetup:
         )
         return np.where(np.isnan(self.matrix_miles), gc * circuity, self.matrix_miles)
 
+    @cached_property
+    def _c_shift_finite(self) -> np.ndarray:
+        """``_c_shift`` with unavailable combos at 0, so that q * c~ is 0
+        there (their weight q is 0) instead of 0 * -inf = NaN.  Only the
+        gradient reads it, so setups that are never fitted skip the copy."""
+        return np.where(np.isfinite(self._c_shift), self._c_shift, 0.0)
+
     def _upper_level(self, params):
         """Pieces of the upper-level softmax over the unimodal modes and the
         hub nest: the nest utility, the shifted exponentials and their
-        total."""
+        total, and the within-nest exponentials exp(c~/beta) with their
+        row sums S (1 where the nest is empty)."""
         beta = params.beta_hub
         if not 0.0 < beta <= 1.0:
             raise ValueError(f"invalid nesting coefficient: {beta}")
         has, anchor = self._has, self._anchor
-        sum_c = np.exp(self._c_shift / beta).sum(axis=1)
-        logsum = np.where(has, anchor + beta * np.log(np.where(has, sum_c, 1.0)), -np.inf)
+        e_c = np.exp(self._c_shift / beta)
+        sum_c = np.where(has, e_c.sum(axis=1), 1.0)
+        logsum = np.where(has, anchor + beta * np.log(sum_c), -np.inf)
         asc = np.array([params.asc_by_segment[s] for s in SEGMENTS])[self.segment_codes]
         v_hub = np.where(has, logsum + asc, -np.inf)
 
         m_all = np.maximum(self._uni_max, v_hub)
         e_u = np.exp(self.uni_util - m_all[:, None])
         e_h = np.where(has, np.exp(v_hub - m_all), 0.0)
-        return v_hub, e_u, e_h, e_u.sum(axis=1) + e_h
+        return v_hub, e_u, e_h, e_u.sum(axis=1) + e_h, e_c, sum_c
 
     def hub_nest_share(self, params) -> np.ndarray:
-        """(m,) upper-level probability of the hub nest; the hot path for
-        calibration."""
-        _, _, e_h, total = self._upper_level(params)
+        """(m,) upper-level probability of the hub nest."""
+        _, _, e_h, total, _, _ = self._upper_level(params)
         return e_h / total
+
+    def hub_nest_share_and_gradient(self, params) -> tuple[np.ndarray, np.ndarray]:
+        """(m,) hub nest share s, as ``hub_nest_share`` gives it, and its
+        (m, 1 + len(SEGMENTS)) derivatives with respect to beta_hub and
+        each segment constant: the hot path for calibration.
+
+        With c~ the combo utilities shifted by their row maximum,
+        S = sum_k exp(c~_k / beta) and q_k = exp(c~_k / beta) / S:
+
+            ds/dasc_g = s (1 - s) [segment = g]
+            ds/dbeta  = s (1 - s) (log S - sum_k q_k c~_k / beta)
+
+        Both are 0 where the nest is empty.
+        """
+        _, e_u, e_h, total, e_c, sum_c = self._upper_level(params)
+        share = e_h / total
+        slope = share * (e_u.sum(axis=1) / total)  # s (1 - s) without cancellation
+        d_logsum = np.log(sum_c) - (e_c * self._c_shift_finite).sum(axis=1) / (sum_c * params.beta_hub)
+        grad = np.zeros((self.n_markets, 1 + len(SEGMENTS)))
+        grad[:, 0] = slope * d_logsum
+        grad[np.arange(self.n_markets), 1 + self.segment_codes] = slope
+        return share, grad
 
     def choice_shares(self, params, *, literal_lower_branch: bool = False) -> HubShares:
         """Full before/after share arrays for one parameter vector."""
-        v_hub, e_u, e_h, total = self._upper_level(params)
+        v_hub, e_u, e_h, total, _, _ = self._upper_level(params)
         m_j = self._uni_max
         e_j = np.exp(self.uni_util - m_j[:, None])
         sum_j = e_j.sum(axis=1)

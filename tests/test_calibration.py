@@ -1,20 +1,24 @@
 """Usage-rate arithmetic and nest-parameter calibration tests.
 
 The 1-D recovery case is checked against an independent bisection
-solver; multi-hub fits are checked in prediction space.
+solver; multi-hub fits are checked in prediction space.  The analytic
+Jacobian the fit steps on is checked against central differences.
 """
 
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+import test_acceptance as acceptance
 from conftest import full_matrices, make_hub, make_market, make_params, simple_fares
 
 from hubmodal import (
     ComboId,
+    HubChoiceSetup,
     HubParams,
     Mode,
     ObservedUsage,
@@ -28,6 +32,7 @@ from hubmodal import (
     prepare_hub,
     validate_leg_counts,
 )
+from hubmodal.cli import main
 
 
 def test_backend_rate_worked_example():
@@ -262,3 +267,133 @@ def test_validate_leg_counts_rejects_unknown_direction():
     setup = _setup_for(Segment.LOW_INCOME)
     with pytest.raises(ValueError, match="unknown direction"):
         validate_leg_counts(setup, make_params(), {"sideways": 1.0})
+
+
+# --- the analytic Jacobian and what the fit reports ---------------------------
+
+
+def _recovery_problem():
+    """Criterion 8's five hubs and their planted-truth observations."""
+    setups = {f"hub-{i}": acceptance._recovery_setup(i) for i in range(5)}
+    observed = []
+    for hub_id, setup in setups.items():
+        p = predict_hub_proportion(setup, acceptance.RECOVERY_TRUTH)
+        demand = float(setup.trips.sum())
+        observed.append(ObservedUsage(hub_id, p * demand, demand, p))
+    return setups, observed
+
+
+def _central_differences(setup, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    cols = []
+    for j in range(len(x)):
+        up, down = x.copy(), x.copy()
+        up[j] += h
+        down[j] -= h
+        plus = setup.hub_nest_share(HubParams.from_vector(up))
+        minus = setup.hub_nest_share(HubParams.from_vector(down))
+        cols.append((plus - minus) / (2.0 * h))
+    return np.stack(cols, axis=1)
+
+
+def _assert_gradient_matches(setup, params):
+    share, grad = setup.hub_nest_share_and_gradient(params)
+    assert np.array_equal(share, setup.hub_nest_share(params))
+    numeric = _central_differences(setup, params.as_vector())
+    assert np.all(np.isfinite(grad))
+    assert np.abs(grad - numeric).max() <= 1e-6 * np.abs(numeric).max()
+    return grad
+
+
+def test_nest_share_gradient_matches_central_differences():
+    setups, _ = _recovery_problem()
+    points = (acceptance.RECOVERY_TRUTH, make_params(beta=0.5, asc=-5.0), make_params(beta=0.9, asc=-2.0, senior=-6.0))
+    for setup in setups.values():
+        for params in points:
+            grad = _assert_gradient_matches(setup, params)
+            # each market's constant moves only its own segment's column
+            segment = np.zeros_like(grad[:, 1:])
+            segment[np.arange(setup.n_markets), setup.segment_codes] = 1.0
+            assert np.all(grad[:, 1:][segment == 0.0] == 0.0)
+
+
+def test_nest_share_gradient_with_unavailable_combos():
+    base = _setup_for(Segment.SENIOR, n=3)
+    util = base.combo_util.copy()
+    util[0, 1] = -np.inf  # one combo missing: its weight and its term are 0
+    util[1, :] = -np.inf  # no combo at all: empty nest, zero share and gradient
+    setup = HubChoiceSetup(
+        base.hub, base.market_ids, base.segment_codes, base.trips, base.drive_miles, base.uni_util,
+        base.combos, util, base.matrix_miles, base.entry_gc_miles, base.exit_gc_miles, base.beta_cost,
+    )
+    with np.errstate(invalid="raise", divide="raise"):
+        grad = _assert_gradient_matches(setup, make_params(beta=0.4, asc=-3.0))
+    assert np.all(grad[1] == 0.0)
+    # one reachable combo left: beta no longer moves the nest utility
+    assert grad[0, 0] == 0.0 and grad[0, 1 + setup.segment_codes[0]] > 0.0
+    assert grad[2, 0] != 0.0
+
+
+def test_recovery_fit_takes_few_evaluations():
+    setups, observed = _recovery_problem()
+    first = calibrate(observed, setups)
+    again = calibrate(observed, setups)
+    assert first.n_evaluations <= 40
+    assert again.n_evaluations == first.n_evaluations
+    assert list(again.params.as_vector()) == list(first.params.as_vector())
+    assert first.converged and first.fit_within_tolerance
+    assert first.rank == first.n_free == 5
+    assert first.params_at_bound == ()
+
+
+def test_unidentified_parameters_stay_at_init():
+    # every market is low-income, so one observation moves beta and the
+    # low-income constant; the other constants cannot change the fit
+    setup = _setup_for(Segment.LOW_INCOME, n=5)
+    target = predict_hub_proportion(setup, make_params(beta=0.35, asc=-3.7))
+    observed = ObservedUsage("h1", target * setup.trips.sum(), setup.trips.sum(), target)
+    init = make_params(beta=0.6, asc=-5.0, not_low_income=-6.5, senior=-2.25, student=-9.0)
+    with pytest.warns(RuntimeWarning, match="under-determined"):
+        result = calibrate([observed], {"h1": setup}, init=init)
+    assert result.objective < 1e-20
+    assert result.converged and result.fit_within_tolerance
+    for seg in (Segment.NOT_LOW_INCOME, Segment.SENIOR, Segment.STUDENT):
+        assert result.params.asc_by_segment[seg] == init.asc_by_segment[seg]
+    assert result.rank == 1 and result.n_free == 5
+    assert len(result.singular_values) == 1
+    assert result.params_at_bound == ()
+
+
+def test_identification_reports_parameters_at_a_bound():
+    setup = _setup_for(Segment.SENIOR)
+    # more use than the widest constant allows: the constant ends on its upper bound
+    ceiling = predict_hub_proportion(setup, make_params(beta=0.5, asc=0.0))
+    target = min(1.0, 1.5 * ceiling)
+    observed = ObservedUsage("h1", target * setup.trips.sum(), setup.trips.sum(), target)
+    bounds = [(0.5, 0.5)] + [(-12.0, 0.0)] * 4
+    with pytest.warns(RuntimeWarning, match="under-determined"):
+        result = calibrate([observed], {"h1": setup}, bounds=bounds)
+    assert result.params_at_bound == ("asc_by_segment.senior",)
+    assert result.n_free == 4
+    assert not result.fit_within_tolerance
+    assert result.per_hub[0].relative_residual == pytest.approx(ceiling / target - 1.0)
+
+
+def test_seed7_identification_report(tmp_path):
+    fx, out = tmp_path / "fx", tmp_path / "run"
+    assert main(["gen-fixture", "--seed", "7", "--out-dir", str(fx)]) == 0
+    assert main(["calibrate", "--manifest", str(fx / "manifest.json"), "--out-dir", str(out)]) == 0
+    report = json.loads((out / "calibration.json").read_text())
+    ident = report["identification"]
+    # two hub counts identify one direction out of five parameters
+    assert ident["rank"] == 1 and ident["n_free_params"] == 5
+    assert len(ident["singular_values"]) == 2
+    assert ident["singular_values"][1] < ident["rank_cutoff"] * ident["singular_values"][0]
+    assert ident["params_at_bound"] == []
+    assert ident["fit_within_tolerance"] is False
+    assert report["converged"] is True
+    # the fit stops once the second direction falls below the cutoff; the
+    # infimum, with three constants on their -12 bound, is 4.88e-8
+    assert 4.8e-8 < report["objective"] < 5.5e-8
+    residuals = {h["hub_id"]: h["relative_residual"] for h in report["per_hub"]}
+    assert abs(residuals["hub-a"]) < ident["fit_rel_tol"]
+    assert residuals["hub-b"] == pytest.approx(-0.23, abs=0.015)

@@ -6,9 +6,9 @@ read somewhere in the same module, in code, in an annotation (string
 annotations included) or in ``__all__``.  Package ``__init__.py`` files
 re-export names and are skipped.
 
-scipy is most of the package's import time and only the calibration fit
-uses it, so importing the CLI and running any stage that does not fit
-must leave it unloaded.  These checks run in a fresh interpreter.
+The package depends on numpy alone: importing the CLI and running any
+stage, the calibration fit included, must leave scipy unloaded.  These
+checks run in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
 
 
 # Runs each stage in process through main() and records the scipy
-# modules loaded after it; calibrate goes last.
+# modules loaded after it.
 STAGE_SCRIPT = f"""
 import contextlib, io, json, sys
 from hubmodal.choice import Segment
@@ -118,8 +118,7 @@ print(json.dumps(loaded))
 """
 
 
-def test_only_calibrate_loads_scipy(tmp_path):
+def test_no_stage_loads_scipy(tmp_path):
     loaded = json.loads(_fresh_python(STAGE_SCRIPT, tmp_path).splitlines()[-1])
-    fit = loaded.pop("calibrate")
+    assert "calibrate" in loaded
     assert loaded == {stage: [] for stage in loaded}
-    assert "scipy.optimize" in fit

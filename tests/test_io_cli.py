@@ -493,8 +493,15 @@ def test_cli_rank_rejects_threads_below_one(fixture_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "data",
-    [{"threads": 2}, {"optimizer": {"method": "nelder-mead"}}, {"optimizer": {"ridge_weight": 0.1}}],
-    ids=["threads", "method", "ridge_weight"],
+    [
+        {"threads": 2},
+        {"optimizer": {"method": "nelder-mead"}},
+        {"optimizer": {"ridge_weight": 0.1}},
+        {"optimizer": {"restarts": 3}},
+        {"optimizer": {"simplex_tol": 1e-10}},
+        {"optimizer": {"objective_tol": 1e-12}},
+    ],
+    ids=["threads", "method", "ridge_weight", "restarts", "simplex_tol", "objective_tol"],
 )
 def test_config_rejects_removed_keys(data):
     with pytest.raises(ValueError, match=r"unknown (config|optimizer) keys"):
