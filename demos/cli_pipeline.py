@@ -56,7 +56,7 @@ print("\nregion totals:")
 for key, value in totals.items():
     print(f"  {key:38s} {value:12.3f}")
 
-out = run("rank", "--params", str(params_file), "--threads", "2")
+out = run("rank", "--params", str(params_file))
 summary = json.loads((out / "rank_summary.json").read_text())
 print(f"\nranked {summary['n_candidates']} candidates against {summary['n_references']} existing hubs")
 for ref, pct in summary["summary"]["references"].items():

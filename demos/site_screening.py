@@ -43,7 +43,7 @@ print(f"{len(candidates)} candidate sites ({with_cs} get car share from a lot wi
 
 params = HubParams(beta_hub=0.4, asc_by_segment={s: -3.0 for s in Segment})
 table = MarketTable(markets)
-evaluated = evaluate_candidates(candidates, table, params, 1.6, matrices, fares, threads=4)
+evaluated = evaluate_candidates(candidates, table, params, 1.6, matrices, fares)
 ranking, summary = rank_and_summarize(evaluated, reference_ids=[])
 
 print("\ntop candidates by potential demand:")

@@ -8,8 +8,9 @@ carry sha256 digests of every input consumed, so a result can always be
 traced back to its exact inputs.  Failures print a single-line JSON
 error record to stderr and exit 1.
 
-rank takes its worker thread count from --threads (default 1).  Thread
-count never changes any output byte, only wall time.
+rank accepts --threads (default 1) for compatibility.  Candidate scoring
+runs as a few stacked array passes in the calling thread, so the value
+changes neither the schedule nor any output byte.
 """
 
 from __future__ import annotations
@@ -289,8 +290,7 @@ def _cmd_derive_threshold(args) -> int:
 def _cmd_identify_trips(args) -> int:
     manifest, config = _load_base(args)
     manifest.require("markets", "observed_usage")
-    markets = io.load_markets(manifest.markets, manifest.taste_parameters)
-    table = MarketTable.ensure(markets)
+    table = MarketTable(io.load_markets(manifest.markets, manifest.taste_parameters))
     hub_recs = io.load_hub_records(manifest.observed_usage)
     if config.threshold_override is None:
         manifest.require("survey")
@@ -323,8 +323,8 @@ def _cmd_identify_trips(args) -> int:
 def _load_model_inputs(args):
     manifest, config = _load_base(args)
     manifest.require("markets", "fares", "survey", "observed_usage", "leg_matrices")
-    markets = io.load_markets(manifest.markets, manifest.taste_parameters)
-    table = MarketTable.ensure(markets)
+    # The Market objects are dropped once the table holds their columns.
+    table = MarketTable(io.load_markets(manifest.markets, manifest.taste_parameters))
     survey = io.load_survey(manifest.survey)
     hub_recs = io.load_hub_records(manifest.observed_usage)
     matrices = io.load_matrices(manifest.leg_matrices)
@@ -519,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", parents=[common], help="score and rank siting candidates")
     p.add_argument("--params", help="params JSON (a calibration report); omitted: calibrate in process")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for candidate evaluation (default: 1)")
+    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility (>= 1); changes nothing")
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("gen-fixture", parents=[common], help="write a synthetic input set")

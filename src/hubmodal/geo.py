@@ -111,24 +111,48 @@ def identify_potential_trips(
     condition2_mode: str = "literal_hd_1km",
     condition2_km: float = 1.0,
 ) -> list[str]:
-    """Market ids whose trips could plausibly divert through the hub.
+    """Market ids whose trips could plausibly divert through the hub: the
+    one-hub case of ``potential_trip_mask``.  The returned ids are sorted,
+    so the output is deterministic."""
+    keep = potential_trip_mask(
+        markets,
+        [hub_location.lat],
+        [hub_location.lon],
+        threshold,
+        condition2_mode=condition2_mode,
+        condition2_km=condition2_km,
+    )
+    ids = _market_coord_arrays(markets)[0]
+    return sorted(ids[i] for i in np.flatnonzero(keep[0]).tolist())
+
+
+def potential_trip_mask(
+    markets,
+    hub_lat: Sequence[float],
+    hub_lon: Sequence[float],
+    threshold: float,
+    *,
+    condition2_mode: str = "literal_hd_1km",
+    condition2_km: float = 1.0,
+) -> np.ndarray:
+    """(hubs, markets) mask of the markets whose trips could plausibly
+    divert through each hub, markets in table order.
 
     A market qualifies when OH + HD < threshold * OD, or under the short
     final-leg condition: HD < condition2_km ("literal_hd_1km" mode) or
     OH + HD < OD + condition2_km ("od_plus_1km" mode).  Markets with a
-    degenerate OD pair are excluded with a logged warning.  The returned
-    ids are sorted, so the output is deterministic.
+    degenerate OD pair are excluded, with one logged warning per call.
     """
     if not threshold >= 1.0:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     if condition2_mode not in CONDITION2_MODES:
         raise ValueError(f"unknown condition2_mode: {condition2_mode!r}")
-    ids, o_lat, o_lon, d_lat, d_lon = _market_coord_arrays(markets)
-    if len(ids) == 0:
-        return []
+    _, o_lat, o_lon, d_lat, d_lon = _market_coord_arrays(markets)
+    lat = np.asarray(hub_lat, dtype=float)[:, None]
+    lon = np.asarray(hub_lon, dtype=float)[:, None]
     od = haversine_km(o_lat, o_lon, d_lat, d_lon)
-    oh = haversine_km(o_lat, o_lon, hub_location.lat, hub_location.lon)
-    hd = haversine_km(hub_location.lat, hub_location.lon, d_lat, d_lon)
+    oh = haversine_km(o_lat, o_lon, lat, lon)
+    hd = haversine_km(lat, lon, d_lat, d_lon)
 
     degenerate = od <= 0.0
     n_bad = int(degenerate.sum())
@@ -140,5 +164,4 @@ def identify_potential_trips(
         cond2 = hd < condition2_km
     else:
         cond2 = (oh + hd) < od + condition2_km
-    keep = (cond1 | cond2) & ~degenerate
-    return sorted(i for i, k in zip(ids, keep) if k)
+    return (cond1 | cond2) & ~degenerate

@@ -202,6 +202,10 @@ def _sorted_codes(ids: Sequence[str], codes) -> tuple[tuple[str, ...], np.ndarra
     return distinct, remap[np.asarray(codes, dtype=np.int64)]
 
 
+def _codes(code: dict[str, int], ids: Sequence[str]) -> np.ndarray:
+    return np.fromiter(map(code.get, ids, itertools.repeat(-1)), dtype=np.int64, count=len(ids))
+
+
 def _leg_times(cells: np.ndarray) -> LegTimes | None:
     minutes, access, egress, transfers, miles = cells.tolist()
     if minutes != minutes:
@@ -248,15 +252,18 @@ class LegMatrices:
         legs = np.empty((2, 0, 5)) if legs is None else np.asarray(legs, dtype=float)
         key = (zone * len(self.hub_ids) + hub) * len(LEG_MODE_ORDER) + mode
         order = np.argsort(key, kind="stable")
+        key = key[order]
         last = np.ones(len(order), dtype=bool)
-        last[:-1] = key[order][1:] != key[order][:-1]
+        last[:-1] = key[1:] != key[:-1]
         rows = order[last]
         n = len(rows)
         # One trailing row past the end: an all-NaN leg for absent keys and
-        # a key no lookup can equal.
+        # a key no lookup can equal.  Each direction is gathered straight
+        # into the block, with no reordered copy in between.
         self._legs = np.full((2, n + 1, 5), np.nan)
-        self._legs[:, :n] = legs[:, rows]
-        self._key = np.append(key[rows], np.iinfo(np.int64).max)
+        for direction in range(2):
+            np.take(legs[direction], rows, axis=0, out=self._legs[direction, :n], mode="clip")
+        self._key = np.append(key[last], np.iinfo(np.int64).max)
         self.legs = self._legs[:, :n]
         self.key = self._key[:n]
         self.zone, self.hub, self.mode = zone[rows], hub[rows], mode[rows]
@@ -285,24 +292,39 @@ class LegMatrices:
 
     def zone_codes(self, zone_ids: Sequence[str]) -> np.ndarray:
         """This store's code for each zone id, -1 where it has none."""
-        codes = map(self._zone_code.get, zone_ids, itertools.repeat(-1))
-        return np.fromiter(codes, dtype=np.int64, count=len(zone_ids))
+        return _codes(self._zone_code, zone_ids)
 
-    def rows(self, zones: np.ndarray, hub_id: str, mode: Mode) -> np.ndarray:
-        """Row of each (zone code, hub, mode) key; ``len(self)`` where the
-        store has no such row (and for zone code -1)."""
-        hub = self._hub_code.get(hub_id)
-        mode_code = _LEG_MODE_CODE.get(mode)
-        if hub is None or mode_code is None:
-            return np.full(len(zones), len(self))
-        # A zone code of -1 gives a negative key, which matches no row.
-        key = (zones * len(self.hub_ids) + hub) * len(LEG_MODE_ORDER) + mode_code
-        pos = np.searchsorted(self.key, key)
-        return np.where(self._key[pos] == key, pos, len(self))
+    def hub_codes(self, hub_ids: Sequence[str]) -> np.ndarray:
+        """This store's code for each hub id, -1 where it has none."""
+        return _codes(self._hub_code, hub_ids)
+
+    def rows(self, zones: np.ndarray, hubs: np.ndarray, modes: Iterable[Mode]) -> dict[Mode, np.ndarray]:
+        """Row of each (zone code, hub code) pair, for each of ``modes``;
+        ``len(self)`` where the store has no such row (and for code -1).
+
+        The queries are sorted once: the order that sorts zone * H + hub
+        also sorts every mode's key, and sorted queries walk the key
+        column in order."""
+        base = np.where((zones < 0) | (hubs < 0), -1, zones * len(self.hub_ids) + hubs)
+        order = np.argsort(base, kind="stable")
+        base = base[order] * len(LEG_MODE_ORDER)
+        out = {}
+        for mode in modes:
+            found = np.full(len(base), len(self))
+            code = _LEG_MODE_CODE.get(mode)
+            if code is not None:
+                # Code -1 gives a negative key, which matches no row.
+                key = base + code
+                pos = np.searchsorted(self.key, key)
+                found[order] = np.where(self._key[pos] == key, pos, len(self))
+            out[mode] = found
+        return out
+
+    def _row(self, zone_id: str, hub_id: str, mode: Mode) -> int:
+        return int(self.rows(self.zone_codes([zone_id]), self.hub_codes([hub_id]), [mode])[mode][0])
 
     def _leg(self, zone_id: str, hub_id: str, mode: Mode, direction: int) -> LegTimes | None:
-        row = self.rows(self.zone_codes([zone_id]), hub_id, mode)[0]
-        return _leg_times(self._legs[direction, row])
+        return _leg_times(self._legs[direction, self._row(zone_id, hub_id, mode)])
 
     def to_hub(self, zone_id: str, hub_id: str, mode: Mode) -> LegTimes | None:
         return self._leg(zone_id, hub_id, mode, 0)
@@ -330,7 +352,7 @@ class _LegEntries(Mapping):
             zone_id, hub_id, mode = key
         except (TypeError, ValueError):
             raise KeyError(key) from None
-        row = self._m.rows(self._m.zone_codes([zone_id]), hub_id, mode)[0]
+        row = self._m._row(zone_id, hub_id, mode)
         if row == len(self._m):
             raise KeyError(key)
         return _leg_times(self._m.legs[0, row]), _leg_times(self._m.legs[1, row])
@@ -424,7 +446,6 @@ class MarketTable:
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate market ids: {dupes[:5]}")
-        self.markets: tuple[Market, ...] = tuple(ms)
         self.ids: tuple[str, ...] = tuple(ids)
         self.id_index: dict[str, int] = {mid: i for i, mid in enumerate(ids)}
         n = len(ms)
@@ -520,6 +541,12 @@ class HubChoiceSetup:
     """Parameter-independent choice data for one hub over its potential
     markets: unimodal utilities, combo utilities, and leg distances.
 
+    Several hubs that share one choice set can be stacked in one setup:
+    ``hub`` is then a sequence of hubs, and ``bounds`` (len(hubs) + 1
+    offsets) gives each hub its run of rows, in hub order.  Every array
+    is per row, so a share pass over a stack is the share pass of each of
+    its hubs, and a hub's impact sums are sums over its own rows.
+
     Combo utilities are -inf where a leg is missing from the matrices.
     ``matrix_miles`` is NaN where the matrices carried no network
     distance; distance weighting then uses plain great-circle leg miles
@@ -534,7 +561,7 @@ class HubChoiceSetup:
 
     def __init__(
         self,
-        hub: Hub,
+        hub: Hub | Sequence[Hub],
         market_ids: Sequence[str],
         segment_codes: np.ndarray,
         trips: np.ndarray,
@@ -547,9 +574,15 @@ class HubChoiceSetup:
         exit_gc_miles: np.ndarray,
         beta_cost: np.ndarray,
         circuity_factor: float = 1.3,
+        *,
+        bounds: Sequence[int] | None = None,
     ):
-        self.hub = hub
+        self.hubs = (hub,) if isinstance(hub, Hub) else tuple(hub)
         self.market_ids = tuple(market_ids)
+        bounds = (0, len(self.market_ids)) if bounds is None else tuple(map(int, bounds))
+        if len(bounds) != len(self.hubs) + 1 or bounds[0] != 0 or bounds[-1] != len(self.market_ids):
+            raise ValueError("bounds must run from 0 to the row count, one span per hub")
+        self.spans = tuple(zip(bounds[:-1], bounds[1:]))
         self.segment_codes = segment_codes
         self.trips = trips
         self.drive_miles = drive_miles
@@ -567,6 +600,13 @@ class HubChoiceSetup:
         self._anchor = np.where(self._has, c_max, 0.0)
         self._c_shift = combo_util - self._anchor[:, None]
         self._uni_max = uni_util.max(axis=1)
+
+    @property
+    def hub(self) -> Hub:
+        """The hub of a one-hub setup."""
+        if len(self.hubs) != 1:
+            raise ValueError(f"setup stacks {len(self.hubs)} hubs, not one")
+        return self.hubs[0]
 
     @property
     def n_markets(self) -> int:
@@ -647,16 +687,19 @@ class HubChoiceSetup:
 
     def choice_shares(self, params, *, literal_lower_branch: bool = False) -> HubShares:
         """Full before/after share arrays for one parameter vector."""
-        v_hub, e_u, e_h, total, _, _ = self._upper_level(params)
+        v_hub, e_u, e_h, total, e_l, sum_l = self._upper_level(params)
         m_j = self._uni_max
         e_j = np.exp(self.uni_util - m_j[:, None])
         sum_j = e_j.sum(axis=1)
         logsum_j = m_j + np.log(sum_j)
 
+        # The within-nest split reuses the nest's exp(c~/beta) unless the
+        # literal lower branch asks for another scale.  S is 1 on empty rows.
         scale = 1.0 if literal_lower_branch else params.beta_hub
-        e_l = np.exp(self._c_shift / scale)
-        sum_l = e_l.sum(axis=1)
-        lower = np.where(self._has[:, None], e_l / np.where(sum_l > 0.0, sum_l, 1.0)[:, None], 0.0)
+        if scale != params.beta_hub:
+            e_l = np.exp(self._c_shift / scale)
+            sum_l = np.where(self._has, e_l.sum(axis=1), 1.0)
+        lower = np.where(self._has[:, None], e_l / sum_l[:, None], 0.0)
 
         # logaddexp keeps the logsum gain non-negative in floating point
         # and exactly zero where the nest is empty.
@@ -672,63 +715,63 @@ class HubChoiceSetup:
         )
 
 
-def _gather_leg(matrices: LegMatrices, zones: np.ndarray, hub: Hub, mode: Mode, direction: int) -> np.ndarray:
-    """(m, 5) leg cells of ``mode`` between each zone code and the hub,
-    to it (direction 0) or from it (1); all NaN where the leg is absent."""
-    return matrices._legs[direction, matrices.rows(zones, hub.id, mode)]
-
-
 def prepare_hub(
     markets,
-    hub: Hub,
-    market_ids: Iterable[str],
+    hub: Hub | Sequence[Hub],
+    market_ids,
     matrices: LegMatrices,
     fares: FareTable,
     *,
+    zone_map: np.ndarray | None = None,
     car_cost_per_mile: float = 0.20,
     circuity_factor: float = 1.3,
 ) -> HubChoiceSetup:
-    """Build the evaluation arrays for one hub over its potential markets.
+    """Build the evaluation arrays for one hub over its potential markets,
+    or one stacked setup for several hubs that share a choice set.
 
-    ``markets`` is a Market sequence or a MarketTable; ``market_ids``
-    selects the potential trips (typically the identify step's output).
+    ``markets`` is a Market sequence or a MarketTable.  For one hub,
+    ``market_ids`` selects the potential trips (typically the identify
+    step's output).  For a sequence of hubs it is a (hubs, markets)
+    boolean mask over the table rows, as ``potential_trip_mask`` gives
+    it; the rows are stacked hub by hub, markets in table order.
+    ``zone_map`` is ``matrices.zone_codes(table.zone_ids)``, for callers
+    that build many setups over one table.
     """
     table = MarketTable.ensure(markets)
-    ids = sorted(set(market_ids))
-    try:
-        idx = np.array([table.id_index[i] for i in ids], dtype=np.int64)
-    except KeyError as err:
-        raise ValueError(f"unknown market id: {err.args[0]!r}") from None
-
-    combos = hub.sorted_combos()
-    m, k = len(ids), len(combos)
+    if isinstance(hub, Hub):
+        hubs = (hub,)
+        try:
+            idx = np.array([table.id_index[i] for i in sorted(set(market_ids))], dtype=np.int64)
+        except KeyError as err:
+            raise ValueError(f"unknown market id: {err.args[0]!r}") from None
+        own = np.zeros(len(idx), dtype=np.int64)
+    else:
+        hubs = tuple(hub)
+        own, idx = np.nonzero(market_ids)
+    combos = hubs[0].sorted_combos()
+    if any(h.combos != hubs[0].combos for h in hubs):
+        raise ValueError("stacked hubs must share one choice set")
+    m, k = len(idx), len(combos)
     taste = {name: col[idx] for name, col in table.taste.items()}
 
-    entry_gc = (
-        haversine_km(table.o_lat[idx], table.o_lon[idx], hub.location.lat, hub.location.lon) * MILES_PER_KM
-    )
-    exit_gc = (
-        haversine_km(hub.location.lat, hub.location.lon, table.d_lat[idx], table.d_lon[idx]) * MILES_PER_KM
-    )
+    hub_lat = np.array([h.location.lat for h in hubs])[own]
+    hub_lon = np.array([h.location.lon for h in hubs])[own]
+    entry_gc = haversine_km(table.o_lat[idx], table.o_lon[idx], hub_lat, hub_lon) * MILES_PER_KM
+    exit_gc = haversine_km(hub_lat, hub_lon, table.d_lat[idx], table.d_lon[idx]) * MILES_PER_KM
 
-    # Zone codes of the selected markets' origins (to-hub legs) and
-    # destinations (from-hub legs) in the matrices' own coding.
-    zone_map = matrices.zone_codes(table.zone_ids)
+    # Zone codes of the rows' origins (to-hub legs) and destinations
+    # (from-hub legs), and hub codes, in the matrices' own coding.
+    if zone_map is None:
+        zone_map = matrices.zone_codes(table.zone_ids)
+    hub_codes = matrices.hub_codes([h.id for h in hubs])[own]
     zones = (zone_map[table.o_zone_codes[idx]], zone_map[table.d_zone_codes[idx]])
     gcs = (entry_gc, exit_gc)
-    leg_cache: dict[tuple[Mode, int], np.ndarray] = {}
-    util_cache: dict[tuple[Mode, int], np.ndarray] = {}
-
-    def leg_data(mode: Mode, direction: int) -> np.ndarray:
-        key = (mode, direction)
-        if key not in leg_cache:
-            leg_cache[key] = _gather_leg(matrices, zones[direction], hub, mode, direction)
-        return leg_cache[key]
-
-    def leg_util(mode: Mode, direction: int) -> np.ndarray:
-        key = (mode, direction)
-        if key not in util_cache:
-            minutes, access, egress, transfers, miles = leg_data(mode, direction).T
+    leg_util: dict[tuple[Mode, int], np.ndarray] = {}
+    leg_miles: dict[tuple[Mode, int], np.ndarray] = {}
+    leg_modes = (dict.fromkeys(c.entry for c in combos), dict.fromkeys(c.exit for c in combos))
+    for direction, modes in enumerate(leg_modes):
+        for mode, rows in matrices.rows(zones[direction], hub_codes, modes).items():
+            minutes, access, egress, transfers, miles = matrices._legs[direction].take(rows, axis=0).T
             avail = ~np.isnan(minutes)
             minutes = np.where(avail, minutes, 0.0)
             cost_miles = np.where(np.isnan(miles), gcs[direction] * circuity_factor, miles)
@@ -742,28 +785,29 @@ def prepare_hub(
                 transfers=transfers,
                 cost_usd=cost,
             )
-            util_cache[key] = np.where(avail, u, -np.inf)
-        return util_cache[key]
+            leg_util[mode, direction] = np.where(avail, u, -np.inf)
+            leg_miles[mode, direction] = miles
 
     combo_util = np.full((m, k), -np.inf)
     matrix_miles = np.full((m, k, 2), np.nan)
     for j, combo in enumerate(combos):
-        combo_util[:, j] = leg_util(combo.entry, 0) + leg_util(combo.exit, 1)
-        matrix_miles[:, j, 0] = leg_data(combo.entry, 0)[:, 4]
-        matrix_miles[:, j, 1] = leg_data(combo.exit, 1)[:, 4]
+        combo_util[:, j] = leg_util[combo.entry, 0] + leg_util[combo.exit, 1]
+        matrix_miles[:, j, 0] = leg_miles[combo.entry, 0]
+        matrix_miles[:, j, 1] = leg_miles[combo.exit, 1]
 
     return HubChoiceSetup(
-        hub=hub,
-        market_ids=ids,
-        segment_codes=table.segment_codes[idx],
-        trips=table.trips[idx],
-        drive_miles=table.drive_miles[idx],
-        uni_util=table.unimodal_utilities()[idx],
-        combos=combos,
-        combo_util=combo_util,
-        matrix_miles=matrix_miles,
-        entry_gc_miles=entry_gc,
-        exit_gc_miles=exit_gc,
-        beta_cost=taste["beta_cost"],
-        circuity_factor=circuity_factor,
+        hubs,
+        list(map(table.ids.__getitem__, idx.tolist())),
+        table.segment_codes[idx],
+        table.trips[idx],
+        table.drive_miles[idx],
+        table.unimodal_utilities()[idx],
+        combos,
+        combo_util,
+        matrix_miles,
+        entry_gc,
+        exit_gc,
+        taste["beta_cost"],
+        circuity_factor,
+        bounds=np.searchsorted(own, np.arange(len(hubs) + 1)),
     )

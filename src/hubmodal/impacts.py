@@ -59,6 +59,24 @@ def potential_demand(setup: HubChoiceSetup) -> float:
     return float(setup.trips.sum())
 
 
+def _hub_sums(setup: HubChoiceSetup, *parts: np.ndarray) -> list[list[float]]:
+    """Each hub's sums of the rows of ``parts`` (each (p, m)) over its own
+    markets, one list per hub.  A sum is one contiguous slice of one row,
+    so it adds the same numbers in the same order as a setup of that hub
+    alone would, and gives the same float.  (That needs each row to be
+    contiguous: ``concatenate`` alone would keep the transposed layout of
+    its parts, and a strided row sums in another order.)"""
+    block = np.empty((sum(map(len, parts)), setup.n_markets))
+    np.concatenate(parts, out=block)
+    return [block[:, a:b].sum(axis=1).tolist() for a, b in setup.spans]
+
+
+def _only(results: list):
+    if len(results) != 1:
+        raise ValueError(f"setup stacks {len(results)} hubs; use assess_hubs")
+    return results[0]
+
+
 @dataclass(frozen=True)
 class ModeShiftResult:
     """Daily trips by mode before and after the hub."""
@@ -94,30 +112,37 @@ def mode_shift(
     distance split evenly.  Unimodal trips after the hub use the upper
     level; the two-level shares conserve total trips exactly.
     """
-    s = _resolve_shares(setup, params, literal_lower_branch, shares)
-    d = setup.trips
-    before = {mode: float((d * s.before[:, j]).sum()) for mode, j in _MODE_COL.items()}
-    after = {mode: float((d * s.upper[:, j]).sum()) for mode, j in _MODE_COL.items()}
-    multimodal_total = float((d * s.hub).sum())
+    return _only(_mode_shifts(setup, _resolve_shares(setup, params, literal_lower_branch, shares)))
 
-    leg_trips: dict[Mode, float] = {}
+
+def _mode_shifts(setup: HubChoiceSetup, s: HubShares) -> list[ModeShiftResult]:
+    d = setup.trips[:, None]
+    parts = [(d * s.before).T, (d * s.upper).T, (setup.trips * s.hub)[None]]
     if setup.n_combos:
         w = setup.leg_miles(1.0)
-        total_w = w.sum(axis=2)
+        total_w = w[:, :, 0] + w[:, :, 1]
         with np.errstate(invalid="ignore", divide="ignore"):
             frac_entry = np.where(total_w > 0.0, w[:, :, 0] / total_w, 0.5)
-        joint_trips = d[:, None] * s.joint
-        for j, combo in enumerate(setup.combos):
-            entry_t = float((joint_trips[:, j] * frac_entry[:, j]).sum())
-            exit_t = float((joint_trips[:, j] * (1.0 - frac_entry[:, j])).sum())
+        joint_trips = d * s.joint
+        parts += [(joint_trips * frac_entry).T, (joint_trips * (1.0 - frac_entry)).T]
+
+    n, k = len(MAIN_MODES), setup.n_combos
+    out = []
+    for sums in _hub_sums(setup, *parts):
+        leg_trips: dict[Mode, float] = {}
+        entry, exit = sums[2 * n + 1 : 2 * n + 1 + k], sums[2 * n + 1 + k :]
+        for combo, entry_t, exit_t in zip(setup.combos, entry, exit):
             leg_trips[combo.entry] = leg_trips.get(combo.entry, 0.0) + entry_t
             leg_trips[combo.exit] = leg_trips.get(combo.exit, 0.0) + exit_t
-    return ModeShiftResult(
-        before=before,
-        after_unimodal=after,
-        multimodal_total=multimodal_total,
-        multimodal_leg_trips=leg_trips,
-    )
+        out.append(
+            ModeShiftResult(
+                before=dict(zip(MAIN_MODES, sums[:n])),
+                after_unimodal=dict(zip(MAIN_MODES, sums[n : 2 * n])),
+                multimodal_total=sums[2 * n],
+                multimodal_leg_trips=leg_trips,
+            )
+        )
+    return out
 
 
 def transit_delta(shift: ModeShiftResult) -> float:
@@ -167,44 +192,65 @@ def vmt_delta(
     Markets with a missing trip distance are excluded with a warning.
     """
     s = _resolve_shares(setup, params, literal_lower_branch, shares)
+    return _only(_vmt_deltas(setup, s, emissions, include_on_demand_auto))
+
+
+def _vmt_deltas(
+    setup: HubChoiceSetup, s: HubShares, emissions: EmissionFactor, include_on_demand_auto: bool
+) -> list[VmtResult]:
     miles = setup.drive_miles
     ok = np.isfinite(miles)
     n_bad = int((~ok).sum())
     if n_bad:
         logger.warning("excluded %d market(s) with missing trip distance from VMT", n_bad)
-    w = setup.trips * np.where(ok, miles, 0.0)
+    w = (setup.trips * np.where(ok, miles, 0.0))[:, None]
 
-    drive_cols = [_MODE_COL[Mode.DRIVING]]
+    # driving columns, then carpool
+    cols = [_MODE_COL[Mode.DRIVING]]
     if include_on_demand_auto:
-        drive_cols.append(_MODE_COL[Mode.ON_DEMAND_AUTO])
-    cp = _MODE_COL[Mode.CARPOOL]
+        cols.append(_MODE_COL[Mode.ON_DEMAND_AUTO])
+    n_drive = len(cols)
+    cols.append(_MODE_COL[Mode.CARPOOL])
+    parts = [(w * s.before[:, cols]).T, (w * s.upper[:, cols]).T]
 
-    before_driving = float(sum((w * s.before[:, j]).sum() for j in drive_cols))
-    before_carpool = float((w * s.before[:, cp]).sum())
-    after_driving = float(sum((w * s.upper[:, j]).sum() for j in drive_cols))
-    after_carpool = float((w * s.upper[:, cp]).sum())
+    # car legs add driving VMT, car-share legs carpool VMT, in combo order
+    car_legs = [
+        (j, pos, mode == Mode.CAR)
+        for j, combo in enumerate(setup.combos)
+        for pos, mode in enumerate(combo)
+        if mode in (Mode.CAR, Mode.CAR_SHARE)
+    ]
+    if car_legs:
+        js, poss, _ = zip(*car_legs)
+        joint_trips = (setup.trips * ok)[:, None] * s.joint[:, js]
+        parts.append((joint_trips * setup.leg_miles(setup.circuity_factor)[:, js, poss]).T)
 
-    if setup.n_combos:
-        leg_miles = setup.leg_miles(setup.circuity_factor)
-        joint_trips = (setup.trips * ok)[:, None] * s.joint
-        for j, combo in enumerate(setup.combos):
-            for leg_pos, leg_mode in ((0, combo.entry), (1, combo.exit)):
-                if leg_mode == Mode.CAR:
-                    after_driving += float((joint_trips[:, j] * leg_miles[:, j, leg_pos]).sum())
-                elif leg_mode == Mode.CAR_SHARE:
-                    after_carpool += float((joint_trips[:, j] * leg_miles[:, j, leg_pos]).sum())
-
-    reduced = (before_driving + before_carpool) - (after_driving + after_carpool)
-    return VmtResult(
-        before_driving=before_driving,
-        before_carpool=before_carpool,
-        after_driving=after_driving,
-        after_carpool=after_carpool,
-        reduced=reduced,
-        emissions_kg_per_day=emissions.kg_per_day(reduced),
-        emissions_tons_per_year=emissions.tons_per_year(reduced),
-        reduced_annual_thousand_miles=emissions.annual_thousand_miles(reduced),
-    )
+    out = []
+    n = len(cols)
+    for sums in _hub_sums(setup, *parts):
+        before_driving = float(sum(sums[:n_drive]))
+        before_carpool = sums[n_drive]
+        after_driving = float(sum(sums[n : n + n_drive]))
+        after_carpool = sums[n + n_drive]
+        for (_, _, is_car), leg in zip(car_legs, sums[2 * n :]):
+            if is_car:
+                after_driving += leg
+            else:
+                after_carpool += leg
+        reduced = (before_driving + before_carpool) - (after_driving + after_carpool)
+        out.append(
+            VmtResult(
+                before_driving=before_driving,
+                before_carpool=before_carpool,
+                after_driving=after_driving,
+                after_carpool=after_carpool,
+                reduced=reduced,
+                emissions_kg_per_day=emissions.kg_per_day(reduced),
+                emissions_tons_per_year=emissions.tons_per_year(reduced),
+                reduced_annual_thousand_miles=emissions.annual_thousand_miles(reduced),
+            )
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -214,6 +260,7 @@ class ConsumerSurplusResult:
     cs_per_trip: float
     cs_total: float
     n_excluded: int
+    potential_demand: float
 
 
 def consumer_surplus_delta(
@@ -231,16 +278,20 @@ def consumer_surplus_delta(
     and are excluded with a warning (ingestion normally rejects them).
     cs_total sums trips * gain; cs_per_trip divides by potential demand.
     """
-    s = _resolve_shares(setup, params, literal_lower_branch, shares)
-    pd_total = float(setup.trips.sum())
+    return _only(_consumer_surpluses(setup, _resolve_shares(setup, params, literal_lower_branch, shares)))
+
+
+def _consumer_surpluses(setup: HubChoiceSetup, s: HubShares) -> list[ConsumerSurplusResult]:
     priceable = setup.beta_cost < 0.0
     n_excluded = int((~priceable).sum())
     if n_excluded:
         logger.warning("excluded %d market(s) with non-negative beta_cost from consumer surplus", n_excluded)
     gain = np.where(priceable, s.cs_gain_util / np.abs(np.where(priceable, setup.beta_cost, -1.0)), 0.0)
-    cs_total = float((setup.trips * gain).sum())
-    cs_per_trip = cs_total / pd_total if pd_total > 0.0 else 0.0
-    return ConsumerSurplusResult(cs_per_trip=cs_per_trip, cs_total=cs_total, n_excluded=n_excluded)
+    out = []
+    for cs_total, pd_total, excluded in _hub_sums(setup, np.stack([setup.trips * gain, setup.trips, ~priceable])):
+        cs_per_trip = cs_total / pd_total if pd_total > 0.0 else 0.0
+        out.append(ConsumerSurplusResult(cs_per_trip, cs_total, int(excluded), pd_total))
+    return out
 
 
 @dataclass(frozen=True)
@@ -295,29 +346,50 @@ def assess_hub(
     literal_lower_branch: bool = False,
 ) -> ImpactReport:
     """Compute every impact metric for one hub in a single share pass."""
+    return _only(
+        assess_hubs(
+            setup,
+            params,
+            emissions=emissions,
+            include_on_demand_auto=include_on_demand_auto,
+            literal_lower_branch=literal_lower_branch,
+        )
+    )
+
+
+def assess_hubs(
+    setup: HubChoiceSetup,
+    params: HubParams,
+    *,
+    emissions: EmissionFactor = EmissionFactor(),
+    include_on_demand_auto: bool = False,
+    literal_lower_branch: bool = False,
+) -> list[ImpactReport]:
+    """Every impact metric for each hub of a (stacked) setup, in hub order,
+    from one share pass over all its rows."""
     shares = setup.choice_shares(params, literal_lower_branch=literal_lower_branch)
-    pd_total = potential_demand(setup)
-    shift = mode_shift(setup, params, shares=shares)
-    vmt = vmt_delta(
-        setup,
-        params,
-        emissions=emissions,
-        include_on_demand_auto=include_on_demand_auto,
-        shares=shares,
-    )
-    cs = consumer_surplus_delta(setup, params, shares=shares)
-    proportion = float((setup.trips * shares.hub).sum() / pd_total) if pd_total > 0 else 0.0
-    return ImpactReport(
-        hub_id=setup.hub.id,
-        potential_demand=pd_total,
-        hub_trip_proportion=proportion,
-        multimodal_total=shift.multimodal_total,
-        multimodal_leg_trips={m.value: t for m, t in sorted(shift.multimodal_leg_trips.items(), key=lambda kv: kv[0].value)},
-        unimodal_before={m.value: t for m, t in shift.before.items()},
-        unimodal_after={m.value: t for m, t in shift.after_unimodal.items()},
-        transit_delta=transit_delta(shift),
-        vmt=vmt,
-        cs_per_trip=cs.cs_per_trip,
-        cs_total=cs.cs_total,
-        n_markets=setup.n_markets,
-    )
+    shifts = _mode_shifts(setup, shares)
+    vmts = _vmt_deltas(setup, shares, emissions, include_on_demand_auto)
+    surpluses = _consumer_surpluses(setup, shares)
+    reports = []
+    for hub, (a, b), shift, vmt, cs in zip(setup.hubs, setup.spans, shifts, vmts, surpluses):
+        pd_total = cs.potential_demand
+        reports.append(
+            ImpactReport(
+                hub_id=hub.id,
+                potential_demand=pd_total,
+                hub_trip_proportion=shift.multimodal_total / pd_total if pd_total > 0 else 0.0,
+                multimodal_total=shift.multimodal_total,
+                multimodal_leg_trips={
+                    m.value: t for m, t in sorted(shift.multimodal_leg_trips.items(), key=lambda kv: kv[0].value)
+                },
+                unimodal_before={m.value: t for m, t in shift.before.items()},
+                unimodal_after={m.value: t for m, t in shift.after_unimodal.items()},
+                transit_delta=transit_delta(shift),
+                vmt=vmt,
+                cs_per_trip=cs.cs_per_trip,
+                cs_total=cs.cs_total,
+                n_markets=b - a,
+            )
+        )
+    return reports

@@ -575,8 +575,19 @@ def load_matrices(paths: Sequence[str | Path]) -> LegMatrices:
 
     if not batches:
         return LegMatrices()
-    zone, hub, mode, numbers = (np.concatenate(col) for col in zip(*batches))
-    del batches
+    # Copy the batches into one block per column, dropping each batch once
+    # copied, so the batches and the block are never both held in full.
+    n = sum(len(batch[0]) for batch in batches)
+    zone, hub, mode = (np.empty(n, dtype=np.int64) for _ in range(3))
+    numbers = np.empty((n, len(MATRIX_COLUMNS) - 3))
+    at = 0
+    batches.reverse()
+    while batches:
+        batch = batches.pop()
+        rows = slice(at, at + len(batch[0]))
+        for column, part in zip((zone, hub, mode, numbers), batch):
+            column[rows] = part
+        at = rows.stop
     legs = numbers.reshape(len(zone), 2, 5).transpose(1, 0, 2)
     # Blank access, egress and transfers cells mean 0; blank minutes and
     # miles stay NaN.

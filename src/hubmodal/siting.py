@@ -10,7 +10,6 @@ metric with deterministic tie-breaking.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 from .calibration import HubParams
 from .choice import ComboId
 from .config import PipelineConfig
-from .geo import GeoPoint, haversine_km, identify_potential_trips
+from .geo import GeoPoint, haversine_km, potential_trip_mask
 from .hubs import (
     CAR_SHARE_PROFILE_COMBOS,
     STANDARD_PROFILE_COMBOS,
@@ -29,7 +28,7 @@ from .hubs import (
     MarketTable,
     prepare_hub,
 )
-from .impacts import EmissionFactor, assess_hub
+from .impacts import EmissionFactor, assess_hubs
 
 logger = logging.getLogger(__name__)
 
@@ -163,6 +162,30 @@ def candidate_hub(candidate: Candidate, profiles: Mapping[bool, Sequence[ComboId
     )
 
 
+# Market x combo cells scored in one stacked pass.  It bounds the working
+# set of a pass (a few dozen (rows, combos) float arrays, under 6 MB)
+# whatever the number of candidates; a candidate larger than this is
+# scored in a pass of its own.
+CHUNK_CELLS = 1 << 15
+
+_NO_TRIPS = CandidateMetrics(
+    potential_demand=0.0, transit_delta=0.0, vmt_reduced=0.0, cs_total=0.0, no_potential_trips=True
+)
+
+
+def _chunks(members: list[int], cells: np.ndarray):
+    """Runs of ``members`` of at most CHUNK_CELLS cells (or one member)."""
+    chunk, total = [], 0
+    for i, n in zip(members, cells.tolist()):
+        if chunk and total + n > CHUNK_CELLS:
+            yield chunk
+            chunk, total = [], 0
+        chunk.append(i)
+        total += n
+    if chunk:
+        yield chunk
+
+
 def evaluate_candidates(
     candidates: Sequence[Candidate],
     markets,
@@ -176,66 +199,63 @@ def evaluate_candidates(
 ) -> list[Candidate]:
     """Score every candidate with the implemented-hub impact pipeline.
 
-    Candidates with no potential trips get zero metrics and a flag.
-    Evaluations are independent; ``threads`` splits them over a thread
-    pool without changing any result (each candidate's arithmetic is
-    self-contained and results are reassembled in candidate order).
+    One detour screen covers every candidate.  Candidates that share a
+    service profile are stacked, in candidate-id order, into setups of
+    at most CHUNK_CELLS market x combo cells, and each stack gets one
+    share pass; each candidate's metrics are sums over its own rows, so
+    they equal ``prepare_hub`` + ``assess_hub`` on that candidate alone,
+    bit for bit.  Candidates with no potential trips get zero metrics and
+    a flag.  ``threads`` is accepted for compatibility; the passes run
+    in the calling thread whatever its value, and no result depends on it.
     """
     cfg = config or PipelineConfig()
     table = MarketTable.ensure(markets)
     ordered = sorted(candidates, key=lambda c: c.candidate_id)
     emissions = EmissionFactor(grams_co2_per_mile=cfg.grams_co2_per_mile, days_per_year=cfg.days_per_year)
+    keep = potential_trip_mask(
+        table,
+        [c.location.lat for c in ordered],
+        [c.location.lon for c in ordered],
+        threshold,
+        condition2_mode=cfg.condition2_mode,
+        condition2_km=cfg.condition2_km,
+    )
+    n_kept = keep.sum(axis=1)
+    zone_map = matrices.zone_codes(table.zone_ids)
+    hubs = [candidate_hub(c) for c in ordered]
+    profiles: dict[frozenset, list[int]] = {}
+    for i, hub in enumerate(hubs):
+        if n_kept[i]:
+            profiles.setdefault(hub.combos, []).append(i)
 
-    def _one(cand: Candidate) -> Candidate:
-        hub = candidate_hub(cand)
-        ids = identify_potential_trips(
-            table,
-            cand.location,
-            threshold,
-            condition2_mode=cfg.condition2_mode,
-            condition2_km=cfg.condition2_km,
-        )
-        if not ids:
-            return replace(
-                cand,
-                metrics=CandidateMetrics(
-                    potential_demand=0.0,
-                    transit_delta=0.0,
-                    vmt_reduced=0.0,
-                    cs_total=0.0,
-                    no_potential_trips=True,
-                ),
+    metrics = [_NO_TRIPS] * len(ordered)
+    for combos, members in profiles.items():
+        for chunk in _chunks(members, n_kept[members] * len(combos)):
+            setup = prepare_hub(
+                table,
+                [hubs[i] for i in chunk],
+                keep[chunk],
+                matrices,
+                fares,
+                zone_map=zone_map,
+                car_cost_per_mile=cfg.car_cost_per_mile,
+                circuity_factor=cfg.circuity_factor,
             )
-        setup = prepare_hub(
-            table,
-            hub,
-            ids,
-            matrices,
-            fares,
-            car_cost_per_mile=cfg.car_cost_per_mile,
-            circuity_factor=cfg.circuity_factor,
-        )
-        report = assess_hub(
-            setup,
-            params,
-            emissions=emissions,
-            include_on_demand_auto=cfg.include_on_demand_auto_vmt,
-            literal_lower_branch=cfg.literal_lower_branch,
-        )
-        return replace(
-            cand,
-            metrics=CandidateMetrics(
-                potential_demand=report.potential_demand,
-                transit_delta=report.transit_delta,
-                vmt_reduced=report.vmt.reduced,
-                cs_total=report.cs_total,
-            ),
-        )
-
-    if threads > 1 and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_one, ordered))
-    return [_one(c) for c in ordered]
+            reports = assess_hubs(
+                setup,
+                params,
+                emissions=emissions,
+                include_on_demand_auto=cfg.include_on_demand_auto_vmt,
+                literal_lower_branch=cfg.literal_lower_branch,
+            )
+            for i, report in zip(chunk, reports):
+                metrics[i] = CandidateMetrics(
+                    potential_demand=report.potential_demand,
+                    transit_delta=report.transit_delta,
+                    vmt_reduced=report.vmt.reduced,
+                    cs_total=report.cs_total,
+                )
+    return [replace(c, metrics=m) for c, m in zip(ordered, metrics)]
 
 
 @dataclass(frozen=True)

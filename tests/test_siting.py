@@ -12,7 +12,8 @@ import collections
 import numpy as np
 import pytest
 
-from conftest import full_matrices, make_market, make_params, simple_fares
+import hubmodal.siting as siting
+from conftest import full_matrices, make_market, make_params, random_point, random_taste, simple_fares
 
 from hubmodal import (
     CAR_SHARE_PROFILE_COMBOS,
@@ -20,6 +21,8 @@ from hubmodal import (
     Candidate,
     CandidateMetrics,
     GeoPoint,
+    HubChoiceSetup,
+    LegMatrices,
     Mode,
     Segment,
     StopRecord,
@@ -33,6 +36,7 @@ from hubmodal import (
     prepare_hub,
     rank_and_summarize,
 )
+from hubmodal.hubs import LEG_MODE_ORDER
 
 CENTER = GeoPoint(lat=42.652, lon=-73.757)
 
@@ -248,6 +252,103 @@ def test_evaluate_thread_count_does_not_change_results():
     for a, b in zip(serial, threaded):
         assert a.candidate_id == b.candidate_id
         assert a.metrics == b.metrics  # bitwise-identical dataclasses
+
+
+def _mixed_case(rng):
+    """Markets, candidates of both profiles and patchy matrices: random
+    leg rows and single directions are missing, some legs carry no miles,
+    one origin zone is absent from the matrices, one candidate is absent
+    from them, one reaches no market, and one market has a degenerate OD
+    pair."""
+    markets = [
+        make_market(
+            od_id=f"od{i}",
+            segment=list(Segment)[i % 4],
+            o=(p.lat, p.lon),
+            d=(q.lat, q.lon),
+            trips=float(rng.uniform(1.0, 30.0)),
+            miles=float(rng.uniform(1.0, 12.0)),
+            taste=random_taste(rng),
+        )
+        for i, (p, q) in enumerate((random_point(rng, 0.05), random_point(rng, 0.05)) for _ in range(40))
+    ]
+    markets.append(make_market(od_id="loop", o=(42.66, -73.74), d=(42.66, -73.74)))
+    cands = [
+        Candidate(f"c-{i:02d}", random_point(rng, 0.03), (f"s{i}",), car_share_available=bool(i % 3 == 0))
+        for i in range(14)
+    ]
+    cands.append(Candidate("c-far", GeoPoint(lat=44.9, lon=-70.0), ("far",), car_share_available=True))
+    cands.append(Candidate("c-unmapped", CENTER, ("u",)))
+
+    zones = sorted({z for m in markets for z in (m.o_zone, m.d_zone)} - {markets[0].o_zone})
+    hub_ids = [c.candidate_id for c in cands if c.candidate_id != "c-unmapped"]
+    keys = [(z, h, c) for z in range(len(zones)) for h in range(len(hub_ids)) for c in range(len(LEG_MODE_ORDER))]
+    keys = [k for k in keys if rng.uniform() > 0.15]
+    zone, hub, mode = (np.array(col) for col in zip(*keys))
+    n = len(keys)
+    cells = [rng.uniform(2, 30, n), rng.uniform(0, 5, n), rng.uniform(0, 5, n), rng.integers(0, 3, n), rng.uniform(0.2, 6, n)]
+    legs = np.stack([np.stack(cells, axis=1), np.stack(cells, axis=1) * 1.1])
+    legs[:, rng.uniform(size=n) < 0.3, 4] = np.nan  # no network miles
+    gone = np.flatnonzero(rng.uniform(size=n) < 0.1)
+    legs[rng.integers(0, 2, len(gone)), gone, 0] = np.nan  # one direction absent
+    return markets, cands, LegMatrices(zones, hub_ids, zone, hub, mode, legs)
+
+
+def test_evaluate_equals_each_candidate_alone_bit_for_bit(rng, monkeypatch):
+    markets, cands, matrices = _mixed_case(rng)
+    params = make_params(beta=0.45, asc=-2.5, student=-1.5)
+    fares = simple_fares()
+    threshold = 1.4
+    expected = {}
+    for cand in cands:
+        ids = identify_potential_trips(markets, cand.location, threshold)
+        if not ids:
+            expected[cand.candidate_id] = CandidateMetrics(0.0, 0.0, 0.0, 0.0, no_potential_trips=True)
+            continue
+        setup = prepare_hub(markets, candidate_hub(cand), ids, matrices, fares)
+        report = assess_hub(setup, params)
+        # a hub's sums are numpy's own sums over its rows
+        assert report.multimodal_total == float((setup.trips * setup.choice_shares(params).hub).sum())
+        expected[cand.candidate_id] = CandidateMetrics(
+            report.potential_demand, report.transit_delta, report.vmt.reduced, report.cs_total
+        )
+    assert expected["c-far"].no_potential_trips
+    assert sum(not m.no_potential_trips for m in expected.values()) >= 12
+
+    for cells in (siting.CHUNK_CELLS, 50, 1):
+        monkeypatch.setattr(siting, "CHUNK_CELLS", cells)
+        got = evaluate_candidates(list(reversed(cands)), markets, params, threshold, matrices, fares)
+        assert [c.candidate_id for c in got] == sorted(expected)
+        assert {c.candidate_id: c.metrics for c in got} == expected  # ==, not approx
+
+
+def test_evaluate_runs_one_share_pass_per_chunk(rng, monkeypatch):
+    markets, cands, matrices = _mixed_case(rng)
+    calls = []
+    real = HubChoiceSetup.choice_shares
+
+    def counting(self, *args, **kwargs):
+        calls.append(len(self.hubs))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(HubChoiceSetup, "choice_shares", counting)
+    evaluate_candidates(cands, markets, make_params(), 1.4, matrices, simple_fares())
+    scored = sum(calls)
+    assert scored >= 12
+    assert len(calls) == 2  # one chunk per service profile, not one per candidate
+
+    calls.clear()
+    monkeypatch.setattr(siting, "CHUNK_CELLS", 1)
+    evaluate_candidates(cands, markets, make_params(), 1.4, matrices, simple_fares())
+    assert calls == [1] * scored
+
+
+def test_evaluate_warns_about_degenerate_pairs_once(rng, caplog):
+    markets, cands, matrices = _mixed_case(rng)
+    with caplog.at_level("WARNING", logger="hubmodal.geo"):
+        evaluate_candidates(cands, markets, make_params(), 1.4, matrices, simple_fares())
+    degenerate = [r for r in caplog.records if "degenerate OD" in r.getMessage()]
+    assert [r.getMessage() for r in degenerate] == ["excluded 1 market(s) with degenerate OD pairs"]
 
 
 def _cands_with_metrics(values):
