@@ -21,6 +21,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from . import io
 from .calibration import (
     FIT_REL_TOL,
@@ -307,7 +309,8 @@ def _cmd_identify_trips(args) -> int:
             condition2_mode=config.condition2_mode,
             condition2_km=config.condition2_km,
         )
-        trips = sum(table.trips[table.id_index[i]] for i in ids)
+        # summed as calibrate sums a setup's trips, so the two reports agree
+        trips = table.trips[np.array([table.id_index[i] for i in ids], dtype=np.int64)].sum()
         hubs_report[rec.hub_id] = {"n_markets": len(ids), "potential_trips_per_day": float(trips)}
         rows.extend((rec.hub_id, mid) for mid in ids)
 

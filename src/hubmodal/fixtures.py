@@ -242,8 +242,6 @@ def _make_matrices(
     zones: dict[str, GeoPoint],
     hub_points: dict[str, GeoPoint],
     car_share_ids: set[str],
-    *,
-    radius_km: float = 7.0,
 ) -> LegMatrices:
     zone_ids = sorted(zones)
     hub_ids = sorted(hub_points)
@@ -253,7 +251,7 @@ def _make_matrices(
     hlon = np.array([hub_points[h].lon for h in hub_ids])
     d = haversine_km(zlat[:, None], zlon[:, None], hlat[None, :], hlon[None, :])
     shape = d.shape
-    in_range = d <= radius_km
+    in_range = d <= 7.0  # km a hub serves
     cs_col = np.array([h in car_share_ids for h in hub_ids])
 
     # availability per leg mode, then coverage holes

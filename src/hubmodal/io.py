@@ -1,31 +1,40 @@
 """File formats, atomic writes, and input digests.
 
 All tabular inputs are UTF-8 CSV with a header row and dot decimal
-separators; fares and the manifest are JSON.  Parse failures raise
-ParseError naming the file, row, and column; the row is the file line
-(the header is line 1), so blank lines, which are skipped, still count.
-Floats are emitted with repr (shortest round-trip form), so loading and
-re-emitting a file is lossless; every writer goes through a
-temp-file-then-rename so readers never observe a partial file.
+separators; fares and the manifest are JSON.  Floats are emitted with
+repr (shortest round-trip form), so loading and re-emitting a file is
+lossless; every writer goes through a temp-file-then-rename so readers
+never observe a partial file.
 
-Markets file columns, in order: od_id, segment, o_lat, o_lon, d_lat,
-d_lon, trips_per_day, driving_miles, the per-mode attribute columns, the
-twelve taste columns, and optionally o_zone/d_zone.  The taste columns
-may be omitted when a separate taste-parameters file keyed by
-(od_id, segment) is supplied.  The unavailable-mode convention: the
-available flag is 0 and the mode's numeric cells may be blank.
+Every CSV file is read by one parser with one set of rules.  A column
+the file needs must be in the header; optional columns are read when
+present, others ignored.  Blank lines are skipped but counted, so an
+error's row is the file line (the header is line 1).  A row short of a
+column read is an error (``missing cell``).  Cells are converted column
+by column, numbers in bulk, and the first bad cell in row then column
+order raises ParseError naming the file, row and column: numbers must be
+finite, flags 0 or 1, keys and labels non-blank, and number cells
+non-blank unless a rule below allows it.  Per-row checks (coordinate
+range, negative trips, beta_cost sign, joins, duplicate keys) then run
+in row order and name row and column the same way.
+
+Markets columns, in order: od_id, segment, o_lat, o_lon, d_lat, d_lon,
+trips_per_day, driving_miles, the per-mode attribute columns, the twelve
+taste columns, and optionally o_zone/d_zone.  The taste columns may be
+omitted when a separate taste-parameters file keyed by (od_id, segment)
+is supplied.  An unavailable mode (available flag 0) may have blank
+numeric cells.  A blank survey segment is unlabelled and a blank
+complete flag means 1; blank observed-usage counts are unobserved.
 
 Leg matrices columns: zone_id, hub_id, mode, then to_hub_* and
 from_hub_* column groups (min, access_min, egress_min, transfers,
-miles); other columns are ignored.  One row per (zone, hub, leg mode): a
-key repeated within or across files is an error, and so is a row with
-fewer cells than the columns it needs.  Blank-cell rules: the key cells
-may not be blank; a blank minutes cell means that direction is
-unavailable (its other cells are then ignored, but any non-blank cell
-must still be a finite number); blank access, egress and transfers mean
-0; blank miles means no network distance is known.  Files are parsed
-column-wise in batches of rows and written back sorted by (zone, hub,
-mode name), an unavailable direction as five blank cells.
+miles).  One row per (zone, hub, leg mode): a key repeated within or
+across files is an error.  A blank minutes cell means that direction is
+unavailable (its other cells are then ignored, but must still be blank
+or finite); blank access, egress and transfers mean 0; blank miles means
+no network distance is known.  Files are parsed in batches of rows and
+written back sorted by (zone, hub, mode name), an unavailable direction
+as five blank cells.
 """
 
 from __future__ import annotations
@@ -37,12 +46,14 @@ import json
 import math
 import os
 import tempfile
+from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .choice import LEG_MODES, TASTE_FIELDS, Market, Mode, ModeAttr, Segment, TasteVector
+from .choice import TASTE_FIELDS, Market, Mode, ModeAttr, Segment, TasteVector
 from .geo import GeoPoint
 from .hubs import LEG_MODE_ORDER, FareTable, LegMatrices, SurveyRecord
 from .siting import Candidate, StopRecord
@@ -129,84 +140,188 @@ def sha256_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def _number(value: str) -> float:
-    """The finite float in stripped, non-empty cell text; ValueError says
-    why there is none."""
+# ----------------------------------------------------------------------
+# the CSV reader
+# ----------------------------------------------------------------------
+
+# Records parsed per batch: a batch's cell strings are dropped once its
+# columns are converted, so the strings held at once stay bounded.
+_BATCH_ROWS = 2048
+
+_LEG_MODE_CODES = {mode.value: i for i, mode in enumerate(LEG_MODE_ORDER)}
+
+# Cell converters take the raw cell text and return its value or raise
+# ValueError saying why there is none.
+
+
+def _text_cell(text: str) -> str:
+    text = text.strip()
+    if not text:
+        raise ValueError("empty value")
+    return text
+
+
+def _required_number_cell(text: str) -> float:
+    text = _text_cell(text)
     try:
-        out = float(value)
+        out = float(text)
     except ValueError:
-        raise ValueError(f"malformed number {value!r}") from None
+        raise ValueError(f"malformed number {text!r}") from None
     if not math.isfinite(out):
-        raise ValueError(f"non-finite number {value!r}")
+        raise ValueError(f"non-finite number {text!r}")
     return out
 
 
-class _Row:
-    """One CSV row with typed, error-reporting cell access."""
-
-    def __init__(self, path: str, line_no: int, data: Mapping[str, str]):
-        self.path = path
-        self.line_no = line_no
-        self.data = data
-
-    def fail(self, column: str, why: str) -> ParseError:
-        return ParseError(f"{self.path} row {self.line_no}: {why} in column '{column}'")
-
-    def text(self, column: str) -> str:
-        value = self.data.get(column)
-        if value is None:
-            raise ParseError(f"{self.path}: missing column '{column}'")
-        return value.strip()
-
-    def require(self, column: str) -> str:
-        value = self.text(column)
-        if not value:
-            raise self.fail(column, "empty value")
-        return value
-
-    def number(self, column: str, *, optional: bool = False) -> float | None:
-        value = self.text(column)
-        if not value:
-            if optional:
-                return None
-            raise self.fail(column, "empty value")
-        try:
-            return _number(value)
-        except ValueError as err:
-            raise self.fail(column, str(err)) from None
-
-    def flag(self, column: str, *, default: bool | None = None) -> bool:
-        value = self.text(column)
-        if not value and default is not None:
-            return default
-        if value == "1":
-            return True
-        if value == "0":
-            return False
-        raise self.fail(column, f"expected 0 or 1, got {value!r}")
+def _number_cell(text: str) -> float:
+    """A finite number; NaN for a blank cell."""
+    return _required_number_cell(text) if text.strip() else math.nan
 
 
-def _read_rows(path: str | Path, required: Sequence[str]) -> list[_Row]:
-    path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError(f"{path}: empty file")
-        for col in required:
-            if col not in reader.fieldnames:
-                raise ParseError(f"{path}: missing column '{col}'")
-        return [_Row(str(path), reader.line_num, row) for row in reader]
+def _flag_cell(text: str) -> bool:
+    text = text.strip()
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return text == "1"
+
+
+def _segment_cell(text: str) -> Segment:
+    text = _text_cell(text)
+    try:
+        return Segment(text)
+    except ValueError:
+        raise ValueError(f"unknown segment {text!r}") from None
+
+
+def _leg_mode_cell(text: str) -> int:
+    """The leg mode's index in LEG_MODE_ORDER."""
+    text = _text_cell(text)
+    code = _LEG_MODE_CODES.get(text)
+    if code is None:
+        raise ValueError(f"unknown leg mode {text!r}")
+    return code
 
 
 def _record_line(path: str | Path, index: int) -> int:
     """File line of the ``index``-th (0-based) non-blank record after the
-    header.  Bulk parsers count records, not lines; only their error paths
-    call this, re-reading the file to name the line."""
+    header.  The reader counts records, not lines; only error paths call
+    this, re-reading the file to name the line."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         next(itertools.islice(filter(None, reader), index, None))
         return reader.line_num
+
+
+def _row_error(path: str | Path, index: int, column: str, why: str) -> ParseError:
+    """ParseError naming the file line of the ``index``-th record and the
+    column of its bad cell."""
+    return ParseError(f"{path} row {_record_line(path, index)}: {why} in column '{column}'")
+
+
+def _float_column(cells: Sequence[str], blanks: bool) -> np.ndarray | None:
+    """The cells as floats, NaN for empty ones when ``blanks`` allows
+    them, when every other cell is a finite float literal (the common
+    case, converted in bulk); else None."""
+    literals = list(filter(None, cells))
+    if len(literals) < len(cells) and not blanks:
+        return None
+    try:
+        numbers = np.fromiter(map(float, literals), dtype=float, count=len(literals))
+    except ValueError:
+        return None
+    if not np.isfinite(numbers).all():
+        return None
+    if len(literals) == len(cells):
+        return numbers
+    column = np.full(len(cells), np.nan)
+    column[np.fromiter(map(bool, cells), dtype=bool, count=len(cells))] = numbers
+    return column
+
+
+def _convert_batch(path, first: int, rows: list[list[str]], read: Mapping[str, tuple[int, Callable]]) -> dict:
+    """Each ``read`` column (name: cell index, converter) of ``rows``,
+    records ``first`` onward of the file: a float array for a number
+    column, an int64 array for a column of integer codes, else a list.
+    Cells the bulk path does not take are converted once per distinct
+    text; the first bad cell, in row then column order, raises a
+    ParseError naming it."""
+    columns = list(zip(*rows))
+    out = {}
+    bad_cell = None  # (row index, column, why)
+    for name, (pick, convert) in read.items():
+        cells = columns[pick]
+        number = convert is _number_cell or convert is _required_number_cell
+        column = _float_column(cells, convert is _number_cell) if number else None
+        if column is None:
+            values = dict.fromkeys(cells)
+            bad = {}
+            for text in values:
+                try:
+                    values[text] = convert(text)
+                except ValueError as err:
+                    bad[text] = str(err)
+            if bad:
+                i = min(cells.index(text) for text in bad)
+                if bad_cell is None or i < bad_cell[0]:
+                    bad_cell = (i, name, bad[cells[i]])
+                continue
+            if number or all(type(v) is int for v in values.values()):
+                column = np.fromiter(map(values.__getitem__, cells), float if number else np.int64, len(cells))
+            else:
+                column = list(map(values.__getitem__, cells))
+        out[name] = column
+    if bad_cell is not None:
+        i, name, why = bad_cell
+        raise _row_error(path, first + i, name, why)
+    return out
+
+
+def _read_batches(path: str | Path, columns: Mapping[str, Callable], optional: Mapping | None = None) -> Iterator[dict]:
+    """The file's records in batches, each converted by ``_convert_batch``:
+    every column of ``columns`` (name: converter) and each of ``optional``
+    that the header has, in that order."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        where = {name: i for i, name in enumerate(header)}
+        for col in columns:
+            if col not in where:
+                raise ParseError(f"{path}: missing column '{col}'")
+        read = {col: (where[col], f) for col, f in [*columns.items(), *(optional or {}).items()] if col in where}
+        width = max(pick for pick, _ in read.values()) + 1
+        first = 0  # records before this batch, which error paths map to lines
+        while raw := list(itertools.islice(reader, _BATCH_ROWS)):
+            rows = list(filter(None, raw))  # blank lines are skipped
+            if rows and min(map(len, rows)) < width:
+                short = next(i for i, r in enumerate(rows) if len(r) < width)
+                if short:  # a bad cell in an earlier row comes first
+                    _convert_batch(path, first, rows[:short], read)
+                missing = next(col for col, (pick, _) in read.items() if pick >= len(rows[short]))
+                raise _row_error(path, first + short, missing, "missing cell")
+            if rows:
+                yield _convert_batch(path, first, rows, read)
+            first += len(rows)
+
+
+def _read_table(path: str | Path, columns: Mapping[str, Callable], optional: Mapping | None = None) -> dict[str, list]:
+    """The whole file as {column: values in record order}, numbers as
+    Python floats.  A file with no records has no keys, and reads as empty
+    columns."""
+    table: dict[str, list] = defaultdict(list)
+    for batch in _read_batches(path, columns, optional):
+        for name, values in batch.items():
+            table[name].extend(values.tolist() if isinstance(values, np.ndarray) else values)
+    return table
+
+
+def _point(path: str | Path, index: int, lat: float, lon: float, lat_column: str) -> GeoPoint:
+    """A record's coordinates; a range error names the lat column."""
+    try:
+        return GeoPoint(lat=lat, lon=lon)
+    except ValueError as err:
+        raise _row_error(path, index, lat_column, str(err)) from None
 
 
 # ----------------------------------------------------------------------
@@ -238,73 +353,86 @@ def market_columns(*, with_taste: bool = True, with_zones: bool = True) -> list[
     return cols
 
 
-def _parse_segment(row: _Row, column: str = "segment") -> Segment:
-    raw = row.require(column)
-    try:
-        return Segment(raw)
-    except ValueError:
-        raise row.fail(column, f"unknown segment {raw!r}") from None
+_TASTE_CELLS = dict.fromkeys(TASTE_FIELDS, _required_number_cell)
+
+# A mode's numeric cells may be blank; a per-row check rejects blanks of
+# an available mode.
+_MARKET_CELLS = {
+    "od_id": _text_cell,
+    "segment": _segment_cell,
+    **dict.fromkeys(MARKET_BASE_COLUMNS[2:], _required_number_cell),
+    **{
+        f"{prefix}_{f}": _flag_cell if f == "available" else _number_cell
+        for prefix, _, fields_ in _MODE_COLUMNS
+        for f in (*fields_, "available")
+    },
+}
 
 
-def _parse_taste(row: _Row) -> TasteVector:
-    values = {}
-    for name in TASTE_FIELDS:
-        values[name] = row.number(name)
-    if values["beta_cost"] >= 0.0:
-        raise row.fail("beta_cost", f"beta_cost must be negative, got {values['beta_cost']}")
-    return TasteVector(**values)
+def _taste(path: str | Path, index: int, values: Sequence[float]) -> TasteVector:
+    taste = TasteVector(*values)  # TASTE_FIELDS order
+    if taste.beta_cost >= 0.0:
+        raise _row_error(path, index, "beta_cost", f"beta_cost must be negative, got {taste.beta_cost}")
+    return taste
 
 
 def load_taste_parameters(path: str | Path) -> dict[tuple[str, Segment], TasteVector]:
     """Taste vectors keyed by (od_id, segment) from a standalone file."""
-    rows = _read_rows(path, ("od_id", "segment") + TASTE_FIELDS)
+    table = _read_table(path, {"od_id": _text_cell, "segment": _segment_cell, **_TASTE_CELLS})
     out: dict[tuple[str, Segment], TasteVector] = {}
-    for row in rows:
-        key = (row.require("od_id"), _parse_segment(row))
+    tastes = zip(*(table[name] for name in TASTE_FIELDS))
+    for i, (key, values) in enumerate(zip(zip(table["od_id"], table["segment"]), tastes)):
         if key in out:
-            raise row.fail("od_id", f"duplicate taste entry for {key[0]}/{key[1].value}")
-        out[key] = _parse_taste(row)
+            raise _row_error(path, i, "od_id", f"duplicate taste entry for {key[0]}/{key[1].value}")
+        out[key] = _taste(path, i, values)
     return out
 
 
 def load_markets(path: str | Path, taste_path: str | Path | None = None) -> list[Market]:
     """Markets from CSV; taste columns inline or joined from taste_path."""
-    probe = _read_rows(path, MARKET_BASE_COLUMNS)
-    if not probe:
+    table = _read_table(path, _MARKET_CELLS, {**_TASTE_CELLS, "o_zone": str.strip, "d_zone": str.strip})
+    if not table:
         return []
-    have_taste_cols = all(name in probe[0].data for name in TASTE_FIELDS)
     taste_lookup = None
-    if not have_taste_cols:
-        if taste_path is None:
-            raise ParseError(f"{path}: taste columns absent and no taste-parameters file given")
+    if all(name in table for name in TASTE_FIELDS):
+        tastes = zip(*(table[name] for name in TASTE_FIELDS))
+    elif taste_path is None:
+        raise ParseError(f"{path}: taste columns absent and no taste-parameters file given")
+    else:
         taste_lookup = load_taste_parameters(taste_path)
+        tastes = itertools.repeat(None)
+    zones = zip(table.get("o_zone", itertools.repeat("")), table.get("d_zone", itertools.repeat("")))
+    modes = [
+        (mode, table[f"{prefix}_available"], [(f, f"{prefix}_{f}", table[f"{prefix}_{f}"]) for f in fields_])
+        for prefix, mode, fields_ in _MODE_COLUMNS
+    ]
 
     markets = []
-    for row in probe:
-        od_id = row.require("od_id")
-        segment = _parse_segment(row)
-        origin = _point(row, "o_lat", "o_lon")
-        destination = _point(row, "d_lat", "d_lon")
-        trips = row.number("trips_per_day")
+    base = zip(*(table[col] for col in MARKET_BASE_COLUMNS))
+    for i, (row, taste_values, (o_zone, d_zone)) in enumerate(zip(base, tastes, zones)):
+        od_id, segment, o_lat, o_lon, d_lat, d_lon, trips, miles = row
+        origin = _point(path, i, o_lat, o_lon, "o_lat")
+        destination = _point(path, i, d_lat, d_lon, "d_lat")
         if trips < 0:
-            raise row.fail("trips_per_day", "negative trips")
-        miles = row.number("driving_miles")
+            raise _row_error(path, i, "trips_per_day", "negative trips")
         attrs: dict[Mode, ModeAttr] = {}
-        for prefix, mode, fields_ in _MODE_COLUMNS:
-            available = row.flag(f"{prefix}_available")
-            numbers = {}
-            for f in fields_:
-                val = row.number(f"{prefix}_{f}", optional=not available)
-                numbers[f] = 0.0 if val is None else val
-            attrs[mode] = ModeAttr(available=available, **numbers)
-        if taste_lookup is not None:
+        for mode, flags, numbers in modes:
+            available = flags[i]
+            values = {}
+            for f, column, cells in numbers:
+                value = cells[i]
+                if value != value:  # blank
+                    if available:
+                        raise _row_error(path, i, column, "empty value")
+                    value = 0.0
+                values[f] = value
+            attrs[mode] = ModeAttr(available=available, **values)
+        if taste_lookup is None:
+            taste = _taste(path, i, taste_values)
+        else:
             taste = taste_lookup.get((od_id, segment))
             if taste is None:
-                raise row.fail("od_id", f"no taste parameters for {od_id}/{segment.value}")
-        else:
-            taste = _parse_taste(row)
-        o_zone = row.data.get("o_zone", "").strip()
-        d_zone = row.data.get("d_zone", "").strip()
+                raise _row_error(path, i, "od_id", f"no taste parameters for {od_id}/{segment.value}")
         try:
             markets.append(
                 Market(
@@ -321,20 +449,11 @@ def load_markets(path: str | Path, taste_path: str | Path | None = None) -> list
                 )
             )
         except ValueError as err:
-            raise ParseError(f"{row.path} row {row.line_no}: {err}") from None
+            raise ParseError(f"{path} row {_record_line(path, i)}: {err}") from None
     ids = [m.market_id for m in markets]
     if len(set(ids)) != len(ids):
         raise ParseError(f"{path}: duplicate (od_id, segment) rows")
     return markets
-
-
-def _point(row: _Row, lat_col: str, lon_col: str) -> GeoPoint:
-    try:
-        return GeoPoint(lat=row.number(lat_col), lon=row.number(lon_col))
-    except ValueError as err:
-        if isinstance(err, ParseError):
-            raise
-        raise row.fail(lat_col, str(err)) from None
 
 
 def write_markets(markets: Sequence[Market], path: str | Path) -> Path:
@@ -358,34 +477,37 @@ def write_markets(markets: Sequence[Market], path: str | Path) -> Path:
 
 SURVEY_COLUMNS = ("hub_id", "o_lat", "o_lon", "d_lat", "d_lon", "entry_mode", "exit_mode", "segment", "complete")
 
-_LEG_MODE_BY_VALUE = {m.value: m for m in LEG_MODES}
-
-
-def _parse_leg_mode(row: _Row, column: str) -> Mode:
-    raw = row.require(column)
-    mode = _LEG_MODE_BY_VALUE.get(raw)
-    if mode is None:
-        raise row.fail(column, f"unknown leg mode {raw!r}")
-    return mode
+_SURVEY_CELLS = {
+    "hub_id": _text_cell,
+    **dict.fromkeys(SURVEY_COLUMNS[1:5], _required_number_cell),
+    "entry_mode": _leg_mode_cell,
+    "exit_mode": _leg_mode_cell,
+}
+_SURVEY_OPTIONAL_CELLS = {
+    "segment": lambda text: _segment_cell(text) if text.strip() else None,
+    "complete": lambda text: _flag_cell(text) if text.strip() else True,
+}
 
 
 def load_survey(path: str | Path) -> list[SurveyRecord]:
-    rows = _read_rows(path, SURVEY_COLUMNS[:7])
-    out = []
-    for row in rows:
-        segment_raw = row.data.get("segment", "").strip()
-        out.append(
-            SurveyRecord(
-                hub_id=row.require("hub_id"),
-                origin=_point(row, "o_lat", "o_lon"),
-                destination=_point(row, "d_lat", "d_lon"),
-                entry_mode=_parse_leg_mode(row, "entry_mode"),
-                exit_mode=_parse_leg_mode(row, "exit_mode"),
-                segment=_parse_segment(row) if segment_raw else None,
-                complete=row.flag("complete", default=True) if "complete" in row.data else True,
-            )
+    table = _read_table(path, _SURVEY_CELLS, _SURVEY_OPTIONAL_CELLS)
+    rows = zip(
+        *(table[col] for col in SURVEY_COLUMNS[:7]),
+        table.get("segment", itertools.repeat(None)),
+        table.get("complete", itertools.repeat(True)),
+    )
+    return [
+        SurveyRecord(
+            hub_id=hub_id,
+            origin=_point(path, i, o_lat, o_lon, "o_lat"),
+            destination=_point(path, i, d_lat, d_lon, "d_lat"),
+            entry_mode=LEG_MODE_ORDER[entry],
+            exit_mode=LEG_MODE_ORDER[exit_],
+            segment=segment,
+            complete=complete,
         )
-    return out
+        for i, (hub_id, o_lat, o_lon, d_lat, d_lon, entry, exit_, segment, complete) in enumerate(rows)
+    ]
 
 
 def write_survey(records: Sequence[SurveyRecord], path: str | Path) -> Path:
@@ -410,10 +532,13 @@ def write_survey(records: Sequence[SurveyRecord], path: str | Path) -> Path:
 # stops and lots
 # ----------------------------------------------------------------------
 
+_LAT_LON_CELLS = {"lat": _required_number_cell, "lon": _required_number_cell}
+
 
 def load_stops(path: str | Path) -> list[StopRecord]:
-    rows = _read_rows(path, ("stop_id", "lat", "lon"))
-    return [StopRecord(stop_id=row.require("stop_id"), location=_point(row, "lat", "lon")) for row in rows]
+    table = _read_table(path, {"stop_id": _text_cell, **_LAT_LON_CELLS})
+    rows = zip(table["stop_id"], table["lat"], table["lon"])
+    return [StopRecord(stop_id, _point(path, i, lat, lon, "lat")) for i, (stop_id, lat, lon) in enumerate(rows)]
 
 
 def write_stops(stops: Sequence[StopRecord], path: str | Path) -> Path:
@@ -421,8 +546,9 @@ def write_stops(stops: Sequence[StopRecord], path: str | Path) -> Path:
 
 
 def load_pr_lots(path: str | Path) -> list[GeoPoint]:
-    rows = _read_rows(path, ("lot_id", "lat", "lon"))
-    return [_point(row, "lat", "lon") for row in rows]
+    # lot ids are not kept; the column is still part of the format
+    table = _read_table(path, {"lot_id": str, **_LAT_LON_CELLS})
+    return [_point(path, i, lat, lon, "lat") for i, (lat, lon) in enumerate(zip(table["lat"], table["lon"]))]
 
 
 def write_pr_lots(lots: Sequence[GeoPoint], path: str | Path) -> Path:
@@ -454,123 +580,25 @@ MATRIX_COLUMNS = (
 )
 
 
-# Rows parsed per batch: a batch's cell strings are dropped once its
-# columns are arrays, so the strings held at once do not grow with the file.
-_MATRIX_BATCH_ROWS = 2048
-
-
-def _matrix_key_cell(ids: dict[str, int]):
-    def convert(text: str) -> int:
-        text = text.strip()
-        if not text:
-            raise ValueError("empty value")
-        return ids.setdefault(text, len(ids))
-
-    return convert
-
-
-def _matrix_mode_cell(text: str) -> int:
-    text = text.strip()
-    if not text:
-        raise ValueError("empty value")
-    mode = _LEG_MODE_BY_VALUE.get(text)
-    if mode is None:
-        raise ValueError(f"unknown leg mode {text!r}")
-    return LEG_MODE_ORDER.index(mode)
-
-
-def _matrix_number_cell(text: str) -> float:
-    text = text.strip()
-    return _number(text) if text else math.nan
-
-
-def _float_column(cells: Sequence[str]) -> np.ndarray | None:
-    """The cells as floats, NaN for empty ones, when every other cell is a
-    finite float literal (the common case, converted in bulk); else None."""
-    literals = list(filter(None, cells))
-    try:
-        numbers = np.fromiter(map(float, literals), dtype=float, count=len(literals))
-    except ValueError:
-        return None
-    if not np.isfinite(numbers).all():
-        return None
-    if len(literals) == len(cells):
-        return numbers
-    column = np.full(len(cells), np.nan)
-    column[np.fromiter(map(bool, cells), dtype=bool, count=len(cells))] = numbers
-    return column
-
-
-def _matrix_batch(path, first: int, rows: list[list[str]], picks: Sequence[int], converters) -> list[np.ndarray]:
-    """One array per matrix column of ``rows``, records ``first`` onward of
-    the file.  Cells the bulk path does not take are converted once per
-    distinct text; the first bad cell, in row then column order, raises a
-    ParseError naming it."""
-    columns = list(zip(*rows))
-    out = []
-    bad_cell = None  # (row index, column index, why)
-    for j, (pick, convert) in enumerate(zip(picks, converters)):
-        cells = columns[pick]
-        column = _float_column(cells) if convert is _matrix_number_cell else None
-        if column is None:
-            values = dict.fromkeys(cells)
-            bad = {}
-            for text in values:
-                try:
-                    values[text] = convert(text)
-                except ValueError as err:
-                    bad[text] = str(err)
-            if bad:
-                i = min(cells.index(text) for text in bad)
-                if bad_cell is None or i < bad_cell[0]:
-                    bad_cell = (i, j, bad[cells[i]])
-                continue
-            dtype = np.int64 if j < 3 else float  # codes, then numbers
-            column = np.fromiter(map(values.__getitem__, cells), dtype=dtype, count=len(cells))
-        out.append(column)
-    if bad_cell is not None:
-        i, j, why = bad_cell
-        raise ParseError(f"{path} row {_record_line(path, first + i)}: {why} in column '{MATRIX_COLUMNS[j]}'")
-    return out
-
-
 def load_matrices(paths: Sequence[str | Path]) -> LegMatrices:
     """Merge one or more leg matrix files; a key repeated within or across
     files is an error."""
     zone_ids: dict[str, int] = {}
     hub_ids: dict[str, int] = {}
-    converters = [_matrix_key_cell(zone_ids), _matrix_key_cell(hub_ids), _matrix_mode_cell]
-    converters += [_matrix_number_cell] * (len(MATRIX_COLUMNS) - 3)
+    cells = {
+        "zone_id": lambda text: zone_ids.setdefault(_text_cell(text), len(zone_ids)),
+        "hub_id": lambda text: hub_ids.setdefault(_text_cell(text), len(hub_ids)),
+        "mode": _leg_mode_cell,
+        **dict.fromkeys(MATRIX_COLUMNS[3:], _number_cell),
+    }
     batches = []
     row_files = []  # (path, number of rows) per file
     for path in paths:
         n_rows = 0
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{path}: empty file")
-            where = {name: i for i, name in enumerate(header)}
-            for col in MATRIX_COLUMNS:
-                if col not in where:
-                    raise ParseError(f"{path}: missing column '{col}'")
-            picks = [where[col] for col in MATRIX_COLUMNS]
-            width = max(picks) + 1
-            while raw := list(itertools.islice(reader, _MATRIX_BATCH_ROWS)):
-                # Blank lines are skipped; n_rows counts records, which
-                # error paths map back to file lines.
-                rows = list(filter(None, raw))
-                if rows and min(map(len, rows)) < width:
-                    short = next(i for i, r in enumerate(rows) if len(r) < width)
-                    if short:
-                        _matrix_batch(path, n_rows, rows[:short], picks, converters)
-                    missing = next(c for c, p in zip(MATRIX_COLUMNS, picks) if p >= len(rows[short]))
-                    line = _record_line(path, n_rows + short)
-                    raise ParseError(f"{path} row {line}: missing cell in column '{missing}'")
-                if rows:
-                    zone, hub, mode, *numbers = _matrix_batch(path, n_rows, rows, picks, converters)
-                    batches.append((zone, hub, mode, np.stack(numbers, axis=1)))
-                n_rows += len(rows)
+        for batch in _read_batches(path, cells):
+            zone, hub, mode = (batch[col] for col in MATRIX_COLUMNS[:3])
+            batches.append((zone, hub, mode, np.stack([batch[col] for col in MATRIX_COLUMNS[3:]], axis=1)))
+            n_rows += len(zone)
         row_files.append((path, n_rows))
 
     if not batches:
@@ -682,6 +710,7 @@ def write_fares(fares: FareTable, path: str | Path) -> Path:
 # hub records (observed usage file)
 # ----------------------------------------------------------------------
 
+# after lat and lon, the HubRecord fields of the same names
 HUB_RECORD_COLUMNS = (
     "hub_id",
     "lat",
@@ -697,6 +726,7 @@ HUB_RECORD_COLUMNS = (
 )
 
 
+@dataclass(frozen=True)
 class HubRecord:
     """One hub definition plus its raw usage observations.
 
@@ -706,66 +736,45 @@ class HubRecord:
     be inherited from a backend hub).
     """
 
-    def __init__(
-        self,
-        hub_id: str,
-        location: GeoPoint,
-        car_share_available: bool,
-        bike_share_available: bool,
-        backend_trips_per_month: float | None = None,
-        days_per_month: float | None = None,
-        service_share: float | None = None,
-        survey_responses: float | None = None,
-        survey_days: float | None = None,
-        sample_rate: float | None = None,
-    ):
-        self.hub_id = hub_id
-        self.location = location
-        self.car_share_available = car_share_available
-        self.bike_share_available = bike_share_available
-        self.backend_trips_per_month = backend_trips_per_month
-        self.days_per_month = days_per_month
-        self.service_share = service_share
-        self.survey_responses = survey_responses
-        self.survey_days = survey_days
-        self.sample_rate = sample_rate
+    hub_id: str
+    location: GeoPoint
+    car_share_available: bool
+    bike_share_available: bool
+    backend_trips_per_month: float | None = None
+    days_per_month: float | None = None
+    service_share: float | None = None
+    survey_responses: float | None = None
+    survey_days: float | None = None
+    sample_rate: float | None = None
 
     @property
     def has_backend(self) -> bool:
         return self.backend_trips_per_month is not None
 
-    def __repr__(self) -> str:
-        return f"HubRecord({self.hub_id!r})"
+
+_HUB_RECORD_CELLS = {
+    "hub_id": _text_cell,
+    **_LAT_LON_CELLS,
+    "car_share_available": _flag_cell,
+    "bike_share_available": _flag_cell,
+    **dict.fromkeys(HUB_RECORD_COLUMNS[5:], _number_cell),
+}
 
 
 def load_hub_records(path: str | Path) -> list[HubRecord]:
-    rows = _read_rows(path, HUB_RECORD_COLUMNS)
+    table = _read_table(path, _HUB_RECORD_CELLS)
     out = []
     seen = set()
-    for row in rows:
-        hub_id = row.require("hub_id")
+    rows = zip(*(table[col] for col in HUB_RECORD_COLUMNS))
+    for i, (hub_id, lat, lon, car_share, bike_share, *numbers) in enumerate(rows):
         if hub_id in seen:
-            raise row.fail("hub_id", f"duplicate hub {hub_id!r}")
+            raise _row_error(path, i, "hub_id", f"duplicate hub {hub_id!r}")
         seen.add(hub_id)
-        backend = row.number("backend_trips_per_month", optional=True)
-        days = row.number("days_per_month", optional=True)
-        share = row.number("service_share", optional=True)
+        counts = [None if math.isnan(v) else v for v in numbers]  # blank: not observed
+        backend, days, share = counts[:3]
         if backend is not None and (days is None or share is None):
-            raise row.fail("days_per_month", "backend counts need days_per_month and service_share")
-        out.append(
-            HubRecord(
-                hub_id=hub_id,
-                location=_point(row, "lat", "lon"),
-                car_share_available=row.flag("car_share_available"),
-                bike_share_available=row.flag("bike_share_available"),
-                backend_trips_per_month=backend,
-                days_per_month=days,
-                service_share=share,
-                survey_responses=row.number("survey_responses", optional=True),
-                survey_days=row.number("survey_days", optional=True),
-                sample_rate=row.number("sample_rate", optional=True),
-            )
-        )
+            raise _row_error(path, i, "days_per_month", "backend counts need days_per_month and service_share")
+        out.append(HubRecord(hub_id, _point(path, i, lat, lon, "lat"), car_share, bike_share, *counts))
     if not out:
         raise ParseError(f"{path}: no hub rows")
     return out
@@ -773,19 +782,7 @@ def load_hub_records(path: str | Path) -> list[HubRecord]:
 
 def write_hub_records(records: Sequence[HubRecord], path: str | Path) -> Path:
     rows = [
-        [
-            r.hub_id,
-            r.location.lat,
-            r.location.lon,
-            r.car_share_available,
-            r.bike_share_available,
-            r.backend_trips_per_month,
-            r.days_per_month,
-            r.service_share,
-            r.survey_responses,
-            r.survey_days,
-            r.sample_rate,
-        ]
+        [r.hub_id, r.location.lat, r.location.lon, *(getattr(r, col) for col in HUB_RECORD_COLUMNS[3:])]
         for r in sorted(records, key=lambda r: r.hub_id)
     ]
     return write_csv(path, HUB_RECORD_COLUMNS, rows)

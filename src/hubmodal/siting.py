@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .calibration import HubParams
-from .choice import ComboId
 from .config import PipelineConfig
 from .geo import GeoPoint, haversine_km, potential_trip_mask
 from .hubs import (
@@ -148,11 +147,9 @@ def assign_services(
     return out
 
 
-def candidate_hub(candidate: Candidate, profiles: Mapping[bool, Sequence[ComboId]] | None = None) -> Hub:
+def candidate_hub(candidate: Candidate) -> Hub:
     """Hub object for a candidate using its service-profile combo template."""
-    if profiles is None:
-        profiles = {True: CAR_SHARE_PROFILE_COMBOS, False: STANDARD_PROFILE_COMBOS}
-    combos = profiles[candidate.car_share_available]
+    combos = CAR_SHARE_PROFILE_COMBOS if candidate.car_share_available else STANDARD_PROFILE_COMBOS
     return Hub(
         id=candidate.candidate_id,
         location=candidate.location,

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from hubmodal import (
     ParseError,
     PipelineConfig,
     Segment,
+    TASTE_FIELDS,
     StopRecord,
     SurveyRecord,
     fmt,
@@ -270,6 +273,88 @@ def test_error_row_counts_blank_lines(tmp_path):
     path.write_text("stop_id,lat,lon\ns1,42.6,-73.7\n\ns2,abc,-73.8\n")
     with pytest.raises(ParseError, match=r"row 4: malformed number 'abc' in column 'lat'$"):
         load_stops(path)
+
+
+def _write_two_taste_rows(path):
+    rows = [[od_id, "senior", *(repr(getattr(make_taste(), f)) for f in TASTE_FIELDS)] for od_id in ("od1", "od2")]
+    path.write_text("\n".join(",".join(r) for r in [["od_id", "segment", *TASTE_FIELDS], *rows]) + "\n")
+
+
+def _write_two_matrix_rows(path):
+    matrices = LegMatrices()
+    for zone in ("z1", "z2"):
+        matrices.add(zone, "h1", Mode.BUS, LegTimes(5.0, 1.0, 2.0, 0.0, 3.5), LegTimes(6.0, 1.0, 2.0, 1.0, 3.5))
+    write_matrices(matrices, path)
+
+
+def _two_hub_records() -> list[HubRecord]:
+    return [
+        HubRecord(
+            hub_id=hub_id, location=GeoPoint(42.1, -73.2),
+            car_share_available=True, bike_share_available=False,
+            backend_trips_per_month=120.0, days_per_month=30.0, service_share=0.35,
+            survey_responses=16.0, survey_days=4.0, sample_rate=0.25,
+        )
+        for hub_id in ("hub-a", "hub-b")
+    ]
+
+
+# loader, writer of a two-record file, a column to cut a row short
+# before, a numeric column
+CSV_LOADERS = {
+    "markets": (
+        load_markets,
+        lambda p: write_markets([make_market(od_id="od1"), make_market(od_id="od2")], p),
+        "driving_available",
+        "trips_per_day",
+    ),
+    "taste_parameters": (load_taste_parameters, _write_two_taste_rows, "beta_cost", "asc_transit"),
+    "survey": (
+        load_survey,
+        lambda p: write_survey(
+            [SurveyRecord(h, GeoPoint(42.1, -73.2), GeoPoint(42.3, -73.4), Mode.CAR, Mode.BUS) for h in "ab"],
+            p,
+        ),
+        "segment",
+        "o_lon",
+    ),
+    "stops": (
+        load_stops,
+        lambda p: write_stops([StopRecord("s1", GeoPoint(42.1, -73.2)), StopRecord("s2", GeoPoint(42.3, -73.4))], p),
+        "lon",
+        "lat",
+    ),
+    "pr_lots": (load_pr_lots, lambda p: write_pr_lots([GeoPoint(42.1, -73.2), GeoPoint(42.3, -73.4)], p), "lon", "lat"),
+    "matrices": (lambda p: load_matrices([p]), _write_two_matrix_rows, "to_hub_access_min", "from_hub_miles"),
+    "observed_usage": (
+        load_hub_records,
+        lambda p: write_hub_records(_two_hub_records(), p),
+        "backend_trips_per_month",
+        "sample_rate",
+    ),
+}
+
+
+# Every CSV loader reads through one parser: a row with too few cells
+# names its first missing cell, and a malformed number its cell; a blank
+# line before the row still counts toward its number.
+@pytest.mark.parametrize("fault", ["short_row", "malformed_number"])
+@pytest.mark.parametrize("name", list(CSV_LOADERS))
+def test_every_csv_loader_names_file_row_and_column(tmp_path, name, fault):
+    load, write, short_column, number_column = CSV_LOADERS[name]
+    path = tmp_path / f"{name}.csv"
+    write(path)
+    header, first, second = path.read_text().splitlines()
+    columns, cells = header.split(","), second.split(",")
+    if fault == "short_row":
+        cells = cells[: columns.index(short_column)]
+        error = f"missing cell in column '{short_column}'"
+    else:
+        cells[columns.index(number_column)] = "abc"
+        error = f"malformed number 'abc' in column '{number_column}'"
+    path.write_text("\n".join([header, first, "", ",".join(cells)]) + "\n")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))} row 4: {error}$"):
+        load(path)
 
 
 @pytest.mark.parametrize(
@@ -547,6 +632,29 @@ def test_cli_unreadable_input_is_an_error(tmp_path, capsys):
     assert code == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"]
+
+
+def test_cli_short_survey_row_is_a_parse_error(fixture_dir, tmp_path, capsys):
+    inputs = shutil.copytree(fixture_dir, tmp_path / "inputs")
+    survey = inputs / "survey.csv"
+    lines = survey.read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:7])
+    survey.write_text("\n".join(lines) + "\n")
+    code = main(["derive-threshold", "--manifest", str(inputs / "manifest.json"), "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ParseError"
+    assert record["message"] == f"{survey} row 3: missing cell in column 'segment'"
+
+
+def test_cli_identify_and_calibrate_agree_on_potential_trips(fixture_dir, tmp_path):
+    manifest = str(fixture_dir / "manifest.json")
+    identify = json.loads(_run(["identify-trips", "--manifest", manifest], tmp_path / "i")["identify.json"].read_text())
+    files = _run(["calibrate", "--manifest", manifest], tmp_path / "c")
+    calibration = json.loads(files["calibration.json"].read_text())
+    assert set(identify["hubs"]) == set(calibration["observed"])
+    for hub_id, entry in identify["hubs"].items():
+        assert entry["potential_trips_per_day"] == calibration["observed"][hub_id]["potential_trips_per_day"], hub_id
 
 
 def test_cli_threshold_override(fixture_dir, tmp_path):

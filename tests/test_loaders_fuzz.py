@@ -1,0 +1,207 @@
+"""Property tests for the markets, survey and observed-usage loaders.
+
+Valid tables written by ``write_markets``, ``write_survey`` and
+``write_hub_records`` load back to the same records and re-write to the
+same bytes.  One malformed cell planted in such a table (a bad number, a
+bad 0/1 flag, an unknown segment or leg mode, an empty required cell)
+makes the loader raise ``ParseError`` naming the file, the row and the
+column of that cell.
+"""
+
+from __future__ import annotations
+
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hubmodal import (
+    TASTE_FIELDS,
+    GeoPoint,
+    HubRecord,
+    Market,
+    ModeAttr,
+    ParseError,
+    Segment,
+    SurveyRecord,
+    TasteVector,
+    load_hub_records,
+    load_markets,
+    load_survey,
+    write_hub_records,
+    write_markets,
+    write_survey,
+)
+from hubmodal.choice import LEG_MODES
+from hubmodal.io import HUB_RECORD_COLUMNS, MARKET_BASE_COLUMNS, SURVEY_COLUMNS, _MODE_COLUMNS, market_columns
+
+SETTINGS = settings(max_examples=60, deadline=None, database=None)
+
+ids = st.text(alphabet="abz019/_-.", min_size=1, max_size=5)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+points = st.builds(GeoPoint, lat=st.floats(-90.0, 90.0), lon=st.floats(-180.0, 180.0))
+segments = st.sampled_from(list(Segment))
+
+BAD_NUMBERS = ("abc", "1.2.3", "--1", "5e", "0x10", "nan", "inf", "-inf", "1e999")
+BAD_FLAGS = ("2", "yes", "-1", "1.0")
+BAD_SEGMENTS = ("elderly", "Senior", "low income")
+BAD_MODES = ("teleport", "BUS", "walk_leg")
+
+
+@st.composite
+def markets(draw) -> Market:
+    available = draw(st.lists(st.booleans(), min_size=len(_MODE_COLUMNS), max_size=len(_MODE_COLUMNS)).filter(any))
+    attrs = {
+        mode: ModeAttr(available=flag, **{f: draw(finite) for f in fields_})
+        for (_, mode, fields_), flag in zip(_MODE_COLUMNS, available)
+    }
+    taste = {name: draw(finite) for name in TASTE_FIELDS}
+    taste["beta_cost"] = draw(st.floats(max_value=0.0, exclude_max=True, allow_infinity=False))
+    return Market(
+        od_id=draw(ids),
+        segment=draw(segments),
+        origin=draw(points),
+        destination=draw(points),
+        trips_per_day=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        driving_miles=draw(finite),
+        attrs=attrs,
+        taste=TasteVector(**taste),
+        o_zone=draw(ids),
+        d_zone=draw(ids),
+    )
+
+
+survey_records = st.builds(
+    SurveyRecord,
+    hub_id=ids,
+    origin=points,
+    destination=points,
+    entry_mode=st.sampled_from(LEG_MODES),
+    exit_mode=st.sampled_from(LEG_MODES),
+    segment=st.none() | segments,
+    complete=st.booleans(),
+)
+
+
+@st.composite
+def hub_records(draw, hub_id: str) -> HubRecord:
+    backend = draw(st.none() | finite)
+    backend_route = {
+        "backend_trips_per_month": backend,
+        "days_per_month": draw(finite if backend is not None else st.none() | finite),
+        "service_share": draw(finite if backend is not None else st.none() | finite),
+    }
+    return HubRecord(
+        hub_id=hub_id,
+        location=draw(points),
+        car_share_available=draw(st.booleans()),
+        bike_share_available=draw(st.booleans()),
+        **backend_route,
+        survey_responses=draw(st.none() | finite),
+        survey_days=draw(st.none() | finite),
+        sample_rate=draw(st.none() | finite),
+    )
+
+
+market_tables = st.lists(markets(), min_size=1, max_size=8, unique_by=lambda m: m.market_id)
+survey_tables = st.lists(survey_records, min_size=1, max_size=8)
+hub_tables = st.lists(ids, min_size=1, max_size=6, unique=True).flatmap(
+    lambda hub_ids: st.tuples(*(hub_records(h) for h in hub_ids)).map(list)
+)
+
+
+def _round_trip(records, write, load, expected):
+    with tempfile.TemporaryDirectory() as tmp:
+        first = Path(tmp) / "a.csv"
+        second = Path(tmp) / "b.csv"
+        write(records, first)
+        back = load(first)
+        assert back == expected
+        write(back, second)
+        assert second.read_bytes() == first.read_bytes()
+
+
+@SETTINGS
+@given(table=market_tables)
+def test_markets_round_trip(table):
+    _round_trip(table, write_markets, load_markets, sorted(table, key=lambda m: m.market_id))
+
+
+@SETTINGS
+@given(table=survey_tables)
+def test_survey_round_trip(table):
+    _round_trip(table, write_survey, load_survey, table)
+
+
+@SETTINGS
+@given(table=hub_tables)
+def test_observed_usage_round_trip(table):
+    _round_trip(table, write_hub_records, load_hub_records, sorted(table, key=lambda r: r.hub_id))
+
+
+# column -> malformed tokens for it
+_MODE_NUMBERS = [f"{prefix}_{f}" for prefix, _, fields_ in _MODE_COLUMNS for f in fields_]
+MARKET_FAULTS = {
+    "od_id": ("",),
+    "segment": ("", *BAD_SEGMENTS),
+    **dict.fromkeys(MARKET_BASE_COLUMNS[2:], ("", *BAD_NUMBERS)),
+    # an unavailable mode's numeric cells may be blank, never malformed
+    **dict.fromkeys(_MODE_NUMBERS, BAD_NUMBERS),
+    **{f"{prefix}_available": ("", *BAD_FLAGS) for prefix, _, _ in _MODE_COLUMNS},
+    **dict.fromkeys(TASTE_FIELDS, ("", *BAD_NUMBERS)),
+}
+SURVEY_FAULTS = {
+    "hub_id": ("",),
+    **dict.fromkeys(SURVEY_COLUMNS[1:5], ("", *BAD_NUMBERS)),
+    "entry_mode": ("", *BAD_MODES),
+    "exit_mode": ("", *BAD_MODES),
+    # a blank segment is unlabelled and a blank complete flag means 1
+    "segment": BAD_SEGMENTS,
+    "complete": BAD_FLAGS,
+}
+HUB_FAULTS = {
+    "hub_id": ("",),
+    "lat": ("", *BAD_NUMBERS),
+    "lon": ("", *BAD_NUMBERS),
+    "car_share_available": ("", *BAD_FLAGS),
+    "bike_share_available": ("", *BAD_FLAGS),
+    **dict.fromkeys(HUB_RECORD_COLUMNS[5:], BAD_NUMBERS),
+}
+
+
+def _plant_fault(data, records, write, load, header, faults):
+    column = data.draw(st.sampled_from(sorted(faults)))
+    token = data.draw(st.sampled_from(faults[column]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write(records, path)
+        lines = path.read_text().splitlines()
+        line = data.draw(st.integers(1, len(lines) - 1))
+        cells = lines[line].split(",")
+        cells[list(header).index(column)] = token
+        lines[line] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        pattern = rf"^{re.escape(str(path))} row {line + 1}: .* in column '{column}'$"
+        with pytest.raises(ParseError, match=pattern):
+            load(path)
+
+
+@SETTINGS
+@given(table=market_tables, data=st.data())
+def test_malformed_market_cell_names_file_row_and_column(table, data):
+    _plant_fault(data, table, write_markets, load_markets, market_columns(), MARKET_FAULTS)
+
+
+@SETTINGS
+@given(table=survey_tables, data=st.data())
+def test_malformed_survey_cell_names_file_row_and_column(table, data):
+    _plant_fault(data, table, write_survey, load_survey, SURVEY_COLUMNS, SURVEY_FAULTS)
+
+
+@SETTINGS
+@given(table=hub_tables, data=st.data())
+def test_malformed_observed_usage_cell_names_file_row_and_column(table, data):
+    _plant_fault(data, table, write_hub_records, load_hub_records, HUB_RECORD_COLUMNS, HUB_FAULTS)
