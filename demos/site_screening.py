@@ -11,7 +11,6 @@ from pathlib import Path
 
 from hubmodal import (
     HubParams,
-    MarketTable,
     Segment,
     assign_services,
     cluster_stops,
@@ -29,7 +28,7 @@ out = Path(tempfile.mkdtemp(prefix="hubmodal-demo-"))
 generate_fixture(out, seed=3, od_pairs=120, stops=24, pr_lots=3)
 print(f"fixture written to {out}")
 
-markets = load_markets(out / "markets.csv")
+markets = load_markets(out / "markets.csv")  # a MarketTable: one column array per field
 stops = load_stops(out / "stops.csv")
 lots = load_pr_lots(out / "pr_lots.csv")
 matrices = load_matrices([out / "matrices.csv"])
@@ -42,8 +41,7 @@ with_cs = sum(c.car_share_available for c in candidates)
 print(f"{len(candidates)} candidate sites ({with_cs} get car share from a lot within 500 m)")
 
 params = HubParams(beta_hub=0.4, asc_by_segment={s: -3.0 for s in Segment})
-table = MarketTable(markets)
-evaluated = evaluate_candidates(candidates, table, params, 1.6, matrices, fares)
+evaluated = evaluate_candidates(candidates, markets, params, 1.6, matrices, fares)
 ranking, summary = rank_and_summarize(evaluated, reference_ids=[])
 
 print("\ntop candidates by potential demand:")

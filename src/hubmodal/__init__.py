@@ -62,6 +62,7 @@ from .hubs import (
     HubShares,
     LegMatrices,
     LegTimes,
+    MarketError,
     MarketTable,
     SurveyRecord,
     assemble_leg_attrs,

@@ -174,7 +174,8 @@ class Market:
     ``attrs`` maps unimodal modes to their level-of-service attributes;
     modes absent from the mapping are unavailable.  ``o_zone``/``d_zone``
     key the leg travel-time matrices and default to ``<od_id>/o`` and
-    ``<od_id>/d``.
+    ``<od_id>/d``.  The market rules (trips, available modes, finite
+    attributes) are MarketTable's, checked when markets become a table.
     """
 
     od_id: str
@@ -189,10 +190,6 @@ class Market:
     d_zone: str = ""
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.trips_per_day) and self.trips_per_day >= 0.0):
-            raise ValueError(f"market {self.od_id}: trips_per_day must be non-negative")
-        if not any(a.available for a in self.attrs.values()):
-            raise ValueError(f"market {self.od_id}: needs at least one available mode")
         if not self.o_zone:
             object.__setattr__(self, "o_zone", f"{self.od_id}/o")
         if not self.d_zone:

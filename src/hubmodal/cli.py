@@ -39,7 +39,7 @@ from .choice import Segment
 from .config import Manifest, PipelineConfig
 from .fixtures import generate_fixture
 from .geo import derive_threshold, detour_ratio, identify_potential_trips
-from .hubs import Hub, MarketTable, build_combos, prepare_hub
+from .hubs import Hub, build_combos, prepare_hub
 from .impacts import EmissionFactor, assess_hub
 from .siting import METRIC_KEYS, Candidate, assign_services, cluster_stops, evaluate_candidates, rank_and_summarize
 
@@ -292,7 +292,7 @@ def _cmd_derive_threshold(args) -> int:
 def _cmd_identify_trips(args) -> int:
     manifest, config = _load_base(args)
     manifest.require("markets", "observed_usage")
-    table = MarketTable(io.load_markets(manifest.markets, manifest.taste_parameters))
+    table = io.load_markets(manifest.markets, manifest.taste_parameters)
     hub_recs = io.load_hub_records(manifest.observed_usage)
     if config.threshold_override is None:
         manifest.require("survey")
@@ -326,11 +326,11 @@ def _cmd_identify_trips(args) -> int:
 def _load_model_inputs(args):
     manifest, config = _load_base(args)
     manifest.require("markets", "fares", "survey", "observed_usage", "leg_matrices")
-    # The Market objects are dropped once the table holds their columns.
-    table = MarketTable(io.load_markets(manifest.markets, manifest.taste_parameters))
+    # The matrices parse sets the stage's peak RSS: no other input sits under it.
+    matrices = io.load_matrices(manifest.leg_matrices)
+    table = io.load_markets(manifest.markets, manifest.taste_parameters)
     survey = io.load_survey(manifest.survey)
     hub_recs = io.load_hub_records(manifest.observed_usage)
-    matrices = io.load_matrices(manifest.leg_matrices)
     fares = io.load_fares(manifest.fares)
     thr, thr_meta = _resolve_threshold(config, survey, {r.hub_id: r.location for r in hub_recs})
     return manifest, config, table, survey, hub_recs, matrices, fares, thr, thr_meta

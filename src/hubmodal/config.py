@@ -33,10 +33,7 @@ class OptimizerSettings:
     max_iter: int = 4000
 
     def __post_init__(self) -> None:
-        if isinstance(self.beta_bounds, list):
-            self.beta_bounds = tuple(self.beta_bounds)
-        if isinstance(self.asc_bounds, list):
-            self.asc_bounds = tuple(self.asc_bounds)
+        self.beta_bounds, self.asc_bounds = tuple(self.beta_bounds), tuple(self.asc_bounds)  # JSON gives lists
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -76,15 +73,11 @@ class PipelineConfig:
         if self.car_cost_per_mile < 0:
             raise ValueError("car_cost_per_mile must be non-negative")
         if isinstance(self.optimizer, dict):
-            self.optimizer = _settings_from_dict(self.optimizer)
+            self.optimizer = OptimizerSettings(**_known_keys(OptimizerSettings, self.optimizer, "optimizer"))
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
-        return cls(**data)
+        return cls(**_known_keys(cls, data, "config"))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
@@ -101,24 +94,12 @@ class PipelineConfig:
         return out
 
 
-def _settings_from_dict(data: dict) -> OptimizerSettings:
-    known = {f.name for f in fields(OptimizerSettings)}
-    unknown = sorted(set(data) - known)
+def _known_keys(cls, data: dict, what: str) -> dict:
+    """``data``, when each of its keys is a field of ``cls``."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
-        raise ValueError(f"unknown optimizer keys: {unknown}")
-    return OptimizerSettings(**data)
-
-
-_MANIFEST_KEYS = (
-    "markets",
-    "taste_parameters",
-    "leg_matrices",
-    "fares",
-    "stops",
-    "pr_lots",
-    "survey",
-    "observed_usage",
-)
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    return data
 
 
 @dataclass
@@ -141,7 +122,7 @@ class Manifest:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"{path}: manifest must be a JSON object")
-        unknown = sorted(set(data) - set(_MANIFEST_KEYS))
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"{path}: unknown manifest keys: {unknown}")
         base = path.parent
@@ -154,19 +135,14 @@ class Manifest:
                 raise ValueError(f"{path}: referenced file does not exist: {value}")
             return p
 
-        matrices = data.get("leg_matrices") or []
-        if isinstance(matrices, str):
-            matrices = [matrices]
-        return cls(
-            markets=_resolve(data.get("markets")),
-            taste_parameters=_resolve(data.get("taste_parameters")),
-            leg_matrices=tuple(_resolve(p) for p in matrices),
-            fares=_resolve(data.get("fares")),
-            stops=_resolve(data.get("stops")),
-            pr_lots=_resolve(data.get("pr_lots")),
-            survey=_resolve(data.get("survey")),
-            observed_usage=_resolve(data.get("observed_usage")),
-        )
+        paths = {}
+        for f in fields(cls):  # resolved in field order, so the first missing file is named
+            value = data.get(f.name)
+            if f.name == "leg_matrices":
+                paths[f.name] = tuple(map(_resolve, [value] if isinstance(value, str) else value or []))
+            else:
+                paths[f.name] = _resolve(value)
+        return cls(**paths)
 
     def require(self, *names: str) -> None:
         missing = [n for n in names if not getattr(self, n)]

@@ -91,16 +91,10 @@ def derive_threshold(records: Sequence[DetourRecord]) -> float:
     return ratios[idx - 1]
 
 
-def _market_coord_arrays(markets):
-    """Coordinate and id arrays from a market sequence or a prebuilt table."""
-    if hasattr(markets, "o_lat"):  # MarketTable duck type
-        return markets.ids, markets.o_lat, markets.o_lon, markets.d_lat, markets.d_lon
-    ids = [m.market_id for m in markets]
-    o_lat = np.array([m.origin.lat for m in markets], dtype=float)
-    o_lon = np.array([m.origin.lon for m in markets], dtype=float)
-    d_lat = np.array([m.destination.lat for m in markets], dtype=float)
-    d_lon = np.array([m.destination.lon for m in markets], dtype=float)
-    return ids, o_lat, o_lon, d_lat, d_lon
+def _table(markets):
+    from .hubs import MarketTable  # hubs imports this module
+
+    return MarketTable.ensure(markets)
 
 
 def identify_potential_trips(
@@ -114,16 +108,16 @@ def identify_potential_trips(
     """Market ids whose trips could plausibly divert through the hub: the
     one-hub case of ``potential_trip_mask``.  The returned ids are sorted,
     so the output is deterministic."""
+    table = _table(markets)
     keep = potential_trip_mask(
-        markets,
+        table,
         [hub_location.lat],
         [hub_location.lon],
         threshold,
         condition2_mode=condition2_mode,
         condition2_km=condition2_km,
     )
-    ids = _market_coord_arrays(markets)[0]
-    return sorted(ids[i] for i in np.flatnonzero(keep[0]).tolist())
+    return [table.ids[i] for i in np.flatnonzero(keep[0]).tolist()]
 
 
 def potential_trip_mask(
@@ -135,8 +129,9 @@ def potential_trip_mask(
     condition2_mode: str = "literal_hd_1km",
     condition2_km: float = 1.0,
 ) -> np.ndarray:
-    """(hubs, markets) mask of the markets whose trips could plausibly
-    divert through each hub, markets in table order.
+    """(hubs, markets) mask of the markets (a MarketTable or Market
+    objects) whose trips could plausibly divert through each hub, markets
+    in table order, which is market-id order.
 
     A market qualifies when OH + HD < threshold * OD, or under the short
     final-leg condition: HD < condition2_km ("literal_hd_1km" mode) or
@@ -147,7 +142,8 @@ def potential_trip_mask(
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     if condition2_mode not in CONDITION2_MODES:
         raise ValueError(f"unknown condition2_mode: {condition2_mode!r}")
-    _, o_lat, o_lon, d_lat, d_lon = _market_coord_arrays(markets)
+    table = _table(markets)
+    o_lat, o_lon, d_lat, d_lon = table.o_lat, table.o_lon, table.d_lat, table.d_lon
     lat = np.asarray(hub_lat, dtype=float)[:, None]
     lon = np.asarray(hub_lon, dtype=float)[:, None]
     od = haversine_km(o_lat, o_lon, d_lat, d_lon)

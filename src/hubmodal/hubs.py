@@ -433,73 +433,135 @@ def assemble_leg_attrs(
 # ----------------------------------------------------------------------
 
 
-class MarketTable:
-    """Column-array view of a market list, sorted by market id.
+# Markets-file column prefix of each unimodal mode, in MAIN_MODES order,
+# with the ModeAttr fields the file carries for it.
+MARKET_MODE_COLUMNS: tuple[tuple[str, Mode, tuple[str, ...]], ...] = (
+    ("driving", Mode.DRIVING, ("ivt_min", "cost_usd")),
+    ("transit", Mode.TRANSIT, ("ivt_min", "access_min", "egress_min", "transfers", "cost_usd")),
+    ("ondemand", Mode.ON_DEMAND_AUTO, ("ivt_min", "cost_usd")),
+    ("biking", Mode.BIKING, ("ivt_min",)),
+    ("walking", Mode.WALKING, ("ivt_min",)),
+    ("carpool", Mode.CARPOOL, ("ivt_min", "cost_usd")),
+)
+ATTR_FIELDS: tuple[str, ...] = ("ivt_min", "access_min", "egress_min", "transfers", "cost_usd")
 
-    Built once and shared across hubs and candidates so repeated
-    evaluations avoid re-walking Market objects.
+
+class MarketError(ValueError):
+    """A broken market rule: the input ``row``, markets-file ``column`` and ``why``."""
+
+    def __init__(self, market_id: str, row: int, column: str, why: str):
+        super().__init__(f"market {market_id}: {why} in column '{column}'")
+        self.row, self.column, self.why = row, column, why
+
+
+class MarketTable:
+    """Markets as column arrays sorted by market id, the form every kernel
+    reads, built once and shared across hubs and candidates.
+
+    The constructor takes array columns in any row order: ``segment_codes``
+    index SEGMENTS, ``attrs`` maps each ATTR_FIELDS name to an (n, 6)
+    array over MAIN_MODES beside the (n, 6) ``available`` flags, ``taste``
+    maps each TASTE_FIELDS name to an array, and a blank zone id is
+    ``<od_id>/o`` or ``<od_id>/d``.  The market rules run here and only
+    here: coordinates in range, trips finite and not negative, each
+    attribute of an available mode finite, an available mode, and one
+    row per (od_id, segment).  The first faulty row in input order raises
+    MarketError for the first rule it breaks, in that order.  Non-finite
+    attributes of unavailable modes are stored as 0.
     """
 
-    def __init__(self, markets: Iterable[Market]):
-        ms = sorted(markets, key=lambda m: m.market_id)
-        ids = [m.market_id for m in ms]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"duplicate market ids: {dupes[:5]}")
-        self.ids: tuple[str, ...] = tuple(ids)
-        self.id_index: dict[str, int] = {mid: i for i, mid in enumerate(ids)}
-        n = len(ms)
-        self.segment_codes = np.array([_SEGMENT_CODE[m.segment] for m in ms], dtype=np.int64)
-        self.trips = np.array([m.trips_per_day for m in ms], dtype=float)
-        self.drive_miles = np.array([m.driving_miles for m in ms], dtype=float)
-        self.o_lat = np.array([m.origin.lat for m in ms], dtype=float)
-        self.o_lon = np.array([m.origin.lon for m in ms], dtype=float)
-        self.d_lat = np.array([m.destination.lat for m in ms], dtype=float)
-        self.d_lon = np.array([m.destination.lon for m in ms], dtype=float)
-        zone_code: dict[str, int] = {}
-        o_codes = [zone_code.setdefault(m.o_zone, len(zone_code)) for m in ms]
-        d_codes = [zone_code.setdefault(m.d_zone, len(zone_code)) for m in ms]
+    def __init__(
+        self, od_ids: Sequence[str], segment_codes, o_lat, o_lon, d_lat, d_lon, trips, drive_miles,
+        attrs: Mapping[str, np.ndarray], available, taste: Mapping[str, np.ndarray], o_zones: Sequence[str],
+        d_zones: Sequence[str],
+    ):
+        lat, lon = np.array([o_lat, d_lat], dtype=float), np.array([o_lon, d_lon], dtype=float)  # origin, destination
+        ids = [f"{od_id}|{SEGMENTS[code].value}" for od_id, code in zip(od_ids, segment_codes.tolist())]
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+
+        repeated = np.zeros(len(ids), dtype=bool)
+        repeated[[b for a, b in zip(order, order[1:]) if ids[a] == ids[b]]] = True
+        bad_point = ~((-90 <= lat) & (lat <= 90) & (-180 <= lon) & (lon <= 180))  # NaN too
+        bad_attr = np.stack([available & ~np.isfinite(attrs[f]) for f in ATTR_FIELDS], axis=2)  # (n, 6, 5)
+
+        def attribute(i):
+            j, f = np.argwhere(bad_attr[i])[0]  # the first in (mode, field) order
+            value = attrs[ATTR_FIELDS[f]][i, j]
+            why = "empty value" if np.isnan(value) else f"non-finite value {value}"
+            return f"{MARKET_MODE_COLUMNS[j][0]}_{ATTR_FIELDS[f]}", why
+
+        def trips_fault(i):
+            return "trips_per_day", "negative trips" if trips[i] < 0 else f"non-finite trips {trips[i]}"
+
+        # (faulty rows, row -> (column, why)), in the order a row is checked
+        rules = (
+            (bad_point[0], lambda i: ("o_lat", f"invalid coordinate: ({lat[0, i]}, {lon[0, i]})")),
+            (bad_point[1], lambda i: ("d_lat", f"invalid coordinate: ({lat[1, i]}, {lon[1, i]})")),
+            (~(np.isfinite(trips) & (trips >= 0)), trips_fault),
+            (bad_attr.any(axis=(1, 2)), attribute),
+            (~available.any(axis=1), lambda i: ("driving_available", "needs at least one available mode")),
+            (repeated, lambda i: ("od_id", f"duplicate market {ids[i]}")),
+        )
+        faults = [(int(np.argmax(rows)), k) for k, (rows, _) in enumerate(rules) if rows.any()]
+        if faults:
+            i, k = min(faults)
+            raise MarketError(ids[i], i, *rules[k][1](i))
+
+        idx = np.array(order, dtype=np.int64)
+        self.ids: tuple[str, ...] = tuple(map(ids.__getitem__, order))
+        self.od_ids: tuple[str, ...] = tuple(map(list(od_ids).__getitem__, order))
+        self.id_index: dict[str, int] = {mid: i for i, mid in enumerate(self.ids)}
+        self.segment_codes, self.trips, self.drive_miles = segment_codes[idx], trips[idx], drive_miles[idx]
+        (self.o_lat, self.d_lat), (self.o_lon, self.d_lon) = lat[:, idx], lon[:, idx]
+        self.attrs: dict[str, np.ndarray] = {f: attrs[f][idx] for f in ATTR_FIELDS}
+        for column in self.attrs.values():
+            column[~np.isfinite(column)] = 0.0
+        self.available = available[idx]
+        self.taste: dict[str, np.ndarray] = {name: taste[name][idx] for name in TASTE_FIELDS}
+        zones = [
+            [given[i] or f"{self.od_ids[r]}/{end}" for r, i in enumerate(order)]
+            for given, end in ((o_zones, "o"), (d_zones, "d"))
+        ]
+        zone_code = {z: i for i, z in enumerate(dict.fromkeys(itertools.chain(*zones)))}
         self.zone_ids: tuple[str, ...] = tuple(zone_code)
-        self.o_zone_codes = np.array(o_codes, dtype=np.int64)
-        self.d_zone_codes = np.array(d_codes, dtype=np.int64)
-        self.taste: dict[str, np.ndarray] = {
-            name: np.array([getattr(m.taste, name) for m in ms], dtype=float) for name in TASTE_FIELDS
-        }
-        k = len(MAIN_MODES)
-        self.attr_ivt = np.zeros((n, k))
-        self.attr_access = np.zeros((n, k))
-        self.attr_egress = np.zeros((n, k))
-        self.attr_transfers = np.zeros((n, k))
-        self.attr_cost = np.zeros((n, k))
-        self.attr_avail = np.zeros((n, k), dtype=bool)
-        for i, m in enumerate(ms):
-            for mode, attr in m.attrs.items():
-                j = _MAIN_INDEX.get(mode)
-                if j is None:
-                    raise ValueError(f"market {m.market_id}: {mode.value} is not a unimodal mode")
-                self.attr_ivt[i, j] = attr.ivt_min
-                self.attr_access[i, j] = attr.access_min
-                self.attr_egress[i, j] = attr.egress_min
-                self.attr_transfers[i, j] = attr.transfers
-                self.attr_cost[i, j] = attr.cost_usd
-                self.attr_avail[i, j] = attr.available
-        uni = np.full((n, k), -np.inf)
+        self.o_zone_codes, self.d_zone_codes = (_codes(zone_code, z) for z in zones)
+
+        uni = np.full(self.available.shape, -np.inf)
         for j, mode in enumerate(MAIN_MODES):
-            u = mode_utility(
-                self.taste,
-                mode,
-                ivt_min=self.attr_ivt[:, j],
-                access_min=self.attr_access[:, j],
-                egress_min=self.attr_egress[:, j],
-                transfers=self.attr_transfers[:, j],
-                cost_usd=self.attr_cost[:, j],
-            )
-            uni[:, j] = np.where(self.attr_avail[:, j], u, -np.inf)
+            u = mode_utility(self.taste, mode, **{f: self.attrs[f][:, j] for f in ATTR_FIELDS})
+            uni[:, j] = np.where(self.available[:, j], u, -np.inf)
         self._unimodal_utilities = uni
 
     @classmethod
+    def from_markets(cls, markets: Iterable[Market]) -> "MarketTable":
+        """The table of Market objects, their fields turned into columns."""
+        ms = list(markets)
+        cells = np.zeros((len(ms), len(MAIN_MODES), len(ATTR_FIELDS) + 1))  # attributes, then the flag
+        for i, m in enumerate(ms):
+            for mode, a in m.attrs.items():
+                if mode not in _MAIN_INDEX:
+                    raise ValueError(f"market {m.market_id}: {mode.value} is not a unimodal mode")
+                cells[i, _MAIN_INDEX[mode]] = (*map(a.__getattribute__, ATTR_FIELDS), a.available)
+        numbers = [
+            (m.origin.lat, m.origin.lon, m.destination.lat, m.destination.lon, m.trips_per_day, m.driving_miles)
+            + tuple(map(m.taste.__getattribute__, TASTE_FIELDS))
+            for m in ms
+        ]
+        columns = np.array(numbers, dtype=float).reshape(len(ms), 6 + len(TASTE_FIELDS)).T
+        return cls(
+            [m.od_id for m in ms],
+            np.array([_SEGMENT_CODE[m.segment] for m in ms], dtype=np.int64),
+            *columns[:6],
+            attrs={f: cells[:, :, i] for i, f in enumerate(ATTR_FIELDS)},
+            available=cells[:, :, -1] == 1.0,
+            taste=dict(zip(TASTE_FIELDS, columns[6:])),
+            o_zones=[m.o_zone for m in ms],
+            d_zones=[m.d_zone for m in ms],
+        )
+
+    @classmethod
     def ensure(cls, markets) -> "MarketTable":
-        return markets if isinstance(markets, MarketTable) else cls(markets)
+        return markets if isinstance(markets, MarketTable) else cls.from_markets(markets)
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -14,17 +14,17 @@ column read is an error (``missing cell``).  Cells are converted column
 by column, numbers in bulk, and the first bad cell in row then column
 order raises ParseError naming the file, row and column: numbers must be
 finite, flags 0 or 1, keys and labels non-blank, and number cells
-non-blank unless a rule below allows it.  Per-row checks (coordinate
-range, negative trips, beta_cost sign, joins, duplicate keys) then run
-in row order and name row and column the same way.
+non-blank unless a rule below allows it.  Record checks (coordinates,
+beta_cost sign, joins, duplicate keys) then name the first faulty row
+and its column the same way; MarketTable runs the markets' own rules.
 
 Markets columns, in order: od_id, segment, o_lat, o_lon, d_lat, d_lon,
 trips_per_day, driving_miles, the per-mode attribute columns, the twelve
-taste columns, and optionally o_zone/d_zone.  The taste columns may be
-omitted when a separate taste-parameters file keyed by (od_id, segment)
-is supplied.  An unavailable mode (available flag 0) may have blank
-numeric cells.  A blank survey segment is unlabelled and a blank
-complete flag means 1; blank observed-usage counts are unobserved.
+taste columns, and optionally o_zone/d_zone.  They load straight into a
+MarketTable; the taste columns may be omitted when a taste-parameters
+file keyed by (od_id, segment) is joined.  An unavailable mode (flag 0)
+may have blank numeric cells.  A blank survey segment is unlabelled and
+a blank complete flag means 1; blank observed-usage counts are unobserved.
 
 Leg matrices columns: zone_id, hub_id, mode, then to_hub_* and
 from_hub_* column groups (min, access_min, egress_min, transfers,
@@ -53,9 +53,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .choice import TASTE_FIELDS, Market, Mode, ModeAttr, Segment, TasteVector
+from .choice import SEGMENTS, TASTE_FIELDS, Segment, TasteVector
 from .geo import GeoPoint
-from .hubs import LEG_MODE_ORDER, FareTable, LegMatrices, SurveyRecord
+from .hubs import ATTR_FIELDS, LEG_MODE_ORDER, MARKET_MODE_COLUMNS, FareTable, LegMatrices, SurveyRecord
+from .hubs import MarketError, MarketTable
 from .siting import Candidate, StopRecord
 
 _INF = float("inf")
@@ -192,6 +193,11 @@ def _segment_cell(text: str) -> Segment:
         raise ValueError(f"unknown segment {text!r}") from None
 
 
+def _segment_code_cell(text: str) -> int:
+    """The segment's index in SEGMENTS."""
+    return SEGMENTS.index(_segment_cell(text))
+
+
 def _leg_mode_cell(text: str) -> int:
     """The leg mode's index in LEG_MODE_ORDER."""
     text = _text_cell(text)
@@ -305,15 +311,23 @@ def _read_batches(path: str | Path, columns: Mapping[str, Callable], optional: M
             first += len(rows)
 
 
-def _read_table(path: str | Path, columns: Mapping[str, Callable], optional: Mapping | None = None) -> dict[str, list]:
-    """The whole file as {column: values in record order}, numbers as
-    Python floats.  A file with no records has no keys, and reads as empty
-    columns."""
-    table: dict[str, list] = defaultdict(list)
-    for batch in _read_batches(path, columns, optional):
-        for name, values in batch.items():
-            table[name].extend(values.tolist() if isinstance(values, np.ndarray) else values)
+def _read_columns(path: str | Path, columns: Mapping[str, Callable], optional: Mapping | None = None) -> dict:
+    """The whole file as {column: values in record order}, each column an
+    array or a list as ``_convert_batch`` gives it.  A file with no
+    records has no keys."""
+    batches = list(_read_batches(path, columns, optional))
+    table = {}
+    for name in batches[0] if batches else ():
+        parts = [batch[name] for batch in batches]
+        table[name] = np.concatenate(parts) if isinstance(parts[0], np.ndarray) else list(itertools.chain(*parts))
     return table
+
+
+def _read_table(path: str | Path, columns: Mapping[str, Callable], optional: Mapping | None = None) -> defaultdict:
+    """``_read_columns`` with numbers as Python floats; a file with no
+    records reads as empty columns."""
+    table = _read_columns(path, columns, optional)
+    return defaultdict(list, {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in table.items()})
 
 
 def _point(path: str | Path, index: int, lat: float, lon: float, lat_column: str) -> GeoPoint:
@@ -328,147 +342,100 @@ def _point(path: str | Path, index: int, lat: float, lon: float, lat_column: str
 # markets
 # ----------------------------------------------------------------------
 
-# column prefix, mode, numeric fields carried for that mode
-_MODE_COLUMNS: tuple[tuple[str, Mode, tuple[str, ...]], ...] = (
-    ("driving", Mode.DRIVING, ("ivt_min", "cost_usd")),
-    ("transit", Mode.TRANSIT, ("ivt_min", "access_min", "egress_min", "transfers", "cost_usd")),
-    ("ondemand", Mode.ON_DEMAND_AUTO, ("ivt_min", "cost_usd")),
-    ("biking", Mode.BIKING, ("ivt_min",)),
-    ("walking", Mode.WALKING, ("ivt_min",)),
-    ("carpool", Mode.CARPOOL, ("ivt_min", "cost_usd")),
-)
-
 MARKET_BASE_COLUMNS = ("od_id", "segment", "o_lat", "o_lon", "d_lat", "d_lon", "trips_per_day", "driving_miles")
-
-
-def market_columns(*, with_taste: bool = True, with_zones: bool = True) -> list[str]:
-    cols = list(MARKET_BASE_COLUMNS)
-    for prefix, _, fields_ in _MODE_COLUMNS:
-        cols.extend(f"{prefix}_{f}" for f in fields_)
-        cols.append(f"{prefix}_available")
-    if with_taste:
-        cols.extend(TASTE_FIELDS)
-    if with_zones:
-        cols.extend(("o_zone", "d_zone"))
-    return cols
-
+# each mode's carried attributes, then its available flag: column -> field
+_MODE_COLUMNS = {f"{prefix}_{f}": f for prefix, _, fields_ in MARKET_MODE_COLUMNS for f in (*fields_, "available")}
+MARKET_COLUMNS = (*MARKET_BASE_COLUMNS, *_MODE_COLUMNS, *TASTE_FIELDS, "o_zone", "d_zone")
 
 _TASTE_CELLS = dict.fromkeys(TASTE_FIELDS, _required_number_cell)
-
-# A mode's numeric cells may be blank; a per-row check rejects blanks of
-# an available mode.
+# A mode's numeric cells may be blank; MarketTable rejects blanks of an
+# available mode.
 _MARKET_CELLS = {
     "od_id": _text_cell,
-    "segment": _segment_cell,
+    "segment": _segment_code_cell,
     **dict.fromkeys(MARKET_BASE_COLUMNS[2:], _required_number_cell),
-    **{
-        f"{prefix}_{f}": _flag_cell if f == "available" else _number_cell
-        for prefix, _, fields_ in _MODE_COLUMNS
-        for f in (*fields_, "available")
-    },
+    **{col: _flag_cell if f == "available" else _number_cell for col, f in _MODE_COLUMNS.items()},
 }
 
 
-def _taste(path: str | Path, index: int, values: Sequence[float]) -> TasteVector:
-    taste = TasteVector(*values)  # TASTE_FIELDS order
-    if taste.beta_cost >= 0.0:
-        raise _row_error(path, index, "beta_cost", f"beta_cost must be negative, got {taste.beta_cost}")
-    return taste
+def _check_beta_cost(path: str | Path, beta_cost: np.ndarray) -> None:
+    if not (beta_cost < 0.0).all():
+        i = int(np.argmin(beta_cost < 0.0))
+        raise _row_error(path, i, "beta_cost", f"beta_cost must be negative, got {float(beta_cost[i])}")
+
+
+def _read_tastes(path: str | Path) -> tuple[dict[tuple[str, int], int], dict[str, np.ndarray]]:
+    """A taste-parameters file: the row of each (od_id, segment code) key,
+    and the taste columns."""
+    table = _read_columns(path, {"od_id": _text_cell, "segment": _segment_code_cell, **_TASTE_CELLS})
+    taste = {name: table.get(name, np.empty(0)) for name in TASTE_FIELDS}
+    rows: dict[tuple[str, int], int] = {}
+    for i, key in enumerate(zip(table.get("od_id", ()), table.get("segment", np.empty(0)).tolist())):
+        if key in rows:
+            _check_beta_cost(path, taste["beta_cost"][:i])  # a sign fault on an earlier row comes first
+            raise _row_error(path, i, "od_id", f"duplicate taste entry for {key[0]}/{SEGMENTS[key[1]].value}")
+        rows[key] = i
+    _check_beta_cost(path, taste["beta_cost"])
+    return rows, taste
 
 
 def load_taste_parameters(path: str | Path) -> dict[tuple[str, Segment], TasteVector]:
     """Taste vectors keyed by (od_id, segment) from a standalone file."""
-    table = _read_table(path, {"od_id": _text_cell, "segment": _segment_cell, **_TASTE_CELLS})
-    out: dict[tuple[str, Segment], TasteVector] = {}
-    tastes = zip(*(table[name] for name in TASTE_FIELDS))
-    for i, (key, values) in enumerate(zip(zip(table["od_id"], table["segment"]), tastes)):
-        if key in out:
-            raise _row_error(path, i, "od_id", f"duplicate taste entry for {key[0]}/{key[1].value}")
-        out[key] = _taste(path, i, values)
-    return out
+    rows, taste = _read_tastes(path)
+    values = zip(*(taste[name].tolist() for name in TASTE_FIELDS))
+    return {(od_id, SEGMENTS[code]): TasteVector(*v) for (od_id, code), v in zip(rows, values)}
 
 
-def load_markets(path: str | Path, taste_path: str | Path | None = None) -> list[Market]:
-    """Markets from CSV; taste columns inline or joined from taste_path."""
-    table = _read_table(path, _MARKET_CELLS, {**_TASTE_CELLS, "o_zone": str.strip, "d_zone": str.strip})
+def load_markets(path: str | Path, taste_path: str | Path | None = None) -> MarketTable:
+    """The markets file as a MarketTable; taste columns inline or joined
+    from taste_path by (od_id, segment).  The file's own rules run here
+    (cells, the taste join, a negative beta_cost), the market rules in
+    MarketTable, and either names the file, row and column."""
+    table = _read_columns(path, _MARKET_CELLS, {**_TASTE_CELLS, "o_zone": str.strip, "d_zone": str.strip})
     if not table:
-        return []
-    taste_lookup = None
+        return MarketTable.from_markets([])
+    od_ids, segments = table["od_id"], table["segment"]
     if all(name in table for name in TASTE_FIELDS):
-        tastes = zip(*(table[name] for name in TASTE_FIELDS))
+        taste = {name: table[name] for name in TASTE_FIELDS}
+        _check_beta_cost(path, taste["beta_cost"])
     elif taste_path is None:
         raise ParseError(f"{path}: taste columns absent and no taste-parameters file given")
     else:
-        taste_lookup = load_taste_parameters(taste_path)
-        tastes = itertools.repeat(None)
-    zones = zip(table.get("o_zone", itertools.repeat("")), table.get("d_zone", itertools.repeat("")))
-    modes = [
-        (mode, table[f"{prefix}_available"], [(f, f"{prefix}_{f}", table[f"{prefix}_{f}"]) for f in fields_])
-        for prefix, mode, fields_ in _MODE_COLUMNS
-    ]
-
-    markets = []
-    base = zip(*(table[col] for col in MARKET_BASE_COLUMNS))
-    for i, (row, taste_values, (o_zone, d_zone)) in enumerate(zip(base, tastes, zones)):
-        od_id, segment, o_lat, o_lon, d_lat, d_lon, trips, miles = row
-        origin = _point(path, i, o_lat, o_lon, "o_lat")
-        destination = _point(path, i, d_lat, d_lon, "d_lat")
-        if trips < 0:
-            raise _row_error(path, i, "trips_per_day", "negative trips")
-        attrs: dict[Mode, ModeAttr] = {}
-        for mode, flags, numbers in modes:
-            available = flags[i]
-            values = {}
-            for f, column, cells in numbers:
-                value = cells[i]
-                if value != value:  # blank
-                    if available:
-                        raise _row_error(path, i, column, "empty value")
-                    value = 0.0
-                values[f] = value
-            attrs[mode] = ModeAttr(available=available, **values)
-        if taste_lookup is None:
-            taste = _taste(path, i, taste_values)
-        else:
-            taste = taste_lookup.get((od_id, segment))
-            if taste is None:
-                raise _row_error(path, i, "od_id", f"no taste parameters for {od_id}/{segment.value}")
-        try:
-            markets.append(
-                Market(
-                    od_id=od_id,
-                    segment=segment,
-                    origin=origin,
-                    destination=destination,
-                    trips_per_day=trips,
-                    driving_miles=miles,
-                    attrs=attrs,
-                    taste=taste,
-                    o_zone=o_zone,
-                    d_zone=d_zone,
-                )
-            )
-        except ValueError as err:
-            raise ParseError(f"{path} row {_record_line(path, i)}: {err}") from None
-    ids = [m.market_id for m in markets]
-    if len(set(ids)) != len(ids):
-        raise ParseError(f"{path}: duplicate (od_id, segment) rows")
-    return markets
+        rows, tastes = _read_tastes(taste_path)
+        keys = zip(od_ids, segments.tolist())
+        pick = np.fromiter(map(rows.get, keys, itertools.repeat(-1)), dtype=np.int64, count=len(od_ids))
+        if (pick < 0).any():
+            i = int(np.argmax(pick < 0))
+            raise _row_error(path, i, "od_id", f"no taste parameters for {od_ids[i]}/{SEGMENTS[segments[i]].value}")
+        taste = {name: column[pick] for name, column in tastes.items()}
+    zeros = np.zeros(len(od_ids))
+    modes = [prefix for prefix, _, _ in MARKET_MODE_COLUMNS]
+    try:
+        return MarketTable(
+            od_ids,
+            segments,
+            *(table[col] for col in MARKET_BASE_COLUMNS[2:]),
+            attrs={f: np.stack([table.get(f"{m}_{f}", zeros) for m in modes], axis=1) for f in ATTR_FIELDS},
+            available=np.stack([table[f"{m}_available"] for m in modes], axis=1),
+            taste=taste,
+            o_zones=table.get("o_zone", [""] * len(od_ids)),
+            d_zones=table.get("d_zone", [""] * len(od_ids)),
+        )
+    except MarketError as err:
+        raise _row_error(path, err.row, err.column, err.why) from None
 
 
-def write_markets(markets: Sequence[Market], path: str | Path) -> Path:
-    header = market_columns()
-    rows = []
-    for m in sorted(markets, key=lambda m: m.market_id):
-        row = [m.od_id, m.segment.value, m.origin.lat, m.origin.lon, m.destination.lat, m.destination.lon, m.trips_per_day, m.driving_miles]
-        for prefix, mode, fields_ in _MODE_COLUMNS:
-            attr = m.attrs.get(mode, ModeAttr(available=False))
-            row.extend(getattr(attr, f) for f in fields_)
-            row.append(attr.available)
-        row.extend(getattr(m.taste, name) for name in TASTE_FIELDS)
-        row.extend((m.o_zone, m.d_zone))
-        rows.append(row)
-    return write_csv(path, header, rows)
+def write_markets(markets, path: str | Path) -> Path:
+    """Markets (a MarketTable or Market objects) in market-id order, read
+    from the table column by column; NaN is refused."""
+    t = MarketTable.ensure(markets)
+    columns = [t.od_ids, [SEGMENTS[code].value for code in t.segment_codes.tolist()]]
+    columns += [t.o_lat, t.o_lon, t.d_lat, t.d_lon, t.trips, t.drive_miles]
+    for j, (_, _, fields_) in enumerate(MARKET_MODE_COLUMNS):
+        columns += [*(t.attrs[f][:, j] for f in fields_), t.available[:, j]]
+    columns += [t.taste[name] for name in TASTE_FIELDS]
+    columns += [[t.zone_ids[z] for z in codes.tolist()] for codes in (t.o_zone_codes, t.d_zone_codes)]
+    return write_csv(path, MARKET_COLUMNS, zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
 
 
 # ----------------------------------------------------------------------

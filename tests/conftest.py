@@ -19,6 +19,7 @@ from hubmodal import (
     HubParams,
     LegMatrices,
     Market,
+    MarketTable,
     Mode,
     ModeAttr,
     Segment,
@@ -85,6 +86,25 @@ def make_market(
         attrs=attrs if attrs is not None else full_attrs(),
         taste=taste if taste is not None else make_taste(),
     )
+
+
+def assert_same_markets(table: MarketTable, markets) -> None:
+    """``table`` holds every value of ``markets`` (a MarketTable or Market
+    objects), row for row in market-id order."""
+    expected = MarketTable.ensure(markets)
+    assert table.ids == expected.ids
+    assert table.od_ids == expected.od_ids
+    for name in ("segment_codes", "o_lat", "o_lon", "d_lat", "d_lon", "trips", "drive_miles", "available"):
+        assert np.array_equal(getattr(table, name), getattr(expected, name)), name
+    for field, column in expected.attrs.items():
+        assert np.array_equal(table.attrs[field], column), field
+    for name, column in expected.taste.items():
+        assert np.array_equal(table.taste[name], column), name
+
+    def zones(t: MarketTable) -> list[list[str]]:
+        return [[t.zone_ids[z] for z in codes.tolist()] for codes in (t.o_zone_codes, t.d_zone_codes)]
+
+    assert zones(table) == zones(expected)
 
 
 def make_params(beta: float = 0.5, asc: float = -4.0, **per_segment) -> HubParams:

@@ -10,20 +10,24 @@ import json
 import math
 import re
 import shutil
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_market, make_taste
+from conftest import assert_same_markets, full_attrs, make_market, make_taste
 
 from hubmodal import (
     FareTable,
+    MAIN_MODES,
     GeoPoint,
     HubRecord,
     LegMatrices,
     LegTimes,
+    Market,
     Mode,
+    ModeAttr,
     ParseError,
     PipelineConfig,
     Segment,
@@ -50,6 +54,7 @@ from hubmodal import (
     write_survey,
 )
 from hubmodal.cli import main
+from hubmodal.hubs import MARKET_MODE_COLUMNS, MarketError, MarketTable
 from hubmodal.io import MATRIX_COLUMNS
 
 
@@ -83,22 +88,15 @@ def test_markets_round_trip(tmp_path):
     path = tmp_path / "markets.csv"
     write_markets(markets, path)
     back = load_markets(path)
-    assert [m.market_id for m in back] == sorted(m.market_id for m in markets)
-    by_id = {m.market_id: m for m in markets}
-    for m in back:
-        src = by_id[m.market_id]
-        assert m.trips_per_day == src.trips_per_day
-        assert m.driving_miles == src.driving_miles
-        assert m.origin == src.origin and m.destination == src.destination
-        assert m.taste == src.taste
-        for mode, attr in src.attrs.items():
-            assert m.attrs[mode] == attr
+    assert back.ids == tuple(sorted(m.market_id for m in markets))
+    assert_same_markets(back, markets)
 
 
 def test_markets_header_only_is_empty(tmp_path):
     path = tmp_path / "markets.csv"
     write_markets([], path)
-    assert load_markets(path) == []
+    assert len(load_markets(path)) == 0
+    assert path.read_text().count("\n") == 1
 
 
 def test_markets_unavailable_modes_may_have_blank_cells(tmp_path):
@@ -108,11 +106,17 @@ def test_markets_unavailable_modes_may_have_blank_cells(tmp_path):
     trimmed = make_market(od_id="trim", attrs=attrs)
     path = tmp_path / "markets.csv"
     write_markets([trimmed], path)
-    text = path.read_text()
-    back = load_markets(path)[0]
-    assert not back.attrs[Mode.BIKING].available
+    header, row = path.read_text().splitlines()
+    cells = row.split(",")
+    cells[header.split(",").index("biking_ivt_min")] = ""
+    path.write_text(f"{header}\n{','.join(cells)}\n")
+    back = load_markets(path)
+    biking = MAIN_MODES.index(Mode.BIKING)
+    assert not back.available[0, biking]
+    assert back.attrs["ivt_min"][0, biking] == 0.0
     # an unavailable mode never enters the choice set
-    assert Mode.BIKING.value in text.splitlines()[0]
+    assert back.unimodal_utilities()[0, biking] == -np.inf
+    assert_same_markets(back, [trimmed])
 
 
 def test_markets_reject_nonnegative_beta_cost(tmp_path):
@@ -125,12 +129,74 @@ def test_markets_reject_nonnegative_beta_cost(tmp_path):
 
 
 def test_markets_duplicate_rows_rejected(tmp_path):
+    # the fourth line repeats the second: the later row is named
     path = tmp_path / "markets.csv"
-    write_markets([make_market(od_id="od1")], path)
+    write_markets([make_market(od_id="od1"), make_market(od_id="od2")], path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines + [lines[1]]) + "\n")
-    with pytest.raises(ParseError, match="duplicate"):
+    with pytest.raises(ParseError, match=r"row 4: duplicate market od1\|low_income in column 'od_id'$"):
         load_markets(path)
+
+
+def _write_two_markets(path, **cells) -> list[str]:
+    """Markets od1 and od2 written to ``path`` with cells of od2's row
+    (line 3) replaced; the file's lines."""
+    write_markets([make_market(od_id="od1"), make_market(od_id="od2")], path)
+    header, first, second = path.read_text().splitlines()
+    columns, row = header.split(","), second.split(",")
+    for column, text in cells.items():
+        row[columns.index(column)] = text
+    lines = [header, first, ",".join(row)]
+    path.write_text("\n".join(lines) + "\n")
+    return lines
+
+
+@pytest.mark.parametrize(
+    "cells, error",
+    [
+        ({"d_lat": "95.0"}, r"invalid coordinate: \(95.0, -73.7\) in column 'd_lat'"),
+        ({"trips_per_day": "-1.0"}, "negative trips in column 'trips_per_day'"),
+        ({"transit_access_min": ""}, "empty value in column 'transit_access_min'"),
+        (
+            {f"{prefix}_available": "0" for prefix, _, _ in MARKET_MODE_COLUMNS},
+            "needs at least one available mode in column 'driving_available'",
+        ),
+        # a row's first broken rule is named, in the order the rules run
+        ({"o_lat": "-91.0", "trips_per_day": "-1.0"}, r"invalid coordinate: \(-91.0, -73.76\) in column 'o_lat'"),
+        ({"trips_per_day": "-1.0", "carpool_ivt_min": ""}, "negative trips in column 'trips_per_day'"),
+    ],
+)
+def test_markets_rules_name_row_and_column(tmp_path, cells, error):
+    path = tmp_path / "markets.csv"
+    _write_two_markets(path, **cells)
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))} row 3: {error}$"):
+        load_markets(path)
+
+
+def test_markets_first_faulty_row_in_input_order(tmp_path):
+    # a duplicate on line 3 comes before a bad coordinate on line 4
+    path = tmp_path / "markets.csv"
+    header, first, bad = _write_two_markets(path, o_lat="95.0")
+    path.write_text("\n".join([header, first, first, bad]) + "\n")
+    with pytest.raises(ParseError, match=r"row 3: duplicate market od1\|low_income in column 'od_id'$"):
+        load_markets(path)
+
+
+def test_market_table_rejects_non_finite_attribute_of_available_mode():
+    attrs = full_attrs()
+    attrs[Mode.TRANSIT] = ModeAttr(ivt_min=math.nan, access_min=6.0, egress_min=4.0, transfers=1.0, cost_usd=1.5)
+    markets = [make_market(od_id="od1"), make_market(od_id="od2", attrs=attrs)]
+    with pytest.raises(MarketError, match=r"^market od2\|low_income: empty value in column 'transit_ivt_min'$") as err:
+        MarketTable.ensure(markets)
+    assert (err.value.row, err.value.column) == (1, "transit_ivt_min")
+    attrs[Mode.TRANSIT] = ModeAttr(ivt_min=35.0, cost_usd=math.inf)
+    with pytest.raises(ValueError, match=r"non-finite value inf in column 'transit_cost_usd'$"):
+        MarketTable.ensure([make_market(attrs=attrs)])
+    # an unavailable mode's attributes are never read
+    attrs[Mode.TRANSIT] = ModeAttr(ivt_min=math.nan, available=False)
+    table = MarketTable.ensure([make_market(attrs=attrs)])
+    assert table.attrs["ivt_min"][0, 1] == 0.0
+    assert np.isfinite(np.delete(table.unimodal_utilities()[0], 1)).all()
 
 
 def test_markets_missing_column_named_in_error(tmp_path):
@@ -165,8 +231,9 @@ def test_markets_taste_join(tmp_path):
     taste_row = ["od9", "senior"] + [repr(getattr(taste, f)) for f in TASTE_FIELDS]
     taste_path.write_text(",".join(taste_header) + "\n" + ",".join(taste_row) + "\n")
 
-    back = load_markets(slim, taste_path)[0]
-    assert back.taste == taste
+    back = load_markets(slim, taste_path)
+    assert {name: back.taste[name][0] for name in TASTE_FIELDS} == asdict(taste)
+    assert_same_markets(back, [market])
     # no taste columns and no taste file is an error
     with pytest.raises(ParseError, match="taste"):
         load_markets(slim)
@@ -498,7 +565,7 @@ def test_gen_fixture_is_reproducible(tmp_path):
 def test_gen_fixture_outputs_parse(fixture_dir):
     manifest = json.loads((fixture_dir / "manifest.json").read_text())
     markets = load_markets(fixture_dir / manifest["markets"])
-    assert markets and all(m.taste.beta_cost < 0 for m in markets)
+    assert len(markets) and (markets.taste["beta_cost"] < 0).all()
     load_survey(fixture_dir / manifest["survey"])
     load_stops(fixture_dir / manifest["stops"])
     load_pr_lots(fixture_dir / manifest["pr_lots"])
@@ -613,6 +680,20 @@ def test_cli_builds_each_observed_hub_setup_once(fixture_dir, tmp_path, monkeypa
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"beta_hub": 0.3, "asc_by_segment": {s.value: -4.0 for s in Segment}}))
     assert main(["rank", "--manifest", manifest, "--params", str(params), "--out-dir", str(tmp_path / "r")]) == 0
+    assert built == []
+
+
+def test_cli_builds_no_market_objects(tmp_path, monkeypatch):
+    # the quick start's stages read the markets file straight into columns
+    fx, run = tmp_path / "fx", tmp_path / "run"
+    assert main(["gen-fixture", "--seed", "7", "--out-dir", str(fx)]) == 0
+    built = []
+    real = Market.__post_init__
+    monkeypatch.setattr(Market, "__post_init__", lambda self: built.append(self.market_id) or real(self))
+    manifest = str(fx / "manifest.json")
+    assert main(["calibrate", "--manifest", manifest, "--out-dir", str(run)]) == 0
+    params = str(run / "calibration.json")
+    assert main(["rank", "--manifest", manifest, "--params", params, "--out-dir", str(run)]) == 0
     assert built == []
 
 

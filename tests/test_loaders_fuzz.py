@@ -1,11 +1,11 @@
 """Property tests for the markets, survey and observed-usage loaders.
 
 Valid tables written by ``write_markets``, ``write_survey`` and
-``write_hub_records`` load back to the same records and re-write to the
-same bytes.  One malformed cell planted in such a table (a bad number, a
-bad 0/1 flag, an unknown segment or leg mode, an empty required cell)
-makes the loader raise ``ParseError`` naming the file, the row and the
-column of that cell.
+``write_hub_records`` load back to the same values (markets as a
+MarketTable) and re-write to the same bytes.  One malformed cell planted
+in such a table (a bad number, a bad 0/1 flag, an unknown segment or leg
+mode, an empty required cell) makes the loader raise ``ParseError``
+naming the file, the row and the column of that cell.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same_markets
 from hubmodal import (
     TASTE_FIELDS,
     GeoPoint,
@@ -36,7 +37,8 @@ from hubmodal import (
     write_survey,
 )
 from hubmodal.choice import LEG_MODES
-from hubmodal.io import HUB_RECORD_COLUMNS, MARKET_BASE_COLUMNS, SURVEY_COLUMNS, _MODE_COLUMNS, market_columns
+from hubmodal.hubs import MARKET_MODE_COLUMNS
+from hubmodal.io import HUB_RECORD_COLUMNS, MARKET_BASE_COLUMNS, MARKET_COLUMNS, SURVEY_COLUMNS
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -53,10 +55,11 @@ BAD_MODES = ("teleport", "BUS", "walk_leg")
 
 @st.composite
 def markets(draw) -> Market:
-    available = draw(st.lists(st.booleans(), min_size=len(_MODE_COLUMNS), max_size=len(_MODE_COLUMNS)).filter(any))
+    n_modes = len(MARKET_MODE_COLUMNS)
+    available = draw(st.lists(st.booleans(), min_size=n_modes, max_size=n_modes).filter(any))
     attrs = {
         mode: ModeAttr(available=flag, **{f: draw(finite) for f in fields_})
-        for (_, mode, fields_), flag in zip(_MODE_COLUMNS, available)
+        for (_, mode, fields_), flag in zip(MARKET_MODE_COLUMNS, available)
     }
     taste = {name: draw(finite) for name in TASTE_FIELDS}
     taste["beta_cost"] = draw(st.floats(max_value=0.0, exclude_max=True, allow_infinity=False))
@@ -113,44 +116,46 @@ hub_tables = st.lists(ids, min_size=1, max_size=6, unique=True).flatmap(
 )
 
 
-def _round_trip(records, write, load, expected):
+def _round_trip(records, write, load):
+    """What ``load`` reads back from ``write``'s file, once re-writing it
+    has given the same bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         first = Path(tmp) / "a.csv"
         second = Path(tmp) / "b.csv"
         write(records, first)
         back = load(first)
-        assert back == expected
         write(back, second)
         assert second.read_bytes() == first.read_bytes()
+        return back
 
 
 @SETTINGS
 @given(table=market_tables)
 def test_markets_round_trip(table):
-    _round_trip(table, write_markets, load_markets, sorted(table, key=lambda m: m.market_id))
+    assert_same_markets(_round_trip(table, write_markets, load_markets), table)
 
 
 @SETTINGS
 @given(table=survey_tables)
 def test_survey_round_trip(table):
-    _round_trip(table, write_survey, load_survey, table)
+    assert _round_trip(table, write_survey, load_survey) == table
 
 
 @SETTINGS
 @given(table=hub_tables)
 def test_observed_usage_round_trip(table):
-    _round_trip(table, write_hub_records, load_hub_records, sorted(table, key=lambda r: r.hub_id))
+    assert _round_trip(table, write_hub_records, load_hub_records) == sorted(table, key=lambda r: r.hub_id)
 
 
 # column -> malformed tokens for it
-_MODE_NUMBERS = [f"{prefix}_{f}" for prefix, _, fields_ in _MODE_COLUMNS for f in fields_]
+_MODE_NUMBERS = [f"{prefix}_{f}" for prefix, _, fields_ in MARKET_MODE_COLUMNS for f in fields_]
 MARKET_FAULTS = {
     "od_id": ("",),
     "segment": ("", *BAD_SEGMENTS),
     **dict.fromkeys(MARKET_BASE_COLUMNS[2:], ("", *BAD_NUMBERS)),
     # an unavailable mode's numeric cells may be blank, never malformed
     **dict.fromkeys(_MODE_NUMBERS, BAD_NUMBERS),
-    **{f"{prefix}_available": ("", *BAD_FLAGS) for prefix, _, _ in _MODE_COLUMNS},
+    **{f"{prefix}_available": ("", *BAD_FLAGS) for prefix, _, _ in MARKET_MODE_COLUMNS},
     **dict.fromkeys(TASTE_FIELDS, ("", *BAD_NUMBERS)),
 }
 SURVEY_FAULTS = {
@@ -192,7 +197,7 @@ def _plant_fault(data, records, write, load, header, faults):
 @SETTINGS
 @given(table=market_tables, data=st.data())
 def test_malformed_market_cell_names_file_row_and_column(table, data):
-    _plant_fault(data, table, write_markets, load_markets, market_columns(), MARKET_FAULTS)
+    _plant_fault(data, table, write_markets, load_markets, MARKET_COLUMNS, MARKET_FAULTS)
 
 
 @SETTINGS
