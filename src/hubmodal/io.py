@@ -6,17 +6,31 @@ repr (shortest round-trip form), so loading and re-emitting a file is
 lossless; every writer goes through a temp-file-then-rename so readers
 never observe a partial file.
 
-Every CSV file is read by one parser with one set of rules.  A column
-the file needs must be in the header; optional columns are read when
-present, others ignored.  Blank lines are skipped but counted, so an
-error's row is the file line (the header is line 1).  A row short of a
-column read is an error (``missing cell``).  Cells are converted column
-by column, numbers in bulk, and the first bad cell in row then column
-order raises ParseError naming the file, row and column: numbers must be
-finite, flags 0 or 1, keys and labels non-blank, and number cells
-non-blank unless a rule below allows it.  Record checks (coordinates,
-beta_cost sign, joins, duplicate keys) then name the first faulty row
-and its column the same way; MarketTable runs the markets' own rules.
+Every CSV file is read by one parser with one set of rules, those of
+the csv module: a leading byte-order mark is dropped, lines may end in
+LF or CRLF, and a quoted cell may hold commas, quotes and line breaks.
+A column the file needs must be in the header, and a column read must
+not be named twice; optional columns are read when present, others
+ignored.  Blank lines are skipped but counted, so an error's row is the
+file line (the header is line 1).  A row short of a column read is an
+error (``missing cell``).  Cells are converted column by column, numbers
+in bulk, and the first bad cell in row then column order raises
+ParseError naming the file, row and column: numbers must be finite,
+flags 0 or 1, keys and labels non-blank, and number cells non-blank
+unless a rule below allows it.  Record checks (coordinates, beta_cost
+sign, joins, duplicate keys) then name the first faulty row and its
+column the same way; MarketTable runs the markets' own rules.
+
+The parser reads a file in batches of lines.  A batch goes to numpy's C
+reader (``np.loadtxt``): numbers come back as float64 arrays, and text
+cells are converted once per distinct value.  A batch that reader could
+read otherwise than the csv module (a literal nan or inf, a
+whitespace-only or ``1_000`` number, a ragged row, a lone CR, a NUL)
+goes to csv.reader instead, the only path that names a bad cell; from
+the first batch holding a quote, csv.reader reads the rest of the file.
+The two paths give the same values bit for bit.  Writers quote a text
+cell holding a comma, a quote or a line break as the csv module does,
+so what they write reads back.
 
 Markets columns, in order: od_id, segment, o_lat, o_lon, d_lat, d_lon,
 trips_per_day, driving_miles, the per-mode attribute columns, the twelve
@@ -48,6 +62,7 @@ import os
 import tempfile
 from collections import defaultdict
 from dataclasses import dataclass
+from io import StringIO
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -122,11 +137,28 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     return path
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as a CSV cell: quoted, inner quotes doubled, when it holds
+    a comma, a quote or a line break, as the csv module writes it."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    """Header and rows of ``fmt`` cells.  One check over the finished text
+    finds whether any cell holds a comma, a quote or a line break; only
+    then is the text built again with such cells quoted."""
+    rows = list(rows)
+
+    def render(cell: Callable) -> str:
+        return "\n".join([",".join(header), *(",".join(map(cell, row)) for row in rows)]) + "\n"
+
+    text = render(fmt)
+    commas = len(header) - 1 + sum(map(len, rows)) - len(rows)
+    if '"' in text or "\r" in text or text.count("\n") > len(rows) + 1 or text.count(",") > commas:
+        text = render(lambda value: _csv_cell(fmt(value)))
+    return atomic_write_text(path, text)
 
 
 def write_json(path: str | Path, obj) -> Path:
@@ -145,9 +177,19 @@ def sha256_digest(path: str | Path) -> str:
 # the CSV reader
 # ----------------------------------------------------------------------
 
-# Records parsed per batch: a batch's cell strings are dropped once its
-# columns are converted, so the strings held at once stay bounded.
+# Characters read per batch, which then runs on to the end of its last
+# line: a batch's text and cells are dropped once its columns are
+# converted, so what is held at once stays bounded.
+_BATCH_CHARS = 1 << 17
+# Records per batch once the csv module reads the rest of a file.
 _BATCH_ROWS = 2048
+# numpy's parser rejects an empty number, so a blank cell is rewritten to
+# this text; it reads back as NaN in a number column and as itself in a
+# text column.
+_BLANK = "nan"
+# Characters numpy keeps of a text cell at first; a batch holding a
+# longer cell is parsed again with room for it.
+_TEXT_WIDTH = 16
 
 _LEG_MODE_CODES = {mode.value: i for i, mode in enumerate(LEG_MODE_ORDER)}
 
@@ -176,6 +218,9 @@ def _required_number_cell(text: str) -> float:
 def _number_cell(text: str) -> float:
     """A finite number; NaN for a blank cell."""
     return _required_number_cell(text) if text.strip() else math.nan
+
+
+_NUMBER_CELLS = (_number_cell, _required_number_cell)
 
 
 def _flag_cell(text: str) -> bool:
@@ -211,7 +256,7 @@ def _record_line(path: str | Path, index: int) -> int:
     """File line of the ``index``-th (0-based) non-blank record after the
     header.  The reader counts records, not lines; only error paths call
     this, re-reading the file to name the line."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         next(itertools.islice(filter(None, reader), index, None))
@@ -256,7 +301,7 @@ def _convert_batch(path, first: int, rows: list[list[str]], read: Mapping[str, t
     bad_cell = None  # (row index, column, why)
     for name, (pick, convert) in read.items():
         cells = columns[pick]
-        number = convert is _number_cell or convert is _required_number_cell
+        number = convert in _NUMBER_CELLS
         column = _float_column(cells, convert is _number_cell) if number else None
         if column is None:
             values = dict.fromkeys(cells)
@@ -282,11 +327,106 @@ def _convert_batch(path, first: int, rows: list[list[str]], read: Mapping[str, t
     return out
 
 
+def _exact_batch(path, first: int, rows: list[list[str]], read: Mapping[str, tuple[int, Callable]]) -> dict:
+    """``_convert_batch`` of ``rows``, csv records ``first`` onward with
+    blank lines dropped, after a short row has raised naming its first
+    missing cell."""
+    width = max(pick for pick, _ in read.values()) + 1
+    if min(map(len, rows)) < width:
+        short = next(i for i, r in enumerate(rows) if len(r) < width)
+        if short:  # a bad cell in an earlier row comes first
+            _convert_batch(path, first, rows[:short], read)
+        missing = next(col for col, (pick, _) in read.items() if pick >= len(rows[short]))
+        raise _row_error(path, first + short, missing, "missing cell")
+    return _convert_batch(path, first, rows, read)
+
+
+def _blank_cells(text: str) -> np.ndarray:
+    """Offsets in ``text`` of the blank cells that follow a comma.  (A
+    blank first cell needs no rewrite: numpy reads it as an empty text, or
+    rejects it as a number.)"""
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), np.uint8)
+    else:  # one code per character, so offsets stay string offsets
+        codes = np.frombuffer(text.encode("utf-32-le"), np.uint32)
+    comma = codes == 44
+    cell_end = comma | (codes == 10) | (codes == 13)
+    return np.flatnonzero(comma[:-1] & cell_end[1:]) + 1
+
+
+def _convert_distinct(cells: np.ndarray, convert: Callable) -> np.ndarray | list | None:
+    """A text column converted once per distinct cell (``_BLANK`` standing
+    for a blank one): an int64 array when every value is an int code,
+    else a list.  None when a cell does not convert."""
+    distinct, inverse = np.unique(cells, return_inverse=True)
+    try:
+        values = [convert("" if text == _BLANK else text) for text in distinct.tolist()]
+    except ValueError:
+        return None
+    inverse = inverse.ravel()
+    if all(type(v) is int for v in values):
+        return np.array(values, np.int64)[inverse]
+    return list(map(values.__getitem__, inverse.tolist()))
+
+
+def _parse_batch(text: str, numbers: Sequence[bool], read: Mapping[str, tuple[int, Callable]], width: int):
+    """The C path: ``text``, whole lines with no quote, tokenized by
+    ``np.loadtxt``, each header column a float64 field where ``numbers``
+    says so and a text field of ``width`` characters (widened as needed)
+    otherwise.  Returns (each ``read`` column as ``_convert_batch`` gives
+    it, records, text width), or None when the batch must go the exact
+    path (csv.reader and ``_convert_batch``), the only one that names a
+    faulty cell.
+
+    Both readers skip blank lines.  Blank cells are rewritten to
+    ``_BLANK`` first.  numpy then rejects every row whose cells do not
+    match the header one for one, and every number it does not read
+    (``1_000``, a whitespace-only cell, a lone CR inside a line).  The
+    batch is taken only when the NaN numbers and ``_BLANK`` texts number
+    the rewrites, so that no cell spelled a NaN or ``_BLANK`` itself, and
+    no number is infinite or a blank required number."""
+    if "\x00" in text or text.isspace():  # numpy cuts a NUL off a text cell
+        return None
+    blanks = _blank_cells(text)
+    if len(blanks):
+        bounds = [0, *blanks.tolist(), len(text)]
+        text = _BLANK.join([text[i:j] for i, j in zip(bounds, bounds[1:])])
+    lines = text.split("\n")  # numpy takes a CR left at a line's end as its end
+    while True:
+        dtype = [(str(i), float if number else f"U{width}") for i, number in enumerate(numbers)]
+        try:
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+        except ValueError:
+            return None
+        texts = [table[str(i)] for i, number in enumerate(numbers) if not number]
+        if all(np.char.str_len(cells).max(initial=0) < width for cells in texts):
+            break
+        width *= 4  # a cell may have been cut short
+    floats = [table[str(i)] for i, number in enumerate(numbers) if number]
+    if any(np.isinf(cells).any() for cells in floats):
+        return None
+    if sum(np.isnan(cells).sum() for cells in floats) + sum((cells == _BLANK).sum() for cells in texts) != len(blanks):
+        return None
+    out = {}
+    for name, (pick, convert) in read.items():
+        cells = table[str(pick)]
+        if not numbers[pick]:
+            cells = _convert_distinct(cells, convert)
+        elif convert is _required_number_cell and np.isnan(cells).any():
+            cells = None
+        if cells is None:
+            return None
+        out[name] = cells
+    return out, len(table), width
+
+
 def _read_batches(path: str | Path, columns: Mapping[str, Callable], optional: Mapping | None = None) -> Iterator[dict]:
-    """The file's records in batches, each converted by ``_convert_batch``:
-    every column of ``columns`` (name: converter) and each of ``optional``
-    that the header has, in that order."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    """The file's records in batches, each holding every column of
+    ``columns`` (name: converter) and each of ``optional`` that the
+    header has, in that order, as ``_convert_batch`` gives them.  A batch
+    goes through ``_parse_batch`` when it can, else through csv.reader;
+    from the first batch holding a quote, csv.reader reads the rest."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -296,18 +436,34 @@ def _read_batches(path: str | Path, columns: Mapping[str, Callable], optional: M
             if col not in where:
                 raise ParseError(f"{path}: missing column '{col}'")
         read = {col: (where[col], f) for col, f in [*columns.items(), *(optional or {}).items()] if col in where}
-        width = max(pick for pick, _ in read.values()) + 1
+        for col in read:
+            if header.count(col) > 1:
+                raise ParseError(f"{path}: column '{col}' appears twice in the header")
+        numbers = [False] * len(header)
+        for pick, convert in read.values():
+            numbers[pick] = convert in _NUMBER_CELLS
+        width = _TEXT_WIDTH
         first = 0  # records before this batch, which error paths map to lines
+        while text := fh.read(_BATCH_CHARS):
+            text += fh.readline()  # end the batch at a line end
+            if '"' in text:
+                # A quoted cell may span lines; every line before is one record.
+                reader = csv.reader(itertools.chain(StringIO(text, newline=""), fh))
+                break
+            parsed = _parse_batch(text, numbers, read, width)
+            if parsed:
+                batch, records, width = parsed
+                yield batch
+            else:
+                rows = list(filter(None, csv.reader(StringIO(text, newline=""))))  # blank lines are skipped
+                if rows:
+                    yield _exact_batch(path, first, rows, read)
+                records = len(rows)
+            first += records
         while raw := list(itertools.islice(reader, _BATCH_ROWS)):
-            rows = list(filter(None, raw))  # blank lines are skipped
-            if rows and min(map(len, rows)) < width:
-                short = next(i for i, r in enumerate(rows) if len(r) < width)
-                if short:  # a bad cell in an earlier row comes first
-                    _convert_batch(path, first, rows[:short], read)
-                missing = next(col for col, (pick, _) in read.items() if pick >= len(rows[short]))
-                raise _row_error(path, first + short, missing, "missing cell")
+            rows = list(filter(None, raw))
             if rows:
-                yield _convert_batch(path, first, rows, read)
+                yield _exact_batch(path, first, rows, read)
             first += len(rows)
 
 
@@ -612,10 +768,12 @@ def _raise_repeated_key(zone_ids, hub_ids, zone, hub, mode, row_files) -> None:
 
 def write_matrices(matrices: LegMatrices, path: str | Path) -> Path:
     """Rows in (zone, hub, mode name) order; an absent direction is five
-    blank cells and unknown miles one."""
+    blank cells and unknown miles one.  Zone and hub ids are quoted as
+    ``write_csv`` quotes a cell, once per id."""
+    zone_ids, hub_ids = ([_csv_cell(i) for i in ids] for ids in (matrices.zone_ids, matrices.hub_ids))
     columns = [
-        list(map(matrices.zone_ids.__getitem__, matrices.zone.tolist())),
-        list(map(matrices.hub_ids.__getitem__, matrices.hub.tolist())),
+        list(map(zone_ids.__getitem__, matrices.zone.tolist())),
+        list(map(hub_ids.__getitem__, matrices.hub.tolist())),
         [LEG_MODE_ORDER[c].value for c in matrices.mode.tolist()],
     ]
     for block in matrices.legs:

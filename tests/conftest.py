@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import hubmodal.io
 from hubmodal import (
     ComboId,
     FareTable,
@@ -22,6 +23,7 @@ from hubmodal import (
     MarketTable,
     Mode,
     ModeAttr,
+    ParseError,
     Segment,
     TasteVector,
 )
@@ -188,3 +190,111 @@ def random_point(rng: np.random.Generator, spread: float = 0.08) -> GeoPoint:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def snapshot(value):
+    """A picture of a loaded value that compares equal exactly when the
+    values do, NaN and signed zeros included: arrays by dtype, shape and
+    bytes, stores and tables by their fields, anything else by repr."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, dict):
+        return {k: snapshot(v) for k, v in value.items()}
+    if isinstance(value, (LegMatrices, MarketTable)):
+        return snapshot(vars(value))
+    return repr(value)
+
+
+def load_both(load, path, batch_chars: int) -> tuple:
+    """The snapshot of ``load(path)``, or its ParseError text, read in
+    batches of ``batch_chars`` characters: first as the loader reads it,
+    then with every batch sent to the exact path (csv.reader), which the
+    first must match."""
+
+    def attempt():
+        try:
+            return snapshot(load(path))
+        except ParseError as err:
+            return f"ParseError: {err}"
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hubmodal.io, "_BATCH_CHARS", batch_chars)
+        fast = attempt()
+        mp.setattr(hubmodal.io, "_parse_batch", lambda *args: None)
+        return fast, attempt()
+
+
+# Irregular input that numpy's reader could take otherwise than
+# csv.reader does; plant_irregular puts one in a file.
+IRREGULAR = (
+    "none",
+    "padded_number",
+    "blank_number",
+    "space_number",
+    "padded_key",
+    "long_key",
+    "unicode_key",
+    "underscore_number",
+    "nan_number",
+    "inf_number",
+    "huge_number",
+    "hash_key",
+    "nul_key",
+    "quoted_comma_key",
+    "late_quote",
+    "crlf",
+    "cr",
+    "blank_line",
+    "short_row",
+    "extra_cells",
+    "blank_key",
+    "nan_key",
+    "blank_key_beside_nan",
+)
+_CELL_PLANTS = {
+    "padded_number": ("number", lambda text: f" {text} "),
+    "blank_number": ("number", lambda text: ""),
+    "space_number": ("number", lambda text: " "),
+    "padded_key": ("key", lambda text: f"  {text}\t"),
+    "long_key": ("key", lambda text: text * 20 + "-x"),
+    "unicode_key": ("key", lambda text: f"{text}\u00e9\u20ac"),
+    "underscore_number": ("number", lambda text: "1_000"),
+    "nan_number": ("number", lambda text: "nan"),
+    "inf_number": ("number", lambda text: "-inf"),
+    "huge_number": ("number", lambda text: "1e999"),
+    "hash_key": ("key", lambda text: f"#{text}"),
+    "nul_key": ("key", lambda text: f"{text}\x00"),
+    "quoted_comma_key": ("key", lambda text: f'"{text},q"'),
+    "blank_key": ("key", lambda text: ""),
+    "nan_key": ("key", lambda text: "nan"),
+}
+
+
+def plant_irregular(text: str, kind: str, line: int, key: int, number: int) -> str:
+    """``text``, a CSV file of one-line records with no quote, with
+    ``kind`` planted at line ``line`` (0 is the header) in cell ``key`` or
+    ``number``, a text and a number column of the file."""
+    lines = text.splitlines()
+    cells = lines[line].split(",")
+    if kind in _CELL_PLANTS:
+        column, plant = _CELL_PLANTS[kind]
+        pick = key if column == "key" else number
+        cells[pick] = plant(cells[pick])
+    elif kind == "short_row":
+        cells = cells[: max(key, number)]
+    elif kind == "extra_cells":
+        cells += ["x", ""]
+    elif kind == "blank_key_beside_nan":
+        cells[key] = ""
+    lines[line] = ",".join(cells)
+    if kind == "blank_key_beside_nan":  # a literal nan on the last line, maybe this one
+        last = lines[-1].split(",")
+        last[number] = "nan"
+        lines[-1] = ",".join(last)
+    elif kind == "late_quote":  # the last line's first cell quoted
+        first, rest = lines[-1].split(",", 1)
+        lines[-1] = f'"{first}",{rest}'
+    elif kind == "blank_line":
+        lines.insert(line, "")
+    end = {"crlf": "\r\n", "cr": "\r"}.get(kind, "\n")
+    return end.join(lines) + end

@@ -6,6 +6,8 @@ fixture in a temp directory.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import re
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_same_markets, full_attrs, make_market, make_taste
+from conftest import assert_same_markets, full_attrs, load_both, make_market, make_taste, snapshot
 
 from hubmodal import (
     FareTable,
@@ -53,6 +55,7 @@ from hubmodal import (
     write_stops,
     write_survey,
 )
+import hubmodal.io
 from hubmodal.cli import main
 from hubmodal.hubs import MARKET_MODE_COLUMNS, MarketError, MarketTable
 from hubmodal.io import MATRIX_COLUMNS
@@ -90,6 +93,51 @@ def test_markets_round_trip(tmp_path):
     back = load_markets(path)
     assert back.ids == tuple(sorted(m.market_id for m in markets))
     assert_same_markets(back, markets)
+
+
+# ids holding a comma, a quote or a line break: written quoted, as the
+# csv module quotes them, and read back whole
+AWKWARD_IDS = ("od,0000", 'od"1"', "od\n2", "od\r3", 'a,"b"\r\nc')
+
+
+def test_markets_round_trip_quotes_awkward_ids(tmp_path):
+    markets = [make_market(od_id=od_id) for od_id in AWKWARD_IDS]
+    path = tmp_path / "markets.csv"
+    write_markets(markets, path)
+    assert '"od,0000"' in path.read_text() and '"od""1"""' in path.read_text()
+    back = load_markets(path)
+    assert_same_markets(back, markets)
+    again = tmp_path / "again.csv"
+    write_markets(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_matrices_round_trip_quotes_awkward_ids(tmp_path):
+    matrices = LegMatrices()
+    for zone, hub in zip(AWKWARD_IDS, reversed(AWKWARD_IDS)):
+        matrices.add(zone, hub, Mode.BUS, LegTimes(5.0, 1.0, 2.0, 0.0, 3.5), None)
+    path = tmp_path / "m.csv"
+    write_matrices(matrices, path)
+    back = load_matrices([path])
+    assert back.entries == matrices.entries
+    again = tmp_path / "again.csv"
+    write_matrices(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _csv_module_cell(text: str) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerow([text])  # the default dialect, CRLF line ends
+    return out.getvalue()[:-2]
+
+
+def test_csv_cells_are_quoted_as_the_csv_module_quotes_them(tmp_path):
+    path = tmp_path / "stops.csv"
+    stops = [StopRecord(stop_id, GeoPoint(42.1, -73.2)) for stop_id in ("s0", *AWKWARD_IDS)]
+    write_stops(stops, path)
+    lines = ["stop_id,lat,lon", *(f"{_csv_module_cell(s.stop_id)},42.1,-73.2" for s in stops)]
+    assert path.read_bytes().decode() == "\n".join(lines) + "\n"
+    assert load_stops(path) == stops
 
 
 def test_markets_header_only_is_empty(tmp_path):
@@ -171,6 +219,16 @@ def test_markets_rules_name_row_and_column(tmp_path, cells, error):
     _write_two_markets(path, **cells)
     with pytest.raises(ParseError, match=rf"^{re.escape(str(path))} row 3: {error}$"):
         load_markets(path)
+
+
+def test_blank_zone_beside_literal_nan_is_the_exact_paths_error(tmp_path):
+    # Rewritten for numpy, the blank d_zone reads "nan" beside the literal
+    # nan of an unavailable mode: a count of NaN numbers alone would match
+    # the one rewrite and take the literal for a blank.
+    path = tmp_path / "markets.csv"
+    _write_two_markets(path, biking_available="0", biking_ivt_min="nan", d_zone="")
+    fast, exact = load_both(load_markets, path, 1 << 17)
+    assert fast == exact == f"ParseError: {path} row 3: non-finite number 'nan' in column 'biking_ivt_min'"
 
 
 def test_markets_first_faulty_row_in_input_order(tmp_path):
@@ -449,6 +507,73 @@ def test_matrices_error_row_counts_blank_lines_across_batches(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=rf"row {len(lines) - 1}: malformed number 'x' in column 'from_hub_miles'$"):
         load_matrices([path])
+
+
+def _fixture_csv(fixture_dir: Path, tmp_path: Path, name: str) -> Path:
+    """A CSV file of the generated fixture; a taste-parameters file is cut
+    from its markets file."""
+    if name != "taste.csv":
+        return fixture_dir / name
+    with open(fixture_dir / "markets.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    path = tmp_path / name
+    columns = ["od_id", "segment", *TASTE_FIELDS]
+    path.write_text("\n".join(",".join(row) for row in [columns, *([r[c] for c in columns] for r in rows)]) + "\n")
+    return path
+
+
+FIXTURE_LOADERS = {
+    "markets.csv": load_markets,
+    "taste.csv": load_taste_parameters,
+    "survey.csv": load_survey,
+    "stops.csv": load_stops,
+    "pr_lots.csv": load_pr_lots,
+    "matrices.csv": lambda p: load_matrices([p]),
+    "observed_usage.csv": load_hub_records,
+}
+
+
+@pytest.mark.parametrize("name", list(FIXTURE_LOADERS))
+def test_every_csv_loader_reads_a_byte_order_mark(fixture_dir, tmp_path, name):
+    # what spreadsheet "CSV UTF-8" exports write
+    load = FIXTURE_LOADERS[name]
+    original = _fixture_csv(fixture_dir, tmp_path, name)
+    marked = tmp_path / f"bom-{name}"
+    marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    assert snapshot(load(marked)) == snapshot(load(original))
+
+
+@pytest.mark.parametrize(
+    "load, header, row, column",
+    [
+        (load_stops, "stop_id,lat,lon,lat", "s1,42.6,-73.7,42.7", "lat"),
+        (lambda p: load_matrices([p]), MATRIX_HEADER + ",hub_id", "z1,h1,bus,5.0,,,,,,,,,,h2", "hub_id"),
+    ],
+    ids=["stops", "matrices"],
+)
+def test_column_named_twice_in_the_header_is_an_error(tmp_path, load, header, row, column):
+    path = tmp_path / "t.csv"
+    path.write_text(f"{header}\n{row}\n")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: column '{column}' appears twice in the header$"):
+        load(path)
+
+
+def test_generated_csv_files_never_take_the_exact_path(tmp_path, monkeypatch):
+    # the quick-start fixture and the 1,000-market x 100-candidate one,
+    # each file also as a Windows export (CRLF line ends and a byte-order
+    # mark), which must read alike
+    exact = []
+    exact_batch = hubmodal.io._exact_batch
+    monkeypatch.setattr(hubmodal.io, "_exact_batch", lambda path, *args: exact.append(path) or exact_batch(path, *args))
+    for seed, size in (("7", []), ("11", ["--od-pairs", "250", "--stops", "100", "--pr-lots", "5"])):
+        out = tmp_path / seed
+        assert main(["gen-fixture", "--seed", seed, *size, "--out-dir", str(out)]) == 0
+        for name, load in FIXTURE_LOADERS.items():
+            path = _fixture_csv(out, tmp_path, name)
+            windows = tmp_path / f"windows-{name}"
+            windows.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", b"\r\n"))
+            assert snapshot(load(windows)) == snapshot(load(path))
+    assert exact == []
 
 
 def test_matrices_rewrite_generated_fixture_byte_for_byte(fixture_dir, tmp_path):

@@ -5,7 +5,10 @@ Valid tables written by ``write_markets``, ``write_survey`` and
 MarketTable) and re-write to the same bytes.  One malformed cell planted
 in such a table (a bad number, a bad 0/1 flag, an unknown segment or leg
 mode, an empty required cell) makes the loader raise ``ParseError``
-naming the file, the row and the column of that cell.
+naming the file, the row and the column of that cell.  Irregular input
+planted in such a table (padding, literal NaN or infinity, quotes, CRLF,
+blank lines, ragged rows, blank or ``nan`` keys) loads to the same value,
+or the same error, as when every batch goes through csv.reader.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_markets
+from conftest import IRREGULAR, assert_same_markets, load_both, plant_irregular
 from hubmodal import (
     TASTE_FIELDS,
     GeoPoint,
@@ -210,3 +213,43 @@ def test_malformed_survey_cell_names_file_row_and_column(table, data):
 @given(table=hub_tables, data=st.data())
 def test_malformed_observed_usage_cell_names_file_row_and_column(table, data):
     _plant_fault(data, table, write_hub_records, load_hub_records, HUB_RECORD_COLUMNS, HUB_FAULTS)
+
+
+# text columns, then number columns, to plant irregular input in
+_MARKET_TEXT = ["od_id", "segment", *(f"{prefix}_available" for prefix, _, _ in MARKET_MODE_COLUMNS), "o_zone", "d_zone"]
+MARKET_CELLS = (_MARKET_TEXT, [c for c in MARKET_COLUMNS if c not in _MARKET_TEXT])
+SURVEY_CELLS = (["hub_id", "entry_mode", "exit_mode", "segment", "complete"], list(SURVEY_COLUMNS[1:5]))
+HUB_CELLS = (["hub_id", "car_share_available", "bike_share_available"], ["lat", "lon", *HUB_RECORD_COLUMNS[5:]])
+
+
+def _plant_irregular(data, records, write, load, header, cells):
+    text_columns, number_columns = cells
+    kind = data.draw(st.sampled_from(IRREGULAR))
+    key = list(header).index(data.draw(st.sampled_from(text_columns)))
+    number = list(header).index(data.draw(st.sampled_from(number_columns)))
+    line = data.draw(st.integers(1, len(records)))
+    batch_chars = data.draw(st.sampled_from((64, 1 << 17)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write(records, path)
+        path.write_bytes(plant_irregular(path.read_text(), kind, line, key, number).encode())
+        fast, exact = load_both(load, path, batch_chars)
+        assert fast == exact
+
+
+@SETTINGS
+@given(table=market_tables, data=st.data())
+def test_irregular_market_input_reads_as_csv_reader_reads_it(table, data):
+    _plant_irregular(data, table, write_markets, load_markets, MARKET_COLUMNS, MARKET_CELLS)
+
+
+@SETTINGS
+@given(table=survey_tables, data=st.data())
+def test_irregular_survey_input_reads_as_csv_reader_reads_it(table, data):
+    _plant_irregular(data, table, write_survey, load_survey, SURVEY_COLUMNS, SURVEY_CELLS)
+
+
+@SETTINGS
+@given(table=hub_tables, data=st.data())
+def test_irregular_observed_usage_input_reads_as_csv_reader_reads_it(table, data):
+    _plant_irregular(data, table, write_hub_records, load_hub_records, HUB_RECORD_COLUMNS, HUB_CELLS)

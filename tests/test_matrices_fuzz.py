@@ -5,7 +5,10 @@ and re-write to the same bytes.  One malformed cell planted in such a
 table (a bad number, ``nan``/``inf`` text, an unknown leg mode, an empty
 key cell, or a repeated key, within one file or across two) makes
 ``load_matrices`` raise ``ParseError`` naming the file, the row and the
-column of that cell.
+column of that cell.  Irregular input planted in such a table (padding,
+literal NaN or infinity, quotes, CRLF, blank lines, ragged rows, blank
+or ``nan`` keys) loads to the same store, or the same error, as when
+every batch goes through csv.reader.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import IRREGULAR, load_both, plant_irregular
 from hubmodal import LegMatrices, LegTimes, Mode, ParseError, load_matrices, write_matrices
 from hubmodal.choice import LEG_MODES
 from hubmodal.io import MATRIX_COLUMNS
@@ -119,3 +123,20 @@ def test_repeated_key_names_the_later_row(table, data):
             path, row = paths[1], later - split + 2
         with pytest.raises(ParseError, match=_error_pattern(path, row, "zone_id")):
             load_matrices(paths)
+
+
+@SETTINGS
+@given(table=tables, data=st.data())
+def test_irregular_input_reads_as_csv_reader_reads_it(table, data):
+    kind = data.draw(st.sampled_from(IRREGULAR))
+    key = data.draw(st.integers(0, 2))
+    number = data.draw(st.integers(3, len(MATRIX_COLUMNS) - 1))
+    line = data.draw(st.integers(1, len(table)))
+    batch_chars = data.draw(st.sampled_from((64, 1 << 17)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        write_matrices(_build(table), path)
+        path.write_bytes(plant_irregular(path.read_text(), kind, line, key, number).encode())
+        fast, exact = load_both(lambda p: load_matrices([p]), path, batch_chars)
+        assert fast == exact
+
