@@ -209,10 +209,7 @@ def _params_dict(params: HubParams) -> dict:
 
 
 def _read_params(path: str | Path) -> HubParams:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: params file must be a JSON object")
+    data = io.read_json(path, "params file")
     node = data.get("params", data)
     try:
         return HubParams(

@@ -8,7 +8,6 @@ defaults.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -81,11 +80,9 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: config must be a JSON object")
-        return cls.from_dict(data)
+        from .io import read_json  # deferred: io imports this module, through siting
+
+        return cls.from_dict(read_json(path, "config"))
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -117,11 +114,10 @@ class Manifest:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "Manifest":
+        from .io import read_json  # deferred: io imports this module, through siting
+
         path = Path(path)
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: manifest must be a JSON object")
+        data = read_json(path, "manifest")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"{path}: unknown manifest keys: {unknown}")

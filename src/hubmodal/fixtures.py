@@ -15,15 +15,17 @@ must treat a missing leg as unavailable rather than free.
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 
 import numpy as np
 
-from .choice import SEGMENTS, ComboId, Market, Mode, ModeAttr, TasteVector
+from .choice import MAIN_MODES, SEGMENTS, ComboId, Mode
 from .config import PipelineConfig
 from .geo import MILES_PER_KM, GeoPoint, haversine_km
-from .hubs import CAR_SHARE_PROFILE_COMBOS, LEG_MODE_ORDER, STANDARD_PROFILE_COMBOS, LegMatrices, SurveyRecord
+from .hubs import ATTR_FIELDS, CAR_SHARE_PROFILE_COMBOS, LEG_MODE_ORDER, STANDARD_PROFILE_COMBOS, FareTable
+from .hubs import LegMatrices, MarketTable, SurveyRecord
 from .io import (
     HubRecord,
     write_fares,
@@ -35,7 +37,6 @@ from .io import (
     write_stops,
     write_survey,
 )
-from .hubs import FareTable
 from .siting import StopRecord, assign_services, cluster_stops
 
 _CENTER_LAT = 42.652
@@ -75,10 +76,10 @@ def _offset(point: GeoPoint, dist_m: float, bearing_rad: float) -> GeoPoint:
     return GeoPoint(lat=point.lat + dlat, lon=point.lon + dlon)
 
 
-def _box_point(rng: np.random.Generator) -> GeoPoint:
-    return GeoPoint(
-        lat=_CENTER_LAT + float(rng.uniform(-_HALF_LAT, _HALF_LAT)),
-        lon=_CENTER_LON + float(rng.uniform(-_HALF_LON, _HALF_LON)),
+def _box_point(rng: np.random.Generator) -> tuple[float, float]:
+    return (
+        _CENTER_LAT + float(rng.uniform(-_HALF_LAT, _HALF_LAT)),
+        _CENTER_LON + float(rng.uniform(-_HALF_LON, _HALF_LON)),
     )
 
 
@@ -99,7 +100,7 @@ def _make_stops(rng: np.random.Generator, n: int) -> list[StopRecord]:
         return stops
     n_sat = n // 3
     n_anchor = n - n_sat
-    anchors = [_box_point(rng) for _ in range(n_anchor)]
+    anchors = [GeoPoint(*_box_point(rng)) for _ in range(n_anchor)]
     for i, pt in enumerate(anchors):
         stops.append(StopRecord(stop_id=f"s{i:04d}", location=pt))
     for j in range(n_sat):
@@ -109,82 +110,78 @@ def _make_stops(rng: np.random.Generator, n: int) -> list[StopRecord]:
     return stops
 
 
-def _taste_for(rng: np.random.Generator, segment) -> TasteVector:
-    values = dict(_BASE_TASTE)
-    values.update(_SEGMENT_TILT[segment.value])
-    out = {}
-    for name, base in values.items():
-        if name.startswith("beta"):
-            out[name] = round(base * float(rng.uniform(0.85, 1.15)), 6)
-        else:
-            out[name] = round(base + float(rng.uniform(-0.3, 0.3)), 6)
-    return TasteVector(**out)
+# Each segment's taste bases, in _BASE_TASTE order, the order of its
+# draws: a beta is its base times U(0.85, 1.15), a constant its base plus
+# U(-0.3, 0.3).
+_TASTE_BASES = [
+    np.array([{**_BASE_TASTE, **_SEGMENT_TILT[seg.value]}[name] for name in _BASE_TASTE]) for seg in SEGMENTS
+]
+_BETA = np.array([name.startswith("beta") for name in _BASE_TASTE])
+_TASTE_LOW, _TASTE_HIGH = np.where(_BETA, 0.85, -0.3), np.where(_BETA, 1.15, 0.3)
 
 
-def _make_markets(rng: np.random.Generator, n_od: int) -> list[Market]:
-    markets = []
+def _make_markets(rng: np.random.Generator, n_od: int) -> MarketTable:
+    """``n_od`` OD pairs of one market per segment, drawn in (OD pair,
+    segment) order straight into MarketTable columns.  The destination's
+    rejection loop and the lognormal trips take a variable number of
+    draws, so the pairs are drawn one at a time."""
+    n_seg = len(SEGMENTS)
+    points, drive_miles = np.empty((n_od, 4)), np.empty(n_od)  # o_lat, o_lon, d_lat, d_lon
+    attrs = {f: np.zeros((n_od, len(MAIN_MODES))) for f in ATTR_FIELDS}
+    available = np.zeros((n_od, len(MAIN_MODES)), dtype=bool)
+    trips = np.empty(n_od * n_seg)
+    tastes = np.empty((n_od * n_seg, len(_BASE_TASTE)))
+
+    def mode(i: int, j: int, **values: float) -> None:  # j indexes MAIN_MODES
+        available[i, j] = True
+        for f, value in values.items():
+            attrs[f][i, j] = value
+
     for i in range(n_od):
-        od_id = f"od{i:04d}"
         origin = _box_point(rng)
         destination = _box_point(rng)
         for _ in range(50):
-            if haversine_km(origin.lat, origin.lon, destination.lat, destination.lon) >= 1.2:
+            if haversine_km(*origin, *destination) >= 1.2:
                 break
             destination = _box_point(rng)
-        gc_mi = float(haversine_km(origin.lat, origin.lon, destination.lat, destination.lon)) * MILES_PER_KM
+        points[i] = (*origin, *destination)
+        gc_mi = float(haversine_km(*origin, *destination)) * MILES_PER_KM
         drive_mi = round(gc_mi * 1.3 * (1.0 + float(rng.uniform(0.0, 0.12))), 3)
         drive_min = round(drive_mi / 28.0 * 60.0 + float(rng.uniform(2.0, 6.0)), 2)
         drive_cost = round(drive_mi * 0.20 + float(rng.uniform(0.0, 3.0)), 2)
-
-        attrs: dict[Mode, ModeAttr] = {
-            Mode.DRIVING: ModeAttr(ivt_min=drive_min, cost_usd=drive_cost),
-        }
+        drive_miles[i] = drive_mi
+        mode(i, 0, ivt_min=drive_min, cost_usd=drive_cost)
         if rng.random() < 0.85:
             transfers = float(rng.integers(0, 3))
-            attrs[Mode.TRANSIT] = ModeAttr(
-                ivt_min=round(drive_min * float(rng.uniform(1.5, 2.2)), 2),
-                access_min=round(float(rng.uniform(4.0, 12.0)), 2),
-                egress_min=round(float(rng.uniform(3.0, 8.0)), 2),
-                transfers=transfers,
-                cost_usd=round(1.50 + 0.75 * transfers, 2),
+            mode(
+                i, 1, ivt_min=round(drive_min * float(rng.uniform(1.5, 2.2)), 2),
+                access_min=round(float(rng.uniform(4.0, 12.0)), 2), egress_min=round(float(rng.uniform(3.0, 8.0)), 2),
+                transfers=transfers, cost_usd=round(1.50 + 0.75 * transfers, 2),
             )
-        else:
-            attrs[Mode.TRANSIT] = ModeAttr(available=False)
         if rng.random() < 0.8:
-            attrs[Mode.ON_DEMAND_AUTO] = ModeAttr(
-                ivt_min=round(drive_min * float(rng.uniform(1.05, 1.25)), 2),
-                cost_usd=round(3.0 + 1.6 * drive_mi, 2),
-            )
-        else:
-            attrs[Mode.ON_DEMAND_AUTO] = ModeAttr(available=False)
+            ivt_min = round(drive_min * float(rng.uniform(1.05, 1.25)), 2)
+            mode(i, 2, ivt_min=ivt_min, cost_usd=round(3.0 + 1.6 * drive_mi, 2))
         if gc_mi <= 4.5:
-            attrs[Mode.BIKING] = ModeAttr(ivt_min=round(gc_mi * 1.35 / 11.0 * 60.0, 2))
-        else:
-            attrs[Mode.BIKING] = ModeAttr(available=False)
+            mode(i, 3, ivt_min=round(gc_mi * 1.35 / 11.0 * 60.0, 2))
         if gc_mi <= 2.2:
-            attrs[Mode.WALKING] = ModeAttr(ivt_min=round(gc_mi * 1.25 / 3.1 * 60.0, 2))
-        else:
-            attrs[Mode.WALKING] = ModeAttr(available=False)
-        attrs[Mode.CARPOOL] = ModeAttr(
-            ivt_min=round(drive_min * float(rng.uniform(1.1, 1.3)), 2),
-            cost_usd=round(drive_cost * 0.5, 2),
-        )
+            mode(i, 4, ivt_min=round(gc_mi * 1.25 / 3.1 * 60.0, 2))
+        mode(i, 5, ivt_min=round(drive_min * float(rng.uniform(1.1, 1.3)), 2), cost_usd=round(drive_cost * 0.5, 2))
 
-        for segment in SEGMENTS:
-            trips = round(max(0.5, float(rng.lognormal(2.5, 0.7))), 2)
-            markets.append(
-                Market(
-                    od_id=od_id,
-                    segment=segment,
-                    origin=origin,
-                    destination=destination,
-                    trips_per_day=trips,
-                    driving_miles=drive_mi,
-                    attrs=dict(attrs),
-                    taste=_taste_for(rng, segment),
-                )
-            )
-    return markets
+        for k, base in enumerate(_TASTE_BASES):
+            r = i * n_seg + k
+            trips[r] = round(max(0.5, float(rng.lognormal(2.5, 0.7))), 2)
+            u = rng.uniform(_TASTE_LOW, _TASTE_HIGH)  # one double per name, in order, as scalar calls draw them
+            # Python's round: np.round rounds some halfway values otherwise
+            tastes[r] = [round(v, 6) for v in np.where(_BETA, base * u, base + u).tolist()]
+
+    n = n_od * n_seg
+    per_market = functools.partial(np.repeat, repeats=n_seg, axis=0)  # an OD pair's values, once per segment
+    return MarketTable(
+        [f"od{i:04d}" for i in range(n_od) for _ in SEGMENTS], np.tile(np.arange(n_seg), n_od),
+        *per_market(points).T, trips, per_market(drive_miles),
+        attrs={f: per_market(column) for f, column in attrs.items()}, available=per_market(available),
+        taste=dict(zip(_BASE_TASTE, tastes.T)), o_zones=[""] * n, d_zones=[""] * n,
+    )
 
 
 def _survey_od(rng: np.random.Generator, hub: GeoPoint) -> tuple[GeoPoint, GeoPoint]:
@@ -239,14 +236,18 @@ def _make_survey(
 
 def _make_matrices(
     rng: np.random.Generator,
-    zones: dict[str, GeoPoint],
+    markets: MarketTable,
     hub_points: dict[str, GeoPoint],
     car_share_ids: set[str],
 ) -> LegMatrices:
-    zone_ids = sorted(zones)
+    # each market zone's point, the zones in id order
+    zlat, zlon = np.empty((2, len(markets.zone_ids)))
+    zlat[markets.o_zone_codes], zlon[markets.o_zone_codes] = markets.o_lat, markets.o_lon
+    zlat[markets.d_zone_codes], zlon[markets.d_zone_codes] = markets.d_lat, markets.d_lon
+    order = sorted(range(len(zlat)), key=markets.zone_ids.__getitem__)
+    zone_ids = [markets.zone_ids[z] for z in order]
+    zlat, zlon = zlat[order], zlon[order]
     hub_ids = sorted(hub_points)
-    zlat = np.array([zones[z].lat for z in zone_ids])
-    zlon = np.array([zones[z].lon for z in zone_ids])
     hlat = np.array([hub_points[h].lat for h in hub_ids])
     hlon = np.array([hub_points[h].lon for h in hub_ids])
     d = haversine_km(zlat[:, None], zlon[:, None], hlat[None, :], hlon[None, :])
@@ -278,26 +279,26 @@ def _make_matrices(
     mile_jit = {m: rng.uniform(0.98, 1.10, shape) for m in (Mode.CAR, Mode.CAR_SHARE, Mode.BUS)}
 
     zone_codes, hub_codes, mode_codes, blocks = [], [], [], []
-    zero, nan = np.zeros(shape), np.full(shape, np.nan)
     for mode in (Mode.BUS, Mode.CAR, Mode.CAR_SHARE, Mode.BIKE_SHARE, Mode.WALK_LEG):
-        zi, hi = np.nonzero(avail[mode] & ~dropped[mode])
-        base_min = d * circuity[mode] / speeds_kmh[mode] * 60.0
-        to_min = np.round(base_min * to_jit[mode], 2)
-        from_min = np.round(base_min * from_jit[mode], 2)
+        zi, hi = cell = np.nonzero(avail[mode] & ~dropped[mode])  # the rows kept, the only cells computed
+        km = d[cell]
+        base_min = km * circuity[mode] / speeds_kmh[mode] * 60.0
+        to_min = np.round(base_min * to_jit[mode][cell], 2)
+        from_min = np.round(base_min * from_jit[mode][cell], 2)
         if mode is Mode.BUS:
-            to_acc = np.round(bus_access + bus_wait_to * 0.3, 2)
-            to_egr = np.round(bus_egress, 2)
-            from_acc = np.round(bus_egress + bus_wait_from * 0.3, 2)
-            from_egr = np.round(bus_access * 0.8, 2)
-            miles = np.round(d * 1.25 * MILES_PER_KM * mile_jit[mode], 3)
-            to_cells = (to_min, to_acc, to_egr, bus_transfers, miles)
-            from_cells = (from_min, from_acc, from_egr, bus_transfers, miles)
+            access, egress, transfers = bus_access[cell], bus_egress[cell], bus_transfers[cell]
+            miles = np.round(km * 1.25 * MILES_PER_KM * mile_jit[mode][cell], 3)
+            to_acc, to_egr = np.round(access + bus_wait_to[cell] * 0.3, 2), np.round(egress, 2)
+            from_acc, from_egr = np.round(egress + bus_wait_from[cell] * 0.3, 2), np.round(access * 0.8, 2)
+            to_cells = (to_min, to_acc, to_egr, transfers, miles)
+            from_cells = (from_min, from_acc, from_egr, transfers, miles)
         else:
-            miles = np.round(d * 1.3 * MILES_PER_KM * mile_jit[mode], 3) if mode in mile_jit else nan
+            zero = np.zeros(len(km))
+            miles = np.round(km * 1.3 * MILES_PER_KM * mile_jit[mode][cell], 3) if mode in mile_jit else zero + np.nan
             to_cells = (to_min, zero, zero, zero, miles)
             from_cells = (from_min, zero, zero, zero, miles)
-        block = np.stack([np.stack([c[zi, hi] for c in cells], axis=1) for cells in (to_cells, from_cells)])
-        block[1, oneway[mode][zi, hi]] = np.nan
+        block = np.stack([np.stack(to_cells, axis=1), np.stack(from_cells, axis=1)])
+        block[1, oneway[mode][cell]] = np.nan
         zone_codes.append(zi)
         hub_codes.append(hi)
         mode_codes.append(np.full(len(zi), LEG_MODE_ORDER.index(mode)))
@@ -342,15 +343,11 @@ def generate_fixture(
         lots.append(_offset(anchor, float(rng.uniform(200.0, 420.0)), float(rng.uniform(0.0, 2 * math.pi))))
     candidates = assign_services(candidates, lots)
 
-    zones: dict[str, GeoPoint] = {}
-    for m in markets:
-        zones[m.o_zone] = m.origin
-        zones[m.d_zone] = m.destination
     hub_points = {"hub-a": hub_a, "hub-b": hub_b}
     for c in candidates:
         hub_points[c.candidate_id] = c.location
     car_share_ids = {"hub-a"} | {c.candidate_id for c in candidates if c.car_share_available}
-    matrices = _make_matrices(rng, zones, hub_points, car_share_ids)
+    matrices = _make_matrices(rng, markets, hub_points, car_share_ids)
 
     fares = FareTable(
         bus_fare_usd=1.50,

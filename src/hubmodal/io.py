@@ -53,13 +53,13 @@ as five blank cells.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import itertools
 import json
 import math
 import os
-import tempfile
 from collections import defaultdict
 from dataclasses import dataclass
 from io import StringIO
@@ -120,21 +120,36 @@ def jsonable(obj):
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Write text to path via a sibling temp file and rename."""
+    """Write text to path via a sibling temp file and rename.  The temp file
+    is created as ``open`` creates a file, so the result has the mode
+    ``open`` would give it (0o666 less the umask)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
     return path
+
+
+def read_json(path: str | Path, what: str) -> dict:
+    """The JSON object ``what`` in ``path``, UTF-8 with or without a
+    byte-order mark; a file that does not decode, parse or hold an object
+    is a ParseError naming it."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            data = json.load(fh)
+    except ValueError as err:  # UnicodeDecodeError, JSONDecodeError
+        raise ParseError(f"{path}: malformed JSON: {err}") from None
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: {what} must be a JSON object")
+    return data
 
 
 def _csv_cell(text: str) -> str:
@@ -145,20 +160,46 @@ def _csv_cell(text: str) -> str:
     return text
 
 
+def _cells(column, blank: np.ndarray | None = None) -> list[str]:
+    """A column's CSV cells: each value as ``fmt`` writes it, quoted as
+    ``_csv_cell`` quotes it; for an array, empty where ``blank`` is set.  A
+    number or bool array, and a sequence of str, is formatted once per
+    distinct value, floats by their bits so that -0.0 stays -0.0; any
+    other sequence cell by cell."""
+    if not (isinstance(column, np.ndarray) and column.dtype.kind in "biuf"):
+        values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+        if not all(type(v) is str for v in values):
+            return [_csv_cell(fmt(v)) for v in values]
+        texts = {v: _csv_cell(v) for v in set(values)}
+        return list(map(texts.__getitem__, values))
+    floats = column.dtype.kind == "f"
+    if floats:
+        column = column.astype(float, copy=False) if blank is None else np.where(blank, 0.0, column)
+    distinct, inverse = np.unique(column.view(np.int64) if floats else column, return_inverse=True)
+    if floats:
+        distinct = distinct.view(float)
+        if np.isnan(distinct).any():
+            raise ValueError("refusing to write NaN")
+    texts = list(map(repr if floats else fmt, distinct.tolist()))
+    if blank is not None:
+        inverse = np.where(blank, len(texts), inverse)
+    return np.array([*texts, ""], dtype=object)[inverse].tolist()
+
+
+def _coded_cells(labels: Sequence[str], codes: np.ndarray) -> list[str]:
+    """The CSV cell of each code's label, quoted once per label."""
+    return np.array(_cells(labels), dtype=object)[codes].tolist()
+
+
+def _write_cells(path: str | Path, header: Sequence[str], columns: Sequence[list[str]]) -> Path:
+    lines = [",".join(header), *map(",".join, zip(*columns))]
+    return atomic_write_text(path, "\n".join(lines) + "\n")
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Header and rows of ``fmt`` cells.  One check over the finished text
-    finds whether any cell holds a comma, a quote or a line break; only
-    then is the text built again with such cells quoted."""
-    rows = list(rows)
-
-    def render(cell: Callable) -> str:
-        return "\n".join([",".join(header), *(",".join(map(cell, row)) for row in rows)]) + "\n"
-
-    text = render(fmt)
-    commas = len(header) - 1 + sum(map(len, rows)) - len(rows)
-    if '"' in text or "\r" in text or text.count("\n") > len(rows) + 1 or text.count(",") > commas:
-        text = render(lambda value: _csv_cell(fmt(value)))
-    return atomic_write_text(path, text)
+    """Header and rows of one length, formatted and quoted column by column
+    (``_cells``)."""
+    return _write_cells(path, header, [_cells(column) for column in zip(*rows, strict=True)])
 
 
 def write_json(path: str | Path, obj) -> Path:
@@ -582,16 +623,16 @@ def load_markets(path: str | Path, taste_path: str | Path | None = None) -> Mark
 
 
 def write_markets(markets, path: str | Path) -> Path:
-    """Markets (a MarketTable or Market objects) in market-id order, read
+    """Markets (a MarketTable or Market objects) in market-id order, written
     from the table column by column; NaN is refused."""
     t = MarketTable.ensure(markets)
-    columns = [t.od_ids, [SEGMENTS[code].value for code in t.segment_codes.tolist()]]
-    columns += [t.o_lat, t.o_lon, t.d_lat, t.d_lon, t.trips, t.drive_miles]
+    columns = [t.o_lat, t.o_lon, t.d_lat, t.d_lon, t.trips, t.drive_miles]
     for j, (_, _, fields_) in enumerate(MARKET_MODE_COLUMNS):
         columns += [*(t.attrs[f][:, j] for f in fields_), t.available[:, j]]
     columns += [t.taste[name] for name in TASTE_FIELDS]
-    columns += [[t.zone_ids[z] for z in codes.tolist()] for codes in (t.o_zone_codes, t.d_zone_codes)]
-    return write_csv(path, MARKET_COLUMNS, zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    cells = [_cells(t.od_ids), _coded_cells([s.value for s in SEGMENTS], t.segment_codes), *map(_cells, columns)]
+    cells += [_coded_cells(t.zone_ids, codes) for codes in (t.o_zone_codes, t.d_zone_codes)]
+    return _write_cells(path, MARKET_COLUMNS, cells)
 
 
 # ----------------------------------------------------------------------
@@ -635,17 +676,8 @@ def load_survey(path: str | Path) -> list[SurveyRecord]:
 
 def write_survey(records: Sequence[SurveyRecord], path: str | Path) -> Path:
     rows = [
-        [
-            r.hub_id,
-            r.origin.lat,
-            r.origin.lon,
-            r.destination.lat,
-            r.destination.lon,
-            r.entry_mode.value,
-            r.exit_mode.value,
-            r.segment.value if r.segment else "",
-            r.complete,
-        ]
+        (r.hub_id, r.origin.lat, r.origin.lon, r.destination.lat, r.destination.lon, r.entry_mode.value)
+        + (r.exit_mode.value, r.segment.value if r.segment else "", r.complete)
         for r in records
     ]
     return write_csv(path, SURVEY_COLUMNS, rows)
@@ -675,11 +707,7 @@ def load_pr_lots(path: str | Path) -> list[GeoPoint]:
 
 
 def write_pr_lots(lots: Sequence[GeoPoint], path: str | Path) -> Path:
-    return write_csv(
-        path,
-        ("lot_id", "lat", "lon"),
-        [[f"lot{i:04d}", p.lat, p.lon] for i, p in enumerate(lots)],
-    )
+    return write_csv(path, ("lot_id", "lat", "lon"), [[f"lot{i:04d}", p.lat, p.lon] for i, p in enumerate(lots)])
 
 
 # ----------------------------------------------------------------------
@@ -768,25 +796,14 @@ def _raise_repeated_key(zone_ids, hub_ids, zone, hub, mode, row_files) -> None:
 
 def write_matrices(matrices: LegMatrices, path: str | Path) -> Path:
     """Rows in (zone, hub, mode name) order; an absent direction is five
-    blank cells and unknown miles one.  Zone and hub ids are quoted as
-    ``write_csv`` quotes a cell, once per id."""
-    zone_ids, hub_ids = ([_csv_cell(i) for i in ids] for ids in (matrices.zone_ids, matrices.hub_ids))
-    columns = [
-        list(map(zone_ids.__getitem__, matrices.zone.tolist())),
-        list(map(hub_ids.__getitem__, matrices.hub.tolist())),
-        [LEG_MODE_ORDER[c].value for c in matrices.mode.tolist()],
-    ]
+    blank cells and unknown miles one.  Ids and modes are looked up from
+    the code columns, and NaN elsewhere in a present direction is refused."""
+    labels = (matrices.zone_ids, matrices.hub_ids, [mode.value for mode in LEG_MODE_ORDER])
+    columns = [_coded_cells(*pair) for pair in zip(labels, (matrices.zone, matrices.hub, matrices.mode))]
     for block in matrices.legs:
         absent = np.isnan(block[:, 0])
-        if np.isnan(block[~absent, 1:4]).any():
-            raise ValueError("refusing to write NaN")
-        for f in range(5):
-            cells = list(map(repr, block[:, f].tolist()))
-            for i in np.flatnonzero(absent | np.isnan(block[:, f])).tolist():
-                cells[i] = ""
-            columns.append(cells)
-    lines = [",".join(MATRIX_COLUMNS), *map(",".join, zip(*columns))]
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+        columns += [_cells(block[:, f], absent | np.isnan(block[:, f]) if f == 4 else absent) for f in range(5)]
+    return _write_cells(path, MATRIX_COLUMNS, columns)
 
 
 # ----------------------------------------------------------------------
@@ -795,10 +812,7 @@ def write_matrices(matrices: LegMatrices, path: str | Path) -> Path:
 
 
 def load_fares(path: str | Path) -> FareTable:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: fares must be a JSON object")
+    data = read_json(path, "fares")
     unknown = sorted(set(data) - {"bus_fare_usd", "car_share_usd_per_hour", "bike_share_steps"})
     if unknown:
         raise ParseError(f"{path}: unknown fare keys: {unknown}")
@@ -817,18 +831,9 @@ def load_fares(path: str | Path) -> FareTable:
 
 
 def write_fares(fares: FareTable, path: str | Path) -> Path:
-    steps = [
-        {"up_to_min": None if math.isinf(bound) else bound, "fare_usd": fare}
-        for bound, fare in fares.bike_share_steps
-    ]
-    return write_json(
-        path,
-        {
-            "bus_fare_usd": fares.bus_fare_usd,
-            "car_share_usd_per_hour": fares.car_share_usd_per_hour,
-            "bike_share_steps": steps,
-        },
-    )
+    steps = [{"up_to_min": None if math.isinf(up) else up, "fare_usd": fare} for up, fare in fares.bike_share_steps]
+    prices = {"bus_fare_usd": fares.bus_fare_usd, "car_share_usd_per_hour": fares.car_share_usd_per_hour}
+    return write_json(path, {**prices, "bike_share_steps": steps})
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import shutil
+import stat
 from dataclasses import asdict
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from conftest import assert_same_markets, full_attrs, load_both, make_market, ma
 
 from hubmodal import (
     FareTable,
+    Manifest,
     MAIN_MODES,
     GeoPoint,
     HubRecord,
@@ -35,6 +38,7 @@ from hubmodal import (
     Segment,
     TASTE_FIELDS,
     StopRecord,
+    TasteVector,
     SurveyRecord,
     fmt,
     jsonable,
@@ -56,7 +60,7 @@ from hubmodal import (
     write_survey,
 )
 import hubmodal.io
-from hubmodal.cli import main
+from hubmodal.cli import _read_params, main
 from hubmodal.hubs import MARKET_MODE_COLUMNS, MarketError, MarketTable
 from hubmodal.io import MATRIX_COLUMNS
 
@@ -543,6 +547,51 @@ def test_every_csv_loader_reads_a_byte_order_mark(fixture_dir, tmp_path, name):
     assert snapshot(load(marked)) == snapshot(load(original))
 
 
+JSON_READERS = {
+    "fares.json": load_fares,
+    "config.json": PipelineConfig.from_json,
+    "manifest.json": Manifest.from_json,
+    "params.json": _read_params,
+}
+
+
+@pytest.fixture
+def json_inputs(fixture_dir, tmp_path) -> Path:
+    """The fixture's JSON inputs, and a params file, in a writable copy."""
+    out = tmp_path / "fx"
+    shutil.copytree(fixture_dir, out)
+    params = {"beta_hub": 0.3, "asc_by_segment": {s.value: -4.0 for s in Segment}}
+    (out / "params.json").write_text(json.dumps(params), encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize("name", list(JSON_READERS))
+def test_every_json_reader_reads_a_byte_order_mark(json_inputs, name):
+    # what Windows editors write
+    read = JSON_READERS[name]
+    marked = json_inputs / f"bom-{name}"
+    marked.write_bytes(b"\xef\xbb\xbf" + (json_inputs / name).read_bytes())
+    assert read(marked) == read(json_inputs / name)
+
+
+@pytest.mark.parametrize("name", list(JSON_READERS))
+def test_every_json_reader_names_a_truncated_file(json_inputs, name):
+    cut = json_inputs / f"cut-{name}"
+    text = (json_inputs / name).read_bytes()
+    cut.write_bytes(text[: len(text) // 2])
+    with pytest.raises(ParseError, match=f"^{re.escape(str(cut))}: malformed JSON"):
+        JSON_READERS[name](cut)
+
+
+def test_cli_truncated_fares_is_a_parse_error_naming_the_file(json_inputs, tmp_path, capsys):
+    fares = json_inputs / "fares.json"
+    fares.write_text(fares.read_text()[:40])
+    assert main(["calibrate", "--manifest", str(json_inputs / "manifest.json"), "--out-dir", str(tmp_path / "o")]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ParseError"
+    assert record["message"].startswith(f"{fares}: malformed JSON")
+
+
 @pytest.mark.parametrize(
     "load, header, row, column",
     [
@@ -646,6 +695,24 @@ def test_hub_records_duplicate_rejected(tmp_path):
         load_hub_records(path)
 
 
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=["022", "027", "077"])
+def test_written_files_get_the_mode_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        written = [hubmodal.io.write_json(tmp_path / "a.json", {"x": 1}), write_stops([], tmp_path / "s.csv")]
+        assert main(["gen-fixture", "--seed", "7", "--od-pairs", "4", "--out-dir", str(tmp_path / "fx")]) == 0
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("x")
+    finally:
+        os.umask(old)
+    written += sorted((tmp_path / "fx").iterdir())
+    assert len(written) == 11
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in written}
+    assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+    assert stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode) == 0o666 & ~umask
+
+
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     from hubmodal import write_json
 
@@ -685,6 +752,41 @@ def test_gen_fixture_is_reproducible(tmp_path):
     c = tmp_path / "c"
     assert main(["gen-fixture", "--seed", "8", "--out-dir", str(c), "--od-pairs", "10", "--stops", "6"]) == 0
     assert _tree_digest(a) != _tree_digest(c)
+
+
+# sha256 of every file gen-fixture writes, recorded before its markets and
+# writers went columnar: seed 7 places a small stop roster, seed 11 at this
+# size (perfbench's rank-1k fixture) a stop grid.
+_SAME_IN_BOTH = {
+    "config.json": "2f2bab18b98af7c166b7f48a092b199019058a8025c7a0ce670273c58bcdd517",
+    "fares.json": "f412ade0b9396b8f76d78d1a698fa5f7c2d59fd73f74f395c758771d2b806ada",
+    "manifest.json": "4fe6291d91cc74c390660378596d21a2b1afa542214e7f77a6f64082a8b7b342",
+    "observed_usage.csv": "00cd40fa209535ee8b19222342b0b0487afe02295a5ceda59ddb2227f34b55c8",
+}
+FIXTURE_DIGESTS = {
+    ("--seed", "7"): {
+        **_SAME_IN_BOTH,
+        "markets.csv": "a86c6dbdcfb5a4bf7bfef653d629ade76871d8e9baca88d065c2e2912fe7de82",
+        "matrices.csv": "0d5bfb198e6f5b6cc68d722f99c9bffb166010adeb984f357cb32a7de6780db3",
+        "pr_lots.csv": "4b2382fb48e16daadfc12fc49a9e7f10925a5d26f99d4e83db030e52aeb6284c",
+        "stops.csv": "c2af2803a235075274f3faecce1daf8dafbae47f82329c4d941506c2feec52a3",
+        "survey.csv": "ece5f18c248417038de4be04d36890b514c4946085b09d38df0e918e7eb54cc8",
+    },
+    ("--seed", "11", "--od-pairs", "250", "--stops", "100", "--pr-lots", "5"): {
+        **_SAME_IN_BOTH,
+        "markets.csv": "3f5bc011c89af5889e56720ba936470d7926d9712fb52eea0c783f18c2c30006",
+        "matrices.csv": "eec18efb5b583b0b9b0ddd4e1bf9f14852c18e7d1cbe8ae2bc01f578f18c7555",
+        "pr_lots.csv": "10799aff90383852ae3ff95e6cb4f7d9d4de206617da8d0cb4b4a83c8acc2e35",
+        "stops.csv": "a7f50ca9a2771c571c5217d518b57a2d6d64a2ccf16eb4b20475849181519b7f",
+        "survey.csv": "1b3bd5863e9f3087a090ed7af87e00bc0cbe48f3b39f93f456e29917149c8942",
+    },
+}
+
+
+@pytest.mark.parametrize("args", FIXTURE_DIGESTS, ids=["seed7-stop-roster", "seed11-stop-grid"])
+def test_gen_fixture_bytes_are_pinned(tmp_path, args):
+    assert main(["gen-fixture", *args, "--out-dir", str(tmp_path)]) == 0
+    assert _tree_digest(tmp_path) == FIXTURE_DIGESTS[args]
 
 
 def test_gen_fixture_outputs_parse(fixture_dir):
@@ -820,6 +922,20 @@ def test_cli_builds_no_market_objects(tmp_path, monkeypatch):
     params = str(run / "calibration.json")
     assert main(["rank", "--manifest", manifest, "--params", params, "--out-dir", str(run)]) == 0
     assert built == []
+
+
+def test_gen_fixture_builds_no_market_objects(tmp_path, monkeypatch):
+    # the markets are drawn straight into MarketTable columns
+    built = []
+    for cls in (Market, TasteVector):
+        real = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, real=real: built.append(type(self).__name__) or real(self))
+    real_attr = ModeAttr.__init__
+    monkeypatch.setattr(ModeAttr, "__init__", lambda self, *a, **k: built.append("ModeAttr") or real_attr(self, *a, **k))
+    assert main(["gen-fixture", "--seed", "7", "--out-dir", str(tmp_path)]) == 0
+    assert built == []
+    make_market()  # the patches see a market built
+    assert {"Market", "TasteVector", "ModeAttr"} <= set(built)
 
 
 def test_cli_missing_manifest_is_an_error(tmp_path, capsys):
