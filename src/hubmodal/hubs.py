@@ -194,12 +194,35 @@ LEG_MODE_ORDER: tuple[Mode, ...] = tuple(sorted(LEG_MODES, key=lambda m: m.value
 _LEG_MODE_CODE = {mode: i for i, mode in enumerate(LEG_MODE_ORDER)}
 
 
-def _sorted_codes(ids: Sequence[str], codes) -> tuple[tuple[str, ...], np.ndarray]:
-    """Sorted distinct ``ids`` and ``codes`` re-pointed into them."""
+def _sorted_ids(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted distinct ``ids``, and the index in them of each of ``ids``."""
     distinct = tuple(sorted(set(ids)))
     rank = {v: i for i, v in enumerate(distinct)}
-    remap = np.array([rank[v] for v in ids], dtype=np.int64)
-    return distinct, remap[np.asarray(codes, dtype=np.int64)]
+    return distinct, np.array([rank[v] for v in ids], dtype=np.int64)
+
+
+def _int_codes(codes) -> np.ndarray:
+    codes = np.asarray(codes)
+    return codes if codes.dtype.kind in "iu" else codes.astype(np.int64)
+
+
+def _sort_rows(key: np.ndarray, legs: np.ndarray, n: int) -> int:
+    """Sort the first ``n`` rows of ``key`` and of each ``legs`` direction
+    by key in place, keeping the last of the rows that share a key, and
+    return the number kept.  Only one direction-sized buffer is
+    allocated."""
+    order = np.argsort(key[:n], kind="stable")
+    sorted_key = key[:n][order]
+    last = np.ones(n, dtype=bool)
+    last[:-1] = sorted_key[1:] != sorted_key[:-1]
+    rows = order[last]
+    kept = len(rows)
+    key[:kept] = sorted_key[last]
+    buffer = np.empty((kept, legs.shape[2]))
+    for direction in legs:
+        np.take(direction[:n], rows, axis=0, out=buffer, mode="clip")
+        direction[:kept] = buffer
+    return kept
 
 
 def _codes(code: dict[str, int], ids: Sequence[str]) -> np.ndarray:
@@ -220,21 +243,27 @@ def _leg_cells(leg: LegTimes | None) -> list[float]:
 
 
 class LegMatrices:
-    """Zone-to-hub leg store: one row per (zone, hub, leg mode), held as
-    columns.
+    """Zone-to-hub leg store: one row per (zone, hub, leg mode), held as a
+    key column and a leg block.
 
-    ``zone_ids`` and ``hub_ids`` are sorted; the per-row ``zone``, ``hub``
-    and ``mode`` codes index them and LEG_MODE_ORDER.  Rows are sorted by
-    ``key``, which orders them by (zone, hub, mode name).  ``legs[0]`` and
-    ``legs[1]`` are the to-hub and from-hub (n, 5) blocks of minutes,
-    access, egress, transfers and miles: NaN minutes means the direction
-    is absent, NaN miles that no network distance is known.
+    ``zone_ids`` and ``hub_ids`` are sorted.  Each row is held as its
+    ``key``, (zone * len(hub_ids) + hub) * len(LEG_MODE_ORDER) + mode, so
+    rows sorted by key are sorted by (zone, hub, mode name), and its
+    ``legs``: ``legs[0]`` and ``legs[1]`` are the to-hub and from-hub
+    (n, 5) blocks of minutes, access, egress, transfers and miles.  NaN
+    minutes means the direction is absent, NaN miles that no network
+    distance is known.  The ``zone``, ``hub`` and ``mode`` codes, into
+    ``zone_ids``, ``hub_ids`` and LEG_MODE_ORDER, are decoded from the key.
 
     The constructor takes rows column-wise: ``zone``/``hub`` codes into
     ``zone_ids``/``hub_ids`` (in any order, repeats allowed), ``mode``
     codes into LEG_MODE_ORDER, and ``legs`` of shape (2, n, 5).  A later
-    row replaces an earlier one with the same key.  The store is complete
-    once built; lookups never change it.
+    row replaces an earlier one with the same key.  A float64 ``legs``
+    with rows to spare past the n given becomes the store's block: rows
+    that arrive in strictly increasing key order are kept where they are,
+    others are sorted in place, and the first spare row becomes the
+    sentinel.  Any other ``legs`` is copied.  The store is complete once
+    built; lookups never change it.
     """
 
     def __init__(
@@ -246,29 +275,46 @@ class LegMatrices:
         mode=(),
         legs=None,
     ):
-        self.zone_ids, zone = _sorted_codes(zone_ids, zone)
-        self.hub_ids, hub = _sorted_codes(hub_ids, hub)
-        mode = np.asarray(mode, dtype=np.int64)
+        self.zone_ids, zone_rank = _sorted_ids(zone_ids)
+        self.hub_ids, hub_rank = _sorted_ids(hub_ids)
+        n = len(zone)
         legs = np.empty((2, 0, 5)) if legs is None else np.asarray(legs, dtype=float)
-        key = (zone * len(self.hub_ids) + hub) * len(LEG_MODE_ORDER) + mode
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        last = np.ones(len(order), dtype=bool)
-        last[:-1] = key[1:] != key[:-1]
-        rows = order[last]
-        n = len(rows)
+        if legs.shape[1] <= n:  # no spare row: copy into a block with one
+            legs = np.concatenate([legs, np.empty((2, 1, 5))], axis=1)
+        key = np.empty(n + 1, dtype=np.int64)
+        rows = key[:n]
+        rows[:] = zone_rank[_int_codes(zone)]
+        rows *= len(self.hub_ids)
+        rows += hub_rank[_int_codes(hub)]
+        rows *= len(LEG_MODE_ORDER)
+        rows += _int_codes(mode)
+        if (rows[1:] <= rows[:-1]).any():
+            n = _sort_rows(key, legs, n)
         # One trailing row past the end: an all-NaN leg for absent keys and
-        # a key no lookup can equal.  Each direction is gathered straight
-        # into the block, with no reordered copy in between.
-        self._legs = np.full((2, n + 1, 5), np.nan)
-        for direction in range(2):
-            np.take(legs[direction], rows, axis=0, out=self._legs[direction, :n], mode="clip")
-        self._key = np.append(key[last], np.iinfo(np.int64).max)
+        # a key no lookup can equal.
+        key[n] = np.iinfo(np.int64).max
+        legs[:, n] = np.nan
+        self._legs = legs[:, : n + 1]
+        self._key = key[: n + 1]
         self.legs = self._legs[:, :n]
         self.key = self._key[:n]
-        self.zone, self.hub, self.mode = zone[rows], hub[rows], mode[rows]
         self._zone_code = {z: i for i, z in enumerate(self.zone_ids)}
         self._hub_code = {h: i for i, h in enumerate(self.hub_ids)}
+
+    @property
+    def zone(self) -> np.ndarray:
+        """Each row's code into ``zone_ids``."""
+        return self.key // (len(self.hub_ids) * len(LEG_MODE_ORDER))
+
+    @property
+    def hub(self) -> np.ndarray:
+        """Each row's code into ``hub_ids``."""
+        return self.key // len(LEG_MODE_ORDER) % len(self.hub_ids)
+
+    @property
+    def mode(self) -> np.ndarray:
+        """Each row's code into LEG_MODE_ORDER."""
+        return self.key % len(LEG_MODE_ORDER)
 
     def __len__(self) -> int:
         return len(self.key)
