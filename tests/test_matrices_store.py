@@ -21,7 +21,6 @@ from conftest import load_both, snapshot
 from hubmodal import LegMatrices, ParseError, load_matrices, write_matrices
 from hubmodal.fixtures import generate_fixture
 from hubmodal.hubs import LEG_MODE_ORDER
-from hubmodal.io import _csv_cell
 import hubmodal.io
 
 KEY_MAX = np.iinfo(np.int64).max
@@ -48,7 +47,7 @@ def _records(path) -> list[list[str]]:
 def _csv_text(records, line_end: str = "\n") -> str:
     """The records as CSV lines ended by ``line_end``, a cell holding a
     comma, a quote or a line break quoted."""
-    return "".join(",".join(map(_csv_cell, record)) + line_end for record in records)
+    return "".join(",".join(map(hubmodal.io._csv_cell, record)) + line_end for record in records)
 
 
 def _first_seen(values) -> list[str]:
