@@ -22,7 +22,7 @@ from hubmodal import (
     ModeAttr,
     Segment,
     TasteVector,
-    assess_hub,
+    assess_hubs,
     prepare_hub,
 )
 
@@ -76,7 +76,7 @@ for m in markets:
 
 setup = prepare_hub(markets, hub, [m.market_id for m in markets], matrices, fares)
 params = HubParams(beta_hub=0.4, asc_by_segment={s: -2.5 for s in Segment})
-report = assess_hub(setup, params, emissions=EmissionFactor())
+(report,) = assess_hubs(setup, params, emissions=EmissionFactor())
 
 print(f"hub {report.hub_id}: {report.n_markets} potential markets, "
       f"{report.potential_demand:.0f} potential trips/day")

@@ -76,12 +76,11 @@ from .impacts import (
     ImpactReport,
     ModeShiftResult,
     VmtResult,
-    assess_hub,
-    consumer_surplus_delta,
-    mode_shift,
-    potential_demand,
+    assess_hubs,
+    consumer_surpluses,
+    mode_shifts,
     transit_delta,
-    vmt_delta,
+    vmt_deltas,
 )
 from .io import (
     HubRecord,

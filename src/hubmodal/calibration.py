@@ -393,7 +393,6 @@ def validate_leg_counts(
     observed_counts: Mapping[str, float],
     *,
     unimodal_boardings: Mapping[str, float] | None = None,
-    literal_lower_branch: bool = False,
 ) -> list[LegCountRow]:
     """Compare modeled daily bus boardings at the hub with ground truth.
 
@@ -403,7 +402,7 @@ def validate_leg_counts(
     available.  Zero observed counts report the absolute gap and a None
     percent difference.
     """
-    shares = setup.choice_shares(params, literal_lower_branch=literal_lower_branch)
+    shares = setup.choice_shares(params)
     joint_trips = setup.trips[:, None] * shares.joint
     rows = []
     for direction in sorted(observed_counts):

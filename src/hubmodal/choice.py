@@ -8,10 +8,8 @@ level through its logsum utility
 
     V_hub = beta_hub * ln(sum_c exp(V_c / beta_hub)) + asc_segment
 
-and the within-nest split is logit over the scaled combo utilities.  A
-``literal_lower_branch`` switch reproduces a variant where the within-nest
-split uses the raw utilities instead (upper level unchanged, so calibrated
-parameters are identical under both).
+and the within-nest split is logit over the scaled combo utilities,
+P(c | hub) = exp(V_c / beta_hub) / sum_k exp(V_k / beta_hub).
 
 Utilities are linear in time and cost.  There are three coefficient
 families (auto, transit, non-vehicle); every mode, including hub leg
@@ -332,8 +330,6 @@ def nested_shares(
     combo_utilities: Mapping[ComboId, float],
     params: "HubParams",
     segment: Segment,
-    *,
-    literal_lower_branch: bool = False,
 ) -> NestedShares:
     """Two-level choice shares for one market.
 
@@ -355,8 +351,7 @@ def nested_shares(
     cu = [combo_utilities[c] for c in combos]
     v_hub = nest_logsum(cu, params.beta_hub, params.asc_by_segment[segment])
     all_shares = mnl_shares(uni + [v_hub])
-    scale = 1.0 if literal_lower_branch else params.beta_hub
-    lower = mnl_shares([v / scale for v in cu])
+    lower = mnl_shares([v / params.beta_hub for v in cu])
     return NestedShares(
         upper=dict(zip(modes, all_shares[: len(modes)])),
         hub_share=float(all_shares[-1]),

@@ -40,7 +40,7 @@ from .config import Manifest, PipelineConfig
 from .fixtures import generate_fixture
 from .geo import derive_threshold, detour_ratio, identify_potential_trips
 from .hubs import Hub, build_combos, prepare_hub
-from .impacts import EmissionFactor, assess_hub
+from .impacts import EmissionFactor, assess_hubs
 from .siting import METRIC_KEYS, Candidate, assign_services, cluster_stops, evaluate_candidates, rank_and_summarize
 
 def _load_base(args) -> tuple[Manifest, PipelineConfig]:
@@ -377,12 +377,8 @@ def _cmd_assess(args) -> int:
         "consumer_surplus_usd_per_day": 0.0,
     }
     for hub_id in sorted(setups):
-        rep = assess_hub(
-            setups[hub_id],
-            params,
-            emissions=emissions,
-            include_on_demand_auto=config.include_on_demand_auto_vmt,
-            literal_lower_branch=config.literal_lower_branch,
+        (rep,) = assess_hubs(
+            setups[hub_id], params, emissions=emissions, include_on_demand_auto=config.include_on_demand_auto_vmt
         )
         hubs_out[hub_id] = rep.to_dict()
         totals["potential_demand_trips_per_day"] += rep.potential_demand

@@ -32,7 +32,12 @@ class OptimizerSettings:
     max_iter: int = 4000
 
     def __post_init__(self) -> None:
-        self.beta_bounds, self.asc_bounds = tuple(self.beta_bounds), tuple(self.asc_bounds)  # JSON gives lists
+        self.beta_bounds, self.asc_bounds = beta, asc = tuple(self.beta_bounds), tuple(self.asc_bounds)  # JSON gives lists
+        # a bad box would otherwise surface mid-fit as an invalid nesting coefficient, naming no key
+        if len(beta) != 2 or not 0.0 < beta[0] <= beta[1] <= 1.0:
+            raise ValueError(f"optimizer.beta_bounds must be [low, high] with 0 < low <= high <= 1, got {list(beta)}")
+        if len(asc) != 2 or not asc[0] <= asc[1]:
+            raise ValueError(f"optimizer.asc_bounds must be [low, high] with low <= high, got {list(asc)}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -47,8 +52,6 @@ class PipelineConfig:
     # short final-leg inclusion rule and its distance constant (km)
     condition2_mode: str = "literal_hd_1km"
     condition2_km: float = 1.0
-    # within-nest split on raw utilities instead of the consistent scaled form
-    literal_lower_branch: bool = False
     # emissions and annualization
     grams_co2_per_mile: float = 400.0
     days_per_year: float = 365.0

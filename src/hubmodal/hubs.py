@@ -793,7 +793,7 @@ class HubChoiceSetup:
         grad[np.arange(self.n_markets), 1 + self.segment_codes] = slope
         return share, grad
 
-    def choice_shares(self, params, *, literal_lower_branch: bool = False) -> HubShares:
+    def choice_shares(self, params) -> HubShares:
         """Full before/after share arrays for one parameter vector."""
         v_hub, e_u, e_h, total, e_l, sum_l = self._upper_level(params)
         m_j = self._uni_max
@@ -801,12 +801,7 @@ class HubChoiceSetup:
         sum_j = e_j.sum(axis=1)
         logsum_j = m_j + np.log(sum_j)
 
-        # The within-nest split reuses the nest's exp(c~/beta) unless the
-        # literal lower branch asks for another scale.  S is 1 on empty rows.
-        scale = 1.0 if literal_lower_branch else params.beta_hub
-        if scale != params.beta_hub:
-            e_l = np.exp(self._c_shift / scale)
-            sum_l = np.where(self._has, e_l.sum(axis=1), 1.0)
+        # The within-nest split reuses the nest's exp(c~/beta); S is 1 on empty rows.
         lower = np.where(self._has[:, None], e_l / sum_l[:, None], 0.0)
 
         # logaddexp keeps the logsum gain non-negative in floating point

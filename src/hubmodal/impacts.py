@@ -54,11 +54,6 @@ class EmissionFactor:
         return vmt_per_day * self.days_per_year / 1000.0
 
 
-def potential_demand(setup: HubChoiceSetup) -> float:
-    """Total trips/day over the hub's potential markets."""
-    return float(setup.trips.sum())
-
-
 def _hub_sums(setup: HubChoiceSetup, *parts: np.ndarray) -> list[list[float]]:
     """Each hub's sums of the rows of ``parts`` (each (p, m)) over its own
     markets, one list per hub.  A sum is one contiguous slice of one row,
@@ -71,12 +66,6 @@ def _hub_sums(setup: HubChoiceSetup, *parts: np.ndarray) -> list[list[float]]:
     return [block[:, a:b].sum(axis=1).tolist() for a, b in setup.spans]
 
 
-def _only(results: list):
-    if len(results) != 1:
-        raise ValueError(f"setup stacks {len(results)} hubs; use assess_hubs")
-    return results[0]
-
-
 @dataclass(frozen=True)
 class ModeShiftResult:
     """Daily trips by mode before and after the hub."""
@@ -86,25 +75,10 @@ class ModeShiftResult:
     multimodal_total: float
     multimodal_leg_trips: dict[Mode, float]
 
-    @property
-    def total(self) -> float:
-        return float(sum(self.before.values()))
 
-
-def _resolve_shares(setup: HubChoiceSetup, params: HubParams, literal_lower_branch: bool, shares) -> HubShares:
-    if shares is None:
-        return setup.choice_shares(params, literal_lower_branch=literal_lower_branch)
-    return shares
-
-
-def mode_shift(
-    setup: HubChoiceSetup,
-    params: HubParams,
-    *,
-    literal_lower_branch: bool = False,
-    shares: HubShares | None = None,
-) -> ModeShiftResult:
-    """Trips/day by mode without and with the hub.
+def mode_shifts(setup: HubChoiceSetup, s: HubShares) -> list[ModeShiftResult]:
+    """Trips/day by mode without and with each hub of ``setup``, in hub
+    order, from its shares ``s``.
 
     Multimodal trips are attributed to leg modes by each leg's share of
     the combo's total distance, so a combo with legs of 3 and 1 miles
@@ -112,10 +86,6 @@ def mode_shift(
     distance split evenly.  Unimodal trips after the hub use the upper
     level; the two-level shares conserve total trips exactly.
     """
-    return _only(_mode_shifts(setup, _resolve_shares(setup, params, literal_lower_branch, shares)))
-
-
-def _mode_shifts(setup: HubChoiceSetup, s: HubShares) -> list[ModeShiftResult]:
     d = setup.trips[:, None]
     parts = [(d * s.before).T, (d * s.upper).T, (setup.trips * s.hub)[None]]
     if setup.n_combos:
@@ -174,16 +144,11 @@ class VmtResult:
         return self.after_driving + self.after_carpool
 
 
-def vmt_delta(
-    setup: HubChoiceSetup,
-    params: HubParams,
-    *,
-    emissions: EmissionFactor = EmissionFactor(),
-    include_on_demand_auto: bool = False,
-    literal_lower_branch: bool = False,
-    shares: HubShares | None = None,
-) -> VmtResult:
-    """Daily VMT before and after the hub, and the implied emissions.
+def vmt_deltas(
+    setup: HubChoiceSetup, s: HubShares, emissions: EmissionFactor = EmissionFactor(), include_on_demand_auto: bool = False
+) -> list[VmtResult]:
+    """Daily VMT before and after each hub of ``setup``, in hub order, and
+    the implied emissions.
 
     Unimodal VMT is trip distance times the driving and carpool shares
     (optionally counting on-demand auto as driving).  Multimodal trips add
@@ -191,13 +156,6 @@ def vmt_delta(
     reduced = before - after, positive when the hub removes vehicle miles.
     Markets with a missing trip distance are excluded with a warning.
     """
-    s = _resolve_shares(setup, params, literal_lower_branch, shares)
-    return _only(_vmt_deltas(setup, s, emissions, include_on_demand_auto))
-
-
-def _vmt_deltas(
-    setup: HubChoiceSetup, s: HubShares, emissions: EmissionFactor, include_on_demand_auto: bool
-) -> list[VmtResult]:
     miles = setup.drive_miles
     ok = np.isfinite(miles)
     n_bad = int((~ok).sum())
@@ -263,14 +221,9 @@ class ConsumerSurplusResult:
     potential_demand: float
 
 
-def consumer_surplus_delta(
-    setup: HubChoiceSetup,
-    params: HubParams,
-    *,
-    literal_lower_branch: bool = False,
-    shares: HubShares | None = None,
-) -> ConsumerSurplusResult:
-    """Logsum welfare gain priced by each market's cost coefficient.
+def consumer_surpluses(setup: HubChoiceSetup, s: HubShares) -> list[ConsumerSurplusResult]:
+    """Each hub's logsum welfare gain, in hub order, priced by each
+    market's cost coefficient.
 
     Per-market gain is (logsum with hub - logsum without) / |beta_cost|,
     non-negative by construction and exactly zero when no combo is
@@ -278,10 +231,6 @@ def consumer_surplus_delta(
     and are excluded with a warning (ingestion normally rejects them).
     cs_total sums trips * gain; cs_per_trip divides by potential demand.
     """
-    return _only(_consumer_surpluses(setup, _resolve_shares(setup, params, literal_lower_branch, shares)))
-
-
-def _consumer_surpluses(setup: HubChoiceSetup, s: HubShares) -> list[ConsumerSurplusResult]:
     priceable = setup.beta_cost < 0.0
     n_excluded = int((~priceable).sum())
     if n_excluded:
@@ -337,40 +286,19 @@ class ImpactReport:
         }
 
 
-def assess_hub(
-    setup: HubChoiceSetup,
-    params: HubParams,
-    *,
-    emissions: EmissionFactor = EmissionFactor(),
-    include_on_demand_auto: bool = False,
-    literal_lower_branch: bool = False,
-) -> ImpactReport:
-    """Compute every impact metric for one hub in a single share pass."""
-    return _only(
-        assess_hubs(
-            setup,
-            params,
-            emissions=emissions,
-            include_on_demand_auto=include_on_demand_auto,
-            literal_lower_branch=literal_lower_branch,
-        )
-    )
-
-
 def assess_hubs(
     setup: HubChoiceSetup,
     params: HubParams,
     *,
     emissions: EmissionFactor = EmissionFactor(),
     include_on_demand_auto: bool = False,
-    literal_lower_branch: bool = False,
 ) -> list[ImpactReport]:
     """Every impact metric for each hub of a (stacked) setup, in hub order,
     from one share pass over all its rows."""
-    shares = setup.choice_shares(params, literal_lower_branch=literal_lower_branch)
-    shifts = _mode_shifts(setup, shares)
-    vmts = _vmt_deltas(setup, shares, emissions, include_on_demand_auto)
-    surpluses = _consumer_surpluses(setup, shares)
+    shares = setup.choice_shares(params)
+    shifts = mode_shifts(setup, shares)
+    vmts = vmt_deltas(setup, shares, emissions, include_on_demand_auto)
+    surpluses = consumer_surpluses(setup, shares)
     reports = []
     for hub, (a, b), shift, vmt, cs in zip(setup.hubs, setup.spans, shifts, vmts, surpluses):
         pd_total = cs.potential_demand

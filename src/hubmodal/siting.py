@@ -200,10 +200,11 @@ def evaluate_candidates(
     service profile are stacked, in candidate-id order, into setups of
     at most CHUNK_CELLS market x combo cells, and each stack gets one
     share pass; each candidate's metrics are sums over its own rows, so
-    they equal ``prepare_hub`` + ``assess_hub`` on that candidate alone,
-    bit for bit.  Candidates with no potential trips get zero metrics and
-    a flag.  ``threads`` is accepted for compatibility; the passes run
-    in the calling thread whatever its value, and no result depends on it.
+    they equal ``prepare_hub`` + ``assess_hubs`` on a setup of that
+    candidate alone, bit for bit.  Candidates with no potential trips
+    get zero metrics and a flag.  ``threads`` is accepted for
+    compatibility; the passes run in the calling thread whatever its
+    value, and no result depends on it.
     """
     cfg = config or PipelineConfig()
     table = MarketTable.ensure(markets)
@@ -243,7 +244,6 @@ def evaluate_candidates(
                 params,
                 emissions=emissions,
                 include_on_demand_auto=cfg.include_on_demand_auto_vmt,
-                literal_lower_branch=cfg.literal_lower_branch,
             )
             for i, report in zip(chunk, reports):
                 metrics[i] = CandidateMetrics(

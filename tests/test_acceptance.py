@@ -42,7 +42,7 @@ from hubmodal import (
     StopRecord,
     calibrate,
     cluster_stops,
-    consumer_surplus_delta,
+    consumer_surpluses,
     derive_observed_rate,
     derive_sample_rate,
     great_circle_km,
@@ -113,7 +113,8 @@ def _engineered_cs(cs_per_trip: float, trips: float):
     zones = {market.o_zone: None, market.d_zone: None}
     mats = full_matrices(zones, "cs-hub", minutes=walk_min, miles=0.5)
     setup = prepare_hub([market], hub, [market.market_id], mats, simple_fares())
-    return consumer_surplus_delta(setup, make_params(beta=0.4, asc=asc_seg))
+    (cs,) = consumer_surpluses(setup, setup.choice_shares(make_params(beta=0.4, asc=asc_seg)))
+    return cs
 
 
 def test_criterion_03_consumer_surplus_totals():
@@ -273,7 +274,7 @@ def test_criterion_07_welfare_gain_nonnegative():
         params = make_params(beta=float(rng.uniform(0.05, 1.0)), asc=float(rng.uniform(-6.0, 0.0)))
         shares = setup.choice_shares(params)
         assert (shares.cs_gain_util >= 0.0).all()
-        r = consumer_surplus_delta(setup, params, shares=shares)
+        (r,) = consumer_surpluses(setup, shares)
         assert r.cs_per_trip >= 0.0 and r.cs_total >= 0.0 and r.n_excluded == 0
         seen += setup.n_markets
 
@@ -281,7 +282,7 @@ def test_criterion_07_welfare_gain_nonnegative():
     empty = _random_setup(rng, 10, ())
     shares = empty.choice_shares(make_params())
     assert (shares.cs_gain_util == 0.0).all()
-    r = consumer_surplus_delta(empty, make_params(), shares=shares)
+    (r,) = consumer_surpluses(empty, shares)
     assert r.cs_per_trip == 0.0 and r.cs_total == 0.0
     seen += empty.n_markets
 

@@ -276,17 +276,13 @@ def test_nested_shares_adding_a_combo_raises_hub_share(rng):
         assert more.hub_share >= base.hub_share - 1e-12
 
 
-def test_nested_shares_literal_lower_branch_scaling():
+def test_nested_shares_lower_split_scales_by_beta_hub():
     combos = {ComboId(Mode.CAR, Mode.BUS): 1.0, ComboId(Mode.WALK_LEG, Mode.BUS): 0.0}
     uni = {Mode.DRIVING: 0.0}
     params = make_params(beta=0.25, asc=-1.0)
-    default = nested_shares(uni, combos, params, Segment.SENIOR)
-    literal = nested_shares(uni, combos, params, Segment.SENIOR, literal_lower_branch=True)
-    # default scales by beta_hub (sharper), literal uses raw utilities
-    assert default.lower[ComboId(Mode.CAR, Mode.BUS)] == pytest.approx(1.0 / (1.0 + math.exp(-4.0)))
-    assert literal.lower[ComboId(Mode.CAR, Mode.BUS)] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)))
-    # the upper level is unaffected by the lower-branch convention
-    assert literal.hub_share == default.hub_share
+    shares = nested_shares(uni, combos, params, Segment.SENIOR)
+    # the within-nest split is logit over V_c / beta_hub: a gap of 1 becomes 4
+    assert shares.lower[ComboId(Mode.CAR, Mode.BUS)] == pytest.approx(1.0 / (1.0 + math.exp(-4.0)))
 
 
 def test_nested_shares_uses_segment_constant():

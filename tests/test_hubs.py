@@ -239,12 +239,11 @@ def _small_setup(n_markets: int = 4):
     return markets, hub, matrices, setup
 
 
-@pytest.mark.parametrize("literal_lower_branch", [False, True])
-def test_prepare_hub_against_scalar_shares(literal_lower_branch):
+def test_prepare_hub_against_scalar_shares():
     markets, hub, matrices, setup = _small_setup()
     fares = simple_fares()
     params = make_params(beta=0.4, asc=-3.0)
-    shares = setup.choice_shares(params, literal_lower_branch=literal_lower_branch)
+    shares = setup.choice_shares(params)
     by_id = {m.market_id: m for m in markets}
     for row, mid in enumerate(setup.market_ids):
         market = by_id[mid]
@@ -253,7 +252,7 @@ def test_prepare_hub_against_scalar_shares(literal_lower_branch):
         for combo in setup.combos:
             legs = assemble_leg_attrs(market, hub, combo, matrices, fares)
             combo_u[combo] = combo_utility(market, hub, combo, legs)
-        ns = nested_shares(uni, combo_u, params, market.segment, literal_lower_branch=literal_lower_branch)
+        ns = nested_shares(uni, combo_u, params, market.segment)
         assert shares.hub[row] == pytest.approx(ns.hub_share, abs=1e-12)
         assert setup.hub_nest_share(params)[row] == pytest.approx(ns.hub_share, abs=1e-12)
         for j, combo in enumerate(setup.combos):

@@ -27,16 +27,15 @@ from hubmodal import (
     ModeAttr,
     Segment,
     assemble_leg_attrs,
-    assess_hub,
+    assess_hubs,
     combo_utility,
-    consumer_surplus_delta,
-    mode_shift,
+    consumer_surpluses,
+    mode_shifts,
     nested_shares,
-    potential_demand,
     prepare_hub,
     systematic_utility,
     transit_delta,
-    vmt_delta,
+    vmt_deltas,
 )
 
 
@@ -61,7 +60,9 @@ def test_emission_factor_validation():
 def test_potential_demand_sums_trips():
     markets = [make_market(od_id=f"od{i}", trips=t) for i, t in enumerate([3.0, 4.0, 5.0])]
     _, _, _, setup = _impact_setup(markets=markets)
-    assert potential_demand(setup) == 12.0
+    assert float(setup.trips.sum()) == 12.0
+    (report,) = assess_hubs(setup, make_params())
+    assert report.potential_demand == 12.0
 
 
 def _impact_setup(n: int = 4, combos=None, markets=None):
@@ -94,7 +95,7 @@ def _impact_setup(n: int = 4, combos=None, markets=None):
 def test_null_intervention_changes_nothing():
     # a hub offering no transfer combos must leave every metric at zero
     _, _, _, setup = _impact_setup(combos=())
-    report = assess_hub(setup, make_params(beta=0.5, asc=-1.0))
+    (report,) = assess_hubs(setup, make_params(beta=0.5, asc=-1.0))
     assert report.multimodal_total == 0.0
     assert report.multimodal_leg_trips == {}
     assert report.transit_delta == 0.0
@@ -107,16 +108,16 @@ def test_null_intervention_changes_nothing():
 
 def test_trip_conservation():
     _, _, _, setup = _impact_setup()
-    shift = mode_shift(setup, make_params(beta=0.4, asc=-2.0))
+    (shift,) = mode_shifts(setup, setup.choice_shares(make_params(beta=0.4, asc=-2.0)))
     total_before = sum(shift.before.values())
     total_after = sum(shift.after_unimodal.values()) + shift.multimodal_total
-    assert total_before == pytest.approx(potential_demand(setup), abs=1e-9)
+    assert total_before == pytest.approx(float(setup.trips.sum()), abs=1e-9)
     assert total_after == pytest.approx(total_before, abs=1e-9)
 
 
 def test_multimodal_leg_trips_sum_to_multimodal_total():
     _, _, _, setup = _impact_setup()
-    shift = mode_shift(setup, make_params(beta=0.4, asc=-2.0))
+    (shift,) = mode_shifts(setup, setup.choice_shares(make_params(beta=0.4, asc=-2.0)))
     assert sum(shift.multimodal_leg_trips.values()) == pytest.approx(shift.multimodal_total, abs=1e-12)
 
 
@@ -129,7 +130,7 @@ def test_leg_split_follows_distance_weights():
     matrices.add(market.d_zone, "h1", Mode.BUS, None, LegTimes(minutes=12.0, access_min=3.0, miles=1.0))
     hub = make_hub(combos=(ComboId(Mode.CAR, Mode.BUS),), car_share=False, bike_share=False)
     setup = prepare_hub([market], hub, [market.market_id], matrices, simple_fares())
-    shift = mode_shift(setup, make_params(beta=0.5, asc=-1.0))
+    (shift,) = mode_shifts(setup, setup.choice_shares(make_params(beta=0.5, asc=-1.0)))
     assert shift.multimodal_leg_trips[Mode.CAR] == pytest.approx(0.75 * shift.multimodal_total)
     assert shift.multimodal_leg_trips[Mode.BUS] == pytest.approx(0.25 * shift.multimodal_total)
 
@@ -141,13 +142,13 @@ def test_leg_split_even_for_equal_distances():
     matrices.add(market.d_zone, "h1", Mode.BUS, None, LegTimes(minutes=12.0, miles=2.0))
     hub = make_hub(combos=(ComboId(Mode.CAR, Mode.BUS),), car_share=False, bike_share=False)
     setup = prepare_hub([market], hub, [market.market_id], matrices, simple_fares())
-    shift = mode_shift(setup, make_params(beta=0.5, asc=-1.0))
+    (shift,) = mode_shifts(setup, setup.choice_shares(make_params(beta=0.5, asc=-1.0)))
     assert shift.multimodal_leg_trips[Mode.CAR] == pytest.approx(shift.multimodal_leg_trips[Mode.BUS])
 
 
 def test_transit_delta_formula():
     _, _, _, setup = _impact_setup()
-    shift = mode_shift(setup, make_params(beta=0.4, asc=-2.0))
+    (shift,) = mode_shifts(setup, setup.choice_shares(make_params(beta=0.4, asc=-2.0)))
     expected = (
         shift.multimodal_leg_trips.get(Mode.BUS, 0.0)
         + shift.after_unimodal[Mode.TRANSIT]
@@ -172,7 +173,7 @@ def test_single_market_vmt_hand_computed():
     legs = assemble_leg_attrs(market, hub, combo, matrices, simple_fares())
     ns = nested_shares(uni, {combo: combo_utility(market, hub, combo, legs)}, params, market.segment)
 
-    vmt = vmt_delta(setup, params)
+    (vmt,) = vmt_deltas(setup, setup.choice_shares(params))
     w = 10.0 * 5.0
     assert vmt.before_driving == pytest.approx(w * ns_upper_before(uni, Mode.DRIVING), abs=1e-9)
     assert vmt.before_carpool == pytest.approx(w * ns_upper_before(uni, Mode.CARPOOL), abs=1e-9)
@@ -201,7 +202,7 @@ def test_car_share_legs_count_as_carpool_vmt():
     hub = make_hub(combos=(ComboId(Mode.CAR_SHARE, Mode.WALK_LEG),))
     setup = prepare_hub([market], hub, [market.market_id], matrices, simple_fares())
     params = make_params(beta=0.5, asc=-1.0)
-    vmt = vmt_delta(setup, params)
+    (vmt,) = vmt_deltas(setup, setup.choice_shares(params))
     shares = setup.choice_shares(params)
     hub_trips = 6.0 * float(shares.hub[0])
     carpool_unimodal = 6.0 * 4.0 * float(shares.upper[0, 5])
@@ -211,8 +212,9 @@ def test_car_share_legs_count_as_carpool_vmt():
 def test_include_on_demand_auto_flag():
     _, _, _, setup = _impact_setup()
     params = make_params(beta=0.4, asc=-2.0)
-    base = vmt_delta(setup, params)
-    wide = vmt_delta(setup, params, include_on_demand_auto=True)
+    shares = setup.choice_shares(params)
+    (base,) = vmt_deltas(setup, shares)
+    (wide,) = vmt_deltas(setup, shares, include_on_demand_auto=True)
     # counting on-demand trips as driving VMT raises both sides
     assert wide.before_driving > base.before_driving
     assert wide.after_driving > base.after_driving
@@ -238,7 +240,7 @@ def test_consumer_surplus_hand_computed():
 
     v_hub = 2 * (-0.07 * 10.0) - 1.0
     expected_gain = math.log(1.0 + math.exp(v_hub))  # logsum 0 -> log(e^0 + e^v)
-    cs = consumer_surplus_delta(setup, params)
+    (cs,) = consumer_surpluses(setup, setup.choice_shares(params))
     assert cs.cs_per_trip == pytest.approx(expected_gain / 0.4, abs=1e-12)
     assert cs.cs_total == pytest.approx(10.0 * expected_gain / 0.4, abs=1e-10)
     assert cs.n_excluded == 0
@@ -253,14 +255,15 @@ def test_consumer_surplus_gain_formula():
 def test_consumer_surplus_non_negative(rng):
     for asc in (-8.0, -4.0, -1.0, 0.0):
         _, _, _, setup = _impact_setup()
-        cs = consumer_surplus_delta(setup, make_params(beta=0.5, asc=asc))
+        (cs,) = consumer_surpluses(setup, setup.choice_shares(make_params(beta=0.5, asc=asc)))
         assert cs.cs_total >= 0.0
         assert cs.cs_per_trip >= 0.0
 
 
 def test_consumer_surplus_monotone_in_hub_constant():
     _, _, _, setup = _impact_setup()
-    values = [consumer_surplus_delta(setup, make_params(beta=0.5, asc=a)).cs_total for a in (-6.0, -3.0, -1.0)]
+    params = [make_params(beta=0.5, asc=a) for a in (-6.0, -3.0, -1.0)]
+    values = [consumer_surpluses(setup, setup.choice_shares(p))[0].cs_total for p in params]
     assert values == sorted(values)
 
 
@@ -268,18 +271,18 @@ def test_consumer_surplus_excludes_unpriceable_markets():
     taste = make_taste(beta_cost=0.1)  # construction allows it; pricing cannot
     market = make_market(od_id="odd", taste=taste)
     _, _, _, setup = _impact_setup(markets=[market])
-    cs = consumer_surplus_delta(setup, make_params(beta=0.5, asc=-1.0))
+    (cs,) = consumer_surpluses(setup, setup.choice_shares(make_params(beta=0.5, asc=-1.0)))
     assert cs.n_excluded == 1
     assert cs.cs_total == 0.0
 
 
 def test_assess_hub_report_shape():
     _, _, _, setup = _impact_setup()
-    report = assess_hub(setup, make_params(beta=0.4, asc=-2.0))
+    (report,) = assess_hubs(setup, make_params(beta=0.4, asc=-2.0))
     d = report.to_dict()
     assert d["hub_id"] == "h1"
     assert d["n_markets"] == setup.n_markets
-    assert d["potential_demand_trips_per_day"] == pytest.approx(potential_demand(setup))
+    assert d["potential_demand_trips_per_day"] == pytest.approx(float(setup.trips.sum()))
     assert set(d["unimodal_trips_before"]) == {m.value for m in Mode if m.value in d["unimodal_trips_before"]}
     assert "driving" in d["unimodal_trips_before"] and "carpool" in d["unimodal_trips_before"]
     assert d["multimodal_trips_per_day"] == pytest.approx(

@@ -756,9 +756,10 @@ def test_gen_fixture_is_reproducible(tmp_path):
 
 # sha256 of every file gen-fixture writes, recorded before its markets and
 # writers went columnar: seed 7 places a small stop roster, seed 11 at this
-# size (perfbench's rank-1k fixture) a stop grid.
+# size (perfbench's rank-1k fixture) a stop grid.  config.json is the default
+# PipelineConfig, re-pinned when its literal_lower_branch key was removed.
 _SAME_IN_BOTH = {
-    "config.json": "2f2bab18b98af7c166b7f48a092b199019058a8025c7a0ce670273c58bcdd517",
+    "config.json": "4f153995e47f1e556f2dffc4f775b2dbea599e7be7cbac73033026f3ba55fef3",
     "fares.json": "f412ade0b9396b8f76d78d1a698fa5f7c2d59fd73f74f395c758771d2b806ada",
     "manifest.json": "4fe6291d91cc74c390660378596d21a2b1afa542214e7f77a6f64082a8b7b342",
     "observed_usage.csv": "00cd40fa209535ee8b19222342b0b0487afe02295a5ceda59ddb2227f34b55c8",
@@ -879,12 +880,49 @@ def test_cli_rank_rejects_threads_below_one(fixture_dir, tmp_path, capsys):
         {"optimizer": {"restarts": 3}},
         {"optimizer": {"simplex_tol": 1e-10}},
         {"optimizer": {"objective_tol": 1e-12}},
+        {"literal_lower_branch": True},
     ],
-    ids=["threads", "method", "ridge_weight", "restarts", "simplex_tol", "objective_tol"],
+    ids=["threads", "method", "ridge_weight", "restarts", "simplex_tol", "objective_tol", "literal_lower_branch"],
 )
 def test_config_rejects_removed_keys(data):
     with pytest.raises(ValueError, match=r"unknown (config|optimizer) keys"):
         PipelineConfig.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "optimizer, key",
+    [
+        ({"beta_bounds": [0.01, 2], "init_beta": 1.5}, "beta_bounds"),
+        ({"beta_bounds": [0, 0]}, "beta_bounds"),
+        ({"beta_bounds": [-0.5, 0.5]}, "beta_bounds"),
+        ({"beta_bounds": [0.8, 0.2]}, "beta_bounds"),
+        ({"beta_bounds": [0.5]}, "beta_bounds"),
+        ({"beta_bounds": [float("nan"), 1.0]}, "beta_bounds"),
+        ({"asc_bounds": [0, -12]}, "asc_bounds"),
+        ({"asc_bounds": [-12, 0, 1]}, "asc_bounds"),
+    ],
+    ids=["above-one", "zero", "negative", "unordered", "one-value", "nan", "asc-unordered", "asc-three-values"],
+)
+def test_config_rejects_bad_optimizer_bounds(optimizer, key):
+    with pytest.raises(ValueError, match=rf"optimizer\.{key} must be"):
+        PipelineConfig.from_dict({"optimizer": optimizer})
+
+
+def test_cli_names_a_bad_optimizer_bound_before_fitting(fixture_dir, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"optimizer": {"beta_bounds": [0.01, 2], "init_beta": 1.5}}))
+    manifest = str(fixture_dir / "manifest.json")
+    assert main(["calibrate", "--manifest", manifest, "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert record["message"].startswith("optimizer.beta_bounds must be")
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_accepts_degenerate_optimizer_bounds():
+    # coinciding bounds hold a parameter fixed, and beta_hub = 1 is the flat logit
+    cfg = PipelineConfig.from_dict({"optimizer": {"beta_bounds": [1, 1], "asc_bounds": [-3, -3]}})
+    assert cfg.optimizer.beta_bounds == (1, 1) and cfg.optimizer.asc_bounds == (-3, -3)
 
 
 def test_cli_builds_each_observed_hub_setup_once(fixture_dir, tmp_path, monkeypatch):

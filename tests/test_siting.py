@@ -26,7 +26,7 @@ from hubmodal import (
     Mode,
     Segment,
     StopRecord,
-    assess_hub,
+    assess_hubs,
     assign_services,
     candidate_hub,
     cluster_stops,
@@ -221,7 +221,7 @@ def test_evaluate_matches_single_hub_pipeline():
     hub = candidate_hub(cand)
     ids = identify_potential_trips(markets, cand.location, 1.6)
     setup = prepare_hub(markets, hub, ids, matrices, simple_fares())
-    report = assess_hub(setup, params)
+    (report,) = assess_hubs(setup, params)
     assert m.potential_demand == pytest.approx(report.potential_demand)
     assert m.transit_delta == pytest.approx(report.transit_delta, abs=1e-12)
     assert m.vmt_reduced == pytest.approx(report.vmt.reduced, abs=1e-12)
@@ -306,7 +306,7 @@ def test_evaluate_equals_each_candidate_alone_bit_for_bit(rng, monkeypatch):
             expected[cand.candidate_id] = CandidateMetrics(0.0, 0.0, 0.0, 0.0, no_potential_trips=True)
             continue
         setup = prepare_hub(markets, candidate_hub(cand), ids, matrices, fares)
-        report = assess_hub(setup, params)
+        (report,) = assess_hubs(setup, params)
         # a hub's sums are numpy's own sums over its rows
         assert report.multimodal_total == float((setup.trips * setup.choice_shares(params).hub).sum())
         expected[cand.candidate_id] = CandidateMetrics(
