@@ -16,32 +16,50 @@ changes neither the schedule nor any output byte.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 import warnings
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 
 from . import io
-from .calibration import (
-    FIT_REL_TOL,
-    RANK_CUTOFF,
-    CalibrationResult,
-    HubParams,
-    ObservedUsage,
-    calibrate,
-    derive_observed_rate,
-    derive_sample_rate,
-    infer_trips_from_sample,
-)
 from .choice import Segment
 from .config import Manifest, PipelineConfig
-from .fixtures import generate_fixture
 from .geo import derive_threshold, detour_ratio, identify_potential_trips
 from .hubs import Hub, build_combos, prepare_hub
-from .impacts import EmissionFactor, assess_hubs
-from .siting import METRIC_KEYS, Candidate, assign_services, cluster_stops, evaluate_candidates, rank_and_summarize
+
+
+def _lazy(name: str) -> ModuleType:
+    """Submodule ``name`` of this package, run on its first attribute
+    access: importlib's lazy-import recipe.  It sits in ``sys.modules``
+    from the start, so ``import`` statements and code that patches the
+    loaded modules (a tracer, a test) see the one module object the
+    stage later runs."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Every stage loads the modules above.  These four run only in some
+# stages, which alone pay for compiling them and building their
+# dataclasses: calibration in calibrate, assess and rank; impacts in
+# assess and rank; siting in rank and gen-fixture; fixtures in
+# gen-fixture.
+calibration = _lazy("calibration")
+impacts = _lazy("impacts")
+siting = _lazy("siting")
+fixtures = _lazy("fixtures")
+
 
 def _load_base(args) -> tuple[Manifest, PipelineConfig]:
     if not args.manifest:
@@ -143,17 +161,17 @@ def _build_setups(table, hub_recs, survey, matrices, fares, config, threshold):
     return setups
 
 
-def _resolve_observed(hub_recs, potentials) -> tuple[list[ObservedUsage], dict]:
+def _resolve_observed(hub_recs, potentials) -> tuple[list[calibration.ObservedUsage], dict]:
     """Normalize each hub's raw observations to an observed proportion.
 
     Backend counts win when present.  Survey-expanded hubs need a sample
     rate; a blank one inherits the rate derived at the backend-counted
     hubs, and inheritance requires that derived rate to be unique.
     """
-    backend: dict[str, ObservedUsage] = {}
+    backend: dict[str, calibration.ObservedUsage] = {}
     for rec in hub_recs:
         if rec.has_backend:
-            backend[rec.hub_id] = derive_observed_rate(
+            backend[rec.hub_id] = calibration.derive_observed_rate(
                 rec.backend_trips_per_month,
                 rec.days_per_month,
                 rec.service_share,
@@ -164,7 +182,7 @@ def _resolve_observed(hub_recs, potentials) -> tuple[list[ObservedUsage], dict]:
     for rec in hub_recs:
         usage = backend.get(rec.hub_id)
         if usage is not None and rec.survey_responses is not None and rec.survey_days:
-            derived_rates[rec.hub_id] = derive_sample_rate(
+            derived_rates[rec.hub_id] = calibration.derive_sample_rate(
                 rec.survey_responses, usage.observed_trips_per_day, rec.survey_days
             )
 
@@ -193,7 +211,7 @@ def _resolve_observed(hub_recs, potentials) -> tuple[list[ObservedUsage], dict]:
             rate = uniq[0]
             source = "inherited"
         observed.append(
-            infer_trips_from_sample(
+            calibration.infer_trips_from_sample(
                 rec.survey_responses, rec.survey_days, rate, potentials[rec.hub_id], hub_id=rec.hub_id
             )
         )
@@ -201,18 +219,18 @@ def _resolve_observed(hub_recs, potentials) -> tuple[list[ObservedUsage], dict]:
     return observed, meta
 
 
-def _params_dict(params: HubParams) -> dict:
+def _params_dict(params: calibration.HubParams) -> dict:
     return {
         "beta_hub": params.beta_hub,
         "asc_by_segment": {seg.value: params.asc_by_segment[seg] for seg in sorted(params.asc_by_segment, key=lambda s: s.value)},
     }
 
 
-def _read_params(path: str | Path) -> HubParams:
+def _read_params(path: str | Path) -> calibration.HubParams:
     data = io.read_json(path, "params file")
     node = data.get("params", data)
     try:
-        return HubParams(
+        return calibration.HubParams(
             beta_hub=float(node["beta_hub"]),
             asc_by_segment={Segment(k): float(v) for k, v in node["asc_by_segment"].items()},
         )
@@ -225,12 +243,12 @@ def _run_calibration(setups, hub_recs, config):
     observed, obs_meta = _resolve_observed(hub_recs, potentials)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = calibrate(observed, setups, settings=config.optimizer)
+        result = calibration.calibrate(observed, setups, settings=config.optimizer)
     notes = [str(w.message) for w in caught]
     return result, observed, obs_meta, notes
 
 
-def _calibration_report(result: CalibrationResult, observed, obs_meta) -> dict:
+def _calibration_report(result: calibration.CalibrationResult, observed, obs_meta) -> dict:
     return {
         "params": _params_dict(result.params),
         "objective": result.objective,
@@ -242,9 +260,9 @@ def _calibration_report(result: CalibrationResult, observed, obs_meta) -> dict:
             "singular_values": list(result.singular_values),
             "rank": result.rank,
             "n_free_params": result.n_free,
-            "rank_cutoff": RANK_CUTOFF,
+            "rank_cutoff": calibration.RANK_CUTOFF,
             "params_at_bound": list(result.params_at_bound),
-            "fit_rel_tol": FIT_REL_TOL,
+            "fit_rel_tol": calibration.FIT_REL_TOL,
             "fit_within_tolerance": result.fit_within_tolerance,
         },
         "per_hub": [
@@ -364,7 +382,7 @@ def _cmd_assess(args) -> int:
     manifest, config, table, survey, hub_recs, matrices, fares, thr, thr_meta = _load_model_inputs(args)
     setups = _build_setups(table, hub_recs, survey, matrices, fares, config, thr)
     params, calib = _obtain_params(args, setups, hub_recs, config)
-    emissions = EmissionFactor(grams_co2_per_mile=config.grams_co2_per_mile, days_per_year=config.days_per_year)
+    emissions = impacts.EmissionFactor(grams_co2_per_mile=config.grams_co2_per_mile, days_per_year=config.days_per_year)
 
     hubs_out = {}
     totals = {
@@ -377,7 +395,7 @@ def _cmd_assess(args) -> int:
         "consumer_surplus_usd_per_day": 0.0,
     }
     for hub_id in sorted(setups):
-        (rep,) = assess_hubs(
+        (rep,) = impacts.assess_hubs(
             setups[hub_id], params, emissions=emissions, include_on_demand_auto=config.include_on_demand_auto_vmt
         )
         hubs_out[hub_id] = rep.to_dict()
@@ -415,9 +433,9 @@ def _cmd_rank(args) -> int:
     setups = None if args.params else _build_setups(table, hub_recs, survey, matrices, fares, config, thr)
     params, calib = _obtain_params(args, setups, hub_recs, config)
 
-    candidates = assign_services(cluster_stops(stops), lots)
+    candidates = siting.assign_services(siting.cluster_stops(stops), lots)
     references = [
-        Candidate(
+        siting.Candidate(
             candidate_id=rec.hub_id,
             location=rec.location,
             member_stop_ids=(),
@@ -431,23 +449,23 @@ def _cmd_rank(args) -> int:
     if overlap:
         raise ValueError(f"hub ids collide with candidate ids: {sorted(overlap)}")
 
-    evaluated = evaluate_candidates(
+    evaluated = siting.evaluate_candidates(
         candidates + references, table, params, thr, matrices, fares, config=config, threads=args.threads
     )
-    ranking, summary = rank_and_summarize(evaluated, reference_ids=reference_ids)
+    ranking, summary = siting.rank_and_summarize(evaluated, reference_ids=reference_ids)
 
     header = ["candidate_id", "is_reference"]
-    header += list(METRIC_KEYS)
-    header += [f"rank_{k}" for k in METRIC_KEYS]
-    header += [f"percentile_{k}" for k in METRIC_KEYS]
+    header += list(siting.METRIC_KEYS)
+    header += [f"rank_{k}" for k in siting.METRIC_KEYS]
+    header += [f"percentile_{k}" for k in siting.METRIC_KEYS]
     ref_set = set(reference_ids)
     ordered = sorted(ranking.rows, key=lambda r: (r.rank["potential_demand"], r.candidate_id))
     rows = []
     for r in ordered:
         row = [r.candidate_id, r.candidate_id in ref_set]
-        row += [r.metrics.get(k) for k in METRIC_KEYS]
-        row += [r.rank[k] for k in METRIC_KEYS]
-        row += [r.percentile[k] for k in METRIC_KEYS]
+        row += [r.metrics.get(k) for k in siting.METRIC_KEYS]
+        row += [r.rank[k] for k in siting.METRIC_KEYS]
+        row += [r.percentile[k] for k in siting.METRIC_KEYS]
         rows.append(row)
 
     out = _out_dir(args)
@@ -473,7 +491,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_gen_fixture(args) -> int:
     seed = 2024 if args.seed is None else args.seed
-    paths = generate_fixture(
+    paths = fixtures.generate_fixture(
         Path(args.out_dir),
         seed=seed,
         od_pairs=args.od_pairs,

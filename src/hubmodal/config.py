@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .geo import CONDITION2_MODES
+from .io import read_json
 
 
 @dataclass
@@ -83,8 +84,6 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
-        from .io import read_json  # deferred: io imports this module, through siting
-
         return cls.from_dict(read_json(path, "config"))
 
     def to_dict(self) -> dict:
@@ -117,8 +116,6 @@ class Manifest:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "Manifest":
-        from .io import read_json  # deferred: io imports this module, through siting
-
         path = Path(path)
         data = read_json(path, "manifest")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})

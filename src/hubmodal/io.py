@@ -67,7 +67,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -75,7 +75,9 @@ from .choice import SEGMENTS, TASTE_FIELDS, Segment, TasteVector
 from .geo import GeoPoint
 from .hubs import ATTR_FIELDS, LEG_MODE_ORDER, MARKET_MODE_COLUMNS, FareTable, LegMatrices, SurveyRecord
 from .hubs import MarketError, MarketTable
-from .siting import Candidate, StopRecord
+
+if TYPE_CHECKING:  # siting runs only in rank and gen-fixture
+    from .siting import Candidate, StopRecord
 
 _INF = float("inf")
 
@@ -699,6 +701,8 @@ _LAT_LON_CELLS = {"lat": _required_number_cell, "lon": _required_number_cell}
 
 
 def load_stops(path: str | Path) -> list[StopRecord]:
+    from .siting import StopRecord
+
     table = _read_table(path, {"stop_id": _text_cell, **_LAT_LON_CELLS})
     rows = zip(table["stop_id"], table["lat"], table["lon"])
     return [StopRecord(stop_id, _point(path, i, lat, lon, "lat")) for i, (stop_id, lat, lon) in enumerate(rows)]
@@ -746,7 +750,9 @@ def _max_records(path: str | Path) -> int:
     tail = b""
     with open(path, "rb") as fh:
         while chunk := fh.read(_COUNT_BYTES):
-            lines += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            lines += chunk.count(b"\n")
+            if b"\r" in chunk:  # LF-only chunks, the usual case, skip both CR counts
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
             lines -= tail == b"\r" and chunk[:1] == b"\n"  # a CRLF split between chunks
             tail = chunk[-1:]
     lines += tail not in (b"", b"\n", b"\r")  # a last line with no line end

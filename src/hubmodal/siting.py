@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .calibration import HubParams
 from .config import PipelineConfig
 from .geo import GeoPoint, haversine_km, potential_trip_mask
 from .hubs import (
@@ -27,7 +26,11 @@ from .hubs import (
     MarketTable,
     prepare_hub,
 )
-from .impacts import EmissionFactor, assess_hubs
+
+# Scoring imports impacts (and calibration with it) when it runs, so
+# gen-fixture, which only clusters stops, loads neither.
+if TYPE_CHECKING:
+    from .calibration import HubParams
 
 logger = logging.getLogger(__name__)
 
@@ -206,6 +209,8 @@ def evaluate_candidates(
     compatibility; the passes run in the calling thread whatever its
     value, and no result depends on it.
     """
+    from .impacts import EmissionFactor, assess_hubs
+
     cfg = config or PipelineConfig()
     table = MarketTable.ensure(markets)
     ordered = sorted(candidates, key=lambda c: c.candidate_id)

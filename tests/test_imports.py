@@ -4,16 +4,20 @@ a stage runs.
 An AST scan, standard library only: a name bound by an import must be
 read somewhere in the same module, in code, in an annotation (string
 annotations included) or in ``__all__``.  Package ``__init__.py`` files
-re-export names and are skipped.
+are skipped; the package's lazy names are checked here instead: each
+resolves to the object in its home module.
 
-The package depends on numpy alone: importing the CLI and running any
-stage, the calibration fit included, must leave scipy unloaded.  These
-checks run in a fresh interpreter.
+Start-up: a bare ``import hubmodal`` loads no submodule, and each CLI
+stage loads only the modules it runs.  The package depends on numpy
+alone: importing the CLI and running any stage, the calibration fit
+included, must leave scipy unloaded.  These checks run in a fresh
+interpreter.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -21,6 +25,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import hubmodal
+from hubmodal.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = sorted(
@@ -122,3 +129,78 @@ def test_no_stage_loads_scipy(tmp_path):
     loaded = json.loads(_fresh_python(STAGE_SCRIPT, tmp_path).splitlines()[-1])
     assert "calibrate" in loaded
     assert loaded == {stage: [] for stage in loaded}
+
+
+def test_every_package_name_is_its_home_module_object():
+    assert len(set(hubmodal.__all__)) == len(hubmodal.__all__)
+    for name in hubmodal.__all__:
+        home = importlib.import_module(f"hubmodal.{hubmodal._HOME[name]}")
+        assert getattr(hubmodal, name) is getattr(home, name), name
+    assert set(hubmodal.__all__) <= set(dir(hubmodal))
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hubmodal.no_such_name
+    assert not hasattr(hubmodal, "no_such_name")
+
+
+def test_star_import_binds_every_package_name():
+    namespace: dict = {}
+    exec("from hubmodal import *", namespace)
+    assert {name: namespace.get(name) for name in hubmodal.__all__} == {
+        name: getattr(hubmodal, name) for name in hubmodal.__all__
+    }
+
+
+# The hubmodal modules a process has run.  cli binds the modules that only
+# some stages use lazily: each sits in sys.modules as an unrun LazyLoader
+# module, not a plain module, until its first attribute access.
+HUBMODAL_LOADED = (
+    "sorted(n.partition('.')[2] for n, m in sys.modules.items()"
+    " if n.startswith('hubmodal.') and type(m) is types.ModuleType)"
+)
+
+
+def test_bare_package_import_loads_no_submodule(tmp_path):
+    out = _fresh_python(f"import sys, types, hubmodal; print({HUBMODAL_LOADED})", tmp_path)
+    assert out.strip() == "[]"
+
+
+GEN_FIXTURE = ["gen-fixture", "--seed", "3", "--od-pairs", "12", "--stops", "6"]
+FX = ["--manifest", "fx/manifest.json"]
+PARAMS = ["--params", "params.json"]
+COMMON = ["cli", "config", "geo", "choice", "hubs", "io"]
+# stage -> (argv, the hubmodal modules it loads)
+STAGES = {
+    "derive-threshold": (["derive-threshold", *FX], COMMON),
+    "identify-trips": (["identify-trips", *FX], COMMON),
+    "calibrate": (["calibrate", *FX], [*COMMON, "calibration"]),
+    "assess --params": (["assess", *FX, *PARAMS], [*COMMON, "calibration", "impacts"]),
+    "rank --params": (["rank", *FX, *PARAMS], [*COMMON, "calibration", "impacts", "siting"]),
+    "gen-fixture": (GEN_FIXTURE, [*COMMON, "siting", "fixtures"]),
+}
+
+
+@pytest.fixture(scope="module")
+def stage_dir(tmp_path_factory):
+    """A small fixture and a params file for the stages to read."""
+    root = tmp_path_factory.mktemp("stages")
+    assert main([*GEN_FIXTURE, "--out-dir", str(root / "fx")]) == 0
+    params = {"beta_hub": 0.5, "asc_by_segment": {s.value: -4.0 for s in hubmodal.Segment}}
+    (root / "params.json").write_text(json.dumps(params), encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_each_stage_loads_only_its_modules(stage, stage_dir):
+    argv, modules = STAGES[stage]
+    code = f"""
+import contextlib, io, sys, types
+from hubmodal.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({[*argv, "--out-dir", "out"]!r}) == 0
+print({HUBMODAL_LOADED})
+"""
+    assert _fresh_python(code, stage_dir).strip() == str(sorted(modules))
