@@ -7,6 +7,8 @@ observed.  The calibrator should drive the squared error to ~0 and
 land on the generating parameters.
 """
 
+import numpy as np
+
 from hubmodal import (
     ComboId,
     FareTable,
@@ -16,6 +18,7 @@ from hubmodal import (
     LegMatrices,
     LegTimes,
     Market,
+    MarketTable,
     Mode,
     ModeAttr,
     ObservedUsage,
@@ -85,7 +88,9 @@ def build_setup(i):
             matrices.add(zone, hub_id, Mode.CAR, leg, leg)
             matrices.add(zone, hub_id, Mode.WALK_LEG, leg, leg)
             matrices.add(zone, hub_id, Mode.BUS, bus, bus)
-    return prepare_hub(markets, hub, [m.market_id for m in markets], matrices, fares)
+    # every market of the table is one of this hub's potential trips
+    table = MarketTable.from_markets(markets)
+    return prepare_hub(table, [hub], np.ones((1, len(table)), dtype=bool), matrices, fares)
 
 
 setups = {f"hub-{i}": build_setup(i) for i in range(5)}

@@ -18,6 +18,7 @@ from hubmodal import (
     LegMatrices,
     LegTimes,
     Market,
+    MarketTable,
     Mode,
     ModeAttr,
     Segment,
@@ -74,7 +75,9 @@ for m in markets:
             matrices.add(zone, hub.id, mode, veh, veh)
         matrices.add(zone, hub.id, Mode.BUS, bus, bus)
 
-setup = prepare_hub(markets, hub, [m.market_id for m in markets], matrices, fares)
+# every market of the table is one of the hub's potential trips
+table = MarketTable.from_markets(markets)
+setup = prepare_hub(table, [hub], np.ones((1, len(table)), dtype=bool), matrices, fares)
 params = HubParams(beta_hub=0.4, asc_by_segment={s: -2.5 for s in Segment})
 (report,) = assess_hubs(setup, params, emissions=EmissionFactor())
 

@@ -11,13 +11,14 @@ import numpy as np
 from hubmodal import (
     GeoPoint,
     Market,
+    MarketTable,
     ModeAttr,
     Mode,
     Segment,
     TasteVector,
     derive_threshold,
     detour_ratio,
-    identify_potential_trips,
+    potential_trip_mask,
 )
 
 rng = np.random.default_rng(7)
@@ -62,12 +63,14 @@ markets = [
     for i in range(400)
 ]
 
-kept = identify_potential_trips(markets, hub, threshold)
-print(f"\nmarkets kept at threshold {threshold:.3f}: {len(kept)} of {len(markets)}")
+# the markets become one table, screened against the hub in one mask
+table = MarketTable.from_markets(markets)
+(kept,) = potential_trip_mask(table, [hub.lat], [hub.lon], threshold)
+print(f"\nmarkets kept at threshold {threshold:.3f}: {kept.sum()} of {len(table)}")
 
 # the screen loosens monotonically with the threshold
 for t in sorted((1.05, 1.2, threshold, 2.0, 2.5)):
-    n = len(identify_potential_trips(markets, hub, t))
+    n = potential_trip_mask(table, [hub.lat], [hub.lon], t).sum()
     print(f"  threshold {t:5.3f} -> {n:3d} markets")
 
 # trips ending within a kilometre of the hub pass regardless of detour
@@ -78,4 +81,6 @@ close_d = Market(
     trips_per_day=2.0, driving_miles=20.0,
     attrs={Mode.DRIVING: ModeAttr(ivt_min=40.0, cost_usd=6.0)}, taste=taste,
 )
-print(f"\nawkward detour but destination near hub -> {identify_potential_trips([close_d], hub, 1.1)}")
+close_table = MarketTable.from_markets([close_d])
+(near,) = potential_trip_mask(close_table, [hub.lat], [hub.lon], 1.1)
+print(f"\nawkward detour but destination near hub -> {[close_table.ids[i] for i in near.nonzero()[0]]}")

@@ -59,7 +59,7 @@ _EXPORTS = {
         "detour_ratio",
         "great_circle_km",
         "haversine_km",
-        "identify_potential_trips",
+        "potential_trip_mask",
     ),
     "hubs": (
         "CAR_SHARE_PROFILE_COMBOS",

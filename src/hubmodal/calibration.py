@@ -158,15 +158,27 @@ def infer_trips_from_sample(
 
 
 def predict_hub_proportion(setup: HubChoiceSetup, params: HubParams) -> float:
-    """Trip-weighted mean upper-level hub share over the potential markets."""
+    """Trip-weighted mean upper-level hub share over the potential markets
+    of the one hub of ``setup``."""
     total = _total_trips(setup)
     return float((setup.trips * setup.hub_nest_share(params)).sum() / total)
 
 
+def _hub_id(setup: HubChoiceSetup, hub_id: str | None = None) -> str:
+    """The id of the one hub of ``setup``, which must be ``hub_id`` when
+    given: the sums here run over every row of a setup, so a stacked
+    setup would pool its hubs."""
+    ids = [h.id for h in setup.hubs]
+    if len(ids) != 1 or hub_id not in (None, ids[0]):
+        raise ValueError(f"hub {hub_id or ', '.join(ids)}: needs a setup of that hub alone, got one of hubs {ids}")
+    return ids[0]
+
+
 def _total_trips(setup: HubChoiceSetup) -> float:
+    hub_id = _hub_id(setup)
     total = setup.trips.sum()
     if setup.n_markets == 0 or total <= 0.0:
-        raise ValueError(f"hub {setup.hub.id}: no potential trips to predict over")
+        raise ValueError(f"hub {hub_id}: no potential trips to predict over")
     return total
 
 
@@ -272,6 +284,7 @@ def calibrate(
         setup = setups.get(o.hub_id)
         if setup is None:
             raise ValueError(f"no prepared markets for observed hub {o.hub_id}")
+        _hub_id(setup, o.hub_id)
         pairs.append((setup, o.observed_proportion))
 
     rank_deficient = len(pairs) < N_PARAMS
@@ -400,8 +413,9 @@ def validate_leg_counts(
     counts arrive by bus (entry legs).  ``unimodal_boardings`` adds
     unimodal-transit boardings at the hub stop when a count for them is
     available.  Zero observed counts report the absolute gap and a None
-    percent difference.
+    percent difference.  ``setup`` holds the one hub counted.
     """
+    _hub_id(setup)
     shares = setup.choice_shares(params)
     joint_trips = setup.trips[:, None] * shares.joint
     rows = []

@@ -28,7 +28,7 @@ import numpy as np
 from . import io
 from .choice import Segment
 from .config import Manifest, PipelineConfig
-from .geo import derive_threshold, detour_ratio, identify_potential_trips
+from .geo import derive_threshold, detour_ratio, potential_trip_mask
 from .hubs import Hub, build_combos, prepare_hub
 
 
@@ -136,23 +136,30 @@ def _build_hub(rec: io.HubRecord, survey) -> Hub:
     )
 
 
+def _screen(table, hub_recs, config, threshold) -> np.ndarray:
+    """(hubs, markets) potential-trip mask of the observed hubs, in
+    ``hub_recs`` order, from one screen of the table."""
+    return potential_trip_mask(
+        table,
+        [rec.location.lat for rec in hub_recs],
+        [rec.location.lon for rec in hub_recs],
+        threshold,
+        condition2_mode=config.condition2_mode,
+        condition2_km=config.condition2_km,
+    )
+
+
 def _build_setups(table, hub_recs, survey, matrices, fares, config, threshold):
+    keep = _screen(table, hub_recs, config, threshold)
     setups = {}
-    for rec in hub_recs:
+    for h, rec in enumerate(hub_recs):
         hub = _build_hub(rec, survey)
-        ids = identify_potential_trips(
-            table,
-            rec.location,
-            threshold,
-            condition2_mode=config.condition2_mode,
-            condition2_km=config.condition2_km,
-        )
-        if not ids:
+        if not keep[h].any():
             raise ValueError(f"hub {rec.hub_id}: no potential trips at threshold {threshold}")
         setups[rec.hub_id] = prepare_hub(
             table,
-            hub,
-            ids,
+            [hub],
+            keep[h : h + 1],
             matrices,
             fares,
             car_cost_per_mile=config.car_cost_per_mile,
@@ -316,18 +323,12 @@ def _cmd_identify_trips(args) -> int:
 
     rows = []
     hubs_report = {}
-    for rec in hub_recs:
-        ids = identify_potential_trips(
-            table,
-            rec.location,
-            thr,
-            condition2_mode=config.condition2_mode,
-            condition2_km=config.condition2_km,
-        )
+    for rec, kept in zip(hub_recs, _screen(table, hub_recs, config, thr)):
+        idx = np.flatnonzero(kept)
         # summed as calibrate sums a setup's trips, so the two reports agree
-        trips = table.trips[np.array([table.id_index[i] for i in ids], dtype=np.int64)].sum()
-        hubs_report[rec.hub_id] = {"n_markets": len(ids), "potential_trips_per_day": float(trips)}
-        rows.extend((rec.hub_id, mid) for mid in ids)
+        trips = table.trips[idx].sum()
+        hubs_report[rec.hub_id] = {"n_markets": len(idx), "potential_trips_per_day": float(trips)}
+        rows.extend((rec.hub_id, table.ids[i]) for i in idx.tolist())
 
     out = _out_dir(args)
     trips_path = io.write_csv(out / "trips.csv", ("hub_id", "market_id"), rows)

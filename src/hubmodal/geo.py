@@ -1,11 +1,11 @@
-"""Great-circle geometry, detour ratios, and potential-trip identification.
+"""Great-circle geometry, detour ratios, and the potential-trip screen.
 
 A trip can plausibly divert through a hub when the detour it causes is
 small.  The detour of routing origin -> hub -> destination is summarized
 by the ratio (OH + HD) / OD of great-circle distances.  A population of
 surveyed hub users pins down how much detour real users accept; the 90th
-percentile of their ratios becomes the inclusion threshold for the full
-trip table.
+percentile of their ratios becomes the inclusion threshold with which
+``potential_trip_mask`` screens a whole MarketTable against many hubs.
 """
 
 from __future__ import annotations
@@ -13,9 +13,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .hubs import MarketTable
 
 logger = logging.getLogger(__name__)
 
@@ -91,37 +94,8 @@ def derive_threshold(records: Sequence[DetourRecord]) -> float:
     return ratios[idx - 1]
 
 
-def _table(markets):
-    from .hubs import MarketTable  # hubs imports this module
-
-    return MarketTable.ensure(markets)
-
-
-def identify_potential_trips(
-    markets,
-    hub_location: GeoPoint,
-    threshold: float,
-    *,
-    condition2_mode: str = "literal_hd_1km",
-    condition2_km: float = 1.0,
-) -> list[str]:
-    """Market ids whose trips could plausibly divert through the hub: the
-    one-hub case of ``potential_trip_mask``.  The returned ids are sorted,
-    so the output is deterministic."""
-    table = _table(markets)
-    keep = potential_trip_mask(
-        table,
-        [hub_location.lat],
-        [hub_location.lon],
-        threshold,
-        condition2_mode=condition2_mode,
-        condition2_km=condition2_km,
-    )
-    return [table.ids[i] for i in np.flatnonzero(keep[0]).tolist()]
-
-
 def potential_trip_mask(
-    markets,
+    table: MarketTable,
     hub_lat: Sequence[float],
     hub_lon: Sequence[float],
     threshold: float,
@@ -129,9 +103,10 @@ def potential_trip_mask(
     condition2_mode: str = "literal_hd_1km",
     condition2_km: float = 1.0,
 ) -> np.ndarray:
-    """(hubs, markets) mask of the markets (a MarketTable or Market
-    objects) whose trips could plausibly divert through each hub, markets
-    in table order, which is market-id order.
+    """(hubs, markets) mask of the rows of ``table`` whose trips could
+    plausibly divert through each hub, markets in table order, which is
+    market-id order.  Each True row of the mask is one potential trip
+    market of that hub; ``prepare_hub`` takes the mask as it is.
 
     A market qualifies when OH + HD < threshold * OD, or under the short
     final-leg condition: HD < condition2_km ("literal_hd_1km" mode) or
@@ -142,7 +117,6 @@ def potential_trip_mask(
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     if condition2_mode not in CONDITION2_MODES:
         raise ValueError(f"unknown condition2_mode: {condition2_mode!r}")
-    table = _table(markets)
     o_lat, o_lon, d_lat, d_lon = table.o_lat, table.o_lon, table.d_lat, table.d_lon
     lat = np.asarray(hub_lat, dtype=float)[:, None]
     lon = np.asarray(hub_lon, dtype=float)[:, None]

@@ -1,6 +1,7 @@
 """Hub choice-set assembly: transfer combos, leg attributes, and the
 param-independent per-market arrays that calibration and impact metrics
-evaluate against.
+evaluate against.  ``prepare_hub`` builds them from a MarketTable and a
+(hubs, markets) potential-trip mask, the one form every stage uses.
 
 Combos observed in an intercept survey define a hub's transfer choice
 set.  Leg times come from zone-to-hub matrices keyed by (zone, hub, leg
@@ -556,7 +557,6 @@ class MarketTable:
         idx = np.array(order, dtype=np.int64)
         self.ids: tuple[str, ...] = tuple(map(ids.__getitem__, order))
         self.od_ids: tuple[str, ...] = tuple(map(list(od_ids).__getitem__, order))
-        self.id_index: dict[str, int] = {mid: i for i, mid in enumerate(self.ids)}
         self.segment_codes, self.trips, self.drive_miles = segment_codes[idx], trips[idx], drive_miles[idx]
         (self.o_lat, self.d_lat), (self.o_lon, self.d_lon) = lat[:, idx], lon[:, idx]
         self.attrs: dict[str, np.ndarray] = {f: attrs[f][idx] for f in ATTR_FIELDS}
@@ -605,10 +605,6 @@ class MarketTable:
             d_zones=[m.d_zone for m in ms],
         )
 
-    @classmethod
-    def ensure(cls, markets) -> "MarketTable":
-        return markets if isinstance(markets, MarketTable) else cls.from_markets(markets)
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -646,19 +642,20 @@ class HubShares:
 
 
 class HubChoiceSetup:
-    """Parameter-independent choice data for one hub over its potential
-    markets: unimodal utilities, combo utilities, and leg distances.
+    """Parameter-independent choice data for the potential markets of one
+    or more hubs that share a choice set: unimodal utilities, combo
+    utilities, and leg distances.
 
-    Several hubs that share one choice set can be stacked in one setup:
-    ``hub`` is then a sequence of hubs, and ``bounds`` (len(hubs) + 1
-    offsets) gives each hub its run of rows, in hub order.  Every array
-    is per row, so a share pass over a stack is the share pass of each of
-    its hubs, and a hub's impact sums are sums over its own rows.
+    The rows are stacked hub by hub: ``bounds`` (len(hubs) + 1 offsets)
+    gives each hub its run of rows, in hub order, and ``rows`` is each
+    row's index in the MarketTable it was built from.  Every array is per
+    row, so a share pass over a stack is the share pass of each of its
+    hubs, and a hub's impact sums are sums over its own rows.
 
     Combo utilities are -inf where a leg is missing from the matrices.
-    ``matrix_miles`` is NaN where the matrices carried no network
-    distance; distance weighting then uses plain great-circle leg miles
-    and VMT/cost use the circuity-adjusted value.
+    ``vmt_miles`` and ``weight_miles`` (m, k, 2) are each combo's entry
+    and exit leg miles: network miles where the matrices carry them, else
+    great-circle miles, times the circuity factor in ``vmt_miles``.
 
     The softmax terms that do not depend on the parameters (which markets
     have a reachable combo, the combo utilities shifted by their row
@@ -669,26 +666,24 @@ class HubChoiceSetup:
 
     def __init__(
         self,
-        hub: Hub | Sequence[Hub],
-        market_ids: Sequence[str],
+        hubs: Sequence[Hub],
+        rows: np.ndarray,
         segment_codes: np.ndarray,
         trips: np.ndarray,
         drive_miles: np.ndarray,
         uni_util: np.ndarray,
         combos: Sequence[ComboId],
         combo_util: np.ndarray,
-        matrix_miles: np.ndarray,
-        entry_gc_miles: np.ndarray,
-        exit_gc_miles: np.ndarray,
+        vmt_miles: np.ndarray,
+        weight_miles: np.ndarray,
         beta_cost: np.ndarray,
-        circuity_factor: float = 1.3,
         *,
-        bounds: Sequence[int] | None = None,
+        bounds: Sequence[int],
     ):
-        self.hubs = (hub,) if isinstance(hub, Hub) else tuple(hub)
-        self.market_ids = tuple(market_ids)
-        bounds = (0, len(self.market_ids)) if bounds is None else tuple(map(int, bounds))
-        if len(bounds) != len(self.hubs) + 1 or bounds[0] != 0 or bounds[-1] != len(self.market_ids):
+        self.hubs = tuple(hubs)
+        self.rows = rows
+        bounds = tuple(map(int, bounds))
+        if len(bounds) != len(self.hubs) + 1 or bounds[0] != 0 or bounds[-1] != len(rows):
             raise ValueError("bounds must run from 0 to the row count, one span per hub")
         self.spans = tuple(zip(bounds[:-1], bounds[1:]))
         self.segment_codes = segment_codes
@@ -697,11 +692,9 @@ class HubChoiceSetup:
         self.uni_util = uni_util
         self.combos = tuple(combos)
         self.combo_util = combo_util
-        self.matrix_miles = matrix_miles
-        self.entry_gc_miles = entry_gc_miles
-        self.exit_gc_miles = exit_gc_miles
+        self.vmt_miles = vmt_miles
+        self.weight_miles = weight_miles
         self.beta_cost = beta_cost
-        self.circuity_factor = circuity_factor
         with np.errstate(invalid="ignore"):
             c_max = combo_util.max(axis=1, initial=-np.inf)
         self._has = np.isfinite(c_max)
@@ -710,34 +703,12 @@ class HubChoiceSetup:
         self._uni_max = uni_util.max(axis=1)
 
     @property
-    def hub(self) -> Hub:
-        """The hub of a one-hub setup."""
-        if len(self.hubs) != 1:
-            raise ValueError(f"setup stacks {len(self.hubs)} hubs, not one")
-        return self.hubs[0]
-
-    @property
     def n_markets(self) -> int:
-        return len(self.market_ids)
+        return len(self.rows)
 
     @property
     def n_combos(self) -> int:
         return len(self.combos)
-
-    def leg_miles(self, circuity: float) -> np.ndarray:
-        """(m, k, 2) leg distances: network miles when the matrices carry
-        them, otherwise great-circle miles times ``circuity``.  Trip
-        weighting uses plain great-circle (circuity 1), VMT the setup's
-        circuity factor."""
-        shape = self.matrix_miles.shape[:2]
-        gc = np.stack(
-            [
-                np.broadcast_to(self.entry_gc_miles[:, None], shape),
-                np.broadcast_to(self.exit_gc_miles[:, None], shape),
-            ],
-            axis=2,
-        )
-        return np.where(np.isnan(self.matrix_miles), gc * circuity, self.matrix_miles)
 
     @cached_property
     def _c_shift_finite(self) -> np.ndarray:
@@ -819,9 +790,9 @@ class HubChoiceSetup:
 
 
 def prepare_hub(
-    markets,
-    hub: Hub | Sequence[Hub],
-    market_ids,
+    table: MarketTable,
+    hubs: Sequence[Hub],
+    keep: np.ndarray,
     matrices: LegMatrices,
     fares: FareTable,
     *,
@@ -829,28 +800,18 @@ def prepare_hub(
     car_cost_per_mile: float = 0.20,
     circuity_factor: float = 1.3,
 ) -> HubChoiceSetup:
-    """Build the evaluation arrays for one hub over its potential markets,
-    or one stacked setup for several hubs that share a choice set.
+    """Build the evaluation arrays of one stacked setup for ``hubs``, which
+    must share one choice set, over their potential markets.
 
-    ``markets`` is a Market sequence or a MarketTable.  For one hub,
-    ``market_ids`` selects the potential trips (typically the identify
-    step's output).  For a sequence of hubs it is a (hubs, markets)
-    boolean mask over the table rows, as ``potential_trip_mask`` gives
-    it; the rows are stacked hub by hub, markets in table order.
-    ``zone_map`` is ``matrices.zone_codes(table.zone_ids)``, for callers
-    that build many setups over one table.
+    ``keep`` is a (len(hubs), len(table)) boolean mask over the table rows,
+    as ``potential_trip_mask`` gives it; the rows are stacked hub by hub,
+    markets in table order.  ``zone_map`` is
+    ``matrices.zone_codes(table.zone_ids)``, for callers that build many
+    setups over one table.
     """
-    table = MarketTable.ensure(markets)
-    if isinstance(hub, Hub):
-        hubs = (hub,)
-        try:
-            idx = np.array([table.id_index[i] for i in sorted(set(market_ids))], dtype=np.int64)
-        except KeyError as err:
-            raise ValueError(f"unknown market id: {err.args[0]!r}") from None
-        own = np.zeros(len(idx), dtype=np.int64)
-    else:
-        hubs = tuple(hub)
-        own, idx = np.nonzero(market_ids)
+    if keep.shape != (len(hubs), len(table)):
+        raise ValueError(f"mask shape {keep.shape} is not (hubs, markets) = {(len(hubs), len(table))}")
+    own, idx = np.nonzero(keep)
     combos = hubs[0].sorted_combos()
     if any(h.combos != hubs[0].combos for h in hubs):
         raise ValueError("stacked hubs must share one choice set")
@@ -870,15 +831,17 @@ def prepare_hub(
     zones = (zone_map[table.o_zone_codes[idx]], zone_map[table.d_zone_codes[idx]])
     gcs = (entry_gc, exit_gc)
     leg_util: dict[tuple[Mode, int], np.ndarray] = {}
-    leg_miles: dict[tuple[Mode, int], np.ndarray] = {}
+    leg_miles: dict[tuple[Mode, int], tuple[np.ndarray, np.ndarray]] = {}
     leg_modes = (dict.fromkeys(c.entry for c in combos), dict.fromkeys(c.exit for c in combos))
     for direction, modes in enumerate(leg_modes):
-        for mode, rows in matrices.rows(zones[direction], hub_codes, modes).items():
-            minutes, access, egress, transfers, miles = matrices._legs[direction].take(rows, axis=0).T
+        for mode, found in matrices.rows(zones[direction], hub_codes, modes).items():
+            minutes, access, egress, transfers, miles = matrices._legs[direction].take(found, axis=0).T
             avail = ~np.isnan(minutes)
             minutes = np.where(avail, minutes, 0.0)
-            cost_miles = np.where(np.isnan(miles), gcs[direction] * circuity_factor, miles)
-            cost = leg_cost_usd(mode, minutes, cost_miles, fares, car_cost_per_mile=car_cost_per_mile)
+            # network miles, else great-circle: times the circuity factor for cost and VMT
+            no_network = np.isnan(miles)
+            vmt_miles = np.where(no_network, gcs[direction] * circuity_factor, miles)
+            cost = leg_cost_usd(mode, minutes, vmt_miles, fares, car_cost_per_mile=car_cost_per_mile)
             u = mode_utility(
                 taste,
                 mode,
@@ -889,28 +852,26 @@ def prepare_hub(
                 cost_usd=cost,
             )
             leg_util[mode, direction] = np.where(avail, u, -np.inf)
-            leg_miles[mode, direction] = miles
+            leg_miles[mode, direction] = vmt_miles, np.where(no_network, gcs[direction], miles)
 
     combo_util = np.full((m, k), -np.inf)
-    matrix_miles = np.full((m, k, 2), np.nan)
+    miles = np.empty((2, m, k, 2))  # vmt, then weight
     for j, combo in enumerate(combos):
         combo_util[:, j] = leg_util[combo.entry, 0] + leg_util[combo.exit, 1]
-        matrix_miles[:, j, 0] = leg_miles[combo.entry, 0]
-        matrix_miles[:, j, 1] = leg_miles[combo.exit, 1]
+        miles[:, :, j, 0] = leg_miles[combo.entry, 0]
+        miles[:, :, j, 1] = leg_miles[combo.exit, 1]
 
     return HubChoiceSetup(
         hubs,
-        list(map(table.ids.__getitem__, idx.tolist())),
+        idx,
         table.segment_codes[idx],
         table.trips[idx],
         table.drive_miles[idx],
         table.unimodal_utilities()[idx],
         combos,
         combo_util,
-        matrix_miles,
-        entry_gc,
-        exit_gc,
+        miles[0],
+        miles[1],
         taste["beta_cost"],
-        circuity_factor,
         bounds=np.searchsorted(own, np.arange(len(hubs) + 1)),
     )

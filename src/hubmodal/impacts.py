@@ -89,7 +89,7 @@ def mode_shifts(setup: HubChoiceSetup, s: HubShares) -> list[ModeShiftResult]:
     d = setup.trips[:, None]
     parts = [(d * s.before).T, (d * s.upper).T, (setup.trips * s.hub)[None]]
     if setup.n_combos:
-        w = setup.leg_miles(1.0)
+        w = setup.weight_miles
         total_w = w[:, :, 0] + w[:, :, 1]
         with np.errstate(invalid="ignore", divide="ignore"):
             frac_entry = np.where(total_w > 0.0, w[:, :, 0] / total_w, 0.5)
@@ -181,7 +181,7 @@ def vmt_deltas(
     if car_legs:
         js, poss, _ = zip(*car_legs)
         joint_trips = (setup.trips * ok)[:, None] * s.joint[:, js]
-        parts.append((joint_trips * setup.leg_miles(setup.circuity_factor)[:, js, poss]).T)
+        parts.append((joint_trips * setup.vmt_miles[:, js, poss]).T)
 
     out = []
     n = len(cols)

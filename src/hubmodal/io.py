@@ -632,10 +632,9 @@ def load_markets(path: str | Path, taste_path: str | Path | None = None) -> Mark
         raise _row_error(path, err.row, err.column, err.why) from None
 
 
-def write_markets(markets, path: str | Path) -> Path:
-    """Markets (a MarketTable or Market objects) in market-id order, written
-    from the table column by column; NaN is refused."""
-    t = MarketTable.ensure(markets)
+def write_markets(t: MarketTable, path: str | Path) -> Path:
+    """The table's markets in market-id order, written column by column;
+    NaN is refused."""
     columns = [t.o_lat, t.o_lon, t.d_lat, t.d_lon, t.trips, t.drive_miles]
     for j, (_, _, fields_) in enumerate(MARKET_MODE_COLUMNS):
         columns += [*(t.attrs[f][:, j] for f in fields_), t.available[:, j]]

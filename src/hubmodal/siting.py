@@ -188,7 +188,7 @@ def _chunks(members: list[int], cells: np.ndarray):
 
 def evaluate_candidates(
     candidates: Sequence[Candidate],
-    markets,
+    table: MarketTable,
     params: HubParams,
     threshold: float,
     matrices: LegMatrices,
@@ -199,20 +199,19 @@ def evaluate_candidates(
 ) -> list[Candidate]:
     """Score every candidate with the implemented-hub impact pipeline.
 
-    One detour screen covers every candidate.  Candidates that share a
-    service profile are stacked, in candidate-id order, into setups of
-    at most CHUNK_CELLS market x combo cells, and each stack gets one
-    share pass; each candidate's metrics are sums over its own rows, so
-    they equal ``prepare_hub`` + ``assess_hubs`` on a setup of that
-    candidate alone, bit for bit.  Candidates with no potential trips
-    get zero metrics and a flag.  ``threads`` is accepted for
-    compatibility; the passes run in the calling thread whatever its
-    value, and no result depends on it.
+    One detour screen covers every market of ``table`` for every
+    candidate.  Candidates that share a service profile are stacked, in
+    candidate-id order, into setups of at most CHUNK_CELLS market x combo
+    cells, and each stack gets one share pass; each candidate's metrics
+    are sums over its own rows, so they equal ``prepare_hub`` +
+    ``assess_hubs`` on a setup of that candidate alone, bit for bit.
+    Candidates with no potential trips get zero metrics and a flag.
+    ``threads`` is accepted for compatibility; the passes run in the
+    calling thread whatever its value, and no result depends on it.
     """
     from .impacts import EmissionFactor, assess_hubs
 
     cfg = config or PipelineConfig()
-    table = MarketTable.ensure(markets)
     ordered = sorted(candidates, key=lambda c: c.candidate_id)
     emissions = EmissionFactor(grams_co2_per_mile=cfg.grams_co2_per_mile, days_per_year=cfg.days_per_year)
     keep = potential_trip_mask(

@@ -26,6 +26,8 @@ from hubmodal import (
     ParseError,
     Segment,
     TasteVector,
+    potential_trip_mask,
+    prepare_hub,
 )
 from hubmodal.hubs import LEG_MODE_ORDER
 
@@ -90,10 +92,9 @@ def make_market(
     )
 
 
-def assert_same_markets(table: MarketTable, markets) -> None:
-    """``table`` holds every value of ``markets`` (a MarketTable or Market
-    objects), row for row in market-id order."""
-    expected = MarketTable.ensure(markets)
+def assert_same_markets(table: MarketTable, expected: MarketTable) -> None:
+    """``table`` holds every value of ``expected``, row for row in
+    market-id order."""
     assert table.ids == expected.ids
     assert table.od_ids == expected.od_ids
     for name in ("segment_codes", "o_lat", "o_lon", "d_lat", "d_lon", "trips", "drive_miles", "available"):
@@ -107,6 +108,20 @@ def assert_same_markets(table: MarketTable, markets) -> None:
         return [[t.zone_ids[z] for z in codes.tolist()] for codes in (t.o_zone_codes, t.d_zone_codes)]
 
     assert zones(table) == zones(expected)
+
+
+def one_hub_setup(markets, hub: Hub, matrices: LegMatrices, fares: FareTable, **kwargs):
+    """``prepare_hub`` for ``hub`` over every one of ``markets``."""
+    table = MarketTable.from_markets(markets)
+    return prepare_hub(table, [hub], np.ones((1, len(table)), dtype=bool), matrices, fares, **kwargs)
+
+
+def kept_ids(markets, hub: GeoPoint, threshold: float, **kwargs) -> list[str]:
+    """Ids of the ``markets`` that ``potential_trip_mask`` keeps for a hub
+    at ``hub``, in market-id order."""
+    table = MarketTable.from_markets(markets)
+    (keep,) = potential_trip_mask(table, [hub.lat], [hub.lon], threshold, **kwargs)
+    return [table.ids[i] for i in np.flatnonzero(keep).tolist()]
 
 
 def make_params(beta: float = 0.5, asc: float = -4.0, **per_segment) -> HubParams:

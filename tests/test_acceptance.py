@@ -18,9 +18,11 @@ import pytest
 
 from conftest import (
     full_matrices,
+    kept_ids,
     make_hub,
     make_market,
     make_params,
+    one_hub_setup,
     random_point,
     random_taste,
     simple_fares,
@@ -46,13 +48,11 @@ from hubmodal import (
     derive_observed_rate,
     derive_sample_rate,
     great_circle_km,
-    identify_potential_trips,
     infer_trips_from_sample,
     nest_logsum,
     nested_shares,
     percent_difference,
     predict_hub_proportion,
-    prepare_hub,
     transit_delta,
 )
 from hubmodal.cli import main
@@ -112,7 +112,7 @@ def _engineered_cs(cs_per_trip: float, trips: float):
     hub = make_hub(hub_id="cs-hub", combos=(ComboId(Mode.WALK_LEG, Mode.WALK_LEG),))
     zones = {market.o_zone: None, market.d_zone: None}
     mats = full_matrices(zones, "cs-hub", minutes=walk_min, miles=0.5)
-    setup = prepare_hub([market], hub, [market.market_id], mats, simple_fares())
+    setup = one_hub_setup([market], hub, mats, simple_fares())
     (cs,) = consumer_surpluses(setup, setup.choice_shares(make_params(beta=0.4, asc=asc_seg)))
     return cs
 
@@ -260,7 +260,7 @@ def _random_setup(rng, n_markets: int, combos: tuple[ComboId, ...]):
     ]
     zones = {z: None for m in markets for z in (m.o_zone, m.d_zone)}
     mats = full_matrices(zones, "w", minutes=float(rng.uniform(4.0, 25.0)), miles=float(rng.uniform(0.5, 4.0)))
-    return prepare_hub(markets, hub, [m.market_id for m in markets], mats, simple_fares())
+    return one_hub_setup(markets, hub, mats, simple_fares())
 
 
 def test_criterion_07_welfare_gain_nonnegative():
@@ -338,7 +338,7 @@ def _recovery_setup(i: int):
             )
     zones = {z: None for m in markets for z in (m.o_zone, m.d_zone)}
     mats = full_matrices(zones, hub_id, minutes=9.0 + 1.5 * i, miles=2.0 + 0.2 * i)
-    return prepare_hub(markets, hub, [m.market_id for m in markets], mats, simple_fares())
+    return one_hub_setup(markets, hub, mats, simple_fares())
 
 
 def test_criterion_08_calibration_recovery():
@@ -399,7 +399,7 @@ def test_criterion_09_geometry_oracles():
         market = make_market(od_id=f"t{i}", o=(o.lat, o.lon), d=(d.lat, d.lon))
         hub = random_point(rng)
         threshold = 1.0 + float(rng.uniform(0.0, 1.2))
-        got = identify_potential_trips([market], hub, threshold)
+        got = kept_ids([market], hub, threshold)
         want = [market.market_id] if _brute_force_keep(market, hub, threshold) else []
         assert got == want
 
@@ -441,7 +441,7 @@ def test_criterion_09_geometry_oracles():
     thresholds = sorted(1.0 + float(rng.uniform(0.0, 1.5)) for _ in range(100))
     prev: set[str] = set()
     for t in thresholds:
-        cur = set(identify_potential_trips(markets, hub, t))
+        cur = set(kept_ids(markets, hub, t))
         assert prev <= cur
         prev = cur
 

@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 import test_acceptance as acceptance
-from conftest import full_matrices, make_hub, make_market, make_params, simple_fares
+from conftest import full_matrices, make_hub, make_market, make_params, one_hub_setup, simple_fares
 
 from hubmodal import (
     ComboId,
     HubChoiceSetup,
     HubParams,
+    LegTimes,
+    MarketTable,
     Mode,
     ObservedUsage,
     Segment,
@@ -108,7 +110,7 @@ def _setup_for(segment: Segment, n: int = 4, hub_id: str = "h1", loc=(42.67, -73
     ]
     zones = {z: None for m in markets for z in (m.o_zone, m.d_zone)}
     matrices = full_matrices(zones, hub_id, minutes=10.0 + 2.0 * hash(hub_id) % 5, miles=2.0)
-    return prepare_hub(markets, hub, [m.market_id for m in markets], matrices, simple_fares())
+    return one_hub_setup(markets, hub, matrices, simple_fares())
 
 
 def test_predict_is_trip_weighted_mean_of_nest_shares():
@@ -137,8 +139,8 @@ def test_predict_monotone_in_segment_constant():
 def test_predict_rejects_empty_setup():
     setup = _setup_for(Segment.SENIOR)
     empty = prepare_hub(
-        [make_market(od_id="far", segment=Segment.SENIOR)],
-        setup.hub, [], full_matrices({}, "h1"), simple_fares(),
+        MarketTable.from_markets([make_market(od_id="far", segment=Segment.SENIOR)]),
+        setup.hubs, np.zeros((1, 1), dtype=bool), full_matrices({}, "h1"), simple_fares(),
     )
     with pytest.raises(ValueError, match="no potential trips"):
         predict_hub_proportion(empty, make_params())
@@ -227,6 +229,47 @@ def test_calibrate_input_validation():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             calibrate([obs], {"h1": setup}, bounds=[(0.0, 1.0)])
+
+
+def _h1_h2_setups():
+    """A setup stacking hubs h1 and h2, each over its own markets, and the
+    setups of h1 alone and of h2 alone, over one table."""
+    hubs = [make_hub("h1", (42.67, -73.73), car_share=False), make_hub("h2", (42.72, -73.66), car_share=False)]
+    markets = [
+        make_market(
+            od_id=f"{hub.id}-od{i}",
+            o=(hub.location.lat - 0.03, hub.location.lon - 0.04 - 0.005 * i),
+            d=(hub.location.lat + 0.03, hub.location.lon + 0.04),
+        )
+        for hub in hubs
+        for i in range(3)
+    ]
+    matrices = full_matrices({z: None for m in markets for z in (m.o_zone, m.d_zone)}, "h1")
+    for z in matrices.zone_ids:
+        for mode in (Mode.CAR, Mode.WALK_LEG, Mode.BUS):
+            matrices.add(z, "h2", mode, LegTimes(minutes=12.0, miles=2.0), LegTimes(minutes=12.0, miles=2.0))
+    table = MarketTable.from_markets(markets)
+    keep = np.array([[mid.startswith(hub.id) for mid in table.ids] for hub in hubs])
+    stacked = prepare_hub(table, hubs, keep, matrices, simple_fares())
+    h1, h2 = (prepare_hub(table, [hub], keep[h : h + 1], matrices, simple_fares()) for h, hub in enumerate(hubs))
+    return stacked, h1, h2
+
+
+def test_calibration_takes_a_setup_of_the_one_hub_it_fits():
+    stacked, h1, h2 = _h1_h2_setups()
+    params = make_params(beta=0.4, asc=-3.0)
+    p1 = predict_hub_proportion(h1, params)
+    obs = ObservedUsage("h1", p1 * h1.trips.sum(), h1.trips.sum(), p1)
+    with pytest.warns(RuntimeWarning, match="under-determined"):
+        assert calibrate([obs], {"h1": h1}).per_hub[0].hub_id == "h1"
+    # a stacked setup would pool both hubs' rows into h1's proportion
+    for setup in (stacked, h2):
+        with pytest.raises(ValueError, match="hub h1"):
+            calibrate([obs], {"h1": setup})
+    with pytest.raises(ValueError, match="hub h1, h2"):
+        predict_hub_proportion(stacked, params)
+    with pytest.raises(ValueError, match="hub h1, h2"):
+        validate_leg_counts(stacked, params, {"pickup": 1.0})
 
 
 def test_percent_difference_examples():
@@ -322,8 +365,8 @@ def test_nest_share_gradient_with_unavailable_combos():
     util[0, 1] = -np.inf  # one combo missing: its weight and its term are 0
     util[1, :] = -np.inf  # no combo at all: empty nest, zero share and gradient
     setup = HubChoiceSetup(
-        base.hub, base.market_ids, base.segment_codes, base.trips, base.drive_miles, base.uni_util,
-        base.combos, util, base.matrix_miles, base.entry_gc_miles, base.exit_gc_miles, base.beta_cost,
+        base.hubs, base.rows, base.segment_codes, base.trips, base.drive_miles, base.uni_util,
+        base.combos, util, base.vmt_miles, base.weight_miles, base.beta_cost, bounds=(0, base.n_markets),
     )
     with np.errstate(invalid="raise", divide="raise"):
         grad = _assert_gradient_matches(setup, make_params(beta=0.4, asc=-3.0))

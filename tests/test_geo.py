@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_market, random_point
+from conftest import kept_ids, make_market, random_point
 
 from hubmodal import (
     EARTH_RADIUS_KM,
@@ -21,7 +21,6 @@ from hubmodal import (
     detour_ratio,
     great_circle_km,
     haversine_km,
-    identify_potential_trips,
 )
 
 
@@ -184,7 +183,7 @@ def test_identify_matches_brute_force(rng):
             for i in range(25)
         ]
         threshold = 1.0 + float(rng.uniform(0.0, 1.0))
-        got = identify_potential_trips(markets, hub, threshold)
+        got = kept_ids(markets, hub, threshold)
         assert got == brute_force_identify(markets, hub, threshold)
 
 
@@ -195,7 +194,7 @@ def test_identify_short_final_leg_condition():
     hub = GeoPoint(lat=42.605, lon=-73.60)
     m = make_market(od_id="near", o=o, d=d)
     assert great_circle_km(hub, m.destination) < 1.0
-    assert identify_potential_trips([m], hub, 1.0) == ["near|low_income"]
+    assert kept_ids([m], hub, 1.0) == ["near|low_income"]
 
 
 def test_identify_od_plus_mode_differs_from_literal():
@@ -209,8 +208,8 @@ def test_identify_od_plus_mode_differs_from_literal():
     oh = great_circle_km(o, hub)
     hd = great_circle_km(hub, d)
     assert hd > 1.0 and od < oh + hd < od + 1.0
-    assert identify_potential_trips([m], hub, 1.0) == []
-    assert identify_potential_trips([m], hub, 1.0, condition2_mode="od_plus_1km") == [
+    assert kept_ids([m], hub, 1.0) == []
+    assert kept_ids([m], hub, 1.0, condition2_mode="od_plus_1km") == [
         "mid|low_income"
     ]
 
@@ -227,28 +226,28 @@ def test_identify_monotone_in_threshold(rng):
     ]
     prev: set[str] = set()
     for threshold in np.linspace(1.0, 3.0, 21):
-        got = set(identify_potential_trips(markets, hub, float(threshold)))
+        got = set(kept_ids(markets, hub, float(threshold)))
         assert prev <= got  # relaxing the threshold only adds markets
         prev = got
 
 
 def test_identify_empty_markets():
-    assert identify_potential_trips([], GeoPoint(42.0, -73.0), 1.5) == []
+    assert kept_ids([], GeoPoint(42.0, -73.0), 1.5) == []
 
 
 def test_identify_rejects_threshold_below_one():
     with pytest.raises(ValueError, match="threshold"):
-        identify_potential_trips([], GeoPoint(42.0, -73.0), 0.9)
+        kept_ids([], GeoPoint(42.0, -73.0), 0.9)
 
 
 def test_identify_rejects_unknown_condition2_mode():
     with pytest.raises(ValueError, match="condition2_mode"):
-        identify_potential_trips([], GeoPoint(42.0, -73.0), 1.5, condition2_mode="bogus")
+        kept_ids([], GeoPoint(42.0, -73.0), 1.5, condition2_mode="bogus")
 
 
 def test_identify_skips_degenerate_markets():
     good = make_market(od_id="ok")
     bad = make_market(od_id="dg", o=(42.65, -73.76), d=(42.65, -73.76))
     hub = GeoPoint(lat=42.67, lon=-73.73)
-    got = identify_potential_trips([good, bad], hub, 5.0)
+    got = kept_ids([good, bad], hub, 5.0)
     assert "dg|low_income" not in got

@@ -4,6 +4,7 @@ vectorized choice setup checked against the scalar share functions."""
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
     make_market,
     make_params,
     make_taste,
+    one_hub_setup,
     simple_fares,
 )
 
@@ -26,6 +28,7 @@ from hubmodal import (
     Hub,
     LegMatrices,
     LegTimes,
+    MarketTable,
     Mode,
     Segment,
     SurveyRecord,
@@ -235,7 +238,7 @@ def _small_setup(n_markets: int = 4):
     ]
     zones = {z: None for m in markets for z in (m.o_zone, m.d_zone)}
     matrices = full_matrices(zones, "h1", minutes=11.0, miles=2.5)
-    setup = prepare_hub(markets, hub, [m.market_id for m in markets], matrices, simple_fares())
+    setup = one_hub_setup(markets, hub, matrices, simple_fares())
     return markets, hub, matrices, setup
 
 
@@ -244,9 +247,7 @@ def test_prepare_hub_against_scalar_shares():
     fares = simple_fares()
     params = make_params(beta=0.4, asc=-3.0)
     shares = setup.choice_shares(params)
-    by_id = {m.market_id: m for m in markets}
-    for row, mid in enumerate(setup.market_ids):
-        market = by_id[mid]
+    for row, market in enumerate(sorted(markets, key=lambda m: m.market_id)):
         uni = {m: systematic_utility(market.taste, a, m) for m, a in market.attrs.items()}
         combo_u = {}
         for combo in setup.combos:
@@ -273,10 +274,10 @@ def test_setup_evaluations_carry_no_state_between_parameter_sets():
     # market 1 reaches only the walk+bus combo; market 2 reaches none
     matrices.add(markets[1].o_zone, "h1", Mode.WALK_LEG, LegTimes(minutes=9.0), None)
     matrices.add(markets[1].d_zone, "h1", Mode.BUS, None, LegTimes(minutes=14.0, access_min=3.0))
-    setup = prepare_hub(markets, hub, [m.market_id for m in markets], matrices, fares)
+    setup = one_hub_setup(markets, hub, matrices, fares)
     combo_util, uni_util = setup.combo_util.copy(), setup.uni_util.copy()
-    by_id = {m.market_id: m for m in markets}
-    unreachable = setup.market_ids.index(markets[2].market_id)
+    ordered = sorted(markets, key=lambda m: m.market_id)
+    unreachable = ordered.index(markets[2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for params in (make_params(beta=0.4, asc=-3.0), make_params(beta=0.9, asc=-5.0, senior=-1.0)):
@@ -284,8 +285,7 @@ def test_setup_evaluations_carry_no_state_between_parameter_sets():
             shares = setup.choice_shares(params)
             assert nest[unreachable] == 0.0
             assert shares.hub[unreachable] == 0.0
-            for row, mid in enumerate(setup.market_ids):
-                market = by_id[mid]
+            for row, market in enumerate(ordered):
                 uni = {m: systematic_utility(market.taste, a, m) for m, a in market.attrs.items()}
                 combo_u = {}
                 for combo in setup.combos:
@@ -303,13 +303,20 @@ def test_setup_evaluations_carry_no_state_between_parameter_sets():
     np.testing.assert_array_equal(setup.uni_util, uni_util)
 
 
-def test_prepare_hub_sorts_and_validates_market_ids():
+def test_prepare_hub_stacks_rows_in_market_id_order():
     markets, hub, matrices, _ = _small_setup()
-    ids = [m.market_id for m in markets]
-    setup = prepare_hub(markets, hub, list(reversed(ids)), matrices, simple_fares())
-    assert list(setup.market_ids) == sorted(ids)
-    with pytest.raises(ValueError, match="unknown market id"):
-        prepare_hub(markets, hub, ["nope|senior"], matrices, simple_fares())
+    table = MarketTable.from_markets(reversed(markets))
+    setup = prepare_hub(table, [hub], np.ones((1, len(table)), dtype=bool), matrices, simple_fares())
+    assert (np.diff(setup.rows) > 0).all()
+    assert [table.ids[i] for i in setup.rows.tolist()] == sorted(m.market_id for m in markets)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 4), (4,)])
+def test_prepare_hub_rejects_a_mask_of_another_shape(shape):
+    markets, hub, matrices, _ = _small_setup(4)
+    table = MarketTable.from_markets(markets)
+    with pytest.raises(ValueError, match=rf"{re.escape(str(shape))}.*\(1, 4\)"):
+        prepare_hub(table, [hub], np.ones(shape, dtype=bool), matrices, simple_fares())
 
 
 def test_prepare_hub_marks_missing_legs_unavailable():
@@ -319,9 +326,9 @@ def test_prepare_hub_marks_missing_legs_unavailable():
     m0 = markets[0]
     sparse.add(m0.o_zone, "h1", Mode.WALK_LEG, LegTimes(minutes=9.0), LegTimes(minutes=9.0))
     sparse.add(m0.d_zone, "h1", Mode.BUS, LegTimes(minutes=14.0, access_min=3.0), LegTimes(minutes=14.0, access_min=3.0))
-    setup = prepare_hub(markets, hub, [m.market_id for m in markets], sparse, simple_fares())
+    setup = one_hub_setup(markets, hub, sparse, simple_fares())
     j = setup.combos.index(ComboId(Mode.WALK_LEG, Mode.BUS))
-    row0 = list(setup.market_ids).index(m0.market_id)
+    row0 = sorted(m.market_id for m in markets).index(m0.market_id)
     assert np.isfinite(setup.combo_util[row0, j])
     other = [c for c in range(setup.n_combos) if c != j]
     assert np.isneginf(setup.combo_util[row0, other]).all()
@@ -348,8 +355,8 @@ def _entry_leg_costs(entry_mode: Mode, legs: list[LegTimes], fares: FareTable) -
         matrices.add(market.o_zone, "h1", entry_mode, leg, None)
         matrices.add(market.d_zone, "h1", Mode.WALK_LEG, None, LegTimes(minutes=5.0))
     hub = make_hub(combos=(ComboId(entry_mode, Mode.WALK_LEG),))
-    setup = prepare_hub(markets, hub, [m.market_id for m in markets], matrices, fares)
-    assert list(setup.market_ids) == [m.market_id for m in markets]
+    setup = one_hub_setup(markets, hub, matrices, fares)
+    assert setup.rows.tolist() == list(range(len(markets)))
     return -setup.combo_util[:, 0]
 
 
@@ -390,14 +397,16 @@ def test_weight_and_vmt_miles_fallbacks():
     matrices = LegMatrices()
     matrices.add(m0.o_zone, "h1", Mode.WALK_LEG, LegTimes(minutes=9.0, miles=None), LegTimes(minutes=9.0))
     matrices.add(m0.d_zone, "h1", Mode.BUS, LegTimes(minutes=14.0, miles=3.1), LegTimes(minutes=14.0, miles=3.1))
-    setup = prepare_hub(markets, hub, [m0.market_id], matrices, simple_fares())
+    from hubmodal import MILES_PER_KM, great_circle_km
+
+    setup = one_hub_setup([m0], hub, matrices, simple_fares())
     j = setup.combos.index(ComboId(Mode.WALK_LEG, Mode.BUS))
-    weight = setup.leg_miles(1.0)
-    vmt = setup.leg_miles(setup.circuity_factor)
+    weight, vmt = setup.weight_miles, setup.vmt_miles
+    entry_gc_miles = great_circle_km(m0.origin, hub.location) * MILES_PER_KM
     # entry leg has no network miles: weighting uses raw great-circle,
     # VMT applies the circuity factor on top
-    assert weight[0, j, 0] == pytest.approx(setup.entry_gc_miles[0])
-    assert vmt[0, j, 0] == pytest.approx(setup.entry_gc_miles[0] * 1.3)
+    assert weight[0, j, 0] == pytest.approx(entry_gc_miles)
+    assert vmt[0, j, 0] == pytest.approx(entry_gc_miles * 1.3)
     # exit leg has network miles: both use them as-is
     assert weight[0, j, 1] == 3.1
     assert vmt[0, j, 1] == 3.1

@@ -13,6 +13,7 @@ from conftest import (
     make_market,
     make_params,
     make_taste,
+    one_hub_setup,
     simple_fares,
 )
 
@@ -32,7 +33,6 @@ from hubmodal import (
     consumer_surpluses,
     mode_shifts,
     nested_shares,
-    prepare_hub,
     systematic_utility,
     transit_delta,
     vmt_deltas,
@@ -88,7 +88,7 @@ def _impact_setup(n: int = 4, combos=None, markets=None):
         ]
     zones = {z: None for m in markets for z in (m.o_zone, m.d_zone)}
     matrices = full_matrices(zones, "h1", minutes=11.0, miles=2.5)
-    setup = prepare_hub(markets, hub, [m.market_id for m in markets], matrices, simple_fares())
+    setup = one_hub_setup(markets, hub, matrices, simple_fares())
     return markets, hub, matrices, setup
 
 
@@ -129,7 +129,7 @@ def test_leg_split_follows_distance_weights():
     matrices.add(market.o_zone, "h1", Mode.CAR, LegTimes(minutes=9.0, miles=3.0), None)
     matrices.add(market.d_zone, "h1", Mode.BUS, None, LegTimes(minutes=12.0, access_min=3.0, miles=1.0))
     hub = make_hub(combos=(ComboId(Mode.CAR, Mode.BUS),), car_share=False, bike_share=False)
-    setup = prepare_hub([market], hub, [market.market_id], matrices, simple_fares())
+    setup = one_hub_setup([market], hub, matrices, simple_fares())
     (shift,) = mode_shifts(setup, setup.choice_shares(make_params(beta=0.5, asc=-1.0)))
     assert shift.multimodal_leg_trips[Mode.CAR] == pytest.approx(0.75 * shift.multimodal_total)
     assert shift.multimodal_leg_trips[Mode.BUS] == pytest.approx(0.25 * shift.multimodal_total)
@@ -141,7 +141,7 @@ def test_leg_split_even_for_equal_distances():
     matrices.add(market.o_zone, "h1", Mode.CAR, LegTimes(minutes=9.0, miles=2.0), None)
     matrices.add(market.d_zone, "h1", Mode.BUS, None, LegTimes(minutes=12.0, miles=2.0))
     hub = make_hub(combos=(ComboId(Mode.CAR, Mode.BUS),), car_share=False, bike_share=False)
-    setup = prepare_hub([market], hub, [market.market_id], matrices, simple_fares())
+    setup = one_hub_setup([market], hub, matrices, simple_fares())
     (shift,) = mode_shifts(setup, setup.choice_shares(make_params(beta=0.5, asc=-1.0)))
     assert shift.multimodal_leg_trips[Mode.CAR] == pytest.approx(shift.multimodal_leg_trips[Mode.BUS])
 
@@ -164,7 +164,7 @@ def test_single_market_vmt_hand_computed():
     matrices.add(market.o_zone, "h1", Mode.CAR, LegTimes(minutes=9.0, miles=2.5), None)
     matrices.add(market.d_zone, "h1", Mode.BUS, None, LegTimes(minutes=12.0, access_min=3.0, miles=4.0))
     hub = make_hub(combos=(ComboId(Mode.CAR, Mode.BUS),), car_share=False, bike_share=False)
-    setup = prepare_hub([market], hub, [market.market_id], matrices, simple_fares())
+    setup = one_hub_setup([market], hub, matrices, simple_fares())
     params = make_params(beta=0.5, asc=-1.0)
 
     # scalar reference shares
@@ -200,7 +200,7 @@ def test_car_share_legs_count_as_carpool_vmt():
     matrices.add(market.o_zone, "h1", Mode.CAR_SHARE, LegTimes(minutes=10.0, miles=3.0), None)
     matrices.add(market.d_zone, "h1", Mode.WALK_LEG, None, LegTimes(minutes=8.0))
     hub = make_hub(combos=(ComboId(Mode.CAR_SHARE, Mode.WALK_LEG),))
-    setup = prepare_hub([market], hub, [market.market_id], matrices, simple_fares())
+    setup = one_hub_setup([market], hub, matrices, simple_fares())
     params = make_params(beta=0.5, asc=-1.0)
     (vmt,) = vmt_deltas(setup, setup.choice_shares(params))
     shares = setup.choice_shares(params)
@@ -235,7 +235,7 @@ def test_consumer_surplus_hand_computed():
     matrices.add(market.o_zone, "h1", Mode.WALK_LEG, walk, None)
     matrices.add(market.d_zone, "h1", Mode.WALK_LEG, None, walk)
     hub = make_hub(combos=(ComboId(Mode.WALK_LEG, Mode.WALK_LEG),))
-    setup = prepare_hub([market], hub, [market.market_id], matrices, simple_fares())
+    setup = one_hub_setup([market], hub, matrices, simple_fares())
     params = make_params(beta=0.5, asc=-1.0)
 
     v_hub = 2 * (-0.07 * 10.0) - 1.0

@@ -93,10 +93,10 @@ def test_markets_round_trip(tmp_path):
         make_market(od_id="od2", segment=Segment.STUDENT, taste=make_taste(beta_cost=-0.123456)),
     ]
     path = tmp_path / "markets.csv"
-    write_markets(markets, path)
+    write_markets(MarketTable.from_markets(markets), path)
     back = load_markets(path)
     assert back.ids == tuple(sorted(m.market_id for m in markets))
-    assert_same_markets(back, markets)
+    assert_same_markets(back, MarketTable.from_markets(markets))
 
 
 # ids holding a comma, a quote or a line break: written quoted, as the
@@ -107,10 +107,10 @@ AWKWARD_IDS = ("od,0000", 'od"1"', "od\n2", "od\r3", 'a,"b"\r\nc')
 def test_markets_round_trip_quotes_awkward_ids(tmp_path):
     markets = [make_market(od_id=od_id) for od_id in AWKWARD_IDS]
     path = tmp_path / "markets.csv"
-    write_markets(markets, path)
+    write_markets(MarketTable.from_markets(markets), path)
     assert '"od,0000"' in path.read_text() and '"od""1"""' in path.read_text()
     back = load_markets(path)
-    assert_same_markets(back, markets)
+    assert_same_markets(back, MarketTable.from_markets(markets))
     again = tmp_path / "again.csv"
     write_markets(back, again)
     assert again.read_bytes() == path.read_bytes()
@@ -146,7 +146,7 @@ def test_csv_cells_are_quoted_as_the_csv_module_quotes_them(tmp_path):
 
 def test_markets_header_only_is_empty(tmp_path):
     path = tmp_path / "markets.csv"
-    write_markets([], path)
+    write_markets(MarketTable.from_markets([]), path)
     assert len(load_markets(path)) == 0
     assert path.read_text().count("\n") == 1
 
@@ -157,7 +157,7 @@ def test_markets_unavailable_modes_may_have_blank_cells(tmp_path):
     del attrs[Mode.BIKING]
     trimmed = make_market(od_id="trim", attrs=attrs)
     path = tmp_path / "markets.csv"
-    write_markets([trimmed], path)
+    write_markets(MarketTable.from_markets([trimmed]), path)
     header, row = path.read_text().splitlines()
     cells = row.split(",")
     cells[header.split(",").index("biking_ivt_min")] = ""
@@ -168,12 +168,12 @@ def test_markets_unavailable_modes_may_have_blank_cells(tmp_path):
     assert back.attrs["ivt_min"][0, biking] == 0.0
     # an unavailable mode never enters the choice set
     assert back.unimodal_utilities()[0, biking] == -np.inf
-    assert_same_markets(back, [trimmed])
+    assert_same_markets(back, MarketTable.from_markets([trimmed]))
 
 
 def test_markets_reject_nonnegative_beta_cost(tmp_path):
     path = tmp_path / "markets.csv"
-    write_markets([make_market(od_id="bad", taste=make_taste(beta_cost=-0.3))], path)
+    write_markets(MarketTable.from_markets([make_market(od_id="bad", taste=make_taste(beta_cost=-0.3))]), path)
     text = path.read_text().replace("-0.3", "0.1")
     path.write_text(text)
     with pytest.raises(ParseError, match=r"row 2.*beta_cost must be negative.*beta_cost"):
@@ -183,7 +183,7 @@ def test_markets_reject_nonnegative_beta_cost(tmp_path):
 def test_markets_duplicate_rows_rejected(tmp_path):
     # the fourth line repeats the second: the later row is named
     path = tmp_path / "markets.csv"
-    write_markets([make_market(od_id="od1"), make_market(od_id="od2")], path)
+    write_markets(MarketTable.from_markets([make_market(od_id="od1"), make_market(od_id="od2")]), path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines + [lines[1]]) + "\n")
     with pytest.raises(ParseError, match=r"row 4: duplicate market od1\|low_income in column 'od_id'$"):
@@ -193,7 +193,7 @@ def test_markets_duplicate_rows_rejected(tmp_path):
 def _write_two_markets(path, **cells) -> list[str]:
     """Markets od1 and od2 written to ``path`` with cells of od2's row
     (line 3) replaced; the file's lines."""
-    write_markets([make_market(od_id="od1"), make_market(od_id="od2")], path)
+    write_markets(MarketTable.from_markets([make_market(od_id="od1"), make_market(od_id="od2")]), path)
     header, first, second = path.read_text().splitlines()
     columns, row = header.split(","), second.split(",")
     for column, text in cells.items():
@@ -249,21 +249,21 @@ def test_market_table_rejects_non_finite_attribute_of_available_mode():
     attrs[Mode.TRANSIT] = ModeAttr(ivt_min=math.nan, access_min=6.0, egress_min=4.0, transfers=1.0, cost_usd=1.5)
     markets = [make_market(od_id="od1"), make_market(od_id="od2", attrs=attrs)]
     with pytest.raises(MarketError, match=r"^market od2\|low_income: empty value in column 'transit_ivt_min'$") as err:
-        MarketTable.ensure(markets)
+        MarketTable.from_markets(markets)
     assert (err.value.row, err.value.column) == (1, "transit_ivt_min")
     attrs[Mode.TRANSIT] = ModeAttr(ivt_min=35.0, cost_usd=math.inf)
     with pytest.raises(ValueError, match=r"non-finite value inf in column 'transit_cost_usd'$"):
-        MarketTable.ensure([make_market(attrs=attrs)])
+        MarketTable.from_markets([make_market(attrs=attrs)])
     # an unavailable mode's attributes are never read
     attrs[Mode.TRANSIT] = ModeAttr(ivt_min=math.nan, available=False)
-    table = MarketTable.ensure([make_market(attrs=attrs)])
+    table = MarketTable.from_markets([make_market(attrs=attrs)])
     assert table.attrs["ivt_min"][0, 1] == 0.0
     assert np.isfinite(np.delete(table.unimodal_utilities()[0], 1)).all()
 
 
 def test_markets_missing_column_named_in_error(tmp_path):
     path = tmp_path / "markets.csv"
-    write_markets([make_market()], path)
+    write_markets(MarketTable.from_markets([make_market()]), path)
     header, row = path.read_text().splitlines()
     cols = header.split(",")
     i = cols.index("trips_per_day")
@@ -278,7 +278,7 @@ def test_markets_taste_join(tmp_path):
     taste = make_taste(beta_cost=-0.42)
     market = make_market(od_id="od9", segment=Segment.SENIOR, taste=taste)
     full = tmp_path / "markets_full.csv"
-    write_markets([market], full)
+    write_markets(MarketTable.from_markets([market]), full)
     text = full.read_text().splitlines()
     header = text[0].split(",")
     from hubmodal import TASTE_FIELDS
@@ -295,7 +295,7 @@ def test_markets_taste_join(tmp_path):
 
     back = load_markets(slim, taste_path)
     assert {name: back.taste[name][0] for name in TASTE_FIELDS} == asdict(taste)
-    assert_same_markets(back, [market])
+    assert_same_markets(back, MarketTable.from_markets([market]))
     # no taste columns and no taste file is an error
     with pytest.raises(ParseError, match="taste"):
         load_markets(slim)
@@ -433,7 +433,7 @@ def _two_hub_records() -> list[HubRecord]:
 CSV_LOADERS = {
     "markets": (
         load_markets,
-        lambda p: write_markets([make_market(od_id="od1"), make_market(od_id="od2")], p),
+        lambda p: write_markets(MarketTable.from_markets([make_market(od_id="od1"), make_market(od_id="od2")]), p),
         "driving_available",
         "trips_per_day",
     ),
@@ -931,9 +931,9 @@ def test_cli_builds_each_observed_hub_setup_once(fixture_dir, tmp_path, monkeypa
     built = []
     real = cli.prepare_hub
 
-    def counting(markets, hub, *args, **kwargs):
-        built.append(hub.id)
-        return real(markets, hub, *args, **kwargs)
+    def counting(table, hubs, *args, **kwargs):
+        built.extend(hub.id for hub in hubs)
+        return real(table, hubs, *args, **kwargs)
 
     monkeypatch.setattr(cli, "prepare_hub", counting)
     manifest = str(fixture_dir / "manifest.json")
@@ -946,6 +946,24 @@ def test_cli_builds_each_observed_hub_setup_once(fixture_dir, tmp_path, monkeypa
     params.write_text(json.dumps({"beta_hub": 0.3, "asc_by_segment": {s.value: -4.0 for s in Segment}}))
     assert main(["rank", "--manifest", manifest, "--params", str(params), "--out-dir", str(tmp_path / "r")]) == 0
     assert built == []
+
+
+def test_each_stage_screens_the_observed_hubs_once(fixture_dir, tmp_path, monkeypatch):
+    import hubmodal.cli as cli
+
+    screens = []
+    real = cli.potential_trip_mask
+
+    def counting(table, hub_lat, *args, **kwargs):
+        screens.append(len(hub_lat))
+        return real(table, hub_lat, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "potential_trip_mask", counting)
+    manifest = str(fixture_dir / "manifest.json")
+    for stage in ("identify-trips", "calibrate", "assess"):
+        screens.clear()
+        assert main([stage, "--manifest", manifest, "--out-dir", str(tmp_path / stage)]) == 0
+        assert screens == [2], stage  # one screen of both observed hubs
 
 
 def test_cli_builds_no_market_objects(tmp_path, monkeypatch):

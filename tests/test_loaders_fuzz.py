@@ -27,6 +27,7 @@ from hubmodal import (
     GeoPoint,
     HubRecord,
     Market,
+    MarketTable,
     ModeAttr,
     ParseError,
     Segment,
@@ -135,6 +136,7 @@ def _round_trip(records, write, load):
 @SETTINGS
 @given(table=market_tables)
 def test_markets_round_trip(table):
+    table = MarketTable.from_markets(table)
     assert_same_markets(_round_trip(table, write_markets, load_markets), table)
 
 
@@ -200,7 +202,7 @@ def _plant_fault(data, records, write, load, header, faults):
 @SETTINGS
 @given(table=market_tables, data=st.data())
 def test_malformed_market_cell_names_file_row_and_column(table, data):
-    _plant_fault(data, table, write_markets, load_markets, MARKET_COLUMNS, MARKET_FAULTS)
+    _plant_fault(data, MarketTable.from_markets(table), write_markets, load_markets, MARKET_COLUMNS, MARKET_FAULTS)
 
 
 @SETTINGS
@@ -240,7 +242,7 @@ def _plant_irregular(data, records, write, load, header, cells):
 @SETTINGS
 @given(table=market_tables, data=st.data())
 def test_irregular_market_input_reads_as_csv_reader_reads_it(table, data):
-    _plant_irregular(data, table, write_markets, load_markets, MARKET_COLUMNS, MARKET_CELLS)
+    _plant_irregular(data, MarketTable.from_markets(table), write_markets, load_markets, MARKET_COLUMNS, MARKET_CELLS)
 
 
 @SETTINGS

@@ -23,6 +23,7 @@ from hubmodal import (
     GeoPoint,
     HubChoiceSetup,
     LegMatrices,
+    MarketTable,
     Mode,
     Segment,
     StopRecord,
@@ -32,7 +33,7 @@ from hubmodal import (
     cluster_stops,
     evaluate_candidates,
     great_circle_km,
-    identify_potential_trips,
+    potential_trip_mask,
     prepare_hub,
     rank_and_summarize,
 )
@@ -214,13 +215,14 @@ def test_evaluate_matches_single_hub_pipeline():
     cand = Candidate("c-s1", CENTER, ("s1",), car_share_available=True)
     matrices = _matrices_for(markets, ["c-s1"])
     params = make_params(beta=0.4, asc=-2.0)
-    evaluated = evaluate_candidates([cand], markets, params, 1.6, matrices, simple_fares())
+    table = MarketTable.from_markets(markets)
+    evaluated = evaluate_candidates([cand], table, params, 1.6, matrices, simple_fares())
     m = evaluated[0].metrics
     assert m is not None and not m.no_potential_trips
 
     hub = candidate_hub(cand)
-    ids = identify_potential_trips(markets, cand.location, 1.6)
-    setup = prepare_hub(markets, hub, ids, matrices, simple_fares())
+    keep = potential_trip_mask(table, [cand.location.lat], [cand.location.lon], 1.6)
+    setup = prepare_hub(table, [hub], keep, matrices, simple_fares())
     (report,) = assess_hubs(setup, params)
     assert m.potential_demand == pytest.approx(report.potential_demand)
     assert m.transit_delta == pytest.approx(report.transit_delta, abs=1e-12)
@@ -232,7 +234,7 @@ def test_evaluate_flags_candidates_without_reachable_markets():
     markets = _market_cloud()
     far = Candidate("c-far", GeoPoint(lat=44.9, lon=-70.0), ("far",))
     matrices = _matrices_for(markets, ["c-far"])
-    evaluated = evaluate_candidates([far], markets, make_params(), 1.2, matrices, simple_fares())
+    evaluated = evaluate_candidates([far], MarketTable.from_markets(markets), make_params(), 1.2, matrices, simple_fares())
     m = evaluated[0].metrics
     assert m.no_potential_trips
     assert (m.potential_demand, m.transit_delta, m.vmt_reduced, m.cs_total) == (0, 0, 0, 0)
@@ -247,8 +249,8 @@ def test_evaluate_thread_count_does_not_change_results():
     ]
     matrices = _matrices_for(markets, [c.candidate_id for c in cands])
     params = make_params(beta=0.4, asc=-2.0)
-    serial = evaluate_candidates(cands, markets, params, 1.6, matrices, simple_fares(), threads=1)
-    threaded = evaluate_candidates(cands, markets, params, 1.6, matrices, simple_fares(), threads=4)
+    serial = evaluate_candidates(cands, MarketTable.from_markets(markets), params, 1.6, matrices, simple_fares(), threads=1)
+    threaded = evaluate_candidates(cands, MarketTable.from_markets(markets), params, 1.6, matrices, simple_fares(), threads=4)
     for a, b in zip(serial, threaded):
         assert a.candidate_id == b.candidate_id
         assert a.metrics == b.metrics  # bitwise-identical dataclasses
@@ -299,13 +301,14 @@ def test_evaluate_equals_each_candidate_alone_bit_for_bit(rng, monkeypatch):
     params = make_params(beta=0.45, asc=-2.5, student=-1.5)
     fares = simple_fares()
     threshold = 1.4
+    table = MarketTable.from_markets(markets)
     expected = {}
     for cand in cands:
-        ids = identify_potential_trips(markets, cand.location, threshold)
-        if not ids:
+        keep = potential_trip_mask(table, [cand.location.lat], [cand.location.lon], threshold)
+        if not keep.any():
             expected[cand.candidate_id] = CandidateMetrics(0.0, 0.0, 0.0, 0.0, no_potential_trips=True)
             continue
-        setup = prepare_hub(markets, candidate_hub(cand), ids, matrices, fares)
+        setup = prepare_hub(table, [candidate_hub(cand)], keep, matrices, fares)
         (report,) = assess_hubs(setup, params)
         # a hub's sums are numpy's own sums over its rows
         assert report.multimodal_total == float((setup.trips * setup.choice_shares(params).hub).sum())
@@ -317,7 +320,7 @@ def test_evaluate_equals_each_candidate_alone_bit_for_bit(rng, monkeypatch):
 
     for cells in (siting.CHUNK_CELLS, 50, 1):
         monkeypatch.setattr(siting, "CHUNK_CELLS", cells)
-        got = evaluate_candidates(list(reversed(cands)), markets, params, threshold, matrices, fares)
+        got = evaluate_candidates(list(reversed(cands)), table, params, threshold, matrices, fares)
         assert [c.candidate_id for c in got] == sorted(expected)
         assert {c.candidate_id: c.metrics for c in got} == expected  # ==, not approx
 
@@ -332,21 +335,21 @@ def test_evaluate_runs_one_share_pass_per_chunk(rng, monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(HubChoiceSetup, "choice_shares", counting)
-    evaluate_candidates(cands, markets, make_params(), 1.4, matrices, simple_fares())
+    evaluate_candidates(cands, MarketTable.from_markets(markets), make_params(), 1.4, matrices, simple_fares())
     scored = sum(calls)
     assert scored >= 12
     assert len(calls) == 2  # one chunk per service profile, not one per candidate
 
     calls.clear()
     monkeypatch.setattr(siting, "CHUNK_CELLS", 1)
-    evaluate_candidates(cands, markets, make_params(), 1.4, matrices, simple_fares())
+    evaluate_candidates(cands, MarketTable.from_markets(markets), make_params(), 1.4, matrices, simple_fares())
     assert calls == [1] * scored
 
 
 def test_evaluate_warns_about_degenerate_pairs_once(rng, caplog):
     markets, cands, matrices = _mixed_case(rng)
     with caplog.at_level("WARNING", logger="hubmodal.geo"):
-        evaluate_candidates(cands, markets, make_params(), 1.4, matrices, simple_fares())
+        evaluate_candidates(cands, MarketTable.from_markets(markets), make_params(), 1.4, matrices, simple_fares())
     degenerate = [r for r in caplog.records if "degenerate OD" in r.getMessage()]
     assert [r.getMessage() for r in degenerate] == ["excluded 1 market(s) with degenerate OD pairs"]
 
