@@ -37,16 +37,9 @@ _EXPORTS = {
         "Market",
         "Mode",
         "ModeAttr",
-        "NestedShares",
         "Segment",
         "TasteVector",
-        "combo_utility",
-        "mnl_shares",
         "mode_utility",
-        "nest_logsum",
-        "nested_shares",
-        "systematic_utility",
-        "value_of_time",
     ),
     "config": ("Manifest", "OptimizerSettings", "PipelineConfig"),
     "fixtures": ("generate_fixture",),
@@ -73,7 +66,6 @@ _EXPORTS = {
         "MarketError",
         "MarketTable",
         "SurveyRecord",
-        "assemble_leg_attrs",
         "build_combos",
         "leg_cost_usd",
         "prepare_hub",
@@ -103,7 +95,6 @@ _EXPORTS = {
         "load_pr_lots",
         "load_stops",
         "load_survey",
-        "load_taste_parameters",
         "sha256_digest",
         "write_csv",
         "write_fares",

@@ -1,21 +1,28 @@
-"""Market-level mode choice with a single multimodal hub nest.
+"""Modes, segments and the utility formula of the hub mode choice model.
 
 Each market is one (population segment, OD pair) demand cell with its own
-taste coefficients and mode attributes.  Base choice is multinomial logit
-over the unimodal modes.  Introducing a hub adds one nest whose
-alternatives are entry/exit leg combinations; the nest enters the upper
-level through its logsum utility
-
-    V_hub = beta_hub * ln(sum_c exp(V_c / beta_hub)) + asc_segment
-
-and the within-nest split is logit over the scaled combo utilities,
-P(c | hub) = exp(V_c / beta_hub) / sum_k exp(V_k / beta_hub).
+taste coefficients and mode attributes.  This module holds the mode and
+segment enums, the coefficient family of every mode, TasteVector, the
+per-market records (ModeAttr, Market, ComboId) and ``mode_utility``, the
+one utility formula.
 
 Utilities are linear in time and cost.  There are three coefficient
 families (auto, transit, non-vehicle); every mode, including hub leg
 modes, maps to exactly one family plus a mode constant.  Carpool is the
-zero-constant reference mode.  All softmax and logsum computations use
-max-subtraction and are stable for utilities anywhere in [-700, 700].
+zero-constant reference mode.
+
+The model is a nested logit.  Base choice is multinomial logit over the
+unimodal modes.  Introducing a hub adds one nest whose alternatives are
+entry/exit leg combinations; the nest enters the upper level through its
+logsum utility
+
+    V_hub = beta_hub * ln(sum_c exp(V_c / beta_hub)) + asc_segment
+
+and the within-nest split is logit over the scaled combo utilities,
+P(c | hub) = exp(V_c / beta_hub) / sum_k exp(V_k / beta_hub).  That nest
+math lives in ``hubs.HubChoiceSetup``, which evaluates it over arrays of
+markets with max-subtraction, stable for utilities anywhere in
+[-700, 700].
 """
 
 from __future__ import annotations
@@ -23,15 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, NamedTuple
-
-import numpy as np
+from typing import Mapping, NamedTuple
 
 from .geo import GeoPoint
-
-if TYPE_CHECKING:
-    from .calibration import HubParams
-    from .hubs import Hub
 
 
 class Segment(str, Enum):
@@ -227,144 +228,3 @@ def mode_utility(taste, mode: Mode, *, ivt_min=0.0, access_min=0.0, egress_min=0
     if asc is not None:
         v = v + _coef(taste, asc)
     return v
-
-
-def systematic_utility(taste: TasteVector, attrs: ModeAttr, mode: Mode) -> float:
-    """Systematic utility of one mode for one market.
-
-    Raises ValueError when the mode is unavailable or any attribute is
-    non-finite.
-    """
-    if not attrs.available:
-        raise ValueError(f"mode unavailable: {mode.value}")
-    for name in ("ivt_min", "access_min", "egress_min", "transfers", "cost_usd"):
-        if not math.isfinite(getattr(attrs, name)):
-            raise ValueError(f"invalid attribute: non-finite {name} for {mode.value}")
-    return float(
-        mode_utility(
-            taste,
-            mode,
-            ivt_min=attrs.ivt_min,
-            access_min=attrs.access_min,
-            egress_min=attrs.egress_min,
-            transfers=attrs.transfers,
-            cost_usd=attrs.cost_usd,
-        )
-    )
-
-
-def mnl_shares(utilities) -> np.ndarray:
-    """Multinomial logit shares of a utility vector.
-
-    Max-subtraction keeps the exponentials in range; the result is
-    renormalized once after the softmax so shares sum to one within
-    floating-point error.
-    """
-    v = np.asarray(utilities, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("utilities must be a flat vector")
-    if v.size == 0:
-        raise ValueError("empty choice set")
-    if np.isnan(v).any() or np.isposinf(v).any():
-        raise ValueError("invalid utility: NaN or +inf")
-    m = v.max()
-    if not np.isfinite(m):
-        raise ValueError("no finite utility in choice set")
-    e = np.exp(v - m)
-    s = e / e.sum()
-    return s / s.sum()
-
-
-def combo_utility(market: Market, hub: "Hub | None", combo: ComboId, leg_attrs: tuple[ModeAttr, ModeAttr]) -> float:
-    """Utility of one transfer combination: entry leg plus exit leg.
-
-    Each leg is priced with the coefficient family of its leg mode.  The
-    combo must belong to the hub's choice set (when a hub is given) and
-    both legs must be available.
-    """
-    if hub is not None and combo not in hub.combos:
-        raise ValueError(f"combo unavailable: {combo.label()} not offered at hub {hub.id}")
-    entry_attrs, exit_attrs = leg_attrs
-    if not (entry_attrs.available and exit_attrs.available):
-        raise ValueError(f"combo unavailable: missing leg data for {combo.label()}")
-    return systematic_utility(market.taste, entry_attrs, combo.entry) + systematic_utility(
-        market.taste, exit_attrs, combo.exit
-    )
-
-
-def nest_logsum(combo_utilities, beta_hub: float, asc_hub: float = 0.0) -> float:
-    """Nest utility beta_hub * ln(sum exp(V / beta_hub)) + asc_hub.
-
-    Utilities are summed in sorted order so the result is exactly
-    invariant under permutation of the combo list.
-    """
-    if not 0.0 < beta_hub <= 1.0:
-        raise ValueError(f"invalid nesting coefficient: {beta_hub}")
-    v = np.sort(np.asarray(list(combo_utilities), dtype=float))
-    if v.size == 0:
-        raise ValueError("empty nest")
-    if np.isnan(v).any() or np.isposinf(v).any():
-        raise ValueError("invalid utility: NaN or +inf")
-    m = v[-1]
-    if not np.isfinite(m):
-        raise ValueError("no finite utility in nest")
-    return float(m + beta_hub * np.log(np.exp((v - m) / beta_hub).sum()) + asc_hub)
-
-
-@dataclass(frozen=True)
-class NestedShares:
-    """Upper-level shares over unimodal modes plus the hub nest, and the
-    within-nest conditional shares."""
-
-    upper: dict[Mode, float]
-    hub_share: float
-    lower: dict[ComboId, float]
-
-    def joint(self, combo: ComboId) -> float:
-        """Unconditional probability of one transfer combination."""
-        return self.hub_share * self.lower[combo]
-
-
-def nested_shares(
-    unimodal_utilities: Mapping[Mode, float],
-    combo_utilities: Mapping[ComboId, float],
-    params: "HubParams",
-    segment: Segment,
-) -> NestedShares:
-    """Two-level choice shares for one market.
-
-    The hub nest competes with the unimodal modes through its logsum
-    utility.  With an empty combo set the hub share is zero and the upper
-    level reduces to plain MNL over the unimodal modes.  At beta_hub = 1
-    and a zero constant the joint combo probabilities collapse to flat MNL
-    over the pooled choice set.
-    """
-    if not unimodal_utilities:
-        raise ValueError("empty choice set")
-    modes = sorted(unimodal_utilities, key=lambda m: m.value)
-    uni = [unimodal_utilities[m] for m in modes]
-    if not combo_utilities:
-        shares = mnl_shares(uni)
-        return NestedShares(upper=dict(zip(modes, shares)), hub_share=0.0, lower={})
-
-    combos = sorted(combo_utilities, key=combo_sort_key)
-    cu = [combo_utilities[c] for c in combos]
-    v_hub = nest_logsum(cu, params.beta_hub, params.asc_by_segment[segment])
-    all_shares = mnl_shares(uni + [v_hub])
-    lower = mnl_shares([v / params.beta_hub for v in cu])
-    return NestedShares(
-        upper=dict(zip(modes, all_shares[: len(modes)])),
-        hub_share=float(all_shares[-1]),
-        lower=dict(zip(combos, lower)),
-    )
-
-
-def value_of_time(taste: TasteVector) -> float:
-    """Implied value of auto travel time in dollars per hour.
-
-    VOT = 60 * beta_auto_tt / beta_cost; positive when both coefficients
-    are negative.  Raises ValueError when beta_cost is not negative.
-    """
-    if not taste.beta_cost < 0.0:
-        raise ValueError(f"value of time undefined: beta_cost must be negative, got {taste.beta_cost}")
-    return 60.0 * taste.beta_auto_tt / taste.beta_cost

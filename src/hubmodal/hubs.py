@@ -29,7 +29,6 @@ from .choice import (
     ComboId,
     Market,
     Mode,
-    ModeAttr,
     Segment,
     combo_sort_key,
     mode_utility,
@@ -370,15 +369,6 @@ class LegMatrices:
     def _row(self, zone_id: str, hub_id: str, mode: Mode) -> int:
         return int(self.rows(self.zone_codes([zone_id]), self.hub_codes([hub_id]), [mode])[mode][0])
 
-    def _leg(self, zone_id: str, hub_id: str, mode: Mode, direction: int) -> LegTimes | None:
-        return _leg_times(self._legs[direction, self._row(zone_id, hub_id, mode)])
-
-    def to_hub(self, zone_id: str, hub_id: str, mode: Mode) -> LegTimes | None:
-        return self._leg(zone_id, hub_id, mode, 0)
-
-    def from_hub(self, zone_id: str, hub_id: str, mode: Mode) -> LegTimes | None:
-        return self._leg(zone_id, hub_id, mode, 1)
-
 
 class _LegEntries(Mapping):
     """(zone, hub, mode) -> (to-hub, from-hub) view over a LegMatrices."""
@@ -431,50 +421,6 @@ def leg_cost_usd(
     return cost[()]
 
 
-def assemble_leg_attrs(
-    market: Market,
-    hub: Hub,
-    combo: ComboId,
-    matrices: LegMatrices,
-    fares: FareTable,
-    *,
-    car_cost_per_mile: float = 0.20,
-    circuity_factor: float = 1.3,
-) -> tuple[ModeAttr, ModeAttr] | None:
-    """Entry and exit leg attributes for one market/combo pair.
-
-    Returns None when either leg is missing from the matrices (the combo
-    is unavailable for that market, not an error).  Car leg distances fall
-    back to circuity-adjusted great-circle when the matrices carry no
-    network miles.
-    """
-    to_leg = matrices.to_hub(market.o_zone, hub.id, combo.entry)
-    from_leg = matrices.from_hub(market.d_zone, hub.id, combo.exit)
-    if to_leg is None or from_leg is None:
-        return None
-
-    def _miles(times: LegTimes, frm: GeoPoint, to: GeoPoint) -> float:
-        if times.miles is not None:
-            return times.miles
-        return haversine_km(frm.lat, frm.lon, to.lat, to.lon) * MILES_PER_KM * circuity_factor
-
-    def _attr(mode: Mode, times: LegTimes, frm: GeoPoint, to: GeoPoint) -> ModeAttr:
-        cost = leg_cost_usd(mode, times.minutes, _miles(times, frm, to), fares, car_cost_per_mile=car_cost_per_mile)
-        return ModeAttr(
-            ivt_min=times.minutes,
-            access_min=times.access_min,
-            egress_min=times.egress_min,
-            transfers=times.transfers,
-            cost_usd=cost,
-            available=True,
-        )
-
-    return (
-        _attr(combo.entry, to_leg, market.origin, hub.location),
-        _attr(combo.exit, from_leg, hub.location, market.destination),
-    )
-
-
 # ----------------------------------------------------------------------
 # vectorized market storage
 # ----------------------------------------------------------------------
@@ -511,10 +457,12 @@ class MarketTable:
     maps each TASTE_FIELDS name to an array, and a blank zone id is
     ``<od_id>/o`` or ``<od_id>/d``.  The market rules run here and only
     here: coordinates in range, trips finite and not negative, each
-    attribute of an available mode finite, an available mode, and one
-    row per (od_id, segment).  The first faulty row in input order raises
-    MarketError for the first rule it breaks, in that order.  Non-finite
-    attributes of unavailable modes are stored as 0.
+    attribute of an available mode finite, no time or transfer count
+    below 0 (of any mode, available or not), an available mode, and one
+    row per (od_id, segment).  A cost may be negative: a fare credit is
+    real.  The first faulty row in input order raises MarketError for the
+    first rule it breaks, in that order.  Non-finite attributes of
+    unavailable modes are stored as 0.
     """
 
     def __init__(
@@ -530,12 +478,19 @@ class MarketTable:
         repeated[[b for a, b in zip(order, order[1:]) if ids[a] == ids[b]]] = True
         bad_point = ~((-90 <= lat) & (lat <= 90) & (-180 <= lon) & (lon <= 180))  # NaN too
         bad_attr = np.stack([available & ~np.isfinite(attrs[f]) for f in ATTR_FIELDS], axis=2)  # (n, 6, 5)
+        negative = np.stack([attrs[f] < 0 for f in ATTR_FIELDS], axis=2) & (np.array(ATTR_FIELDS) != "cost_usd")
+
+        def cell(bad, i):
+            j, f = np.argwhere(bad[i])[0]  # the first in (mode, field) order
+            return f"{MARKET_MODE_COLUMNS[j][0]}_{ATTR_FIELDS[f]}", attrs[ATTR_FIELDS[f]][i, j]
 
         def attribute(i):
-            j, f = np.argwhere(bad_attr[i])[0]  # the first in (mode, field) order
-            value = attrs[ATTR_FIELDS[f]][i, j]
-            why = "empty value" if np.isnan(value) else f"non-finite value {value}"
-            return f"{MARKET_MODE_COLUMNS[j][0]}_{ATTR_FIELDS[f]}", why
+            column, value = cell(bad_attr, i)
+            return column, "empty value" if np.isnan(value) else f"non-finite value {value}"
+
+        def negative_attribute(i):
+            column, value = cell(negative, i)
+            return column, f"negative value {value}"
 
         def trips_fault(i):
             return "trips_per_day", "negative trips" if trips[i] < 0 else f"non-finite trips {trips[i]}"
@@ -546,6 +501,7 @@ class MarketTable:
             (bad_point[1], lambda i: ("d_lat", f"invalid coordinate: ({lat[1, i]}, {lon[1, i]})")),
             (~(np.isfinite(trips) & (trips >= 0)), trips_fault),
             (bad_attr.any(axis=(1, 2)), attribute),
+            (negative.any(axis=(1, 2)), negative_attribute),
             (~available.any(axis=1), lambda i: ("driving_available", "needs at least one available mode")),
             (repeated, lambda i: ("od_id", f"duplicate market {ids[i]}")),
         )

@@ -71,7 +71,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 import numpy as np
 
-from .choice import SEGMENTS, TASTE_FIELDS, Segment, TasteVector
+from .choice import SEGMENTS, TASTE_FIELDS, Segment
 from .geo import GeoPoint
 from .hubs import ATTR_FIELDS, LEG_MODE_ORDER, MARKET_MODE_COLUMNS, FareTable, LegMatrices, SurveyRecord
 from .hubs import MarketError, MarketTable
@@ -584,13 +584,6 @@ def _read_tastes(path: str | Path) -> tuple[dict[tuple[str, int], int], dict[str
         rows[key] = i
     _check_beta_cost(path, taste["beta_cost"])
     return rows, taste
-
-
-def load_taste_parameters(path: str | Path) -> dict[tuple[str, Segment], TasteVector]:
-    """Taste vectors keyed by (od_id, segment) from a standalone file."""
-    rows, taste = _read_tastes(path)
-    values = zip(*(taste[name].tolist() for name in TASTE_FIELDS))
-    return {(od_id, SEGMENTS[code]): TasteVector(*v) for (od_id, code), v in zip(rows, values)}
 
 
 def load_markets(path: str | Path, taste_path: str | Path | None = None) -> MarketTable:

@@ -13,6 +13,8 @@ import pytest
 
 import hubmodal.io
 from hubmodal import (
+    SEGMENTS,
+    TASTE_FIELDS,
     ComboId,
     FareTable,
     GeoPoint,
@@ -122,6 +124,14 @@ def kept_ids(markets, hub: GeoPoint, threshold: float, **kwargs) -> list[str]:
     table = MarketTable.from_markets(markets)
     (keep,) = potential_trip_mask(table, [hub.lat], [hub.lon], threshold, **kwargs)
     return [table.ids[i] for i in np.flatnonzero(keep).tolist()]
+
+
+def load_taste_parameters(path) -> dict[tuple[str, Segment], TasteVector]:
+    """Taste vectors keyed by (od_id, segment) from a standalone
+    taste-parameters file, as ``load_markets`` joins them."""
+    rows, taste = hubmodal.io._read_tastes(path)
+    values = zip(*(taste[name].tolist() for name in TASTE_FIELDS))
+    return {(od_id, SEGMENTS[code]): TasteVector(*v) for (od_id, code), v in zip(rows, values)}
 
 
 def make_params(beta: float = 0.5, asc: float = -4.0, **per_segment) -> HubParams:

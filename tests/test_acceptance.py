@@ -27,6 +27,7 @@ from conftest import (
     random_taste,
     simple_fares,
 )
+from reference_model import nest_logsum, nested_shares
 
 from hubmodal import (
     LEG_MODES,
@@ -34,12 +35,14 @@ from hubmodal import (
     ComboId,
     EmissionFactor,
     GeoPoint,
+    HubChoiceSetup,
     HubParams,
     Mode,
     ModeAttr,
     ModeShiftResult,
     ObservedUsage,
     OptimizerSettings,
+    SEGMENTS,
     Segment,
     StopRecord,
     calibrate,
@@ -49,8 +52,6 @@ from hubmodal import (
     derive_sample_rate,
     great_circle_km,
     infer_trips_from_sample,
-    nest_logsum,
-    nested_shares,
     percent_difference,
     predict_hub_proportion,
     transit_delta,
@@ -183,6 +184,27 @@ def _random_utilities(rng):
     return uni, combos
 
 
+def _one_row_setup(uni, combos, segment: Segment) -> HubChoiceSetup:
+    """The kernel's setup of one market with the given utilities: -inf for
+    each absent mode, and the combos in sorted order."""
+    hub = make_hub(combos=tuple(combos))
+    ordered = hub.sorted_combos()
+    return HubChoiceSetup(
+        [hub],
+        np.zeros(1, dtype=np.int64),
+        np.array([SEGMENTS.index(segment)]),
+        np.ones(1),
+        np.ones(1),
+        np.array([[uni.get(m, -np.inf) for m in MAIN_MODES]]),
+        ordered,
+        np.array([[combos[c] for c in ordered]]),
+        np.zeros((1, len(ordered), 2)),
+        np.zeros((1, len(ordered), 2)),
+        np.full(1, -0.3),
+        bounds=(0, 1),
+    )
+
+
 def test_criterion_06_nested_logit_property_suite():
     rng = np.random.default_rng(41)
     flat_params = make_params(beta=1.0, asc=0.0)
@@ -192,6 +214,13 @@ def test_criterion_06_nested_logit_property_suite():
         beta = float(rng.uniform(0.05, 1.0))
         params = make_params(beta=beta, asc=float(rng.uniform(-6.0, 0.0)))
         ns = nested_shares(uni, combos, params, Segment.SENIOR)
+
+        # the kernel gives the scalar oracle's shares
+        setup = _one_row_setup(uni, combos, Segment.SENIOR)
+        kernel = setup.choice_shares(params)
+        assert np.abs(kernel.upper[0] - [ns.upper.get(m, 0.0) for m in MAIN_MODES]).max() <= 1e-12
+        assert abs(kernel.hub[0] - ns.hub_share) <= 1e-12
+        assert np.abs(kernel.lower[0] - [ns.lower[c] for c in setup.combos]).max() <= 1e-12
 
         # normalization at both levels
         assert abs(sum(ns.upper.values()) + ns.hub_share - 1.0) <= 1e-12

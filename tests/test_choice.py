@@ -1,4 +1,5 @@
-"""Utility, logit, and nesting tests.
+"""Utility, logit, and nesting tests: ``mode_utility`` and the scalar
+reference model that the kernel tests use as their oracle.
 
 Collapse and invariance properties are checked against brute-force
 reference computations written with plain math.exp loops.
@@ -11,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_params, make_taste, random_taste
+from conftest import make_params, make_taste
+from reference_model import mnl_shares, nest_logsum, nested_shares, systematic_utility
 
 from hubmodal import (
     LEG_MODES,
@@ -21,13 +23,7 @@ from hubmodal import (
     ModeAttr,
     Mode,
     Segment,
-    TasteVector,
-    mnl_shares,
     mode_utility,
-    nest_logsum,
-    nested_shares,
-    systematic_utility,
-    value_of_time,
 )
 
 
@@ -328,28 +324,3 @@ def test_nested_shares_argmax_stable_under_positive_scaling(rng):
 def test_nested_shares_requires_some_unimodal_mode():
     with pytest.raises(ValueError, match="empty choice set"):
         nested_shares({}, {}, make_params(), Segment.SENIOR)
-
-
-def test_value_of_time_worked_example():
-    taste = make_taste(beta_auto_tt=-0.5, beta_cost=-1.0)
-    assert value_of_time(taste) == pytest.approx(30.0)
-
-
-def test_value_of_time_random_ratio(rng):
-    for _ in range(50):
-        taste = random_taste(rng)
-        assert value_of_time(taste) == pytest.approx(60.0 * taste.beta_auto_tt / taste.beta_cost)
-        assert value_of_time(taste) > 0.0
-
-
-def test_value_of_time_rejects_nonnegative_cost_coefficient():
-    taste_dict = dict(
-        beta_auto_tt=-0.5, beta_trans_ivt=-0.1, beta_trans_at=-0.1, beta_trans_et=-0.1,
-        beta_trans_n=-0.1, beta_nonveh_tt=-0.1, beta_cost=-1.0, asc_driving=0.0,
-        asc_transit=0.0, asc_ondemand=0.0, asc_biking=0.0, asc_walking=0.0,
-    )
-    taste = TasteVector(**{**taste_dict, "beta_cost": -1.0})
-    assert value_of_time(taste) == 30.0
-    bad = TasteVector(**{**taste_dict, "beta_cost": 0.5})
-    with pytest.raises(ValueError, match="beta_cost"):
-        value_of_time(bad)

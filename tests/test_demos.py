@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion as a standalone program."""
+"""Every script under demos/ runs to completion as a standalone program,
+and the choice-model walkthrough prints exactly its golden text."""
 
 from __future__ import annotations
 
@@ -11,6 +12,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# Demos whose stdout is pinned exactly.  Every figure the walkthrough
+# prints has at most 6 decimals (its 12-decimal sum is 1 to within a few
+# ulps), so its text is stable.
+GOLDEN = {"choice_model_walkthrough.py": ROOT / "tests" / "golden" / "choice_model_walkthrough.txt"}
 
 
 def test_all_six_demos_are_collected():
@@ -25,3 +30,5 @@ def test_demo_runs(demo, tmp_path):
     env["TMPDIR"] = str(tmp_path)
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    if demo.name in GOLDEN:
+        assert proc.stdout == GOLDEN[demo.name].read_text(encoding="utf-8")

@@ -1,5 +1,5 @@
 """Hub assembly: survey-derived combo sets, leg pricing, and the
-vectorized choice setup checked against the scalar share functions."""
+vectorized choice setup checked against the scalar reference model."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from conftest import (
     one_hub_setup,
     simple_fares,
 )
+from reference_model import assemble_leg_attrs, combo_utility, nested_shares, systematic_utility
 
 from hubmodal import (
     MAIN_MODES,
@@ -32,13 +33,9 @@ from hubmodal import (
     Mode,
     Segment,
     SurveyRecord,
-    assemble_leg_attrs,
     build_combos,
-    combo_utility,
     leg_cost_usd,
-    nested_shares,
     prepare_hub,
-    systematic_utility,
 )
 
 P1 = GeoPoint(lat=42.65, lon=-73.76)

@@ -1,5 +1,5 @@
 """Impact metric tests: mode shift, transit delta, VMT, emissions, and
-consumer surplus, cross-checked against the scalar share functions."""
+consumer surplus, cross-checked against the scalar reference model."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from conftest import (
     one_hub_setup,
     simple_fares,
 )
+from reference_model import assemble_leg_attrs, combo_utility, mnl_shares, nested_shares, systematic_utility
 
 from hubmodal import (
     ComboId,
@@ -27,13 +28,9 @@ from hubmodal import (
     Mode,
     ModeAttr,
     Segment,
-    assemble_leg_attrs,
     assess_hubs,
-    combo_utility,
     consumer_surpluses,
     mode_shifts,
-    nested_shares,
-    systematic_utility,
     transit_delta,
     vmt_deltas,
 )
@@ -187,8 +184,6 @@ def test_single_market_vmt_hand_computed():
 
 
 def ns_upper_before(uni, mode):
-    from hubmodal import mnl_shares
-
     modes = sorted(uni, key=lambda m: m.value)
     shares = mnl_shares([uni[m] for m in modes])
     return float(shares[modes.index(mode)])

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_same_markets, full_attrs, load_both, make_market, make_taste, snapshot
+from conftest import assert_same_markets, full_attrs, load_both, load_taste_parameters, make_market, make_taste, snapshot
 
 from hubmodal import (
     FareTable,
@@ -49,7 +49,6 @@ from hubmodal import (
     load_pr_lots,
     load_stops,
     load_survey,
-    load_taste_parameters,
     sha256_digest,
     write_fares,
     write_hub_records,
@@ -216,6 +215,10 @@ def _write_two_markets(path, **cells) -> list[str]:
         # a row's first broken rule is named, in the order the rules run
         ({"o_lat": "-91.0", "trips_per_day": "-1.0"}, r"invalid coordinate: \(-91.0, -73.76\) in column 'o_lat'"),
         ({"trips_per_day": "-1.0", "carpool_ivt_min": ""}, "negative trips in column 'trips_per_day'"),
+        ({"transit_transfers": "-3.0"}, "negative value -3.0 in column 'transit_transfers'"),
+        ({"driving_ivt_min": "-30.0"}, "negative value -30.0 in column 'driving_ivt_min'"),
+        # times of an unavailable mode are never read, but are not negative either
+        ({"biking_available": "0", "biking_ivt_min": "-5.0"}, "negative value -5.0 in column 'biking_ivt_min'"),
     ],
 )
 def test_markets_rules_name_row_and_column(tmp_path, cells, error):
@@ -360,8 +363,9 @@ def test_matrices_round_trip_and_blank_direction(tmp_path):
     back = load_matrices([path])
     assert back.entries == matrices.entries
     # a blank to_hub_min means that direction is unavailable
-    assert back.to_hub("z1", "h1", Mode.WALK_LEG) is None
-    assert back.from_hub("z1", "h1", Mode.WALK_LEG) == LegTimes(minutes=12.0)
+    to_hub, from_hub = back.entries[("z1", "h1", Mode.WALK_LEG)]
+    assert to_hub is None
+    assert from_hub == LegTimes(minutes=12.0)
 
 
 def test_matrices_duplicate_key_across_files_rejected(tmp_path):

@@ -48,6 +48,7 @@ SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
 ids = st.text(alphabet="abz019/_-.", min_size=1, max_size=5)
 finite = st.floats(allow_nan=False, allow_infinity=False)
+not_negative = st.floats(min_value=-0.0, allow_infinity=False)  # -0.0 is not below 0
 points = st.builds(GeoPoint, lat=st.floats(-90.0, 90.0), lon=st.floats(-180.0, 180.0))
 segments = st.sampled_from(list(Segment))
 
@@ -62,7 +63,8 @@ def markets(draw) -> Market:
     n_modes = len(MARKET_MODE_COLUMNS)
     available = draw(st.lists(st.booleans(), min_size=n_modes, max_size=n_modes).filter(any))
     attrs = {
-        mode: ModeAttr(available=flag, **{f: draw(finite) for f in fields_})
+        # times and transfer counts are never negative; a cost may be
+        mode: ModeAttr(available=flag, **{f: draw(finite if f == "cost_usd" else not_negative) for f in fields_})
         for (_, mode, fields_), flag in zip(MARKET_MODE_COLUMNS, available)
     }
     taste = {name: draw(finite) for name in TASTE_FIELDS}

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import load_both, snapshot
-from hubmodal import LegMatrices, ParseError, load_matrices, write_matrices
+from hubmodal import LegMatrices, LegTimes, Mode, ParseError, load_matrices, write_matrices
 from hubmodal.fixtures import generate_fixture
 from hubmodal.hubs import LEG_MODE_ORDER
 import hubmodal.io
@@ -175,6 +175,36 @@ def _held_bytes(store: LegMatrices) -> int:
                 value = value.base
             held[id(value)] = value.nbytes
     return sum(held.values())
+
+
+def test_entries_is_a_read_only_mapping_of_the_rows():
+    matrices = LegMatrices()
+    matrices.add("z1", "h1", Mode.BUS, LegTimes(minutes=15.0, access_min=5.0), None)
+    matrices.add("z1", "h1", Mode.CAR, None, LegTimes(minutes=9.0, miles=2.5))
+    matrices.add("z2", "h2", Mode.WALK_LEG, LegTimes(minutes=12.0), LegTimes(minutes=11.0))
+    entries = matrices.entries
+    # a row with one direction gives None for the other
+    assert entries["z1", "h1", Mode.BUS] == (LegTimes(minutes=15.0, access_min=5.0), None)
+    assert entries["z1", "h1", Mode.CAR] == (None, LegTimes(minutes=9.0, miles=2.5))
+    absent = [
+        ("z1", "h1", Mode.WALK_LEG),  # a leg mode with no row
+        ("z9", "h1", Mode.BUS),  # an unknown zone
+        ("z1", "h9", Mode.BUS),  # an unknown hub
+        ("z1", "h1", Mode.DRIVING),  # not a leg mode
+        ("z1", "h1"),  # not a (zone, hub, mode) key
+    ]
+    for key in absent:
+        with pytest.raises(KeyError):
+            entries[key]
+        assert key not in entries
+        assert entries.get(key) is None
+        assert entries.get(key, (None, None)) == (None, None)
+    present = ("z2", "h2", Mode.WALK_LEG)
+    assert present in entries
+    assert entries.get(present, (None, None)) == entries[present] == (LegTimes(12.0), LegTimes(11.0))
+    # the keys, in (zone, hub, mode name) order
+    assert list(entries) == [("z1", "h1", Mode.BUS), ("z1", "h1", Mode.CAR), present]
+    assert len(entries) == len(matrices) == 3
 
 
 def test_load_matrices_peak_memory_stays_near_the_store(tmp_path):
