@@ -75,19 +75,23 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _digests(manifest: Manifest) -> dict:
+def _digests(manifest: Manifest, matrix_digests: list[str] | None = None) -> dict:
+    """The sha256 of every input; ``matrix_digests`` are the leg matrix
+    files' when the stage's load has already hashed them."""
     out = {}
     for name in ("markets", "taste_parameters", "fares", "stops", "pr_lots", "survey", "observed_usage"):
         p = getattr(manifest, name)
         if p:
             out[name] = {"path": str(p), "sha256": io.sha256_digest(p)}
-    for i, p in enumerate(manifest.leg_matrices):
-        out[f"leg_matrices[{i}]"] = {"path": str(p), "sha256": io.sha256_digest(p)}
+    if matrix_digests is None:
+        matrix_digests = list(map(io.sha256_digest, manifest.leg_matrices))
+    for i, (p, digest) in enumerate(zip(manifest.leg_matrices, matrix_digests, strict=True)):
+        out[f"leg_matrices[{i}]"] = {"path": str(p), "sha256": digest}
     return out
 
 
-def _report_base(args, manifest: Manifest, config: PipelineConfig) -> dict:
-    return {"config": config.to_dict(), "inputs": _digests(manifest), "seed": args.seed}
+def _report_base(args, manifest: Manifest, config: PipelineConfig, matrix_digests: list[str] | None = None) -> dict:
+    return {"config": config.to_dict(), "inputs": _digests(manifest, matrix_digests), "seed": args.seed}
 
 
 def _resolve_threshold(config: PipelineConfig, survey, hub_locations) -> tuple[float, dict]:
@@ -343,17 +347,18 @@ def _load_model_inputs(args):
     manifest, config = _load_base(args)
     manifest.require("markets", "fares", "survey", "observed_usage", "leg_matrices")
     # The matrices parse sets the stage's peak RSS: no other input sits under it.
-    matrices = io.load_matrices(manifest.leg_matrices)
+    matrix_digests: list[str] = []
+    matrices = io.load_matrices(manifest.leg_matrices, matrix_digests)
     table = io.load_markets(manifest.markets, manifest.taste_parameters)
     survey = io.load_survey(manifest.survey)
     hub_recs = io.load_hub_records(manifest.observed_usage)
     fares = io.load_fares(manifest.fares)
     thr, thr_meta = _resolve_threshold(config, survey, {r.hub_id: r.location for r in hub_recs})
-    return manifest, config, table, survey, hub_recs, matrices, fares, thr, thr_meta
+    return manifest, config, table, survey, hub_recs, matrices, matrix_digests, fares, thr, thr_meta
 
 
 def _cmd_calibrate(args) -> int:
-    manifest, config, table, survey, hub_recs, matrices, fares, thr, thr_meta = _load_model_inputs(args)
+    manifest, config, table, survey, hub_recs, matrices, matrix_digests, fares, thr, thr_meta = _load_model_inputs(args)
     setups = _build_setups(table, hub_recs, survey, matrices, fares, config, thr)
     result, observed, obs_meta, notes = _run_calibration(setups, hub_recs, config)
     report = {
@@ -361,7 +366,7 @@ def _cmd_calibrate(args) -> int:
         **thr_meta,
         **_calibration_report(result, observed, obs_meta),
         "warnings": notes,
-        **_report_base(args, manifest, config),
+        **_report_base(args, manifest, config, matrix_digests),
     }
     path = io.write_json(_out_dir(args) / "calibration.json", report)
     print(f"objective {result.objective}")
@@ -380,7 +385,7 @@ def _obtain_params(args, setups, hub_recs, config):
 
 
 def _cmd_assess(args) -> int:
-    manifest, config, table, survey, hub_recs, matrices, fares, thr, thr_meta = _load_model_inputs(args)
+    manifest, config, table, survey, hub_recs, matrices, matrix_digests, fares, thr, thr_meta = _load_model_inputs(args)
     setups = _build_setups(table, hub_recs, survey, matrices, fares, config, thr)
     params, calib = _obtain_params(args, setups, hub_recs, config)
     emissions = impacts.EmissionFactor(grams_co2_per_mile=config.grams_co2_per_mile, days_per_year=config.days_per_year)
@@ -414,7 +419,7 @@ def _cmd_assess(args) -> int:
         "params": _params_dict(params),
         "hubs": hubs_out,
         "totals": totals,
-        **_report_base(args, manifest, config),
+        **_report_base(args, manifest, config, matrix_digests),
     }
     if calib is not None:
         report["calibration"] = calib
@@ -426,7 +431,7 @@ def _cmd_assess(args) -> int:
 def _cmd_rank(args) -> int:
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
-    manifest, config, table, survey, hub_recs, matrices, fares, thr, thr_meta = _load_model_inputs(args)
+    manifest, config, table, survey, hub_recs, matrices, matrix_digests, fares, thr, thr_meta = _load_model_inputs(args)
     manifest.require("stops", "pr_lots")
     stops = io.load_stops(manifest.stops)
     lots = io.load_pr_lots(manifest.pr_lots)
@@ -478,7 +483,7 @@ def _cmd_rank(args) -> int:
         "n_candidates": len(candidates),
         "n_references": len(references),
         "summary": summary,
-        **_report_base(args, manifest, config),
+        **_report_base(args, manifest, config, matrix_digests),
     }
     if calib is not None:
         report["calibration"] = calib

@@ -290,14 +290,34 @@ class LegMatrices:
         rows += _int_codes(mode)
         if (rows[1:] <= rows[:-1]).any():
             n = _sort_rows(key, legs, n)
-        # One trailing row past the end: an all-NaN leg for absent keys and
-        # a key no lookup can equal.
-        key[n] = np.iinfo(np.int64).max
-        legs[:, n] = np.nan
-        self._legs = legs[:, : n + 1]
-        self._key = key[: n + 1]
-        self.legs = self._legs[:, :n]
-        self.key = self._key[:n]
+        self._adopt(key[: n + 1], legs[:, : n + 1])
+
+    @classmethod
+    def from_store(cls, zone_ids: Sequence[str], hub_ids: Sequence[str], key: np.ndarray, legs: np.ndarray):
+        """The store another store held: its sorted ids, and its key and
+        leg block each with the sentinel row, adopted without a copy.
+        Raises ValueError when they do not make a store."""
+        self = cls.__new__(cls)
+        self.zone_ids, self.hub_ids = tuple(zone_ids), tuple(hub_ids)
+        for ids in (self.zone_ids, self.hub_ids):
+            if any(a >= b for a, b in zip(ids, ids[1:])):
+                raise ValueError("ids are not sorted and distinct")
+        if key.dtype != np.int64 or key.ndim != 1 or legs.dtype != np.float64 or legs.shape != (2, len(key), 5):
+            raise ValueError("key and legs do not match")
+        rows = key[:-1]
+        keys = len(self.zone_ids) * len(self.hub_ids) * len(LEG_MODE_ORDER)
+        if not len(key) or len(rows) and not (rows[0] >= 0 and rows[-1] < keys and (rows[1:] > rows[:-1]).all()):
+            raise ValueError("the key is not strictly increasing within its range")
+        self._adopt(key, legs)
+        return self
+
+    def _adopt(self, key: np.ndarray, legs: np.ndarray) -> None:
+        """Hold ``key`` and ``legs``, whose last row becomes the sentinel:
+        an all-NaN leg for absent keys and a key no lookup can equal."""
+        key[-1] = np.iinfo(np.int64).max
+        legs[:, -1] = np.nan
+        self._legs, self._key = legs, key
+        self.legs, self.key = legs[:, :-1], key[:-1]
         self._zone_code = {z: i for i, z in enumerate(self.zone_ids)}
         self._hub_code = {h: i for i, h in enumerate(self.hub_ids)}
 
@@ -438,6 +458,11 @@ MARKET_MODE_COLUMNS: tuple[tuple[str, Mode, tuple[str, ...]], ...] = (
 )
 ATTR_FIELDS: tuple[str, ...] = ("ivt_min", "access_min", "egress_min", "transfers", "cost_usd")
 
+# The largest magnitude a market attribute, a taste coefficient or a leg
+# matrix cell may have.  A utility sums a few products of a coefficient
+# and an attribute, so it stays within about 1e13, far from overflow.
+VALUE_BOUND = 1e6
+
 
 class MarketError(ValueError):
     """A broken market rule: the input ``row``, markets-file ``column`` and ``why``."""
@@ -458,11 +483,12 @@ class MarketTable:
     ``<od_id>/o`` or ``<od_id>/d``.  The market rules run here and only
     here: coordinates in range, trips finite and not negative, each
     attribute of an available mode finite, no time or transfer count
-    below 0 (of any mode, available or not), an available mode, and one
-    row per (od_id, segment).  A cost may be negative: a fare credit is
-    real.  The first faulty row in input order raises MarketError for the
-    first rule it breaks, in that order.  Non-finite attributes of
-    unavailable modes are stored as 0.
+    below 0 (of any mode, available or not), no finite attribute and no
+    taste coefficient of a magnitude above VALUE_BOUND (1e6), an
+    available mode, and one row per (od_id, segment).  A cost may be
+    negative: a fare credit is real.  The first faulty row in input order
+    raises MarketError for the first rule it breaks, in that order.
+    Non-finite attributes of unavailable modes are stored as 0.
     """
 
     def __init__(
@@ -479,6 +505,8 @@ class MarketTable:
         bad_point = ~((-90 <= lat) & (lat <= 90) & (-180 <= lon) & (lon <= 180))  # NaN too
         bad_attr = np.stack([available & ~np.isfinite(attrs[f]) for f in ATTR_FIELDS], axis=2)  # (n, 6, 5)
         negative = np.stack([attrs[f] < 0 for f in ATTR_FIELDS], axis=2) & (np.array(ATTR_FIELDS) != "cost_usd")
+        huge = np.stack([(np.abs(attrs[f]) > VALUE_BOUND) & np.isfinite(attrs[f]) for f in ATTR_FIELDS], axis=2)
+        bad_taste = np.stack([~(np.abs(taste[name]) <= VALUE_BOUND) for name in TASTE_FIELDS], axis=1)  # NaN too
 
         def cell(bad, i):
             j, f = np.argwhere(bad[i])[0]  # the first in (mode, field) order
@@ -492,6 +520,17 @@ class MarketTable:
             column, value = cell(negative, i)
             return column, f"negative value {value}"
 
+        def huge_attribute(i):
+            column, value = cell(huge, i)
+            return column, f"magnitude of {value} above {VALUE_BOUND}"
+
+        def taste_fault(i):
+            name = TASTE_FIELDS[int(np.argmax(bad_taste[i]))]
+            value = taste[name][i]
+            if not np.isfinite(value):
+                return name, f"non-finite value {value}"
+            return name, f"magnitude of {value} above {VALUE_BOUND}"
+
         def trips_fault(i):
             return "trips_per_day", "negative trips" if trips[i] < 0 else f"non-finite trips {trips[i]}"
 
@@ -502,6 +541,8 @@ class MarketTable:
             (~(np.isfinite(trips) & (trips >= 0)), trips_fault),
             (bad_attr.any(axis=(1, 2)), attribute),
             (negative.any(axis=(1, 2)), negative_attribute),
+            (huge.any(axis=(1, 2)), huge_attribute),
+            (bad_taste.any(axis=1), taste_fault),
             (~available.any(axis=1), lambda i: ("driving_available", "needs at least one available mode")),
             (repeated, lambda i: ("od_id", f"duplicate market {ids[i]}")),
         )

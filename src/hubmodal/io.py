@@ -43,15 +43,24 @@ a blank complete flag means 1; blank observed-usage counts are unobserved.
 Leg matrices columns: zone_id, hub_id, mode, then to_hub_* and
 from_hub_* column groups (min, access_min, egress_min, transfers,
 miles).  One row per (zone, hub, leg mode): a key repeated within or
-across files is an error.  A blank minutes cell means that direction is
-unavailable (its other cells are then ignored, but must still be blank
-or finite); blank access, egress and transfers mean 0; blank miles means
-no network distance is known.  The files' lines are counted first (LF,
+across files is an error.  Every number cell is blank or from 0 (-0.0
+too) to VALUE_BOUND.  A blank minutes cell means that direction is
+unavailable (its other cells are then ignored, but must still keep that
+rule); blank access, egress and transfers mean 0; blank miles means no
+network distance is known.  The files' lines are counted first (LF,
 CRLF and lone CR ends, as csv.reader splits them), which bounds their
 records; the batches are parsed straight into one leg block of that
 many rows, which becomes the LegMatrices store, with no further copy
 when the rows arrive in key order.  Files are written back sorted by
 (zone, hub, mode name), an unavailable direction as five blank cells.
+
+A clean parse of a non-empty store also writes the store to a sidecar
+beside the first file, ``.<file name>.<tag>.legs``, whose tag is a
+sha256 over SIDECAR_VERSION and each file's sha256.  The next load of
+the same bytes reads the store back from it instead of parsing; a
+sidecar that does not read back whole is ignored and replaced.  The
+files stay the only input: deleting a sidecar changes nothing but the
+time the next load takes.
 """
 
 from __future__ import annotations
@@ -73,7 +82,7 @@ import numpy as np
 
 from .choice import SEGMENTS, TASTE_FIELDS, Segment
 from .geo import GeoPoint
-from .hubs import ATTR_FIELDS, LEG_MODE_ORDER, MARKET_MODE_COLUMNS, FareTable, LegMatrices, SurveyRecord
+from .hubs import ATTR_FIELDS, LEG_MODE_ORDER, MARKET_MODE_COLUMNS, VALUE_BOUND, FareTable, LegMatrices, SurveyRecord
 from .hubs import MarketError, MarketTable
 
 if TYPE_CHECKING:  # siting runs only in rank and gen-fixture
@@ -242,7 +251,8 @@ _TEXT_WIDTH = 16
 # temporaries: with 64 KiB reads, rank-1k's `rank` ran 3% slower.
 _COUNT_BYTES = 1 << 20
 
-_LEG_MODE_CODES = {mode.value: i for i, mode in enumerate(LEG_MODE_ORDER)}
+_LEG_MODE_NAMES = [mode.value for mode in LEG_MODE_ORDER]
+_LEG_MODE_CODES = {name: i for i, name in enumerate(_LEG_MODE_NAMES)}
 
 # Cell converters take the raw cell text and return its value or raise
 # ValueError saying why there is none.
@@ -271,7 +281,24 @@ def _number_cell(text: str) -> float:
     return _required_number_cell(text) if text.strip() else math.nan
 
 
-_NUMBER_CELLS = (_number_cell, _required_number_cell)
+def _leg_cell(text: str) -> float:
+    """A leg matrix number from 0 (-0.0 too) to VALUE_BOUND; NaN for a
+    blank cell."""
+    value = _number_cell(text)
+    if value < 0.0:
+        raise ValueError(f"negative value {value}")
+    if value > VALUE_BOUND:
+        raise ValueError(f"value {value} above {VALUE_BOUND}")
+    return value
+
+
+_NUMBER_CELLS = (_number_cell, _required_number_cell, _leg_cell)
+
+
+def _out_of_range(convert: Callable, column: np.ndarray) -> bool:
+    """Whether a number column converted in bulk holds a value that
+    ``convert`` rejects for its size (NaN, a blank, never does)."""
+    return convert is _leg_cell and bool(((column < 0.0) | (column > VALUE_BOUND)).any())
 
 
 def _flag_cell(text: str) -> bool:
@@ -353,8 +380,8 @@ def _convert_batch(path, first: int, rows: list[list[str]], read: Mapping[str, t
     for name, (pick, convert) in read.items():
         cells = columns[pick]
         number = convert in _NUMBER_CELLS
-        column = _float_column(cells, convert is _number_cell) if number else None
-        if column is None:
+        column = _float_column(cells, convert is not _required_number_cell) if number else None
+        if column is None or _out_of_range(convert, column):
             values = dict.fromkeys(cells)
             bad = {}
             for text in values:
@@ -463,7 +490,7 @@ def _parse_batch(text: str, numbers: Sequence[bool], read: Mapping[str, tuple[in
         cells = table[str(pick)]
         if not numbers[pick]:
             cells = _convert_distinct(cells, convert)
-        elif convert is _required_number_cell and np.isnan(cells).any():
+        elif convert is _required_number_cell and np.isnan(cells).any() or _out_of_range(convert, cells):
             cells = None
         if cells is None:
             return None
@@ -590,11 +617,13 @@ def load_markets(path: str | Path, taste_path: str | Path | None = None) -> Mark
     """The markets file as a MarketTable; taste columns inline or joined
     from taste_path by (od_id, segment).  The file's own rules run here
     (cells, the taste join, a negative beta_cost), the market rules in
-    MarketTable, and either names the file, row and column."""
+    MarketTable, and either names the file, row and column: a joined
+    taste coefficient's, those of its taste-parameters file."""
     table = _read_columns(path, _MARKET_CELLS, {**_TASTE_CELLS, "o_zone": str.strip, "d_zone": str.strip})
     if not table:
         return MarketTable.from_markets([])
     od_ids, segments = table["od_id"], table["segment"]
+    pick = None  # each market's row of a joined taste-parameters file
     if all(name in table for name in TASTE_FIELDS):
         taste = {name: table[name] for name in TASTE_FIELDS}
         _check_beta_cost(path, taste["beta_cost"])
@@ -622,6 +651,8 @@ def load_markets(path: str | Path, taste_path: str | Path | None = None) -> Mark
             d_zones=table.get("d_zone", [""] * len(od_ids)),
         )
     except MarketError as err:
+        if err.column in TASTE_FIELDS and pick is not None:
+            raise _row_error(taste_path, int(pick[err.row]), err.column, err.why) from None
         raise _row_error(path, err.row, err.column, err.why) from None
 
 
@@ -751,21 +782,48 @@ def _max_records(path: str | Path) -> int:
     return max(lines - 1, 0)
 
 
-def load_matrices(paths: Sequence[str | Path]) -> LegMatrices:
+def load_matrices(paths: Sequence[str | Path], digests: list[str] | None = None) -> LegMatrices:
     """Merge one or more leg matrix files; a key repeated within or across
-    files is an error."""
+    files is an error.  Each file is hashed once, and the store is read
+    from the sidecar of those digests when it reads back whole, else
+    parsed and then written to that sidecar.  Each file's sha256 is
+    appended to ``digests`` when one is given, in ``paths`` order."""
+    paths = list(paths)  # read thrice: hashed, counted, then parsed
+    stamps = list(map(_stamp, paths))
+    sums = list(map(sha256_digest, paths))
+    if digests is not None:
+        digests.extend(sums)
+    if not paths:
+        return LegMatrices()
+    tag = hashlib.sha256(" ".join([f"hubmodal leg store v{SIDECAR_VERSION}", *sums]).encode()).hexdigest()
+    first = Path(paths[0])
+    sidecar = first.with_name(f".{first.name}.{tag[:_TAG_CHARS]}{_SIDECAR_SUFFIX}")
+    matrices = _read_sidecar(sidecar, tag)
+    if matrices is None:
+        matrices = _parse_matrices(paths)
+        # A file that changed while it was read gives no sidecar.
+        if len(matrices) and list(map(_stamp, paths)) == stamps:
+            _write_sidecar(sidecar, tag, matrices)
+    return matrices
+
+
+def _stamp(path: str | Path) -> tuple[int, int, int]:
+    stat = os.stat(path)
+    return stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+def _parse_matrices(paths: list[str | Path]) -> LegMatrices:
     zone_ids: dict[str, int] = {}
     hub_ids: dict[str, int] = {}
     cells = {
         "zone_id": lambda text: zone_ids.setdefault(_text_cell(text), len(zone_ids)),
         "hub_id": lambda text: hub_ids.setdefault(_text_cell(text), len(hub_ids)),
         "mode": _leg_mode_cell,
-        **dict.fromkeys(MATRIX_COLUMNS[3:], _number_cell),
+        **dict.fromkeys(MATRIX_COLUMNS[3:], _leg_cell),
     }
     # The store's leg block, with a spare row for its sentinel, and each
     # row's zone, hub and mode code in file order: each batch is copied
     # into its own slice and dropped.
-    paths = list(paths)  # read twice: counted, then parsed
     n_max = sum(map(_max_records, paths))
     legs = np.empty((2, n_max + 1, 5))
     codes = np.empty((3, n_max), dtype=np.int32)
@@ -811,12 +869,76 @@ def _raise_repeated_key(zone_ids, hub_ids, zone, hub, mode, row_files) -> None:
             seen.add(key)
 
 
+# ----------------------------------------------------------------------
+# leg matrix sidecar
+# ----------------------------------------------------------------------
+
+# The sidecar format.  Bump it whenever the matrix rules or the store
+# layout change: it enters each sidecar's tag, so no load reads a sidecar
+# of another version.
+SIDECAR_VERSION = 1
+_SIDECAR_SUFFIX = ".legs"
+_TAG_CHARS = 16  # of the tag in the file name; the header holds all of it
+
+
+def _read_sidecar(path: Path, tag: str) -> LegMatrices | None:
+    """The store in the sidecar at ``path``, or None when there is none,
+    or it is cut short, has another tag or mode names, or does not make a
+    store.  Its four .npy arrays are the header (the tag), the zone ids,
+    hub ids and mode names as UTF-8 JSON, the store's key and its leg
+    block, both with the sentinel row."""
+    try:
+        with open(path, "rb") as fh:
+            if np.lib.format.read_array(fh, allow_pickle=False).tobytes() != tag.encode():
+                return None
+            names, key, legs = (np.lib.format.read_array(fh, allow_pickle=False) for _ in range(3))
+            if fh.read(1):
+                return None
+            zone_ids, hub_ids, modes = json.loads(names.tobytes())
+        if modes != _LEG_MODE_NAMES or not all(type(i) is str for ids in (zone_ids, hub_ids) for i in ids):
+            return None
+        return LegMatrices.from_store(zone_ids, hub_ids, key, legs)
+    # A missing file, a short or malformed array, a header asking for more
+    # than memory holds, or parts that make no store.
+    except (OSError, ValueError, TypeError, MemoryError):
+        return None
+
+
+def _write_sidecar(path: Path, tag: str, matrices: LegMatrices) -> None:
+    """Write ``matrices`` to the sidecar at ``path`` as ``_read_sidecar``
+    reads it, then delete the other sidecars of the same first file.
+    Each array goes to the file with ``tofile``, with no copy; the leg
+    block one direction at a time, as a view of the parse's block is not
+    contiguous.  A directory that cannot be written gets no sidecar."""
+    names = json.dumps([matrices.zone_ids, matrices.hub_ids, _LEG_MODE_NAMES]).encode()
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            for array in (np.frombuffer(tag.encode(), np.uint8), np.frombuffer(names, np.uint8), matrices._key):
+                np.lib.format.write_array(fh, array, allow_pickle=False)
+            np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(matrices._legs))
+            for direction in matrices._legs:
+                direction.tofile(fh)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        return
+    prefix = path.name[: -len(_SIDECAR_SUFFIX) - _TAG_CHARS]
+    for name in os.listdir(path.parent):
+        tag_chars = name[len(prefix) : -len(_SIDECAR_SUFFIX)]
+        stale = name.startswith(prefix) and name.endswith(_SIDECAR_SUFFIX) and len(tag_chars) == _TAG_CHARS
+        if stale and name != path.name and set(tag_chars) <= set("0123456789abcdef"):
+            with contextlib.suppress(OSError):
+                os.unlink(path.parent / name)
+
+
 def write_matrices(matrices: LegMatrices, path: str | Path) -> Path:
     """Rows in (zone, hub, mode name) order; an absent direction is five
     blank cells and unknown miles one.  Ids and modes are looked up from
     the codes decoded from the key, and NaN elsewhere in a present
     direction is refused."""
-    labels = (matrices.zone_ids, matrices.hub_ids, [mode.value for mode in LEG_MODE_ORDER])
+    labels = (matrices.zone_ids, matrices.hub_ids, _LEG_MODE_NAMES)
     columns = [_coded_cells(*pair) for pair in zip(labels, (matrices.zone, matrices.hub, matrices.mode))]
     for block in matrices.legs:
         absent = np.isnan(block[:, 0])

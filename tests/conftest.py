@@ -234,7 +234,7 @@ def load_both(load, path, batch_chars: int) -> tuple:
     """The snapshot of ``load(path)``, or its ParseError text, read in
     batches of ``batch_chars`` characters: first as the loader reads it,
     then with every batch sent to the exact path (csv.reader), which the
-    first must match."""
+    first must match.  Both parse: no leg-matrix sidecar is read."""
 
     def attempt():
         try:
@@ -243,6 +243,7 @@ def load_both(load, path, batch_chars: int) -> tuple:
             return f"ParseError: {err}"
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hubmodal.io, "_read_sidecar", lambda *args: None)
         mp.setattr(hubmodal.io, "_BATCH_CHARS", batch_chars)
         fast = attempt()
         mp.setattr(hubmodal.io, "_parse_batch", lambda *args: None)

@@ -219,6 +219,18 @@ def _write_two_markets(path, **cells) -> list[str]:
         ({"driving_ivt_min": "-30.0"}, "negative value -30.0 in column 'driving_ivt_min'"),
         # times of an unavailable mode are never read, but are not negative either
         ({"biking_available": "0", "biking_ivt_min": "-5.0"}, "negative value -5.0 in column 'biking_ivt_min'"),
+        # no attribute, of any mode, and no taste coefficient above 1e6 in magnitude
+        ({"transit_cost_usd": "-2e6"}, r"magnitude of -2000000.0 above 1000000.0 in column 'transit_cost_usd'"),
+        (
+            {"walking_available": "0", "walking_ivt_min": "1e308"},
+            r"magnitude of 1e\+308 above 1000000.0 in column 'walking_ivt_min'",
+        ),
+        ({"asc_transit": "-1000000.5"}, "magnitude of -1000000.5 above 1000000.0 in column 'asc_transit'"),
+        # an attribute's rule runs before a taste coefficient's
+        (
+            {"driving_ivt_min": "1e7", "beta_auto_tt": "1e7"},
+            "magnitude of 10000000.0 above 1000000.0 in column 'driving_ivt_min'",
+        ),
     ],
 )
 def test_markets_rules_name_row_and_column(tmp_path, cells, error):
@@ -226,6 +238,29 @@ def test_markets_rules_name_row_and_column(tmp_path, cells, error):
     _write_two_markets(path, **cells)
     with pytest.raises(ParseError, match=rf"^{re.escape(str(path))} row 3: {error}$"):
         load_markets(path)
+
+
+def test_markets_at_the_bound_load_and_give_finite_utilities(tmp_path):
+    path = tmp_path / "markets.csv"
+    _write_two_markets(path, driving_ivt_min="1e6", driving_cost_usd="-1e6", beta_auto_tt="-1e6", beta_cost="-1e6")
+    table = load_markets(path)
+    assert np.isfinite(table.unimodal_utilities()).all()
+
+
+def test_joined_taste_beyond_the_bound_names_the_taste_file(tmp_path):
+    markets, tastes = tmp_path / "markets.csv", tmp_path / "taste.csv"
+    senior = [make_market(od_id=od_id, segment=Segment.SENIOR) for od_id in ("od1", "od2")]
+    write_markets(MarketTable.from_markets(senior), markets)
+    lines = [line.split(",") for line in markets.read_text().splitlines()]
+    keep = [i for i, column in enumerate(lines[0]) if column not in TASTE_FIELDS]
+    markets.write_text("\n".join(",".join(line[i] for i in keep) for line in lines) + "\n")
+    _write_two_taste_rows(tastes)
+    header, od1, od2 = tastes.read_text().splitlines()
+    # od1, on line 2 of the markets file, takes line 3 of the taste file
+    tastes.write_text("\n".join([header, od2, od1.replace("-0.05", "-5e6", 1)]) + "\n")
+    error = "magnitude of -5000000.0 above 1000000.0 in column 'beta_auto_tt'"
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(tastes))} row 3: {error}$"):
+        load_markets(markets, tastes)
 
 
 def test_blank_zone_beside_literal_nan_is_the_exact_paths_error(tmp_path):
@@ -496,6 +531,11 @@ def test_every_csv_loader_names_file_row_and_column(tmp_path, name, fault):
         ("z2,h1,bus,abc,,,,,,,,,", "malformed number 'abc' in column 'to_hub_min'"),
         ("z2,h1,bus,5.0", "missing cell in column 'to_hub_access_min'"),
         ("z1,h1,bus,7.0,,,,,,,,,", r"duplicate matrix entry \(z1, h1, bus\) in column 'zone_id'"),
+        # no leg cell below 0 or above 1e6: the first one in the row is named
+        ("z2,h1,bus,-30.0,-1,0,-2,-1.0,,,,,", "negative value -30.0 in column 'to_hub_min'"),
+        ("z2,h1,bus,5.0,,,,1e300,,,,,", r"value 1e\+300 above 1000000.0 in column 'to_hub_miles'"),
+        ("z2,h1,bus,,,,,,5.0,,,-1.0,", "negative value -1.0 in column 'from_hub_transfers'"),
+        ("z2,h1,bus,,-0.5,,,,5.0,,,,", "negative value -0.5 in column 'to_hub_access_min'"),
     ],
 )
 def test_matrices_error_row_counts_blank_lines(tmp_path, row, error):
@@ -1047,3 +1087,43 @@ def test_cli_threshold_override(fixture_dir, tmp_path):
     report = json.loads(files["threshold.json"].read_text())
     assert report["threshold"] == 1.9
     assert report["threshold_source"] == "override"
+
+
+def test_reports_are_byte_identical_with_and_without_a_leg_matrix_sidecar(fixture_dir, tmp_path, monkeypatch):
+    inputs = tmp_path / "fx"
+    shutil.copytree(fixture_dir, inputs)
+    for sidecar in inputs.glob(".*.legs"):
+        sidecar.unlink()
+    parses = []
+    parse = hubmodal.io._parse_matrices
+    monkeypatch.setattr(hubmodal.io, "_parse_matrices", lambda paths: parses.append(paths) or parse(paths))
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"beta_hub": 0.3, "asc_by_segment": {s.value: -4.0 for s in Segment}}))
+    manifest = str(inputs / "manifest.json")
+
+    def reports(run: str) -> dict:
+        out = tmp_path / run
+        assert main(["assess", "--manifest", manifest, "--out-dir", str(out)]) == 0
+        assert main(["rank", "--manifest", manifest, "--params", str(params), "--out-dir", str(out)]) == 0
+        return _tree_digest(out)
+
+    absent = reports("absent")  # the first load parses and writes the sidecar
+    assert len(parses) == 1 and len(list(inputs.glob(".matrices.csv.*.legs"))) == 1
+    assert reports("present") == absent
+    assert len(parses) == 1
+    for sidecar in inputs.glob(".*.legs"):
+        sidecar.unlink()
+    assert reports("deleted") == absent
+    assert len(parses) == 2
+    assert sorted(absent) == ["candidates.geojson", "impacts.json", "rank_summary.json", "ranking.csv"]
+
+
+def test_rank_hashes_each_input_once(fixture_dir, tmp_path, monkeypatch):
+    hashed = []
+    digest = hubmodal.io.sha256_digest
+    monkeypatch.setattr(hubmodal.io, "sha256_digest", lambda path: hashed.append(str(path)) or digest(path))
+    out = tmp_path / "rank"
+    assert main(["rank", "--manifest", str(fixture_dir / "manifest.json"), "--out-dir", str(out)]) == 0
+    inputs = json.loads((out / "rank_summary.json").read_text())["inputs"]
+    assert sorted(hashed) == sorted(entry["path"] for entry in inputs.values())
+    assert len(set(hashed)) == len(hashed) == 7

@@ -5,10 +5,12 @@ Valid tables written by ``write_markets``, ``write_survey`` and
 MarketTable) and re-write to the same bytes.  One malformed cell planted
 in such a table (a bad number, a bad 0/1 flag, an unknown segment or leg
 mode, an empty required cell) makes the loader raise ``ParseError``
-naming the file, the row and the column of that cell.  Irregular input
-planted in such a table (padding, literal NaN or infinity, quotes, CRLF,
-blank lines, ragged rows, blank or ``nan`` keys) loads to the same value,
-or the same error, as when every batch goes through csv.reader.
+naming the file, the row and the column of that cell, and so does a
+market attribute or taste coefficient beyond VALUE_BOUND in magnitude:
+valid markets are drawn within it.  Irregular input planted in such a
+table (padding, literal NaN or infinity, quotes, CRLF, blank lines,
+ragged rows, blank or ``nan`` keys) loads to the same value, or the same
+error, as when every batch goes through csv.reader.
 """
 
 from __future__ import annotations
@@ -41,14 +43,17 @@ from hubmodal import (
     write_survey,
 )
 from hubmodal.choice import LEG_MODES
-from hubmodal.hubs import MARKET_MODE_COLUMNS
+from hubmodal.hubs import MARKET_MODE_COLUMNS, VALUE_BOUND
 from hubmodal.io import HUB_RECORD_COLUMNS, MARKET_BASE_COLUMNS, MARKET_COLUMNS, SURVEY_COLUMNS
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
 ids = st.text(alphabet="abz019/_-.", min_size=1, max_size=5)
 finite = st.floats(allow_nan=False, allow_infinity=False)
-not_negative = st.floats(min_value=-0.0, allow_infinity=False)  # -0.0 is not below 0
+# market attributes and taste coefficients, within the bound
+bounded = st.floats(-VALUE_BOUND, VALUE_BOUND)
+not_negative = st.floats(min_value=-0.0, max_value=VALUE_BOUND)  # -0.0 is not below 0
+beyond = st.floats(min_value=VALUE_BOUND, exclude_min=True, allow_infinity=False)
 points = st.builds(GeoPoint, lat=st.floats(-90.0, 90.0), lon=st.floats(-180.0, 180.0))
 segments = st.sampled_from(list(Segment))
 
@@ -64,11 +69,11 @@ def markets(draw) -> Market:
     available = draw(st.lists(st.booleans(), min_size=n_modes, max_size=n_modes).filter(any))
     attrs = {
         # times and transfer counts are never negative; a cost may be
-        mode: ModeAttr(available=flag, **{f: draw(finite if f == "cost_usd" else not_negative) for f in fields_})
+        mode: ModeAttr(available=flag, **{f: draw(bounded if f == "cost_usd" else not_negative) for f in fields_})
         for (_, mode, fields_), flag in zip(MARKET_MODE_COLUMNS, available)
     }
-    taste = {name: draw(finite) for name in TASTE_FIELDS}
-    taste["beta_cost"] = draw(st.floats(max_value=0.0, exclude_max=True, allow_infinity=False))
+    taste = {name: draw(bounded) for name in TASTE_FIELDS}
+    taste["beta_cost"] = draw(st.floats(-VALUE_BOUND, 0.0, exclude_max=True))
     return Market(
         od_id=draw(ids),
         segment=draw(segments),
@@ -205,6 +210,27 @@ def _plant_fault(data, records, write, load, header, faults):
 @given(table=market_tables, data=st.data())
 def test_malformed_market_cell_names_file_row_and_column(table, data):
     _plant_fault(data, MarketTable.from_markets(table), write_markets, load_markets, MARKET_COLUMNS, MARKET_FAULTS)
+
+
+@SETTINGS
+@given(table=market_tables, data=st.data())
+def test_market_value_beyond_the_bound_names_file_row_and_column(table, data):
+    # a time or transfer count drawn negative would break another rule first
+    column = data.draw(st.sampled_from([*_MODE_NUMBERS, *TASTE_FIELDS]))
+    sign = -1.0 if column.endswith("_cost_usd") or column in TASTE_FIELDS else 1.0
+    value = sign * data.draw(beyond)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_markets(MarketTable.from_markets(table), path)
+        lines = path.read_text().splitlines()
+        line = data.draw(st.integers(1, len(lines) - 1))
+        cells = lines[line].split(",")
+        cells[MARKET_COLUMNS.index(column)] = repr(value)
+        lines[line] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        why = re.escape(f"magnitude of {value!r} above {VALUE_BOUND!r}")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))} row {line + 1}: {why} in column '{column}'$"):
+            load_markets(path)
 
 
 @SETTINGS

@@ -2,10 +2,10 @@
 
 Valid tables written by ``write_matrices`` load back to the same entries
 and re-write to the same bytes.  One malformed cell planted in such a
-table (a bad number, ``nan``/``inf`` text, an unknown leg mode, an empty
-key cell, or a repeated key, within one file or across two) makes
-``load_matrices`` raise ``ParseError`` naming the file, the row and the
-column of that cell.  Irregular input planted in such a table (padding,
+table (a bad number, ``nan``/``inf`` text, a number below 0 or above
+VALUE_BOUND, an unknown leg mode, an empty key cell, or a repeated key,
+within one file or across two) makes ``load_matrices`` raise
+``ParseError`` naming the file, the row and the column of that cell.  Irregular input planted in such a table (padding,
 literal NaN or infinity, quotes, CRLF, blank lines, ragged rows, blank
 or ``nan`` keys) loads to the same store, or the same error, as when
 every batch goes through csv.reader.
@@ -24,25 +24,28 @@ from hypothesis import strategies as st
 from conftest import IRREGULAR, load_both, plant_irregular
 from hubmodal import LegMatrices, LegTimes, Mode, ParseError, load_matrices, write_matrices
 from hubmodal.choice import LEG_MODES
+from hubmodal.hubs import VALUE_BOUND
 from hubmodal.io import MATRIX_COLUMNS
 
 SETTINGS = settings(max_examples=80, deadline=None, database=None)
 
 ids = st.text(alphabet="abz019/_-.", min_size=1, max_size=5)
-finite = st.floats(allow_nan=False, allow_infinity=False)
+# every leg cell from 0 (-0.0 too) to the bound
+leg_values = st.floats(min_value=-0.0, max_value=VALUE_BOUND)
 legs = st.builds(
     LegTimes,
-    minutes=finite,
-    access_min=finite,
-    egress_min=finite,
-    transfers=finite,
-    miles=st.none() | finite,
+    minutes=leg_values,
+    access_min=leg_values,
+    egress_min=leg_values,
+    transfers=leg_values,
+    miles=st.none() | leg_values,
 )
 rows = st.tuples(ids, ids, st.sampled_from(LEG_MODES), st.none() | legs, st.none() | legs)
 tables = st.lists(rows, min_size=1, max_size=12, unique_by=lambda r: r[:3])
 
 NUMERIC_COLUMNS = MATRIX_COLUMNS[3:]
 BAD_NUMBERS = ("abc", "1.2.3", "--1", "5e", "0x10", "nan", "NaN", "inf", "-inf", "Infinity", "1e999")
+OUT_OF_RANGE = ("-30.0", "-1", "-5e-324", "1000000.5", "1e300", "1.7976931348623157e308")
 BAD_MODES = ("teleport", "BUS", "walk_leg", "car share")
 
 
@@ -97,6 +100,28 @@ def test_malformed_cell_names_file_row_and_column(table, data):
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=_error_pattern(path, line + 1, column)):
             load_matrices([path])
+
+
+@SETTINGS
+@given(table=tables, data=st.data())
+def test_leg_cell_out_of_range_names_file_row_and_column(table, data):
+    # in a present or an absent direction, read by numpy's reader or csv.reader
+    column = data.draw(st.sampled_from(NUMERIC_COLUMNS))
+    token = data.draw(st.sampled_from(OUT_OF_RANGE))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        write_matrices(_build(table), path)
+        lines = path.read_text().splitlines()
+        line = data.draw(st.integers(1, len(lines) - 1))
+        cells = lines[line].split(",")
+        cells[MATRIX_COLUMNS.index(column)] = token
+        lines[line] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        pattern = _error_pattern(path, line + 1, column)
+        fast, exact = load_both(lambda p: load_matrices([p]), path, data.draw(st.sampled_from((64, 1 << 17))))
+        assert fast == exact
+        assert re.match(pattern, fast.removeprefix("ParseError: ")), fast
+        assert re.search(r": (negative value -|value \S+ above 1000000.0 in)", fast)
 
 
 @SETTINGS

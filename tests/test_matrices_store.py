@@ -5,12 +5,18 @@ line counts, and the store adopts that block.  Rows that arrive out of
 key order, ids that first appear out of sorted order, and line ends
 other than LF must all give the store that the sorted LF file gives; the
 loader's peak memory stays near the store it returns.
+
+A clean parse writes the store to a sidecar beside the first file, and
+the next load of the same bytes reads it back: the same store, bit for
+bit.  A sidecar that does not read back whole is parsed over and
+replaced, never an error, and a load that fails writes none.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
 import re
 import tracemalloc
 
@@ -18,7 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import load_both, snapshot
-from hubmodal import LegMatrices, LegTimes, Mode, ParseError, load_matrices, write_matrices
+from hubmodal import LegMatrices, LegTimes, Mode, ParseError, load_matrices, sha256_digest, write_matrices
 from hubmodal.fixtures import generate_fixture
 from hubmodal.hubs import LEG_MODE_ORDER
 import hubmodal.io
@@ -218,6 +224,259 @@ def test_load_matrices_peak_memory_stays_near_the_store(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    held = _held_bytes(store)
+    assert len(store) > 80_000
+    assert held <= 90 * len(store)
+    assert peak <= 1.5 * held
+
+
+# ----------------------------------------------------------------------
+# the sidecar
+# ----------------------------------------------------------------------
+
+
+def _sidecars(directory) -> list:
+    return sorted(p.name for p in directory.glob(".*.legs"))
+
+
+def _count_parses(monkeypatch) -> list:
+    """A list that gets one entry per parse of leg matrix files."""
+    parses = []
+    parse = hubmodal.io._parse_matrices
+    monkeypatch.setattr(hubmodal.io, "_parse_matrices", lambda paths: parses.append(paths) or parse(paths))
+    return parses
+
+
+def _store_bits(store: LegMatrices) -> tuple:
+    return store.zone_ids, store.hub_ids, store._key.tobytes(), store._legs.tobytes(), store._legs.shape
+
+
+def test_second_load_reads_the_sidecar_and_returns_an_equal_store(tmp_path, monkeypatch):
+    parses = _count_parses(monkeypatch)
+    path = tmp_path / "m.csv"
+    write_matrices(_store(), path)
+    parsed = load_matrices([path])
+    (name,) = _sidecars(tmp_path)
+    assert re.fullmatch(r"\.m\.csv\.[0-9a-f]{16}\.legs", name)
+    read = load_matrices([path])
+    assert len(parses) == 1
+    # ids, key and the leg bits, NaNs and the sentinel row included
+    assert np.isnan(read.legs).any()
+    assert _store_bits(read) == _store_bits(parsed)
+    assert snapshot(read) == snapshot(parsed)
+    assert read.entries == parsed.entries
+    rewritten = tmp_path / "rewritten.csv"
+    write_matrices(read, rewritten)
+    assert rewritten.read_bytes() == path.read_bytes()
+
+
+def test_split_files_share_one_sidecar_beside_the_first(tmp_path, monkeypatch):
+    parses = _count_parses(monkeypatch)
+    _, header, rows = _shuffled(tmp_path)
+    first, second = tmp_path / "a" / "first.csv", tmp_path / "b" / "second.csv"
+    for path, part in ((first, rows[:17]), (second, rows[17:])):
+        path.parent.mkdir()
+        path.write_text(_csv_text([header, *part]))
+    expected = snapshot(load_matrices([first, second]))
+    assert len(_sidecars(first.parent)) == 1 and _sidecars(second.parent) == []
+    assert snapshot(load_matrices([first, second])) == expected
+    assert len(parses) == 1
+    # the files in the other order are other input: parsed, with a sidecar
+    # beside the new first file
+    assert snapshot(load_matrices([second, first])) == expected
+    assert len(parses) == 2 and len(_sidecars(second.parent)) == 1
+
+
+def test_changed_byte_gives_a_new_tag_and_deletes_the_stale_sidecar(tmp_path, monkeypatch):
+    parses = _count_parses(monkeypatch)
+    path = tmp_path / "m.csv"
+    write_matrices(_store(), path)
+    expected = snapshot(load_matrices([path]))
+    (before,) = _sidecars(tmp_path)
+    other = tmp_path / "other.csv"  # another file's sidecar stays
+    write_matrices(_store(seed=6), other)
+    load_matrices([other])
+    kept = [".m.csv.keep.legs", f"{before}.0123456789abcdef.tmp", f".m.csv.{'f' * 17}.legs"]  # no sidecar names
+    for name in kept:
+        (tmp_path / name).write_bytes(b"x")
+    path.write_bytes(path.read_bytes()[:-1] + b"\r")  # the last line ended by a lone CR
+    changed = load_matrices([path])
+    assert len(parses) == 3
+    (after,) = [name for name in _sidecars(tmp_path) if name.startswith(".m.csv.") and name not in kept]
+    assert after != before
+    assert len(_sidecars(tmp_path)) == 2 + 2 and all((tmp_path / name).is_file() for name in kept)
+    assert snapshot(changed) == snapshot(load_matrices([path])) == expected
+    assert len(parses) == 3
+
+
+# Damage done to a sidecar: each takes its path, the io module and the
+# test's monkeypatch.
+def _truncate(path, hubmodal_io, monkeypatch):
+    path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
+
+
+def _cut_header(path, hubmodal_io, monkeypatch):
+    path.write_bytes(path.read_bytes()[:40])
+
+
+def _trailing_bytes(path, hubmodal_io, monkeypatch):
+    path.write_bytes(path.read_bytes() + b"\0")
+
+
+def _garbage(path, hubmodal_io, monkeypatch):
+    path.write_bytes(bytes(range(256)) * 4)
+
+
+def _other_version(path, hubmodal_io, monkeypatch):
+    """The same files' sidecar as a later format version writes it, put
+    where this version looks for its own."""
+    csv_path = path.parent / (path.name[1:].rsplit(".", 2)[0])
+    path.unlink()
+    with monkeypatch.context() as mp:
+        mp.setattr(hubmodal_io, "SIDECAR_VERSION", hubmodal_io.SIDECAR_VERSION + 1)
+        load_matrices([csv_path])
+    (written,) = [p for p in path.parent.glob(".*.legs")]
+    written.rename(path)
+
+
+def _other_mode_names(path, hubmodal_io, monkeypatch):
+    """The same tag, written when the leg modes had other names."""
+    csv_path = path.parent / (path.name[1:].rsplit(".", 2)[0])
+    path.unlink()
+    with monkeypatch.context() as mp:
+        mp.setattr(hubmodal_io, "_LEG_MODE_NAMES", sorted(hubmodal_io._LEG_MODE_NAMES, reverse=True))
+        load_matrices([csv_path])
+    assert path.is_file()
+
+
+def _unsorted_key(path, hubmodal_io, monkeypatch):
+    """A well-formed sidecar whose key does not make a store."""
+    with open(path, "rb") as fh:
+        head, names, key, legs = (np.lib.format.read_array(fh) for _ in range(4))
+    key[:2] = key[1::-1]
+    with open(path, "wb") as fh:
+        for array in (head, names, key, legs):
+            np.lib.format.write_array(fh, array)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_truncate, _cut_header, _trailing_bytes, _garbage, _other_version, _other_mode_names, _unsorted_key],
+)
+def test_unreadable_sidecar_is_parsed_and_rewritten(tmp_path, monkeypatch, damage):
+    path = tmp_path / "m.csv"
+    write_matrices(_store(), path)
+    expected = snapshot(load_matrices([path]))
+    (sidecar,) = tmp_path.glob(".*.legs")
+    damage(sidecar, hubmodal.io, monkeypatch)
+    parses = _count_parses(monkeypatch)
+    assert snapshot(load_matrices([path])) == expected
+    assert len(parses) == 1
+    # rewritten: the next load reads it
+    assert snapshot(load_matrices([path])) == expected
+    assert len(parses) == 1 and _sidecars(tmp_path) == [sidecar.name]
+
+
+def test_read_only_directory_loads_with_no_sidecar(tmp_path, monkeypatch):
+    directory = tmp_path / "ro"
+    directory.mkdir()
+    path = directory / "m.csv"
+    write_matrices(_store(), path)
+    expected = snapshot(load_matrices([path]))
+    for sidecar in directory.glob(".*.legs"):
+        sidecar.unlink()
+    directory.chmod(0o555)
+    try:
+        if os.access(directory, os.W_OK):  # a superuser writes anyway: refuse the sidecar's create as the OS would
+            monkeypatch.setattr(hubmodal.io, "open", _refuse_create, raising=False)
+        assert snapshot(load_matrices([path])) == expected
+        assert snapshot(load_matrices([path])) == expected
+    finally:
+        directory.chmod(0o755)
+    assert _sidecars(directory) == [] and sorted(p.name for p in directory.iterdir()) == ["m.csv"]
+
+
+def _refuse_create(file, mode="r", *args, **kwargs):
+    if "x" in mode:
+        raise PermissionError(13, "Permission denied", str(file))
+    return open(file, mode, *args, **kwargs)
+
+
+@pytest.mark.parametrize("row", ["z1,h1,bus,abc,,,,,,,,,", "z1,h1,bus,-1.0,,,,,,,,,", "z1,h1,bus,5.0,,,,,,,,,"])
+def test_failed_or_empty_load_writes_no_sidecar(tmp_path, row):
+    path = tmp_path / "m.csv"
+    path.write_text(",".join(hubmodal.io.MATRIX_COLUMNS) + f"\n{row}\n{row}\n")
+    for _ in range(2):  # each load raises the same error
+        with pytest.raises(ParseError, match=r"row [23]: .* in column '(to_hub_min|zone_id)'$"):
+            load_matrices([path])
+    empty = tmp_path / "empty.csv"
+    empty.write_text(",".join(hubmodal.io.MATRIX_COLUMNS) + "\n")
+    assert len(load_matrices([empty])) == 0
+    assert _sidecars(tmp_path) == []
+
+
+def test_file_changed_during_the_parse_writes_no_sidecar(tmp_path, monkeypatch):
+    path = tmp_path / "m.csv"
+    write_matrices(_store(), path)
+    parse = hubmodal.io._parse_matrices
+
+    def parse_then_append(paths):
+        store = parse(paths)
+        with open(path, "a") as fh:  # a writer appends while the loader works
+            fh.write("\n")
+        return store
+
+    monkeypatch.setattr(hubmodal.io, "_parse_matrices", parse_then_append)
+    load_matrices([path])
+    assert _sidecars(tmp_path) == []
+
+
+def test_key_repeated_across_files_raises_beside_a_sidecar(tmp_path):
+    p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
+    write_matrices(_store(), p1)
+    write_matrices(_store(seed=6), p2)
+    load_matrices([p1])
+    load_matrices([p2])
+    for _ in range(2):
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(p2))} row \d+: duplicate matrix entry"):
+            load_matrices([p1, p2])
+    assert len(_sidecars(tmp_path)) == 2
+
+
+def test_nul_suffixed_ids_round_trip_through_the_sidecar(tmp_path, monkeypatch):
+    parses = _count_parses(monkeypatch)
+    path = tmp_path / "m.csv"
+    write_matrices(_store(zones=("z1\x00", "z1", "z\x002"), hubs=("h1", "h1\x00\x00")), path)
+    parsed = load_matrices([path])
+    assert "z1\x00" in parsed.zone_ids and "h1\x00\x00" in parsed.hub_ids
+    read = load_matrices([path])
+    assert len(parses) == 1
+    assert _store_bits(read) == _store_bits(parsed)
+
+
+def test_load_matrices_hands_back_each_files_digest(tmp_path):
+    p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
+    write_matrices(_store(), p1)
+    write_matrices(_store(zones=("y1",)), p2)
+    for _ in range(2):  # parsed, then read from the sidecar
+        digests = ["kept"]
+        load_matrices([p1, p2], digests)
+        assert digests == ["kept", sha256_digest(p1), sha256_digest(p2)]
+
+
+def test_load_matrices_peak_memory_stays_near_the_store_on_a_sidecar_hit(tmp_path, monkeypatch):
+    """The hit-path twin of the test above, with the same bound."""
+    generate_fixture(tmp_path, seed=11, od_pairs=250, stops=100, pr_lots=5)
+    path = tmp_path / "matrices.csv"
+    load_matrices([path])
+    parses = _count_parses(monkeypatch)
+    tracemalloc.start()
+    try:
+        store = load_matrices([path])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parses == []
     held = _held_bytes(store)
     assert len(store) > 80_000
     assert held <= 90 * len(store)
