@@ -54,11 +54,12 @@ class DetourRecord:
 
 
 def haversine_km(lat1, lon1, lat2, lon2):
-    """Great-circle distance in km; accepts scalars or numpy arrays."""
+    """Great-circle distance in km; accepts scalars or numpy arrays.  No
+    difference outlives its term, so over broadcast arrays at most four
+    arrays of the output's shape are alive at once."""
     lat1, lon1, lat2, lon2 = (np.radians(np.asarray(x, dtype=float)) for x in (lat1, lon1, lat2, lon2))
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    a = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
+    a = np.sin((lat2 - lat1) / 2.0) ** 2
+    a = a + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2.0) ** 2
     return EARTH_RADIUS_KM * 2.0 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
@@ -111,27 +112,33 @@ def potential_trip_mask(
     A market qualifies when OH + HD < threshold * OD, or under the short
     final-leg condition: HD < condition2_km ("literal_hd_1km" mode) or
     OH + HD < OD + condition2_km ("od_plus_1km" mode).  Markets with a
-    degenerate OD pair are excluded, with one logged warning per call.
+    degenerate OD pair are excluded, with one logged warning per call
+    that counts them.  Each distinct OD pair is screened once and its
+    verdict copied to its markets, so the float temporaries scale with
+    hubs x distinct pairs, not hubs x markets.
     """
     if not threshold >= 1.0:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     if condition2_mode not in CONDITION2_MODES:
         raise ValueError(f"unknown condition2_mode: {condition2_mode!r}")
-    o_lat, o_lon, d_lat, d_lon = table.o_lat, table.o_lon, table.d_lat, table.d_lon
+    # The segments of one OD pair share its coordinates: screen each
+    # distinct (o_lat, o_lon, d_lat, d_lon), compared by bits, once.
+    coords = np.stack([table.o_lat, table.o_lon, table.d_lat, table.d_lon], axis=1)
+    _, first, pair = np.unique(coords.view(np.uint64), axis=0, return_index=True, return_inverse=True)
+    o_lat, o_lon, d_lat, d_lon = coords[first].T
     lat = np.asarray(hub_lat, dtype=float)[:, None]
     lon = np.asarray(hub_lon, dtype=float)[:, None]
     od = haversine_km(o_lat, o_lon, d_lat, d_lon)
-    oh = haversine_km(o_lat, o_lon, lat, lon)
-    hd = haversine_km(lat, lon, d_lat, d_lon)
-
     degenerate = od <= 0.0
-    n_bad = int(degenerate.sum())
+    n_bad = int(np.count_nonzero(degenerate[pair]))
     if n_bad:
         logger.warning("excluded %d market(s) with degenerate OD pairs", n_bad)
 
-    cond1 = (oh + hd) < threshold * od
-    if condition2_mode == "literal_hd_1km":
-        cond2 = hd < condition2_km
-    else:
-        cond2 = (oh + hd) < od + condition2_km
-    return (cond1 | cond2) & ~degenerate
+    detour = haversine_km(o_lat, o_lon, lat, lon)  # OH, then OH + HD
+    hd = haversine_km(lat, lon, d_lat, d_lon)
+    short_final_leg = hd < condition2_km
+    detour += hd
+    keep = detour < threshold * od
+    keep |= short_final_leg if condition2_mode == "literal_hd_1km" else detour < od + condition2_km
+    keep &= ~degenerate
+    return keep[:, pair]

@@ -192,6 +192,16 @@ class LegTimes:
 # tuple, so rows sorted by code are sorted by mode name.
 LEG_MODE_ORDER: tuple[Mode, ...] = tuple(sorted(LEG_MODES, key=lambda m: m.value))
 _LEG_MODE_CODE = {mode: i for i, mode in enumerate(LEG_MODE_ORDER)}
+# _MODE_OFFSET[code][bits]: where a (zone, hub) pair holds the modes set in
+# ``bits``, how many of them come before mode ``code`` in its run of rows,
+# or -1 when it lacks that mode.
+_MODE_OFFSET = np.array(
+    [
+        [bin(bits & ((1 << code) - 1)).count("1") if bits >> code & 1 else -1 for bits in range(1 << len(LEG_MODE_ORDER))]
+        for code in range(len(LEG_MODE_ORDER))
+    ],
+    dtype=np.int64,
+)
 
 
 def _sorted_ids(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -263,7 +273,8 @@ class LegMatrices:
     that arrive in strictly increasing key order are kept where they are,
     others are sorted in place, and the first spare row becomes the
     sentinel.  Any other ``legs`` is copied.  The store is complete once
-    built; lookups never change it.
+    built; lookups never change it.  The first lookup builds an index of
+    its (zone, hub) pairs from ``key``, which ``add`` drops.
     """
 
     def __init__(
@@ -320,6 +331,7 @@ class LegMatrices:
         self.legs, self.key = legs[:, :-1], key[:-1]
         self._zone_code = {z: i for i, z in enumerate(self.zone_ids)}
         self._hub_code = {h: i for i, h in enumerate(self.hub_ids)}
+        self._index = None  # the pair index of the store this replaces is stale
 
     @property
     def zone(self) -> np.ndarray:
@@ -368,23 +380,42 @@ class LegMatrices:
         """Row of each (zone code, hub code) pair, for each of ``modes``;
         ``len(self)`` where the store has no such row (and for code -1).
 
-        The queries are sorted once: the order that sorts zone * H + hub
-        also sorts every mode's key, and sorted queries walk the key
-        column in order."""
-        base = np.where((zones < 0) | (hubs < 0), -1, zones * len(self.hub_ids) + hubs)
-        order = np.argsort(base, kind="stable")
-        base = base[order] * len(LEG_MODE_ORDER)
+        Each pair's first row and mode bits are gathered once from the
+        pair index; a mode's row is then that first row plus the count of
+        the pair's modes that sort before it."""
+        first, bits = self._pair_index()
+        # Code -1 reads the index's empty last entry.
+        pair = np.where((zones < 0) | (hubs < 0), len(first) - 1, zones * len(self.hub_ids) + hubs)
+        first, bits = first[pair], bits[pair]
         out = {}
         for mode in modes:
-            found = np.full(len(base), len(self))
             code = _LEG_MODE_CODE.get(mode)
-            if code is not None:
-                # Code -1 gives a negative key, which matches no row.
-                key = base + code
-                pos = np.searchsorted(self.key, key)
-                found[order] = np.where(self._key[pos] == key, pos, len(self))
-            out[mode] = found
+            if code is None:
+                out[mode] = np.full(len(pair), len(self))
+            else:
+                offset = _MODE_OFFSET[code][bits]
+                out[mode] = np.where(offset >= 0, first + offset, len(self))
         return out
+
+    def _pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first row (int32) and the bitmask of the modes present
+        (bit ``code``, uint8) of each (zone, hub) pair, zone * len(hub_ids)
+        + hub, plus an empty last entry: 5 bytes a pair.  Built from
+        ``key`` on the first lookup and kept until the store changes."""
+        if self._index is None:
+            pair = self.key // len(LEG_MODE_ORDER)
+            code = (self.key - pair * len(LEG_MODE_ORDER)).astype(np.uint8)
+            run_start = np.ones(len(pair), dtype=bool)  # the key is sorted: each pair's rows are one run
+            np.not_equal(pair[1:], pair[:-1], out=run_start[1:])
+            starts = np.flatnonzero(run_start)
+            pairs = len(self.zone_ids) * len(self.hub_ids)
+            first = np.zeros(pairs + 1, dtype=np.int32)
+            bits = np.zeros(pairs + 1, dtype=np.uint8)
+            present = pair[starts]
+            first[present] = starts
+            bits[present] = np.bitwise_or.reduceat(np.left_shift(1, code), starts)
+            self._index = first, bits
+        return self._index
 
     def _row(self, zone_id: str, hub_id: str, mode: Mode) -> int:
         return int(self.rows(self.zone_codes([zone_id]), self.hub_codes([hub_id]), [mode])[mode][0])
@@ -633,8 +664,10 @@ class HubShares:
     v_hub: np.ndarray
     cs_gain_util: np.ndarray
 
-    @property
+    @cached_property
     def joint(self) -> np.ndarray:
+        """(m, k) unconditional combo probabilities, computed once for
+        every kernel that reads them."""
         return self.hub[:, None] * self.lower
 
 

@@ -85,6 +85,17 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
+# Point-to-point distances are computed a block of rows at a time, each
+# block at most this many cells (or one row), so that no n x n matrix of
+# float temporaries is allocated for a large stop file.
+DISTANCE_BLOCK_CELLS = 1 << 16
+
+
+def _block_rows(n_columns: int) -> int:
+    """Rows per block of a distance matrix with ``n_columns`` columns."""
+    return max(1, DISTANCE_BLOCK_CELLS // max(1, n_columns))
+
+
 def cluster_stops(stops: Sequence[StopRecord], *, radius_m: float = 200.0) -> list[Candidate]:
     """Collapse stops within radius_m of each other into candidate sites.
 
@@ -106,10 +117,12 @@ def cluster_stops(stops: Sequence[StopRecord], *, radius_m: float = 200.0) -> li
     lon = np.array([s.location.lon for s in ordered])
     uf = _UnionFind(n)
     radius_km = radius_m / 1000.0
-    for i in range(n - 1):
-        d = haversine_km(lat[i], lon[i], lat[i + 1 :], lon[i + 1 :])
-        for off in np.nonzero(d <= radius_km)[0]:
-            uf.union(i, i + 1 + int(off))
+    step = _block_rows(n)
+    for a in range(0, n, step):
+        # stops a.. against stops a.., and each pair (i, j > i) once
+        d = haversine_km(lat[a : a + step, None], lon[a : a + step, None], lat[a:], lon[a:])
+        for i, j in zip(*np.nonzero(np.triu(d <= radius_km, k=1))):
+            uf.union(a + int(i), a + int(j))
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(uf.find(i), []).append(i)
@@ -137,17 +150,17 @@ def assign_services(
     """
     if radius_m < 0:
         raise ValueError("radius_m must be non-negative")
-    out = []
+    lat = np.array([c.location.lat for c in candidates])[:, None]
+    lon = np.array([c.location.lon for c in candidates])[:, None]
     lot_lat = np.array([p.lat for p in pr_lots])
     lot_lon = np.array([p.lon for p in pr_lots])
     radius_km = radius_m / 1000.0
-    for cand in candidates:
-        has_lot = False
-        if len(pr_lots):
-            d = haversine_km(cand.location.lat, cand.location.lon, lot_lat, lot_lon)
-            has_lot = bool((d <= radius_km).any())
-        out.append(replace(cand, car_share_available=has_lot, bike_share_available=True))
-    return out
+    has_lot = []
+    step = _block_rows(len(pr_lots))
+    for a in range(0, len(candidates), step):
+        d = haversine_km(lat[a : a + step], lon[a : a + step], lot_lat, lot_lon)
+        has_lot += (d <= radius_km).any(axis=1).tolist()
+    return [replace(c, car_share_available=lot, bike_share_available=True) for c, lot in zip(candidates, has_lot)]
 
 
 def candidate_hub(candidate: Candidate) -> Hub:

@@ -6,20 +6,27 @@ over dicts, as the paper writes the model: unimodal utilities, combo
 utilities from two priced legs, the nest logsum and the two-level shares.
 The package computes the same quantities as arrays (``prepare_hub`` and
 ``HubChoiceSetup.choice_shares``); none of this code runs in a CLI stage.
+
+The last part holds the package's former forms of its lookups and
+screens, which the current forms must match bit for bit: the
+great-circle formula written as one expression, the leg lookup by
+``searchsorted``, the detour screen of every market, and stop
+clustering and P+R assignment one point at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from hubmodal.calibration import HubParams
 from hubmodal.choice import ComboId, Market, Mode, ModeAttr, Segment, TasteVector, combo_sort_key, mode_utility
-from hubmodal.geo import MILES_PER_KM, GeoPoint, haversine_km
-from hubmodal.hubs import FareTable, Hub, LegMatrices, LegTimes, leg_cost_usd
+from hubmodal.geo import CONDITION2_MODES, EARTH_RADIUS_KM, MILES_PER_KM, GeoPoint, haversine_km
+from hubmodal.hubs import _LEG_MODE_CODE, LEG_MODE_ORDER, FareTable, Hub, LegMatrices, LegTimes, MarketTable, leg_cost_usd
+from hubmodal.siting import Candidate, StopRecord, _UnionFind
 
 
 def systematic_utility(taste: TasteVector, attrs: ModeAttr, mode: Mode) -> float:
@@ -194,3 +201,114 @@ def assemble_leg_attrs(
         _attr(combo.entry, to_leg, market.origin, hub.location),
         _attr(combo.exit, from_leg, hub.location, market.destination),
     )
+
+
+# ----------------------------------------------------------------------
+# former lookups and screens
+# ----------------------------------------------------------------------
+
+
+def haversine_expr(lat1, lon1, lat2, lon2):
+    """Great-circle distance in km; accepts scalars or numpy arrays."""
+    lat1, lon1, lat2, lon2 = (np.radians(np.asarray(x, dtype=float)) for x in (lat1, lon1, lat2, lon2))
+    dlat = lat2 - lat1
+    dlon = lon2 - lon1
+    a = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
+    return EARTH_RADIUS_KM * 2.0 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+
+
+def leg_rows(self: LegMatrices, zones: np.ndarray, hubs: np.ndarray, modes: Iterable[Mode]) -> dict[Mode, np.ndarray]:
+    """Row of each (zone code, hub code) pair, for each of ``modes``;
+    ``len(self)`` where the store has no such row (and for code -1).
+
+    The queries are sorted once: the order that sorts zone * H + hub
+    also sorts every mode's key, and sorted queries walk the key
+    column in order."""
+    base = np.where((zones < 0) | (hubs < 0), -1, zones * len(self.hub_ids) + hubs)
+    order = np.argsort(base, kind="stable")
+    base = base[order] * len(LEG_MODE_ORDER)
+    out = {}
+    for mode in modes:
+        found = np.full(len(base), len(self))
+        code = _LEG_MODE_CODE.get(mode)
+        if code is not None:
+            # Code -1 gives a negative key, which matches no row.
+            key = base + code
+            pos = np.searchsorted(self.key, key)
+            found[order] = np.where(self._key[pos] == key, pos, len(self))
+        out[mode] = found
+    return out
+
+
+def trip_mask(
+    table: MarketTable,
+    hub_lat: Sequence[float],
+    hub_lon: Sequence[float],
+    threshold: float,
+    *,
+    condition2_mode: str = "literal_hd_1km",
+    condition2_km: float = 1.0,
+) -> tuple[np.ndarray, int]:
+    """The (hubs, markets) detour screen of every market, and the count
+    of markets with a degenerate OD pair."""
+    assert threshold >= 1.0 and condition2_mode in CONDITION2_MODES
+    o_lat, o_lon, d_lat, d_lon = table.o_lat, table.o_lon, table.d_lat, table.d_lon
+    lat = np.asarray(hub_lat, dtype=float)[:, None]
+    lon = np.asarray(hub_lon, dtype=float)[:, None]
+    od = haversine_expr(o_lat, o_lon, d_lat, d_lon)
+    oh = haversine_expr(o_lat, o_lon, lat, lon)
+    hd = haversine_expr(lat, lon, d_lat, d_lon)
+
+    degenerate = od <= 0.0
+    cond1 = (oh + hd) < threshold * od
+    if condition2_mode == "literal_hd_1km":
+        cond2 = hd < condition2_km
+    else:
+        cond2 = (oh + hd) < od + condition2_km
+    return (cond1 | cond2) & ~degenerate, int(degenerate.sum())
+
+
+def cluster_stops(stops: Sequence[StopRecord], *, radius_m: float = 200.0) -> list[Candidate]:
+    """Collapse stops within radius_m of each other into candidate sites,
+    one stop against every later one at a time."""
+    ordered = sorted(stops, key=lambda s: s.stop_id)
+    ids = [s.stop_id for s in ordered]
+    n = len(ordered)
+    if n == 0:
+        return []
+    lat = np.array([s.location.lat for s in ordered])
+    lon = np.array([s.location.lon for s in ordered])
+    uf = _UnionFind(n)
+    radius_km = radius_m / 1000.0
+    for i in range(n - 1):
+        d = haversine_expr(lat[i], lon[i], lat[i + 1 :], lon[i + 1 :])
+        for off in np.nonzero(d <= radius_km)[0]:
+            uf.union(i, i + 1 + int(off))
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(uf.find(i), []).append(i)
+    out = []
+    for root in sorted(groups, key=lambda r: ids[r]):
+        members = sorted(ids[i] for i in groups[root])
+        centroid = GeoPoint(
+            lat=float(np.mean([lat[i] for i in groups[root]])),
+            lon=float(np.mean([lon[i] for i in groups[root]])),
+        )
+        out.append(Candidate(candidate_id=f"c-{members[0]}", location=centroid, member_stop_ids=tuple(members)))
+    return sorted(out, key=lambda c: c.candidate_id)
+
+
+def assign_services(candidates: Sequence[Candidate], pr_lots: Sequence[GeoPoint], *, radius_m: float = 500.0) -> list[Candidate]:
+    """Flag car share where a park-and-ride lot is within radius_m, one
+    candidate at a time."""
+    out = []
+    lot_lat = np.array([p.lat for p in pr_lots])
+    lot_lon = np.array([p.lon for p in pr_lots])
+    radius_km = radius_m / 1000.0
+    for cand in candidates:
+        has_lot = False
+        if len(pr_lots):
+            d = haversine_expr(cand.location.lat, cand.location.lon, lot_lat, lot_lon)
+            has_lot = bool((d <= radius_km).any())
+        out.append(replace(cand, car_share_available=has_lot, bike_share_available=True))
+    return out

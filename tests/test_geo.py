@@ -2,26 +2,37 @@
 
 The haversine oracle here goes through 3D chord vectors and atan2, a
 different formulation from the implementation's half-angle sine form.
+The screen works on distinct OD pairs; it must give the mask, and the
+degenerate-pair warning, of the former screen of every market
+(``reference_model.trip_mask``).
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import kept_ids, make_market, random_point
+from reference_model import haversine_expr, trip_mask
 
 from hubmodal import (
     EARTH_RADIUS_KM,
+    SEGMENTS,
+    TASTE_FIELDS,
     DetourRecord,
     GeoPoint,
+    MarketTable,
     derive_threshold,
     detour_ratio,
     great_circle_km,
     haversine_km,
+    potential_trip_mask,
 )
+from hubmodal.hubs import ATTR_FIELDS
 
 
 def oracle_km(a: GeoPoint, b: GeoPoint) -> float:
@@ -251,3 +262,85 @@ def test_identify_skips_degenerate_markets():
     hub = GeoPoint(lat=42.67, lon=-73.73)
     got = kept_ids([good, bad], hub, 5.0)
     assert "dg|low_income" not in got
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [((), (), (), ()), ((50,), (50,), (), ()), ((50,), (50,), (7, 1), (7, 1)), ((7, 1), (1,), (50,), (7, 50))],
+)
+def test_haversine_gives_the_bits_of_its_one_expression_form(rng, shapes):
+    args = [rng.uniform(-80.0, 80.0, shape) if shape else float(rng.uniform(-80.0, 80.0)) for shape in shapes]
+    got, expected = haversine_km(*args), haversine_expr(*args)
+    assert type(got) is type(expected) and np.shape(got) == np.shape(expected)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+def _pair_table(o_lat, o_lon, d_lat, d_lon, segments=SEGMENTS) -> MarketTable:
+    """One market per OD pair and segment, every pair in each segment;
+    driving is the one available mode."""
+    pairs, k = len(o_lat), len(segments)
+    n = pairs * k
+    od_ids = [f"od{i:05d}" for i in range(pairs)] * k
+    codes = np.repeat([SEGMENTS.index(seg) for seg in segments], pairs)
+    available = np.zeros((n, 6), dtype=bool)
+    available[:, 0] = True
+    return MarketTable(
+        od_ids, codes, *(np.tile(np.asarray(c, dtype=float), k) for c in (o_lat, o_lon, d_lat, d_lon)),
+        np.full(n, 10.0), np.full(n, 5.0),
+        attrs={f: np.zeros((n, 6)) for f in ATTR_FIELDS}, available=available,
+        taste={name: np.full(n, -0.1) for name in TASTE_FIELDS}, o_zones=[""] * n, d_zones=[""] * n,
+    )  # fmt: skip
+
+
+def _random_pairs(rng, pairs: int) -> list[np.ndarray]:
+    o_lat, o_lon, d_lat, d_lon = (rng.uniform(-0.08, 0.08, pairs) + c for c in (42.65, -73.75, 42.65, -73.75))
+    same = rng.uniform(size=pairs) < 0.1  # degenerate pairs
+    d_lat[same], d_lon[same] = o_lat[same], o_lon[same]
+    return [o_lat, o_lon, d_lat, d_lon]
+
+
+@pytest.mark.parametrize("mode", ["literal_hd_1km", "od_plus_1km"])
+def test_screen_of_distinct_pairs_gives_the_mask_of_every_market(rng, caplog, mode):
+    for trial in range(20):
+        pairs = int(rng.integers(1, 40))
+        coords = _random_pairs(rng, pairs)
+        repeat = rng.integers(0, pairs, int(rng.integers(0, pairs + 1)))  # pairs under a second od_id
+        table = _pair_table(*(np.concatenate([c, c[repeat]]) for c in coords), segments=SEGMENTS[: trial % 4 + 1])
+        hubs = [random_point(rng) for _ in range(int(rng.integers(0, 6)))]
+        args = (table, [h.lat for h in hubs], [h.lon for h in hubs], float(rng.uniform(1.0, 2.0)))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="hubmodal.geo"):
+            got = potential_trip_mask(*args, condition2_mode=mode)
+        expected, n_bad = trip_mask(*args, condition2_mode=mode)
+        assert got.dtype == bool and got.shape == expected.shape
+        assert got.tolist() == expected.tolist()
+        warned = [r.getMessage() for r in caplog.records]
+        assert warned == ([f"excluded {n_bad} market(s) with degenerate OD pairs"] if n_bad else [])
+
+
+def test_degenerate_warning_counts_the_markets_of_a_shared_pair(caplog):
+    # every segment of one degenerate OD pair is a market of its own
+    table = _pair_table([42.65, 42.60], [-73.76, -73.90], [42.65, 42.70], [-73.76, -73.70])
+    assert len(table) == 2 * len(SEGMENTS)
+    with caplog.at_level(logging.WARNING, logger="hubmodal.geo"):
+        (keep,) = potential_trip_mask(table, [42.67], [-73.73], 5.0)
+    assert [r.getMessage() for r in caplog.records] == [f"excluded {len(SEGMENTS)} market(s) with degenerate OD pairs"]
+    assert [table.ids[i] for i in np.flatnonzero(keep)] == [f"od00001|{seg.value}" for seg in sorted(SEGMENTS, key=lambda s: s.value)]
+
+
+def test_screen_peak_memory_is_bounded_per_distinct_pair():
+    # rank-1k's shape: 100 hubs, 250 OD pairs of 4 segments each
+    rng = np.random.default_rng(11)
+    table = _pair_table(*_random_pairs(rng, 250), segments=SEGMENTS[:4])
+    hub_lat, hub_lon = 42.65 + rng.uniform(-0.1, 0.1, 100), -73.75 + rng.uniform(-0.1, 0.1, 100)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        keep = potential_trip_mask(table, hub_lat, hub_lon, 1.3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert keep.shape == (100, 1000)
+    # 60 bytes a (hub, distinct pair) cell and the mask's byte a (hub, market)
+    assert peak <= 60 * 100 * 250 + keep.size

@@ -1127,3 +1127,23 @@ def test_rank_hashes_each_input_once(fixture_dir, tmp_path, monkeypatch):
     inputs = json.loads((out / "rank_summary.json").read_text())["inputs"]
     assert sorted(hashed) == sorted(entry["path"] for entry in inputs.values())
     assert len(set(hashed)) == len(hashed) == 7
+
+
+# sha256 of each rank report on a small multi-segment fixture at criterion
+# 10's params, recorded before rank's leg lookup, screen and stop
+# clustering were rewritten.  The inputs are named relative to the working
+# directory, so the reports' "inputs" paths are the same on every run.
+RANK_REPORT_DIGESTS = {
+    "candidates.geojson": "354fba9703934e86a6b8d596a58e1d6abbd0093570ce55a1d1fb6e8ce9cb6b90",
+    "rank_summary.json": "521839e20e0f439a48421362f54ec7011a260fc26e6a0fd67e80d588be78c835",
+    "ranking.csv": "8b37814f6e2e426595ca639ac217994a21b52371ebd7ffd46beace382f4d114f",
+}
+
+
+def test_rank_reports_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    fixture = ["--seed", "11", "--od-pairs", "40", "--stops", "30", "--pr-lots", "2"]
+    assert main(["gen-fixture", *fixture, "--out-dir", "fx"]) == 0
+    Path("params.json").write_text(json.dumps({"params": {"beta_hub": 0.3, "asc_by_segment": {s.value: -4.0 for s in Segment}}}))
+    assert main(["rank", "--manifest", "fx/manifest.json", "--params", "params.json", "--out-dir", "rank"]) == 0
+    assert _tree_digest(Path("rank")) == RANK_REPORT_DIGESTS

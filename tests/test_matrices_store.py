@@ -10,6 +10,11 @@ A clean parse writes the store to a sidecar beside the first file, and
 the next load of the same bytes reads it back: the same store, bit for
 bit.  A sidecar that does not read back whole is parsed over and
 replaced, never an error, and a load that fails writes none.
+
+``rows`` answers a lookup from an index of the store's (zone, hub)
+pairs, built on the first lookup; it finds the rows that the former
+``searchsorted`` walk (``reference_model.leg_rows``) found, and a store
+rebuilt by ``add`` is looked up afresh.
 """
 
 from __future__ import annotations
@@ -22,8 +27,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_both, snapshot
+from reference_model import leg_rows
 from hubmodal import LegMatrices, LegTimes, Mode, ParseError, load_matrices, sha256_digest, write_matrices
 from hubmodal.fixtures import generate_fixture
 from hubmodal.hubs import LEG_MODE_ORDER
@@ -481,3 +489,84 @@ def test_load_matrices_peak_memory_stays_near_the_store_on_a_sidecar_hit(tmp_pat
     assert len(store) > 80_000
     assert held <= 90 * len(store)
     assert peak <= 1.5 * held
+
+
+def _assert_rows_match_the_oracle(store: LegMatrices, zones, hubs) -> None:
+    zones, hubs = np.asarray(zones, dtype=np.int64), np.asarray(hubs, dtype=np.int64)
+    modes = (*LEG_MODE_ORDER, Mode.DRIVING)  # and a mode no row can hold
+    got, expected = store.rows(zones, hubs, modes), leg_rows(store, zones, hubs, modes)
+    assert list(got) == list(expected)
+    for mode in modes:
+        assert got[mode].dtype == expected[mode].dtype and got[mode].tolist() == expected[mode].tolist(), mode
+
+
+@st.composite
+def _stores_and_queries(draw):
+    """A store of up to 4 zones x 4 hubs x every leg mode, possibly
+    empty, each key present or not, and queries over every code and -1."""
+    n_zones, n_hubs = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    every = [(z, h, m) for z in range(n_zones) for h in range(n_hubs) for m in range(len(LEG_MODE_ORDER))]
+    keys = draw(st.lists(st.sampled_from(every), unique=True, max_size=len(every))) if every else []
+    store = LegMatrices(
+        [f"z{i}" for i in range(n_zones)],
+        [f"h{i}" for i in range(n_hubs)],
+        *(np.array(column, dtype=np.int64) for column in (zip(*keys) if keys else ((), (), ()))),
+        np.arange(2 * len(keys) * 5, dtype=float).reshape(2, len(keys), 5),
+    )
+    n = draw(st.integers(0, 30))
+    zones = draw(st.lists(st.integers(-1, n_zones - 1), min_size=n, max_size=n))
+    hubs = draw(st.lists(st.integers(-1, n_hubs - 1), min_size=n, max_size=n))
+    return store, zones, hubs
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=_stores_and_queries())
+def test_rows_finds_the_rows_the_searchsorted_walk_finds(case):
+    store, zones, hubs = case
+    _assert_rows_match_the_oracle(store, zones, hubs)
+    # the same store adopted from its arrays, as a sidecar read builds it
+    adopted = LegMatrices.from_store(store.zone_ids, store.hub_ids, store._key.copy(), store._legs.copy())
+    _assert_rows_match_the_oracle(adopted, zones, hubs)
+
+
+def test_rows_of_empty_and_one_row_stores():
+    empty = LegMatrices()
+    _assert_rows_match_the_oracle(empty, [-1, -1], [-1, 0])
+    assert empty.rows(np.array([-1]), np.array([-1]), [Mode.BUS])[Mode.BUS].tolist() == [0]
+    one = LegMatrices(["z"], ["h"], [0], [0], [LEG_MODE_ORDER.index(Mode.CAR)], np.ones((2, 1, 5)))
+    _assert_rows_match_the_oracle(one, [0, 0, -1, 0], [0, -1, 0, 0])
+    found = one.rows(np.array([0]), np.array([0]), [Mode.CAR, Mode.BUS])
+    assert {mode: rows.tolist() for mode, rows in found.items()} == {Mode.CAR: [0], Mode.BUS: [1]}
+
+
+def test_rows_of_a_store_read_from_its_sidecar(tmp_path, monkeypatch):
+    parses = _count_parses(monkeypatch)
+    path = tmp_path / "m.csv"
+    write_matrices(_store(), path)
+    load_matrices([path])
+    read = load_matrices([path])
+    assert len(parses) == 1  # the second load read the sidecar
+    grid = np.array([(z, h) for z in range(-1, len(read.zone_ids)) for h in range(-1, len(read.hub_ids))])
+    _assert_rows_match_the_oracle(read, grid[:, 0], grid[:, 1])
+
+
+def test_lookup_after_add_sees_the_new_and_the_replaced_row():
+    matrices = LegMatrices()
+    matrices.add("z1", "h1", Mode.BUS, LegTimes(minutes=15.0), None)
+    matrices.add("z2", "h1", Mode.CAR, LegTimes(minutes=9.0), LegTimes(minutes=8.0))
+    entries = matrices.entries
+    assert entries["z1", "h1", Mode.BUS] == (LegTimes(15.0), None)  # builds the index
+    assert entries["z2", "h1", Mode.CAR] == (LegTimes(9.0), LegTimes(8.0))
+    assert ("z1", "h1", Mode.WALK_LEG) not in entries
+    # a new key ahead of z2's row, and a key that replaces z1's bus row
+    matrices.add("z1", "h1", Mode.WALK_LEG, None, LegTimes(minutes=4.0))
+    matrices.add("z1", "h1", Mode.BUS, LegTimes(minutes=12.0), LegTimes(minutes=13.0))
+    assert len(matrices) == 3
+    assert entries["z1", "h1", Mode.WALK_LEG] == (None, LegTimes(4.0))
+    assert entries["z1", "h1", Mode.BUS] == (LegTimes(12.0), LegTimes(13.0))
+    assert entries["z2", "h1", Mode.CAR] == (LegTimes(9.0), LegTimes(8.0))
+    zones, hubs = matrices.zone_codes(["z1", "z2"]), matrices.hub_codes(["h1", "h1"])
+    found = matrices.rows(zones, hubs, [Mode.BUS, Mode.WALK_LEG, Mode.CAR])
+    assert {mode: rows.tolist() for mode, rows in found.items()} == {
+        Mode.BUS: [0, 3], Mode.WALK_LEG: [1, 3], Mode.CAR: [3, 2]
+    }

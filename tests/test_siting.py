@@ -1,8 +1,10 @@
 """Candidate generation, scoring, and ranking tests.
 
 Clustering is verified against a brute-force BFS over the pairwise
-distance graph; candidate scores are verified against the single-hub
-impact pipeline run by hand.
+distance graph, and against the former stop-by-stop loop
+(``reference_model.cluster_stops``) at any distance block size;
+candidate scores are verified against the single-hub impact pipeline run
+by hand.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import hubmodal.siting as siting
+import reference_model
 from conftest import full_matrices, make_market, make_params, random_point, random_taste, simple_fares
 
 from hubmodal import (
@@ -115,13 +118,7 @@ def brute_force_components(stops, radius_m):
 
 
 def test_clustering_matches_bfs_components(rng):
-    stops = [
-        StopRecord(
-            f"s{i:03d}",
-            offset_m(CENTER, float(rng.uniform(-1500, 1500)), float(rng.uniform(-1500, 1500))),
-        )
-        for i in range(200)
-    ]
+    stops = _scattered_stops(rng)
     for radius in (80.0, 150.0, 300.0):
         got = cluster_stops(stops, radius_m=radius)
         got_comps = {frozenset(c.member_stop_ids) for c in got}
@@ -153,6 +150,50 @@ def test_cluster_rejects_duplicates_and_negative_radius():
     with pytest.raises(ValueError, match="radius"):
         cluster_stops([], radius_m=-1.0)
     assert cluster_stops([]) == []
+
+
+def _scattered_stops(rng) -> list[StopRecord]:
+    """200 stops scattered over 3 km x 3 km around CENTER."""
+    return [
+        StopRecord(
+            f"s{i:03d}",
+            offset_m(CENTER, float(rng.uniform(-1500, 1500)), float(rng.uniform(-1500, 1500))),
+        )
+        for i in range(200)
+    ]
+
+
+@pytest.mark.parametrize("block_cells", [siting.DISTANCE_BLOCK_CELLS, 1, 3 * 200])
+def test_clustering_equals_the_stop_by_stop_loop(rng, monkeypatch, block_cells):
+    monkeypatch.setattr(siting, "DISTANCE_BLOCK_CELLS", block_cells)
+    stops = _scattered_stops(rng)
+    for radius in (80.0, 150.0, 300.0):
+        assert cluster_stops(stops, radius_m=radius) == reference_model.cluster_stops(stops, radius_m=radius)
+
+
+def test_chain_across_distance_blocks_merges(monkeypatch):
+    # a 150 m-step chain whose ids alternate between its two ends, so that
+    # with 2-row blocks every link joins stops of different blocks
+    n = 12
+    order = [i // 2 if i % 2 == 0 else n - 1 - i // 2 for i in range(n)]
+    stops = [StopRecord(f"s{k:02d}", offset_m(CENTER, 150.0 * pos, 0.0)) for k, pos in enumerate(order)]
+    monkeypatch.setattr(siting, "DISTANCE_BLOCK_CELLS", 2 * n)
+    assert siting._block_rows(n) == 2
+    (only,) = cluster_stops(stops, radius_m=200.0)
+    assert only.member_stop_ids == tuple(s.stop_id for s in stops)
+    assert [c.member_stop_ids for c in cluster_stops(stops, radius_m=100.0)] == [(s.stop_id,) for s in stops]
+
+
+@pytest.mark.parametrize("block_cells", [siting.DISTANCE_BLOCK_CELLS, 1, 7])
+def test_assign_services_equals_the_candidate_by_candidate_loop(rng, monkeypatch, block_cells):
+    monkeypatch.setattr(siting, "DISTANCE_BLOCK_CELLS", block_cells)
+    candidates = cluster_stops(_scattered_stops(rng), radius_m=150.0)
+    for n_lots in (0, 1, 5):
+        lots = [offset_m(CENTER, float(rng.uniform(-1500, 1500)), float(rng.uniform(-1500, 1500))) for _ in range(n_lots)]
+        got = assign_services(candidates, lots, radius_m=400.0)
+        assert got == reference_model.assign_services(candidates, lots, radius_m=400.0)
+        assert sum(c.car_share_available for c in got) > 0 or n_lots == 0
+    assert assign_services([], [CENTER]) == []
 
 
 def test_assign_services_radius_behavior():
