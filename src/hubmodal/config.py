@@ -33,6 +33,14 @@ class OptimizerSettings:
     max_iter: int = 4000
 
     def __post_init__(self) -> None:
+        for name in ("beta_bounds", "asc_bounds"):
+            bounds = getattr(self, name)
+            if not isinstance(bounds, (list, tuple)) or not all(map(_is_number, bounds)):
+                raise ValueError(f"optimizer.{name} must be [low, high] numbers, got {bounds!r}")
+        for name in ("init_beta", "init_asc"):
+            _check_number(f"optimizer.{name}", getattr(self, name))
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int):
+            raise ValueError(f"optimizer.max_iter must be an integer, got {self.max_iter!r}")
         self.beta_bounds, self.asc_bounds = beta, asc = tuple(self.beta_bounds), tuple(self.asc_bounds)  # JSON gives lists
         # a bad box would otherwise surface mid-fit as an invalid nesting coefficient, naming no key
         if len(beta) != 2 or not 0.0 < beta[0] <= beta[1] <= 1.0:
@@ -64,6 +72,12 @@ class PipelineConfig:
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
 
     def __post_init__(self) -> None:
+        for name in ("condition2_km", "grams_co2_per_mile", "days_per_year", "circuity_factor", "car_cost_per_mile"):
+            _check_number(name, getattr(self, name))
+        if self.threshold_override is not None:
+            _check_number("threshold_override", self.threshold_override)
+        if not isinstance(self.include_on_demand_auto_vmt, bool):
+            raise ValueError(f"include_on_demand_auto_vmt must be true or false, got {self.include_on_demand_auto_vmt!r}")
         if self.condition2_mode not in CONDITION2_MODES:
             raise ValueError(f"unknown condition2_mode: {self.condition2_mode!r}")
         if self.threshold_override is not None and not self.threshold_override >= 1.0:
@@ -77,6 +91,8 @@ class PipelineConfig:
             raise ValueError("car_cost_per_mile must be non-negative")
         if isinstance(self.optimizer, dict):
             self.optimizer = OptimizerSettings(**_known_keys(OptimizerSettings, self.optimizer, "optimizer"))
+        elif not isinstance(self.optimizer, OptimizerSettings):
+            raise ValueError(f"optimizer must be an object of optimizer keys, got {self.optimizer!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -91,6 +107,16 @@ class PipelineConfig:
         out["optimizer"]["beta_bounds"] = list(self.optimizer.beta_bounds)
         out["optimizer"]["asc_bounds"] = list(self.optimizer.asc_bounds)
         return out
+
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is an int or a float; a bool or a string is not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_number(key: str, value) -> None:
+    if not _is_number(value):
+        raise ValueError(f"{key} must be a number, got {value!r}")
 
 
 def _known_keys(cls, data: dict, what: str) -> dict:
@@ -123,9 +149,9 @@ class Manifest:
             raise ValueError(f"{path}: unknown manifest keys: {unknown}")
         base = path.parent
 
-        def _resolve(value):
-            if value is None:
-                return None
+        def _resolve(name, value):
+            if not isinstance(value, str):
+                raise ValueError(f"{path}: manifest key '{name}' holds {value!r}, not a file path")
             p = base / value
             if not p.exists():
                 raise ValueError(f"{path}: referenced file does not exist: {value}")
@@ -135,9 +161,10 @@ class Manifest:
         for f in fields(cls):  # resolved in field order, so the first missing file is named
             value = data.get(f.name)
             if f.name == "leg_matrices":
-                paths[f.name] = tuple(map(_resolve, [value] if isinstance(value, str) else value or []))
+                values = value if isinstance(value, list) else [] if value is None else [value]
+                paths[f.name] = tuple(_resolve(f.name, v) for v in values)
             else:
-                paths[f.name] = _resolve(value)
+                paths[f.name] = None if value is None else _resolve(f.name, value)
         return cls(**paths)
 
     def require(self, *names: str) -> None:

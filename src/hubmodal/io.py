@@ -21,16 +21,12 @@ unless a rule below allows it.  Record checks (coordinates, beta_cost
 sign, joins, duplicate keys) then name the first faulty row and its
 column the same way; MarketTable runs the markets' own rules.
 
-The parser reads a file in batches of lines.  A batch goes to numpy's C
-reader (``np.loadtxt``): numbers come back as float64 arrays, and text
-cells are converted once per distinct value.  A batch that reader could
-read otherwise than the csv module (a literal nan or inf, a
-whitespace-only or ``1_000`` number, a ragged row, a lone CR, a NUL)
-goes to csv.reader instead, the only path that names a bad cell; from
-the first batch holding a quote, csv.reader reads the rest of the file.
-The two paths give the same values bit for bit.  Writers quote a text
-cell holding a comma, a quote or a line break as the csv module does,
-so what they write reads back.
+csv.reader reads a file in batches of ``_BATCH_CELLS // len(header)``
+records (one at least); a batch's cells are converted, numbers in bulk
+and text once per distinct value, and then dropped.  The batch size
+bounds the parse's memory and changes no value and no error.  Writers
+quote a text cell holding a comma, a quote or a line break as the csv
+module does, so what they write reads back.
 
 Markets columns, in order: od_id, segment, o_lat, o_lon, d_lat, d_lon,
 trips_per_day, driving_miles, the per-mode attribute columns, the twelve
@@ -74,7 +70,6 @@ import math
 import os
 from collections import defaultdict
 from dataclasses import dataclass
-from io import StringIO
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -232,19 +227,13 @@ def sha256_digest(path: str | Path) -> str:
 # the CSV reader
 # ----------------------------------------------------------------------
 
-# Characters read per batch, which then runs on to the end of its last
-# line: a batch's text and cells are dropped once its columns are
-# converted, so what is held at once stays bounded.
-_BATCH_CHARS = 1 << 17
-# Records per batch once the csv module reads the rest of a file.
-_BATCH_ROWS = 2048
-# numpy's parser rejects an empty number, so a blank cell is rewritten to
-# this text; it reads back as NaN in a number column and as itself in a
-# text column.
-_BLANK = "nan"
-# Characters numpy keeps of a text cell at first; a batch holding a
-# longer cell is parsed again with room for it.
-_TEXT_WIDTH = 16
+# Cells per batch: a batch's rows are dropped once its columns are
+# converted, so this bounds what a parse holds at once, while each batch
+# pays a cost per column.  At 4,096 cells the first rank-1k `rank`, which
+# parses its leg matrices, peaks at 50.1 MB; 1,024 cells lowered that by
+# 0.4 MB but made every `rank` 15 ms slower, as its 41-column markets
+# file then goes in 24-record batches.
+_BATCH_CELLS = 4096
 
 # Bytes read at a time when counting a file's lines.  Freeing a read this
 # large also lifts glibc's dynamic mmap threshold above the parse's
@@ -373,7 +362,15 @@ def _convert_batch(path, first: int, rows: list[list[str]], read: Mapping[str, t
     column, an int64 array for a column of integer codes, else a list.
     Cells the bulk path does not take are converted once per distinct
     text; the first bad cell, in row then column order, raises a
-    ParseError naming it."""
+    ParseError naming it, a row short of a ``read`` column its first
+    missing cell."""
+    width = max(pick for pick, _ in read.values()) + 1
+    if min(map(len, rows)) < width:
+        short = next(i for i, r in enumerate(rows) if len(r) < width)
+        if short:  # a bad cell in an earlier row comes first
+            _convert_batch(path, first, rows[:short], read)
+        missing = next(col for col, (pick, _) in read.items() if pick >= len(rows[short]))
+        raise _row_error(path, first + short, missing, "missing cell")
     columns = list(zip(*rows))
     out = {}
     bad_cell = None  # (row index, column, why)
@@ -405,105 +402,11 @@ def _convert_batch(path, first: int, rows: list[list[str]], read: Mapping[str, t
     return out
 
 
-def _exact_batch(path, first: int, rows: list[list[str]], read: Mapping[str, tuple[int, Callable]]) -> dict:
-    """``_convert_batch`` of ``rows``, csv records ``first`` onward with
-    blank lines dropped, after a short row has raised naming its first
-    missing cell."""
-    width = max(pick for pick, _ in read.values()) + 1
-    if min(map(len, rows)) < width:
-        short = next(i for i, r in enumerate(rows) if len(r) < width)
-        if short:  # a bad cell in an earlier row comes first
-            _convert_batch(path, first, rows[:short], read)
-        missing = next(col for col, (pick, _) in read.items() if pick >= len(rows[short]))
-        raise _row_error(path, first + short, missing, "missing cell")
-    return _convert_batch(path, first, rows, read)
-
-
-def _blank_cells(text: str) -> np.ndarray:
-    """Offsets in ``text`` of the blank cells that follow a comma.  (A
-    blank first cell needs no rewrite: numpy reads it as an empty text, or
-    rejects it as a number.)"""
-    if text.isascii():
-        codes = np.frombuffer(text.encode("ascii"), np.uint8)
-    else:  # one code per character, so offsets stay string offsets
-        codes = np.frombuffer(text.encode("utf-32-le"), np.uint32)
-    comma = codes == 44
-    cell_end = comma | (codes == 10) | (codes == 13)
-    return np.flatnonzero(comma[:-1] & cell_end[1:]) + 1
-
-
-def _convert_distinct(cells: np.ndarray, convert: Callable) -> np.ndarray | list | None:
-    """A text column converted once per distinct cell (``_BLANK`` standing
-    for a blank one): an int64 array when every value is an int code,
-    else a list.  None when a cell does not convert."""
-    distinct, inverse = np.unique(cells, return_inverse=True)
-    try:
-        values = [convert("" if text == _BLANK else text) for text in distinct.tolist()]
-    except ValueError:
-        return None
-    inverse = inverse.ravel()
-    if all(type(v) is int for v in values):
-        return np.array(values, np.int64)[inverse]
-    return list(map(values.__getitem__, inverse.tolist()))
-
-
-def _parse_batch(text: str, numbers: Sequence[bool], read: Mapping[str, tuple[int, Callable]], width: int):
-    """The C path: ``text``, whole lines with no quote, tokenized by
-    ``np.loadtxt``, each header column a float64 field where ``numbers``
-    says so and a text field of ``width`` characters (widened as needed)
-    otherwise.  Returns (each ``read`` column as ``_convert_batch`` gives
-    it, records, text width), or None when the batch must go the exact
-    path (csv.reader and ``_convert_batch``), the only one that names a
-    faulty cell.
-
-    Both readers skip blank lines.  Blank cells are rewritten to
-    ``_BLANK`` first.  numpy then rejects every row whose cells do not
-    match the header one for one, and every number it does not read
-    (``1_000``, a whitespace-only cell, a lone CR inside a line).  The
-    batch is taken only when the NaN numbers and ``_BLANK`` texts number
-    the rewrites, so that no cell spelled a NaN or ``_BLANK`` itself, and
-    no number is infinite or a blank required number."""
-    if "\x00" in text or text.isspace():  # numpy cuts a NUL off a text cell
-        return None
-    blanks = _blank_cells(text)
-    if len(blanks):
-        bounds = [0, *blanks.tolist(), len(text)]
-        text = _BLANK.join([text[i:j] for i, j in zip(bounds, bounds[1:])])
-    lines = text.split("\n")  # numpy takes a CR left at a line's end as its end
-    while True:
-        dtype = [(str(i), float if number else f"U{width}") for i, number in enumerate(numbers)]
-        try:
-            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
-        except ValueError:
-            return None
-        texts = [table[str(i)] for i, number in enumerate(numbers) if not number]
-        if all(np.char.str_len(cells).max(initial=0) < width for cells in texts):
-            break
-        width *= 4  # a cell may have been cut short
-    floats = [table[str(i)] for i, number in enumerate(numbers) if number]
-    if any(np.isinf(cells).any() for cells in floats):
-        return None
-    if sum(np.isnan(cells).sum() for cells in floats) + sum((cells == _BLANK).sum() for cells in texts) != len(blanks):
-        return None
-    out = {}
-    for name, (pick, convert) in read.items():
-        cells = table[str(pick)]
-        if not numbers[pick]:
-            cells = _convert_distinct(cells, convert)
-        elif convert is _required_number_cell and np.isnan(cells).any() or _out_of_range(convert, cells):
-            cells = None
-        if cells is None:
-            return None
-        out[name] = cells
-    return out, len(table), width
-
-
 def _read_batches(path: str | Path, columns: Mapping[str, Callable], optional: Mapping | None = None) -> Iterator[dict]:
-    """The file's records in batches, each holding every column of
-    ``columns`` (name: converter) and each of ``optional`` that the
-    header has, in that order, as ``_convert_batch`` gives them.  A batch
-    goes through ``_parse_batch`` when it can, else through csv.reader;
-    from the first batch holding a quote, csv.reader reads the rest."""
+    """The file's records in batches of about ``_BATCH_CELLS`` cells, each
+    holding every column of ``columns`` (name: converter) and each of
+    ``optional`` that the header has, in that order, as
+    ``_convert_batch`` gives them."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -517,31 +420,12 @@ def _read_batches(path: str | Path, columns: Mapping[str, Callable], optional: M
         for col in read:
             if header.count(col) > 1:
                 raise ParseError(f"{path}: column '{col}' appears twice in the header")
-        numbers = [False] * len(header)
-        for pick, convert in read.values():
-            numbers[pick] = convert in _NUMBER_CELLS
-        width = _TEXT_WIDTH
+        size = max(1, _BATCH_CELLS // len(header))
         first = 0  # records before this batch, which error paths map to lines
-        while text := fh.read(_BATCH_CHARS):
-            text += fh.readline()  # end the batch at a line end
-            if '"' in text:
-                # A quoted cell may span lines; every line before is one record.
-                reader = csv.reader(itertools.chain(StringIO(text, newline=""), fh))
-                break
-            parsed = _parse_batch(text, numbers, read, width)
-            if parsed:
-                batch, records, width = parsed
-                yield batch
-            else:
-                rows = list(filter(None, csv.reader(StringIO(text, newline=""))))  # blank lines are skipped
-                if rows:
-                    yield _exact_batch(path, first, rows, read)
-                records = len(rows)
-            first += records
-        while raw := list(itertools.islice(reader, _BATCH_ROWS)):
-            rows = list(filter(None, raw))
+        while raw := list(itertools.islice(reader, size)):
+            rows = list(filter(None, raw))  # blank lines are skipped
             if rows:
-                yield _exact_batch(path, first, rows, read)
+                yield _convert_batch(path, first, rows, read)
             first += len(rows)
 
 

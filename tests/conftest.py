@@ -230,11 +230,11 @@ def snapshot(value):
     return repr(value)
 
 
-def load_both(load, path, batch_chars: int) -> tuple:
-    """The snapshot of ``load(path)``, or its ParseError text, read in
-    batches of ``batch_chars`` characters: first as the loader reads it,
-    then with every batch sent to the exact path (csv.reader), which the
-    first must match.  Both parse: no leg-matrix sidecar is read."""
+def load_batched(load, path) -> tuple:
+    """The snapshot of ``load(path)``, or its ParseError text, read first
+    in one-record batches, then in one batch holding the whole file: the
+    batch size must change neither.  Both parse: no leg-matrix sidecar is
+    read."""
 
     def attempt():
         try:
@@ -244,14 +244,14 @@ def load_both(load, path, batch_chars: int) -> tuple:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hubmodal.io, "_read_sidecar", lambda *args: None)
-        mp.setattr(hubmodal.io, "_BATCH_CHARS", batch_chars)
-        fast = attempt()
-        mp.setattr(hubmodal.io, "_parse_batch", lambda *args: None)
-        return fast, attempt()
+        mp.setattr(hubmodal.io, "_BATCH_CELLS", 1)
+        one_record = attempt()
+        mp.setattr(hubmodal.io, "_BATCH_CELLS", 1 << 62)
+        return one_record, attempt()
 
 
-# Irregular input that numpy's reader could take otherwise than
-# csv.reader does; plant_irregular puts one in a file.
+# Irregular input, each kind a rule of the csv module or of the cell
+# converters; plant_irregular puts one in a file.
 IRREGULAR = (
     "none",
     "padded_number",

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_same_markets, full_attrs, load_both, load_taste_parameters, make_market, make_taste, snapshot
+from conftest import assert_same_markets, full_attrs, load_batched, load_taste_parameters, make_market, make_taste, snapshot
 
 from hubmodal import (
     FareTable,
@@ -263,14 +263,13 @@ def test_joined_taste_beyond_the_bound_names_the_taste_file(tmp_path):
         load_markets(markets, tastes)
 
 
-def test_blank_zone_beside_literal_nan_is_the_exact_paths_error(tmp_path):
-    # Rewritten for numpy, the blank d_zone reads "nan" beside the literal
-    # nan of an unavailable mode: a count of NaN numbers alone would match
-    # the one rewrite and take the literal for a blank.
+def test_blank_zone_beside_literal_nan_names_the_nan(tmp_path):
+    # An unavailable mode's number cell may be blank, but not a literal nan,
+    # whatever blank text cell stands beside it.
     path = tmp_path / "markets.csv"
     _write_two_markets(path, biking_available="0", biking_ivt_min="nan", d_zone="")
-    fast, exact = load_both(load_markets, path, 1 << 17)
-    assert fast == exact == f"ParseError: {path} row 3: non-finite number 'nan' in column 'biking_ivt_min'"
+    one_record, whole = load_batched(load_markets, path)
+    assert one_record == whole == f"ParseError: {path} row 3: non-finite number 'nan' in column 'biking_ivt_min'"
 
 
 def test_markets_first_faulty_row_in_input_order(tmp_path):
@@ -385,6 +384,17 @@ def test_stops_and_lots_round_trip(tmp_path):
     lpath = tmp_path / "lots.csv"
     write_pr_lots(lots, lpath)
     assert load_pr_lots(lpath) == lots
+
+
+@pytest.mark.parametrize("batch_cells", [1, hubmodal.io._BATCH_CELLS], ids=["one_record", "default"])
+def test_bad_cell_after_a_quoted_line_break_names_its_file_line(tmp_path, monkeypatch, batch_cells):
+    # the quoted id spans lines 3 and 4 and line 5 is blank, so the bad
+    # lat of the third record is on line 6
+    path = tmp_path / "stops.csv"
+    path.write_text('stop_id,lat,lon\ns1,42.6,-73.7\n"s\n2",42.61,-73.71\n\ns3,north,-73.72\n')
+    monkeypatch.setattr(hubmodal.io, "_BATCH_CELLS", batch_cells)
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))} row 6: malformed number 'north' in column 'lat'$"):
+        load_stops(path)
 
 
 def test_matrices_round_trip_and_blank_direction(tmp_path):
@@ -651,13 +661,10 @@ def test_column_named_twice_in_the_header_is_an_error(tmp_path, load, header, ro
         load(path)
 
 
-def test_generated_csv_files_never_take_the_exact_path(tmp_path, monkeypatch):
+def test_generated_csv_files_read_alike_as_windows_exports(tmp_path):
     # the quick-start fixture and the 1,000-market x 100-candidate one,
     # each file also as a Windows export (CRLF line ends and a byte-order
-    # mark), which must read alike
-    exact = []
-    exact_batch = hubmodal.io._exact_batch
-    monkeypatch.setattr(hubmodal.io, "_exact_batch", lambda path, *args: exact.append(path) or exact_batch(path, *args))
+    # mark)
     for seed, size in (("7", []), ("11", ["--od-pairs", "250", "--stops", "100", "--pr-lots", "5"])):
         out = tmp_path / seed
         assert main(["gen-fixture", "--seed", seed, *size, "--out-dir", str(out)]) == 0
@@ -666,7 +673,6 @@ def test_generated_csv_files_never_take_the_exact_path(tmp_path, monkeypatch):
             windows = tmp_path / f"windows-{name}"
             windows.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", b"\r\n"))
             assert snapshot(load(windows)) == snapshot(load(path))
-    assert exact == []
 
 
 def test_matrices_rewrite_generated_fixture_byte_for_byte(fixture_dir, tmp_path):
@@ -967,6 +973,60 @@ def test_config_accepts_degenerate_optimizer_bounds():
     # coinciding bounds hold a parameter fixed, and beta_hub = 1 is the flat logit
     cfg = PipelineConfig.from_dict({"optimizer": {"beta_bounds": [1, 1], "asc_bounds": [-3, -3]}})
     assert cfg.optimizer.beta_bounds == (1, 1) and cfg.optimizer.asc_bounds == (-3, -3)
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"include_on_demand_auto_vmt": "false"}, "include_on_demand_auto_vmt"),
+        ({"include_on_demand_auto_vmt": 0}, "include_on_demand_auto_vmt"),
+        ({"circuity_factor": "x"}, "circuity_factor"),
+        ({"days_per_year": True}, "days_per_year"),
+        ({"condition2_km": None}, "condition2_km"),
+        ({"threshold_override": "2"}, "threshold_override"),
+        ({"optimizer": 3}, "optimizer"),
+        ({"optimizer": [1]}, "optimizer"),
+        ({"optimizer": {"max_iter": "5"}}, "optimizer.max_iter"),
+        ({"optimizer": {"max_iter": 5.0}}, "optimizer.max_iter"),
+        ({"optimizer": {"max_iter": True}}, "optimizer.max_iter"),
+        ({"optimizer": {"init_beta": "0.5"}}, "optimizer.init_beta"),
+        ({"optimizer": {"init_asc": False}}, "optimizer.init_asc"),
+        ({"optimizer": {"beta_bounds": "ab"}}, "optimizer.beta_bounds"),
+        ({"optimizer": {"beta_bounds": 1}}, "optimizer.beta_bounds"),
+        ({"optimizer": {"asc_bounds": [-12, "0"]}}, "optimizer.asc_bounds"),
+        ({"optimizer": {"asc_bounds": [-12, False]}}, "optimizer.asc_bounds"),
+    ],
+)
+def test_config_value_of_the_wrong_json_type_names_its_key(data, key):
+    with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be "):
+        PipelineConfig.from_dict(data)
+
+
+def test_config_takes_json_integers_for_numbers_as_given():
+    data = {"circuity_factor": 2, "threshold_override": 2, "optimizer": {"init_beta": 1, "init_asc": -4, "max_iter": 5}}
+    cfg = PipelineConfig.from_dict(data)
+    assert (cfg.circuity_factor, cfg.threshold_override, cfg.optimizer.init_beta, cfg.optimizer.max_iter) == (2, 2, 1, 5)
+    assert cfg.to_dict()["circuity_factor"] == 2 and cfg.include_on_demand_auto_vmt is False
+
+
+@pytest.mark.parametrize(
+    "data, key, value",
+    [
+        ({"markets": 3}, "markets", "3"),
+        ({"stops": ["stops.csv"]}, "stops", "['stops.csv']"),
+        ({"leg_matrices": 5}, "leg_matrices", "5"),
+        ({"leg_matrices": [None]}, "leg_matrices", "None"),
+        ({"leg_matrices": ["m.csv", {"path": "m.csv"}]}, "leg_matrices", "{'path': 'm.csv'}"),
+    ],
+)
+def test_manifest_value_of_the_wrong_json_type_names_the_file_and_key(tmp_path, data, key, value):
+    (tmp_path / "m.csv").write_text("")
+    (tmp_path / "stops.csv").write_text("")
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(data))
+    error = f"{path}: manifest key '{key}' holds {value}, not a file path"
+    with pytest.raises(ValueError, match=rf"^{re.escape(error)}$"):
+        Manifest.from_json(path)
 
 
 def test_cli_builds_each_observed_hub_setup_once(fixture_dir, tmp_path, monkeypatch):

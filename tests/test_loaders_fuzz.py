@@ -10,7 +10,7 @@ market attribute or taste coefficient beyond VALUE_BOUND in magnitude:
 valid markets are drawn within it.  Irregular input planted in such a
 table (padding, literal NaN or infinity, quotes, CRLF, blank lines,
 ragged rows, blank or ``nan`` keys) loads to the same value, or the same
-error, as when every batch goes through csv.reader.
+error, in one-record batches as in one batch holding the whole file.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import IRREGULAR, assert_same_markets, load_both, plant_irregular
+from conftest import IRREGULAR, assert_same_markets, load_batched, plant_irregular
 from hubmodal import (
     TASTE_FIELDS,
     GeoPoint,
@@ -258,13 +258,12 @@ def _plant_irregular(data, records, write, load, header, cells):
     key = list(header).index(data.draw(st.sampled_from(text_columns)))
     number = list(header).index(data.draw(st.sampled_from(number_columns)))
     line = data.draw(st.integers(1, len(records)))
-    batch_chars = data.draw(st.sampled_from((64, 1 << 17)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         write(records, path)
         path.write_bytes(plant_irregular(path.read_text(), kind, line, key, number).encode())
-        fast, exact = load_both(load, path, batch_chars)
-        assert fast == exact
+        one_record, whole = load_batched(load, path)
+        assert one_record == whole
 
 
 @SETTINGS

@@ -7,8 +7,8 @@ VALUE_BOUND, an unknown leg mode, an empty key cell, or a repeated key,
 within one file or across two) makes ``load_matrices`` raise
 ``ParseError`` naming the file, the row and the column of that cell.  Irregular input planted in such a table (padding,
 literal NaN or infinity, quotes, CRLF, blank lines, ragged rows, blank
-or ``nan`` keys) loads to the same store, or the same error, as when
-every batch goes through csv.reader.
+or ``nan`` keys) loads to the same store, or the same error, in
+one-record batches as in one batch holding the whole file.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import IRREGULAR, load_both, plant_irregular
+from conftest import IRREGULAR, load_batched, plant_irregular
 from hubmodal import LegMatrices, LegTimes, Mode, ParseError, load_matrices, write_matrices
 from hubmodal.choice import LEG_MODES
 from hubmodal.hubs import VALUE_BOUND
@@ -105,7 +105,7 @@ def test_malformed_cell_names_file_row_and_column(table, data):
 @SETTINGS
 @given(table=tables, data=st.data())
 def test_leg_cell_out_of_range_names_file_row_and_column(table, data):
-    # in a present or an absent direction, read by numpy's reader or csv.reader
+    # in a present or an absent direction, in one-record batches or one batch
     column = data.draw(st.sampled_from(NUMERIC_COLUMNS))
     token = data.draw(st.sampled_from(OUT_OF_RANGE))
     with tempfile.TemporaryDirectory() as tmp:
@@ -118,10 +118,10 @@ def test_leg_cell_out_of_range_names_file_row_and_column(table, data):
         lines[line] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         pattern = _error_pattern(path, line + 1, column)
-        fast, exact = load_both(lambda p: load_matrices([p]), path, data.draw(st.sampled_from((64, 1 << 17))))
-        assert fast == exact
-        assert re.match(pattern, fast.removeprefix("ParseError: ")), fast
-        assert re.search(r": (negative value -|value \S+ above 1000000.0 in)", fast)
+        one_record, whole = load_batched(lambda p: load_matrices([p]), path)
+        assert one_record == whole
+        assert re.match(pattern, whole.removeprefix("ParseError: ")), whole
+        assert re.search(r": (negative value -|value \S+ above 1000000.0 in)", whole)
 
 
 @SETTINGS
@@ -156,11 +156,10 @@ def test_irregular_input_reads_as_csv_reader_reads_it(table, data):
     key = data.draw(st.integers(0, 2))
     number = data.draw(st.integers(3, len(MATRIX_COLUMNS) - 1))
     line = data.draw(st.integers(1, len(table)))
-    batch_chars = data.draw(st.sampled_from((64, 1 << 17)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.csv"
         write_matrices(_build(table), path)
         path.write_bytes(plant_irregular(path.read_text(), kind, line, key, number).encode())
-        fast, exact = load_both(lambda p: load_matrices([p]), path, batch_chars)
-        assert fast == exact
+        one_record, whole = load_batched(lambda p: load_matrices([p]), path)
+        assert one_record == whole
 

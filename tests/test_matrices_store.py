@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_both, snapshot
+from conftest import load_batched, snapshot
 from reference_model import leg_rows
 from hubmodal import LegMatrices, LegTimes, Mode, ParseError, load_matrices, sha256_digest, write_matrices
 from hubmodal.fixtures import generate_fixture
@@ -135,8 +135,7 @@ def test_line_ends_give_the_store_of_the_lf_twin(tmp_path, monkeypatch, zone, li
     # The block is sized from the file's lines, as csv.reader splits them.
     monkeypatch.setattr(hubmodal.io, "_COUNT_BYTES", count_bytes)
     assert hubmodal.io._max_records(path) == len(io.StringIO(text, newline="").readlines()) - 1
-    for batch_chars in (64, 1 << 17):
-        assert load_both(lambda p: load_matrices([p]), path, batch_chars) == (expected, expected)
+    assert load_batched(lambda p: load_matrices([p]), path) == (expected, expected)
     store = load_matrices([path])
     assert store._legs.shape == (2, len(store) + 1, 5)
     assert np.isnan(store._legs[:, -1]).all() and store._key[-1] == KEY_MAX
