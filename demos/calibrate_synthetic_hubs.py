@@ -28,6 +28,7 @@ from hubmodal import (
     calibrate,
     predict_hub_proportion,
     prepare_hub,
+    screen_trips,
 )
 
 TRUTH = HubParams(
@@ -88,9 +89,11 @@ def build_setup(i):
             matrices.add(zone, hub_id, Mode.CAR, leg, leg)
             matrices.add(zone, hub_id, Mode.WALK_LEG, leg, leg)
             matrices.add(zone, hub_id, Mode.BUS, bus, bus)
-    # every market of the table is one of this hub's potential trips
+    # every market of the table is one of this hub's potential trips: the
+    # screen's verdicts give way to an all-True mask, its distances stay
     table = MarketTable.from_markets(markets)
-    return prepare_hub(table, [hub], np.ones((1, len(table)), dtype=bool), matrices, fares)
+    screen = screen_trips(table, [hub.location.lat], [hub.location.lon], 1.0)
+    return prepare_hub(table, [hub], screen.with_keep(np.ones((1, len(table)), dtype=bool)), matrices, fares)
 
 
 setups = {f"hub-{i}": build_setup(i) for i in range(5)}

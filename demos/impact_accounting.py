@@ -25,6 +25,7 @@ from hubmodal import (
     TasteVector,
     assess_hubs,
     prepare_hub,
+    screen_trips,
 )
 
 rng = np.random.default_rng(21)
@@ -75,9 +76,11 @@ for m in markets:
             matrices.add(zone, hub.id, mode, veh, veh)
         matrices.add(zone, hub.id, Mode.BUS, bus, bus)
 
-# every market of the table is one of the hub's potential trips
+# every market of the table is one of the hub's potential trips: the
+# screen's verdicts give way to an all-True mask, its distances stay
 table = MarketTable.from_markets(markets)
-setup = prepare_hub(table, [hub], np.ones((1, len(table)), dtype=bool), matrices, fares)
+screen = screen_trips(table, [hub.location.lat], [hub.location.lon], 1.0)
+setup = prepare_hub(table, [hub], screen.with_keep(np.ones((1, len(table)), dtype=bool)), matrices, fares)
 params = HubParams(beta_hub=0.4, asc_by_segment={s: -2.5 for s in Segment})
 (report,) = assess_hubs(setup, params, emissions=EmissionFactor())
 

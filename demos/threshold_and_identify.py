@@ -18,7 +18,7 @@ from hubmodal import (
     TasteVector,
     derive_threshold,
     detour_ratio,
-    potential_trip_mask,
+    screen_trips,
 )
 
 rng = np.random.default_rng(7)
@@ -65,12 +65,12 @@ markets = [
 
 # the markets become one table, screened against the hub in one mask
 table = MarketTable.from_markets(markets)
-(kept,) = potential_trip_mask(table, [hub.lat], [hub.lon], threshold)
+(kept,) = screen_trips(table, [hub.lat], [hub.lon], threshold).keep
 print(f"\nmarkets kept at threshold {threshold:.3f}: {kept.sum()} of {len(table)}")
 
 # the screen loosens monotonically with the threshold
 for t in sorted((1.05, 1.2, threshold, 2.0, 2.5)):
-    n = potential_trip_mask(table, [hub.lat], [hub.lon], t).sum()
+    n = screen_trips(table, [hub.lat], [hub.lon], t).keep.sum()
     print(f"  threshold {t:5.3f} -> {n:3d} markets")
 
 # trips ending within a kilometre of the hub pass regardless of detour
@@ -82,5 +82,5 @@ close_d = Market(
     attrs={Mode.DRIVING: ModeAttr(ivt_min=40.0, cost_usd=6.0)}, taste=taste,
 )
 close_table = MarketTable.from_markets([close_d])
-(near,) = potential_trip_mask(close_table, [hub.lat], [hub.lon], 1.1)
+(near,) = screen_trips(close_table, [hub.lat], [hub.lon], 1.1).keep
 print(f"\nawkward detour but destination near hub -> {[close_table.ids[i] for i in near.nonzero()[0]]}")

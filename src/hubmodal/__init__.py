@@ -17,7 +17,6 @@ from importlib import import_module
 _EXPORTS = {
     "calibration": (
         "CalibrationResult",
-        "HubParams",
         "LegCountRow",
         "ObservedUsage",
         "calibrate",
@@ -48,11 +47,12 @@ _EXPORTS = {
         "MILES_PER_KM",
         "DetourRecord",
         "GeoPoint",
+        "TripScreen",
         "derive_threshold",
         "detour_ratio",
         "great_circle_km",
         "haversine_km",
-        "potential_trip_mask",
+        "screen_trips",
     ),
     "hubs": (
         "CAR_SHARE_PROFILE_COMBOS",
@@ -60,6 +60,7 @@ _EXPORTS = {
         "FareTable",
         "Hub",
         "HubChoiceSetup",
+        "HubParams",
         "HubShares",
         "LegMatrices",
         "LegTimes",

@@ -28,9 +28,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .choice import SEGMENTS, Mode, Segment
+from .choice import SEGMENTS, Mode
 from .config import OptimizerSettings
-from .hubs import HubChoiceSetup
+from .hubs import HubChoiceSetup, HubParams
 
 N_PARAMS = 1 + len(SEGMENTS)
 PARAM_NAMES: tuple[str, ...] = ("beta_hub", *(f"asc_by_segment.{s.value}" for s in SEGMENTS))
@@ -47,33 +47,6 @@ STEP_TOL = 1e-10
 INITIAL_DAMPING = 1.0
 # A hub fits when its prediction is within this fraction of its observation.
 FIT_REL_TOL = 0.01
-
-
-@dataclass(frozen=True)
-class HubParams:
-    """Calibrated nest parameters: one nesting coefficient shared by all
-    hubs and one hub constant per population segment."""
-
-    beta_hub: float
-    asc_by_segment: Mapping[Segment, float]
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.beta_hub <= 1.0:
-            raise ValueError(f"invalid nesting coefficient: {self.beta_hub}")
-        missing = [s.value for s in SEGMENTS if s not in self.asc_by_segment]
-        if missing:
-            raise ValueError(f"missing segment constants: {missing}")
-        for seg in SEGMENTS:
-            if not math.isfinite(self.asc_by_segment[seg]):
-                raise ValueError(f"invalid attribute: non-finite constant for {seg.value}")
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.beta_hub] + [self.asc_by_segment[s] for s in SEGMENTS], dtype=float)
-
-    @classmethod
-    def from_vector(cls, x) -> "HubParams":
-        x = np.asarray(x, dtype=float)
-        return cls(beta_hub=float(x[0]), asc_by_segment={s: float(x[1 + i]) for i, s in enumerate(SEGMENTS)})
 
 
 @dataclass(frozen=True)

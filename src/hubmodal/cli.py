@@ -28,8 +28,8 @@ import numpy as np
 from . import io
 from .choice import Segment
 from .config import Manifest, PipelineConfig
-from .geo import derive_threshold, detour_ratio, potential_trip_mask
-from .hubs import Hub, build_combos, prepare_hub
+from .geo import TripScreen, derive_threshold, detour_ratio, screen_trips
+from .hubs import Hub, HubParams, build_combos, prepare_hub
 
 
 def _lazy(name: str) -> ModuleType:
@@ -52,9 +52,9 @@ def _lazy(name: str) -> ModuleType:
 
 # Every stage loads the modules above.  These four run only in some
 # stages, which alone pay for compiling them and building their
-# dataclasses: calibration in calibrate, assess and rank; impacts in
-# assess and rank; siting in rank and gen-fixture; fixtures in
-# gen-fixture.
+# dataclasses: calibration in the stages that fit (calibrate, and
+# assess and rank without --params); impacts in assess and rank; siting
+# in rank and gen-fixture; fixtures in gen-fixture.
 calibration = _lazy("calibration")
 impacts = _lazy("impacts")
 siting = _lazy("siting")
@@ -140,10 +140,10 @@ def _build_hub(rec: io.HubRecord, survey) -> Hub:
     )
 
 
-def _screen(table, hub_recs, config, threshold) -> np.ndarray:
-    """(hubs, markets) potential-trip mask of the observed hubs, in
-    ``hub_recs`` order, from one screen of the table."""
-    return potential_trip_mask(
+def _screen(table, hub_recs, config, threshold) -> TripScreen:
+    """One screen of the table against the observed hubs, in ``hub_recs``
+    order."""
+    return screen_trips(
         table,
         [rec.location.lat for rec in hub_recs],
         [rec.location.lon for rec in hub_recs],
@@ -154,16 +154,16 @@ def _screen(table, hub_recs, config, threshold) -> np.ndarray:
 
 
 def _build_setups(table, hub_recs, survey, matrices, fares, config, threshold):
-    keep = _screen(table, hub_recs, config, threshold)
+    screen = _screen(table, hub_recs, config, threshold)
     setups = {}
     for h, rec in enumerate(hub_recs):
         hub = _build_hub(rec, survey)
-        if not keep[h].any():
+        if not screen.keep[h].any():
             raise ValueError(f"hub {rec.hub_id}: no potential trips at threshold {threshold}")
         setups[rec.hub_id] = prepare_hub(
             table,
             [hub],
-            keep[h : h + 1],
+            screen[h : h + 1],
             matrices,
             fares,
             car_cost_per_mile=config.car_cost_per_mile,
@@ -230,18 +230,18 @@ def _resolve_observed(hub_recs, potentials) -> tuple[list[calibration.ObservedUs
     return observed, meta
 
 
-def _params_dict(params: calibration.HubParams) -> dict:
+def _params_dict(params: HubParams) -> dict:
     return {
         "beta_hub": params.beta_hub,
         "asc_by_segment": {seg.value: params.asc_by_segment[seg] for seg in sorted(params.asc_by_segment, key=lambda s: s.value)},
     }
 
 
-def _read_params(path: str | Path) -> calibration.HubParams:
+def _read_params(path: str | Path) -> HubParams:
     data = io.read_json(path, "params file")
     node = data.get("params", data)
     try:
-        return calibration.HubParams(
+        return HubParams(
             beta_hub=float(node["beta_hub"]),
             asc_by_segment={Segment(k): float(v) for k, v in node["asc_by_segment"].items()},
         )
@@ -327,7 +327,7 @@ def _cmd_identify_trips(args) -> int:
 
     rows = []
     hubs_report = {}
-    for rec, kept in zip(hub_recs, _screen(table, hub_recs, config, thr)):
+    for rec, kept in zip(hub_recs, _screen(table, hub_recs, config, thr).keep):
         idx = np.flatnonzero(kept)
         # summed as calibrate sums a setup's trips, so the two reports agree
         trips = table.trips[idx].sum()

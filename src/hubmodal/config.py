@@ -8,6 +8,7 @@ defaults.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -35,8 +36,8 @@ class OptimizerSettings:
     def __post_init__(self) -> None:
         for name in ("beta_bounds", "asc_bounds"):
             bounds = getattr(self, name)
-            if not isinstance(bounds, (list, tuple)) or not all(map(_is_number, bounds)):
-                raise ValueError(f"optimizer.{name} must be [low, high] numbers, got {bounds!r}")
+            if not isinstance(bounds, (list, tuple)) or not all(map(_is_finite_number, bounds)):
+                raise ValueError(f"optimizer.{name} must be [low, high] finite numbers, got {bounds!r}")
         for name in ("init_beta", "init_asc"):
             _check_number(f"optimizer.{name}", getattr(self, name))
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int):
@@ -109,14 +110,17 @@ class PipelineConfig:
         return out
 
 
-def _is_number(value) -> bool:
-    """Whether ``value`` is an int or a float; a bool or a string is not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite_number(value) -> bool:
+    """Whether ``value`` is an int or a finite float; a bool, a string, NaN
+    and an infinity are not."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
 
 
 def _check_number(key: str, value) -> None:
-    if not _is_number(value):
-        raise ValueError(f"{key} must be a number, got {value!r}")
+    if not _is_finite_number(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
 
 
 def _known_keys(cls, data: dict, what: str) -> dict:

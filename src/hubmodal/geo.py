@@ -5,7 +5,7 @@ small.  The detour of routing origin -> hub -> destination is summarized
 by the ratio (OH + HD) / OD of great-circle distances.  A population of
 surveyed hub users pins down how much detour real users accept; the 90th
 percentile of their ratios becomes the inclusion threshold with which
-``potential_trip_mask`` screens a whole MarketTable against many hubs.
+``screen_trips`` screens a whole MarketTable against many hubs.
 """
 
 from __future__ import annotations
@@ -95,7 +95,36 @@ def derive_threshold(records: Sequence[DetourRecord]) -> float:
     return ratios[idx - 1]
 
 
-def potential_trip_mask(
+class TripScreen:
+    """One detour screen of a MarketTable against many hubs: its verdicts
+    and the distances it judged them by.
+
+    ``keep`` is the (hubs, markets) mask of potential trips, markets in
+    table order.  ``pair`` gives each market's distinct OD pair, and
+    ``oh_km`` and ``hd_km`` are the (hubs, pairs) great-circle km from each
+    pair's origin to each hub and from each hub to the pair's destination,
+    for every cell, whatever its verdict.  ``prepare_hub`` prices its legs
+    from these distances, so a caller that wants other markets than the
+    screen kept replaces the mask (``with_keep``), never the distances.
+    """
+
+    __slots__ = ("keep", "pair", "oh_km", "hd_km")
+
+    def __init__(self, keep: np.ndarray, pair: np.ndarray, oh_km: np.ndarray, hd_km: np.ndarray):
+        self.keep, self.pair, self.oh_km, self.hd_km = keep, pair, oh_km, hd_km
+
+    def __getitem__(self, hubs) -> TripScreen:
+        """The screen of the hubs selected by ``hubs`` (a slice or an index
+        array) alone, in that order."""
+        return TripScreen(self.keep[hubs], self.pair, self.oh_km[hubs], self.hd_km[hubs])
+
+    def with_keep(self, keep: np.ndarray) -> TripScreen:
+        """This screen with ``keep``, a (hubs, markets) mask, in place of
+        its verdicts."""
+        return TripScreen(keep, self.pair, self.oh_km, self.hd_km)
+
+
+def screen_trips(
     table: MarketTable,
     hub_lat: Sequence[float],
     hub_lon: Sequence[float],
@@ -103,18 +132,17 @@ def potential_trip_mask(
     *,
     condition2_mode: str = "literal_hd_1km",
     condition2_km: float = 1.0,
-) -> np.ndarray:
-    """(hubs, markets) mask of the rows of ``table`` whose trips could
-    plausibly divert through each hub, markets in table order, which is
-    market-id order.  Each True row of the mask is one potential trip
-    market of that hub; ``prepare_hub`` takes the mask as it is.
+) -> TripScreen:
+    """Screen every row of ``table`` against every hub: which markets'
+    trips could plausibly divert through each hub, as a TripScreen whose
+    ``keep`` row of a hub marks that hub's potential trip markets.
 
     A market qualifies when OH + HD < threshold * OD, or under the short
     final-leg condition: HD < condition2_km ("literal_hd_1km" mode) or
     OH + HD < OD + condition2_km ("od_plus_1km" mode).  Markets with a
     degenerate OD pair are excluded, with one logged warning per call
     that counts them.  Each distinct OD pair is screened once and its
-    verdict copied to its markets, so the float temporaries scale with
+    verdict copied to its markets, so the float arrays scale with
     hubs x distinct pairs, not hubs x markets.
     """
     if not threshold >= 1.0:
@@ -134,11 +162,10 @@ def potential_trip_mask(
     if n_bad:
         logger.warning("excluded %d market(s) with degenerate OD pairs", n_bad)
 
-    detour = haversine_km(o_lat, o_lon, lat, lon)  # OH, then OH + HD
+    oh = haversine_km(o_lat, o_lon, lat, lon)
     hd = haversine_km(lat, lon, d_lat, d_lon)
-    short_final_leg = hd < condition2_km
-    detour += hd
+    detour = oh + hd
     keep = detour < threshold * od
-    keep |= short_final_leg if condition2_mode == "literal_hd_1km" else detour < od + condition2_km
+    keep |= hd < condition2_km if condition2_mode == "literal_hd_1km" else detour < od + condition2_km
     keep &= ~degenerate
-    return keep[:, pair]
+    return TripScreen(keep[:, pair], pair, oh, hd)

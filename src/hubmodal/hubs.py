@@ -1,7 +1,7 @@
 """Hub choice-set assembly: transfer combos, leg attributes, and the
 param-independent per-market arrays that calibration and impact metrics
 evaluate against.  ``prepare_hub`` builds them from a MarketTable and a
-(hubs, markets) potential-trip mask, the one form every stage uses.
+detour screen of it (``geo.TripScreen``), the one form every stage uses.
 
 Combos observed in an intercept survey define a hub's transfer choice
 set.  Leg times come from zone-to-hub matrices keyed by (zone, hub, leg
@@ -14,6 +14,7 @@ car cost, walking free.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,7 +34,7 @@ from .choice import (
     combo_sort_key,
     mode_utility,
 )
-from .geo import MILES_PER_KM, GeoPoint, haversine_km
+from .geo import MILES_PER_KM, GeoPoint, TripScreen
 
 _SEGMENT_CODE = {seg: i for i, seg in enumerate(SEGMENTS)}
 _MAIN_INDEX = {mode: i for i, mode in enumerate(MAIN_MODES)}
@@ -647,6 +648,33 @@ class MarketTable:
 
 
 @dataclass(frozen=True)
+class HubParams:
+    """Calibrated nest parameters: one nesting coefficient shared by all
+    hubs and one hub constant per population segment."""
+
+    beta_hub: float
+    asc_by_segment: Mapping[Segment, float]
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.beta_hub <= 1.0:
+            raise ValueError(f"invalid nesting coefficient: {self.beta_hub}")
+        missing = [s.value for s in SEGMENTS if s not in self.asc_by_segment]
+        if missing:
+            raise ValueError(f"missing segment constants: {missing}")
+        for seg in SEGMENTS:
+            if not math.isfinite(self.asc_by_segment[seg]):
+                raise ValueError(f"invalid attribute: non-finite constant for {seg.value}")
+
+    def as_vector(self) -> np.ndarray:
+        return np.array([self.beta_hub] + [self.asc_by_segment[s] for s in SEGMENTS], dtype=float)
+
+    @classmethod
+    def from_vector(cls, x) -> "HubParams":
+        x = np.asarray(x, dtype=float)
+        return cls(beta_hub=float(x[0]), asc_by_segment={s: float(x[1 + i]) for i, s in enumerate(SEGMENTS)})
+
+
+@dataclass(frozen=True)
 class HubShares:
     """Per-market choice probabilities for one hub at given parameters.
 
@@ -683,9 +711,11 @@ class HubChoiceSetup:
     hubs, and a hub's impact sums are sums over its own rows.
 
     Combo utilities are -inf where a leg is missing from the matrices.
-    ``vmt_miles`` and ``weight_miles`` (m, k, 2) are each combo's entry
-    and exit leg miles: network miles where the matrices carry them, else
-    great-circle miles, times the circuity factor in ``vmt_miles``.
+    ``vmt_miles`` (m, k, 2) holds each combo's entry and exit leg miles:
+    network miles where the matrices carry them, else great-circle miles
+    times the circuity factor.  ``entry_fraction`` (m, k) is the entry
+    leg's share of the combo's distance, with the great-circle miles
+    taken as they are, and 0.5 where both legs total 0 miles.
 
     The softmax terms that do not depend on the parameters (which markets
     have a reachable combo, the combo utilities shifted by their row
@@ -705,7 +735,7 @@ class HubChoiceSetup:
         combos: Sequence[ComboId],
         combo_util: np.ndarray,
         vmt_miles: np.ndarray,
-        weight_miles: np.ndarray,
+        entry_fraction: np.ndarray,
         beta_cost: np.ndarray,
         *,
         bounds: Sequence[int],
@@ -723,7 +753,7 @@ class HubChoiceSetup:
         self.combos = tuple(combos)
         self.combo_util = combo_util
         self.vmt_miles = vmt_miles
-        self.weight_miles = weight_miles
+        self.entry_fraction = entry_fraction
         self.beta_cost = beta_cost
         with np.errstate(invalid="ignore"):
             c_max = combo_util.max(axis=1, initial=-np.inf)
@@ -822,7 +852,7 @@ class HubChoiceSetup:
 def prepare_hub(
     table: MarketTable,
     hubs: Sequence[Hub],
-    keep: np.ndarray,
+    screen: TripScreen,
     matrices: LegMatrices,
     fares: FareTable,
     *,
@@ -833,14 +863,18 @@ def prepare_hub(
     """Build the evaluation arrays of one stacked setup for ``hubs``, which
     must share one choice set, over their potential markets.
 
-    ``keep`` is a (len(hubs), len(table)) boolean mask over the table rows,
-    as ``potential_trip_mask`` gives it; the rows are stacked hub by hub,
-    markets in table order.  ``zone_map`` is
+    ``screen`` is ``geo.screen_trips`` of ``table`` against ``hubs``, in
+    that order; its (len(hubs), len(table)) ``keep`` mask picks the rows,
+    stacked hub by hub, markets in table order, and its great-circle
+    distances price the legs that have no network miles.  ``zone_map`` is
     ``matrices.zone_codes(table.zone_ids)``, for callers that build many
     setups over one table.
     """
+    keep = screen.keep
     if keep.shape != (len(hubs), len(table)):
         raise ValueError(f"mask shape {keep.shape} is not (hubs, markets) = {(len(hubs), len(table))}")
+    if len(screen.oh_km) != len(hubs) or len(screen.pair) != len(table):
+        raise ValueError("the screen's distances are not of these hubs and markets")
     own, idx = np.nonzero(keep)
     combos = hubs[0].sorted_combos()
     if any(h.combos != hubs[0].combos for h in hubs):
@@ -848,10 +882,11 @@ def prepare_hub(
     m, k = len(idx), len(combos)
     taste = {name: col[idx] for name, col in table.taste.items()}
 
-    hub_lat = np.array([h.location.lat for h in hubs])[own]
-    hub_lon = np.array([h.location.lon for h in hubs])[own]
-    entry_gc = haversine_km(table.o_lat[idx], table.o_lon[idx], hub_lat, hub_lon) * MILES_PER_KM
-    exit_gc = haversine_km(hub_lat, hub_lon, table.d_lat[idx], table.d_lon[idx]) * MILES_PER_KM
+    # Great-circle miles of the entry (to-hub) and exit (from-hub) legs,
+    # from the screen's cells, and the same times the circuity factor.
+    pair = screen.pair[idx]
+    gcs = (screen.oh_km[own, pair] * MILES_PER_KM, screen.hd_km[own, pair] * MILES_PER_KM)
+    road = tuple(gc * circuity_factor for gc in gcs)
 
     # Zone codes of the rows' origins (to-hub legs) and destinations
     # (from-hub legs), and hub codes, in the matrices' own coding.
@@ -859,9 +894,9 @@ def prepare_hub(
         zone_map = matrices.zone_codes(table.zone_ids)
     hub_codes = matrices.hub_codes([h.id for h in hubs])[own]
     zones = (zone_map[table.o_zone_codes[idx]], zone_map[table.d_zone_codes[idx]])
-    gcs = (entry_gc, exit_gc)
     leg_util: dict[tuple[Mode, int], np.ndarray] = {}
-    leg_miles: dict[tuple[Mode, int], tuple[np.ndarray, np.ndarray]] = {}
+    leg_vmt: dict[tuple[Mode, int], np.ndarray] = {}
+    leg_weight: dict[tuple[Mode, int], np.ndarray] = {}
     leg_modes = (dict.fromkeys(c.entry for c in combos), dict.fromkeys(c.exit for c in combos))
     for direction, modes in enumerate(leg_modes):
         for mode, found in matrices.rows(zones[direction], hub_codes, modes).items():
@@ -870,8 +905,8 @@ def prepare_hub(
             minutes = np.where(avail, minutes, 0.0)
             # network miles, else great-circle: times the circuity factor for cost and VMT
             no_network = np.isnan(miles)
-            vmt_miles = np.where(no_network, gcs[direction] * circuity_factor, miles)
-            cost = leg_cost_usd(mode, minutes, vmt_miles, fares, car_cost_per_mile=car_cost_per_mile)
+            vmt = np.where(no_network, road[direction], miles)
+            cost = leg_cost_usd(mode, minutes, vmt, fares, car_cost_per_mile=car_cost_per_mile)
             u = mode_utility(
                 taste,
                 mode,
@@ -882,14 +917,21 @@ def prepare_hub(
                 cost_usd=cost,
             )
             leg_util[mode, direction] = np.where(avail, u, -np.inf)
-            leg_miles[mode, direction] = vmt_miles, np.where(no_network, gcs[direction], miles)
+            leg_vmt[mode, direction] = vmt
+            leg_weight[mode, direction] = np.where(no_network, gcs[direction], miles)
 
     combo_util = np.full((m, k), -np.inf)
-    miles = np.empty((2, m, k, 2))  # vmt, then weight
+    vmt_miles = np.empty((m, k, 2))
+    entry_fraction = np.empty((m, k))
     for j, combo in enumerate(combos):
         combo_util[:, j] = leg_util[combo.entry, 0] + leg_util[combo.exit, 1]
-        miles[:, :, j, 0] = leg_miles[combo.entry, 0]
-        miles[:, :, j, 1] = leg_miles[combo.exit, 1]
+        vmt_miles[:, j, 0] = leg_vmt[combo.entry, 0]
+        vmt_miles[:, j, 1] = leg_vmt[combo.exit, 1]
+        w_entry = leg_weight[combo.entry, 0]
+        total = w_entry + leg_weight[combo.exit, 1]
+        # legs that total 0 miles split evenly
+        with np.errstate(invalid="ignore", divide="ignore"):
+            entry_fraction[:, j] = np.where(total > 0.0, w_entry / total, 0.5)
 
     return HubChoiceSetup(
         hubs,
@@ -900,8 +942,8 @@ def prepare_hub(
         table.unimodal_utilities()[idx],
         combos,
         combo_util,
-        miles[0],
-        miles[1],
+        vmt_miles,
+        entry_fraction,
         taste["beta_cost"],
         bounds=np.searchsorted(own, np.arange(len(hubs) + 1)),
     )

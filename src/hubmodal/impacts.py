@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import HubParams
 from .choice import MAIN_MODES, Mode
-from .hubs import HubChoiceSetup, HubShares
+from .hubs import HubChoiceSetup, HubParams, HubShares
 
 logger = logging.getLogger(__name__)
 
@@ -89,10 +88,7 @@ def mode_shifts(setup: HubChoiceSetup, s: HubShares) -> list[ModeShiftResult]:
     d = setup.trips[:, None]
     parts = [(d * s.before).T, (d * s.upper).T, (setup.trips * s.hub)[None]]
     if setup.n_combos:
-        w = setup.weight_miles
-        total_w = w[:, :, 0] + w[:, :, 1]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            frac_entry = np.where(total_w > 0.0, w[:, :, 0] / total_w, 0.5)
+        frac_entry = setup.entry_fraction
         joint_trips = d * s.joint
         parts += [(joint_trips * frac_entry).T, (joint_trips * (1.0 - frac_entry)).T]
 

@@ -111,8 +111,20 @@ def fmt(value) -> str:
     return str(value)
 
 
+# Types JSON takes as they are, tested by exact type before the ABC and
+# numpy checks: most nodes of a report are one of these.
+_JSON_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
 def jsonable(obj):
     """Recursively coerce numpy scalars and arrays to JSON-native types."""
+    kind = type(obj)
+    if kind in _JSON_LEAVES:
+        return obj
+    if kind is dict:
+        return {k: jsonable(v) for k, v in obj.items()}
+    if kind is list or kind is tuple:
+        return [jsonable(v) for v in obj]
     if isinstance(obj, Mapping):
         return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

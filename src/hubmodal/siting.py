@@ -11,26 +11,22 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .config import PipelineConfig
-from .geo import GeoPoint, haversine_km, potential_trip_mask
+from .geo import GeoPoint, haversine_km, screen_trips
 from .hubs import (
     CAR_SHARE_PROFILE_COMBOS,
     STANDARD_PROFILE_COMBOS,
     FareTable,
     Hub,
+    HubParams,
     LegMatrices,
     MarketTable,
     prepare_hub,
 )
-
-# Scoring imports impacts (and calibration with it) when it runs, so
-# gen-fixture, which only clusters stops, loads neither.
-if TYPE_CHECKING:
-    from .calibration import HubParams
 
 logger = logging.getLogger(__name__)
 
@@ -213,21 +209,22 @@ def evaluate_candidates(
     """Score every candidate with the implemented-hub impact pipeline.
 
     One detour screen covers every market of ``table`` for every
-    candidate.  Candidates that share a service profile are stacked, in
-    candidate-id order, into setups of at most CHUNK_CELLS market x combo
-    cells, and each stack gets one share pass; each candidate's metrics
-    are sums over its own rows, so they equal ``prepare_hub`` +
-    ``assess_hubs`` on a setup of that candidate alone, bit for bit.
+    candidate, and its distances price every setup's legs.  Candidates
+    that share a service profile are stacked, in candidate-id order, into
+    setups of at most CHUNK_CELLS market x combo cells, and each stack
+    gets one share pass; each candidate's metrics are sums over its own
+    rows, so they equal ``prepare_hub`` + ``assess_hubs`` on a setup of
+    that candidate alone, bit for bit.
     Candidates with no potential trips get zero metrics and a flag.
     ``threads`` is accepted for compatibility; the passes run in the
     calling thread whatever its value, and no result depends on it.
     """
-    from .impacts import EmissionFactor, assess_hubs
+    from .impacts import EmissionFactor, assess_hubs  # loaded by scoring alone: gen-fixture only clusters stops
 
     cfg = config or PipelineConfig()
     ordered = sorted(candidates, key=lambda c: c.candidate_id)
     emissions = EmissionFactor(grams_co2_per_mile=cfg.grams_co2_per_mile, days_per_year=cfg.days_per_year)
-    keep = potential_trip_mask(
+    screen = screen_trips(
         table,
         [c.location.lat for c in ordered],
         [c.location.lon for c in ordered],
@@ -235,7 +232,7 @@ def evaluate_candidates(
         condition2_mode=cfg.condition2_mode,
         condition2_km=cfg.condition2_km,
     )
-    n_kept = keep.sum(axis=1)
+    n_kept = screen.keep.sum(axis=1)
     zone_map = matrices.zone_codes(table.zone_ids)
     hubs = [candidate_hub(c) for c in ordered]
     profiles: dict[frozenset, list[int]] = {}
@@ -249,7 +246,7 @@ def evaluate_candidates(
             setup = prepare_hub(
                 table,
                 [hubs[i] for i in chunk],
-                keep[chunk],
+                screen[chunk],
                 matrices,
                 fares,
                 zone_map=zone_map,

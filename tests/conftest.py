@@ -28,8 +28,9 @@ from hubmodal import (
     ParseError,
     Segment,
     TasteVector,
-    potential_trip_mask,
+    TripScreen,
     prepare_hub,
+    screen_trips,
 )
 from hubmodal.hubs import LEG_MODE_ORDER
 
@@ -112,17 +113,23 @@ def assert_same_markets(table: MarketTable, expected: MarketTable) -> None:
     assert zones(table) == zones(expected)
 
 
+def every_market(table: MarketTable, hubs) -> TripScreen:
+    """A screen of ``table`` against ``hubs`` that keeps every market."""
+    screen = screen_trips(table, [h.location.lat for h in hubs], [h.location.lon for h in hubs], 1.0)
+    return screen.with_keep(np.ones((len(hubs), len(table)), dtype=bool))
+
+
 def one_hub_setup(markets, hub: Hub, matrices: LegMatrices, fares: FareTable, **kwargs):
     """``prepare_hub`` for ``hub`` over every one of ``markets``."""
     table = MarketTable.from_markets(markets)
-    return prepare_hub(table, [hub], np.ones((1, len(table)), dtype=bool), matrices, fares, **kwargs)
+    return prepare_hub(table, [hub], every_market(table, [hub]), matrices, fares, **kwargs)
 
 
 def kept_ids(markets, hub: GeoPoint, threshold: float, **kwargs) -> list[str]:
-    """Ids of the ``markets`` that ``potential_trip_mask`` keeps for a hub
+    """Ids of the ``markets`` that ``screen_trips`` keeps for a hub
     at ``hub``, in market-id order."""
     table = MarketTable.from_markets(markets)
-    (keep,) = potential_trip_mask(table, [hub.lat], [hub.lon], threshold, **kwargs)
+    (keep,) = screen_trips(table, [hub.lat], [hub.lon], threshold, **kwargs).keep
     return [table.ids[i] for i in np.flatnonzero(keep).tolist()]
 
 

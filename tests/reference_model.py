@@ -22,10 +22,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from hubmodal.calibration import HubParams
 from hubmodal.choice import ComboId, Market, Mode, ModeAttr, Segment, TasteVector, combo_sort_key, mode_utility
 from hubmodal.geo import CONDITION2_MODES, EARTH_RADIUS_KM, MILES_PER_KM, GeoPoint, haversine_km
-from hubmodal.hubs import _LEG_MODE_CODE, LEG_MODE_ORDER, FareTable, Hub, LegMatrices, LegTimes, MarketTable, leg_cost_usd
+from hubmodal.hubs import _LEG_MODE_CODE, LEG_MODE_ORDER, FareTable, Hub, HubParams, LegMatrices, LegTimes, MarketTable, leg_cost_usd
 from hubmodal.siting import Candidate, StopRecord, _UnionFind
 
 

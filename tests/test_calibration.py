@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import test_acceptance as acceptance
-from conftest import full_matrices, make_hub, make_market, make_params, one_hub_setup, simple_fares
+from conftest import every_market, full_matrices, make_hub, make_market, make_params, one_hub_setup, simple_fares
 
 from hubmodal import (
     ComboId,
@@ -138,10 +138,9 @@ def test_predict_monotone_in_segment_constant():
 
 def test_predict_rejects_empty_setup():
     setup = _setup_for(Segment.SENIOR)
-    empty = prepare_hub(
-        MarketTable.from_markets([make_market(od_id="far", segment=Segment.SENIOR)]),
-        setup.hubs, np.zeros((1, 1), dtype=bool), full_matrices({}, "h1"), simple_fares(),
-    )
+    table = MarketTable.from_markets([make_market(od_id="far", segment=Segment.SENIOR)])
+    screen = every_market(table, setup.hubs).with_keep(np.zeros((1, 1), dtype=bool))
+    empty = prepare_hub(table, setup.hubs, screen, full_matrices({}, "h1"), simple_fares())
     with pytest.raises(ValueError, match="no potential trips"):
         predict_hub_proportion(empty, make_params())
 
@@ -249,9 +248,9 @@ def _h1_h2_setups():
         for mode in (Mode.CAR, Mode.WALK_LEG, Mode.BUS):
             matrices.add(z, "h2", mode, LegTimes(minutes=12.0, miles=2.0), LegTimes(minutes=12.0, miles=2.0))
     table = MarketTable.from_markets(markets)
-    keep = np.array([[mid.startswith(hub.id) for mid in table.ids] for hub in hubs])
-    stacked = prepare_hub(table, hubs, keep, matrices, simple_fares())
-    h1, h2 = (prepare_hub(table, [hub], keep[h : h + 1], matrices, simple_fares()) for h, hub in enumerate(hubs))
+    screen = every_market(table, hubs).with_keep(np.array([[mid.startswith(hub.id) for mid in table.ids] for hub in hubs]))
+    stacked = prepare_hub(table, hubs, screen, matrices, simple_fares())
+    h1, h2 = (prepare_hub(table, [hub], screen[h : h + 1], matrices, simple_fares()) for h, hub in enumerate(hubs))
     return stacked, h1, h2
 
 
@@ -366,7 +365,7 @@ def test_nest_share_gradient_with_unavailable_combos():
     util[1, :] = -np.inf  # no combo at all: empty nest, zero share and gradient
     setup = HubChoiceSetup(
         base.hubs, base.rows, base.segment_codes, base.trips, base.drive_miles, base.uni_util,
-        base.combos, util, base.vmt_miles, base.weight_miles, base.beta_cost, bounds=(0, base.n_markets),
+        base.combos, util, base.vmt_miles, base.entry_fraction, base.beta_cost, bounds=(0, base.n_markets),
     )
     with np.errstate(invalid="raise", divide="raise"):
         grad = _assert_gradient_matches(setup, make_params(beta=0.4, asc=-3.0))

@@ -30,7 +30,7 @@ from hubmodal import (
     detour_ratio,
     great_circle_km,
     haversine_km,
-    potential_trip_mask,
+    screen_trips,
 )
 from hubmodal.hubs import ATTR_FIELDS
 
@@ -310,7 +310,7 @@ def test_screen_of_distinct_pairs_gives_the_mask_of_every_market(rng, caplog, mo
         args = (table, [h.lat for h in hubs], [h.lon for h in hubs], float(rng.uniform(1.0, 2.0)))
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="hubmodal.geo"):
-            got = potential_trip_mask(*args, condition2_mode=mode)
+            got = screen_trips(*args, condition2_mode=mode).keep
         expected, n_bad = trip_mask(*args, condition2_mode=mode)
         assert got.dtype == bool and got.shape == expected.shape
         assert got.tolist() == expected.tolist()
@@ -323,7 +323,7 @@ def test_degenerate_warning_counts_the_markets_of_a_shared_pair(caplog):
     table = _pair_table([42.65, 42.60], [-73.76, -73.90], [42.65, 42.70], [-73.76, -73.70])
     assert len(table) == 2 * len(SEGMENTS)
     with caplog.at_level(logging.WARNING, logger="hubmodal.geo"):
-        (keep,) = potential_trip_mask(table, [42.67], [-73.73], 5.0)
+        (keep,) = screen_trips(table, [42.67], [-73.73], 5.0).keep
     assert [r.getMessage() for r in caplog.records] == [f"excluded {len(SEGMENTS)} market(s) with degenerate OD pairs"]
     assert [table.ids[i] for i in np.flatnonzero(keep)] == [f"od00001|{seg.value}" for seg in sorted(SEGMENTS, key=lambda s: s.value)]
 
@@ -337,7 +337,7 @@ def test_screen_peak_memory_is_bounded_per_distinct_pair():
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        keep = potential_trip_mask(table, hub_lat, hub_lon, 1.3)
+        keep = screen_trips(table, hub_lat, hub_lon, 1.3).keep
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

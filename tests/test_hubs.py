@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    every_market,
     full_matrices,
     make_hub,
     make_market,
@@ -303,7 +304,7 @@ def test_setup_evaluations_carry_no_state_between_parameter_sets():
 def test_prepare_hub_stacks_rows_in_market_id_order():
     markets, hub, matrices, _ = _small_setup()
     table = MarketTable.from_markets(reversed(markets))
-    setup = prepare_hub(table, [hub], np.ones((1, len(table)), dtype=bool), matrices, simple_fares())
+    setup = prepare_hub(table, [hub], every_market(table, [hub]), matrices, simple_fares())
     assert (np.diff(setup.rows) > 0).all()
     assert [table.ids[i] for i in setup.rows.tolist()] == sorted(m.market_id for m in markets)
 
@@ -312,8 +313,18 @@ def test_prepare_hub_stacks_rows_in_market_id_order():
 def test_prepare_hub_rejects_a_mask_of_another_shape(shape):
     markets, hub, matrices, _ = _small_setup(4)
     table = MarketTable.from_markets(markets)
+    screen = every_market(table, [hub]).with_keep(np.ones(shape, dtype=bool))
     with pytest.raises(ValueError, match=rf"{re.escape(str(shape))}.*\(1, 4\)"):
-        prepare_hub(table, [hub], np.ones(shape, dtype=bool), matrices, simple_fares())
+        prepare_hub(table, [hub], screen, matrices, simple_fares())
+
+
+def test_prepare_hub_rejects_the_distances_of_other_hubs():
+    markets, hub, matrices, _ = _small_setup(4)
+    table = MarketTable.from_markets(markets)
+    two = every_market(table, [hub, hub])
+    with pytest.raises(ValueError, match="distances are not of these hubs"):
+        prepare_hub(table, [hub], two.with_keep(two.keep[:1]), matrices, simple_fares())
+    assert prepare_hub(table, [hub], two[1:], matrices, simple_fares()).n_markets == 4
 
 
 def test_prepare_hub_marks_missing_legs_unavailable():
@@ -388,25 +399,38 @@ def test_prepare_hub_prices_car_share_leg_at_the_hourly_rate():
     np.testing.assert_allclose(got, [2.50, 7.50, 1.00], rtol=1e-12)
 
 
-def test_weight_and_vmt_miles_fallbacks():
-    markets, hub, _, _ = _small_setup(1)
-    m0 = markets[0]
-    matrices = LegMatrices()
-    matrices.add(m0.o_zone, "h1", Mode.WALK_LEG, LegTimes(minutes=9.0, miles=None), LegTimes(minutes=9.0))
-    matrices.add(m0.d_zone, "h1", Mode.BUS, LegTimes(minutes=14.0, miles=3.1), LegTimes(minutes=14.0, miles=3.1))
+def test_entry_fraction_and_vmt_miles_fallbacks():
     from hubmodal import MILES_PER_KM, great_circle_km
 
-    setup = one_hub_setup([m0], hub, matrices, simple_fares())
-    j = setup.combos.index(ComboId(Mode.WALK_LEG, Mode.BUS))
-    weight, vmt = setup.weight_miles, setup.vmt_miles
-    entry_gc_miles = great_circle_km(m0.origin, hub.location) * MILES_PER_KM
-    # entry leg has no network miles: weighting uses raw great-circle,
-    # VMT applies the circuity factor on top
-    assert weight[0, j, 0] == pytest.approx(entry_gc_miles)
-    assert vmt[0, j, 0] == pytest.approx(entry_gc_miles * 1.3)
-    # exit leg has network miles: both use them as-is
-    assert weight[0, j, 1] == 3.1
-    assert vmt[0, j, 1] == 3.1
+    walk_bus, walk_walk = ComboId(Mode.WALK_LEG, Mode.BUS), ComboId(Mode.WALK_LEG, Mode.WALK_LEG)
+    bus_bus, bus_walk = ComboId(Mode.BUS, Mode.BUS), ComboId(Mode.BUS, Mode.WALK_LEG)
+    hub = make_hub(combos=(walk_bus, walk_walk, bus_bus, bus_walk))
+    # the second market starts at the hub: its walk leg's great circle is 0 miles
+    m0 = make_market(od_id="od0")
+    m1 = make_market(od_id="od1", o=(hub.location.lat, hub.location.lon))
+    matrices = LegMatrices()
+    for m in (m0, m1):
+        matrices.add(m.o_zone, "h1", Mode.WALK_LEG, LegTimes(minutes=9.0), None)  # no network miles
+        matrices.add(m.o_zone, "h1", Mode.BUS, LegTimes(minutes=14.0, miles=0.0), None)
+        matrices.add(m.d_zone, "h1", Mode.BUS, None, LegTimes(minutes=14.0, miles=3.1))
+        matrices.add(m.d_zone, "h1", Mode.WALK_LEG, None, LegTimes(minutes=5.0, miles=0.0))
+    setup = one_hub_setup([m0, m1], hub, matrices, simple_fares())
+    j = {combo: setup.combos.index(combo) for combo in (walk_bus, walk_walk, bus_bus, bus_walk)}
+    frac, vmt = setup.entry_fraction, setup.vmt_miles
+    assert frac.shape == (2, 4) and vmt.shape == (2, 4, 2)
+    gc = great_circle_km(m0.origin, hub.location) * MILES_PER_KM
+    # an entry leg with no network miles weighs its raw great circle, and
+    # its VMT applies the circuity factor on top
+    assert frac[0, j[walk_bus]] == gc / (gc + 3.1)
+    assert vmt[0, j[walk_bus]].tolist() == [gc * 1.3, 3.1]
+    # legs with network miles use them as they are, 0 miles included
+    assert frac[0, j[bus_bus]] == 0.0
+    assert vmt[0, j[bus_bus]].tolist() == [0.0, 3.1]
+    assert frac[0, j[walk_walk]] == 1.0
+    # legs that total 0 miles split evenly, in network miles or in great circle
+    assert frac[:, j[bus_walk]].tolist() == [0.5, 0.5]
+    assert vmt[1, j[walk_walk]].tolist() == [0.0, 0.0]
+    assert frac[1, j[walk_walk]] == 0.5
 
 
 def test_choice_shares_before_is_plain_mnl():

@@ -167,6 +167,12 @@ def test_bare_package_import_loads_no_submodule(tmp_path):
     assert out.strip() == "[]"
 
 
+def test_hub_params_resolve_without_the_calibration_module(tmp_path):
+    # the params a --params stage reads live beside the kernels that read them
+    code = f"import sys, types, hubmodal; hubmodal.HubParams; print({HUBMODAL_LOADED})"
+    assert _fresh_python(code, tmp_path).strip() == str(["choice", "geo", "hubs"])
+
+
 GEN_FIXTURE = ["gen-fixture", "--seed", "3", "--od-pairs", "12", "--stops", "6"]
 FX = ["--manifest", "fx/manifest.json"]
 PARAMS = ["--params", "params.json"]
@@ -176,8 +182,8 @@ STAGES = {
     "derive-threshold": (["derive-threshold", *FX], COMMON),
     "identify-trips": (["identify-trips", *FX], COMMON),
     "calibrate": (["calibrate", *FX], [*COMMON, "calibration"]),
-    "assess --params": (["assess", *FX, *PARAMS], [*COMMON, "calibration", "impacts"]),
-    "rank --params": (["rank", *FX, *PARAMS], [*COMMON, "calibration", "impacts", "siting"]),
+    "assess --params": (["assess", *FX, *PARAMS], [*COMMON, "impacts"]),
+    "rank --params": (["rank", *FX, *PARAMS], [*COMMON, "impacts", "siting"]),
     "gen-fixture": (GEN_FIXTURE, [*COMMON, "siting", "fixtures"]),
 }
 

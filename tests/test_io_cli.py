@@ -1002,6 +1002,32 @@ def test_config_value_of_the_wrong_json_type_names_its_key(data, key):
         PipelineConfig.from_dict(data)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "template, key",
+    [
+        ('{"condition2_km": %s}', "condition2_km"),
+        ('{"grams_co2_per_mile": %s}', "grams_co2_per_mile"),
+        ('{"days_per_year": %s}', "days_per_year"),
+        ('{"circuity_factor": %s}', "circuity_factor"),
+        ('{"car_cost_per_mile": %s}', "car_cost_per_mile"),
+        ('{"threshold_override": %s}', "threshold_override"),
+        ('{"optimizer": {"init_beta": %s}}', "optimizer.init_beta"),
+        ('{"optimizer": {"init_asc": %s}}', "optimizer.init_asc"),
+        ('{"optimizer": {"beta_bounds": [0.01, %s]}}', "optimizer.beta_bounds"),
+        ('{"optimizer": {"asc_bounds": [%s, 0]}}', "optimizer.asc_bounds"),
+        # several at once: the first key checked is named
+        ('{"circuity_factor": %s, "days_per_year": Infinity, "condition2_km": NaN}', "condition2_km"),
+    ],
+)
+def test_config_non_finite_json_number_names_its_key(tmp_path, template, key, literal):
+    # Python's json parses these literals, so the config check must catch them
+    path = tmp_path / "config.json"
+    path.write_text(template % literal, encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be (a|\[low, high\]) finite number"):
+        PipelineConfig.from_json(path)
+
+
 def test_config_takes_json_integers_for_numbers_as_given():
     data = {"circuity_factor": 2, "threshold_override": 2, "optimizer": {"init_beta": 1, "init_asc": -4, "max_iter": 5}}
     cfg = PipelineConfig.from_dict(data)
@@ -1056,13 +1082,13 @@ def test_each_stage_screens_the_observed_hubs_once(fixture_dir, tmp_path, monkey
     import hubmodal.cli as cli
 
     screens = []
-    real = cli.potential_trip_mask
+    real = cli.screen_trips
 
     def counting(table, hub_lat, *args, **kwargs):
         screens.append(len(hub_lat))
         return real(table, hub_lat, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "potential_trip_mask", counting)
+    monkeypatch.setattr(cli, "screen_trips", counting)
     manifest = str(fixture_dir / "manifest.json")
     for stage in ("identify-trips", "calibrate", "assess"):
         screens.clear()

@@ -24,6 +24,7 @@ from hubmodal import (
     Candidate,
     CandidateMetrics,
     GeoPoint,
+    MILES_PER_KM,
     HubChoiceSetup,
     LegMatrices,
     MarketTable,
@@ -36,9 +37,10 @@ from hubmodal import (
     cluster_stops,
     evaluate_candidates,
     great_circle_km,
-    potential_trip_mask,
+    haversine_km,
     prepare_hub,
     rank_and_summarize,
+    screen_trips,
 )
 from hubmodal.hubs import LEG_MODE_ORDER
 
@@ -262,8 +264,8 @@ def test_evaluate_matches_single_hub_pipeline():
     assert m is not None and not m.no_potential_trips
 
     hub = candidate_hub(cand)
-    keep = potential_trip_mask(table, [cand.location.lat], [cand.location.lon], 1.6)
-    setup = prepare_hub(table, [hub], keep, matrices, simple_fares())
+    screen = screen_trips(table, [cand.location.lat], [cand.location.lon], 1.6)
+    setup = prepare_hub(table, [hub], screen, matrices, simple_fares())
     (report,) = assess_hubs(setup, params)
     assert m.potential_demand == pytest.approx(report.potential_demand)
     assert m.transit_delta == pytest.approx(report.transit_delta, abs=1e-12)
@@ -302,7 +304,9 @@ def _mixed_case(rng):
     leg rows and single directions are missing, some legs carry no miles,
     one origin zone is absent from the matrices, one candidate is absent
     from them, one reaches no market, and one market has a degenerate OD
-    pair."""
+    pair.  Most OD pairs have one segment market; five have 2 to 4, which
+    share the pair's screen cell, and two distinct pairs share an origin
+    but not a destination."""
     markets = [
         make_market(
             od_id=f"od{i}",
@@ -314,6 +318,25 @@ def _mixed_case(rng):
             taste=random_taste(rng),
         )
         for i, (p, q) in enumerate((random_point(rng, 0.05), random_point(rng, 0.05)) for _ in range(40))
+    ]
+    for i, n_segments in enumerate((2, 3, 4, 2, 4)):
+        p, q = random_point(rng, 0.05), random_point(rng, 0.05)
+        markets += [
+            make_market(
+                od_id=f"multi{i}",
+                segment=segment,
+                o=(p.lat, p.lon),
+                d=(q.lat, q.lon),
+                trips=float(rng.uniform(1.0, 30.0)),
+                miles=float(rng.uniform(1.0, 12.0)),
+                taste=random_taste(rng),
+            )
+            for segment in list(Segment)[:n_segments]
+        ]
+    fork = random_point(rng, 0.05)
+    markets += [
+        make_market(od_id=f"fork-{end}", o=(fork.lat, fork.lon), d=(q.lat, q.lon), taste=random_taste(rng))
+        for end, q in (("a", random_point(rng, 0.05)), ("b", random_point(rng, 0.05)))
     ]
     markets.append(make_market(od_id="loop", o=(42.66, -73.74), d=(42.66, -73.74)))
     cands = [
@@ -345,11 +368,11 @@ def test_evaluate_equals_each_candidate_alone_bit_for_bit(rng, monkeypatch):
     table = MarketTable.from_markets(markets)
     expected = {}
     for cand in cands:
-        keep = potential_trip_mask(table, [cand.location.lat], [cand.location.lon], threshold)
-        if not keep.any():
+        screen = screen_trips(table, [cand.location.lat], [cand.location.lon], threshold)
+        if not screen.keep.any():
             expected[cand.candidate_id] = CandidateMetrics(0.0, 0.0, 0.0, 0.0, no_potential_trips=True)
             continue
-        setup = prepare_hub(table, [candidate_hub(cand)], keep, matrices, fares)
+        setup = prepare_hub(table, [candidate_hub(cand)], screen, matrices, fares)
         (report,) = assess_hubs(setup, params)
         # a hub's sums are numpy's own sums over its rows
         assert report.multimodal_total == float((setup.trips * setup.choice_shares(params).hub).sum())
@@ -364,6 +387,30 @@ def test_evaluate_equals_each_candidate_alone_bit_for_bit(rng, monkeypatch):
         got = evaluate_candidates(list(reversed(cands)), table, params, threshold, matrices, fares)
         assert [c.candidate_id for c in got] == sorted(expected)
         assert {c.candidate_id: c.metrics for c in got} == expected  # ==, not approx
+
+
+def test_stacked_setup_prices_each_row_from_its_own_screen_cell(rng):
+    """With no network miles, every leg's VMT miles are the great circle
+    the screen took for that row's (hub, OD pair) cell, times the
+    circuity factor: the per-row haversine of the row's own coordinates,
+    bit for bit, for markets that share a pair or an origin too."""
+    markets, cands, store = _mixed_case(rng)
+    legs = store.legs.copy()
+    legs[:, :, 4] = np.nan
+    matrices = LegMatrices(store.zone_ids, store.hub_ids, store.zone, store.hub, store.mode, legs)
+    table = MarketTable.from_markets(markets)
+    hubs = [candidate_hub(c) for c in cands if not c.car_share_available and c.candidate_id != "c-far"]
+    lat, lon = np.array([h.location.lat for h in hubs]), np.array([h.location.lon for h in hubs])
+    screen = screen_trips(table, lat, lon, 1.4)
+    setup = prepare_hub(table, hubs, screen, matrices, simple_fares(), circuity_factor=1.3)
+    own = np.repeat(np.arange(len(hubs)), [b - a for a, b in setup.spans])
+    rows = setup.rows
+    assert len(set(np.array(table.od_ids)[rows].tolist())) < len(rows)  # pairs of several markets are kept
+    to_hub = haversine_km(table.o_lat[rows], table.o_lon[rows], lat[own], lon[own]) * MILES_PER_KM * 1.3
+    from_hub = haversine_km(lat[own], lon[own], table.d_lat[rows], table.d_lon[rows]) * MILES_PER_KM * 1.3
+    k = setup.n_combos
+    assert setup.vmt_miles[:, :, 0].tolist() == np.repeat(to_hub[:, None], k, axis=1).tolist()
+    assert setup.vmt_miles[:, :, 1].tolist() == np.repeat(from_hub[:, None], k, axis=1).tolist()
 
 
 def test_evaluate_runs_one_share_pass_per_chunk(rng, monkeypatch):
