@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,6 +30,7 @@ import numpy as np
 from .choice import SEGMENTS, Mode
 from .config import OptimizerSettings
 from .hubs import HubChoiceSetup, HubParams
+from .records import record
 
 N_PARAMS = 1 + len(SEGMENTS)
 PARAM_NAMES: tuple[str, ...] = ("beta_hub", *(f"asc_by_segment.{s.value}" for s in SEGMENTS))
@@ -49,7 +49,7 @@ INITIAL_DAMPING = 1.0
 FIT_REL_TOL = 0.01
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ObservedUsage:
     """Observed usage of one hub, normalized to trips/day and to a
     proportion of potential demand."""
@@ -163,7 +163,7 @@ def _proportion_and_gradient(setup: HubChoiceSetup, params: HubParams) -> tuple[
     return float((setup.trips * share).sum() / total), setup.trips @ grad / total
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HubFit:
     hub_id: str
     observed: float
@@ -177,7 +177,7 @@ class HubFit:
         return (self.predicted - self.observed) / self.observed
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CalibrationResult:
     """A fitted parameter vector and what the observations say about it.
 
@@ -362,7 +362,7 @@ def percent_difference(predicted: float, observed: float) -> float | None:
     return 100.0 * (predicted - observed) / observed
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LegCountRow:
     """Predicted vs observed daily bus boardings in one direction."""
 

@@ -28,11 +28,11 @@ markets with max-subtraction, stable for utilities anywhere in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple
 
 from .geo import GeoPoint
+from .records import record
 
 
 class Segment(str, Enum):
@@ -110,7 +110,7 @@ TASTE_FIELDS: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TasteVector:
     """Per-market utility coefficients.
 
@@ -140,7 +140,7 @@ class TasteVector:
                 raise ValueError(f"invalid attribute: non-finite {name}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModeAttr:
     """Level-of-service attributes of one mode for one market."""
 
@@ -166,7 +166,7 @@ def combo_sort_key(combo: ComboId) -> tuple[str, str]:
     return (combo.entry.value, combo.exit.value)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Market:
     """One (segment, OD pair) demand cell.
 

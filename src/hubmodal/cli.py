@@ -51,10 +51,10 @@ def _lazy(name: str) -> ModuleType:
 
 
 # Every stage loads the modules above.  These four run only in some
-# stages, which alone pay for compiling them and building their
-# dataclasses: calibration in the stages that fit (calibrate, and
-# assess and rank without --params); impacts in assess and rank; siting
-# in rank and gen-fixture; fixtures in gen-fixture.
+# stages, which alone pay for compiling and running them: calibration in
+# the stages that fit (calibrate, and assess and rank without --params);
+# impacts in assess and rank; siting in rank and gen-fixture; fixtures in
+# gen-fixture.
 calibration = _lazy("calibration")
 impacts = _lazy("impacts")
 siting = _lazy("siting")
@@ -241,9 +241,13 @@ def _read_params(path: str | Path) -> HubParams:
     data = io.read_json(path, "params file")
     node = data.get("params", data)
     try:
+        beta_hub = io.check_number("beta_hub", node["beta_hub"])
+        asc = node["asc_by_segment"]
+        if not isinstance(asc, dict):
+            raise ValueError(f"asc_by_segment must be an object of segment constants, got {asc!r}")
         return HubParams(
-            beta_hub=float(node["beta_hub"]),
-            asc_by_segment={Segment(k): float(v) for k, v in node["asc_by_segment"].items()},
+            beta_hub=beta_hub,
+            asc_by_segment={Segment(k): io.check_number(f"asc_by_segment.{k}", v) for k, v in asc.items()},
         )
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{path}: malformed params: {err}") from None

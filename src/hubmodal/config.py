@@ -1,22 +1,22 @@
 """Run configuration and input manifest.
 
-Both are plain dataclasses loadable from JSON.  Unknown keys are errors,
-so typos in a config file fail loudly instead of silently running with
-defaults.
+Both are record classes (``records.record``) loadable from JSON.
+Unknown keys are errors, so typos in a config file fail loudly instead
+of silently running with defaults.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import field, fields
 from pathlib import Path
 
 from .geo import CONDITION2_MODES
-from .io import read_json
+from .io import check_number, is_finite_number, read_json
+from .records import record
 
 
-@dataclass
+@record
 class OptimizerSettings:
     """Calibration optimizer knobs.
 
@@ -36,10 +36,10 @@ class OptimizerSettings:
     def __post_init__(self) -> None:
         for name in ("beta_bounds", "asc_bounds"):
             bounds = getattr(self, name)
-            if not isinstance(bounds, (list, tuple)) or not all(map(_is_finite_number, bounds)):
+            if not isinstance(bounds, (list, tuple)) or not all(map(is_finite_number, bounds)):
                 raise ValueError(f"optimizer.{name} must be [low, high] finite numbers, got {bounds!r}")
         for name in ("init_beta", "init_asc"):
-            _check_number(f"optimizer.{name}", getattr(self, name))
+            check_number(f"optimizer.{name}", getattr(self, name))
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int):
             raise ValueError(f"optimizer.max_iter must be an integer, got {self.max_iter!r}")
         self.beta_bounds, self.asc_bounds = beta, asc = tuple(self.beta_bounds), tuple(self.asc_bounds)  # JSON gives lists
@@ -52,7 +52,7 @@ class OptimizerSettings:
             raise ValueError("max_iter must be >= 1")
 
 
-@dataclass
+@record
 class PipelineConfig:
     """Cross-cutting run options with documented defaults."""
 
@@ -74,9 +74,9 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         for name in ("condition2_km", "grams_co2_per_mile", "days_per_year", "circuity_factor", "car_cost_per_mile"):
-            _check_number(name, getattr(self, name))
+            check_number(name, getattr(self, name))
         if self.threshold_override is not None:
-            _check_number("threshold_override", self.threshold_override)
+            check_number("threshold_override", self.threshold_override)
         if not isinstance(self.include_on_demand_auto_vmt, bool):
             raise ValueError(f"include_on_demand_auto_vmt must be true or false, got {self.include_on_demand_auto_vmt!r}")
         if self.condition2_mode not in CONDITION2_MODES:
@@ -110,19 +110,6 @@ class PipelineConfig:
         return out
 
 
-def _is_finite_number(value) -> bool:
-    """Whether ``value`` is an int or a finite float; a bool, a string, NaN
-    and an infinity are not."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
-
-
-def _check_number(key: str, value) -> None:
-    if not _is_finite_number(value):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-
-
 def _known_keys(cls, data: dict, what: str) -> dict:
     """``data``, when each of its keys is a field of ``cls``."""
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
@@ -131,7 +118,7 @@ def _known_keys(cls, data: dict, what: str) -> dict:
     return data
 
 
-@dataclass
+@record
 class Manifest:
     """Named input file paths, resolved relative to the manifest file."""
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+from .records import record
 
 if TYPE_CHECKING:
     from .hubs import MarketTable
@@ -29,7 +30,7 @@ MILES_PER_KM = 1.0 / 1.609344
 CONDITION2_MODES = ("literal_hd_1km", "od_plus_1km")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GeoPoint:
     """A WGS84 coordinate pair in decimal degrees."""
 
@@ -43,7 +44,7 @@ class GeoPoint:
             raise ValueError(f"invalid coordinate: ({self.lat}, {self.lon})")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DetourRecord:
     """Distances and detour ratio for one surveyed hub trip."""
 

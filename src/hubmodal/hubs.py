@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -35,6 +34,7 @@ from .choice import (
     mode_utility,
 )
 from .geo import MILES_PER_KM, GeoPoint, TripScreen
+from .records import record
 
 _SEGMENT_CODE = {seg: i for i, seg in enumerate(SEGMENTS)}
 _MAIN_INDEX = {mode: i for i, mode in enumerate(MAIN_MODES)}
@@ -77,7 +77,7 @@ STANDARD_PROFILE_COMBOS: tuple[ComboId, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Hub:
     """A mobility hub: location, offered services, and transfer choice set."""
 
@@ -99,7 +99,7 @@ class Hub:
         return tuple(sorted(self.combos, key=combo_sort_key))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SurveyRecord:
     """One intercept-survey response at a hub."""
 
@@ -143,7 +143,7 @@ def build_combos(
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FareTable:
     """Service fares.  bike_share_steps maps ride minutes to a fare via a
     step function: the first step whose up_to_min bound covers the duration
@@ -177,7 +177,7 @@ class FareTable:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LegTimes:
     """Travel attributes of one leg direction.  Non-bus legs only use
     minutes; miles is the optional network distance."""
@@ -647,7 +647,7 @@ class MarketTable:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HubParams:
     """Calibrated nest parameters: one nesting coefficient shared by all
     hubs and one hub constant per population segment."""
@@ -674,7 +674,7 @@ class HubParams:
         return cls(beta_hub=float(x[0]), asc_by_segment={s: float(x[1 + i]) for i, s in enumerate(SEGMENTS)})
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HubShares:
     """Per-market choice probabilities for one hub at given parameters.
 

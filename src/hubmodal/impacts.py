@@ -20,19 +20,19 @@ Emission factors turn VMT reductions into CO2 at a flat grams/mile rate.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from .choice import MAIN_MODES, Mode
 from .hubs import HubChoiceSetup, HubParams, HubShares
+from .records import record
 
 logger = logging.getLogger(__name__)
 
 _MODE_COL = {mode: j for j, mode in enumerate(MAIN_MODES)}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EmissionFactor:
     """Flat CO2 emission factor and annualization constants."""
 
@@ -65,7 +65,7 @@ def _hub_sums(setup: HubChoiceSetup, *parts: np.ndarray) -> list[list[float]]:
     return [block[:, a:b].sum(axis=1).tolist() for a, b in setup.spans]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModeShiftResult:
     """Daily trips by mode before and after the hub."""
 
@@ -118,7 +118,7 @@ def transit_delta(shift: ModeShiftResult) -> float:
     return bus_legs + shift.after_unimodal[Mode.TRANSIT] - shift.before[Mode.TRANSIT]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VmtResult:
     """Vehicle miles traveled per day by category, before and after."""
 
@@ -207,7 +207,7 @@ def vmt_deltas(
     return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConsumerSurplusResult:
     """Daily consumer surplus gain from adding the hub."""
 
@@ -239,7 +239,7 @@ def consumer_surpluses(setup: HubChoiceSetup, s: HubShares) -> list[ConsumerSurp
     return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ImpactReport:
     """Full impact assessment of one hub."""
 

@@ -69,7 +69,6 @@ import json
 import math
 import os
 from collections import defaultdict
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -79,6 +78,7 @@ from .choice import SEGMENTS, TASTE_FIELDS, Segment
 from .geo import GeoPoint
 from .hubs import ATTR_FIELDS, LEG_MODE_ORDER, MARKET_MODE_COLUMNS, VALUE_BOUND, FareTable, LegMatrices, SurveyRecord
 from .hubs import MarketError, MarketTable
+from .records import record
 
 if TYPE_CHECKING:  # siting runs only in rank and gen-fixture
     from .siting import Candidate, StopRecord
@@ -171,6 +171,25 @@ def read_json(path: str | Path, what: str) -> dict:
     if not isinstance(data, dict):
         raise ParseError(f"{path}: {what} must be a JSON object")
     return data
+
+
+def is_finite_number(value) -> bool:
+    """Whether a JSON value is an int or a finite float; a bool, a string,
+    null, NaN, an infinity and an int beyond float range are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def check_number(key: str, value) -> float:
+    """``value`` as a float when ``is_finite_number``; else a ValueError
+    naming ``key``."""
+    if not is_finite_number(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _csv_cell(text: str) -> str:
@@ -855,11 +874,15 @@ def load_fares(path: str | Path) -> FareTable:
     try:
         steps_raw = data.get("bike_share_steps") or [{"up_to_min": None, "fare_usd": 0.0}]
         steps = tuple(
-            (float(s["up_to_min"]) if s["up_to_min"] is not None else _INF, float(s["fare_usd"])) for s in steps_raw
+            (
+                _INF if s["up_to_min"] is None else check_number(f"bike_share_steps[{i}].up_to_min", s["up_to_min"]),
+                check_number(f"bike_share_steps[{i}].fare_usd", s["fare_usd"]),
+            )
+            for i, s in enumerate(steps_raw)
         )
         return FareTable(
-            bus_fare_usd=float(data["bus_fare_usd"]),
-            car_share_usd_per_hour=float(data["car_share_usd_per_hour"]),
+            bus_fare_usd=check_number("bus_fare_usd", data["bus_fare_usd"]),
+            car_share_usd_per_hour=check_number("car_share_usd_per_hour", data["car_share_usd_per_hour"]),
             bike_share_steps=steps,
         )
     except (KeyError, TypeError, ValueError) as err:
@@ -892,7 +915,7 @@ HUB_RECORD_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HubRecord:
     """One hub definition plus its raw usage observations.
 

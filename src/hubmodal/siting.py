@@ -10,7 +10,7 @@ metric with deterministic tie-breaking.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -27,13 +27,14 @@ from .hubs import (
     MarketTable,
     prepare_hub,
 )
+from .records import record
 
 logger = logging.getLogger(__name__)
 
 METRIC_KEYS = ("potential_demand", "transit_delta", "vmt_reduced", "cs_total")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StopRecord:
     """One transit stop location."""
 
@@ -41,7 +42,7 @@ class StopRecord:
     location: GeoPoint
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CandidateMetrics:
     potential_demand: float
     transit_delta: float
@@ -53,7 +54,7 @@ class CandidateMetrics:
         return getattr(self, key)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Candidate:
     """A candidate hub site built from clustered stops."""
 
@@ -269,7 +270,7 @@ def evaluate_candidates(
     return [replace(c, metrics=m) for c, m in zip(ordered, metrics)]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RankingRow:
     candidate_id: str
     metrics: CandidateMetrics
@@ -277,7 +278,7 @@ class RankingRow:
     percentile: dict[str, float]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RankingTable:
     rows: tuple[RankingRow, ...]
 

@@ -170,13 +170,13 @@ def test_bare_package_import_loads_no_submodule(tmp_path):
 def test_hub_params_resolve_without_the_calibration_module(tmp_path):
     # the params a --params stage reads live beside the kernels that read them
     code = f"import sys, types, hubmodal; hubmodal.HubParams; print({HUBMODAL_LOADED})"
-    assert _fresh_python(code, tmp_path).strip() == str(["choice", "geo", "hubs"])
+    assert _fresh_python(code, tmp_path).strip() == str(["choice", "geo", "hubs", "records"])
 
 
 GEN_FIXTURE = ["gen-fixture", "--seed", "3", "--od-pairs", "12", "--stops", "6"]
 FX = ["--manifest", "fx/manifest.json"]
 PARAMS = ["--params", "params.json"]
-COMMON = ["cli", "config", "geo", "choice", "hubs", "io"]
+COMMON = ["cli", "config", "geo", "choice", "hubs", "io", "records"]
 # stage -> (argv, the hubmodal modules it loads)
 STAGES = {
     "derive-threshold": (["derive-threshold", *FX], COMMON),

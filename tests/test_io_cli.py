@@ -1055,6 +1055,94 @@ def test_manifest_value_of_the_wrong_json_type_names_the_file_and_key(tmp_path, 
         Manifest.from_json(path)
 
 
+PARAMS_OK = {"beta_hub": 0.3, "asc_by_segment": {s.value: -4.0 for s in Segment}}
+FARES_OK = {
+    "bus_fare_usd": 1.5,
+    "car_share_usd_per_hour": 5.0,
+    "bike_share_steps": [{"up_to_min": 30, "fare_usd": 1.0}, {"up_to_min": None, "fare_usd": 2.5}],
+}
+# a value that a float() cast would take, and the number rule refuses
+HUGE_INT = "1" + "0" * 400
+NOT_NUMBERS = ["true", "false", "null", '"0.3"', "NaN", "Infinity", "-Infinity", HUGE_INT]
+
+
+def _short(value):
+    return "huge-int" if value == HUGE_INT else None
+
+
+def _json_with(tmp_path, name, data, key_path, literal) -> Path:
+    """``data`` as a JSON file with the value at ``key_path`` spelled ``literal``."""
+    marker = "@@value@@"
+    node = data = json.loads(json.dumps(data))
+    for key in key_path[:-1]:
+        node = node[key]
+    node[key_path[-1]] = marker
+    path = tmp_path / name
+    path.write_text(json.dumps(data).replace(f'"{marker}"', literal), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("literal", NOT_NUMBERS, ids=_short)
+@pytest.mark.parametrize(
+    "key_path, key",
+    [
+        (["beta_hub"], "beta_hub"),
+        (["asc_by_segment", "low_income"], "asc_by_segment.low_income"),
+    ],
+)
+def test_params_file_value_that_is_not_a_finite_number_names_the_file_and_key(tmp_path, key_path, key, literal):
+    # "beta_hub": true once ran with beta 1.0, and "low_income": false with a constant of 0.0
+    path = _json_with(tmp_path, "params.json", PARAMS_OK, key_path, literal)
+    error = f"{path}: malformed params: {key} must be a finite number, got "
+    with pytest.raises(ValueError, match=rf"^{re.escape(error)}"):
+        _read_params(path)
+
+
+@pytest.mark.parametrize("asc", ["[-4.0]", '"-4"', "3"])
+def test_params_file_segment_constants_must_be_an_object(tmp_path, asc):
+    path = _json_with(tmp_path, "params.json", PARAMS_OK, ["asc_by_segment"], asc)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: malformed params: asc_by_segment must be an object"):
+        _read_params(path)
+
+
+def test_params_file_takes_json_integers_as_numbers(tmp_path):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"params": {"beta_hub": 1, "asc_by_segment": {s.value: -4 for s in Segment}}}))
+    params = _read_params(path)
+    assert params == _read_params(_json_with(tmp_path, "float.json", PARAMS_OK, ["beta_hub"], "1.0"))
+    assert type(params.beta_hub) is float and {type(v) for v in params.asc_by_segment.values()} == {float}
+
+
+FARE_KEYS = [
+    (["bus_fare_usd"], "bus_fare_usd"),
+    (["car_share_usd_per_hour"], "car_share_usd_per_hour"),
+    (["bike_share_steps", 0, "up_to_min"], "bike_share_steps[0].up_to_min"),
+    (["bike_share_steps", 1, "fare_usd"], "bike_share_steps[1].fare_usd"),
+]
+
+
+@pytest.mark.parametrize(
+    "key_path, key, literal",
+    # a null bound is the open-ended last step
+    [(*k, literal) for k in FARE_KEYS for literal in NOT_NUMBERS if not (literal == "null" and k[1].endswith("up_to_min"))],
+    ids=_short,
+)
+def test_fares_value_that_is_not_a_finite_number_names_the_file_and_key(tmp_path, key_path, key, literal):
+    # "bus_fare_usd": true once priced the bus at $1
+    path = _json_with(tmp_path, "fares.json", FARES_OK, key_path, literal)
+    error = f"{path}: malformed fares: {key} must be a finite number, got "
+    with pytest.raises(ParseError, match=rf"^{re.escape(error)}"):
+        load_fares(path)
+
+
+def test_fares_take_json_integers_as_numbers(tmp_path):
+    path = tmp_path / "fares.json"
+    path.write_text(json.dumps(FARES_OK))
+    fares = load_fares(path)
+    assert fares == FareTable(1.5, 5.0, ((30.0, 1.0), (math.inf, 2.5)))
+    assert type(fares.bike_share_steps[0][0]) is float
+
+
 def test_cli_builds_each_observed_hub_setup_once(fixture_dir, tmp_path, monkeypatch):
     import hubmodal.cli as cli
 
