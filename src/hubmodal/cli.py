@@ -16,6 +16,8 @@ changes neither the schedule nor any output byte.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import importlib.util
 import json
 import sys
@@ -517,45 +519,70 @@ def _cmd_gen_fixture(args) -> int:
 # parser
 # ----------------------------------------------------------------------
 
+# Options every subcommand takes, then each subcommand's handler, help
+# line and options of its own, as (flag, add_argument keywords) pairs.
+_COMMON = (
+    ("--manifest", {"help": "JSON manifest naming the input files"}),
+    ("--config", {"help": "JSON run configuration"}),
+    ("--seed", {"type": int, "default": None, "help": "RNG seed (fixture generation) and report echo"}),
+    ("--out-dir", {"default": "out", "help": "directory for outputs (default: out)"}),
+)
+_PARAMS = ("--params", {"help": "params JSON (a calibration report); omitted: calibrate in process"})
+_COMMANDS = {
+    "derive-threshold": (_cmd_derive_threshold, "detour threshold from the intercept survey", ()),
+    "identify-trips": (_cmd_identify_trips, "potential trips for each observed hub", ()),
+    "calibrate": (_cmd_calibrate, "fit the nest parameters to observed usage", ()),
+    "assess": (_cmd_assess, "impact metrics for the observed hubs", (_PARAMS,)),
+    "rank": (
+        _cmd_rank,
+        "score and rank siting candidates",
+        (_PARAMS, ("--threads", {"type": int, "default": 1, "help": "accepted for compatibility (>= 1); changes nothing"})),
+    ),
+    "gen-fixture": (
+        _cmd_gen_fixture,
+        "write a synthetic input set",
+        (
+            ("--od-pairs", {"type": int, "default": 40, "help": "OD pairs (4 segment markets each)"}),
+            ("--stops", {"type": int, "default": 12, "help": "bus stops in the roster"}),
+            ("--pr-lots", {"type": int, "default": 2, "help": "park-and-ride lots"}),
+        ),
+    ),
+}
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--manifest", help="JSON manifest naming the input files")
-    common.add_argument("--config", help="JSON run configuration")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (fixture generation) and report echo")
-    common.add_argument("--out-dir", default="out", help="directory for outputs (default: out)")
 
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  When ``command`` names a subcommand only
+    its parser is built: argparse looks up a translation of every help
+    string, so all six cost a stage a few ms.  The usage line still lists
+    all six, so help and usage errors read the same either way."""
+    lone = command in _COMMANDS
     parser = argparse.ArgumentParser(prog="hubmodal", description="Mobility hub demand, impact, and siting pipeline.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("derive-threshold", parents=[common], help="detour threshold from the intercept survey")
-    p.set_defaults(func=_cmd_derive_threshold)
-
-    p = sub.add_parser("identify-trips", parents=[common], help="potential trips for each observed hub")
-    p.set_defaults(func=_cmd_identify_trips)
-
-    p = sub.add_parser("calibrate", parents=[common], help="fit the nest parameters to observed usage")
-    p.set_defaults(func=_cmd_calibrate)
-
-    p = sub.add_parser("assess", parents=[common], help="impact metrics for the observed hubs")
-    p.add_argument("--params", help="params JSON (a calibration report); omitted: calibrate in process")
-    p.set_defaults(func=_cmd_assess)
-
-    p = sub.add_parser("rank", parents=[common], help="score and rank siting candidates")
-    p.add_argument("--params", help="params JSON (a calibration report); omitted: calibrate in process")
-    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility (>= 1); changes nothing")
-    p.set_defaults(func=_cmd_rank)
-
-    p = sub.add_parser("gen-fixture", parents=[common], help="write a synthetic input set")
-    p.add_argument("--od-pairs", type=int, default=40, help="OD pairs (4 segment markets each)")
-    p.add_argument("--stops", type=int, default=12, help="bus stops in the roster")
-    p.add_argument("--pr-lots", type=int, default=2, help="park-and-ride lots")
-    p.set_defaults(func=_cmd_gen_fixture)
+    # metavar lists all six in a lone build's usage line; a full build
+    # leaves it unset, since it also names the command in the errors
+    # only a full build raises (a missing or unknown command)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(_COMMANDS) if lone else None)
+    for name in [command] if lone else _COMMANDS:
+        func, summary, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        for flag, kwargs in _COMMON + options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # Freeze every object at exit, so that finalization's cyclic
+    # collections skip the ~23,000 the numpy and hubmodal imports leave
+    # tracked, which the OS reclaims a moment later anyway.  atexit runs
+    # before finalization; the other handlers, the std-stream flush and
+    # module teardown still run.  A freeze here, on entry, would make
+    # permanent any cyclic garbage an in-process caller holds.
+    # Unregistering first keeps one registration a process.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except Exception as err:  # emit a machine-readable error record

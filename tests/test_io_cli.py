@@ -6,7 +6,10 @@ fixture in a temp directory.
 
 from __future__ import annotations
 
+import argparse
+import atexit
 import csv
+import gc
 import io
 import json
 import math
@@ -14,6 +17,8 @@ import os
 import re
 import shutil
 import stat
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -58,6 +63,7 @@ from hubmodal import (
     write_stops,
     write_survey,
 )
+import hubmodal.cli
 import hubmodal.io
 from hubmodal.cli import _read_params, main
 from hubmodal.hubs import MARKET_MODE_COLUMNS, MarketError, MarketTable
@@ -1321,3 +1327,123 @@ def test_rank_reports_are_pinned(tmp_path, monkeypatch):
     Path("params.json").write_text(json.dumps({"params": {"beta_hub": 0.3, "asc_by_segment": {s.value: -4.0 for s in Segment}}}))
     assert main(["rank", "--manifest", "fx/manifest.json", "--params", "params.json", "--out-dir", "rank"]) == 0
     assert _tree_digest(Path("rank")) == RANK_REPORT_DIGESTS
+
+
+# ----------------------------------------------------------------------
+# the parser and the stage process's exit
+# ----------------------------------------------------------------------
+
+HELP_AND_USAGE_ERRORS = [
+    ["--help"],
+    [],
+    ["nope"],
+    ["--help", "rank"],
+    ["rank", "--help"],
+    ["gen-fixture", "-h"],
+    ["rank", "--bogus"],
+    ["rank", "--threads", "x"],
+    ["calibrate", "extra"],
+]
+
+
+def _exit_and_output(argv, capsys) -> tuple:
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    out = capsys.readouterr()
+    return stop.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "no-args")
+def test_help_and_usage_errors_read_as_with_every_subcommand_built(argv, monkeypatch, capsys):
+    lone = _exit_and_output(argv, capsys)
+    build_all = hubmodal.cli.build_parser
+    monkeypatch.setattr(hubmodal.cli, "build_parser", lambda command=None: build_all())
+    assert _exit_and_output(argv, capsys) == lone
+    assert lone[0] == (0 if "--help" in argv or "-h" in argv else 2)
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["rank", "--help"], ["rank"]),
+        (["gen-fixture", "--help"], ["gen-fixture"]),
+        (["--help"], list(hubmodal.cli._COMMANDS)),
+        (["nope"], list(hubmodal.cli._COMMANDS)),
+    ],
+)
+def test_main_builds_only_the_invoked_subcommands_parser(argv, built, monkeypatch, capsys):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", lambda self, name, **kw: names.append(name) or add_parser(self, name, **kw))
+    _exit_and_output(argv, capsys)
+    assert names == built
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+def test_in_process_main_leaves_the_collector_as_it_found_it(fixture_dir, tmp_path, monkeypatch, enabled):
+    exit_hooks = []  # stands in for atexit's registry
+
+    def unregister(func):
+        exit_hooks[:] = [f for f in exit_hooks if f != func]
+
+    monkeypatch.setattr(atexit, "register", exit_hooks.append)
+    monkeypatch.setattr(atexit, "unregister", unregister)
+    manifest = str(fixture_dir / "manifest.json")
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert gc.get_freeze_count() == 0
+        codes = [
+            main(["derive-threshold", "--manifest", manifest, "--out-dir", str(tmp_path / "a")]),
+            main(["identify-trips", "--manifest", manifest, "--out-dir", str(tmp_path / "b")]),
+            main(["derive-threshold", "--out-dir", str(tmp_path / "c")]),  # an error record
+        ]
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert codes == [0, 0, 1]
+    assert exit_hooks == [gc.freeze]  # once, for the process's exit
+
+
+CLI_CHILD = "import sys\nfrom hubmodal.cli import main\nsys.exit(main())"
+
+
+def _stage_process(args, cwd: Path, code: str = CLI_CHILD) -> subprocess.CompletedProcess:
+    """A stage in a fresh interpreter, run as perfbench runs it."""
+    src = str(Path(hubmodal.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_stage_process_exits_with_the_reports_of_an_in_process_run(fixture_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(fixture_dir, "fx")
+    Path("params.json").write_text(json.dumps({"params": {"beta_hub": 0.3, "asc_by_segment": {s.value: -4.0 for s in Segment}}}))
+    args = ["rank", "--manifest", "fx/manifest.json", "--params", "params.json", "--out-dir"]
+    assert main([*args, "in"]) == 0
+    in_process = capsys.readouterr()
+    done = _stage_process([*args, "child"], tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == in_process.out.replace("in/", "child/")
+    assert _tree_digest(Path("child")) == _tree_digest(Path("in"))
+    assert sorted(_tree_digest(Path("in"))) == ["candidates.geojson", "rank_summary.json", "ranking.csv"]
+
+
+def test_stage_process_error_is_one_json_line_and_nothing_after(tmp_path):
+    done = _stage_process(["identify-trips", "--manifest", "missing/manifest.json", "--out-dir", "x"], tmp_path)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert done.stderr == line + "\n"
+    record = json.loads(line)
+    assert record["error"] and "missing/manifest.json" in record["message"]
+
+
+def test_stage_process_freezes_its_objects_before_finalization(tmp_path):
+    # registered before main(), so atexit runs it after main's hook
+    probe = "import atexit, gc\natexit.register(lambda: print(gc.get_freeze_count(), gc.isenabled()))\n"
+    done = _stage_process(["derive-threshold", "--out-dir", "x"], tmp_path, probe + CLI_CHILD)
+    assert done.returncode == 1
+    frozen, enabled = done.stdout.split()
+    assert int(frozen) > 1000 and enabled == "True"
