@@ -8,6 +8,13 @@ carry sha256 digests of every input consumed, so a result can always be
 traced back to its exact inputs.  Failures print a single-line JSON
 error record to stderr and exit 1.
 
+The model stages (calibrate, assess, rank) build each observed hub's
+setup once, from its surveyed combos and one screen of the observed
+hubs, and an observed hub with no potential trips is an error in all
+three.  assess and rank score those setups with the same impact call, so
+rank's reference rows are assess's figures; siting scores only the
+stop-cluster candidates.
+
 rank accepts --threads (default 1) for compatibility.  Candidate scoring
 runs as a few stacked array passes in the calling thread, so the value
 changes neither the schedule nor any output byte.
@@ -350,6 +357,8 @@ def _cmd_identify_trips(args) -> int:
 
 
 def _load_model_inputs(args):
+    """The inputs of a model stage (calibrate, assess, rank), the detour
+    threshold, and the observed hubs' setups."""
     manifest, config = _load_base(args)
     manifest.require("markets", "fares", "survey", "observed_usage", "leg_matrices")
     # The matrices parse sets the stage's peak RSS: no other input sits under it.
@@ -360,12 +369,12 @@ def _load_model_inputs(args):
     hub_recs = io.load_hub_records(manifest.observed_usage)
     fares = io.load_fares(manifest.fares)
     thr, thr_meta = _resolve_threshold(config, survey, {r.hub_id: r.location for r in hub_recs})
-    return manifest, config, table, survey, hub_recs, matrices, matrix_digests, fares, thr, thr_meta
+    setups = _build_setups(table, hub_recs, survey, matrices, fares, config, thr)
+    return manifest, config, table, hub_recs, matrices, matrix_digests, fares, thr, thr_meta, setups
 
 
 def _cmd_calibrate(args) -> int:
-    manifest, config, table, survey, hub_recs, matrices, matrix_digests, fares, thr, thr_meta = _load_model_inputs(args)
-    setups = _build_setups(table, hub_recs, survey, matrices, fares, config, thr)
+    manifest, config, _, hub_recs, _, matrix_digests, _, thr, thr_meta, setups = _load_model_inputs(args)
     result, observed, obs_meta, notes = _run_calibration(setups, hub_recs, config)
     report = {
         "threshold": thr,
@@ -380,21 +389,29 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _obtain_params(args, setups, hub_recs, config):
+def _assess_observed(args, setups, hub_recs, config):
     """Params from --params when given, else a fresh in-process fit over
-    the observed hubs' setups."""
+    the observed hubs' setups; the fit's report (None with --params); and
+    each observed hub's impact report at those params, keyed by hub id in
+    hub-id order.  assess writes these reports, and rank ranks them as
+    its references."""
     if args.params:
-        return _read_params(args.params), None
-    result, observed, obs_meta, notes = _run_calibration(setups, hub_recs, config)
-    calib = {**_calibration_report(result, observed, obs_meta), "warnings": notes}
-    return result.params, calib
+        params, calib = _read_params(args.params), None
+    else:
+        result, observed, obs_meta, notes = _run_calibration(setups, hub_recs, config)
+        params, calib = result.params, {**_calibration_report(result, observed, obs_meta), "warnings": notes}
+    emissions = impacts.EmissionFactor(grams_co2_per_mile=config.grams_co2_per_mile, days_per_year=config.days_per_year)
+    reports = {}
+    for hub_id in sorted(setups):
+        (reports[hub_id],) = impacts.assess_hubs(
+            setups[hub_id], params, emissions=emissions, include_on_demand_auto=config.include_on_demand_auto_vmt
+        )
+    return params, calib, reports
 
 
 def _cmd_assess(args) -> int:
-    manifest, config, table, survey, hub_recs, matrices, matrix_digests, fares, thr, thr_meta = _load_model_inputs(args)
-    setups = _build_setups(table, hub_recs, survey, matrices, fares, config, thr)
-    params, calib = _obtain_params(args, setups, hub_recs, config)
-    emissions = impacts.EmissionFactor(grams_co2_per_mile=config.grams_co2_per_mile, days_per_year=config.days_per_year)
+    manifest, config, _, hub_recs, _, matrix_digests, _, thr, thr_meta, setups = _load_model_inputs(args)
+    params, calib, reports = _assess_observed(args, setups, hub_recs, config)
 
     hubs_out = {}
     totals = {
@@ -406,10 +423,7 @@ def _cmd_assess(args) -> int:
         "emissions_tons_per_year": 0.0,
         "consumer_surplus_usd_per_day": 0.0,
     }
-    for hub_id in sorted(setups):
-        (rep,) = impacts.assess_hubs(
-            setups[hub_id], params, emissions=emissions, include_on_demand_auto=config.include_on_demand_auto_vmt
-        )
+    for hub_id, rep in reports.items():
         hubs_out[hub_id] = rep.to_dict()
         totals["potential_demand_trips_per_day"] += rep.potential_demand
         totals["multimodal_trips_per_day"] += rep.multimodal_total
@@ -437,13 +451,13 @@ def _cmd_assess(args) -> int:
 def _cmd_rank(args) -> int:
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
-    manifest, config, table, survey, hub_recs, matrices, matrix_digests, fares, thr, thr_meta = _load_model_inputs(args)
+    manifest, config, table, hub_recs, matrices, matrix_digests, fares, thr, thr_meta, setups = _load_model_inputs(args)
     manifest.require("stops", "pr_lots")
     stops = io.load_stops(manifest.stops)
     lots = io.load_pr_lots(manifest.pr_lots)
-    # a fit needs the observed hubs' setups; scoring builds its own in siting
-    setups = None if args.params else _build_setups(table, hub_recs, survey, matrices, fares, config, thr)
-    params, calib = _obtain_params(args, setups, hub_recs, config)
+    # the references are the observed hubs as assess reports them
+    params, calib, reports = _assess_observed(args, setups, hub_recs, config)
+    del setups  # so that candidate scoring's peak holds none of them
 
     candidates = siting.assign_services(siting.cluster_stops(stops), lots)
     references = [
@@ -453,6 +467,7 @@ def _cmd_rank(args) -> int:
             member_stop_ids=(),
             car_share_available=rec.car_share_available,
             bike_share_available=rec.bike_share_available,
+            metrics=siting.CandidateMetrics.from_report(reports[rec.hub_id]),
         )
         for rec in hub_recs
     ]
@@ -461,8 +476,8 @@ def _cmd_rank(args) -> int:
     if overlap:
         raise ValueError(f"hub ids collide with candidate ids: {sorted(overlap)}")
 
-    evaluated = siting.evaluate_candidates(
-        candidates + references, table, params, thr, matrices, fares, config=config, threads=args.threads
+    evaluated = references + siting.evaluate_candidates(
+        candidates, table, params, thr, matrices, fares, config=config, threads=args.threads
     )
     ranking, summary = siting.rank_and_summarize(evaluated, reference_ids=reference_ids)
 

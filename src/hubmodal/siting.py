@@ -4,7 +4,8 @@ Transit stops within walking range of each other collapse into one
 candidate site (single-linkage connected components); park-and-ride lots
 nearby unlock a car-share service profile.  Every candidate is scored
 with the same impact pipeline implemented hubs use, then ranked per
-metric with deterministic tie-breaking.
+metric with deterministic tie-breaking, beside the implemented hubs'
+own assessed metrics (``CandidateMetrics.from_report``).
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ class CandidateMetrics:
     vmt_reduced: float
     cs_total: float
     no_potential_trips: bool = False
+
+    @classmethod
+    def from_report(cls, report) -> CandidateMetrics:
+        """The ranked metrics of an ``impacts.ImpactReport``."""
+        return cls(report.potential_demand, report.transit_delta, report.vmt.reduced, report.cs_total)
 
     def get(self, key: str) -> float:
         return getattr(self, key)
@@ -261,12 +267,7 @@ def evaluate_candidates(
                 include_on_demand_auto=cfg.include_on_demand_auto_vmt,
             )
             for i, report in zip(chunk, reports):
-                metrics[i] = CandidateMetrics(
-                    potential_demand=report.potential_demand,
-                    transit_delta=report.transit_delta,
-                    vmt_reduced=report.vmt.reduced,
-                    cs_total=report.cs_total,
-                )
+                metrics[i] = CandidateMetrics.from_report(report)
     return [replace(c, metrics=m) for c, m in zip(ordered, metrics)]
 
 

@@ -68,6 +68,7 @@ import hubmodal.io
 from hubmodal.cli import _read_params, main
 from hubmodal.hubs import MARKET_MODE_COLUMNS, MarketError, MarketTable
 from hubmodal.io import MATRIX_COLUMNS
+from hubmodal.siting import METRIC_KEYS
 
 
 def test_fmt_values():
@@ -1151,25 +1152,29 @@ def test_fares_take_json_integers_as_numbers(tmp_path):
 
 def test_cli_builds_each_observed_hub_setup_once(fixture_dir, tmp_path, monkeypatch):
     import hubmodal.cli as cli
+    import hubmodal.siting as siting
 
-    built = []
-    real = cli.prepare_hub
+    built = {"cli": [], "siting": []}
+    for module, name in ((cli, "cli"), (siting, "siting")):
 
-    def counting(table, hubs, *args, **kwargs):
-        built.extend(hub.id for hub in hubs)
-        return real(table, hubs, *args, **kwargs)
+        def counting(table, hubs, *args, real=module.prepare_hub, name=name, **kwargs):
+            built[name].extend(hub.id for hub in hubs)
+            return real(table, hubs, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "prepare_hub", counting)
+        monkeypatch.setattr(module, "prepare_hub", counting)
     manifest = str(fixture_dir / "manifest.json")
-    # the in-process fit and the impact report share one setup per hub
-    assert main(["assess", "--manifest", manifest, "--out-dir", str(tmp_path / "a")]) == 0
-    assert sorted(built) == ["hub-a", "hub-b"]
-
-    built.clear()
     params = tmp_path / "params.json"
-    params.write_text(json.dumps({"beta_hub": 0.3, "asc_by_segment": {s.value: -4.0 for s in Segment}}))
-    assert main(["rank", "--manifest", manifest, "--params", str(params), "--out-dir", str(tmp_path / "r")]) == 0
-    assert built == []
+    params.write_text(json.dumps(PARAMS_OK))
+    # the fit, the impact reports and rank's reference rows share one
+    # setup per observed hub; candidate scoring builds only candidates'
+    for stage in ("assess", "rank"):
+        for fit in ([], ["--params", str(params)]):
+            built["cli"].clear()
+            built["siting"].clear()
+            assert main([stage, "--manifest", manifest, *fit, "--out-dir", str(tmp_path / stage)]) == 0
+            assert sorted(built["cli"]) == ["hub-a", "hub-b"], (stage, fit)
+            assert all(hub_id.startswith("c-") for hub_id in built["siting"]), (stage, fit)
+            assert bool(built["siting"]) == (stage == "rank")
 
 
 def test_each_stage_screens_the_observed_hubs_once(fixture_dir, tmp_path, monkeypatch):
@@ -1184,10 +1189,74 @@ def test_each_stage_screens_the_observed_hubs_once(fixture_dir, tmp_path, monkey
 
     monkeypatch.setattr(cli, "screen_trips", counting)
     manifest = str(fixture_dir / "manifest.json")
-    for stage in ("identify-trips", "calibrate", "assess"):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(PARAMS_OK))
+    for stage in (["identify-trips"], ["calibrate"], ["assess"], ["rank"], ["rank", "--params", str(params)]):
         screens.clear()
-        assert main([stage, "--manifest", manifest, "--out-dir", str(tmp_path / stage)]) == 0
+        assert main([*stage, "--manifest", manifest, "--out-dir", str(tmp_path / stage[0])]) == 0
         assert screens == [2], stage  # one screen of both observed hubs
+
+
+def _reference_cells(out: Path, hub_id: str) -> tuple[list[str], list[str]]:
+    """The four metric cells of ``hub_id``'s row in ranking.csv, and the
+    same four properties of its feature in candidates.geojson, as repr text."""
+    with open(out / "ranking.csv", newline="") as fh:
+        (row,) = [r for r in csv.DictReader(fh) if r["candidate_id"] == hub_id]
+    assert row["is_reference"] == "1"
+    features = json.loads((out / "candidates.geojson").read_text())["features"]
+    (props,) = [f["properties"] for f in features if f["properties"]["candidate_id"] == hub_id]
+    assert props["reference"] and not props["no_potential_trips"]
+    return [row[k] for k in METRIC_KEYS], [repr(props[k]) for k in METRIC_KEYS]
+
+
+@pytest.mark.parametrize("fit", ["params", "in-process"])
+def test_rank_reference_rows_are_the_assess_figures(fixture_dir, tmp_path, fit):
+    # the fixture's hub-a survey lacks car+bike_share and hub-b's bus+walk,
+    # two combos of the service-profile template a candidate is scored with
+    manifest = str(fixture_dir / "manifest.json")
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(PARAMS_OK))
+    opts = ["--params", str(params)] if fit == "params" else []
+    impacts = json.loads(_run(["assess", "--manifest", manifest, *opts], tmp_path / "a")["impacts.json"].read_text())
+    _run(["rank", "--manifest", manifest, *opts], tmp_path / "r")
+    assert sorted(impacts["hubs"]) == ["hub-a", "hub-b"]
+    for hub_id, block in impacts["hubs"].items():
+        expected = [
+            repr(block["potential_demand_trips_per_day"]),
+            repr(block["transit_delta_trips_per_day"]),
+            repr(block["vmt"]["reduced_per_day"]),
+            repr(block["consumer_surplus_total_usd_per_day"]),
+        ]
+        row, props = _reference_cells(tmp_path / "r", hub_id)
+        assert row == expected, hub_id
+        assert props == expected, hub_id
+
+
+@pytest.mark.parametrize("stage", ["assess", "rank"])
+@pytest.mark.parametrize("fit", ["params", "in-process"])
+def test_an_observed_hub_with_no_potential_trips_is_an_error(fixture_dir, tmp_path, capsys, stage, fit):
+    # hub-b moved far from every market: no stage scores it, nor ranks an
+    # all-zero row for it
+    inputs = shutil.copytree(fixture_dir, tmp_path / "inputs")
+    usage = inputs / "observed_usage.csv"
+    lines = usage.read_text().splitlines()
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        if cells[0] == "hub-b":
+            cells[1:3] = ["44.9", "-70.0"]
+            lines[i] = ",".join(cells)
+    usage.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"threshold_override": 1.5}))
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(PARAMS_OK))
+    opts = ["--params", str(params)] if fit == "params" else []
+    out = tmp_path / "out"
+    code = main([stage, "--manifest", str(inputs / "manifest.json"), "--config", str(config), *opts, "--out-dir", str(out)])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "ValueError", "message": "hub hub-b: no potential trips at threshold 1.5"}
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_cli_builds_no_market_objects(tmp_path, monkeypatch):
@@ -1310,13 +1379,15 @@ def test_rank_hashes_each_input_once(fixture_dir, tmp_path, monkeypatch):
 
 
 # sha256 of each rank report on a small multi-segment fixture at criterion
-# 10's params, recorded before rank's leg lookup, screen and stop
-# clustering were rewritten.  The inputs are named relative to the working
-# directory, so the reports' "inputs" paths are the same on every run.
+# 10's params.  Recorded before rank's leg lookup, screen and stop
+# clustering were rewritten, and re-recorded when the reference rows became
+# the observed hubs' assess figures: this fixture surveys 15 of hub-a's 16
+# template combos and 8 of hub-b's 9.  The inputs are named relative to the
+# working directory, so the reports' "inputs" paths are the same on every run.
 RANK_REPORT_DIGESTS = {
-    "candidates.geojson": "354fba9703934e86a6b8d596a58e1d6abbd0093570ce55a1d1fb6e8ce9cb6b90",
-    "rank_summary.json": "521839e20e0f439a48421362f54ec7011a260fc26e6a0fd67e80d588be78c835",
-    "ranking.csv": "8b37814f6e2e426595ca639ac217994a21b52371ebd7ffd46beace382f4d114f",
+    "candidates.geojson": "8da02c54656b75a3b11fcc822ead29f9984a7906039fa425251767714a30b465",
+    "rank_summary.json": "683563c830a8f6a47f8aca071f595dad4c84cdbc1e6e2ebd5f578e4e7426be66",
+    "ranking.csv": "5618b74ab23a2a69c6c0f4db569433963225657ddab69a5644a0959860f67695",
 }
 
 
