@@ -10,26 +10,24 @@ land on the generating parameters.
 import numpy as np
 
 from hubmodal import (
+    MAIN_MODES,
     ComboId,
     FareTable,
     GeoPoint,
     Hub,
     HubParams,
     LegMatrices,
-    LegTimes,
-    Market,
     MarketTable,
     Mode,
-    ModeAttr,
     ObservedUsage,
     OptimizerSettings,
     Segment,
-    TasteVector,
     calibrate,
     predict_hub_proportion,
     prepare_hub,
     screen_trips,
 )
+from hubmodal.hubs import LEG_MODE_ORDER
 
 TRUTH = HubParams(
     beta_hub=0.3,
@@ -41,7 +39,7 @@ TRUTH = HubParams(
     },
 )
 
-taste = TasteVector(
+TASTE = dict(
     beta_auto_tt=-0.05, beta_trans_ivt=-0.03, beta_trans_at=-0.05,
     beta_trans_et=-0.05, beta_trans_n=-0.4, beta_nonveh_tt=-0.07, beta_cost=-0.3,
     asc_driving=0.5, asc_transit=-0.5, asc_ondemand=-1.0, asc_biking=-1.5, asc_walking=-0.8,
@@ -67,31 +65,41 @@ def build_setup(i):
         car_share_available=True, bike_share_available=True,
         combos=frozenset({ComboId(Mode.CAR, Mode.BUS), ComboId(Mode.WALK_LEG, Mode.BUS)}),
     )
-    markets = []
-    for j, seg in enumerate(Segment):
-        for k in range(2):
-            markets.append(Market(
-                od_id=f"{hub_id}-{seg.value}-{k}", segment=seg,
-                origin=GeoPoint(lat=lat - 0.04 - 0.004 * k, lon=lon - 0.035),
-                destination=GeoPoint(lat=lat + 0.03, lon=lon + 0.04 + 0.004 * k),
-                trips_per_day=MIXES[i][j] + k, driving_miles=6.0,
-                attrs={
-                    Mode.DRIVING: ModeAttr(ivt_min=20.0, cost_usd=3.0),
-                    Mode.TRANSIT: ModeAttr(ivt_min=35.0, access_min=6.0, egress_min=4.0, transfers=1.0, cost_usd=1.5),
-                },
-                taste=taste,
-            ))
-    matrices = LegMatrices()
-    leg = LegTimes(minutes=9.0 + 1.5 * i, access_min=0.0, egress_min=0.0, transfers=0.0, miles=2.0)
-    bus = LegTimes(minutes=9.0 + 1.5 * i, access_min=3.0, egress_min=2.0, transfers=0.0, miles=2.0)
-    for m in markets:
-        for zone in (m.o_zone, m.d_zone):
-            matrices.add(zone, hub_id, Mode.CAR, leg, leg)
-            matrices.add(zone, hub_id, Mode.WALK_LEG, leg, leg)
-            matrices.add(zone, hub_id, Mode.BUS, bus, bus)
+    # two markets per segment, driving and transit available
+    n = 2 * len(Segment)
+    seg, k = np.repeat(np.arange(len(Segment)), 2), np.tile([0, 1], len(Segment))
+    attrs = {f: np.zeros((n, len(MAIN_MODES))) for f in ("ivt_min", "access_min", "egress_min", "transfers", "cost_usd")}
+    available = np.zeros((n, len(MAIN_MODES)), dtype=bool)
+    for mode, values in {
+        Mode.DRIVING: dict(ivt_min=20.0, cost_usd=3.0),
+        Mode.TRANSIT: dict(ivt_min=35.0, access_min=6.0, egress_min=4.0, transfers=1.0, cost_usd=1.5),
+    }.items():
+        j = MAIN_MODES.index(mode)
+        available[:, j] = True
+        for field, value in values.items():
+            attrs[field][:, j] = value
+    od_ids = [f"{hub_id}-{s.value}-{j}" for s in Segment for j in range(2)]
+    table = MarketTable(
+        od_ids, seg, lat - 0.04 - 0.004 * k, np.full(n, lon - 0.035), np.full(n, lat + 0.03), lon + 0.04 + 0.004 * k,
+        np.array(MIXES[i])[seg] + k, np.full(n, 6.0), attrs=attrs, available=available,
+        taste={name: np.full(n, value) for name, value in TASTE.items()}, o_zones=[""] * n, d_zones=[""] * n,
+    )
+    # car, walk and bus legs between every market zone and the hub, the
+    # same both ways; mode codes index LEG_MODE_ORDER
+    zones = [f"{od_id}/{end}" for od_id in od_ids for end in "od"]
+    minutes = 9.0 + 1.5 * i
+    legs = {
+        Mode.CAR: [minutes, 0.0, 0.0, 0.0, 2.0],
+        Mode.WALK_LEG: [minutes, 0.0, 0.0, 0.0, 2.0],
+        Mode.BUS: [minutes, 3.0, 2.0, 0.0, 2.0],
+    }
+    block = np.repeat(list(legs.values()), len(zones), axis=0)
+    matrices = LegMatrices(
+        zones, [hub_id], np.tile(np.arange(len(zones)), len(legs)), np.zeros(len(block), dtype=int),
+        np.repeat([LEG_MODE_ORDER.index(mode) for mode in legs], len(zones)), np.stack([block, block]),
+    )
     # every market of the table is one of this hub's potential trips: the
     # screen's verdicts give way to an all-True mask, its distances stay
-    table = MarketTable.from_markets(markets)
     screen = screen_trips(table, [hub.location.lat], [hub.location.lon], 1.0)
     return prepare_hub(table, [hub], screen.with_keep(np.ones((1, len(table)), dtype=bool)), matrices, fares)
 

@@ -18,35 +18,41 @@ from hubmodal import (
     Hub,
     HubChoiceSetup,
     HubParams,
-    Market,
     MarketTable,
     Mode,
-    ModeAttr,
     Segment,
-    TasteVector,
     mode_utility,
 )
 
-taste = TasteVector(
+# taste coefficients by name, as mode_utility reads them
+taste = dict(
     beta_auto_tt=-0.05, beta_trans_ivt=-0.03, beta_trans_at=-0.05,
     beta_trans_et=-0.05, beta_trans_n=-0.4, beta_nonveh_tt=-0.07, beta_cost=-0.3,
     asc_driving=0.5, asc_transit=-0.5, asc_ondemand=-1.0, asc_biking=-1.5, asc_walking=-0.8,
 )
-print(f"value of auto time: ${60.0 * taste.beta_auto_tt / taste.beta_cost:.2f}/hour")
+print(f"value of auto time: ${60.0 * taste['beta_auto_tt'] / taste['beta_cost']:.2f}/hour")
 
 attrs = {
-    Mode.DRIVING: ModeAttr(ivt_min=22.0, cost_usd=3.2),
-    Mode.TRANSIT: ModeAttr(ivt_min=38.0, access_min=7.0, egress_min=5.0, transfers=1.0, cost_usd=1.5),
-    Mode.CARPOOL: ModeAttr(ivt_min=26.0, cost_usd=1.6),
-    Mode.WALKING: ModeAttr(ivt_min=85.0),
+    Mode.DRIVING: dict(ivt_min=22.0, cost_usd=3.2),
+    Mode.TRANSIT: dict(ivt_min=38.0, access_min=7.0, egress_min=5.0, transfers=1.0, cost_usd=1.5),
+    Mode.CARPOOL: dict(ivt_min=26.0, cost_usd=1.6),
+    Mode.WALKING: dict(ivt_min=85.0),
 }
+# the market as a one-row table: each attribute over MAIN_MODES, and the
+# flags of the modes it has
+cells = {f: np.zeros((1, len(MAIN_MODES))) for f in ("ivt_min", "access_min", "egress_min", "transfers", "cost_usd")}
+for m, values in attrs.items():
+    for field, value in values.items():
+        cells[field][0, MAIN_MODES.index(m)] = value
 here = GeoPoint(lat=42.65, lon=-73.76)
-market = Market(
-    od_id="od1", segment=Segment.LOW_INCOME, origin=here, destination=here,
-    trips_per_day=1.0, driving_miles=1.0, attrs=attrs, taste=taste,
+segment = SEGMENTS.index(Segment.LOW_INCOME)
+table = MarketTable(
+    ["od1"], np.array([segment]), [here.lat], [here.lon], [here.lat], [here.lon], np.ones(1), np.ones(1),
+    attrs=cells, available=np.array([[m in attrs for m in MAIN_MODES]]),
+    taste={name: np.array([value]) for name, value in taste.items()}, o_zones=[""], d_zones=[""],
 )
 # one row over MAIN_MODES, -inf where a mode is unavailable
-uni_row = MarketTable.from_markets([market]).unimodal_utilities()[0]
+uni_row = table.unimodal_utilities()[0]
 uni = {m: uni_row[MAIN_MODES.index(m)] for m in attrs}
 print("\nunimodal utilities:")
 for m, v in uni.items():
@@ -72,9 +78,9 @@ for c, v in combos.items():
 hub = Hub(id="hub", location=here, car_share_available=False, bike_share_available=False, combos=frozenset(combos))
 ordered = hub.sorted_combos()
 setup = HubChoiceSetup(
-    [hub], np.zeros(1, dtype=np.int64), np.array([SEGMENTS.index(market.segment)]), np.ones(1), np.ones(1),
+    [hub], np.zeros(1, dtype=np.int64), np.array([segment]), np.ones(1), np.ones(1),
     uni_row[None, :], ordered, np.array([[combos[c] for c in ordered]]),
-    np.zeros((1, len(ordered), 2)), np.zeros((1, len(ordered), 2)), np.full(1, taste.beta_cost), bounds=(0, 1),
+    np.zeros((1, len(ordered), 2)), np.zeros((1, len(ordered), 2)), np.full(1, taste["beta_cost"]), bounds=(0, 1),
 )
 car_bus = setup.combos.index(ComboId(Mode.CAR, Mode.BUS))
 

@@ -9,6 +9,7 @@ monetized welfare gain.
 import numpy as np
 
 from hubmodal import (
+    MAIN_MODES,
     ComboId,
     EmissionFactor,
     FareTable,
@@ -16,20 +17,17 @@ from hubmodal import (
     Hub,
     HubParams,
     LegMatrices,
-    LegTimes,
-    Market,
     MarketTable,
     Mode,
-    ModeAttr,
     Segment,
-    TasteVector,
     assess_hubs,
     prepare_hub,
     screen_trips,
 )
+from hubmodal.hubs import LEG_MODE_ORDER
 
 rng = np.random.default_rng(21)
-taste = TasteVector(
+TASTE = dict(
     beta_auto_tt=-0.05, beta_trans_ivt=-0.03, beta_trans_at=-0.05,
     beta_trans_et=-0.05, beta_trans_n=-0.4, beta_nonveh_tt=-0.07, beta_cost=-0.3,
     asc_driving=0.5, asc_transit=-0.5, asc_ondemand=-1.0, asc_biking=-1.5, asc_walking=-0.8,
@@ -47,38 +45,53 @@ hub = Hub(
     }),
 )
 
-markets = []
-for i in range(60):
-    seg = list(Segment)[i % 4]
-    drive_min = float(rng.uniform(12, 35))
-    markets.append(Market(
-        od_id=f"od{i:02d}", segment=seg,
-        origin=GeoPoint(lat=42.686 + rng.uniform(-0.05, 0.05), lon=-73.824 + rng.uniform(-0.05, 0.05)),
-        destination=GeoPoint(lat=42.686 + rng.uniform(-0.05, 0.05), lon=-73.824 + rng.uniform(-0.05, 0.05)),
-        trips_per_day=float(rng.uniform(2, 30)),
-        driving_miles=drive_min / 2.5,
-        attrs={
-            Mode.DRIVING: ModeAttr(ivt_min=drive_min, cost_usd=drive_min * 0.15),
-            Mode.TRANSIT: ModeAttr(ivt_min=drive_min * 1.8, access_min=6.0, egress_min=4.0, transfers=1.0, cost_usd=1.5),
-            Mode.CARPOOL: ModeAttr(ivt_min=drive_min * 1.15, cost_usd=drive_min * 0.07),
-            Mode.WALKING: ModeAttr(ivt_min=drive_min * 4.0),
-        },
-        taste=taste,
-    ))
+# 60 OD markets, one row each in the table's columns
+n = 60
+od_ids = [f"od{i:02d}" for i in range(n)]
+drive_min, o_lat, o_lon, d_lat, d_lon, trips = np.empty((6, n))
+for i in range(n):
+    drive_min[i] = rng.uniform(12, 35)
+    o_lat[i], o_lon[i] = 42.686 + rng.uniform(-0.05, 0.05), -73.824 + rng.uniform(-0.05, 0.05)
+    d_lat[i], d_lon[i] = 42.686 + rng.uniform(-0.05, 0.05), -73.824 + rng.uniform(-0.05, 0.05)
+    trips[i] = rng.uniform(2, 30)
 
-matrices = LegMatrices()
-for m in markets:
-    for zone in (m.o_zone, m.d_zone):
-        mins = float(rng.uniform(5, 15))
-        veh = LegTimes(minutes=mins, access_min=0.0, egress_min=0.0, transfers=0.0, miles=mins / 3.0)
-        bus = LegTimes(minutes=mins * 1.4, access_min=3.0, egress_min=2.0, transfers=0.0, miles=mins / 3.0)
-        for mode in (Mode.CAR, Mode.CAR_SHARE, Mode.BIKE_SHARE, Mode.WALK_LEG):
-            matrices.add(zone, hub.id, mode, veh, veh)
-        matrices.add(zone, hub.id, Mode.BUS, bus, bus)
+# level of service over MAIN_MODES, one (markets, modes) array per
+# attribute; on-demand auto and biking are unavailable
+attrs = {f: np.zeros((n, len(MAIN_MODES))) for f in ("ivt_min", "access_min", "egress_min", "transfers", "cost_usd")}
+available = np.zeros((n, len(MAIN_MODES)), dtype=bool)
+for mode, values in {
+    Mode.DRIVING: dict(ivt_min=drive_min, cost_usd=drive_min * 0.15),
+    Mode.TRANSIT: dict(ivt_min=drive_min * 1.8, access_min=6.0, egress_min=4.0, transfers=1.0, cost_usd=1.5),
+    Mode.CARPOOL: dict(ivt_min=drive_min * 1.15, cost_usd=drive_min * 0.07),
+    Mode.WALKING: dict(ivt_min=drive_min * 4.0),
+}.items():
+    j = MAIN_MODES.index(mode)
+    available[:, j] = True
+    for field, value in values.items():
+        attrs[field][:, j] = value
+
+table = MarketTable(
+    od_ids, np.arange(n) % len(Segment), o_lat, o_lon, d_lat, d_lon, trips, drive_min / 2.5,
+    attrs=attrs, available=available, taste={name: np.full(n, value) for name, value in TASTE.items()},
+    o_zones=[""] * n, d_zones=[""] * n,
+)
+
+# leg times between each market's origin and destination zone and the
+# hub, the same both ways: one row per (zone, leg mode), in the order of
+# LEG_MODE_ORDER, which the mode codes index
+zones = [f"{od_id}/{end}" for od_id in od_ids for end in "od"]
+mins = rng.uniform(5, 15, size=len(zones))
+none = np.zeros(len(zones))
+veh = np.column_stack([mins, none, none, none, mins / 3.0])
+bus = np.column_stack([mins * 1.4, none + 3.0, none + 2.0, none, mins / 3.0])
+block = np.concatenate([bus if mode is Mode.BUS else veh for mode in LEG_MODE_ORDER])
+matrices = LegMatrices(
+    zones, [hub.id], np.tile(np.arange(len(zones)), len(LEG_MODE_ORDER)), np.zeros(len(block), dtype=int),
+    np.repeat(np.arange(len(LEG_MODE_ORDER)), len(zones)), np.stack([block, block]),
+)
 
 # every market of the table is one of the hub's potential trips: the
 # screen's verdicts give way to an all-True mask, its distances stay
-table = MarketTable.from_markets(markets)
 screen = screen_trips(table, [hub.location.lat], [hub.location.lon], 1.0)
 setup = prepare_hub(table, [hub], screen.with_keep(np.ones((1, len(table)), dtype=bool)), matrices, fares)
 params = HubParams(beta_hub=0.4, asc_by_segment={s: -2.5 for s in Segment})

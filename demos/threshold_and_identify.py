@@ -9,13 +9,12 @@ second population of OD markets is then filtered against that hub.
 import numpy as np
 
 from hubmodal import (
+    MAIN_MODES,
+    SEGMENTS,
     GeoPoint,
-    Market,
     MarketTable,
-    ModeAttr,
     Mode,
     Segment,
-    TasteVector,
     derive_threshold,
     detour_ratio,
     screen_trips,
@@ -48,23 +47,36 @@ print(f"detour ratios:  min {ratios[0]:.3f}  median {ratios[len(ratios) // 2]:.3
 print(f"p90 threshold:  {threshold:.3f} (always one of the observed ratios)")
 
 # candidate demand: a fresh cloud of OD markets
-taste = TasteVector(
+TASTE = dict(
     beta_auto_tt=-0.05, beta_trans_ivt=-0.03, beta_trans_at=-0.05,
     beta_trans_et=-0.05, beta_trans_n=-0.4, beta_nonveh_tt=-0.07, beta_cost=-0.3,
     asc_driving=0.5, asc_transit=-0.5, asc_ondemand=-1.0, asc_biking=-1.5, asc_walking=-0.8,
 )
-markets = [
-    Market(
-        od_id=f"od{i:03d}", segment=Segment.LOW_INCOME,
-        origin=point(), destination=point(),
-        trips_per_day=float(rng.uniform(1, 25)), driving_miles=5.0,
-        attrs={Mode.DRIVING: ModeAttr(ivt_min=20.0, cost_usd=3.0)}, taste=taste,
-    )
-    for i in range(400)
-]
 
-# the markets become one table, screened against the hub in one mask
-table = MarketTable.from_markets(markets)
+
+def driving_markets(od_ids, segment, ends, trips, miles, ivt_min, cost_usd):
+    """Markets whose one mode is driving, as MarketTable columns: each of
+    ``ends`` is an (origin, destination) pair of points."""
+    n = len(od_ids)
+    attrs = {f: np.zeros((n, len(MAIN_MODES))) for f in ("ivt_min", "access_min", "egress_min", "transfers", "cost_usd")}
+    available = np.zeros((n, len(MAIN_MODES)), dtype=bool)
+    driving = MAIN_MODES.index(Mode.DRIVING)
+    attrs["ivt_min"][:, driving], attrs["cost_usd"][:, driving], available[:, driving] = ivt_min, cost_usd, True
+    return MarketTable(
+        od_ids, np.full(n, SEGMENTS.index(segment)),
+        [o.lat for o, _ in ends], [o.lon for o, _ in ends], [d.lat for _, d in ends], [d.lon for _, d in ends],
+        np.asarray(trips, dtype=float), np.full(n, miles), attrs=attrs, available=available,
+        taste={name: np.full(n, value) for name, value in TASTE.items()}, o_zones=[""] * n, d_zones=[""] * n,
+    )
+
+
+ends, trips = [], []
+for _ in range(400):
+    ends.append((point(), point()))
+    trips.append(rng.uniform(1, 25))
+
+# the markets are one table, screened against the hub in one mask
+table = driving_markets([f"od{i:03d}" for i in range(400)], Segment.LOW_INCOME, ends, trips, 5.0, 20.0, 3.0)
 (kept,) = screen_trips(table, [hub.lat], [hub.lon], threshold).keep
 print(f"\nmarkets kept at threshold {threshold:.3f}: {kept.sum()} of {len(table)}")
 
@@ -74,13 +86,9 @@ for t in sorted((1.05, 1.2, threshold, 2.0, 2.5)):
     print(f"  threshold {t:5.3f} -> {n:3d} markets")
 
 # trips ending within a kilometre of the hub pass regardless of detour
-close_d = Market(
-    od_id="ends-at-hub", segment=Segment.SENIOR,
-    origin=GeoPoint(lat=42.40, lon=-74.10),
-    destination=GeoPoint(lat=hub.lat + 0.003, lon=hub.lon),
-    trips_per_day=2.0, driving_miles=20.0,
-    attrs={Mode.DRIVING: ModeAttr(ivt_min=40.0, cost_usd=6.0)}, taste=taste,
+close_table = driving_markets(
+    ["ends-at-hub"], Segment.SENIOR, [(GeoPoint(lat=42.40, lon=-74.10), GeoPoint(lat=hub.lat + 0.003, lon=hub.lon))],
+    [2.0], 20.0, 40.0, 6.0,
 )
-close_table = MarketTable.from_markets([close_d])
 (near,) = screen_trips(close_table, [hub.lat], [hub.lon], 1.1).keep
 print(f"\nawkward detour but destination near hub -> {[close_table.ids[i] for i in near.nonzero()[0]]}")

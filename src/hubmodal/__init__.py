@@ -33,11 +33,8 @@ _EXPORTS = {
         "SEGMENTS",
         "TASTE_FIELDS",
         "ComboId",
-        "Market",
         "Mode",
-        "ModeAttr",
         "Segment",
-        "TasteVector",
         "mode_utility",
     ),
     "config": ("Manifest", "OptimizerSettings", "PipelineConfig"),

@@ -1,10 +1,11 @@
 """Modes, segments and the utility formula of the hub mode choice model.
 
 Each market is one (population segment, OD pair) demand cell with its own
-taste coefficients and mode attributes.  This module holds the mode and
-segment enums, the coefficient family of every mode, TasteVector, the
-per-market records (ModeAttr, Market, ComboId) and ``mode_utility``, the
-one utility formula.
+taste coefficients and mode attributes, held as columns of a
+``hubs.MarketTable``.  This module holds the mode and segment enums, the
+coefficient family of every mode, the taste coefficient names
+(TASTE_FIELDS), the transfer combo id (ComboId) and ``mode_utility``,
+the one utility formula.
 
 Utilities are linear in time and cost.  There are three coefficient
 families (auto, transit, non-vehicle); every mode, including hub leg
@@ -27,12 +28,8 @@ markets with max-subtraction, stable for utilities anywhere in
 
 from __future__ import annotations
 
-import math
 from enum import Enum
-from typing import Mapping, NamedTuple
-
-from .geo import GeoPoint
-from .records import record
+from typing import NamedTuple
 
 
 class Segment(str, Enum):
@@ -94,6 +91,9 @@ MODE_FAMILY: dict[Mode, tuple[str, str | None]] = {
     Mode.WALK_LEG: (_NONVEH, "asc_walking"),
 }
 
+# The taste coefficients of a market, by name.  Time coefficients are per
+# minute, beta_cost per dollar; carpool is the reference mode and has no
+# constant.
 TASTE_FIELDS: tuple[str, ...] = (
     "beta_auto_tt",
     "beta_trans_ivt",
@@ -110,48 +110,6 @@ TASTE_FIELDS: tuple[str, ...] = (
 )
 
 
-@record(frozen=True)
-class TasteVector:
-    """Per-market utility coefficients.
-
-    Time coefficients are per minute, beta_cost per dollar.  Carpool is the
-    reference mode and has no constant.  All fields must be finite; the
-    beta_cost < 0 requirement is enforced at ingestion and by the
-    operations that divide by it, so synthetic vectors with beta_cost = 0
-    remain constructible for utility-only arithmetic.
-    """
-
-    beta_auto_tt: float = 0.0
-    beta_trans_ivt: float = 0.0
-    beta_trans_at: float = 0.0
-    beta_trans_et: float = 0.0
-    beta_trans_n: float = 0.0
-    beta_nonveh_tt: float = 0.0
-    beta_cost: float = 0.0
-    asc_driving: float = 0.0
-    asc_transit: float = 0.0
-    asc_ondemand: float = 0.0
-    asc_biking: float = 0.0
-    asc_walking: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in TASTE_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"invalid attribute: non-finite {name}")
-
-
-@record(frozen=True)
-class ModeAttr:
-    """Level-of-service attributes of one mode for one market."""
-
-    ivt_min: float = 0.0
-    access_min: float = 0.0
-    egress_min: float = 0.0
-    transfers: float = 0.0
-    cost_usd: float = 0.0
-    available: bool = True
-
-
 class ComboId(NamedTuple):
     """Entry and exit leg modes of one hub transfer alternative."""
 
@@ -166,65 +124,27 @@ def combo_sort_key(combo: ComboId) -> tuple[str, str]:
     return (combo.entry.value, combo.exit.value)
 
 
-@record(frozen=True)
-class Market:
-    """One (segment, OD pair) demand cell.
-
-    ``attrs`` maps unimodal modes to their level-of-service attributes;
-    modes absent from the mapping are unavailable.  ``o_zone``/``d_zone``
-    key the leg travel-time matrices and default to ``<od_id>/o`` and
-    ``<od_id>/d``.  The market rules (trips, available modes, finite
-    attributes) are MarketTable's, checked when markets become a table.
-    """
-
-    od_id: str
-    segment: Segment
-    origin: GeoPoint
-    destination: GeoPoint
-    trips_per_day: float
-    driving_miles: float
-    attrs: Mapping[Mode, ModeAttr]
-    taste: TasteVector
-    o_zone: str = ""
-    d_zone: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.o_zone:
-            object.__setattr__(self, "o_zone", f"{self.od_id}/o")
-        if not self.d_zone:
-            object.__setattr__(self, "d_zone", f"{self.od_id}/d")
-
-    @property
-    def market_id(self) -> str:
-        return f"{self.od_id}|{self.segment.value}"
-
-
-def _coef(taste, name: str):
-    if isinstance(taste, TasteVector):
-        return getattr(taste, name)
-    return taste[name]
-
-
 def mode_utility(taste, mode: Mode, *, ivt_min=0.0, access_min=0.0, egress_min=0.0, transfers=0.0, cost_usd=0.0):
     """Family utility formula; elementwise over scalars or numpy arrays.
 
-    ``taste`` is a TasteVector or a mapping of coefficient name to array.
+    ``taste`` maps each coefficient name of TASTE_FIELDS to a scalar or an
+    array (a MarketTable's ``taste`` columns), read as ``taste[name]``.
     Only the attributes the mode's family uses enter the sum; every family
     adds beta_cost * cost plus the mode constant.
     """
     family, asc = MODE_FAMILY[mode]
     if family == _AUTO:
-        v = _coef(taste, "beta_auto_tt") * ivt_min
+        v = taste["beta_auto_tt"] * ivt_min
     elif family == _TRANSIT:
         v = (
-            _coef(taste, "beta_trans_ivt") * ivt_min
-            + _coef(taste, "beta_trans_at") * access_min
-            + _coef(taste, "beta_trans_et") * egress_min
-            + _coef(taste, "beta_trans_n") * transfers
+            taste["beta_trans_ivt"] * ivt_min
+            + taste["beta_trans_at"] * access_min
+            + taste["beta_trans_et"] * egress_min
+            + taste["beta_trans_n"] * transfers
         )
     else:
-        v = _coef(taste, "beta_nonveh_tt") * ivt_min
-    v = v + _coef(taste, "beta_cost") * cost_usd
+        v = taste["beta_nonveh_tt"] * ivt_min
+    v = v + taste["beta_cost"] * cost_usd
     if asc is not None:
-        v = v + _coef(taste, asc)
+        v = v + taste[asc]
     return v

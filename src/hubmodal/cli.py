@@ -356,11 +356,13 @@ def _cmd_identify_trips(args) -> int:
     return 0
 
 
-def _load_model_inputs(args):
+def _load_model_inputs(args, *required: str):
     """The inputs of a model stage (calibrate, assess, rank), the detour
-    threshold, and the observed hubs' setups."""
+    threshold, and the observed hubs' setups.  The manifest must name the
+    model inputs and the stage's own ``required`` entries before any input
+    is read."""
     manifest, config = _load_base(args)
-    manifest.require("markets", "fares", "survey", "observed_usage", "leg_matrices")
+    manifest.require("markets", "fares", "survey", "observed_usage", "leg_matrices", *required)
     # The matrices parse sets the stage's peak RSS: no other input sits under it.
     matrix_digests: list[str] = []
     matrices = io.load_matrices(manifest.leg_matrices, matrix_digests)
@@ -451,8 +453,9 @@ def _cmd_assess(args) -> int:
 def _cmd_rank(args) -> int:
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
-    manifest, config, table, hub_recs, matrices, matrix_digests, fares, thr, thr_meta, setups = _load_model_inputs(args)
-    manifest.require("stops", "pr_lots")
+    manifest, config, table, hub_recs, matrices, matrix_digests, fares, thr, thr_meta, setups = _load_model_inputs(
+        args, "stops", "pr_lots"
+    )
     stops = io.load_stops(manifest.stops)
     lots = io.load_pr_lots(manifest.pr_lots)
     # the references are the observed hubs as assess reports them

@@ -27,7 +27,6 @@ from .choice import (
     SEGMENTS,
     TASTE_FIELDS,
     ComboId,
-    Market,
     Mode,
     Segment,
     combo_sort_key,
@@ -35,9 +34,6 @@ from .choice import (
 )
 from .geo import MILES_PER_KM, GeoPoint, TripScreen
 from .records import record
-
-_SEGMENT_CODE = {seg: i for i, seg in enumerate(SEGMENTS)}
-_MAIN_INDEX = {mode: i for i, mode in enumerate(MAIN_MODES)}
 
 
 def _combo(entry: Mode, exit: Mode) -> ComboId:
@@ -247,12 +243,6 @@ def _leg_times(cells: np.ndarray) -> LegTimes | None:
     return LegTimes(minutes, access, egress, transfers, None if miles != miles else miles)
 
 
-def _leg_cells(leg: LegTimes | None) -> list[float]:
-    if leg is None:
-        return [np.nan] * 5
-    return [leg.minutes, leg.access_min, leg.egress_min, leg.transfers, np.nan if leg.miles is None else leg.miles]
-
-
 class LegMatrices:
     """Zone-to-hub leg store: one row per (zone, hub, leg mode), held as a
     key column and a leg block.
@@ -275,7 +265,7 @@ class LegMatrices:
     others are sorted in place, and the first spare row becomes the
     sentinel.  Any other ``legs`` is copied.  The store is complete once
     built; lookups never change it.  The first lookup builds an index of
-    its (zone, hub) pairs from ``key``, which ``add`` drops.
+    its (zone, hub) pairs from ``key``.
     """
 
     def __init__(
@@ -332,7 +322,7 @@ class LegMatrices:
         self.legs, self.key = legs[:, :-1], key[:-1]
         self._zone_code = {z: i for i, z in enumerate(self.zone_ids)}
         self._hub_code = {h: i for i, h in enumerate(self.hub_ids)}
-        self._index = None  # the pair index of the store this replaces is stale
+        self._index = None  # built on the first lookup
 
     @property
     def zone(self) -> np.ndarray:
@@ -356,18 +346,6 @@ class LegMatrices:
     def entries(self) -> Mapping[tuple[str, str, Mode], tuple[LegTimes | None, LegTimes | None]]:
         """Read-only view of the rows as (zone, hub, mode) -> (to-hub, from-hub)."""
         return _LegEntries(self)
-
-    def add(self, zone_id: str, hub_id: str, mode: Mode, to_hub: LegTimes | None, from_hub: LegTimes | None) -> None:
-        """Add one row, replacing any row with the same key.  Each call
-        rebuilds the store; bulk data goes through the constructor."""
-        self.__init__(
-            self.zone_ids + (zone_id,),
-            self.hub_ids + (hub_id,),
-            np.append(self.zone, len(self.zone_ids)),
-            np.append(self.hub, len(self.hub_ids)),
-            np.append(self.mode, _LEG_MODE_CODE[mode]),
-            np.concatenate([self.legs, [[_leg_cells(to_hub)], [_leg_cells(from_hub)]]], axis=1),
-        )
 
     def zone_codes(self, zone_ids: Sequence[str]) -> np.ndarray:
         """This store's code for each zone id, -1 where it has none."""
@@ -479,7 +457,7 @@ def leg_cost_usd(
 
 
 # Markets-file column prefix of each unimodal mode, in MAIN_MODES order,
-# with the ModeAttr fields the file carries for it.
+# with the attribute fields the file carries for it.
 MARKET_MODE_COLUMNS: tuple[tuple[str, Mode, tuple[str, ...]], ...] = (
     ("driving", Mode.DRIVING, ("ivt_min", "cost_usd")),
     ("transit", Mode.TRANSIT, ("ivt_min", "access_min", "egress_min", "transfers", "cost_usd")),
@@ -606,33 +584,6 @@ class MarketTable:
             u = mode_utility(self.taste, mode, **{f: self.attrs[f][:, j] for f in ATTR_FIELDS})
             uni[:, j] = np.where(self.available[:, j], u, -np.inf)
         self._unimodal_utilities = uni
-
-    @classmethod
-    def from_markets(cls, markets: Iterable[Market]) -> "MarketTable":
-        """The table of Market objects, their fields turned into columns."""
-        ms = list(markets)
-        cells = np.zeros((len(ms), len(MAIN_MODES), len(ATTR_FIELDS) + 1))  # attributes, then the flag
-        for i, m in enumerate(ms):
-            for mode, a in m.attrs.items():
-                if mode not in _MAIN_INDEX:
-                    raise ValueError(f"market {m.market_id}: {mode.value} is not a unimodal mode")
-                cells[i, _MAIN_INDEX[mode]] = (*map(a.__getattribute__, ATTR_FIELDS), a.available)
-        numbers = [
-            (m.origin.lat, m.origin.lon, m.destination.lat, m.destination.lon, m.trips_per_day, m.driving_miles)
-            + tuple(map(m.taste.__getattribute__, TASTE_FIELDS))
-            for m in ms
-        ]
-        columns = np.array(numbers, dtype=float).reshape(len(ms), 6 + len(TASTE_FIELDS)).T
-        return cls(
-            [m.od_id for m in ms],
-            np.array([_SEGMENT_CODE[m.segment] for m in ms], dtype=np.int64),
-            *columns[:6],
-            attrs={f: cells[:, :, i] for i, f in enumerate(ATTR_FIELDS)},
-            available=cells[:, :, -1] == 1.0,
-            taste=dict(zip(TASTE_FIELDS, columns[6:])),
-            o_zones=[m.o_zone for m in ms],
-            d_zones=[m.d_zone for m in ms],
-        )
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -535,8 +535,13 @@ def load_markets(path: str | Path, taste_path: str | Path | None = None) -> Mark
     MarketTable, and either names the file, row and column: a joined
     taste coefficient's, those of its taste-parameters file."""
     table = _read_columns(path, _MARKET_CELLS, {**_TASTE_CELLS, "o_zone": str.strip, "d_zone": str.strip})
-    if not table:
-        return MarketTable.from_markets([])
+    if not table:  # a header and no records
+        modes = len(MARKET_MODE_COLUMNS)
+        return MarketTable(
+            [], np.empty(0, dtype=np.int64), *np.empty((6, 0)), attrs=dict.fromkeys(ATTR_FIELDS, np.empty((0, modes))),
+            available=np.empty((0, modes), dtype=bool), taste=dict.fromkeys(TASTE_FIELDS, np.empty(0)), o_zones=[],
+            d_zones=[],
+        )
     od_ids, segments = table["od_id"], table["segment"]
     pick = None  # each market's row of a joined taste-parameters file
     if all(name in table for name in TASTE_FIELDS):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import hubmodal.io
+from reference_model import Market, ModeAttr, TasteVector, table_from_markets
 from hubmodal import (
     SEGMENTS,
     TASTE_FIELDS,
@@ -21,13 +22,10 @@ from hubmodal import (
     Hub,
     HubParams,
     LegMatrices,
-    Market,
     MarketTable,
     Mode,
-    ModeAttr,
     ParseError,
     Segment,
-    TasteVector,
     TripScreen,
     prepare_hub,
     screen_trips,
@@ -121,14 +119,14 @@ def every_market(table: MarketTable, hubs) -> TripScreen:
 
 def one_hub_setup(markets, hub: Hub, matrices: LegMatrices, fares: FareTable, **kwargs):
     """``prepare_hub`` for ``hub`` over every one of ``markets``."""
-    table = MarketTable.from_markets(markets)
+    table = table_from_markets(markets)
     return prepare_hub(table, [hub], every_market(table, [hub]), matrices, fares, **kwargs)
 
 
 def kept_ids(markets, hub: GeoPoint, threshold: float, **kwargs) -> list[str]:
     """Ids of the ``markets`` that ``screen_trips`` keeps for a hub
     at ``hub``, in market-id order."""
-    table = MarketTable.from_markets(markets)
+    table = table_from_markets(markets)
     (keep,) = screen_trips(table, [hub.lat], [hub.lon], threshold, **kwargs).keep
     return [table.ids[i] for i in np.flatnonzero(keep).tolist()]
 

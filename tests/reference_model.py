@@ -7,6 +7,11 @@ utilities from two priced legs, the nest logsum and the two-level shares.
 The package computes the same quantities as arrays (``prepare_hub`` and
 ``HubChoiceSetup.choice_shares``); none of this code runs in a CLI stage.
 
+The first part holds the records the oracle prices (TasteVector,
+ModeAttr, Market) and the row-at-a-time builders that turn them into
+the package's column forms: ``table_from_markets`` for a MarketTable and
+``add_leg`` for one LegMatrices row.
+
 The last part holds the package's former forms of its lookups and
 screens, which the current forms must match bit for bit: the
 great-circle formula written as one expression, the leg lookup by
@@ -22,10 +27,161 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from hubmodal.choice import ComboId, Market, Mode, ModeAttr, Segment, TasteVector, combo_sort_key, mode_utility
+from hubmodal.choice import MAIN_MODES, SEGMENTS, TASTE_FIELDS, ComboId, Mode, Segment, combo_sort_key, mode_utility
 from hubmodal.geo import CONDITION2_MODES, EARTH_RADIUS_KM, MILES_PER_KM, GeoPoint, haversine_km
-from hubmodal.hubs import _LEG_MODE_CODE, LEG_MODE_ORDER, FareTable, Hub, HubParams, LegMatrices, LegTimes, MarketTable, leg_cost_usd
+from hubmodal.hubs import (
+    _LEG_MODE_CODE,
+    ATTR_FIELDS,
+    LEG_MODE_ORDER,
+    FareTable,
+    Hub,
+    HubParams,
+    LegMatrices,
+    LegTimes,
+    MarketTable,
+    leg_cost_usd,
+)
 from hubmodal.siting import Candidate, StopRecord, _UnionFind
+
+# ----------------------------------------------------------------------
+# records and row-at-a-time builders
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TasteVector:
+    """Per-market utility coefficients, read by name as ``taste[name]``
+    the way ``mode_utility`` reads a MarketTable's taste columns.
+
+    Time coefficients are per minute, beta_cost per dollar.  Carpool is the
+    reference mode and has no constant.  All fields must be finite; the
+    beta_cost < 0 requirement is enforced at ingestion and by the
+    operations that divide by it, so synthetic vectors with beta_cost = 0
+    remain constructible for utility-only arithmetic.
+    """
+
+    beta_auto_tt: float = 0.0
+    beta_trans_ivt: float = 0.0
+    beta_trans_at: float = 0.0
+    beta_trans_et: float = 0.0
+    beta_trans_n: float = 0.0
+    beta_nonveh_tt: float = 0.0
+    beta_cost: float = 0.0
+    asc_driving: float = 0.0
+    asc_transit: float = 0.0
+    asc_ondemand: float = 0.0
+    asc_biking: float = 0.0
+    asc_walking: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in TASTE_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"invalid attribute: non-finite {name}")
+
+    def __getitem__(self, name: str) -> float:
+        return getattr(self, name)
+
+
+@dataclass(frozen=True)
+class ModeAttr:
+    """Level-of-service attributes of one mode for one market."""
+
+    ivt_min: float = 0.0
+    access_min: float = 0.0
+    egress_min: float = 0.0
+    transfers: float = 0.0
+    cost_usd: float = 0.0
+    available: bool = True
+
+
+@dataclass(frozen=True)
+class Market:
+    """One (segment, OD pair) demand cell.
+
+    ``attrs`` maps unimodal modes to their level-of-service attributes;
+    modes absent from the mapping are unavailable.  ``o_zone``/``d_zone``
+    key the leg travel-time matrices and default to ``<od_id>/o`` and
+    ``<od_id>/d``.  The market rules (trips, available modes, finite
+    attributes) are MarketTable's, checked when markets become a table.
+    """
+
+    od_id: str
+    segment: Segment
+    origin: GeoPoint
+    destination: GeoPoint
+    trips_per_day: float
+    driving_miles: float
+    attrs: Mapping[Mode, ModeAttr]
+    taste: TasteVector
+    o_zone: str = ""
+    d_zone: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.o_zone:
+            object.__setattr__(self, "o_zone", f"{self.od_id}/o")
+        if not self.d_zone:
+            object.__setattr__(self, "d_zone", f"{self.od_id}/d")
+
+    @property
+    def market_id(self) -> str:
+        return f"{self.od_id}|{self.segment.value}"
+
+
+_SEGMENT_CODE = {seg: i for i, seg in enumerate(SEGMENTS)}
+_MAIN_INDEX = {mode: i for i, mode in enumerate(MAIN_MODES)}
+
+
+def table_from_markets(markets: Iterable[Market]) -> MarketTable:
+    """The MarketTable of Market objects, their fields turned into columns."""
+    ms = list(markets)
+    cells = np.zeros((len(ms), len(MAIN_MODES), len(ATTR_FIELDS) + 1))  # attributes, then the flag
+    for i, m in enumerate(ms):
+        for mode, a in m.attrs.items():
+            if mode not in _MAIN_INDEX:
+                raise ValueError(f"market {m.market_id}: {mode.value} is not a unimodal mode")
+            cells[i, _MAIN_INDEX[mode]] = (*map(a.__getattribute__, ATTR_FIELDS), a.available)
+    numbers = [
+        (m.origin.lat, m.origin.lon, m.destination.lat, m.destination.lon, m.trips_per_day, m.driving_miles)
+        + tuple(map(m.taste.__getattribute__, TASTE_FIELDS))
+        for m in ms
+    ]
+    columns = np.array(numbers, dtype=float).reshape(len(ms), 6 + len(TASTE_FIELDS)).T
+    return MarketTable(
+        [m.od_id for m in ms],
+        np.array([_SEGMENT_CODE[m.segment] for m in ms], dtype=np.int64),
+        *columns[:6],
+        attrs={f: cells[:, :, i] for i, f in enumerate(ATTR_FIELDS)},
+        available=cells[:, :, -1] == 1.0,
+        taste=dict(zip(TASTE_FIELDS, columns[6:])),
+        o_zones=[m.o_zone for m in ms],
+        d_zones=[m.d_zone for m in ms],
+    )
+
+
+def _leg_cells(leg: LegTimes | None) -> list[float]:
+    if leg is None:
+        return [np.nan] * 5
+    return [leg.minutes, leg.access_min, leg.egress_min, leg.transfers, np.nan if leg.miles is None else leg.miles]
+
+
+def add_leg(
+    matrices: LegMatrices, zone_id: str, hub_id: str, mode: Mode, to_hub: LegTimes | None, from_hub: LegTimes | None
+) -> None:
+    """Add one row to ``matrices`` in place, replacing any row with the
+    same key.  Each call rebuilds the store through its constructor."""
+    matrices.__init__(
+        matrices.zone_ids + (zone_id,),
+        matrices.hub_ids + (hub_id,),
+        np.append(matrices.zone, len(matrices.zone_ids)),
+        np.append(matrices.hub, len(matrices.hub_ids)),
+        np.append(matrices.mode, _LEG_MODE_CODE[mode]),
+        np.concatenate([matrices.legs, [[_leg_cells(to_hub)], [_leg_cells(from_hub)]]], axis=1),
+    )
+
+
+# ----------------------------------------------------------------------
+# the scalar model
+# ----------------------------------------------------------------------
 
 
 def systematic_utility(taste: TasteVector, attrs: ModeAttr, mode: Mode) -> float:

@@ -27,7 +27,7 @@ from conftest import (
     random_taste,
     simple_fares,
 )
-from reference_model import nest_logsum, nested_shares
+from reference_model import ModeAttr, nest_logsum, nested_shares
 
 from hubmodal import (
     LEG_MODES,
@@ -38,7 +38,6 @@ from hubmodal import (
     HubChoiceSetup,
     HubParams,
     Mode,
-    ModeAttr,
     ModeShiftResult,
     ObservedUsage,
     OptimizerSettings,

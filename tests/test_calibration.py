@@ -15,13 +15,13 @@ import pytest
 
 import test_acceptance as acceptance
 from conftest import every_market, full_matrices, make_hub, make_market, make_params, one_hub_setup, simple_fares
+from reference_model import add_leg, table_from_markets
 
 from hubmodal import (
     ComboId,
     HubChoiceSetup,
     HubParams,
     LegTimes,
-    MarketTable,
     Mode,
     ObservedUsage,
     Segment,
@@ -138,7 +138,7 @@ def test_predict_monotone_in_segment_constant():
 
 def test_predict_rejects_empty_setup():
     setup = _setup_for(Segment.SENIOR)
-    table = MarketTable.from_markets([make_market(od_id="far", segment=Segment.SENIOR)])
+    table = table_from_markets([make_market(od_id="far", segment=Segment.SENIOR)])
     screen = every_market(table, setup.hubs).with_keep(np.zeros((1, 1), dtype=bool))
     empty = prepare_hub(table, setup.hubs, screen, full_matrices({}, "h1"), simple_fares())
     with pytest.raises(ValueError, match="no potential trips"):
@@ -246,8 +246,8 @@ def _h1_h2_setups():
     matrices = full_matrices({z: None for m in markets for z in (m.o_zone, m.d_zone)}, "h1")
     for z in matrices.zone_ids:
         for mode in (Mode.CAR, Mode.WALK_LEG, Mode.BUS):
-            matrices.add(z, "h2", mode, LegTimes(minutes=12.0, miles=2.0), LegTimes(minutes=12.0, miles=2.0))
-    table = MarketTable.from_markets(markets)
+            add_leg(matrices, z, "h2", mode, LegTimes(minutes=12.0, miles=2.0), LegTimes(minutes=12.0, miles=2.0))
+    table = table_from_markets(markets)
     screen = every_market(table, hubs).with_keep(np.array([[mid.startswith(hub.id) for mid in table.ids] for hub in hubs]))
     stacked = prepare_hub(table, hubs, screen, matrices, simple_fares())
     h1, h2 = (prepare_hub(table, [hub], screen[h : h + 1], matrices, simple_fares()) for h, hub in enumerate(hubs))

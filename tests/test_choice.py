@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import make_params, make_taste
-from reference_model import mnl_shares, nest_logsum, nested_shares, systematic_utility
+from reference_model import ModeAttr, mnl_shares, nest_logsum, nested_shares, systematic_utility
 
 from hubmodal import (
     LEG_MODES,
     MAIN_MODES,
     ComboId,
     HubParams,
-    ModeAttr,
     Mode,
     Segment,
     mode_utility,

@@ -20,7 +20,15 @@ from conftest import (
     one_hub_setup,
     simple_fares,
 )
-from reference_model import assemble_leg_attrs, combo_utility, nested_shares, systematic_utility
+from reference_model import (
+    ModeAttr,
+    add_leg,
+    assemble_leg_attrs,
+    combo_utility,
+    nested_shares,
+    systematic_utility,
+    table_from_markets,
+)
 
 from hubmodal import (
     MAIN_MODES,
@@ -30,7 +38,6 @@ from hubmodal import (
     Hub,
     LegMatrices,
     LegTimes,
-    MarketTable,
     Mode,
     Segment,
     SurveyRecord,
@@ -151,10 +158,10 @@ def test_bike_share_steps_must_be_sorted():
 def test_bus_leg_attributes_field_by_field():
     market = make_market()
     matrices = LegMatrices()
-    matrices.add(market.o_zone, "h1", Mode.BUS,
-                 LegTimes(minutes=15.0, access_min=5.0, egress_min=5.0, transfers=0.0), None)
-    matrices.add(market.d_zone, "h1", Mode.BUS,
-                 None, LegTimes(minutes=18.0, access_min=2.0, egress_min=3.0, transfers=1.0))
+    add_leg(matrices, market.o_zone, "h1", Mode.BUS,
+            LegTimes(minutes=15.0, access_min=5.0, egress_min=5.0, transfers=0.0), None)
+    add_leg(matrices, market.d_zone, "h1", Mode.BUS,
+            None, LegTimes(minutes=18.0, access_min=2.0, egress_min=3.0, transfers=1.0))
     hub = make_hub(combos=(ComboId(Mode.BUS, Mode.BUS),), car_share=False, bike_share=False)
     attrs = assemble_leg_attrs(market, hub, ComboId(Mode.BUS, Mode.BUS), matrices, simple_fares())
     entry, exit = attrs
@@ -167,7 +174,7 @@ def test_bus_leg_attributes_field_by_field():
 def test_assemble_returns_none_for_missing_leg():
     market = make_market()
     matrices = LegMatrices()
-    matrices.add(market.o_zone, "h1", Mode.CAR, LegTimes(minutes=10.0, miles=3.0), None)
+    add_leg(matrices, market.o_zone, "h1", Mode.CAR, LegTimes(minutes=10.0, miles=3.0), None)
     hub = make_hub(combos=(ComboId(Mode.CAR, Mode.CAR),), car_share=False, bike_share=False)
     # exit direction is absent from the matrices
     assert assemble_leg_attrs(market, hub, ComboId(Mode.CAR, Mode.CAR), matrices, simple_fares()) is None
@@ -178,8 +185,8 @@ def test_car_leg_miles_fall_back_to_circuity_adjusted_great_circle():
 
     market = make_market()
     matrices = LegMatrices()
-    matrices.add(market.o_zone, "h1", Mode.CAR, LegTimes(minutes=10.0, miles=None), None)
-    matrices.add(market.d_zone, "h1", Mode.CAR, None, LegTimes(minutes=10.0, miles=2.0))
+    add_leg(matrices, market.o_zone, "h1", Mode.CAR, LegTimes(minutes=10.0, miles=None), None)
+    add_leg(matrices, market.d_zone, "h1", Mode.CAR, None, LegTimes(minutes=10.0, miles=2.0))
     hub = make_hub(combos=(ComboId(Mode.CAR, Mode.CAR),), car_share=False, bike_share=False)
     entry, exit = assemble_leg_attrs(market, hub, ComboId(Mode.CAR, Mode.CAR), matrices, simple_fares())
     gc_miles = great_circle_km(market.origin, hub.location) * MILES_PER_KM
@@ -200,8 +207,6 @@ def test_combo_utility_is_sum_of_leg_utilities():
 
 
 def make_leg_attr(ivt: float, cost: float):
-    from hubmodal import ModeAttr
-
     return ModeAttr(ivt_min=ivt, cost_usd=cost)
 
 
@@ -270,8 +275,8 @@ def test_setup_evaluations_carry_no_state_between_parameter_sets():
     full = [markets[0], markets[3]]
     matrices = full_matrices({z: None for m in full for z in (m.o_zone, m.d_zone)}, "h1", minutes=11.0, miles=2.5)
     # market 1 reaches only the walk+bus combo; market 2 reaches none
-    matrices.add(markets[1].o_zone, "h1", Mode.WALK_LEG, LegTimes(minutes=9.0), None)
-    matrices.add(markets[1].d_zone, "h1", Mode.BUS, None, LegTimes(minutes=14.0, access_min=3.0))
+    add_leg(matrices, markets[1].o_zone, "h1", Mode.WALK_LEG, LegTimes(minutes=9.0), None)
+    add_leg(matrices, markets[1].d_zone, "h1", Mode.BUS, None, LegTimes(minutes=14.0, access_min=3.0))
     setup = one_hub_setup(markets, hub, matrices, fares)
     combo_util, uni_util = setup.combo_util.copy(), setup.uni_util.copy()
     ordered = sorted(markets, key=lambda m: m.market_id)
@@ -303,7 +308,7 @@ def test_setup_evaluations_carry_no_state_between_parameter_sets():
 
 def test_prepare_hub_stacks_rows_in_market_id_order():
     markets, hub, matrices, _ = _small_setup()
-    table = MarketTable.from_markets(reversed(markets))
+    table = table_from_markets(reversed(markets))
     setup = prepare_hub(table, [hub], every_market(table, [hub]), matrices, simple_fares())
     assert (np.diff(setup.rows) > 0).all()
     assert [table.ids[i] for i in setup.rows.tolist()] == sorted(m.market_id for m in markets)
@@ -312,7 +317,7 @@ def test_prepare_hub_stacks_rows_in_market_id_order():
 @pytest.mark.parametrize("shape", [(1, 3), (2, 4), (4,)])
 def test_prepare_hub_rejects_a_mask_of_another_shape(shape):
     markets, hub, matrices, _ = _small_setup(4)
-    table = MarketTable.from_markets(markets)
+    table = table_from_markets(markets)
     screen = every_market(table, [hub]).with_keep(np.ones(shape, dtype=bool))
     with pytest.raises(ValueError, match=rf"{re.escape(str(shape))}.*\(1, 4\)"):
         prepare_hub(table, [hub], screen, matrices, simple_fares())
@@ -320,7 +325,7 @@ def test_prepare_hub_rejects_a_mask_of_another_shape(shape):
 
 def test_prepare_hub_rejects_the_distances_of_other_hubs():
     markets, hub, matrices, _ = _small_setup(4)
-    table = MarketTable.from_markets(markets)
+    table = table_from_markets(markets)
     two = every_market(table, [hub, hub])
     with pytest.raises(ValueError, match="distances are not of these hubs"):
         prepare_hub(table, [hub], two.with_keep(two.keep[:1]), matrices, simple_fares())
@@ -332,8 +337,8 @@ def test_prepare_hub_marks_missing_legs_unavailable():
     sparse = LegMatrices()
     # only the walk+bus combo has data, and only for the first market
     m0 = markets[0]
-    sparse.add(m0.o_zone, "h1", Mode.WALK_LEG, LegTimes(minutes=9.0), LegTimes(minutes=9.0))
-    sparse.add(m0.d_zone, "h1", Mode.BUS, LegTimes(minutes=14.0, access_min=3.0), LegTimes(minutes=14.0, access_min=3.0))
+    add_leg(sparse, m0.o_zone, "h1", Mode.WALK_LEG, LegTimes(minutes=9.0), LegTimes(minutes=9.0))
+    add_leg(sparse, m0.d_zone, "h1", Mode.BUS, LegTimes(minutes=14.0, access_min=3.0), LegTimes(minutes=14.0, access_min=3.0))
     setup = one_hub_setup(markets, hub, sparse, simple_fares())
     j = setup.combos.index(ComboId(Mode.WALK_LEG, Mode.BUS))
     row0 = sorted(m.market_id for m in markets).index(m0.market_id)
@@ -360,8 +365,8 @@ def _entry_leg_costs(entry_mode: Mode, legs: list[LegTimes], fares: FareTable) -
     markets = [make_market(od_id=f"od{i}", taste=COST_ONLY_TASTE) for i in range(len(legs))]
     matrices = LegMatrices()
     for market, leg in zip(markets, legs):
-        matrices.add(market.o_zone, "h1", entry_mode, leg, None)
-        matrices.add(market.d_zone, "h1", Mode.WALK_LEG, None, LegTimes(minutes=5.0))
+        add_leg(matrices, market.o_zone, "h1", entry_mode, leg, None)
+        add_leg(matrices, market.d_zone, "h1", Mode.WALK_LEG, None, LegTimes(minutes=5.0))
     hub = make_hub(combos=(ComboId(entry_mode, Mode.WALK_LEG),))
     setup = one_hub_setup(markets, hub, matrices, fares)
     assert setup.rows.tolist() == list(range(len(markets)))
@@ -410,10 +415,10 @@ def test_entry_fraction_and_vmt_miles_fallbacks():
     m1 = make_market(od_id="od1", o=(hub.location.lat, hub.location.lon))
     matrices = LegMatrices()
     for m in (m0, m1):
-        matrices.add(m.o_zone, "h1", Mode.WALK_LEG, LegTimes(minutes=9.0), None)  # no network miles
-        matrices.add(m.o_zone, "h1", Mode.BUS, LegTimes(minutes=14.0, miles=0.0), None)
-        matrices.add(m.d_zone, "h1", Mode.BUS, None, LegTimes(minutes=14.0, miles=3.1))
-        matrices.add(m.d_zone, "h1", Mode.WALK_LEG, None, LegTimes(minutes=5.0, miles=0.0))
+        add_leg(matrices, m.o_zone, "h1", Mode.WALK_LEG, LegTimes(minutes=9.0), None)  # no network miles
+        add_leg(matrices, m.o_zone, "h1", Mode.BUS, LegTimes(minutes=14.0, miles=0.0), None)
+        add_leg(matrices, m.d_zone, "h1", Mode.BUS, None, LegTimes(minutes=14.0, miles=3.1))
+        add_leg(matrices, m.d_zone, "h1", Mode.WALK_LEG, None, LegTimes(minutes=5.0, miles=0.0))
     setup = one_hub_setup([m0, m1], hub, matrices, simple_fares())
     j = {combo: setup.combos.index(combo) for combo in (walk_bus, walk_walk, bus_bus, bus_walk)}
     frac, vmt = setup.entry_fraction, setup.vmt_miles

@@ -16,7 +16,16 @@ from conftest import (
     one_hub_setup,
     simple_fares,
 )
-from reference_model import assemble_leg_attrs, combo_utility, mnl_shares, nested_shares, systematic_utility
+from reference_model import (
+    Market,
+    ModeAttr,
+    add_leg,
+    assemble_leg_attrs,
+    combo_utility,
+    mnl_shares,
+    nested_shares,
+    systematic_utility,
+)
 
 from hubmodal import (
     ComboId,
@@ -24,9 +33,7 @@ from hubmodal import (
     GeoPoint,
     LegMatrices,
     LegTimes,
-    Market,
     Mode,
-    ModeAttr,
     Segment,
     assess_hubs,
     consumer_surpluses,
@@ -123,8 +130,8 @@ def test_leg_split_follows_distance_weights():
     # 75% of multimodal trips go to the entry mode
     market = make_market(od_id="solo", trips=8.0)
     matrices = LegMatrices()
-    matrices.add(market.o_zone, "h1", Mode.CAR, LegTimes(minutes=9.0, miles=3.0), None)
-    matrices.add(market.d_zone, "h1", Mode.BUS, None, LegTimes(minutes=12.0, access_min=3.0, miles=1.0))
+    add_leg(matrices, market.o_zone, "h1", Mode.CAR, LegTimes(minutes=9.0, miles=3.0), None)
+    add_leg(matrices, market.d_zone, "h1", Mode.BUS, None, LegTimes(minutes=12.0, access_min=3.0, miles=1.0))
     hub = make_hub(combos=(ComboId(Mode.CAR, Mode.BUS),), car_share=False, bike_share=False)
     setup = one_hub_setup([market], hub, matrices, simple_fares())
     (shift,) = mode_shifts(setup, setup.choice_shares(make_params(beta=0.5, asc=-1.0)))
@@ -135,8 +142,8 @@ def test_leg_split_follows_distance_weights():
 def test_leg_split_even_for_equal_distances():
     market = make_market(od_id="solo", trips=8.0)
     matrices = LegMatrices()
-    matrices.add(market.o_zone, "h1", Mode.CAR, LegTimes(minutes=9.0, miles=2.0), None)
-    matrices.add(market.d_zone, "h1", Mode.BUS, None, LegTimes(minutes=12.0, miles=2.0))
+    add_leg(matrices, market.o_zone, "h1", Mode.CAR, LegTimes(minutes=9.0, miles=2.0), None)
+    add_leg(matrices, market.d_zone, "h1", Mode.BUS, None, LegTimes(minutes=12.0, miles=2.0))
     hub = make_hub(combos=(ComboId(Mode.CAR, Mode.BUS),), car_share=False, bike_share=False)
     setup = one_hub_setup([market], hub, matrices, simple_fares())
     (shift,) = mode_shifts(setup, setup.choice_shares(make_params(beta=0.5, asc=-1.0)))
@@ -158,8 +165,8 @@ def test_single_market_vmt_hand_computed():
     taste = make_taste()
     market = make_market(od_id="solo", trips=10.0, miles=5.0, taste=taste)
     matrices = LegMatrices()
-    matrices.add(market.o_zone, "h1", Mode.CAR, LegTimes(minutes=9.0, miles=2.5), None)
-    matrices.add(market.d_zone, "h1", Mode.BUS, None, LegTimes(minutes=12.0, access_min=3.0, miles=4.0))
+    add_leg(matrices, market.o_zone, "h1", Mode.CAR, LegTimes(minutes=9.0, miles=2.5), None)
+    add_leg(matrices, market.d_zone, "h1", Mode.BUS, None, LegTimes(minutes=12.0, access_min=3.0, miles=4.0))
     hub = make_hub(combos=(ComboId(Mode.CAR, Mode.BUS),), car_share=False, bike_share=False)
     setup = one_hub_setup([market], hub, matrices, simple_fares())
     params = make_params(beta=0.5, asc=-1.0)
@@ -192,8 +199,8 @@ def ns_upper_before(uni, mode):
 def test_car_share_legs_count_as_carpool_vmt():
     market = make_market(od_id="solo", trips=6.0, miles=4.0)
     matrices = LegMatrices()
-    matrices.add(market.o_zone, "h1", Mode.CAR_SHARE, LegTimes(minutes=10.0, miles=3.0), None)
-    matrices.add(market.d_zone, "h1", Mode.WALK_LEG, None, LegTimes(minutes=8.0))
+    add_leg(matrices, market.o_zone, "h1", Mode.CAR_SHARE, LegTimes(minutes=10.0, miles=3.0), None)
+    add_leg(matrices, market.d_zone, "h1", Mode.WALK_LEG, None, LegTimes(minutes=8.0))
     hub = make_hub(combos=(ComboId(Mode.CAR_SHARE, Mode.WALK_LEG),))
     setup = one_hub_setup([market], hub, matrices, simple_fares())
     params = make_params(beta=0.5, asc=-1.0)
@@ -227,8 +234,8 @@ def test_consumer_surplus_hand_computed():
     )
     matrices = LegMatrices()
     walk = LegTimes(minutes=10.0)
-    matrices.add(market.o_zone, "h1", Mode.WALK_LEG, walk, None)
-    matrices.add(market.d_zone, "h1", Mode.WALK_LEG, None, walk)
+    add_leg(matrices, market.o_zone, "h1", Mode.WALK_LEG, walk, None)
+    add_leg(matrices, market.d_zone, "h1", Mode.WALK_LEG, None, walk)
     hub = make_hub(combos=(ComboId(Mode.WALK_LEG, Mode.WALK_LEG),))
     setup = one_hub_setup([market], hub, matrices, simple_fares())
     params = make_params(beta=0.5, asc=-1.0)

@@ -5,7 +5,10 @@ An AST scan, standard library only: a name bound by an import must be
 read somewhere in the same module, in code, in an annotation (string
 annotations included) or in ``__all__``.  Package ``__init__.py`` files
 are skipped; the package's lazy names are checked here instead: each
-resolves to the object in its home module.
+resolves to the object in its home module.  The same scan holds the
+demos to public names: each ``from hubmodal import X`` names an entry of
+``hubmodal.__all__``, and no demo imports a ``_``-prefixed name or a test
+module.
 
 Start-up: a bare ``import hubmodal`` loads no submodule, and each CLI
 stage loads only the modules it runs.  The package depends on numpy
@@ -80,6 +83,55 @@ def test_scan_flags_an_unused_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text('import os\nfrom typing import Mapping, Sequence\n\ndef f(x: "Sequence[int]"):\n    return x\n')
     assert unused_imports(module) == ["os (line 1)", "Mapping (line 2)"]
+
+
+# Demos use the package as a reader would: names from ``hubmodal.__all__``
+# or a public module, never a private name or a test module (the tests'
+# row-at-a-time builders live in reference_model).
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+TEST_MODULES = {"tests", *(p.stem for p in (ROOT / "tests").glob("*.py"))}
+
+
+def demo_import_faults(path: Path) -> list[str]:
+    """The imports of ``path`` that a demo must not make."""
+    faults = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imports = [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imports = [(node.module or "", alias.name) for alias in node.names]
+        else:
+            continue
+        for module, name in imports:
+            where = f"{module}{'' if name is None else '.' + name} (line {node.lineno})"
+            if module.partition(".")[0] in TEST_MODULES:
+                faults.append(f"test module: {where}")
+            elif any(part.startswith("_") for part in [*module.split("."), name or ""]):
+                faults.append(f"private name: {where}")
+            elif module == "hubmodal" and name not in hubmodal.__all__:
+                faults.append(f"not in hubmodal.__all__: {where}")
+    return faults
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_only_public_names(path):
+    assert demo_import_faults(path) == []
+
+
+def test_demo_import_scan_flags_each_rule(tmp_path):
+    demo = tmp_path / "demo.py"
+    demo.write_text(
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from hubmodal import Market, MarketTable\n"
+        "from hubmodal.hubs import _SEGMENT_CODE, LEG_MODE_ORDER\n"
+        "from reference_model import add_leg\n"
+    )
+    assert demo_import_faults(demo) == [
+        "not in hubmodal.__all__: hubmodal.Market (line 3)",
+        "private name: hubmodal.hubs._SEGMENT_CODE (line 4)",
+        "test module: reference_model.add_leg (line 5)",
+    ]
 
 
 def _fresh_python(code: str, cwd: Path) -> str:

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_same_markets, full_attrs, load_batched, load_taste_parameters, make_market, make_taste, snapshot
+from reference_model import Market, ModeAttr, TasteVector, add_leg, table_from_markets
 
 from hubmodal import (
     FareTable,
@@ -35,15 +36,12 @@ from hubmodal import (
     HubRecord,
     LegMatrices,
     LegTimes,
-    Market,
     Mode,
-    ModeAttr,
     ParseError,
     PipelineConfig,
     Segment,
     TASTE_FIELDS,
     StopRecord,
-    TasteVector,
     SurveyRecord,
     fmt,
     jsonable,
@@ -66,7 +64,7 @@ from hubmodal import (
 import hubmodal.cli
 import hubmodal.io
 from hubmodal.cli import _read_params, main
-from hubmodal.hubs import MARKET_MODE_COLUMNS, MarketError, MarketTable
+from hubmodal.hubs import MARKET_MODE_COLUMNS, MarketError
 from hubmodal.io import MATRIX_COLUMNS
 from hubmodal.siting import METRIC_KEYS
 
@@ -99,10 +97,10 @@ def test_markets_round_trip(tmp_path):
         make_market(od_id="od2", segment=Segment.STUDENT, taste=make_taste(beta_cost=-0.123456)),
     ]
     path = tmp_path / "markets.csv"
-    write_markets(MarketTable.from_markets(markets), path)
+    write_markets(table_from_markets(markets), path)
     back = load_markets(path)
     assert back.ids == tuple(sorted(m.market_id for m in markets))
-    assert_same_markets(back, MarketTable.from_markets(markets))
+    assert_same_markets(back, table_from_markets(markets))
 
 
 # ids holding a comma, a quote or a line break: written quoted, as the
@@ -113,10 +111,10 @@ AWKWARD_IDS = ("od,0000", 'od"1"', "od\n2", "od\r3", 'a,"b"\r\nc')
 def test_markets_round_trip_quotes_awkward_ids(tmp_path):
     markets = [make_market(od_id=od_id) for od_id in AWKWARD_IDS]
     path = tmp_path / "markets.csv"
-    write_markets(MarketTable.from_markets(markets), path)
+    write_markets(table_from_markets(markets), path)
     assert '"od,0000"' in path.read_text() and '"od""1"""' in path.read_text()
     back = load_markets(path)
-    assert_same_markets(back, MarketTable.from_markets(markets))
+    assert_same_markets(back, table_from_markets(markets))
     again = tmp_path / "again.csv"
     write_markets(back, again)
     assert again.read_bytes() == path.read_bytes()
@@ -125,7 +123,7 @@ def test_markets_round_trip_quotes_awkward_ids(tmp_path):
 def test_matrices_round_trip_quotes_awkward_ids(tmp_path):
     matrices = LegMatrices()
     for zone, hub in zip(AWKWARD_IDS, reversed(AWKWARD_IDS)):
-        matrices.add(zone, hub, Mode.BUS, LegTimes(5.0, 1.0, 2.0, 0.0, 3.5), None)
+        add_leg(matrices, zone, hub, Mode.BUS, LegTimes(5.0, 1.0, 2.0, 0.0, 3.5), None)
     path = tmp_path / "m.csv"
     write_matrices(matrices, path)
     back = load_matrices([path])
@@ -152,8 +150,9 @@ def test_csv_cells_are_quoted_as_the_csv_module_quotes_them(tmp_path):
 
 def test_markets_header_only_is_empty(tmp_path):
     path = tmp_path / "markets.csv"
-    write_markets(MarketTable.from_markets([]), path)
+    write_markets(table_from_markets([]), path)
     assert len(load_markets(path)) == 0
+    assert snapshot(load_markets(path)) == snapshot(table_from_markets([]))  # every column, shaped and typed
     assert path.read_text().count("\n") == 1
 
 
@@ -163,7 +162,7 @@ def test_markets_unavailable_modes_may_have_blank_cells(tmp_path):
     del attrs[Mode.BIKING]
     trimmed = make_market(od_id="trim", attrs=attrs)
     path = tmp_path / "markets.csv"
-    write_markets(MarketTable.from_markets([trimmed]), path)
+    write_markets(table_from_markets([trimmed]), path)
     header, row = path.read_text().splitlines()
     cells = row.split(",")
     cells[header.split(",").index("biking_ivt_min")] = ""
@@ -174,12 +173,12 @@ def test_markets_unavailable_modes_may_have_blank_cells(tmp_path):
     assert back.attrs["ivt_min"][0, biking] == 0.0
     # an unavailable mode never enters the choice set
     assert back.unimodal_utilities()[0, biking] == -np.inf
-    assert_same_markets(back, MarketTable.from_markets([trimmed]))
+    assert_same_markets(back, table_from_markets([trimmed]))
 
 
 def test_markets_reject_nonnegative_beta_cost(tmp_path):
     path = tmp_path / "markets.csv"
-    write_markets(MarketTable.from_markets([make_market(od_id="bad", taste=make_taste(beta_cost=-0.3))]), path)
+    write_markets(table_from_markets([make_market(od_id="bad", taste=make_taste(beta_cost=-0.3))]), path)
     text = path.read_text().replace("-0.3", "0.1")
     path.write_text(text)
     with pytest.raises(ParseError, match=r"row 2.*beta_cost must be negative.*beta_cost"):
@@ -189,7 +188,7 @@ def test_markets_reject_nonnegative_beta_cost(tmp_path):
 def test_markets_duplicate_rows_rejected(tmp_path):
     # the fourth line repeats the second: the later row is named
     path = tmp_path / "markets.csv"
-    write_markets(MarketTable.from_markets([make_market(od_id="od1"), make_market(od_id="od2")]), path)
+    write_markets(table_from_markets([make_market(od_id="od1"), make_market(od_id="od2")]), path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines + [lines[1]]) + "\n")
     with pytest.raises(ParseError, match=r"row 4: duplicate market od1\|low_income in column 'od_id'$"):
@@ -199,7 +198,7 @@ def test_markets_duplicate_rows_rejected(tmp_path):
 def _write_two_markets(path, **cells) -> list[str]:
     """Markets od1 and od2 written to ``path`` with cells of od2's row
     (line 3) replaced; the file's lines."""
-    write_markets(MarketTable.from_markets([make_market(od_id="od1"), make_market(od_id="od2")]), path)
+    write_markets(table_from_markets([make_market(od_id="od1"), make_market(od_id="od2")]), path)
     header, first, second = path.read_text().splitlines()
     columns, row = header.split(","), second.split(",")
     for column, text in cells.items():
@@ -257,7 +256,7 @@ def test_markets_at_the_bound_load_and_give_finite_utilities(tmp_path):
 def test_joined_taste_beyond_the_bound_names_the_taste_file(tmp_path):
     markets, tastes = tmp_path / "markets.csv", tmp_path / "taste.csv"
     senior = [make_market(od_id=od_id, segment=Segment.SENIOR) for od_id in ("od1", "od2")]
-    write_markets(MarketTable.from_markets(senior), markets)
+    write_markets(table_from_markets(senior), markets)
     lines = [line.split(",") for line in markets.read_text().splitlines()]
     keep = [i for i, column in enumerate(lines[0]) if column not in TASTE_FIELDS]
     markets.write_text("\n".join(",".join(line[i] for i in keep) for line in lines) + "\n")
@@ -293,21 +292,21 @@ def test_market_table_rejects_non_finite_attribute_of_available_mode():
     attrs[Mode.TRANSIT] = ModeAttr(ivt_min=math.nan, access_min=6.0, egress_min=4.0, transfers=1.0, cost_usd=1.5)
     markets = [make_market(od_id="od1"), make_market(od_id="od2", attrs=attrs)]
     with pytest.raises(MarketError, match=r"^market od2\|low_income: empty value in column 'transit_ivt_min'$") as err:
-        MarketTable.from_markets(markets)
+        table_from_markets(markets)
     assert (err.value.row, err.value.column) == (1, "transit_ivt_min")
     attrs[Mode.TRANSIT] = ModeAttr(ivt_min=35.0, cost_usd=math.inf)
     with pytest.raises(ValueError, match=r"non-finite value inf in column 'transit_cost_usd'$"):
-        MarketTable.from_markets([make_market(attrs=attrs)])
+        table_from_markets([make_market(attrs=attrs)])
     # an unavailable mode's attributes are never read
     attrs[Mode.TRANSIT] = ModeAttr(ivt_min=math.nan, available=False)
-    table = MarketTable.from_markets([make_market(attrs=attrs)])
+    table = table_from_markets([make_market(attrs=attrs)])
     assert table.attrs["ivt_min"][0, 1] == 0.0
     assert np.isfinite(np.delete(table.unimodal_utilities()[0], 1)).all()
 
 
 def test_markets_missing_column_named_in_error(tmp_path):
     path = tmp_path / "markets.csv"
-    write_markets(MarketTable.from_markets([make_market()]), path)
+    write_markets(table_from_markets([make_market()]), path)
     header, row = path.read_text().splitlines()
     cols = header.split(",")
     i = cols.index("trips_per_day")
@@ -322,7 +321,7 @@ def test_markets_taste_join(tmp_path):
     taste = make_taste(beta_cost=-0.42)
     market = make_market(od_id="od9", segment=Segment.SENIOR, taste=taste)
     full = tmp_path / "markets_full.csv"
-    write_markets(MarketTable.from_markets([market]), full)
+    write_markets(table_from_markets([market]), full)
     text = full.read_text().splitlines()
     header = text[0].split(",")
     from hubmodal import TASTE_FIELDS
@@ -339,7 +338,7 @@ def test_markets_taste_join(tmp_path):
 
     back = load_markets(slim, taste_path)
     assert {name: back.taste[name][0] for name in TASTE_FIELDS} == asdict(taste)
-    assert_same_markets(back, MarketTable.from_markets([market]))
+    assert_same_markets(back, table_from_markets([market]))
     # no taste columns and no taste file is an error
     with pytest.raises(ParseError, match="taste"):
         load_markets(slim)
@@ -406,10 +405,10 @@ def test_bad_cell_after_a_quoted_line_break_names_its_file_line(tmp_path, monkey
 
 def test_matrices_round_trip_and_blank_direction(tmp_path):
     matrices = LegMatrices()
-    matrices.add("z1", "h1", Mode.BUS,
-                 LegTimes(minutes=15.0, access_min=5.0, egress_min=5.0, transfers=0.0, miles=3.25), None)
-    matrices.add("z2", "h1", Mode.CAR, LegTimes(minutes=9.0, miles=2.5), LegTimes(minutes=10.0, miles=2.5))
-    matrices.add("z1", "h1", Mode.WALK_LEG, None, LegTimes(minutes=12.0))
+    add_leg(matrices, "z1", "h1", Mode.BUS,
+            LegTimes(minutes=15.0, access_min=5.0, egress_min=5.0, transfers=0.0, miles=3.25), None)
+    add_leg(matrices, "z2", "h1", Mode.CAR, LegTimes(minutes=9.0, miles=2.5), LegTimes(minutes=10.0, miles=2.5))
+    add_leg(matrices, "z1", "h1", Mode.WALK_LEG, None, LegTimes(minutes=12.0))
     path = tmp_path / "matrix.csv"
     write_matrices(matrices, path)
     back = load_matrices([path])
@@ -422,7 +421,7 @@ def test_matrices_round_trip_and_blank_direction(tmp_path):
 
 def test_matrices_duplicate_key_across_files_rejected(tmp_path):
     matrices = LegMatrices()
-    matrices.add("z1", "h1", Mode.BUS, LegTimes(minutes=15.0), None)
+    add_leg(matrices, "z1", "h1", Mode.BUS, LegTimes(minutes=15.0), None)
     p1 = tmp_path / "m1.csv"
     p2 = tmp_path / "m2.csv"
     write_matrices(matrices, p1)
@@ -468,7 +467,7 @@ def _write_two_taste_rows(path):
 def _write_two_matrix_rows(path):
     matrices = LegMatrices()
     for zone in ("z1", "z2"):
-        matrices.add(zone, "h1", Mode.BUS, LegTimes(5.0, 1.0, 2.0, 0.0, 3.5), LegTimes(6.0, 1.0, 2.0, 1.0, 3.5))
+        add_leg(matrices, zone, "h1", Mode.BUS, LegTimes(5.0, 1.0, 2.0, 0.0, 3.5), LegTimes(6.0, 1.0, 2.0, 1.0, 3.5))
     write_matrices(matrices, path)
 
 
@@ -489,7 +488,7 @@ def _two_hub_records() -> list[HubRecord]:
 CSV_LOADERS = {
     "markets": (
         load_markets,
-        lambda p: write_markets(MarketTable.from_markets([make_market(od_id="od1"), make_market(od_id="od2")]), p),
+        lambda p: write_markets(table_from_markets([make_market(od_id="od1"), make_market(od_id="od2")]), p),
         "driving_available",
         "trips_per_day",
     ),
@@ -926,6 +925,26 @@ def test_cli_rank_rejects_threads_below_one(fixture_dir, tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "ValueError"
     assert "--threads" in record["message"]
+
+
+def test_cli_rank_checks_its_manifest_before_reading_any_input(fixture_dir, tmp_path, capsys, monkeypatch):
+    inputs = shutil.copytree(fixture_dir, tmp_path / "inputs")
+    for sidecar in inputs.glob(".*.legs"):
+        sidecar.unlink()
+    manifest = inputs / "manifest.json"
+    entries = json.loads(manifest.read_text())
+    del entries["stops"]
+    manifest.write_text(json.dumps(entries))
+    loads = []
+    load = hubmodal.io.load_matrices
+    monkeypatch.setattr(hubmodal.io, "load_matrices", lambda *args: loads.append(args) or load(*args))
+    code = main(["rank", "--manifest", str(manifest), "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "ValueError", "message": "manifest is missing required entries: ['stops']"}
+    assert loads == []
+    assert list(inputs.glob(".*.legs")) == []
 
 
 @pytest.mark.parametrize(

@@ -24,17 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import IRREGULAR, assert_same_markets, load_batched, plant_irregular
+from reference_model import Market, ModeAttr, TasteVector, table_from_markets
 from hubmodal import (
     TASTE_FIELDS,
     GeoPoint,
     HubRecord,
-    Market,
-    MarketTable,
-    ModeAttr,
     ParseError,
     Segment,
     SurveyRecord,
-    TasteVector,
     load_hub_records,
     load_markets,
     load_survey,
@@ -143,7 +140,7 @@ def _round_trip(records, write, load):
 @SETTINGS
 @given(table=market_tables)
 def test_markets_round_trip(table):
-    table = MarketTable.from_markets(table)
+    table = table_from_markets(table)
     assert_same_markets(_round_trip(table, write_markets, load_markets), table)
 
 
@@ -209,7 +206,7 @@ def _plant_fault(data, records, write, load, header, faults):
 @SETTINGS
 @given(table=market_tables, data=st.data())
 def test_malformed_market_cell_names_file_row_and_column(table, data):
-    _plant_fault(data, MarketTable.from_markets(table), write_markets, load_markets, MARKET_COLUMNS, MARKET_FAULTS)
+    _plant_fault(data, table_from_markets(table), write_markets, load_markets, MARKET_COLUMNS, MARKET_FAULTS)
 
 
 @SETTINGS
@@ -221,7 +218,7 @@ def test_market_value_beyond_the_bound_names_file_row_and_column(table, data):
     value = sign * data.draw(beyond)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
-        write_markets(MarketTable.from_markets(table), path)
+        write_markets(table_from_markets(table), path)
         lines = path.read_text().splitlines()
         line = data.draw(st.integers(1, len(lines) - 1))
         cells = lines[line].split(",")
@@ -269,7 +266,7 @@ def _plant_irregular(data, records, write, load, header, cells):
 @SETTINGS
 @given(table=market_tables, data=st.data())
 def test_irregular_market_input_reads_as_csv_reader_reads_it(table, data):
-    _plant_irregular(data, MarketTable.from_markets(table), write_markets, load_markets, MARKET_COLUMNS, MARKET_CELLS)
+    _plant_irregular(data, table_from_markets(table), write_markets, load_markets, MARKET_COLUMNS, MARKET_CELLS)
 
 
 @SETTINGS

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import IRREGULAR, load_batched, plant_irregular
+from reference_model import add_leg
 from hubmodal import LegMatrices, LegTimes, Mode, ParseError, load_matrices, write_matrices
 from hubmodal.choice import LEG_MODES
 from hubmodal.hubs import VALUE_BOUND
@@ -52,7 +53,7 @@ BAD_MODES = ("teleport", "BUS", "walk_leg", "car share")
 def _build(table) -> LegMatrices:
     matrices = LegMatrices()
     for zone, hub, mode, to_hub, from_hub in table:
-        matrices.add(zone, hub, mode, to_hub, from_hub)
+        add_leg(matrices, zone, hub, mode, to_hub, from_hub)
     return matrices
 
 

@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_batched, snapshot
-from reference_model import leg_rows
+from reference_model import add_leg, leg_rows
 from hubmodal import LegMatrices, LegTimes, Mode, ParseError, load_matrices, sha256_digest, write_matrices
 from hubmodal.fixtures import generate_fixture
 from hubmodal.hubs import LEG_MODE_ORDER
@@ -192,9 +192,9 @@ def _held_bytes(store: LegMatrices) -> int:
 
 def test_entries_is_a_read_only_mapping_of_the_rows():
     matrices = LegMatrices()
-    matrices.add("z1", "h1", Mode.BUS, LegTimes(minutes=15.0, access_min=5.0), None)
-    matrices.add("z1", "h1", Mode.CAR, None, LegTimes(minutes=9.0, miles=2.5))
-    matrices.add("z2", "h2", Mode.WALK_LEG, LegTimes(minutes=12.0), LegTimes(minutes=11.0))
+    add_leg(matrices, "z1", "h1", Mode.BUS, LegTimes(minutes=15.0, access_min=5.0), None)
+    add_leg(matrices, "z1", "h1", Mode.CAR, None, LegTimes(minutes=9.0, miles=2.5))
+    add_leg(matrices, "z2", "h2", Mode.WALK_LEG, LegTimes(minutes=12.0), LegTimes(minutes=11.0))
     entries = matrices.entries
     # a row with one direction gives None for the other
     assert entries["z1", "h1", Mode.BUS] == (LegTimes(minutes=15.0, access_min=5.0), None)
@@ -551,15 +551,15 @@ def test_rows_of_a_store_read_from_its_sidecar(tmp_path, monkeypatch):
 
 def test_lookup_after_add_sees_the_new_and_the_replaced_row():
     matrices = LegMatrices()
-    matrices.add("z1", "h1", Mode.BUS, LegTimes(minutes=15.0), None)
-    matrices.add("z2", "h1", Mode.CAR, LegTimes(minutes=9.0), LegTimes(minutes=8.0))
+    add_leg(matrices, "z1", "h1", Mode.BUS, LegTimes(minutes=15.0), None)
+    add_leg(matrices, "z2", "h1", Mode.CAR, LegTimes(minutes=9.0), LegTimes(minutes=8.0))
     entries = matrices.entries
     assert entries["z1", "h1", Mode.BUS] == (LegTimes(15.0), None)  # builds the index
     assert entries["z2", "h1", Mode.CAR] == (LegTimes(9.0), LegTimes(8.0))
     assert ("z1", "h1", Mode.WALK_LEG) not in entries
     # a new key ahead of z2's row, and a key that replaces z1's bus row
-    matrices.add("z1", "h1", Mode.WALK_LEG, None, LegTimes(minutes=4.0))
-    matrices.add("z1", "h1", Mode.BUS, LegTimes(minutes=12.0), LegTimes(minutes=13.0))
+    add_leg(matrices, "z1", "h1", Mode.WALK_LEG, None, LegTimes(minutes=4.0))
+    add_leg(matrices, "z1", "h1", Mode.BUS, LegTimes(minutes=12.0), LegTimes(minutes=13.0))
     assert len(matrices) == 3
     assert entries["z1", "h1", Mode.WALK_LEG] == (None, LegTimes(4.0))
     assert entries["z1", "h1", Mode.BUS] == (LegTimes(12.0), LegTimes(13.0))

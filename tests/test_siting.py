@@ -17,6 +17,7 @@ import pytest
 import hubmodal.siting as siting
 import reference_model
 from conftest import full_matrices, make_market, make_params, random_point, random_taste, simple_fares
+from reference_model import add_leg, table_from_markets
 
 from hubmodal import (
     CAR_SHARE_PROFILE_COMBOS,
@@ -27,7 +28,6 @@ from hubmodal import (
     MILES_PER_KM,
     HubChoiceSetup,
     LegMatrices,
-    MarketTable,
     Mode,
     Segment,
     StopRecord,
@@ -249,7 +249,7 @@ def _matrices_for(markets, hub_ids):
     out = full_matrices(zones, hub_ids[0], minutes=12.0, miles=2.2)
     for hid in hub_ids[1:]:
         for (zone, hub, mode), (to_hub, from_hub) in full_matrices(zones, hid, minutes=12.0, miles=2.2).entries.items():
-            out.add(zone, hub, mode, to_hub, from_hub)
+            add_leg(out, zone, hub, mode, to_hub, from_hub)
     return out
 
 
@@ -258,7 +258,7 @@ def test_evaluate_matches_single_hub_pipeline():
     cand = Candidate("c-s1", CENTER, ("s1",), car_share_available=True)
     matrices = _matrices_for(markets, ["c-s1"])
     params = make_params(beta=0.4, asc=-2.0)
-    table = MarketTable.from_markets(markets)
+    table = table_from_markets(markets)
     evaluated = evaluate_candidates([cand], table, params, 1.6, matrices, simple_fares())
     m = evaluated[0].metrics
     assert m is not None and not m.no_potential_trips
@@ -277,7 +277,7 @@ def test_evaluate_flags_candidates_without_reachable_markets():
     markets = _market_cloud()
     far = Candidate("c-far", GeoPoint(lat=44.9, lon=-70.0), ("far",))
     matrices = _matrices_for(markets, ["c-far"])
-    evaluated = evaluate_candidates([far], MarketTable.from_markets(markets), make_params(), 1.2, matrices, simple_fares())
+    evaluated = evaluate_candidates([far], table_from_markets(markets), make_params(), 1.2, matrices, simple_fares())
     m = evaluated[0].metrics
     assert m.no_potential_trips
     assert (m.potential_demand, m.transit_delta, m.vmt_reduced, m.cs_total) == (0, 0, 0, 0)
@@ -292,8 +292,8 @@ def test_evaluate_thread_count_does_not_change_results():
     ]
     matrices = _matrices_for(markets, [c.candidate_id for c in cands])
     params = make_params(beta=0.4, asc=-2.0)
-    serial = evaluate_candidates(cands, MarketTable.from_markets(markets), params, 1.6, matrices, simple_fares(), threads=1)
-    threaded = evaluate_candidates(cands, MarketTable.from_markets(markets), params, 1.6, matrices, simple_fares(), threads=4)
+    serial = evaluate_candidates(cands, table_from_markets(markets), params, 1.6, matrices, simple_fares(), threads=1)
+    threaded = evaluate_candidates(cands, table_from_markets(markets), params, 1.6, matrices, simple_fares(), threads=4)
     for a, b in zip(serial, threaded):
         assert a.candidate_id == b.candidate_id
         assert a.metrics == b.metrics  # bitwise-identical dataclasses
@@ -365,7 +365,7 @@ def test_evaluate_equals_each_candidate_alone_bit_for_bit(rng, monkeypatch):
     params = make_params(beta=0.45, asc=-2.5, student=-1.5)
     fares = simple_fares()
     threshold = 1.4
-    table = MarketTable.from_markets(markets)
+    table = table_from_markets(markets)
     expected = {}
     for cand in cands:
         screen = screen_trips(table, [cand.location.lat], [cand.location.lon], threshold)
@@ -398,7 +398,7 @@ def test_stacked_setup_prices_each_row_from_its_own_screen_cell(rng):
     legs = store.legs.copy()
     legs[:, :, 4] = np.nan
     matrices = LegMatrices(store.zone_ids, store.hub_ids, store.zone, store.hub, store.mode, legs)
-    table = MarketTable.from_markets(markets)
+    table = table_from_markets(markets)
     hubs = [candidate_hub(c) for c in cands if not c.car_share_available and c.candidate_id != "c-far"]
     lat, lon = np.array([h.location.lat for h in hubs]), np.array([h.location.lon for h in hubs])
     screen = screen_trips(table, lat, lon, 1.4)
@@ -423,21 +423,21 @@ def test_evaluate_runs_one_share_pass_per_chunk(rng, monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(HubChoiceSetup, "choice_shares", counting)
-    evaluate_candidates(cands, MarketTable.from_markets(markets), make_params(), 1.4, matrices, simple_fares())
+    evaluate_candidates(cands, table_from_markets(markets), make_params(), 1.4, matrices, simple_fares())
     scored = sum(calls)
     assert scored >= 12
     assert len(calls) == 2  # one chunk per service profile, not one per candidate
 
     calls.clear()
     monkeypatch.setattr(siting, "CHUNK_CELLS", 1)
-    evaluate_candidates(cands, MarketTable.from_markets(markets), make_params(), 1.4, matrices, simple_fares())
+    evaluate_candidates(cands, table_from_markets(markets), make_params(), 1.4, matrices, simple_fares())
     assert calls == [1] * scored
 
 
 def test_evaluate_warns_about_degenerate_pairs_once(rng, caplog):
     markets, cands, matrices = _mixed_case(rng)
     with caplog.at_level("WARNING", logger="hubmodal.geo"):
-        evaluate_candidates(cands, MarketTable.from_markets(markets), make_params(), 1.4, matrices, simple_fares())
+        evaluate_candidates(cands, table_from_markets(markets), make_params(), 1.4, matrices, simple_fares())
     degenerate = [r for r in caplog.records if "degenerate OD" in r.getMessage()]
     assert [r.getMessage() for r in degenerate] == ["excluded 1 market(s) with degenerate OD pairs"]
 
