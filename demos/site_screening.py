@@ -42,11 +42,11 @@ print(f"{len(candidates)} candidate sites ({with_cs} get car share from a lot wi
 
 params = HubParams(beta_hub=0.4, asc_by_segment={s: -3.0 for s in Segment})
 evaluated = evaluate_candidates(candidates, markets, params, 1.6, matrices, fares)
-ranking, summary = rank_and_summarize(evaluated, reference_ids=[])
+ranked, summary = rank_and_summarize(evaluated, reference_ids=[])
 
 print("\ntop candidates by potential demand:")
 print(f"{'site':10s} {'demand':>9s} {'bus delta':>9s} {'vmt cut':>8s} {'cs $/day':>9s} {'pct':>5s}")
-rows = sorted(ranking.rows, key=lambda r: (r.rank["potential_demand"], r.candidate_id))
+rows = sorted(ranked, key=lambda r: (r.rank["potential_demand"], r.candidate_id))
 for r in rows[:10]:
     print(
         f"{r.candidate_id:10s} {r.metrics.potential_demand:9.1f} "

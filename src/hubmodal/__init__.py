@@ -108,7 +108,6 @@ _EXPORTS = {
         "Candidate",
         "CandidateMetrics",
         "RankingRow",
-        "RankingTable",
         "StopRecord",
         "assign_services",
         "candidate_hub",

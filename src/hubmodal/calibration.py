@@ -27,13 +27,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .choice import SEGMENTS, Mode
+from .choice import Mode
 from .config import OptimizerSettings
 from .hubs import HubChoiceSetup, HubParams
 from .records import record
-
-N_PARAMS = 1 + len(SEGMENTS)
-PARAM_NAMES: tuple[str, ...] = ("beta_hub", *(f"asc_by_segment.{s.value}" for s in SEGMENTS))
 
 # Singular values of the Jacobian below this fraction of the largest mark
 # directions the observations do not identify: steps leave them alone and
@@ -156,8 +153,8 @@ def _total_trips(setup: HubChoiceSetup) -> float:
 
 
 def _proportion_and_gradient(setup: HubChoiceSetup, params: HubParams) -> tuple[float, np.ndarray]:
-    """``predict_hub_proportion`` and its (N_PARAMS,) gradient: trip-weighted
-    means of the market nest shares and of their derivatives."""
+    """``predict_hub_proportion`` and its gradient over ``HubParams.NAMES``:
+    trip-weighted means of the market nest shares and of their derivatives."""
     total = _total_trips(setup)
     share, grad = setup.hub_nest_share_and_gradient(params)
     return float((setup.trips * share).sum() / total), setup.trips @ grad / total
@@ -206,10 +203,6 @@ class CalibrationResult:
     fit_within_tolerance: bool
 
 
-def _default_bounds(settings: OptimizerSettings) -> list[tuple[float, float]]:
-    return [settings.beta_bounds] + [settings.asc_bounds] * len(SEGMENTS)
-
-
 def _rank(sv: np.ndarray) -> int:
     """Number of singular values (sorted, largest first) above
     ``RANK_CUTOFF`` times the largest."""
@@ -232,16 +225,16 @@ def calibrate(
     setups: Mapping[str, HubChoiceSetup],
     *,
     init: HubParams | None = None,
-    bounds: Sequence[tuple[float, float]] | None = None,
     settings: OptimizerSettings | None = None,
 ) -> CalibrationResult:
     """Fit beta_hub and the segment constants to observed hub proportions.
 
     Fewer observations than parameters leaves the fit rank-deficient; a
     RuntimeWarning is emitted and the flag is set on the result, but the
-    best-fit point is still returned.  Parameters whose bounds coincide
-    are held there.  The trace records the objective at each accepted
-    step, so it is non-increasing.
+    best-fit point is still returned.  A parameter whose ``settings``
+    bounds coincide is held there; a start outside the bounds is clipped
+    into them.  The trace records the objective at each accepted step, so
+    it is non-increasing.
     """
     settings = settings or OptimizerSettings()
     obs = sorted(observed, key=lambda o: o.hub_id)
@@ -260,28 +253,18 @@ def calibrate(
         _hub_id(setup, o.hub_id)
         pairs.append((setup, o.observed_proportion))
 
-    rank_deficient = len(pairs) < N_PARAMS
+    lo, hi = (HubParams.fill(beta, asc) for beta, asc in zip(settings.beta_bounds, settings.asc_bounds))
+    free = lo < hi
+    x0 = init.as_vector() if init is not None else HubParams.fill(settings.init_beta, settings.init_asc)
+    x = np.clip(x0, lo, hi)
+
+    rank_deficient = len(pairs) < len(x)
     if rank_deficient:
         warnings.warn(
-            f"calibration under-determined: {len(pairs)} observation(s) for {N_PARAMS} parameters",
+            f"calibration under-determined: {len(pairs)} observation(s) for {len(x)} parameters",
             RuntimeWarning,
             stacklevel=2,
         )
-
-    box = list(bounds) if bounds is not None else _default_bounds(settings)
-    if len(box) != N_PARAMS:
-        raise ValueError(f"expected {N_PARAMS} bound pairs, got {len(box)}")
-    lo = np.array([b[0] for b in box], dtype=float)
-    hi = np.array([b[1] for b in box], dtype=float)
-    if (lo > hi).any():
-        raise ValueError("lower bound exceeds upper bound")
-    free = lo < hi
-
-    if init is not None:
-        x0 = init.as_vector()
-    else:
-        x0 = np.array([settings.init_beta] + [settings.init_asc] * len(SEGMENTS), dtype=float)
-    x = np.clip(x0, lo, hi)
 
     targets = np.array([target for _, target in pairs])
     n_eval = 0
@@ -299,7 +282,7 @@ def calibrate(
         # those the data do not touch at all, where they are
         grad = jac.T @ resid
         move = free & ~((x <= lo) & (grad > 0.0)) & ~((x >= hi) & (grad < 0.0)) & (jac != 0.0).any(axis=0)
-        step = np.zeros(N_PARAMS)
+        step = np.zeros(len(x))
         step[move] = _truncated_step(jac[:, move], resid, damping)
         return np.clip(x + step, lo, hi)
 
@@ -349,7 +332,7 @@ def calibrate(
         singular_values=tuple(float(v) for v in sv),
         rank=_rank(sv),
         n_free=int(free.sum()),
-        params_at_bound=tuple(name for name, hit in zip(PARAM_NAMES, at_bound) if hit),
+        params_at_bound=tuple(name for name, hit in zip(HubParams.NAMES, at_bound) if hit),
         fit_within_tolerance=all(abs(h.predicted - h.observed) <= FIT_REL_TOL * h.observed for h in per_hub),
     )
 

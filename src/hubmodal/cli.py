@@ -482,14 +482,14 @@ def _cmd_rank(args) -> int:
     evaluated = references + siting.evaluate_candidates(
         candidates, table, params, thr, matrices, fares, config=config, threads=args.threads
     )
-    ranking, summary = siting.rank_and_summarize(evaluated, reference_ids=reference_ids)
+    ranked, summary = siting.rank_and_summarize(evaluated, reference_ids=reference_ids)
 
     header = ["candidate_id", "is_reference"]
     header += list(siting.METRIC_KEYS)
     header += [f"rank_{k}" for k in siting.METRIC_KEYS]
     header += [f"percentile_{k}" for k in siting.METRIC_KEYS]
     ref_set = set(reference_ids)
-    ordered = sorted(ranking.rows, key=lambda r: (r.rank["potential_demand"], r.candidate_id))
+    ordered = sorted(ranked, key=lambda r: (r.rank["potential_demand"], r.candidate_id))
     rows = []
     for r in ordered:
         row = [r.candidate_id, r.candidate_id in ref_set]

@@ -601,7 +601,14 @@ class MarketTable:
 @record(frozen=True)
 class HubParams:
     """Calibrated nest parameters: one nesting coefficient shared by all
-    hubs and one hub constant per population segment."""
+    hubs and one hub constant per population segment.
+
+    As a vector (``as_vector``, ``from_vector``, ``fill`` and the columns
+    of ``HubChoiceSetup.hub_nest_share_and_gradient``) they are beta_hub
+    followed by the constants in ``SEGMENTS`` order, named by ``NAMES``.
+    """
+
+    NAMES = ("beta_hub", *(f"asc_by_segment.{s.value}" for s in SEGMENTS))
 
     beta_hub: float
     asc_by_segment: Mapping[Segment, float]
@@ -623,6 +630,12 @@ class HubParams:
     def from_vector(cls, x) -> "HubParams":
         x = np.asarray(x, dtype=float)
         return cls(beta_hub=float(x[0]), asc_by_segment={s: float(x[1 + i]) for i, s in enumerate(SEGMENTS)})
+
+    @staticmethod
+    def fill(beta: float, asc: float) -> np.ndarray:
+        """The vector with ``beta`` at beta_hub and ``asc`` at every
+        constant, unchecked: a start or a bound, not a parameter point."""
+        return np.array([beta] + [asc] * len(SEGMENTS), dtype=float)
 
 
 @record(frozen=True)
@@ -755,8 +768,8 @@ class HubChoiceSetup:
 
     def hub_nest_share_and_gradient(self, params) -> tuple[np.ndarray, np.ndarray]:
         """(m,) hub nest share s, as ``hub_nest_share`` gives it, and its
-        (m, 1 + len(SEGMENTS)) derivatives with respect to beta_hub and
-        each segment constant: the hot path for calibration.
+        (m, len(HubParams.NAMES)) derivatives with respect to each entry of
+        the parameter vector: the hot path for calibration.
 
         With c~ the combo utilities shifted by their row maximum,
         S = sum_k exp(c~_k / beta) and q_k = exp(c~_k / beta) / S:
@@ -770,7 +783,7 @@ class HubChoiceSetup:
         share = e_h / total
         slope = share * (e_u.sum(axis=1) / total)  # s (1 - s) without cancellation
         d_logsum = np.log(sum_c) - (e_c * self._c_shift_finite).sum(axis=1) / (sum_c * params.beta_hub)
-        grad = np.zeros((self.n_markets, 1 + len(SEGMENTS)))
+        grad = np.zeros((self.n_markets, len(HubParams.NAMES)))
         grad[:, 0] = slope * d_logsum
         grad[np.arange(self.n_markets), 1 + self.segment_codes] = slope
         return share, grad

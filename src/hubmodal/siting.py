@@ -279,24 +279,14 @@ class RankingRow:
     percentile: dict[str, float]
 
 
-@record(frozen=True)
-class RankingTable:
-    rows: tuple[RankingRow, ...]
-
-    def row(self, candidate_id: str) -> RankingRow:
-        for r in self.rows:
-            if r.candidate_id == candidate_id:
-                return r
-        raise KeyError(candidate_id)
-
-
 def rank_and_summarize(
     evaluated: Sequence[Candidate],
     reference_ids: Sequence[str] = (),
     *,
     bins: int = 30,
-) -> tuple[RankingTable, dict]:
-    """Per-metric descending ranks, percentiles, and distribution summary.
+) -> tuple[tuple[RankingRow, ...], dict]:
+    """Per-metric descending ranks, percentiles, and distribution summary:
+    one row per candidate, in candidate-id order, and the summary.
 
     Rank 1 is the best value; ties break by candidate_id.  A row's
     percentile is the fraction of all rows it strictly outperforms.  The
@@ -345,4 +335,4 @@ def rank_and_summarize(
             continue
         references[ref] = {key: pcts[ref][key] for key in METRIC_KEYS}
     summary = {"n_ranked": n, "metrics": summary_metrics, "references": references}
-    return RankingTable(rows=rows), summary
+    return rows, summary

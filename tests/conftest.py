@@ -7,6 +7,7 @@ specified, so tests can hand-compute the expected numbers.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -220,6 +221,33 @@ def random_point(rng: np.random.Generator, spread: float = 0.08) -> GeoPoint:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def seed7(tmp_path_factory) -> SimpleNamespace:
+    """The default seed-7 fixture as the calibrate stage reads it: its
+    ``table``, ``matrices``, ``fares``, ``stops``, ``lots``, ``config``
+    and detour ``threshold``, one setup per observed hub (``setups``),
+    their ``observed`` usage and the fit to it (``result``)."""
+    from hubmodal import cli
+
+    fx = tmp_path_factory.mktemp("seed7")
+    assert cli.main(["gen-fixture", "--seed", "7", "--out-dir", str(fx)]) == 0
+    args = cli.build_parser("calibrate").parse_args(["calibrate", "--manifest", str(fx / "manifest.json")])
+    manifest, config, table, hub_recs, matrices, _, fares, threshold, _, setups = cli._load_model_inputs(args)
+    result, observed, _, _ = cli._run_calibration(setups, hub_recs, config)
+    return SimpleNamespace(
+        table=table,
+        matrices=matrices,
+        fares=fares,
+        stops=hubmodal.io.load_stops(manifest.stops),
+        lots=hubmodal.io.load_pr_lots(manifest.pr_lots),
+        config=config,
+        threshold=threshold,
+        setups=setups,
+        observed=observed,
+        result=result,
+    )
 
 
 def snapshot(value):

@@ -8,7 +8,6 @@ Jacobian the fit steps on is checked against central differences.
 from __future__ import annotations
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from hubmodal import (
     LegTimes,
     Mode,
     ObservedUsage,
+    OptimizerSettings,
     Segment,
     calibrate,
     derive_observed_rate,
@@ -168,9 +168,8 @@ def test_single_hub_recovery_matches_bisection():
     target = predict_hub_proportion(setup, make_params(beta=beta, asc=true_asc))
     observed = ObservedUsage("h1", target * setup.trips.sum(), setup.trips.sum(), target)
 
-    bounds = [(beta, beta)] + [(-12.0, 0.0)] * 4
     with pytest.warns(RuntimeWarning, match="under-determined"):
-        result = calibrate([observed], {"h1": setup}, bounds=bounds)
+        result = calibrate([observed], {"h1": setup}, settings=OptimizerSettings(beta_bounds=(beta, beta)))
     assert result.objective < 1e-12
     assert result.rank_deficient
     recovered = result.params.asc_by_segment[Segment.LOW_INCOME]
@@ -215,6 +214,17 @@ def test_calibrate_rank_deficiency_warning_below_five_observations():
     assert result.rank_deficient
 
 
+def test_fit_start_is_clipped_into_the_box(seed7):
+    # beta_hub 1.5 is no nesting coefficient, but as a start it is the
+    # box's nearest point, as are constants above their upper bound
+    fits = []
+    for init_beta, init_asc in ((1.5, 3.0), (1.0, 0.0)):
+        settings = OptimizerSettings(init_beta=init_beta, init_asc=init_asc)
+        with pytest.warns(RuntimeWarning, match="under-determined"):
+            fits.append(calibrate(seed7.observed, seed7.setups, settings=settings))
+    assert fits[0] == fits[1]
+
+
 def test_calibrate_input_validation():
     setup = _setup_for(Segment.SENIOR)
     obs = ObservedUsage("h1", 1.0, setup.trips.sum(), 1.0 / setup.trips.sum())
@@ -224,10 +234,6 @@ def test_calibrate_input_validation():
         calibrate([obs, obs], {"h1": setup})
     with pytest.raises(ValueError, match="no prepared markets"):
         calibrate([obs], {})
-    with pytest.raises(ValueError, match="bound pairs"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            calibrate([obs], {"h1": setup}, bounds=[(0.0, 1.0)])
 
 
 def _h1_h2_setups():
@@ -358,6 +364,16 @@ def test_nest_share_gradient_matches_central_differences():
             assert np.all(grad[:, 1:][segment == 0.0] == 0.0)
 
 
+def test_one_parameter_layout(seed7):
+    params = make_params(beta=0.4, not_low_income=-1.0, low_income=-2.0, senior=-3.0, student=-4.0)
+    _, grad = seed7.setups["hub-a"].hub_nest_share_and_gradient(params)
+    assert len(HubParams.NAMES) == len(params.as_vector()) == grad.shape[1]
+    named = dict(zip(HubParams.NAMES, params.as_vector().tolist()))
+    assert named == {"beta_hub": 0.4, **{f"asc_by_segment.{s.value}": params.asc_by_segment[s] for s in Segment}}
+    assert HubParams.from_vector(params.as_vector()) == params
+    assert HubParams.fill(0.4, -2.0).tolist() == make_params(beta=0.4, asc=-2.0).as_vector().tolist()
+
+
 def test_nest_share_gradient_with_unavailable_combos():
     base = _setup_for(Segment.SENIOR, n=3)
     util = base.combo_util.copy()
@@ -411,9 +427,8 @@ def test_identification_reports_parameters_at_a_bound():
     ceiling = predict_hub_proportion(setup, make_params(beta=0.5, asc=0.0))
     target = min(1.0, 1.5 * ceiling)
     observed = ObservedUsage("h1", target * setup.trips.sum(), setup.trips.sum(), target)
-    bounds = [(0.5, 0.5)] + [(-12.0, 0.0)] * 4
     with pytest.warns(RuntimeWarning, match="under-determined"):
-        result = calibrate([observed], {"h1": setup}, bounds=bounds)
+        result = calibrate([observed], {"h1": setup}, settings=OptimizerSettings(beta_bounds=(0.5, 0.5)))
     assert result.params_at_bound == ("asc_by_segment.senior",)
     assert result.n_free == 4
     assert not result.fit_within_tolerance

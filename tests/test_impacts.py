@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -36,8 +37,13 @@ from hubmodal import (
     Mode,
     Segment,
     assess_hubs,
+    assign_services,
+    candidate_hub,
+    cluster_stops,
     consumer_surpluses,
     mode_shifts,
+    prepare_hub,
+    screen_trips,
     transit_delta,
     vmt_deltas,
 )
@@ -276,6 +282,48 @@ def test_consumer_surplus_excludes_unpriceable_markets():
     (cs,) = consumer_surpluses(setup, setup.choice_shares(make_params(beta=0.5, asc=-1.0)))
     assert cs.n_excluded == 1
     assert cs.cs_total == 0.0
+
+
+def _assert_surplus_is_the_nest_logsum(setup, params) -> None:
+    """Each market's logsum gain is -log(1 - s) for its hub nest share s.
+    With every s at most 1/2, s <= -log(1 - s) <= 2 log(2) s bounds the
+    priced total by the hub trips over the extreme cost coefficients."""
+    shares = setup.choice_shares(params)
+    expected = -np.log1p(-shares.hub)
+    assert np.all(np.abs(shares.cs_gain_util - expected) <= 1e-12 * expected)
+    assert shares.hub.max() <= 0.5
+    cs_total = sum(cs.cs_total for cs in consumer_surpluses(setup, shares))
+    hub_trips = float(setup.trips @ shares.hub)
+    cost = np.abs(setup.beta_cost)
+    assert hub_trips / cost.max() <= cs_total <= 1.39 * hub_trips / cost.min()
+
+
+def test_consumer_surplus_is_the_nest_share_logsum(seed7):
+    params = seed7.result.params
+    for setup in seed7.setups.values():
+        _assert_surplus_is_the_nest_logsum(setup, params)
+    # the candidates of the standard service profile, stacked in one setup
+    standard = [c for c in assign_services(cluster_stops(seed7.stops), seed7.lots) if not c.car_share_available]
+    cfg = seed7.config
+    screen = screen_trips(
+        seed7.table,
+        [c.location.lat for c in standard],
+        [c.location.lon for c in standard],
+        seed7.threshold,
+        condition2_mode=cfg.condition2_mode,
+        condition2_km=cfg.condition2_km,
+    )
+    stacked = prepare_hub(
+        seed7.table,
+        [candidate_hub(c) for c in standard],
+        screen,
+        seed7.matrices,
+        seed7.fares,
+        car_cost_per_mile=cfg.car_cost_per_mile,
+        circuity_factor=cfg.circuity_factor,
+    )
+    assert len(stacked.hubs) > 1
+    _assert_surplus_is_the_nest_logsum(stacked, params)
 
 
 def test_assess_hub_report_shape():

@@ -8,7 +8,9 @@ are skipped; the package's lazy names are checked here instead: each
 resolves to the object in its home module.  The same scan holds the
 demos to public names: each ``from hubmodal import X`` names an entry of
 ``hubmodal.__all__``, and no demo imports a ``_``-prefixed name or a test
-module.
+module.  No package module names a row-at-a-time market builder
+(``Market``, ``ModeAttr``, ``TasteVector``, ``from_markets``): those live
+in the tests' scalar oracle.
 
 Start-up: a bare ``import hubmodal`` loads no submodule, and each CLI
 stage loads only the modules it runs.  The package depends on numpy
@@ -83,6 +85,62 @@ def test_scan_flags_an_unused_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text('import os\nfrom typing import Mapping, Sequence\n\ndef f(x: "Sequence[int]"):\n    return x\n')
     assert unused_imports(module) == ["os (line 1)", "Mapping (line 2)"]
+
+
+# The row-at-a-time market builders live in the tests' scalar oracle
+# (reference_model); the package reads and builds markets only as columns.
+ROW_BUILDERS = frozenset({"Market", "ModeAttr", "TasteVector", "from_markets"})
+PACKAGE = sorted((ROOT / "src/hubmodal").rglob("*.py"))
+
+
+def _names(node: ast.AST) -> list[str]:
+    """The names ``node`` reads, binds, imports or defines, and those of a
+    string that parses as code (an annotation or an ``__all__`` entry)."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [node.name.rpartition(".")[2], *([node.asname] if node.asname else [])]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            return [n for sub in ast.walk(ast.parse(node.value, mode="eval")) for n in _names(sub)]
+        except SyntaxError:
+            pass
+    return []
+
+
+def row_builder_names(path: Path) -> list[str]:
+    """Each use of a ``ROW_BUILDERS`` name in ``path``, with its line."""
+    return [
+        f"{name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in _names(node)
+        if name in ROW_BUILDERS
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_names_no_row_builder(path):
+    assert row_builder_names(path) == []
+
+
+def test_scan_flags_a_row_builder(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from reference_model import Market as M\n"
+        "def f(t: 'TasteVector', table):\n"
+        "    return table.from_markets([ModeAttr()])\n"
+        "__all__ = ['MarketTable', 'f']\n"
+    )
+    assert row_builder_names(module) == [
+        "Market (line 1)",
+        "TasteVector (line 2)",
+        "from_markets (line 3)",
+        "ModeAttr (line 3)",
+    ]
 
 
 # Demos use the package as a reader would: names from ``hubmodal.__all__``

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_same_markets, full_attrs, load_batched, load_taste_parameters, make_market, make_taste, snapshot
-from reference_model import Market, ModeAttr, TasteVector, add_leg, table_from_markets
+from reference_model import ModeAttr, add_leg, table_from_markets
 
 from hubmodal import (
     FareTable,
@@ -1276,34 +1276,6 @@ def test_an_observed_hub_with_no_potential_trips_is_an_error(fixture_dir, tmp_pa
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record == {"error": "ValueError", "message": "hub hub-b: no potential trips at threshold 1.5"}
     assert not out.exists() or not any(out.iterdir())
-
-
-def test_cli_builds_no_market_objects(tmp_path, monkeypatch):
-    # the quick start's stages read the markets file straight into columns
-    fx, run = tmp_path / "fx", tmp_path / "run"
-    assert main(["gen-fixture", "--seed", "7", "--out-dir", str(fx)]) == 0
-    built = []
-    real = Market.__post_init__
-    monkeypatch.setattr(Market, "__post_init__", lambda self: built.append(self.market_id) or real(self))
-    manifest = str(fx / "manifest.json")
-    assert main(["calibrate", "--manifest", manifest, "--out-dir", str(run)]) == 0
-    params = str(run / "calibration.json")
-    assert main(["rank", "--manifest", manifest, "--params", params, "--out-dir", str(run)]) == 0
-    assert built == []
-
-
-def test_gen_fixture_builds_no_market_objects(tmp_path, monkeypatch):
-    # the markets are drawn straight into MarketTable columns
-    built = []
-    for cls in (Market, TasteVector):
-        real = cls.__post_init__
-        monkeypatch.setattr(cls, "__post_init__", lambda self, real=real: built.append(type(self).__name__) or real(self))
-    real_attr = ModeAttr.__init__
-    monkeypatch.setattr(ModeAttr, "__init__", lambda self, *a, **k: built.append("ModeAttr") or real_attr(self, *a, **k))
-    assert main(["gen-fixture", "--seed", "7", "--out-dir", str(tmp_path)]) == 0
-    assert built == []
-    make_market()  # the patches see a market built
-    assert {"Market", "TasteVector", "ModeAttr"} <= set(built)
 
 
 def test_cli_missing_manifest_is_an_error(tmp_path, capsys):

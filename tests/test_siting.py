@@ -459,14 +459,15 @@ def _cands_with_metrics(values):
 
 
 def test_rank_descending_with_percentiles():
-    table, summary = rank_and_summarize(_cands_with_metrics([10.0, 20.0, 30.0]))
-    assert table.row("c-0").rank["potential_demand"] == 3
-    assert table.row("c-1").rank["potential_demand"] == 2
-    assert table.row("c-2").rank["potential_demand"] == 1
+    rows, summary = rank_and_summarize(_cands_with_metrics([10.0, 20.0, 30.0]))
+    by_id = {r.candidate_id: r for r in rows}
+    assert by_id["c-0"].rank["potential_demand"] == 3
+    assert by_id["c-1"].rank["potential_demand"] == 2
+    assert by_id["c-2"].rank["potential_demand"] == 1
     # percentile is the fraction strictly outperformed
-    assert table.row("c-1").percentile["potential_demand"] == pytest.approx(1 / 3)
-    assert table.row("c-0").percentile["potential_demand"] == 0.0
-    assert table.row("c-2").percentile["potential_demand"] == pytest.approx(2 / 3)
+    assert by_id["c-1"].percentile["potential_demand"] == pytest.approx(1 / 3)
+    assert by_id["c-0"].percentile["potential_demand"] == 0.0
+    assert by_id["c-2"].percentile["potential_demand"] == pytest.approx(2 / 3)
     assert summary["n_ranked"] == 3
     assert summary["metrics"]["cs_total"]["mean"] == pytest.approx(20.0)
     assert summary["metrics"]["cs_total"]["min"] == 10.0
@@ -474,17 +475,17 @@ def test_rank_descending_with_percentiles():
 
 
 def test_rank_single_candidate():
-    table, summary = rank_and_summarize(_cands_with_metrics([5.0]))
-    row = table.rows[0]
+    (row,), summary = rank_and_summarize(_cands_with_metrics([5.0]))
     assert all(row.rank[k] == 1 for k in row.rank)
     assert all(p == 0.0 for p in row.percentile.values())
     assert summary["metrics"]["potential_demand"]["sd"] == 0.0
 
 
 def test_rank_ties_break_by_candidate_id():
-    table, _ = rank_and_summarize(_cands_with_metrics([7.0, 7.0, 7.0]))
-    assert [table.row(f"c-{i}").rank["cs_total"] for i in range(3)] == [1, 2, 3]
-    assert all(table.row(f"c-{i}").percentile["cs_total"] == 0.0 for i in range(3))
+    rows, _ = rank_and_summarize(_cands_with_metrics([7.0, 7.0, 7.0]))
+    assert [r.candidate_id for r in rows] == ["c-0", "c-1", "c-2"]
+    assert [r.rank["cs_total"] for r in rows] == [1, 2, 3]
+    assert all(r.percentile["cs_total"] == 0.0 for r in rows)
 
 
 def test_rank_order_invariant_under_input_permutation(rng):
@@ -493,8 +494,8 @@ def test_rank_order_invariant_under_input_permutation(rng):
     shuffled = list(cands)
     rng.shuffle(shuffled)
     again, _ = rank_and_summarize(shuffled)
-    assert [r.candidate_id for r in base.rows] == [r.candidate_id for r in again.rows]
-    assert [r.rank for r in base.rows] == [r.rank for r in again.rows]
+    assert [r.candidate_id for r in base] == [r.candidate_id for r in again]
+    assert [r.rank for r in base] == [r.rank for r in again]
 
 
 def test_rank_histogram_counts_cover_all_rows():
@@ -523,6 +524,6 @@ def test_metric_scaling_preserves_ranks(rng):
     values = list(rng.normal(size=8) * 10)
     base, _ = rank_and_summarize(_cands_with_metrics(values))
     scaled, _ = rank_and_summarize(_cands_with_metrics([v * 3.0 for v in values]))
-    for b, s in zip(base.rows, scaled.rows):
+    for b, s in zip(base, scaled):
         assert b.rank == s.rank
         assert b.percentile == s.percentile
