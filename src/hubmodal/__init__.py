@@ -85,7 +85,6 @@ _EXPORTS = {
         "ParseError",
         "candidates_geojson",
         "fmt",
-        "jsonable",
         "load_fares",
         "load_hub_records",
         "load_markets",

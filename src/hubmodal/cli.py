@@ -135,11 +135,12 @@ def _resolve_threshold(config: PipelineConfig, survey, hub_locations) -> tuple[f
 
 def _build_hub(rec: io.HubRecord, survey) -> Hub:
     rows = [r for r in survey if r.hub_id == rec.hub_id]
-    combos = build_combos(
-        rows,
-        car_share_available=rec.car_share_available,
-        bike_share_available=rec.bike_share_available,
-    )
+    try:
+        combos = build_combos(
+            rows, car_share_available=rec.car_share_available, bike_share_available=rec.bike_share_available
+        )
+    except ValueError as err:
+        raise ValueError(f"hub {rec.hub_id}: {err}") from None
     return Hub(
         id=rec.hub_id,
         location=rec.location,
@@ -157,27 +158,19 @@ def _screen(table, hub_recs, config, threshold) -> TripScreen:
         [rec.location.lat for rec in hub_recs],
         [rec.location.lon for rec in hub_recs],
         threshold,
-        condition2_mode=config.condition2_mode,
-        condition2_km=config.condition2_km,
+        **config.screen_options(),
     )
 
 
 def _build_setups(table, hub_recs, survey, matrices, fares, config, threshold):
     screen = _screen(table, hub_recs, config, threshold)
     setups = {}
+    options = config.setup_options()
     for h, rec in enumerate(hub_recs):
         hub = _build_hub(rec, survey)
         if not screen.keep[h].any():
             raise ValueError(f"hub {rec.hub_id}: no potential trips at threshold {threshold}")
-        setups[rec.hub_id] = prepare_hub(
-            table,
-            [hub],
-            screen[h : h + 1],
-            matrices,
-            fares,
-            car_cost_per_mile=config.car_cost_per_mile,
-            circuity_factor=config.circuity_factor,
-        )
+        setups[rec.hub_id] = prepare_hub(table, [hub], screen[h : h + 1], matrices, fares, **options)
     return setups
 
 
@@ -402,12 +395,10 @@ def _assess_observed(args, setups, hub_recs, config):
     else:
         result, observed, obs_meta, notes = _run_calibration(setups, hub_recs, config)
         params, calib = result.params, {**_calibration_report(result, observed, obs_meta), "warnings": notes}
-    emissions = impacts.EmissionFactor(grams_co2_per_mile=config.grams_co2_per_mile, days_per_year=config.days_per_year)
+    options = config.impact_options()
     reports = {}
     for hub_id in sorted(setups):
-        (reports[hub_id],) = impacts.assess_hubs(
-            setups[hub_id], params, emissions=emissions, include_on_demand_auto=config.include_on_demand_auto_vmt
-        )
+        (reports[hub_id],) = impacts.assess_hubs(setups[hub_id], params, **options)
     return params, calib, reports
 
 

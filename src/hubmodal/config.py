@@ -103,6 +103,25 @@ class PipelineConfig:
     def from_json(cls, path: str | Path) -> "PipelineConfig":
         return cls.from_dict(read_json(path, "config"))
 
+    # The kernel keywords these settings give.  Every step that screens,
+    # prices or scores a hub takes them from here, so the observed hubs and
+    # the siting candidates run under one set of settings.
+
+    def screen_options(self) -> dict:
+        """Keywords of ``geo.screen_trips``."""
+        return {"condition2_mode": self.condition2_mode, "condition2_km": self.condition2_km}
+
+    def setup_options(self) -> dict:
+        """Keywords of ``hubs.prepare_hub``."""
+        return {"car_cost_per_mile": self.car_cost_per_mile, "circuity_factor": self.circuity_factor}
+
+    def impact_options(self) -> dict:
+        """Keywords of ``impacts.assess_hubs``."""
+        from .impacts import EmissionFactor  # loaded by the stages that score alone
+
+        emissions = EmissionFactor(grams_co2_per_mile=self.grams_co2_per_mile, days_per_year=self.days_per_year)
+        return {"emissions": emissions, "include_on_demand_auto": self.include_on_demand_auto_vmt}
+
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
         out["optimizer"]["beta_bounds"] = list(self.optimizer.beta_bounds)

@@ -111,33 +111,16 @@ def fmt(value) -> str:
     return str(value)
 
 
-# Types JSON takes as they are, tested by exact type before the ABC and
-# numpy checks: most nodes of a report are one of these.
-_JSON_LEAVES = frozenset({str, int, float, bool, type(None)})
-
-
-def jsonable(obj):
-    """Recursively coerce numpy scalars and arrays to JSON-native types."""
-    kind = type(obj)
-    if kind in _JSON_LEAVES:
-        return obj
-    if kind is dict:
-        return {k: jsonable(v) for k, v in obj.items()}
-    if kind is list or kind is tuple:
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, Mapping):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+def _json_value(obj):
+    """The JSON value of a node ``json`` cannot write itself: a numpy array
+    or scalar, or a mapping that is not a dict."""
     if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, Mapping):
+        return dict(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
@@ -243,7 +226,7 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
 
 
 def write_json(path: str | Path, obj) -> Path:
-    return atomic_write_text(path, json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n")
+    return atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, default=_json_value) + "\n")
 
 
 def sha256_digest(path: str | Path) -> str:
@@ -955,6 +938,19 @@ _HUB_RECORD_CELLS = {
 }
 
 
+# What each given count must be for the usage routes' formulas
+# (``calibration.derive_observed_rate``, ``derive_sample_rate`` and
+# ``infer_trips_from_sample``), so a bad count is named where it is read.
+_HUB_COUNT_RULES = {
+    "backend_trips_per_month": (lambda v: v >= 0, "must be non-negative"),
+    "days_per_month": (lambda v: v > 0, "must be positive"),
+    "service_share": (lambda v: 0 < v <= 1, "must be in (0, 1]"),
+    "survey_responses": (lambda v: v >= 0, "must be non-negative"),
+    "survey_days": (lambda v: v > 0, "must be positive"),
+    "sample_rate": (lambda v: v > 0, "must be positive"),
+}
+
+
 def load_hub_records(path: str | Path) -> list[HubRecord]:
     table = _read_table(path, _HUB_RECORD_CELLS)
     out = []
@@ -965,6 +961,10 @@ def load_hub_records(path: str | Path) -> list[HubRecord]:
             raise _row_error(path, i, "hub_id", f"duplicate hub {hub_id!r}")
         seen.add(hub_id)
         counts = [None if math.isnan(v) else v for v in numbers]  # blank: not observed
+        for column, value in zip(HUB_RECORD_COLUMNS[5:], counts):
+            valid, rule = _HUB_COUNT_RULES[column]
+            if value is not None and not valid(value):
+                raise _row_error(path, i, column, f"value {value!r} {rule}")
         backend, days, share = counts[:3]
         if backend is not None and (days is None or share is None):
             raise _row_error(path, i, "days_per_month", "backend counts need days_per_month and service_share")

@@ -226,18 +226,17 @@ def evaluate_candidates(
     ``threads`` is accepted for compatibility; the passes run in the
     calling thread whatever its value, and no result depends on it.
     """
-    from .impacts import EmissionFactor, assess_hubs  # loaded by scoring alone: gen-fixture only clusters stops
+    from .impacts import assess_hubs  # loaded by scoring alone: gen-fixture only clusters stops
 
-    cfg = config or PipelineConfig()
+    config = config or PipelineConfig()
+    setup_options, impact_options = config.setup_options(), config.impact_options()
     ordered = sorted(candidates, key=lambda c: c.candidate_id)
-    emissions = EmissionFactor(grams_co2_per_mile=cfg.grams_co2_per_mile, days_per_year=cfg.days_per_year)
     screen = screen_trips(
         table,
         [c.location.lat for c in ordered],
         [c.location.lon for c in ordered],
         threshold,
-        condition2_mode=cfg.condition2_mode,
-        condition2_km=cfg.condition2_km,
+        **config.screen_options(),
     )
     n_kept = screen.keep.sum(axis=1)
     zone_map = matrices.zone_codes(table.zone_ids)
@@ -251,21 +250,9 @@ def evaluate_candidates(
     for combos, members in profiles.items():
         for chunk in _chunks(members, n_kept[members] * len(combos)):
             setup = prepare_hub(
-                table,
-                [hubs[i] for i in chunk],
-                screen[chunk],
-                matrices,
-                fares,
-                zone_map=zone_map,
-                car_cost_per_mile=cfg.car_cost_per_mile,
-                circuity_factor=cfg.circuity_factor,
+                table, [hubs[i] for i in chunk], screen[chunk], matrices, fares, zone_map=zone_map, **setup_options
             )
-            reports = assess_hubs(
-                setup,
-                params,
-                emissions=emissions,
-                include_on_demand_auto=cfg.include_on_demand_auto_vmt,
-            )
+            reports = assess_hubs(setup, params, **impact_options)
             for i, report in zip(chunk, reports):
                 metrics[i] = CandidateMetrics.from_report(report)
     return [replace(c, metrics=m) for c, m in zip(ordered, metrics)]

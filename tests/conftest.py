@@ -49,6 +49,18 @@ BASE_TASTE = dict(
 )
 
 
+# the seven model settings of a PipelineConfig, each off its default
+OFF_DEFAULTS = dict(
+    condition2_mode="od_plus_1km",
+    condition2_km=4.0,
+    grams_co2_per_mile=310.0,
+    days_per_year=250.0,
+    circuity_factor=1.45,
+    car_cost_per_mile=0.55,
+    include_on_demand_auto_vmt=True,
+)
+
+
 def make_taste(**over) -> TasteVector:
     values = dict(BASE_TASTE)
     values.update(over)

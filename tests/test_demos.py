@@ -31,9 +31,11 @@ def test_all_six_demos_are_collected():
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    # demos that write reports put them under tempfile's directory
+    # demos that write reports put them under tempfile's directory, and
+    # leave nothing behind there or in the working directory
     env["TMPDIR"] = str(tmp_path)
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not any(tmp_path.iterdir())
     if demo.name in GOLDEN:
         assert proc.stdout == GOLDEN[demo.name].read_text(encoding="utf-8")

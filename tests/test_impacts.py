@@ -310,17 +310,10 @@ def test_consumer_surplus_is_the_nest_share_logsum(seed7):
         [c.location.lat for c in standard],
         [c.location.lon for c in standard],
         seed7.threshold,
-        condition2_mode=cfg.condition2_mode,
-        condition2_km=cfg.condition2_km,
+        **cfg.screen_options(),
     )
     stacked = prepare_hub(
-        seed7.table,
-        [candidate_hub(c) for c in standard],
-        screen,
-        seed7.matrices,
-        seed7.fares,
-        car_cost_per_mile=cfg.car_cost_per_mile,
-        circuity_factor=cfg.circuity_factor,
+        seed7.table, [candidate_hub(c) for c in standard], screen, seed7.matrices, seed7.fares, **cfg.setup_options()
     )
     assert len(stacked.hubs) > 1
     _assert_surplus_is_the_nest_logsum(stacked, params)

@@ -21,11 +21,12 @@ import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
-from conftest import assert_same_markets, full_attrs, load_batched, load_taste_parameters, make_market, make_taste, snapshot
+from conftest import OFF_DEFAULTS, assert_same_markets, full_attrs, load_batched, load_taste_parameters, make_market, make_taste, snapshot
 from reference_model import ModeAttr, add_leg, table_from_markets
 
 from hubmodal import (
@@ -44,7 +45,6 @@ from hubmodal import (
     StopRecord,
     SurveyRecord,
     fmt,
-    jsonable,
     load_fares,
     load_hub_records,
     load_markets,
@@ -55,6 +55,7 @@ from hubmodal import (
     sha256_digest,
     write_fares,
     write_hub_records,
+    write_json,
     write_markets,
     write_matrices,
     write_pr_lots,
@@ -83,11 +84,11 @@ def test_fmt_values():
         fmt(float("nan"))
 
 
-def test_jsonable_strips_numpy_types():
+def test_write_json_writes_numpy_types_as_json_values(tmp_path):
     blob = {"a": np.float64(1.5), "b": [np.int32(2), np.bool_(False)], "c": np.arange(3)}
-    got = jsonable(blob)
-    assert got == {"a": 1.5, "b": [2, False], "c": [0, 1, 2]}
-    json.dumps(got)  # must be serializable as-is
+    blob["d"] = MappingProxyType({"e": np.float32(0.5)})
+    path = write_json(tmp_path / "blob.json", blob)
+    assert json.loads(path.read_text()) == {"a": 1.5, "b": [2, False], "c": [0, 1, 2], "d": {"e": 0.5}}
 
 
 def test_markets_round_trip(tmp_path):
@@ -751,6 +752,29 @@ def test_hub_records_duplicate_rejected(tmp_path):
         load_hub_records(path)
 
 
+@pytest.mark.parametrize(
+    "column, value, rule",
+    [
+        ("backend_trips_per_month", "-1", "value -1.0 must be non-negative"),
+        ("days_per_month", "0", "value 0.0 must be positive"),
+        ("service_share", "1.5", r"value 1.5 must be in \(0, 1\]"),
+        ("survey_responses", "-2", "value -2.0 must be non-negative"),
+        # beside backend counts, a survey_days of 0 was once skipped silently
+        ("survey_days", "0", "value 0.0 must be positive"),
+        ("sample_rate", "-0.25", "value -0.25 must be positive"),
+    ],
+)
+def test_hub_record_count_outside_its_range_names_file_row_and_column(tmp_path, column, value, rule):
+    path = tmp_path / "observed_usage.csv"
+    write_hub_records(_two_hub_records(), path)
+    header, first, second = path.read_text().splitlines()
+    cells = second.split(",")
+    cells[header.split(",").index(column)] = value
+    path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))} row 3: {rule} in column '{column}'$"):
+        load_hub_records(path)
+
+
 @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
 @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=["022", "027", "077"])
 def test_written_files_get_the_mode_open_gives(tmp_path, umask):
@@ -1235,20 +1259,31 @@ def test_rank_reference_rows_are_the_assess_figures(fixture_dir, tmp_path, fit):
     manifest = str(fixture_dir / "manifest.json")
     params = tmp_path / "params.json"
     params.write_text(json.dumps(PARAMS_OK))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(OFF_DEFAULTS))
     opts = ["--params", str(params)] if fit == "params" else []
-    impacts = json.loads(_run(["assess", "--manifest", manifest, *opts], tmp_path / "a")["impacts.json"].read_text())
-    _run(["rank", "--manifest", manifest, *opts], tmp_path / "r")
-    assert sorted(impacts["hubs"]) == ["hub-a", "hub-b"]
-    for hub_id, block in impacts["hubs"].items():
-        expected = [
-            repr(block["potential_demand_trips_per_day"]),
-            repr(block["transit_delta_trips_per_day"]),
-            repr(block["vmt"]["reduced_per_day"]),
-            repr(block["consumer_surplus_total_usd_per_day"]),
-        ]
-        row, props = _reference_cells(tmp_path / "r", hub_id)
-        assert row == expected, hub_id
-        assert props == expected, hub_id
+    runs = []
+    for name, settings in (("defaults", []), ("off-defaults", ["--config", str(config)])):
+        args = ["--manifest", manifest, *settings, *opts]
+        impacts = json.loads(_run(["assess", *args], tmp_path / name / "a")["impacts.json"].read_text())
+        _run(["rank", *args], tmp_path / name / "r")
+        assert sorted(impacts["hubs"]) == ["hub-a", "hub-b"]
+        figures = {}
+        for hub_id, block in impacts["hubs"].items():
+            expected = [
+                repr(block["potential_demand_trips_per_day"]),
+                repr(block["transit_delta_trips_per_day"]),
+                repr(block["vmt"]["reduced_per_day"]),
+                repr(block["consumer_surplus_total_usd_per_day"]),
+            ]
+            row, props = _reference_cells(tmp_path / name / "r", hub_id)
+            assert row == expected, (name, hub_id)
+            assert props == expected, (name, hub_id)
+            figures[hub_id] = expected
+        runs.append(figures)
+    # the settings reach both scoring paths: every ranked figure moves
+    default, off = runs
+    assert all(a != b for hub_id in default for a, b in zip(default[hub_id], off[hub_id]))
 
 
 @pytest.mark.parametrize("stage", ["assess", "rank"])
@@ -1276,6 +1311,27 @@ def test_an_observed_hub_with_no_potential_trips_is_an_error(fixture_dir, tmp_pa
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record == {"error": "ValueError", "message": "hub hub-b: no potential trips at threshold 1.5"}
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "incomplete, why",
+    [(False, "empty survey for hub"), (True, "empty survey for hub: no complete records")],
+    ids=["no-rows", "incomplete"],
+)
+def test_a_hub_with_no_complete_survey_responses_is_named(fixture_dir, tmp_path, capsys, incomplete, why):
+    # hub-b's survey rows dropped, or each marked incomplete
+    inputs = shutil.copytree(fixture_dir, tmp_path / "inputs")
+    survey = inputs / "survey.csv"
+    lines = survey.read_text().splitlines()
+    hub_b = [line for line in lines if line.startswith("hub-b,")]
+    lines = [line for line in lines if not line.startswith("hub-b,")]
+    if incomplete:
+        lines += [line[: line.rindex(",")] + ",0" for line in hub_b]
+    survey.write_text("\n".join(lines) + "\n")
+    code = main(["calibrate", "--manifest", str(inputs / "manifest.json"), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "ValueError", "message": f"hub hub-b: {why}"}
 
 
 def test_cli_missing_manifest_is_an_error(tmp_path, capsys):

@@ -6,8 +6,9 @@ MarketTable) and re-write to the same bytes.  One malformed cell planted
 in such a table (a bad number, a bad 0/1 flag, an unknown segment or leg
 mode, an empty required cell) makes the loader raise ``ParseError``
 naming the file, the row and the column of that cell, and so does a
-market attribute or taste coefficient beyond VALUE_BOUND in magnitude:
-valid markets are drawn within it.  Irregular input planted in such a
+market attribute or taste coefficient beyond VALUE_BOUND in magnitude,
+or a usage count outside the range its route formula takes: valid
+tables are drawn within them.  Irregular input planted in such a
 table (padding, literal NaN or infinity, quotes, CRLF, blank lines,
 ragged rows, blank or ``nan`` keys) loads to the same value, or the same
 error, in one-record batches as in one batch holding the whole file.
@@ -97,13 +98,19 @@ survey_records = st.builds(
 )
 
 
+# usage counts within the loader's range rules
+counts = st.floats(min_value=0.0, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+shares = st.floats(0.0, 1.0, exclude_min=True)
+
+
 @st.composite
 def hub_records(draw, hub_id: str) -> HubRecord:
-    backend = draw(st.none() | finite)
+    backend = draw(st.none() | counts)
     backend_route = {
         "backend_trips_per_month": backend,
-        "days_per_month": draw(finite if backend is not None else st.none() | finite),
-        "service_share": draw(finite if backend is not None else st.none() | finite),
+        "days_per_month": draw(positive if backend is not None else st.none() | positive),
+        "service_share": draw(shares if backend is not None else st.none() | shares),
     }
     return HubRecord(
         hub_id=hub_id,
@@ -111,9 +118,9 @@ def hub_records(draw, hub_id: str) -> HubRecord:
         car_share_available=draw(st.booleans()),
         bike_share_available=draw(st.booleans()),
         **backend_route,
-        survey_responses=draw(st.none() | finite),
-        survey_days=draw(st.none() | finite),
-        sample_rate=draw(st.none() | finite),
+        survey_responses=draw(st.none() | counts),
+        survey_days=draw(st.none() | positive),
+        sample_rate=draw(st.none() | positive),
     )
 
 
@@ -182,7 +189,13 @@ HUB_FAULTS = {
     "lon": ("", *BAD_NUMBERS),
     "car_share_available": ("", *BAD_FLAGS),
     "bike_share_available": ("", *BAD_FLAGS),
-    **dict.fromkeys(HUB_RECORD_COLUMNS[5:], BAD_NUMBERS),
+    # a malformed number, or a count outside its route formula's range
+    "backend_trips_per_month": (*BAD_NUMBERS, "-1"),
+    "days_per_month": (*BAD_NUMBERS, "0", "-2.5"),
+    "service_share": (*BAD_NUMBERS, "0", "1.5"),
+    "survey_responses": (*BAD_NUMBERS, "-1"),
+    "survey_days": (*BAD_NUMBERS, "0", "-3"),
+    "sample_rate": (*BAD_NUMBERS, "0", "-0.25"),
 }
 
 

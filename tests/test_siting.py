@@ -16,7 +16,7 @@ import pytest
 
 import hubmodal.siting as siting
 import reference_model
-from conftest import full_matrices, make_market, make_params, random_point, random_taste, simple_fares
+from conftest import OFF_DEFAULTS, full_matrices, make_market, make_params, random_point, random_taste, simple_fares
 from reference_model import add_leg, table_from_markets
 
 from hubmodal import (
@@ -24,11 +24,13 @@ from hubmodal import (
     STANDARD_PROFILE_COMBOS,
     Candidate,
     CandidateMetrics,
+    EmissionFactor,
     GeoPoint,
     MILES_PER_KM,
     HubChoiceSetup,
     LegMatrices,
     Mode,
+    PipelineConfig,
     Segment,
     StopRecord,
     assess_hubs,
@@ -360,33 +362,64 @@ def _mixed_case(rng):
     return markets, cands, LegMatrices(zones, hub_ids, zone, hub, mode, legs)
 
 
+def _each_alone(cands, table, params, threshold, matrices, fares, config) -> dict[str, CandidateMetrics]:
+    """Each candidate's metrics from a screen, setup and impact call of its
+    own, under ``config``'s settings spelt out as kernel keywords."""
+    emissions = EmissionFactor(grams_co2_per_mile=config.grams_co2_per_mile, days_per_year=config.days_per_year)
+    expected = {}
+    for cand in cands:
+        screen = screen_trips(
+            table,
+            [cand.location.lat],
+            [cand.location.lon],
+            threshold,
+            condition2_mode=config.condition2_mode,
+            condition2_km=config.condition2_km,
+        )
+        if not screen.keep.any():
+            expected[cand.candidate_id] = CandidateMetrics(0.0, 0.0, 0.0, 0.0, no_potential_trips=True)
+            continue
+        setup = prepare_hub(
+            table,
+            [candidate_hub(cand)],
+            screen,
+            matrices,
+            fares,
+            car_cost_per_mile=config.car_cost_per_mile,
+            circuity_factor=config.circuity_factor,
+        )
+        (report,) = assess_hubs(
+            setup, params, emissions=emissions, include_on_demand_auto=config.include_on_demand_auto_vmt
+        )
+        # a hub's sums are numpy's own sums over its rows
+        assert report.multimodal_total == float((setup.trips * setup.choice_shares(params).hub).sum())
+        expected[cand.candidate_id] = CandidateMetrics(
+            report.potential_demand, report.transit_delta, report.vmt.reduced, report.cs_total
+        )
+    return expected
+
+
 def test_evaluate_equals_each_candidate_alone_bit_for_bit(rng, monkeypatch):
     markets, cands, matrices = _mixed_case(rng)
     params = make_params(beta=0.45, asc=-2.5, student=-1.5)
     fares = simple_fares()
     threshold = 1.4
     table = table_from_markets(markets)
-    expected = {}
-    for cand in cands:
-        screen = screen_trips(table, [cand.location.lat], [cand.location.lon], threshold)
-        if not screen.keep.any():
-            expected[cand.candidate_id] = CandidateMetrics(0.0, 0.0, 0.0, 0.0, no_potential_trips=True)
-            continue
-        setup = prepare_hub(table, [candidate_hub(cand)], screen, matrices, fares)
-        (report,) = assess_hubs(setup, params)
-        # a hub's sums are numpy's own sums over its rows
-        assert report.multimodal_total == float((setup.trips * setup.choice_shares(params).hub).sum())
-        expected[cand.candidate_id] = CandidateMetrics(
-            report.potential_demand, report.transit_delta, report.vmt.reduced, report.cs_total
-        )
-    assert expected["c-far"].no_potential_trips
-    assert sum(not m.no_potential_trips for m in expected.values()) >= 12
+    runs = []
+    for config in (None, PipelineConfig(**OFF_DEFAULTS)):
+        expected = _each_alone(cands, table, params, threshold, matrices, fares, config or PipelineConfig())
+        assert expected["c-far"].no_potential_trips
+        assert sum(not m.no_potential_trips for m in expected.values()) >= 12
 
-    for cells in (siting.CHUNK_CELLS, 50, 1):
-        monkeypatch.setattr(siting, "CHUNK_CELLS", cells)
-        got = evaluate_candidates(list(reversed(cands)), table, params, threshold, matrices, fares)
-        assert [c.candidate_id for c in got] == sorted(expected)
-        assert {c.candidate_id: c.metrics for c in got} == expected  # ==, not approx
+        for cells in (siting.CHUNK_CELLS, 50, 1):
+            monkeypatch.setattr(siting, "CHUNK_CELLS", cells)
+            got = evaluate_candidates(list(reversed(cands)), table, params, threshold, matrices, fares, config=config)
+            assert [c.candidate_id for c in got] == sorted(expected)
+            assert {c.candidate_id: c.metrics for c in got} == expected  # ==, not approx
+        runs.append(expected)
+    # the settings reach the scores: every candidate with hub trips moves
+    default, off = runs
+    assert all(off[c] != m for c, m in default.items() if m.cs_total)
 
 
 def test_stacked_setup_prices_each_row_from_its_own_screen_cell(rng):
