@@ -13,11 +13,12 @@ car cost, walking free.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Mapping
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,7 +93,39 @@ class Hub:
                 raise ValueError(f"hub {self.id}: combo {combo.label()} references unavailable bike share")
 
     def sorted_combos(self) -> tuple[ComboId, ...]:
-        return tuple(sorted(self.combos, key=combo_sort_key))
+        return _combo_layout(self.combos).combos
+
+
+class _ComboLayout:
+    """Where the combos of one choice set find their legs.
+
+    ``combos`` are in combo_sort_key order.  A leg is a (mode, direction)
+    pair, direction 0 the entry (to-hub) leg and 1 the exit (from-hub)
+    leg.  ``legs`` are the distinct legs the combos use, sorted, so that
+    each mode's legs are one ``run`` (mode, slice of ``legs``);
+    ``direction`` is each leg's direction, and ``by_direction`` each
+    direction's leg modes and their places in ``legs``.  ``column`` is
+    each combo's entry and exit leg, a (2, k) index into ``legs``.
+    """
+
+    def __init__(self, combos: frozenset[ComboId]):
+        self.combos = tuple(sorted(combos, key=combo_sort_key))
+        self.legs = tuple(sorted({(c[d], d) for c in self.combos for d in (0, 1)}, key=lambda leg: (leg[0].value, leg[1])))
+        place = {leg: i for i, leg in enumerate(self.legs)}
+        self.column = np.array([[place[c[d], d] for c in self.combos] for d in (0, 1)], dtype=np.intp)
+        self.direction = np.array([d for _, d in self.legs], dtype=np.intp)
+        self.by_direction = tuple(
+            (tuple(mode for mode, e in self.legs if e == d), np.flatnonzero(self.direction == d)) for d in (0, 1)
+        )
+        modes = [mode for mode, _ in self.legs]
+        self.runs = tuple((mode, slice(modes.index(mode), modes.index(mode) + modes.count(mode))) for mode in dict.fromkeys(modes))
+        for index in (self.column, self.direction, *(at for _, at in self.by_direction)):
+            index.flags.writeable = False  # one layout serves every setup of its choice set
+
+
+# A frozenset keeps its hash, so the setups of one service profile look
+# their layout up instead of rebuilding it.
+_combo_layout = functools.lru_cache(maxsize=64)(_ComboLayout)
 
 
 @record(frozen=True)
@@ -117,7 +150,8 @@ def build_combos(
     """Deduplicated transfer combos from survey responses, service-filtered.
 
     Only complete records contribute.  Combos referencing a service the
-    hub does not offer are dropped.  The result is order-canonicalized, so
+    hub does not offer are dropped; when that drops every combo, a
+    ValueError names the services.  The result is order-canonicalized, so
     it does not depend on record order.
     """
     if not records:
@@ -125,11 +159,12 @@ def build_combos(
     combos = {ComboId(r.entry_mode, r.exit_mode) for r in records if r.complete}
     if not combos:
         raise ValueError("empty survey for hub: no complete records")
-    if not car_share_available:
-        combos = {c for c in combos if Mode.CAR_SHARE not in (c.entry, c.exit)}
-    if not bike_share_available:
-        combos = {c for c in combos if Mode.BIKE_SHARE not in (c.entry, c.exit)}
-    return tuple(sorted(combos, key=combo_sort_key))
+    offered = {Mode.CAR_SHARE: car_share_available, Mode.BIKE_SHARE: bike_share_available}
+    usable = {c for c in combos if offered.get(c.entry, True) and offered.get(c.exit, True)}
+    if not usable:
+        dropped = sorted({mode.value for c in combos for mode in c if not offered.get(mode, True)})
+        raise ValueError(f"no usable combo: every surveyed combo uses a service the hub does not offer ({', '.join(dropped)})")
+    return tuple(sorted(usable, key=combo_sort_key))
 
 
 # ----------------------------------------------------------------------
@@ -191,11 +226,12 @@ LEG_MODE_ORDER: tuple[Mode, ...] = tuple(sorted(LEG_MODES, key=lambda m: m.value
 _LEG_MODE_CODE = {mode: i for i, mode in enumerate(LEG_MODE_ORDER)}
 # _MODE_OFFSET[code][bits]: where a (zone, hub) pair holds the modes set in
 # ``bits``, how many of them come before mode ``code`` in its run of rows,
-# or -1 when it lacks that mode.
+# or -1 when it lacks that mode.  Its last row, code len(LEG_MODE_ORDER),
+# is -1 throughout: the code of any mode that is not a leg mode.
 _MODE_OFFSET = np.array(
     [
         [bin(bits & ((1 << code) - 1)).count("1") if bits >> code & 1 else -1 for bits in range(1 << len(LEG_MODE_ORDER))]
-        for code in range(len(LEG_MODE_ORDER))
+        for code in range(len(LEG_MODE_ORDER) + 1)
     ],
     dtype=np.int64,
 )
@@ -355,9 +391,10 @@ class LegMatrices:
         """This store's code for each hub id, -1 where it has none."""
         return _codes(self._hub_code, hub_ids)
 
-    def rows(self, zones: np.ndarray, hubs: np.ndarray, modes: Iterable[Mode]) -> dict[Mode, np.ndarray]:
-        """Row of each (zone code, hub code) pair, for each of ``modes``;
-        ``len(self)`` where the store has no such row (and for code -1).
+    def rows(self, zones: np.ndarray, hubs: np.ndarray, modes: Sequence[Mode]) -> np.ndarray:
+        """(len(modes), len(zones)) row of each (zone code, hub code) pair,
+        for each of ``modes`` in turn; ``len(self)`` where the store has no
+        such row (and for code -1).
 
         Each pair's first row and mode bits are gathered once from the
         pair index; a mode's row is then that first row plus the count of
@@ -366,15 +403,9 @@ class LegMatrices:
         # Code -1 reads the index's empty last entry.
         pair = np.where((zones < 0) | (hubs < 0), len(first) - 1, zones * len(self.hub_ids) + hubs)
         first, bits = first[pair], bits[pair]
-        out = {}
-        for mode in modes:
-            code = _LEG_MODE_CODE.get(mode)
-            if code is None:
-                out[mode] = np.full(len(pair), len(self))
-            else:
-                offset = _MODE_OFFSET[code][bits]
-                out[mode] = np.where(offset >= 0, first + offset, len(self))
-        return out
+        codes = np.array([_LEG_MODE_CODE.get(mode, len(LEG_MODE_ORDER)) for mode in modes], dtype=np.intp)
+        offset = _MODE_OFFSET[codes].take(bits, axis=1)
+        return np.where(offset >= 0, first + offset, len(self))
 
     def _pair_index(self) -> tuple[np.ndarray, np.ndarray]:
         """The first row (int32) and the bitmask of the modes present
@@ -397,7 +428,7 @@ class LegMatrices:
         return self._index
 
     def _row(self, zone_id: str, hub_id: str, mode: Mode) -> int:
-        return int(self.rows(self.zone_codes([zone_id]), self.hub_codes([hub_id]), [mode])[mode][0])
+        return int(self.rows(self.zone_codes([zone_id]), self.hub_codes([hub_id]), [mode])[0, 0])
 
 
 class _LegEntries(Mapping):
@@ -813,6 +844,55 @@ class HubChoiceSetup:
         )
 
 
+def _price_legs(
+    layout: _ComboLayout,
+    taste: Mapping[str, np.ndarray],
+    zones: tuple[np.ndarray, np.ndarray],
+    hub_codes: np.ndarray,
+    gcs: np.ndarray,
+    matrices: LegMatrices,
+    fares: FareTable,
+    car_cost_per_mile: float,
+    circuity_factor: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every leg of ``layout`` over m rows, as (legs, m) blocks: its
+    utility (-inf where the matrices lack the leg), its VMT miles and its
+    distance weight.  ``zones`` holds each row's zone code in the
+    matrices per direction, ``hub_codes`` its hub's code there, and
+    ``gcs`` its (2, m) great-circle miles per direction.  Each mode's
+    legs are priced in one pass, and the matrices cells gathered here
+    are freed on return."""
+    # rows first: the first lookup of a store builds its pair index
+    found = [matrices.rows(zones[direction], hub_codes, modes) for direction, (modes, _) in enumerate(layout.by_direction)]
+    cells = np.empty((len(layout.legs), len(hub_codes), 5))
+    for direction, (_, at) in enumerate(layout.by_direction):
+        for leg, rows in zip(at.tolist(), found[direction]):
+            np.take(matrices._legs[direction], rows, axis=0, out=cells[leg], mode="clip")
+    minutes, access, egress, transfers, miles = cells.transpose(2, 0, 1)
+    absent = np.isnan(minutes)
+    minutes[absent] = 0.0
+    # network miles, else great-circle: times the circuity factor for cost and VMT
+    network = ~np.isnan(miles)
+    weight = gcs[layout.direction]
+    vmt = weight * circuity_factor
+    np.copyto(vmt, miles, where=network)
+    np.copyto(weight, miles, where=network)
+    util = np.empty(minutes.shape)
+    for mode, run in layout.runs:
+        cost = leg_cost_usd(mode, minutes[run], vmt[run], fares, car_cost_per_mile=car_cost_per_mile)
+        util[run] = mode_utility(
+            taste,
+            mode,
+            ivt_min=minutes[run],
+            access_min=access[run],
+            egress_min=egress[run],
+            transfers=transfers[run],
+            cost_usd=cost,
+        )
+    util[absent] = -np.inf
+    return util, vmt, weight
+
+
 def prepare_hub(
     table: MarketTable,
     hubs: Sequence[Hub],
@@ -840,17 +920,15 @@ def prepare_hub(
     if len(screen.oh_km) != len(hubs) or len(screen.pair) != len(table):
         raise ValueError("the screen's distances are not of these hubs and markets")
     own, idx = np.nonzero(keep)
-    combos = hubs[0].sorted_combos()
     if any(h.combos != hubs[0].combos for h in hubs):
         raise ValueError("stacked hubs must share one choice set")
-    m, k = len(idx), len(combos)
-    taste = {name: col[idx] for name, col in table.taste.items()}
+    layout = _combo_layout(hubs[0].combos)
+    m, k = len(idx), len(layout.combos)
 
     # Great-circle miles of the entry (to-hub) and exit (from-hub) legs,
-    # from the screen's cells, and the same times the circuity factor.
+    # from the screen's cells.
     pair = screen.pair[idx]
-    gcs = (screen.oh_km[own, pair] * MILES_PER_KM, screen.hd_km[own, pair] * MILES_PER_KM)
-    road = tuple(gc * circuity_factor for gc in gcs)
+    gcs = np.stack((screen.oh_km[own, pair], screen.hd_km[own, pair])) * MILES_PER_KM
 
     # Zone codes of the rows' origins (to-hub legs) and destinations
     # (from-hub legs), and hub codes, in the matrices' own coding.
@@ -858,44 +936,27 @@ def prepare_hub(
         zone_map = matrices.zone_codes(table.zone_ids)
     hub_codes = matrices.hub_codes([h.id for h in hubs])[own]
     zones = (zone_map[table.o_zone_codes[idx]], zone_map[table.d_zone_codes[idx]])
-    leg_util: dict[tuple[Mode, int], np.ndarray] = {}
-    leg_vmt: dict[tuple[Mode, int], np.ndarray] = {}
-    leg_weight: dict[tuple[Mode, int], np.ndarray] = {}
-    leg_modes = (dict.fromkeys(c.entry for c in combos), dict.fromkeys(c.exit for c in combos))
-    for direction, modes in enumerate(leg_modes):
-        for mode, found in matrices.rows(zones[direction], hub_codes, modes).items():
-            minutes, access, egress, transfers, miles = matrices._legs[direction].take(found, axis=0).T
-            avail = ~np.isnan(minutes)
-            minutes = np.where(avail, minutes, 0.0)
-            # network miles, else great-circle: times the circuity factor for cost and VMT
-            no_network = np.isnan(miles)
-            vmt = np.where(no_network, road[direction], miles)
-            cost = leg_cost_usd(mode, minutes, vmt, fares, car_cost_per_mile=car_cost_per_mile)
-            u = mode_utility(
-                taste,
-                mode,
-                ivt_min=minutes,
-                access_min=access,
-                egress_min=egress,
-                transfers=transfers,
-                cost_usd=cost,
-            )
-            leg_util[mode, direction] = np.where(avail, u, -np.inf)
-            leg_vmt[mode, direction] = vmt
-            leg_weight[mode, direction] = np.where(no_network, gcs[direction], miles)
+    # the rows' taste coefficients price the legs, and are freed after
+    taste = {name: col[idx] for name, col in table.taste.items()}
+    util, vmt, weight = _price_legs(layout, taste, zones, hub_codes, gcs, matrices, fares, car_cost_per_mile, circuity_factor)
+    beta_cost = taste["beta_cost"]
+    del taste
 
-    combo_util = np.full((m, k), -np.inf)
+    # Each combo pairs its entry leg with its exit leg, a (k, m) block
+    # turned (m, k).  combo_util is copied C-ordered: a row sum over the
+    # combos must add in one order.
+    entry, exit = layout.column
+    combo_util = util[entry]
+    combo_util += util[exit]
+    combo_util = np.ascontiguousarray(combo_util.T)
     vmt_miles = np.empty((m, k, 2))
-    entry_fraction = np.empty((m, k))
-    for j, combo in enumerate(combos):
-        combo_util[:, j] = leg_util[combo.entry, 0] + leg_util[combo.exit, 1]
-        vmt_miles[:, j, 0] = leg_vmt[combo.entry, 0]
-        vmt_miles[:, j, 1] = leg_vmt[combo.exit, 1]
-        w_entry = leg_weight[combo.entry, 0]
-        total = w_entry + leg_weight[combo.exit, 1]
-        # legs that total 0 miles split evenly
-        with np.errstate(invalid="ignore", divide="ignore"):
-            entry_fraction[:, j] = np.where(total > 0.0, w_entry / total, 0.5)
+    vmt_miles[:, :, 0] = vmt[entry].T
+    vmt_miles[:, :, 1] = vmt[exit].T
+    w_entry = weight[entry]
+    total = weight[exit]
+    total += w_entry
+    entry_fraction = np.full((k, m), 0.5)  # legs that total 0 miles split evenly
+    np.divide(w_entry, total, out=entry_fraction, where=total > 0.0)
 
     return HubChoiceSetup(
         hubs,
@@ -904,10 +965,10 @@ def prepare_hub(
         table.trips[idx],
         table.drive_miles[idx],
         table.unimodal_utilities()[idx],
-        combos,
+        layout.combos,
         combo_util,
         vmt_miles,
-        entry_fraction,
-        taste["beta_cost"],
+        entry_fraction.T,
+        beta_cost,
         bounds=np.searchsorted(own, np.arange(len(hubs) + 1)),
     )

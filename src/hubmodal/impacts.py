@@ -19,11 +19,12 @@ Emission factors turn VMT reductions into CO2 at a flat grams/mile rate.
 
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
 
-from .choice import MAIN_MODES, Mode
+from .choice import MAIN_MODES, ComboId, Mode
 from .hubs import HubChoiceSetup, HubParams, HubShares
 from .records import record
 
@@ -53,15 +54,14 @@ class EmissionFactor:
         return vmt_per_day * self.days_per_year / 1000.0
 
 
-def _hub_sums(setup: HubChoiceSetup, *parts: np.ndarray) -> list[list[float]]:
-    """Each hub's sums of the rows of ``parts`` (each (p, m)) over its own
+def _hub_sums(setup: HubChoiceSetup, block: np.ndarray) -> list[list[float]]:
+    """Each hub's sums of the rows of ``block`` (p, m) over its own
     markets, one list per hub.  A sum is one contiguous slice of one row,
     so it adds the same numbers in the same order as a setup of that hub
-    alone would, and gives the same float.  (That needs each row to be
-    contiguous: ``concatenate`` alone would keep the transposed layout of
-    its parts, and a strided row sums in another order.)"""
-    block = np.empty((sum(map(len, parts)), setup.n_markets))
-    np.concatenate(parts, out=block)
+    alone would, and gives the same float.  That needs ``block`` to be
+    C-ordered: a strided row sums in another order.  Callers write their
+    per-market terms straight into its rows, through transposed views
+    where the terms come as (m, p)."""
     return [block[:, a:b].sum(axis=1).tolist() for a, b in setup.spans]
 
 
@@ -85,16 +85,25 @@ def mode_shifts(setup: HubChoiceSetup, s: HubShares) -> list[ModeShiftResult]:
     distance split evenly.  Unimodal trips after the hub use the upper
     level; the two-level shares conserve total trips exactly.
     """
-    d = setup.trips[:, None]
-    parts = [(d * s.before).T, (d * s.upper).T, (setup.trips * s.hub)[None]]
-    if setup.n_combos:
-        frac_entry = setup.entry_fraction
-        joint_trips = d * s.joint
-        parts += [(joint_trips * frac_entry).T, (joint_trips * (1.0 - frac_entry)).T]
-
     n, k = len(MAIN_MODES), setup.n_combos
+    # rows: trips by mode before and after, hub trips, and each combo's
+    # entry-leg and exit-leg trips
+    block = np.empty((2 * n + 1 + 2 * k, setup.n_markets))
+    d = setup.trips[:, None]
+    np.multiply(d, s.before, out=block[:n].T)
+    np.multiply(d, s.upper, out=block[n : 2 * n].T)
+    np.multiply(setup.trips, s.hub, out=block[2 * n])
+    if k:
+        # joint trips times the entry fraction, and times its complement,
+        # built in place in the two sets of rows
+        entry, exit = block[2 * n + 1 : 2 * n + 1 + k].T, block[2 * n + 1 + k :].T
+        np.multiply(d, s.joint, out=entry)
+        np.subtract(1.0, setup.entry_fraction, out=exit)
+        exit *= entry
+        entry *= setup.entry_fraction
+
     out = []
-    for sums in _hub_sums(setup, *parts):
+    for sums in _hub_sums(setup, block):
         leg_trips: dict[Mode, float] = {}
         entry, exit = sums[2 * n + 1 : 2 * n + 1 + k], sums[2 * n + 1 + k :]
         for combo, entry_t, exit_t in zip(setup.combos, entry, exit):
@@ -165,28 +174,24 @@ def vmt_deltas(
         cols.append(_MODE_COL[Mode.ON_DEMAND_AUTO])
     n_drive = len(cols)
     cols.append(_MODE_COL[Mode.CARPOOL])
-    parts = [(w * s.before[:, cols]).T, (w * s.upper[:, cols]).T]
+    n = len(cols)
 
     # car legs add driving VMT, car-share legs carpool VMT, in combo order
-    car_legs = [
-        (j, pos, mode == Mode.CAR)
-        for j, combo in enumerate(setup.combos)
-        for pos, mode in enumerate(combo)
-        if mode in (Mode.CAR, Mode.CAR_SHARE)
-    ]
-    if car_legs:
-        js, poss, _ = zip(*car_legs)
+    js, poss, car = _car_legs(setup.combos)
+    block = np.empty((2 * n + len(js), setup.n_markets))
+    np.multiply(w, s.before[:, cols], out=block[:n].T)
+    np.multiply(w, s.upper[:, cols], out=block[n : 2 * n].T)
+    if len(js):
         joint_trips = (setup.trips * ok)[:, None] * s.joint[:, js]
-        parts.append((joint_trips * setup.vmt_miles[:, js, poss]).T)
+        np.multiply(joint_trips, setup.vmt_miles[:, js, poss], out=block[2 * n :].T)
 
     out = []
-    n = len(cols)
-    for sums in _hub_sums(setup, *parts):
+    for sums in _hub_sums(setup, block):
         before_driving = float(sum(sums[:n_drive]))
         before_carpool = sums[n_drive]
         after_driving = float(sum(sums[n : n + n_drive]))
         after_carpool = sums[n + n_drive]
-        for (_, _, is_car), leg in zip(car_legs, sums[2 * n :]):
+        for is_car, leg in zip(car, sums[2 * n :]):
             if is_car:
                 after_driving += leg
             else:
@@ -205,6 +210,24 @@ def vmt_deltas(
             )
         )
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _car_legs(combos: tuple[ComboId, ...]) -> tuple[np.ndarray, np.ndarray, tuple[bool, ...]]:
+    """The car and car-share legs of ``combos``, in combo order: each
+    one's combo index and leg position (0 entry, 1 exit), as index arrays,
+    and whether it is a car leg.  The setups of one service profile have
+    the same combos, so they look this up instead of walking them."""
+    legs = [
+        (j, pos, mode == Mode.CAR)
+        for j, combo in enumerate(combos)
+        for pos, mode in enumerate(combo)
+        if mode in (Mode.CAR, Mode.CAR_SHARE)
+    ]
+    js, poss, car = zip(*legs) if legs else ((), (), ())
+    js, poss = np.array(js, dtype=np.intp), np.array(poss, dtype=np.intp)
+    js.flags.writeable = poss.flags.writeable = False  # shared by every caller
+    return js, poss, car
 
 
 @record(frozen=True)

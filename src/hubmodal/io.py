@@ -244,8 +244,8 @@ def sha256_digest(path: str | Path) -> str:
 # Cells per batch: a batch's rows are dropped once its columns are
 # converted, so this bounds what a parse holds at once, while each batch
 # pays a cost per column.  At 4,096 cells the first rank-1k `rank`, which
-# parses its leg matrices, peaks at 50.1 MB; 1,024 cells lowered that by
-# 0.4 MB but made every `rank` 15 ms slower, as its 41-column markets
+# parses its leg matrices, peaks at 46.5 MB; 1,024 cells lowered that by
+# 0.15 MB but made every `rank` 15 ms slower, as its 41-column markets
 # file then goes in 24-record batches.
 _BATCH_CELLS = 4096
 

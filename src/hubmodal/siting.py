@@ -178,11 +178,18 @@ def candidate_hub(candidate: Candidate) -> Hub:
     )
 
 
-# Market x combo cells scored in one stacked pass.  It bounds the working
-# set of a pass (a few dozen (rows, combos) float arrays, under 6 MB)
-# whatever the number of candidates; a candidate larger than this is
-# scored in a pass of its own.
-CHUNK_CELLS = 1 << 15
+# Market x combo cells scored in one stacked pass; a candidate larger than
+# this is scored in a pass of its own.  It bounds the working set of a
+# pass whatever the number of candidates.  15,000 is the largest budget
+# whose (rows, combos) float arrays (117 KiB) stay under glibc's default
+# 128 KiB mmap threshold, so one pass's temporaries are reused on the
+# heap by the next.  On the rank-1k fixture (1,000 markets x 100
+# candidates; fresh processes pinned to one CPU) rank peaked at 48.3 MB
+# on a sidecar hit with 32,768 cells, 46.1 with 16,384, 45.9 with 15,000
+# and 45.4 with 8,192.  Scoring at 15,000 or 12,288 cells took as long as
+# 32,768-cell passes did when a pass's fixed cost was about 0.5 ms (it is
+# 0.3 ms), and 15% longer at 8,192 (in process).
+CHUNK_CELLS = 15_000
 
 _NO_TRIPS = CandidateMetrics(
     potential_demand=0.0, transit_delta=0.0, vmt_reduced=0.0, cs_total=0.0, no_potential_trips=True
@@ -253,6 +260,7 @@ def evaluate_candidates(
                 table, [hubs[i] for i in chunk], screen[chunk], matrices, fares, zone_map=zone_map, **setup_options
             )
             reports = assess_hubs(setup, params, **impact_options)
+            del setup  # freed, with its shares, before the next chunk's is built
             for i, report in zip(chunk, reports):
                 metrics[i] = CandidateMetrics.from_report(report)
     return [replace(c, metrics=m) for c, m in zip(ordered, metrics)]

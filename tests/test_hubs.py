@@ -103,6 +103,14 @@ def test_build_combos_empty_errors():
         build_combos([])
     with pytest.raises(ValueError, match="no complete records"):
         build_combos([record(Mode.CAR, Mode.BUS, complete=False)])
+    # every combo needs a service the hub does not offer
+    shared = [record(Mode.CAR_SHARE, Mode.BUS), record(Mode.BUS, Mode.BIKE_SHARE), record(Mode.WALK_LEG, Mode.CAR_SHARE)]
+    with pytest.raises(ValueError, match=r"^no usable combo: .* \(bike_share, car_share\)$"):
+        build_combos(shared, car_share_available=False, bike_share_available=False)
+    with pytest.raises(ValueError, match=r"\(car_share\)$"):
+        build_combos(shared[:1], car_share_available=False)
+    # a combo left over is no error
+    assert build_combos(shared, car_share_available=False) == (ComboId(Mode.BUS, Mode.BIKE_SHARE),)
 
 
 def test_hub_rejects_combo_for_missing_service():

@@ -1334,6 +1334,35 @@ def test_a_hub_with_no_complete_survey_responses_is_named(fixture_dir, tmp_path,
     assert record == {"error": "ValueError", "message": f"hub hub-b: {why}"}
 
 
+@pytest.mark.parametrize("stage", ["calibrate", "assess"])
+def test_a_hub_whose_surveyed_combos_all_need_an_absent_service_is_named(fixture_dir, tmp_path, capsys, stage):
+    # every hub-b response entered by car share, which hub-b does not
+    # offer: no stage fits or scores the hub with an empty choice set
+    inputs = shutil.copytree(fixture_dir, tmp_path / "inputs")
+    with open(inputs / "observed_usage.csv", newline="") as fh:
+        assert [r["car_share_available"] for r in csv.DictReader(fh) if r["hub_id"] == "hub-b"] == ["0"]
+    survey = inputs / "survey.csv"
+    lines = survey.read_text().splitlines()
+    column = lines[0].split(",").index("entry_mode")
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        if cells[0] == "hub-b":
+            cells[column] = "car_share"
+            lines[i] = ",".join(cells)
+    survey.write_text("\n".join(lines) + "\n")
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(PARAMS_OK))
+    opts = ["--params", str(params)] if stage == "assess" else []
+    out = tmp_path / "out"
+    assert main([stage, "--manifest", str(inputs / "manifest.json"), *opts, "--out-dir", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {
+        "error": "ValueError",
+        "message": "hub hub-b: no usable combo: every surveyed combo uses a service the hub does not offer (car_share)",
+    }
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cli_missing_manifest_is_an_error(tmp_path, capsys):
     code = main(["derive-threshold", "--out-dir", str(tmp_path / "x")])
     assert code == 1

@@ -10,6 +10,7 @@ by hand.
 from __future__ import annotations
 
 import collections
+import weakref
 
 import numpy as np
 import pytest
@@ -465,6 +466,30 @@ def test_evaluate_runs_one_share_pass_per_chunk(rng, monkeypatch):
     monkeypatch.setattr(siting, "CHUNK_CELLS", 1)
     evaluate_candidates(cands, table_from_markets(markets), make_params(), 1.4, matrices, simple_fares())
     assert calls == [1] * scored
+
+
+def test_evaluate_holds_one_bounded_chunk_at_a_time(rng, monkeypatch):
+    """Every stacked setup holds at most CHUNK_CELLS market x combo cells
+    unless it holds a single candidate, and each is freed, shares and
+    all, before the next one is built."""
+    markets, cands, matrices = _mixed_case(rng)
+    built, sizes = [], []
+    real = siting.prepare_hub
+
+    def recording(*args, **kwargs):
+        assert [ref() for ref in built if ref() is not None] == []  # no earlier chunk's setup is alive
+        setup = real(*args, **kwargs)
+        built.append(weakref.ref(setup))
+        sizes.append((len(setup.hubs), setup.n_markets * setup.n_combos))
+        return setup
+
+    monkeypatch.setattr(siting, "prepare_hub", recording)
+    monkeypatch.setattr(siting, "CHUNK_CELLS", 350)
+    evaluate_candidates(cands, table_from_markets(markets), make_params(), 1.4, matrices, simple_fares())
+    assert all(cells <= siting.CHUNK_CELLS or n_hubs == 1 for n_hubs, cells in sizes), sizes
+    # the case has chunks of several candidates and a candidate over the budget
+    assert any(n_hubs > 1 for n_hubs, _ in sizes) and any(cells > siting.CHUNK_CELLS for _, cells in sizes)
+    assert len(built) == len(sizes) > 2
 
 
 def test_evaluate_warns_about_degenerate_pairs_once(rng, caplog):
