@@ -22,6 +22,7 @@ _EXPORTS = {
         "calibrate",
         "derive_observed_rate",
         "derive_sample_rate",
+        "fit_observed_hubs",
         "infer_trips_from_sample",
         "percent_difference",
         "predict_hub_proportion",
@@ -89,9 +90,11 @@ _EXPORTS = {
         "load_hub_records",
         "load_markets",
         "load_matrices",
+        "load_params",
         "load_pr_lots",
         "load_stops",
         "load_survey",
+        "params_json",
         "sha256_digest",
         "write_csv",
         "write_fares",

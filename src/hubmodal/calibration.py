@@ -17,6 +17,11 @@ parameters the observations do not reach at all keep their start values
 instead of drifting to a bound.  The result reports the Jacobian's
 singular values and rank, so a reader can see how many directions the
 counts pin down.  It is numpy only and fully deterministic.
+
+``fit_observed_hubs`` is the stages' one way in: it takes each observed
+hub's route from its ``io.HubRecord``, fits, and builds the report block
+that calibrate writes at the top level of its report and that assess and
+rank embed when they fit.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import numpy as np
 from .choice import Mode
 from .config import OptimizerSettings
 from .hubs import HubChoiceSetup, HubParams
+from .io import HubRecord, params_json
 from .records import record
 
 # Singular values of the Jacobian below this fraction of the largest mark
@@ -144,20 +150,13 @@ def _hub_id(setup: HubChoiceSetup, hub_id: str | None = None) -> str:
     return ids[0]
 
 
-def _total_trips(setup: HubChoiceSetup) -> float:
-    hub_id = _hub_id(setup)
+def _total_trips(setup: HubChoiceSetup, hub_id: str | None = None) -> float:
+    """The positive trip total of the one hub of ``setup`` (``_hub_id``)."""
+    hub_id = _hub_id(setup, hub_id)
     total = setup.trips.sum()
     if setup.n_markets == 0 or total <= 0.0:
         raise ValueError(f"hub {hub_id}: no potential trips to predict over")
     return total
-
-
-def _proportion_and_gradient(setup: HubChoiceSetup, params: HubParams) -> tuple[float, np.ndarray]:
-    """``predict_hub_proportion`` and its gradient over ``HubParams.NAMES``:
-    trip-weighted means of the market nest shares and of their derivatives."""
-    total = _total_trips(setup)
-    share, grad = setup.hub_nest_share_and_gradient(params)
-    return float((setup.trips * share).sum() / total), setup.trips @ grad / total
 
 
 @record(frozen=True)
@@ -240,42 +239,46 @@ def calibrate(
     obs = sorted(observed, key=lambda o: o.hub_id)
     if not obs:
         raise ValueError("no observations to calibrate against")
-    seen = set()
-    for o in obs:
-        if o.hub_id in seen:
-            raise ValueError(f"duplicate observation for hub {o.hub_id}")
-        seen.add(o.hub_id)
+    for a, b in zip(obs, obs[1:]):  # sorted, so a repeated hub's observations sit together
+        if a.hub_id == b.hub_id:
+            raise ValueError(f"duplicate observation for hub {a.hub_id}")
     pairs = []
     for o in obs:
         setup = setups.get(o.hub_id)
         if setup is None:
             raise ValueError(f"no prepared markets for observed hub {o.hub_id}")
-        _hub_id(setup, o.hub_id)
-        pairs.append((setup, o.observed_proportion))
+        pairs.append((setup, _total_trips(setup, o.hub_id)))
 
     lo, hi = (HubParams.fill(beta, asc) for beta, asc in zip(settings.beta_bounds, settings.asc_bounds))
     free = lo < hi
     x0 = init.as_vector() if init is not None else HubParams.fill(settings.init_beta, settings.init_asc)
     x = np.clip(x0, lo, hi)
 
-    rank_deficient = len(pairs) < len(x)
+    rank_deficient = len(obs) < len(x)
     if rank_deficient:
         warnings.warn(
-            f"calibration under-determined: {len(pairs)} observation(s) for {len(x)} parameters",
+            f"calibration under-determined: {len(obs)} observation(s) for {len(x)} parameters",
             RuntimeWarning,
             stacklevel=2,
         )
 
-    targets = np.array([target for _, target in pairs])
+    targets = np.array([o.observed_proportion for o in obs])
     n_eval = 0
 
-    def residuals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Each hub's ``predict_hub_proportion`` at ``x``, its residual, their
+        Jacobian and the objective, from one nest evaluation per hub."""
         nonlocal n_eval
         n_eval += 1
         params = HubParams.from_vector(x)
-        fits = [_proportion_and_gradient(setup, params) for setup, _ in pairs]
-        resid = np.array([p for p, _ in fits]) - targets
-        return resid, np.array([g for _, g in fits]), float(resid @ resid)
+        predicted = np.empty(len(pairs))
+        jac = np.empty((len(pairs), len(x)))
+        for i, (setup, total) in enumerate(pairs):
+            share, grad = setup.hub_nest_share_and_gradient(params)
+            predicted[i] = (setup.trips * share).sum() / total
+            jac[i] = setup.trips @ grad / total
+        resid = predicted - targets
+        return predicted, resid, jac, float(resid @ resid)
 
     def lm_step(x: np.ndarray, resid: np.ndarray, jac: np.ndarray, damping: float) -> np.ndarray:
         # hold free parameters on a bound the gradient pushes against, and
@@ -290,7 +293,7 @@ def calibrate(
     # lowers the objective is taken and the damping eased by how well the
     # linear model predicted the drop; any other step raises the damping,
     # doubling the factor on each refusal in a row.
-    resid, jac, f = residuals(x)
+    predicted, resid, jac, f = evaluate(x)
     trace = [f]
     damping = INITIAL_DAMPING * float(np.max((jac[:, free] ** 2).sum(axis=0), initial=0.0))
     growth = 2.0
@@ -300,29 +303,25 @@ def calibrate(
         if np.linalg.norm(trial - x) <= STEP_TOL * (STEP_TOL + np.linalg.norm(x)):
             converged = True
             break
-        t_resid, t_jac, t_f = residuals(trial)
+        t_predicted, t_resid, t_jac, t_f = evaluate(trial)
         model = resid + jac @ (trial - x)
-        predicted = f - float(model @ model)
-        if t_f < f and predicted > 0.0:
-            damping *= max(1.0 / 3.0, 1.0 - (2.0 * (f - t_f) / predicted - 1.0) ** 3)
+        drop = f - float(model @ model)
+        if t_f < f and drop > 0.0:
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * (f - t_f) / drop - 1.0) ** 3)
             growth = 2.0
-            x, resid, jac, f = trial, t_resid, t_jac, t_f
+            x, predicted, resid, jac, f = trial, t_predicted, t_resid, t_jac, t_f
             trace.append(f)
         else:
             damping *= growth
             growth *= 2.0
 
-    params = HubParams.from_vector(x)
-    per_hub = tuple(
-        HubFit(hub_id=o.hub_id, observed=o.observed_proportion, predicted=predict_hub_proportion(setup, params))
-        for (setup, _), o in zip(pairs, obs)
-    )
+    per_hub = tuple(HubFit(o.hub_id, o.observed_proportion, p) for o, p in zip(obs, predicted.tolist()))
     if not converged:
         warnings.warn("calibration did not converge; returning best point found", RuntimeWarning, stacklevel=2)
     sv = np.linalg.svd(jac[:, free], compute_uv=False)
     at_bound = free & ((x <= lo) | (x >= hi))
     return CalibrationResult(
-        params=params,
+        params=HubParams.from_vector(x),
         objective=f,
         converged=converged,
         rank_deficient=rank_deficient,
@@ -335,6 +334,113 @@ def calibrate(
         params_at_bound=tuple(name for name, hit in zip(HubParams.NAMES, at_bound) if hit),
         fit_within_tolerance=all(abs(h.predicted - h.observed) <= FIT_REL_TOL * h.observed for h in per_hub),
     )
+
+
+def _resolve_observed(hub_recs: Sequence[HubRecord], potentials: Mapping[str, float]) -> tuple[list[ObservedUsage], dict]:
+    """Each hub's raw observations as an observed proportion of its
+    potential trips, and each hub's route to it.
+
+    Backend counts win when present.  Survey-expanded hubs need a sample
+    rate; a blank one inherits the rate derived at the backend-counted
+    hubs, and inheritance requires that derived rate to be unique.
+    """
+    backend = {
+        rec.hub_id: derive_observed_rate(
+            rec.backend_trips_per_month, rec.days_per_month, rec.service_share, potentials[rec.hub_id], hub_id=rec.hub_id
+        )
+        for rec in hub_recs
+        if rec.has_backend
+    }
+    derived_rates = {
+        rec.hub_id: derive_sample_rate(rec.survey_responses, backend[rec.hub_id].observed_trips_per_day, rec.survey_days)
+        for rec in hub_recs
+        if rec.hub_id in backend and rec.survey_responses is not None and rec.survey_days
+    }
+    inheritable: list[float] = []
+    for v in sorted(derived_rates.values()):
+        if not inheritable or abs(v - inheritable[-1]) > 1e-9 * max(1.0, abs(v)):
+            inheritable.append(v)
+
+    observed = []
+    routes: dict[str, dict] = {}
+    for rec in hub_recs:
+        if rec.hub_id in backend:
+            observed.append(backend[rec.hub_id])
+            routes[rec.hub_id] = {"route": "backend"}
+            if rec.hub_id in derived_rates:
+                routes[rec.hub_id]["sample_rate"] = derived_rates[rec.hub_id]
+            continue
+        if rec.survey_responses is None or rec.survey_days is None:
+            raise ValueError(f"hub {rec.hub_id}: neither backend counts nor survey counts are present")
+        rate, source = rec.sample_rate, "given"
+        if rate is None:
+            if not inheritable:
+                raise ValueError(f"hub {rec.hub_id}: no sample rate given and none derivable from backend hubs")
+            if len(inheritable) > 1:
+                raise ValueError(f"hub {rec.hub_id}: ambiguous sample rate inheritance, candidates {inheritable}")
+            rate, source = inheritable[0], "inherited"
+        observed.append(
+            infer_trips_from_sample(rec.survey_responses, rec.survey_days, rate, potentials[rec.hub_id], hub_id=rec.hub_id)
+        )
+        routes[rec.hub_id] = {"route": "survey", "sample_rate": rate, "sample_rate_source": source}
+    return observed, routes
+
+
+def _report(result: CalibrationResult, observed: Sequence[ObservedUsage], routes: Mapping[str, dict], setups) -> dict:
+    # The public predictor's figures at the written params (the fit's own, bit for bit): the
+    # one hub_nest_share pass of a fitting stage, which perfbench times (ROADMAP item 1).
+    predicted = [predict_hub_proportion(setups[f.hub_id], result.params) for f in result.per_hub]
+    return {
+        "params": params_json(result.params),
+        "objective": result.objective,
+        "converged": result.converged,
+        "rank_deficient": result.rank_deficient,
+        "n_evaluations": result.n_evaluations,
+        "trace": list(result.trace),
+        "identification": {
+            "singular_values": list(result.singular_values),
+            "rank": result.rank,
+            "n_free_params": result.n_free,
+            "rank_cutoff": RANK_CUTOFF,
+            "params_at_bound": list(result.params_at_bound),
+            "fit_rel_tol": FIT_REL_TOL,
+            "fit_within_tolerance": result.fit_within_tolerance,
+        },
+        "per_hub": [
+            {"hub_id": f.hub_id, "observed": f.observed, "predicted": p, "relative_residual": f.relative_residual}
+            for f, p in zip(result.per_hub, predicted)
+        ],
+        "observed": {
+            u.hub_id: {
+                "trips_per_day": u.observed_trips_per_day,
+                "potential_trips_per_day": u.potential_trips_per_day,
+                "proportion": u.observed_proportion,
+                **routes[u.hub_id],
+            }
+            for u in observed
+        },
+    }
+
+
+def fit_observed_hubs(
+    setups: Mapping[str, HubChoiceSetup],
+    hub_recs: Sequence[HubRecord],
+    settings: OptimizerSettings,
+) -> tuple[CalibrationResult, list[ObservedUsage], dict]:
+    """Fit the nest parameters to the observed usage of ``hub_recs``, each
+    hub over its own setup in ``setups``.
+
+    Returns the fit, the observations it fit, and the report block of the
+    stages that fit: the params, the fit and its identification, each
+    hub's observation and route to it, and the warnings the fit raised,
+    listed there instead of emitted.
+    """
+    potentials = {hub_id: float(setup.trips.sum()) for hub_id, setup in setups.items()}
+    observed, routes = _resolve_observed(hub_recs, potentials)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = calibrate(observed, setups, settings=settings)
+    return result, observed, {**_report(result, observed, routes, setups), "warnings": [str(w.message) for w in caught]}
 
 
 def percent_difference(predicted: float, observed: float) -> float | None:

@@ -11,9 +11,10 @@ error record to stderr and exit 1.
 The model stages (calibrate, assess, rank) build each observed hub's
 setup once, from its surveyed combos and one screen of the observed
 hubs, and an observed hub with no potential trips is an error in all
-three.  assess and rank score those setups with the same impact call, so
-rank's reference rows are assess's figures; siting scores only the
-stop-cluster candidates.
+three.  The fit and its report block are calibration.fit_observed_hubs';
+--params files are read by io.load_params.  assess and rank score those
+setups with the same impact call, so rank's reference rows are assess's
+figures; siting scores only the stop-cluster candidates.
 
 rank accepts --threads (default 1) for compatibility.  Candidate scoring
 runs as a few stacked array passes in the calling thread, so the value
@@ -28,17 +29,15 @@ import gc
 import importlib.util
 import json
 import sys
-import warnings
 from pathlib import Path
 from types import ModuleType
 
 import numpy as np
 
 from . import io
-from .choice import Segment
 from .config import Manifest, PipelineConfig
 from .geo import TripScreen, derive_threshold, detour_ratio, screen_trips
-from .hubs import Hub, HubParams, build_combos, prepare_hub
+from .hubs import Hub, build_combos, prepare_hub
 
 
 def _lazy(name: str) -> ModuleType:
@@ -105,8 +104,12 @@ def _report_base(args, manifest: Manifest, config: PipelineConfig, matrix_digest
 
 def _resolve_threshold(config: PipelineConfig, survey, hub_locations) -> tuple[float, dict]:
     """Detour threshold: the configured override, or the survey's
-    90th-percentile detour ratio.  Survey rows with a degenerate OD pair
-    are skipped and counted."""
+    90th-percentile detour ratio.  Every survey row must name an observed
+    hub, whichever the source; rows with a degenerate OD pair are skipped
+    and counted."""
+    for rec in survey:
+        if rec.hub_id not in hub_locations:
+            raise ValueError(f"survey references unknown hub {rec.hub_id!r}")
     if config.threshold_override is not None:
         return float(config.threshold_override), {
             "threshold_source": "override",
@@ -116,11 +119,8 @@ def _resolve_threshold(config: PipelineConfig, survey, hub_locations) -> tuple[f
     records = []
     skipped = 0
     for rec in survey:
-        loc = hub_locations.get(rec.hub_id)
-        if loc is None:
-            raise ValueError(f"survey references unknown hub {rec.hub_id!r}")
         try:
-            records.append(detour_ratio(rec.origin, rec.destination, loc))
+            records.append(detour_ratio(rec.origin, rec.destination, hub_locations[rec.hub_id]))
         except ValueError:
             skipped += 1
     if not records:
@@ -172,135 +172,6 @@ def _build_setups(table, hub_recs, survey, matrices, fares, config, threshold):
             raise ValueError(f"hub {rec.hub_id}: no potential trips at threshold {threshold}")
         setups[rec.hub_id] = prepare_hub(table, [hub], screen[h : h + 1], matrices, fares, **options)
     return setups
-
-
-def _resolve_observed(hub_recs, potentials) -> tuple[list[calibration.ObservedUsage], dict]:
-    """Normalize each hub's raw observations to an observed proportion.
-
-    Backend counts win when present.  Survey-expanded hubs need a sample
-    rate; a blank one inherits the rate derived at the backend-counted
-    hubs, and inheritance requires that derived rate to be unique.
-    """
-    backend: dict[str, calibration.ObservedUsage] = {}
-    for rec in hub_recs:
-        if rec.has_backend:
-            backend[rec.hub_id] = calibration.derive_observed_rate(
-                rec.backend_trips_per_month,
-                rec.days_per_month,
-                rec.service_share,
-                potentials[rec.hub_id],
-                hub_id=rec.hub_id,
-            )
-    derived_rates: dict[str, float] = {}
-    for rec in hub_recs:
-        usage = backend.get(rec.hub_id)
-        if usage is not None and rec.survey_responses is not None and rec.survey_days:
-            derived_rates[rec.hub_id] = calibration.derive_sample_rate(
-                rec.survey_responses, usage.observed_trips_per_day, rec.survey_days
-            )
-
-    observed = []
-    meta: dict[str, dict] = {}
-    for rec in hub_recs:
-        if rec.hub_id in backend:
-            observed.append(backend[rec.hub_id])
-            meta[rec.hub_id] = {"route": "backend"}
-            if rec.hub_id in derived_rates:
-                meta[rec.hub_id]["sample_rate"] = derived_rates[rec.hub_id]
-            continue
-        if rec.survey_responses is None or rec.survey_days is None:
-            raise ValueError(f"hub {rec.hub_id}: neither backend counts nor survey counts are present")
-        rate = rec.sample_rate
-        source = "given"
-        if rate is None:
-            uniq: list[float] = []
-            for v in sorted(derived_rates.values()):
-                if not uniq or abs(v - uniq[-1]) > 1e-9 * max(1.0, abs(v)):
-                    uniq.append(v)
-            if not uniq:
-                raise ValueError(f"hub {rec.hub_id}: no sample rate given and none derivable from backend hubs")
-            if len(uniq) > 1:
-                raise ValueError(f"hub {rec.hub_id}: ambiguous sample rate inheritance, candidates {uniq}")
-            rate = uniq[0]
-            source = "inherited"
-        observed.append(
-            calibration.infer_trips_from_sample(
-                rec.survey_responses, rec.survey_days, rate, potentials[rec.hub_id], hub_id=rec.hub_id
-            )
-        )
-        meta[rec.hub_id] = {"route": "survey", "sample_rate": rate, "sample_rate_source": source}
-    return observed, meta
-
-
-def _params_dict(params: HubParams) -> dict:
-    return {
-        "beta_hub": params.beta_hub,
-        "asc_by_segment": {seg.value: params.asc_by_segment[seg] for seg in sorted(params.asc_by_segment, key=lambda s: s.value)},
-    }
-
-
-def _read_params(path: str | Path) -> HubParams:
-    data = io.read_json(path, "params file")
-    node = data.get("params", data)
-    try:
-        beta_hub = io.check_number("beta_hub", node["beta_hub"])
-        asc = node["asc_by_segment"]
-        if not isinstance(asc, dict):
-            raise ValueError(f"asc_by_segment must be an object of segment constants, got {asc!r}")
-        return HubParams(
-            beta_hub=beta_hub,
-            asc_by_segment={Segment(k): io.check_number(f"asc_by_segment.{k}", v) for k, v in asc.items()},
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise ValueError(f"{path}: malformed params: {err}") from None
-
-
-def _run_calibration(setups, hub_recs, config):
-    potentials = {hub_id: float(setup.trips.sum()) for hub_id, setup in setups.items()}
-    observed, obs_meta = _resolve_observed(hub_recs, potentials)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = calibration.calibrate(observed, setups, settings=config.optimizer)
-    notes = [str(w.message) for w in caught]
-    return result, observed, obs_meta, notes
-
-
-def _calibration_report(result: calibration.CalibrationResult, observed, obs_meta) -> dict:
-    return {
-        "params": _params_dict(result.params),
-        "objective": result.objective,
-        "converged": result.converged,
-        "rank_deficient": result.rank_deficient,
-        "n_evaluations": result.n_evaluations,
-        "trace": list(result.trace),
-        "identification": {
-            "singular_values": list(result.singular_values),
-            "rank": result.rank,
-            "n_free_params": result.n_free,
-            "rank_cutoff": calibration.RANK_CUTOFF,
-            "params_at_bound": list(result.params_at_bound),
-            "fit_rel_tol": calibration.FIT_REL_TOL,
-            "fit_within_tolerance": result.fit_within_tolerance,
-        },
-        "per_hub": [
-            {
-                "hub_id": f.hub_id,
-                "observed": f.observed,
-                "predicted": f.predicted,
-                "relative_residual": f.relative_residual,
-            }
-            for f in result.per_hub
-        ],
-        "observed": {
-            u.hub_id: {
-                "trips_per_day": u.observed_trips_per_day,
-                "potential_trips_per_day": u.potential_trips_per_day,
-                "proportion": u.observed_proportion,
-                **obs_meta[u.hub_id],
-            }
-            for u in observed
-        },
-    }
 
 
 # ----------------------------------------------------------------------
@@ -370,14 +241,8 @@ def _load_model_inputs(args, *required: str):
 
 def _cmd_calibrate(args) -> int:
     manifest, config, _, hub_recs, _, matrix_digests, _, thr, thr_meta, setups = _load_model_inputs(args)
-    result, observed, obs_meta, notes = _run_calibration(setups, hub_recs, config)
-    report = {
-        "threshold": thr,
-        **thr_meta,
-        **_calibration_report(result, observed, obs_meta),
-        "warnings": notes,
-        **_report_base(args, manifest, config, matrix_digests),
-    }
+    result, _, fit = calibration.fit_observed_hubs(setups, hub_recs, config.optimizer)
+    report = {"threshold": thr, **thr_meta, **fit, **_report_base(args, manifest, config, matrix_digests)}
     path = io.write_json(_out_dir(args) / "calibration.json", report)
     print(f"objective {result.objective}")
     print(f"wrote {path}")
@@ -386,25 +251,28 @@ def _cmd_calibrate(args) -> int:
 
 def _assess_observed(args, setups, hub_recs, config):
     """Params from --params when given, else a fresh in-process fit over
-    the observed hubs' setups; the fit's report (None with --params); and
-    each observed hub's impact report at those params, keyed by hub id in
+    the observed hubs' setups; the report entries they make (the params,
+    and the fit's block under "calibration" when fitted here); and each
+    observed hub's impact report at those params, keyed by hub id in
     hub-id order.  assess writes these reports, and rank ranks them as
     its references."""
     if args.params:
-        params, calib = _read_params(args.params), None
+        params = io.load_params(args.params)
+        entries = {"params": io.params_json(params)}
     else:
-        result, observed, obs_meta, notes = _run_calibration(setups, hub_recs, config)
-        params, calib = result.params, {**_calibration_report(result, observed, obs_meta), "warnings": notes}
+        result, _, fit = calibration.fit_observed_hubs(setups, hub_recs, config.optimizer)
+        params = result.params
+        entries = {"params": fit["params"], "calibration": fit}
     options = config.impact_options()
     reports = {}
     for hub_id in sorted(setups):
         (reports[hub_id],) = impacts.assess_hubs(setups[hub_id], params, **options)
-    return params, calib, reports
+    return params, entries, reports
 
 
 def _cmd_assess(args) -> int:
     manifest, config, _, hub_recs, _, matrix_digests, _, thr, thr_meta, setups = _load_model_inputs(args)
-    params, calib, reports = _assess_observed(args, setups, hub_recs, config)
+    _, entries, reports = _assess_observed(args, setups, hub_recs, config)
 
     hubs_out = {}
     totals = {
@@ -429,13 +297,11 @@ def _cmd_assess(args) -> int:
     report = {
         "threshold": thr,
         **thr_meta,
-        "params": _params_dict(params),
+        **entries,
         "hubs": hubs_out,
         "totals": totals,
         **_report_base(args, manifest, config, matrix_digests),
     }
-    if calib is not None:
-        report["calibration"] = calib
     path = io.write_json(_out_dir(args) / "impacts.json", report)
     print(f"wrote {path}")
     return 0
@@ -450,7 +316,7 @@ def _cmd_rank(args) -> int:
     stops = io.load_stops(manifest.stops)
     lots = io.load_pr_lots(manifest.pr_lots)
     # the references are the observed hubs as assess reports them
-    params, calib, reports = _assess_observed(args, setups, hub_recs, config)
+    params, entries, reports = _assess_observed(args, setups, hub_recs, config)
     del setups  # so that candidate scoring's peak holds none of them
 
     candidates = siting.assign_services(siting.cluster_stops(stops), lots)
@@ -494,14 +360,12 @@ def _cmd_rank(args) -> int:
     report = {
         "threshold": thr,
         **thr_meta,
-        "params": _params_dict(params),
+        **entries,
         "n_candidates": len(candidates),
         "n_references": len(references),
         "summary": summary,
         **_report_base(args, manifest, config, matrix_digests),
     }
-    if calib is not None:
-        report["calibration"] = calib
     json_path = io.write_json(out / "rank_summary.json", report)
     geo_path = io.write_json(out / "candidates.geojson", io.candidates_geojson(evaluated, reference_ids))
     print(f"wrote {csv_path}")

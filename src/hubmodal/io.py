@@ -1,10 +1,10 @@
 """File formats, atomic writes, and input digests.
 
 All tabular inputs are UTF-8 CSV with a header row and dot decimal
-separators; fares and the manifest are JSON.  Floats are emitted with
-repr (shortest round-trip form), so loading and re-emitting a file is
-lossless; every writer goes through a temp-file-then-rename so readers
-never observe a partial file.
+separators; fares, params and the manifest are JSON.  Floats are
+emitted with repr (shortest round-trip form), so loading and re-emitting
+a file is lossless; every writer goes through a temp-file-then-rename so
+readers never observe a partial file.
 
 Every CSV file is read by one parser with one set of rules, those of
 the csv module: a leading byte-order mark is dropped, lines may end in
@@ -77,7 +77,7 @@ import numpy as np
 from .choice import SEGMENTS, TASTE_FIELDS, Segment
 from .geo import GeoPoint
 from .hubs import ATTR_FIELDS, LEG_MODE_ORDER, MARKET_MODE_COLUMNS, VALUE_BOUND, FareTable, LegMatrices, SurveyRecord
-from .hubs import MarketError, MarketTable
+from .hubs import HubParams, MarketError, MarketTable
 from .records import record
 
 if TYPE_CHECKING:  # siting runs only in rank and gen-fixture
@@ -850,7 +850,7 @@ def write_matrices(matrices: LegMatrices, path: str | Path) -> Path:
 
 
 # ----------------------------------------------------------------------
-# fares
+# fares and params
 # ----------------------------------------------------------------------
 
 
@@ -881,6 +881,32 @@ def write_fares(fares: FareTable, path: str | Path) -> Path:
     steps = [{"up_to_min": None if math.isinf(up) else up, "fare_usd": fare} for up, fare in fares.bike_share_steps]
     prices = {"bus_fare_usd": fares.bus_fare_usd, "car_share_usd_per_hour": fares.car_share_usd_per_hour}
     return write_json(path, {**prices, "bike_share_steps": steps})
+
+
+def load_params(path: str | Path) -> HubParams:
+    """Nest parameters from a params file: ``params_json``'s object, at
+    the top level or under ``"params"``, as a calibration report holds it."""
+    data = read_json(path, "params file")
+    node = data.get("params", data)
+    try:
+        beta_hub = check_number("beta_hub", node["beta_hub"])
+        asc = node["asc_by_segment"]
+        if not isinstance(asc, dict):
+            raise ValueError(f"asc_by_segment must be an object of segment constants, got {asc!r}")
+        return HubParams(
+            beta_hub=beta_hub,
+            asc_by_segment={Segment(k): check_number(f"asc_by_segment.{k}", v) for k, v in asc.items()},
+        )
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"{path}: malformed params: {err}") from None
+
+
+def params_json(params: HubParams) -> dict:
+    """``params`` as the JSON object the reports hold and ``load_params`` reads."""
+    return {
+        "beta_hub": params.beta_hub,
+        "asc_by_segment": {seg.value: params.asc_by_segment[seg] for seg in sorted(params.asc_by_segment, key=lambda s: s.value)},
+    }
 
 
 # ----------------------------------------------------------------------

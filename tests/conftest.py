@@ -242,12 +242,13 @@ def seed7(tmp_path_factory) -> SimpleNamespace:
     and detour ``threshold``, one setup per observed hub (``setups``),
     their ``observed`` usage and the fit to it (``result``)."""
     from hubmodal import cli
+    from hubmodal.calibration import fit_observed_hubs
 
     fx = tmp_path_factory.mktemp("seed7")
     assert cli.main(["gen-fixture", "--seed", "7", "--out-dir", str(fx)]) == 0
     args = cli.build_parser("calibrate").parse_args(["calibrate", "--manifest", str(fx / "manifest.json")])
     manifest, config, table, hub_recs, matrices, _, fares, threshold, _, setups = cli._load_model_inputs(args)
-    result, observed, _, _ = cli._run_calibration(setups, hub_recs, config)
+    result, observed, _ = fit_observed_hubs(setups, hub_recs, config.optimizer)
     return SimpleNamespace(
         table=table,
         matrices=matrices,

@@ -225,6 +225,29 @@ def test_fit_start_is_clipped_into_the_box(seed7):
     assert fits[0] == fits[1]
 
 
+def test_fit_evaluates_each_hub_once_per_step(seed7, monkeypatch):
+    # each step's one evaluation gives the proportions, the Jacobian and,
+    # at the accepted point, the reported predictions
+    calls = {"hub_nest_share": [], "hub_nest_share_and_gradient": []}
+    for name, record in calls.items():
+
+        def counting(setup, params, real=getattr(HubChoiceSetup, name), record=record):
+            record.append(setup.hubs[0].id)
+            return real(setup, params)
+
+        monkeypatch.setattr(HubChoiceSetup, name, counting)
+    with pytest.warns(RuntimeWarning, match="under-determined"):
+        result = calibrate(seed7.observed, seed7.setups, settings=seed7.config.optimizer)
+    assert calls["hub_nest_share"] == []
+    evaluated = calls["hub_nest_share_and_gradient"]
+    assert {hub_id: evaluated.count(hub_id) for hub_id in seed7.setups} == dict.fromkeys(
+        seed7.setups, result.n_evaluations
+    )
+    for fit in result.per_hub:
+        assert fit.predicted == predict_hub_proportion(seed7.setups[fit.hub_id], result.params)
+    assert result == seed7.result
+
+
 def test_calibrate_input_validation():
     setup = _setup_for(Segment.SENIOR)
     obs = ObservedUsage("h1", 1.0, setup.trips.sum(), 1.0 / setup.trips.sum())

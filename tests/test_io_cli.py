@@ -49,6 +49,7 @@ from hubmodal import (
     load_hub_records,
     load_markets,
     load_matrices,
+    load_params,
     load_pr_lots,
     load_stops,
     load_survey,
@@ -64,7 +65,7 @@ from hubmodal import (
 )
 import hubmodal.cli
 import hubmodal.io
-from hubmodal.cli import _read_params, main
+from hubmodal.cli import main
 from hubmodal.hubs import MARKET_MODE_COLUMNS, MarketError
 from hubmodal.io import MATRIX_COLUMNS
 from hubmodal.siting import METRIC_KEYS
@@ -612,7 +613,7 @@ JSON_READERS = {
     "fares.json": load_fares,
     "config.json": PipelineConfig.from_json,
     "manifest.json": Manifest.from_json,
-    "params.json": _read_params,
+    "params.json": load_params,
 }
 
 
@@ -1145,21 +1146,21 @@ def test_params_file_value_that_is_not_a_finite_number_names_the_file_and_key(tm
     path = _json_with(tmp_path, "params.json", PARAMS_OK, key_path, literal)
     error = f"{path}: malformed params: {key} must be a finite number, got "
     with pytest.raises(ValueError, match=rf"^{re.escape(error)}"):
-        _read_params(path)
+        load_params(path)
 
 
 @pytest.mark.parametrize("asc", ["[-4.0]", '"-4"', "3"])
 def test_params_file_segment_constants_must_be_an_object(tmp_path, asc):
     path = _json_with(tmp_path, "params.json", PARAMS_OK, ["asc_by_segment"], asc)
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: malformed params: asc_by_segment must be an object"):
-        _read_params(path)
+        load_params(path)
 
 
 def test_params_file_takes_json_integers_as_numbers(tmp_path):
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"params": {"beta_hub": 1, "asc_by_segment": {s.value: -4 for s in Segment}}}))
-    params = _read_params(path)
-    assert params == _read_params(_json_with(tmp_path, "float.json", PARAMS_OK, ["beta_hub"], "1.0"))
+    params = load_params(path)
+    assert params == load_params(_json_with(tmp_path, "float.json", PARAMS_OK, ["beta_hub"], "1.0"))
     assert type(params.beta_hub) is float and {type(v) for v in params.asc_by_segment.values()} == {float}
 
 
@@ -1394,6 +1395,26 @@ def test_cli_short_survey_row_is_a_parse_error(fixture_dir, tmp_path, capsys):
     assert record["message"] == f"{survey} row 3: missing cell in column 'segment'"
 
 
+@pytest.mark.parametrize("stage", ["derive-threshold", "identify-trips", "calibrate"])
+@pytest.mark.parametrize("config", [{}, {"threshold_override": 1.5}], ids=["survey-p90", "override"])
+def test_a_survey_row_of_an_unknown_hub_is_an_error(fixture_dir, tmp_path, capsys, stage, config):
+    # whatever the threshold's source: a pinned threshold reads no detour
+    # ratio, yet the row still names a hub the observed usage lacks
+    inputs = shutil.copytree(fixture_dir, tmp_path / "inputs")
+    survey = inputs / "survey.csv"
+    lines = survey.read_text().splitlines()
+    lines.append("hub-z," + lines[1].split(",", 1)[1])
+    survey.write_text("\n".join(lines) + "\n")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = [stage, "--manifest", str(inputs / "manifest.json"), "--config", str(config_path), "--out-dir", str(out)]
+    assert main(argv) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "ValueError", "message": "survey references unknown hub 'hub-z'"}
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cli_identify_and_calibrate_agree_on_potential_trips(fixture_dir, tmp_path):
     manifest = str(fixture_dir / "manifest.json")
     identify = json.loads(_run(["identify-trips", "--manifest", manifest], tmp_path / "i")["identify.json"].read_text())
@@ -1474,6 +1495,28 @@ def test_rank_reports_are_pinned(tmp_path, monkeypatch):
     Path("params.json").write_text(json.dumps({"params": {"beta_hub": 0.3, "asc_by_segment": {s.value: -4.0 for s in Segment}}}))
     assert main(["rank", "--manifest", "fx/manifest.json", "--params", "params.json", "--out-dir", "rank"]) == 0
     assert _tree_digest(Path("rank")) == RANK_REPORT_DIGESTS
+
+
+# sha256 of each report of the stages that fit, on the default seed-7
+# fixture: calibrate's, and assess's and rank's without --params, which
+# embed the fit under "calibration".  Recorded before the fit's
+# observation routes and report block moved from the CLI into the
+# calibration module.  Relative paths keep the reports' "inputs" the same.
+FIT_REPORT_DIGESTS = {
+    "calibration.json": "dbc6594f1f8338ebeee789896857f9363a6b4148f611feb9d724dce57d3a8c87",
+    "candidates.geojson": "d189d676aef1c0a4598321a21431216db56d4a9b43d591a9a7754c4004852296",
+    "impacts.json": "465217cde45059a0b3e9563d87c83225f2988d33c34a68c1d65a8237f85c7111",
+    "rank_summary.json": "f86a292bec30d734ee7b5ad09808b3332dc97ba87686193f7da8cbc10755ad11",
+    "ranking.csv": "8010722ff90de512289c52441060267ba59178b126aab898e60ae16c8beafc3f",
+}
+
+
+def test_fit_reports_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-fixture", "--seed", "7", "--out-dir", "fx"]) == 0
+    for stage in ("calibrate", "assess", "rank"):
+        assert main([stage, "--manifest", "fx/manifest.json", "--out-dir", "fit"]) == 0
+    assert _tree_digest(Path("fit")) == FIT_REPORT_DIGESTS
 
 
 # ----------------------------------------------------------------------
