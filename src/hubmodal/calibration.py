@@ -73,6 +73,14 @@ class ObservedUsage:
             raise ValueError(f"hub {self.hub_id}: proportion inconsistent with trips and potential demand")
 
 
+def _usage(hub_id: str, trips_day: float, potential_trips: float, sample_rate: float | None = None) -> ObservedUsage:
+    """``trips_day`` observed at a hub, as a proportion of its potential
+    demand, which is checked before it divides."""
+    if not potential_trips > 0.0:
+        raise ValueError(f"hub {hub_id}: potential demand must be positive")
+    return ObservedUsage(hub_id, trips_day, potential_trips, trips_day / potential_trips, sample_rate)
+
+
 def derive_observed_rate(
     backend_trips_per_month: float,
     days_per_month: float,
@@ -91,13 +99,7 @@ def derive_observed_rate(
         raise ValueError("days_per_month must be positive")
     if not 0.0 < service_share <= 1.0:
         raise ValueError(f"service share must be in (0, 1], got {service_share}")
-    trips_day = backend_trips_per_month / (days_per_month * service_share)
-    return ObservedUsage(
-        hub_id=hub_id,
-        observed_trips_per_day=trips_day,
-        potential_trips_per_day=potential_trips,
-        observed_proportion=trips_day / potential_trips,
-    )
+    return _usage(hub_id, backend_trips_per_month / (days_per_month * service_share), potential_trips)
 
 
 def derive_sample_rate(survey_responses: float, trips_per_day: float, survey_days: float) -> float:
@@ -123,14 +125,7 @@ def infer_trips_from_sample(
         raise ValueError("survey_days must be positive")
     if sample_rate <= 0:
         raise ValueError(f"sample rate must be positive, got {sample_rate}")
-    trips_day = survey_responses / (survey_days * sample_rate)
-    return ObservedUsage(
-        hub_id=hub_id,
-        observed_trips_per_day=trips_day,
-        potential_trips_per_day=potential_trips,
-        observed_proportion=trips_day / potential_trips,
-        sample_rate=sample_rate,
-    )
+    return _usage(hub_id, survey_responses / (survey_days * sample_rate), potential_trips, sample_rate)
 
 
 def predict_hub_proportion(setup: HubChoiceSetup, params: HubParams) -> float:
@@ -480,15 +475,13 @@ def validate_leg_counts(
     _hub_id(setup)
     shares = setup.choice_shares(params)
     joint_trips = setup.trips[:, None] * shares.joint
+    combo, leg = setup.layout.sites[Mode.BUS]
+    bus_combos = {"pickup": combo[leg == 1], "dropoff": combo[leg == 0]}
     rows = []
     for direction in sorted(observed_counts):
-        if direction == "pickup":
-            mask = np.array([c.exit == Mode.BUS for c in setup.combos], dtype=bool)
-        elif direction == "dropoff":
-            mask = np.array([c.entry == Mode.BUS for c in setup.combos], dtype=bool)
-        else:
+        if direction not in bus_combos:
             raise ValueError(f"unknown direction: {direction!r}")
-        predicted = float(joint_trips[:, mask].sum()) if setup.n_combos else 0.0
+        predicted = float(joint_trips[:, bus_combos[direction]].sum())
         if unimodal_boardings:
             predicted += float(unimodal_boardings.get(direction, 0.0))
         obs = float(observed_counts[direction])

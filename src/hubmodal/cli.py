@@ -10,11 +10,12 @@ error record to stderr and exit 1.
 
 The model stages (calibrate, assess, rank) build each observed hub's
 setup once, from its surveyed combos and one screen of the observed
-hubs, and an observed hub with no potential trips is an error in all
-three.  The fit and its report block are calibration.fit_observed_hubs';
---params files are read by io.load_params.  assess and rank score those
-setups with the same impact call, so rank's reference rows are assess's
-figures; siting scores only the stop-cluster candidates.
+hubs, and an observed hub with no potential trips (no kept market with
+a trip) is an error in all three.  The fit and its report block are
+calibration.fit_observed_hubs'; --params files are read by
+io.load_params.  assess and rank score those setups with the same
+impact call, so rank's reference rows are assess's figures; siting
+scores only the stop-cluster candidates.
 
 rank accepts --threads (default 1) for compatibility.  Candidate scoring
 runs as a few stacked array passes in the calling thread, so the value
@@ -166,9 +167,10 @@ def _build_setups(table, hub_recs, survey, matrices, fares, config, threshold):
     screen = _screen(table, hub_recs, config, threshold)
     setups = {}
     options = config.setup_options()
+    traveled = table.trips > 0.0
     for h, rec in enumerate(hub_recs):
         hub = _build_hub(rec, survey)
-        if not screen.keep[h].any():
+        if not (screen.keep[h] & traveled).any():
             raise ValueError(f"hub {rec.hub_id}: no potential trips at threshold {threshold}")
         setups[rec.hub_id] = prepare_hub(table, [hub], screen[h : h + 1], matrices, fares, **options)
     return setups

@@ -18,6 +18,7 @@ import itertools
 import math
 from collections.abc import Mapping
 from functools import cached_property
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -106,6 +107,10 @@ class _ComboLayout:
     ``direction`` is each leg's direction, and ``by_direction`` each
     direction's leg modes and their places in ``legs``.  ``column`` is
     each combo's entry and exit leg, a (2, k) index into ``legs``.
+    ``sites`` maps each leg mode to where the combos use it: a (2, n)
+    array of combo indices over leg positions (0 entry, 1 exit), in combo
+    order, entry first.  Every later figure that reads a leg mode (VMT,
+    bus boardings) takes its legs from here.
     """
 
     def __init__(self, combos: frozenset[ComboId]):
@@ -119,13 +124,26 @@ class _ComboLayout:
         )
         modes = [mode for mode, _ in self.legs]
         self.runs = tuple((mode, slice(modes.index(mode), modes.index(mode) + modes.count(mode))) for mode in dict.fromkeys(modes))
-        for index in (self.column, self.direction, *(at for _, at in self.by_direction)):
+        self.sites = MappingProxyType(
+            {
+                mode: np.array([(j, d) for j, c in enumerate(self.combos) for d in (0, 1) if c[d] == mode], dtype=np.intp).reshape(-1, 2).T
+                for mode in LEG_MODES
+            }
+        )
+        for index in (self.column, self.direction, *(at for _, at in self.by_direction), *self.sites.values()):
             index.flags.writeable = False  # one layout serves every setup of its choice set
 
 
 # A frozenset keeps its hash, so the setups of one service profile look
 # their layout up instead of rebuilding it.
 _combo_layout = functools.lru_cache(maxsize=64)(_ComboLayout)
+
+
+def _shared_layout(hubs: Sequence[Hub]) -> _ComboLayout:
+    """The layout of the one choice set that ``hubs`` must share."""
+    if any(h.combos != hubs[0].combos for h in hubs):
+        raise ValueError("stacked hubs must share one choice set")
+    return _combo_layout(hubs[0].combos)
 
 
 @record(frozen=True)
@@ -712,6 +730,10 @@ class HubChoiceSetup:
     leg's share of the combo's distance, with the great-circle miles
     taken as they are, and 0.5 where both legs total 0 miles.
 
+    The choice set is the hubs' own: they must share one, and ``layout``
+    (``_ComboLayout``) is its map from combos to legs, so ``combos`` is
+    ``layout.combos``, the k columns of every (m, k) array.
+
     The softmax terms that do not depend on the parameters (which markets
     have a reachable combo, the combo utilities shifted by their row
     maximum, the unimodal row maximum) are computed once here, so each
@@ -727,7 +749,6 @@ class HubChoiceSetup:
         trips: np.ndarray,
         drive_miles: np.ndarray,
         uni_util: np.ndarray,
-        combos: Sequence[ComboId],
         combo_util: np.ndarray,
         vmt_miles: np.ndarray,
         entry_fraction: np.ndarray,
@@ -736,6 +757,8 @@ class HubChoiceSetup:
         bounds: Sequence[int],
     ):
         self.hubs = tuple(hubs)
+        self.layout = _shared_layout(self.hubs)
+        self.combos = self.layout.combos
         self.rows = rows
         bounds = tuple(map(int, bounds))
         if len(bounds) != len(self.hubs) + 1 or bounds[0] != 0 or bounds[-1] != len(rows):
@@ -745,7 +768,6 @@ class HubChoiceSetup:
         self.trips = trips
         self.drive_miles = drive_miles
         self.uni_util = uni_util
-        self.combos = tuple(combos)
         self.combo_util = combo_util
         self.vmt_miles = vmt_miles
         self.entry_fraction = entry_fraction
@@ -920,9 +942,7 @@ def prepare_hub(
     if len(screen.oh_km) != len(hubs) or len(screen.pair) != len(table):
         raise ValueError("the screen's distances are not of these hubs and markets")
     own, idx = np.nonzero(keep)
-    if any(h.combos != hubs[0].combos for h in hubs):
-        raise ValueError("stacked hubs must share one choice set")
-    layout = _combo_layout(hubs[0].combos)
+    layout = _shared_layout(hubs)
     m, k = len(idx), len(layout.combos)
 
     # Great-circle miles of the entry (to-hub) and exit (from-hub) legs,
@@ -965,7 +985,6 @@ def prepare_hub(
         table.trips[idx],
         table.drive_miles[idx],
         table.unimodal_utilities()[idx],
-        layout.combos,
         combo_util,
         vmt_miles,
         entry_fraction.T,

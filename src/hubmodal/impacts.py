@@ -19,12 +19,11 @@ Emission factors turn VMT reductions into CO2 at a flat grams/mile rate.
 
 from __future__ import annotations
 
-import functools
 import logging
 
 import numpy as np
 
-from .choice import MAIN_MODES, ComboId, Mode
+from .choice import MAIN_MODES, Mode
 from .hubs import HubChoiceSetup, HubParams, HubShares
 from .records import record
 
@@ -176,8 +175,10 @@ def vmt_deltas(
     cols.append(_MODE_COL[Mode.CARPOOL])
     n = len(cols)
 
-    # car legs add driving VMT, car-share legs carpool VMT, in combo order
-    js, poss, car = _car_legs(setup.combos)
+    # car legs add driving VMT, then car-share legs carpool VMT, each in combo order
+    car = setup.layout.sites[Mode.CAR]
+    js, poss = np.concatenate([car, setup.layout.sites[Mode.CAR_SHARE]], axis=1)
+    car_end = 2 * n + car.shape[1]
     block = np.empty((2 * n + len(js), setup.n_markets))
     np.multiply(w, s.before[:, cols], out=block[:n].T)
     np.multiply(w, s.upper[:, cols], out=block[n : 2 * n].T)
@@ -191,11 +192,10 @@ def vmt_deltas(
         before_carpool = sums[n_drive]
         after_driving = float(sum(sums[n : n + n_drive]))
         after_carpool = sums[n + n_drive]
-        for is_car, leg in zip(car, sums[2 * n :]):
-            if is_car:
-                after_driving += leg
-            else:
-                after_carpool += leg
+        for leg in sums[2 * n : car_end]:
+            after_driving += leg
+        for leg in sums[car_end:]:
+            after_carpool += leg
         reduced = (before_driving + before_carpool) - (after_driving + after_carpool)
         out.append(
             VmtResult(
@@ -210,24 +210,6 @@ def vmt_deltas(
             )
         )
     return out
-
-
-@functools.lru_cache(maxsize=64)
-def _car_legs(combos: tuple[ComboId, ...]) -> tuple[np.ndarray, np.ndarray, tuple[bool, ...]]:
-    """The car and car-share legs of ``combos``, in combo order: each
-    one's combo index and leg position (0 entry, 1 exit), as index arrays,
-    and whether it is a car leg.  The setups of one service profile have
-    the same combos, so they look this up instead of walking them."""
-    legs = [
-        (j, pos, mode == Mode.CAR)
-        for j, combo in enumerate(combos)
-        for pos, mode in enumerate(combo)
-        if mode in (Mode.CAR, Mode.CAR_SHARE)
-    ]
-    js, poss, car = zip(*legs) if legs else ((), (), ())
-    js, poss = np.array(js, dtype=np.intp), np.array(poss, dtype=np.intp)
-    js.flags.writeable = poss.flags.writeable = False  # shared by every caller
-    return js, poss, car
 
 
 @record(frozen=True)

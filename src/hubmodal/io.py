@@ -1015,6 +1015,8 @@ def write_hub_records(records: Sequence[HubRecord], path: str | Path) -> Path:
 
 def candidates_geojson(candidates: Sequence[Candidate], reference_ids: Sequence[str] = ()) -> dict:
     """FeatureCollection of candidate points with their metrics."""
+    from .siting import METRIC_KEYS
+
     refs = set(reference_ids)
     features = []
     for c in sorted(candidates, key=lambda c: c.candidate_id):
@@ -1026,15 +1028,8 @@ def candidates_geojson(candidates: Sequence[Candidate], reference_ids: Sequence[
             "reference": c.candidate_id in refs,
         }
         if c.metrics is not None:
-            props.update(
-                {
-                    "potential_demand": c.metrics.potential_demand,
-                    "transit_delta": c.metrics.transit_delta,
-                    "vmt_reduced": c.metrics.vmt_reduced,
-                    "cs_total": c.metrics.cs_total,
-                    "no_potential_trips": c.metrics.no_potential_trips,
-                }
-            )
+            props.update({key: c.metrics.get(key) for key in METRIC_KEYS})
+            props["no_potential_trips"] = c.metrics.no_potential_trips
         features.append(
             {
                 "type": "Feature",

@@ -195,7 +195,6 @@ def _one_row_setup(uni, combos, segment: Segment) -> HubChoiceSetup:
         np.ones(1),
         np.ones(1),
         np.array([[uni.get(m, -np.inf) for m in MAIN_MODES]]),
-        ordered,
         np.array([[combos[c] for c in ordered]]),
         np.zeros((1, len(ordered), 2)),
         np.zeros((1, len(ordered), 2)),

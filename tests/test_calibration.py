@@ -83,6 +83,16 @@ def test_infer_trips_validation():
         infer_trips_from_sample(12.0, 0.0, 0.1, 800.0)
 
 
+@pytest.mark.parametrize("potential", [0.0, -5.0])
+def test_observed_usage_needs_a_positive_potential_demand(potential):
+    # checked before the proportion divides by it, with the hub named
+    why = "^hub hub-z: potential demand must be positive$"
+    with pytest.raises(ValueError, match=why):
+        derive_observed_rate(60.0, 30.0, 0.5, potential, hub_id="hub-z")
+    with pytest.raises(ValueError, match=why):
+        infer_trips_from_sample(12.0, 30.0, 0.10, potential, hub_id="hub-z")
+
+
 def test_observed_usage_consistency_enforced():
     ObservedUsage("h", 4.0, 400.0, 0.01)
     with pytest.raises(ValueError, match="inconsistent"):
@@ -404,7 +414,7 @@ def test_nest_share_gradient_with_unavailable_combos():
     util[1, :] = -np.inf  # no combo at all: empty nest, zero share and gradient
     setup = HubChoiceSetup(
         base.hubs, base.rows, base.segment_codes, base.trips, base.drive_miles, base.uni_util,
-        base.combos, util, base.vmt_miles, base.entry_fraction, base.beta_cost, bounds=(0, base.n_markets),
+        util, base.vmt_miles, base.entry_fraction, base.beta_cost, bounds=(0, base.n_markets),
     )
     with np.errstate(invalid="raise", divide="raise"):
         grad = _assert_gradient_matches(setup, make_params(beta=0.4, asc=-3.0))

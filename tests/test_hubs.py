@@ -31,11 +31,15 @@ from reference_model import (
 )
 
 from hubmodal import (
+    CAR_SHARE_PROFILE_COMBOS,
+    LEG_MODES,
     MAIN_MODES,
+    STANDARD_PROFILE_COMBOS,
     ComboId,
     FareTable,
     GeoPoint,
     Hub,
+    HubChoiceSetup,
     LegMatrices,
     LegTimes,
     Mode,
@@ -338,6 +342,58 @@ def test_prepare_hub_rejects_the_distances_of_other_hubs():
     with pytest.raises(ValueError, match="distances are not of these hubs"):
         prepare_hub(table, [hub], two.with_keep(two.keep[:1]), matrices, simple_fares())
     assert prepare_hub(table, [hub], two[1:], matrices, simple_fares()).n_markets == 4
+
+
+def test_stacked_hubs_must_share_one_choice_set():
+    markets, hub, matrices, setup = _small_setup(2)
+    other = make_hub(hub_id="h2", combos=(ComboId(Mode.WALK_LEG, Mode.BUS),), car_share=False)
+    table = table_from_markets(markets)
+    with pytest.raises(ValueError, match="^stacked hubs must share one choice set$"):
+        prepare_hub(table, [hub, other], every_market(table, [hub, other]), matrices, simple_fares())
+    # a hand-built setup takes its choice set from its hubs, under the same
+    # rule; here the second hub keeps no market
+    arrays = (
+        setup.rows, setup.segment_codes, setup.trips, setup.drive_miles, setup.uni_util, setup.combo_util,
+        setup.vmt_miles, setup.entry_fraction, setup.beta_cost,
+    )  # fmt: skip
+    bounds = (0, setup.n_markets, setup.n_markets)
+    with pytest.raises(ValueError, match="^stacked hubs must share one choice set$"):
+        HubChoiceSetup([hub, other], *arrays, bounds=bounds)
+    twin = make_hub(hub_id="h2", combos=tuple(hub.combos), car_share=False)
+    stacked = HubChoiceSetup([hub, twin], *arrays, bounds=bounds)
+    assert stacked.combos == setup.combos == hub.sorted_combos()
+    assert stacked.layout is setup.layout  # one layout per choice set
+
+
+def _surveyed_combos(seed7):
+    records = [record(Mode.BUS, Mode.BUS), record(Mode.CAR, Mode.BUS), record(Mode.BUS, Mode.CAR_SHARE)]
+    records += [record(Mode.CAR, Mode.CAR), record(Mode.WALK_LEG, Mode.BIKE_SHARE), record(Mode.CAR_SHARE, Mode.CAR)]
+    return [build_combos(records), *(tuple(setup.hubs[0].combos) for setup in seed7.setups.values())]
+
+
+@pytest.mark.parametrize("choice_set", ["car_share_profile", "standard_profile", "surveyed"])
+def test_layout_sites_are_a_scan_of_the_combos(seed7, choice_set):
+    """Each leg mode's sites are where a plain scan of the sorted combos,
+    entry leg before exit leg, finds it, in that order."""
+    sets = {
+        "car_share_profile": [CAR_SHARE_PROFILE_COMBOS],
+        "standard_profile": [STANDARD_PROFILE_COMBOS],
+        "surveyed": _surveyed_combos(seed7),
+    }[choice_set]
+    for combos in sets:
+        hub = make_hub(combos=combos)
+        markets = [make_market(od_id="od0", segment=Segment.SENIOR)]
+        zones = {markets[0].o_zone: None, markets[0].d_zone: None}
+        setup = one_hub_setup(markets, hub, full_matrices(zones, "h1"), simple_fares())
+        layout = setup.layout
+        assert setup.combos == layout.combos == hub.sorted_combos()
+        assert set(layout.sites) == set(LEG_MODES)
+        for mode in LEG_MODES:
+            scan = [(j, d) for j, combo in enumerate(setup.combos) for d, leg in enumerate((combo.entry, combo.exit)) if leg == mode]
+            sites = layout.sites[mode]
+            assert sites.shape == (2, len(scan)) and sites.dtype == np.intp
+            assert list(zip(*sites.tolist())) == scan
+            assert not sites.flags.writeable
 
 
 def test_prepare_hub_marks_missing_legs_unavailable():

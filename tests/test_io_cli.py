@@ -1314,6 +1314,32 @@ def test_an_observed_hub_with_no_potential_trips_is_an_error(fixture_dir, tmp_pa
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("stage", ["calibrate", "assess", "rank"])
+def test_an_observed_hub_whose_markets_carry_no_trips_is_an_error(fixture_dir, tmp_path, capsys, stage):
+    # every market kept, but none with a trip: the fit would divide by a
+    # zero potential demand, and assess and rank would score nothing
+    inputs = shutil.copytree(fixture_dir, tmp_path / "inputs")
+    markets = inputs / "markets.csv"
+    with open(markets, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        row["trips_per_day"] = "0"
+    with open(markets, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(PARAMS_OK))
+    opts = [] if stage == "calibrate" else ["--params", str(params)]
+    out = tmp_path / "out"
+    code = main([stage, "--manifest", str(inputs / "manifest.json"), *opts, "--out-dir", str(out)])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert re.fullmatch(r"hub hub-a: no potential trips at threshold [0-9.]+", record["message"])
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "incomplete, why",
     [(False, "empty survey for hub"), (True, "empty survey for hub: no complete records")],
