@@ -135,3 +135,12 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
+
+
+def _warn(logger: str, message: str, *args) -> None:
+    """Log ``message % args`` as a warning of the named logger, for the
+    caller's line.  ``logging`` is imported at the first warning, so a
+    run that warns of nothing never loads it."""
+    import logging
+
+    logging.getLogger(logger).warning(message, *args, stacklevel=2)

@@ -10,18 +10,16 @@ percentile of their ratios becomes the inclusion threshold with which
 
 from __future__ import annotations
 
-import logging
 import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from . import _warn
 from .records import record
 
 if TYPE_CHECKING:
     from .hubs import MarketTable
-
-logger = logging.getLogger(__name__)
 
 # IUGG mean Earth radius.
 EARTH_RADIUS_KM = 6371.0088
@@ -161,7 +159,7 @@ def screen_trips(
     degenerate = od <= 0.0
     n_bad = int(np.count_nonzero(degenerate[pair]))
     if n_bad:
-        logger.warning("excluded %d market(s) with degenerate OD pairs", n_bad)
+        _warn(__name__, "excluded %d market(s) with degenerate OD pairs", n_bad)
 
     oh = haversine_km(o_lat, o_lon, lat, lon)
     hd = haversine_km(lat, lon, d_lat, d_lon)

@@ -255,6 +255,10 @@ _MODE_OFFSET = np.array(
 )
 
 
+# Rows of the key that LegMatrices._pair_index decodes at a time.
+_INDEX_BLOCK = 16384
+
+
 def _sorted_ids(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """Sorted distinct ``ids``, and the index in them of each of ``ids``."""
     distinct = tuple(sorted(set(ids)))
@@ -429,19 +433,31 @@ class LegMatrices:
         """The first row (int32) and the bitmask of the modes present
         (bit ``code``, uint8) of each (zone, hub) pair, zone * len(hub_ids)
         + hub, plus an empty last entry: 5 bytes a pair.  Built from
-        ``key`` on the first lookup and kept until the store changes."""
+        ``key`` on the first lookup and kept until the store changes.
+
+        The sorted key is read in blocks of _INDEX_BLOCK rows, decoded to
+        an int32 pair and a uint8 mode code, so the build's working memory
+        beyond the index is a few block-length arrays, about 0.4 MiB
+        whatever the store's length: no temporary is as long as the key."""
         if self._index is None:
-            pair = self.key // len(LEG_MODE_ORDER)
-            code = (self.key - pair * len(LEG_MODE_ORDER)).astype(np.uint8)
-            run_start = np.ones(len(pair), dtype=bool)  # the key is sorted: each pair's rows are one run
-            np.not_equal(pair[1:], pair[:-1], out=run_start[1:])
-            starts = np.flatnonzero(run_start)
             pairs = len(self.zone_ids) * len(self.hub_ids)
             first = np.zeros(pairs + 1, dtype=np.int32)
             bits = np.zeros(pairs + 1, dtype=np.uint8)
-            present = pair[starts]
-            first[present] = starts
-            bits[present] = np.bitwise_or.reduceat(np.left_shift(1, code), starts)
+            last = -1  # the pair of the row before the block
+            for start in range(0, len(self.key), _INDEX_BLOCK):
+                block = self.key[start : start + _INDEX_BLOCK]
+                pair = (block // len(LEG_MODE_ORDER)).astype(np.int32)
+                code = (block - pair * len(LEG_MODE_ORDER)).astype(np.uint8)
+                # each key is distinct, so a pair's mode bits are each added once
+                np.add.at(bits, pair, np.left_shift(np.uint8(1), code))
+                # the key is sorted: each pair's rows are one run, which may
+                # have begun in the block before
+                run_start = np.empty(len(pair), dtype=bool)
+                run_start[0] = pair[0] != last
+                np.not_equal(pair[1:], pair[:-1], out=run_start[1:])
+                starts = np.flatnonzero(run_start)
+                first[pair[starts]] = starts + start
+                last = pair[-1]
             self._index = first, bits
         return self._index
 

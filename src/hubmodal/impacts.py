@@ -19,15 +19,12 @@ Emission factors turn VMT reductions into CO2 at a flat grams/mile rate.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
+from . import _warn
 from .choice import MAIN_MODES, Mode
 from .hubs import HubChoiceSetup, HubParams, HubShares
 from .records import record
-
-logger = logging.getLogger(__name__)
 
 _MODE_COL = {mode: j for j, mode in enumerate(MAIN_MODES)}
 
@@ -139,14 +136,6 @@ class VmtResult:
     emissions_tons_per_year: float
     reduced_annual_thousand_miles: float
 
-    @property
-    def before_total(self) -> float:
-        return self.before_driving + self.before_carpool
-
-    @property
-    def after_total(self) -> float:
-        return self.after_driving + self.after_carpool
-
 
 def vmt_deltas(
     setup: HubChoiceSetup, s: HubShares, emissions: EmissionFactor = EmissionFactor(), include_on_demand_auto: bool = False
@@ -164,7 +153,7 @@ def vmt_deltas(
     ok = np.isfinite(miles)
     n_bad = int((~ok).sum())
     if n_bad:
-        logger.warning("excluded %d market(s) with missing trip distance from VMT", n_bad)
+        _warn(__name__, "excluded %d market(s) with missing trip distance from VMT", n_bad)
     w = (setup.trips * np.where(ok, miles, 0.0))[:, None]
 
     # driving columns, then carpool
@@ -235,7 +224,7 @@ def consumer_surpluses(setup: HubChoiceSetup, s: HubShares) -> list[ConsumerSurp
     priceable = setup.beta_cost < 0.0
     n_excluded = int((~priceable).sum())
     if n_excluded:
-        logger.warning("excluded %d market(s) with non-negative beta_cost from consumer surplus", n_excluded)
+        _warn(__name__, "excluded %d market(s) with non-negative beta_cost from consumer surplus", n_excluded)
     gain = np.where(priceable, s.cs_gain_util / np.abs(np.where(priceable, setup.beta_cost, -1.0)), 0.0)
     out = []
     for cs_total, pd_total, excluded in _hub_sums(setup, np.stack([setup.trips * gain, setup.trips, ~priceable])):

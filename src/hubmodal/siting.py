@@ -10,12 +10,12 @@ own assessed metrics (``CandidateMetrics.from_report``).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
+from . import _warn
 from .config import PipelineConfig
 from .geo import GeoPoint, haversine_km, screen_trips
 from .hubs import (
@@ -29,8 +29,6 @@ from .hubs import (
     prepare_hub,
 )
 from .records import record
-
-logger = logging.getLogger(__name__)
 
 METRIC_KEYS = ("potential_demand", "transit_delta", "vmt_reduced", "cs_total")
 
@@ -326,7 +324,7 @@ def rank_and_summarize(
     references = {}
     for ref in reference_ids:
         if ref not in ranks:
-            logger.warning("unknown reference id skipped: %s", ref)
+            _warn(__name__, "unknown reference id skipped: %s", ref)
             continue
         references[ref] = {key: pcts[ref][key] for key in METRIC_KEYS}
     summary = {"n_ranked": n, "metrics": summary_metrics, "references": references}

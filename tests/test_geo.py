@@ -328,6 +328,14 @@ def test_degenerate_warning_counts_the_markets_of_a_shared_pair(caplog):
     assert [table.ids[i] for i in np.flatnonzero(keep)] == [f"od00001|{seg.value}" for seg in sorted(SEGMENTS, key=lambda s: s.value)]
 
 
+def test_degenerate_warning_is_logged_for_screen_trips(caplog):
+    # the warning names the module's logger and the function that warns
+    table = _pair_table([42.65], [-73.76], [42.65], [-73.76])
+    with caplog.at_level(logging.WARNING, logger="hubmodal.geo"):
+        screen_trips(table, [42.67], [-73.73], 5.0)
+    assert [(r.name, r.levelname, r.funcName) for r in caplog.records] == [("hubmodal.geo", "WARNING", "screen_trips")]
+
+
 def test_screen_peak_memory_is_bounded_per_distinct_pair():
     # rank-1k's shape: 100 hubs, 250 OD pairs of 4 segments each
     rng = np.random.default_rng(11)

@@ -192,7 +192,8 @@ def test_single_market_vmt_hand_computed():
     expected_after_driving = w * ns.upper[Mode.DRIVING] + 10.0 * ns.hub_share * 2.5
     assert vmt.after_driving == pytest.approx(expected_after_driving, abs=1e-9)
     assert vmt.after_carpool == pytest.approx(w * ns.upper[Mode.CARPOOL], abs=1e-9)
-    assert vmt.reduced == pytest.approx(vmt.before_total - vmt.after_total, abs=1e-12)
+    before, after = vmt.before_driving + vmt.before_carpool, vmt.after_driving + vmt.after_carpool
+    assert vmt.reduced == pytest.approx(before - after, abs=1e-12)
     assert vmt.emissions_kg_per_day == pytest.approx(vmt.reduced * 0.4, abs=1e-12)
 
 
@@ -284,6 +285,16 @@ def test_consumer_surplus_excludes_unpriceable_markets():
     assert cs.cs_total == 0.0
 
 
+def test_unpriceable_markets_are_logged_for_consumer_surpluses(caplog):
+    market = make_market(od_id="odd", taste=make_taste(beta_cost=0.1))
+    _, _, _, setup = _impact_setup(markets=[market])
+    with caplog.at_level("WARNING", logger="hubmodal.impacts"):
+        consumer_surpluses(setup, setup.choice_shares(make_params(beta=0.5, asc=-1.0)))
+    assert [(r.name, r.funcName, r.getMessage()) for r in caplog.records] == [
+        ("hubmodal.impacts", "consumer_surpluses", "excluded 1 market(s) with non-negative beta_cost from consumer surplus")
+    ]
+
+
 def _assert_surplus_is_the_nest_logsum(setup, params) -> None:
     """Each market's logsum gain is -log(1 - s) for its hub nest share s.
     With every s at most 1/2, s <= -log(1 - s) <= 2 log(2) s bounds the
@@ -298,11 +309,9 @@ def _assert_surplus_is_the_nest_logsum(setup, params) -> None:
     assert hub_trips / cost.max() <= cs_total <= 1.39 * hub_trips / cost.min()
 
 
-def test_consumer_surplus_is_the_nest_share_logsum(seed7):
-    params = seed7.result.params
-    for setup in seed7.setups.values():
-        _assert_surplus_is_the_nest_logsum(setup, params)
-    # the candidates of the standard service profile, stacked in one setup
+def _standard_candidate_stack(seed7):
+    """The seed-7 candidates of the standard service profile, stacked in
+    one setup."""
     standard = [c for c in assign_services(cluster_stops(seed7.stops), seed7.lots) if not c.car_share_available]
     cfg = seed7.config
     screen = screen_trips(
@@ -316,7 +325,24 @@ def test_consumer_surplus_is_the_nest_share_logsum(seed7):
         seed7.table, [candidate_hub(c) for c in standard], screen, seed7.matrices, seed7.fares, **cfg.setup_options()
     )
     assert len(stacked.hubs) > 1
-    _assert_surplus_is_the_nest_logsum(stacked, params)
+    return stacked
+
+
+def test_consumer_surplus_is_the_nest_share_logsum(seed7):
+    params = seed7.result.params
+    for setup in [*seed7.setups.values(), _standard_candidate_stack(seed7)]:
+        _assert_surplus_is_the_nest_logsum(setup, params)
+
+
+def test_unimodal_shares_after_are_the_shares_before_times_one_minus_the_nest(seed7):
+    # IIA: the hub nest takes the same fraction s of every unimodal mode,
+    # so upper = before * (1 - s) to within rounding
+    params = seed7.result.params
+    for setup in [*seed7.setups.values(), _standard_candidate_stack(seed7)]:
+        shares = setup.choice_shares(params)
+        expected = shares.before * (1.0 - shares.hub)[:, None]
+        assert np.all(np.abs(shares.upper - expected) <= 1e-15 * expected)
+        assert np.count_nonzero(expected) > len(expected)  # more than one mode a market
 
 
 def test_assess_hub_report_shape():

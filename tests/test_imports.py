@@ -15,8 +15,8 @@ in the tests' scalar oracle.
 Start-up: a bare ``import hubmodal`` loads no submodule, and each CLI
 stage loads only the modules it runs.  The package depends on numpy
 alone: importing the CLI and running any stage, the calibration fit
-included, must leave scipy unloaded.  These checks run in a fresh
-interpreter.
+included, must leave scipy unloaded, and a stage that warns of nothing
+leaves ``logging`` unloaded.  These checks run in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -207,8 +207,8 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert out.strip() == "[]"
 
 
-# Runs each stage in process through main() and records the scipy
-# modules loaded after it.
+# Runs each stage in process through main() and records, after it, the
+# scipy modules loaded and whether logging is.
 STAGE_SCRIPT = f"""
 import contextlib, io, json, sys
 from hubmodal.choice import Segment
@@ -225,20 +225,34 @@ stages = {{
     "assess --params": ["assess", *fx, "--params", "params.json"],
     "rank --params": ["rank", *fx, "--params", "params.json"],
     "calibrate": ["calibrate", *fx],
+    "assess": ["assess", *fx],
+    "rank": ["rank", *fx],
 }}
 loaded = {{}}
 for name, argv in stages.items():
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, name
-    loaded[name] = {SCIPY_LOADED}
+    loaded[name] = {{"scipy": {SCIPY_LOADED}, "logging": "logging" in sys.modules}}
 print(json.dumps(loaded))
 """
 
 
-def test_no_stage_loads_scipy(tmp_path):
-    loaded = json.loads(_fresh_python(STAGE_SCRIPT, tmp_path).splitlines()[-1])
-    assert "calibrate" in loaded
-    assert loaded == {stage: [] for stage in loaded}
+@pytest.fixture(scope="module")
+def stage_loads(tmp_path_factory) -> dict:
+    """What each stage, run in turn in one fresh interpreter, has loaded
+    once it returns."""
+    loaded = json.loads(_fresh_python(STAGE_SCRIPT, tmp_path_factory.mktemp("loads")).splitlines()[-1])
+    assert list(loaded)[-3:] == ["calibrate", "assess", "rank"]
+    return loaded
+
+
+def test_no_stage_loads_scipy(stage_loads):
+    assert {stage: loaded["scipy"] for stage, loaded in stage_loads.items()} == {stage: [] for stage in stage_loads}
+
+
+def test_no_stage_loads_logging_on_a_clean_fixture(stage_loads):
+    # logging is imported at a stage's first warning, and these warn of nothing
+    assert {stage: loaded["logging"] for stage, loaded in stage_loads.items()} == {stage: False for stage in stage_loads}
 
 
 def test_every_package_name_is_its_home_module_object():

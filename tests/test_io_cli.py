@@ -10,6 +10,7 @@ import argparse
 import atexit
 import csv
 import gc
+import hashlib
 import io
 import json
 import math
@@ -1543,6 +1544,35 @@ def test_fit_reports_are_pinned(tmp_path, monkeypatch):
     for stage in ("calibrate", "assess", "rank"):
         assert main([stage, "--manifest", "fx/manifest.json", "--out-dir", "fit"]) == 0
     assert _tree_digest(Path("fit")) == FIT_REPORT_DIGESTS
+
+
+def _permute_records(path: Path, seed: int) -> None:
+    """Shuffle the records of a one-record-a-line CSV file, its header
+    kept first."""
+    header, *records = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    order = np.random.default_rng(seed).permutation(len(records))
+    path.write_text(header + "".join(records[i] for i in order), encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["matrices.csv", "markets.csv"])
+def test_permuted_input_rows_change_only_the_inputs_digests(tmp_path, monkeypatch, name):
+    """The order of the markets or of the leg-matrix rows carries no
+    information: with the rows of one file shuffled, assess's and rank's
+    reports (with the fit) are the pinned ones byte for byte, once that
+    file's digest in ``inputs`` is put back."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-fixture", "--seed", "7", "--out-dir", "fx"]) == 0
+    path = Path("fx") / name
+    original = sha256_digest(path).encode()
+    _permute_records(path, seed=19)
+    permuted = sha256_digest(path).encode()
+    assert permuted != original
+    for stage in ("assess", "rank"):
+        assert main([stage, "--manifest", "fx/manifest.json", "--out-dir", "fit"]) == 0
+    reports = {p.name: p.read_bytes() for p in Path("fit").iterdir()}
+    assert [n for n, report in sorted(reports.items()) if permuted in report] == ["impacts.json", "rank_summary.json"]
+    restored = {n: hashlib.sha256(report.replace(permuted, original)).hexdigest() for n, report in reports.items()}
+    assert restored == {n: d for n, d in FIT_REPORT_DIGESTS.items() if n != "calibration.json"}
 
 
 # ----------------------------------------------------------------------

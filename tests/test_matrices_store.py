@@ -14,7 +14,9 @@ replaced, never an error, and a load that fails writes none.
 ``rows`` answers a lookup from an index of the store's (zone, hub)
 pairs, built on the first lookup; it finds the rows that the former
 ``searchsorted`` walk (``reference_model.leg_rows``) found, and a store
-rebuilt by ``add`` is looked up afresh.
+rebuilt by ``add`` is looked up afresh.  The index is built in blocks of
+the key: every block size gives the rows a brute-force dict lookup
+gives, and the build's traced peak stays within 1 MiB of the index.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from reference_model import add_leg, leg_rows
 from hubmodal import LegMatrices, LegTimes, Mode, ParseError, load_matrices, sha256_digest, write_matrices
 from hubmodal.fixtures import generate_fixture
 from hubmodal.hubs import LEG_MODE_ORDER
+import hubmodal.hubs
 import hubmodal.io
 
 KEY_MAX = np.iinfo(np.int64).max
@@ -528,13 +531,19 @@ def test_rows_finds_the_rows_the_searchsorted_walk_finds(case):
     _assert_rows_match_the_oracle(adopted, zones, hubs)
 
 
-def test_rows_of_empty_and_one_row_stores():
+def test_rows_of_empty_and_one_row_stores(monkeypatch):
+    monkeypatch.setattr(hubmodal.hubs, "_INDEX_BLOCK", 1)
     empty = LegMatrices()
     _assert_rows_match_the_oracle(empty, [-1, -1], [-1, 0])
     assert empty.rows(np.array([-1]), np.array([-1]), [Mode.BUS]).tolist() == [[0]]
+    assert [a.tolist() for a in empty._pair_index()] == [[0], [0]]
+    no_rows = LegMatrices(["z"], ["h"])
+    _assert_rows_are_the_brute_force_lookup(no_rows)
+    assert [a.tolist() for a in no_rows._pair_index()] == [[0, 0], [0, 0]]
     one = LegMatrices(["z"], ["h"], [0], [0], [LEG_MODE_ORDER.index(Mode.CAR)], np.ones((2, 1, 5)))
     _assert_rows_match_the_oracle(one, [0, 0, -1, 0], [0, -1, 0, 0])
     assert one.rows(np.array([0]), np.array([0]), [Mode.CAR, Mode.BUS]).tolist() == [[0], [1]]
+    assert [a.tolist() for a in one._pair_index()] == [[0, 0], [1 << LEG_MODE_ORDER.index(Mode.CAR), 0]]
 
 
 def test_rows_of_a_store_read_from_its_sidecar(tmp_path, monkeypatch):
@@ -566,3 +575,93 @@ def test_lookup_after_add_sees_the_new_and_the_replaced_row():
     zones, hubs = matrices.zone_codes(["z1", "z2"]), matrices.hub_codes(["h1", "h1"])
     found = matrices.rows(zones, hubs, [Mode.BUS, Mode.WALK_LEG, Mode.CAR])
     assert found.tolist() == [[0, 3], [1, 3], [3, 2]]
+
+
+# ----------------------------------------------------------------------
+# the pair index, built in blocks of the key
+# ----------------------------------------------------------------------
+
+
+def _assert_rows_are_the_brute_force_lookup(store: LegMatrices) -> None:
+    """``rows`` over every (zone, hub) code pair, -1 included, and every
+    mode, a non-leg mode included, gives the row a dict of the store's
+    decoded (zone, hub, mode) rows names, and ``len(store)`` where it has
+    none."""
+    lookup = {key: row for row, key in enumerate(zip(store.zone.tolist(), store.hub.tolist(), store.mode.tolist()))}
+    grid = [(z, h) for z in range(-1, len(store.zone_ids)) for h in range(-1, len(store.hub_ids))]
+    zones, hubs = (np.array(column, dtype=np.int64) for column in zip(*grid))
+    modes = (*LEG_MODE_ORDER, Mode.DRIVING)
+    codes = [LEG_MODE_ORDER.index(m) if m in LEG_MODE_ORDER else -1 for m in modes]
+    expected = [[lookup.get((z, h, c), len(store)) for z, h in grid] for c in codes]
+    assert store.rows(zones, hubs, modes).tolist() == expected
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    n_zones=st.integers(0, 5),
+    n_hubs=st.integers(0, 5),
+    picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)), max_size=60),
+    block=st.integers(1, 9),
+)
+def test_rows_equal_a_brute_force_lookup_at_every_block_size(n_zones, n_hubs, picks, block):
+    # rows in any order, keys repeated, ids that do not arrive sorted
+    keys = [(z, h, m) for z, h, m in picks if z < n_zones and h < n_hubs]
+    store = LegMatrices(
+        [f"z{(7 * i) % 5}{i}" for i in range(n_zones)],
+        [f"h{(3 * i) % 5}{i}" for i in range(n_hubs)],
+        *(np.array(column, dtype=np.int64) for column in (zip(*keys) if keys else ((), (), ()))),
+        np.arange(2 * len(keys) * 5, dtype=float).reshape(2, len(keys), 5),
+    )
+    whole = tuple(a.copy() for a in store._pair_index())
+    store._index = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hubmodal.hubs, "_INDEX_BLOCK", block)
+        _assert_rows_are_the_brute_force_lookup(store)
+        assert all(np.array_equal(a, b) for a, b in zip(store._pair_index(), whole))
+
+
+def _runs_store() -> LegMatrices:
+    """Two zones x three hubs whose pairs hold runs of 1 to 5 rows, one
+    pair every mode, and one pair none."""
+    modes = [(0,), (1, 3), (0, 2, 4), (1, 2, 3, 4), (0, 1, 2, 3, 4), ()]
+    keys = [(p // 3, p % 3, m) for p, ms in enumerate(modes) for m in ms]
+    zone, hub, mode = (np.array(column, dtype=np.int64) for column in zip(*keys))
+    return LegMatrices(["z0", "z1"], ["h0", "h1", "h2"], zone, hub, mode, np.ones((2, len(keys), 5)))
+
+
+@pytest.mark.parametrize("block", range(1, 17))
+def test_pair_runs_cut_at_every_offset_index_as_whole_runs(monkeypatch, block):
+    # 15 rows: the block sizes 1 to 15 cut each run of 2 to 5 rows at each
+    # of its offsets, and 16 holds the key in one block
+    store = _runs_store()
+    assert len(store) == 15
+    monkeypatch.setattr(hubmodal.hubs, "_INDEX_BLOCK", block)
+    _assert_rows_are_the_brute_force_lookup(store)
+    first, bits = store._pair_index()
+    assert first.dtype == np.int32 and bits.dtype == np.uint8
+    assert first.tolist() == [0, 1, 3, 6, 10, 0, 0]
+    assert bits.tolist() == [0b1, 0b1010, 0b10101, 0b11110, 0b11111, 0, 0]
+
+
+def test_pair_index_build_peak_stays_near_the_index():
+    """On a store of over 300,000 rows, the traced peak of building the
+    pair index exceeds the arrays it returns by at most 1 MiB: no
+    temporary is as long as the key."""
+    rng = np.random.default_rng(31)
+    zones, hubs = 400, 200
+    present = rng.uniform(size=zones * hubs * len(LEG_MODE_ORDER)) < 0.8
+    key = np.append(np.flatnonzero(present), 0)  # and the sentinel row
+    store = LegMatrices.from_store(
+        [f"z{i:03d}" for i in range(zones)],
+        [f"h{i:03d}" for i in range(hubs)],
+        key,
+        np.zeros((2, len(key), 5)),
+    )
+    assert len(store) >= 300_000
+    tracemalloc.start()
+    try:
+        first, bits = store._pair_index()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= first.nbytes + bits.nbytes + (1 << 20)

@@ -571,6 +571,14 @@ def test_rank_reference_placement():
     }
 
 
+def test_unknown_reference_is_logged_for_rank_and_summarize(caplog):
+    with caplog.at_level("WARNING", logger="hubmodal.siting"):
+        rank_and_summarize(_cands_with_metrics([10.0, 20.0]), reference_ids=("c-9",))
+    assert [(r.name, r.funcName, r.getMessage()) for r in caplog.records] == [
+        ("hubmodal.siting", "rank_and_summarize", "unknown reference id skipped: c-9")
+    ]
+
+
 def test_rank_requires_evaluated_candidates():
     with pytest.raises(ValueError, match="no evaluated"):
         rank_and_summarize([])
