@@ -84,7 +84,6 @@ _EXPORTS = {
     "io": (
         "HubRecord",
         "ParseError",
-        "candidates_geojson",
         "fmt",
         "load_fares",
         "load_hub_records",
@@ -113,6 +112,7 @@ _EXPORTS = {
         "StopRecord",
         "assign_services",
         "candidate_hub",
+        "candidates_geojson",
         "cluster_stops",
         "evaluate_candidates",
         "rank_and_summarize",

@@ -369,7 +369,7 @@ def _cmd_rank(args) -> int:
         **_report_base(args, manifest, config, matrix_digests),
     }
     json_path = io.write_json(out / "rank_summary.json", report)
-    geo_path = io.write_json(out / "candidates.geojson", io.candidates_geojson(evaluated, reference_ids))
+    geo_path = io.write_json(out / "candidates.geojson", siting.candidates_geojson(evaluated, reference_ids))
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     print(f"wrote {geo_path}")

@@ -110,14 +110,15 @@ def _make_stops(rng: np.random.Generator, n: int) -> list[StopRecord]:
     return stops
 
 
-# Each segment's taste bases, in _BASE_TASTE order, the order of its
-# draws: a beta is its base times U(0.85, 1.15), a constant its base plus
-# U(-0.3, 0.3).
-_TASTE_BASES = [
-    np.array([{**_BASE_TASTE, **_SEGMENT_TILT[seg.value]}[name] for name in _BASE_TASTE]) for seg in SEGMENTS
-]
+# Each segment's taste bases (a row per segment), in _BASE_TASTE order,
+# the order of its draws: a beta is its base times U(0.85, 1.15), a
+# constant its base plus U(-0.3, 0.3).
+_TASTE_BASES = np.array(
+    [[{**_BASE_TASTE, **_SEGMENT_TILT[seg.value]}[name] for name in _BASE_TASTE] for seg in SEGMENTS]
+)
 _BETA = np.array([name.startswith("beta") for name in _BASE_TASTE])
-_TASTE_LOW, _TASTE_HIGH = np.where(_BETA, 0.85, -0.3), np.where(_BETA, 1.15, 0.3)
+_TASTE_LOW = np.where(_BETA, 0.85, -0.3)
+_TASTE_SPAN = np.where(_BETA, 1.15, 0.3) - _TASTE_LOW
 
 
 def _make_markets(rng: np.random.Generator, n_od: int) -> MarketTable:
@@ -140,12 +141,14 @@ def _make_markets(rng: np.random.Generator, n_od: int) -> MarketTable:
     for i in range(n_od):
         origin = _box_point(rng)
         destination = _box_point(rng)
+        km = haversine_km(*origin, *destination)
         for _ in range(50):
-            if haversine_km(*origin, *destination) >= 1.2:
+            if km >= 1.2:
                 break
             destination = _box_point(rng)
+            km = haversine_km(*origin, *destination)
         points[i] = (*origin, *destination)
-        gc_mi = float(haversine_km(*origin, *destination)) * MILES_PER_KM
+        gc_mi = float(km) * MILES_PER_KM
         drive_mi = round(gc_mi * 1.3 * (1.0 + float(rng.uniform(0.0, 0.12))), 3)
         drive_min = round(drive_mi / 28.0 * 60.0 + float(rng.uniform(2.0, 6.0)), 2)
         drive_cost = round(drive_mi * 0.20 + float(rng.uniform(0.0, 3.0)), 2)
@@ -167,14 +170,17 @@ def _make_markets(rng: np.random.Generator, n_od: int) -> MarketTable:
             mode(i, 4, ivt_min=round(gc_mi * 1.25 / 3.1 * 60.0, 2))
         mode(i, 5, ivt_min=round(drive_min * float(rng.uniform(1.1, 1.3)), 2), cost_usd=round(drive_cost * 0.5, 2))
 
-        for k, base in enumerate(_TASTE_BASES):
-            r = i * n_seg + k
+        for r in range(i * n_seg, (i + 1) * n_seg):
             trips[r] = round(max(0.5, float(rng.lognormal(2.5, 0.7))), 2)
-            u = rng.uniform(_TASTE_LOW, _TASTE_HIGH)  # one double per name, in order, as scalar calls draw them
-            # Python's round: np.round rounds some halfway values otherwise
-            tastes[r] = [round(v, 6) for v in np.where(_BETA, base * u, base + u).tolist()]
+            rng.random(out=tastes[r])  # one double per name, in order, as scalar calls draw them
 
     n = n_od * n_seg
+    # U(low, high) as rng.uniform computes it from a double, low + (high - low) * double
+    u = _TASTE_LOW + _TASTE_SPAN * tastes
+    bases = np.tile(_TASTE_BASES, (n_od, 1))
+    tastes = np.where(_BETA, bases * u, bases + u)
+    # Python's round: np.round rounds some halfway values otherwise
+    tastes = np.array([round(v, 6) for v in tastes.ravel().tolist()]).reshape(n, -1)
     per_market = functools.partial(np.repeat, repeats=n_seg, axis=0)  # an OD pair's values, once per segment
     return MarketTable(
         [f"od{i:04d}" for i in range(n_od) for _ in SEGMENTS], np.tile(np.arange(n_seg), n_od),
@@ -278,39 +284,35 @@ def _make_matrices(
     bus_transfers = (rng.random(shape) < 0.35).astype(float)
     mile_jit = {m: rng.uniform(0.98, 1.10, shape) for m in (Mode.CAR, Mode.CAR_SHARE, Mode.BUS)}
 
-    zone_codes, hub_codes, mode_codes, blocks = [], [], [], []
-    for mode in (Mode.BUS, Mode.CAR, Mode.CAR_SHARE, Mode.BIKE_SHARE, Mode.WALK_LEG):
-        zi, hi = cell = np.nonzero(avail[mode] & ~dropped[mode])  # the rows kept, the only cells computed
+    # the rows kept, the only cells computed, each mode's in a slice of one
+    # leg block whose spare row the store adopts as its sentinel
+    cells = {mode: np.nonzero(ok & ~dropped[mode]) for mode, ok in avail.items()}
+    n = sum(len(zi) for zi, _ in cells.values())
+    legs = np.empty((2, n + 1, 5))
+    zone_codes, hub_codes, mode_codes = np.empty((3, n), dtype=np.intp)
+    start = 0
+    for mode, cell in cells.items():
+        rows = slice(start, start + len(cell[0]))
+        zone_codes[rows], hub_codes[rows] = cell
+        mode_codes[rows] = LEG_MODE_ORDER.index(mode)
+        to_hub, from_hub = legs[:, rows]
         km = d[cell]
         base_min = km * circuity[mode] / speeds_kmh[mode] * 60.0
-        to_min = np.round(base_min * to_jit[mode][cell], 2)
-        from_min = np.round(base_min * from_jit[mode][cell], 2)
+        to_hub[:, 0] = np.round(base_min * to_jit[mode][cell], 2)
+        from_hub[:, 0] = np.round(base_min * from_jit[mode][cell], 2)
         if mode is Mode.BUS:
-            access, egress, transfers = bus_access[cell], bus_egress[cell], bus_transfers[cell]
-            miles = np.round(km * 1.25 * MILES_PER_KM * mile_jit[mode][cell], 3)
-            to_acc, to_egr = np.round(access + bus_wait_to[cell] * 0.3, 2), np.round(egress, 2)
-            from_acc, from_egr = np.round(egress + bus_wait_from[cell] * 0.3, 2), np.round(access * 0.8, 2)
-            to_cells = (to_min, to_acc, to_egr, transfers, miles)
-            from_cells = (from_min, from_acc, from_egr, transfers, miles)
+            access, egress = bus_access[cell], bus_egress[cell]
+            to_hub[:, 1], to_hub[:, 2] = np.round(access + bus_wait_to[cell] * 0.3, 2), np.round(egress, 2)
+            from_hub[:, 1], from_hub[:, 2] = np.round(egress + bus_wait_from[cell] * 0.3, 2), np.round(access * 0.8, 2)
+            to_hub[:, 3] = from_hub[:, 3] = bus_transfers[cell]
+            to_hub[:, 4] = from_hub[:, 4] = np.round(km * 1.25 * MILES_PER_KM * mile_jit[mode][cell], 3)
         else:
-            zero = np.zeros(len(km))
-            miles = np.round(km * 1.3 * MILES_PER_KM * mile_jit[mode][cell], 3) if mode in mile_jit else zero + np.nan
-            to_cells = (to_min, zero, zero, zero, miles)
-            from_cells = (from_min, zero, zero, zero, miles)
-        block = np.stack([np.stack(to_cells, axis=1), np.stack(from_cells, axis=1)])
-        block[1, oneway[mode][cell]] = np.nan
-        zone_codes.append(zi)
-        hub_codes.append(hi)
-        mode_codes.append(np.full(len(zi), LEG_MODE_ORDER.index(mode)))
-        blocks.append(block)
-    return LegMatrices(
-        zone_ids,
-        hub_ids,
-        np.concatenate(zone_codes),
-        np.concatenate(hub_codes),
-        np.concatenate(mode_codes),
-        np.concatenate(blocks, axis=1),
-    )
+            to_hub[:, 1:4] = from_hub[:, 1:4] = 0.0
+            miles = np.round(km * 1.3 * MILES_PER_KM * mile_jit[mode][cell], 3) if mode in mile_jit else np.nan
+            to_hub[:, 4] = from_hub[:, 4] = miles
+        from_hub[oneway[mode][cell]] = np.nan
+        start = rows.stop
+    return LegMatrices(zone_ids, hub_ids, zone_codes, hub_codes, mode_codes, legs)
 
 
 def generate_fixture(

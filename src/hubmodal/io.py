@@ -26,7 +26,8 @@ records (one at least); a batch's cells are converted, numbers in bulk
 and text once per distinct value, and then dropped.  The batch size
 bounds the parse's memory and changes no value and no error.  Writers
 quote a text cell holding a comma, a quote or a line break as the csv
-module does, so what they write reads back.
+module does, so what they write reads back.  They format a column at a
+time, once per distinct value, and write ``_WRITE_ROWS`` rows at a time.
 
 Markets columns, in order: od_id, segment, o_lat, o_lon, d_lat, d_lon,
 trips_per_day, driving_miles, the per-mode attribute columns, the twelve
@@ -81,7 +82,7 @@ from .hubs import HubParams, MarketError, MarketTable
 from .records import record
 
 if TYPE_CHECKING:  # siting runs only in rank and gen-fixture
-    from .siting import Candidate, StopRecord
+    from .siting import StopRecord
 
 _INF = float("inf")
 
@@ -123,17 +124,18 @@ def _json_value(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Write text to path via a sibling temp file and rename.  The temp file
-    is created as ``open`` creates a file, so the result has the mode
-    ``open`` would give it (0o666 less the umask)."""
+def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> Path:
+    """Write text, a str or str chunks written in turn, to path via a
+    sibling temp file and rename.  The temp file is created as ``open``
+    creates a file, so the result has the mode ``open`` would give it
+    (0o666 less the umask)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
-            fh.write(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -183,18 +185,21 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def _cells(column, blank: np.ndarray | None = None) -> list[str]:
-    """A column's CSV cells: each value as ``fmt`` writes it, quoted as
-    ``_csv_cell`` quotes it; for an array, empty where ``blank`` is set.  A
-    number or bool array, and a sequence of str, is formatted once per
-    distinct value, floats by their bits so that -0.0 stays -0.0; any
-    other sequence cell by cell."""
+def _cells(column, blank: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """A column's CSV cells as a table of cell texts (an object array) and
+    each row's code into it, in the narrowest unsigned dtype: each value
+    as ``fmt`` writes it, quoted as ``_csv_cell`` quotes it; for an array,
+    the empty cell where ``blank`` is set.  A number or bool array is
+    formatted once per distinct value, floats by their bits so that -0.0
+    stays -0.0; any other sequence once per distinct ``fmt`` text, a str
+    being its own."""
     if not (isinstance(column, np.ndarray) and column.dtype.kind in "biuf"):
         values = column.tolist() if isinstance(column, np.ndarray) else list(column)
         if not all(type(v) is str for v in values):
-            return [_csv_cell(fmt(v)) for v in values]
-        texts = {v: _csv_cell(v) for v in set(values)}
-        return list(map(texts.__getitem__, values))
+            values = list(map(fmt, values))
+        index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+        codes = np.fromiter(map(index.__getitem__, values), np.min_scalar_type(max(len(index) - 1, 0)), len(values))
+        return np.array(list(map(_csv_cell, index)), dtype=object), codes
     floats = column.dtype.kind == "f"
     if floats:
         column = column.astype(float, copy=False) if blank is None else np.where(blank, 0.0, column)
@@ -204,19 +209,44 @@ def _cells(column, blank: np.ndarray | None = None) -> list[str]:
         if np.isnan(distinct).any():
             raise ValueError("refusing to write NaN")
     texts = list(map(repr if floats else fmt, distinct.tolist()))
+    codes = inverse.astype(np.min_scalar_type(len(texts)))
     if blank is not None:
-        inverse = np.where(blank, len(texts), inverse)
-    return np.array([*texts, ""], dtype=object)[inverse].tolist()
+        codes[blank] = len(texts)
+    return np.array([*texts, ""], dtype=object), codes
 
 
-def _coded_cells(labels: Sequence[str], codes: np.ndarray) -> list[str]:
-    """The CSV cell of each code's label, quoted once per label."""
-    return np.array(_cells(labels), dtype=object)[codes].tolist()
+def _label_cells(labels: Sequence[str]) -> np.ndarray:
+    """Each label's CSV cell, an object array indexed by label code."""
+    return np.array(list(map(_csv_cell, labels)), dtype=object)
 
 
-def _write_cells(path: str | Path, header: Sequence[str], columns: Sequence[list[str]]) -> Path:
-    lines = [",".join(header), *map(",".join, zip(*columns))]
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+# Rows written at a time: a write holds each column's cell table and
+# codes, and one block's cells and text.  The rank-1k matrices write in
+# the same time in blocks of 2,048 to 16,384 rows; their traced peak is
+# 8.1 MB at 16,384 and 19.9 MB at 65,536.
+_WRITE_ROWS = 16384
+
+
+def _write_cells(path: str | Path, header: Sequence[str], columns: Sequence[tuple]) -> Path:
+    """Write ``header`` and the rows of ``columns``, (cell texts, codes)
+    pairs as ``_cells`` gives them, ``_WRITE_ROWS`` rows at a time; codes
+    are an array or any sequence that a slice of rows reads.  Each text
+    is given the comma or line end that follows its cell once, and a
+    block's cells are interleaved into one list and joined once."""
+    n = len(columns[0][1]) if columns else 0
+    width = len(columns)
+    ends = [texts + ("," if j < width - 1 else "\n") for j, (texts, _) in enumerate(columns)]
+
+    def chunks() -> Iterator[str]:
+        yield ",".join(header) + "\n"
+        for start in range(0, n, _WRITE_ROWS):
+            rows = slice(start, min(start + _WRITE_ROWS, n))
+            line = [""] * (width * (rows.stop - start))
+            for j, (texts, (_, codes)) in enumerate(zip(ends, columns)):
+                line[j::width] = texts[codes[rows]].tolist()
+            yield "".join(line)
+
+    return atomic_write_text(path, chunks())
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
@@ -566,8 +596,10 @@ def write_markets(t: MarketTable, path: str | Path) -> Path:
     for j, (_, _, fields_) in enumerate(MARKET_MODE_COLUMNS):
         columns += [*(t.attrs[f][:, j] for f in fields_), t.available[:, j]]
     columns += [t.taste[name] for name in TASTE_FIELDS]
-    cells = [_cells(t.od_ids), _coded_cells([s.value for s in SEGMENTS], t.segment_codes), *map(_cells, columns)]
-    cells += [_coded_cells(t.zone_ids, codes) for codes in (t.o_zone_codes, t.d_zone_codes)]
+    segments = _label_cells([s.value for s in SEGMENTS])
+    cells = [_cells(t.od_ids), (segments, t.segment_codes), *map(_cells, columns)]
+    zones = _label_cells(t.zone_ids)
+    cells += [(zones, t.o_zone_codes), (zones, t.d_zone_codes)]
     return _write_cells(path, MARKET_COLUMNS, cells)
 
 
@@ -652,20 +684,11 @@ def write_pr_lots(lots: Sequence[GeoPoint], path: str | Path) -> Path:
 # leg matrices
 # ----------------------------------------------------------------------
 
-MATRIX_COLUMNS = (
-    "zone_id",
-    "hub_id",
-    "mode",
-    "to_hub_min",
-    "to_hub_access_min",
-    "to_hub_egress_min",
-    "to_hub_transfers",
-    "to_hub_miles",
-    "from_hub_min",
-    "from_hub_access_min",
-    "from_hub_egress_min",
-    "from_hub_transfers",
-    "from_hub_miles",
+# each direction's cells in the leg block's field order
+MATRIX_COLUMNS = ("zone_id", "hub_id", "mode") + tuple(
+    f"{direction}_{field}"
+    for direction in ("to_hub", "from_hub")
+    for field in ("min", "access_min", "egress_min", "transfers", "miles")
 )
 
 
@@ -836,13 +859,29 @@ def _write_sidecar(path: Path, tag: str, matrices: LegMatrices) -> None:
                 os.unlink(path.parent / name)
 
 
+class _KeyCodes:
+    """Each row's code ``key // step % count``, one of the zone, hub and
+    mode codes a leg store's key holds, decoded for the rows a slice reads."""
+
+    def __init__(self, key: np.ndarray, step: int, count: int):
+        self.key, self.step, self.count = key, step, count
+
+    def __len__(self) -> int:
+        return len(self.key)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.key[rows] // self.step % self.count
+
+
 def write_matrices(matrices: LegMatrices, path: str | Path) -> Path:
     """Rows in (zone, hub, mode name) order; an absent direction is five
     blank cells and unknown miles one.  Ids and modes are looked up from
-    the codes decoded from the key, and NaN elsewhere in a present
-    direction is refused."""
+    the codes decoded from the key a block of rows at a time, and NaN
+    elsewhere in a present direction is refused."""
+    hubs, modes = len(matrices.hub_ids), len(LEG_MODE_ORDER)
+    steps = [(hubs * modes, len(matrices.zone_ids)), (modes, hubs), (1, modes)]
     labels = (matrices.zone_ids, matrices.hub_ids, _LEG_MODE_NAMES)
-    columns = [_coded_cells(*pair) for pair in zip(labels, (matrices.zone, matrices.hub, matrices.mode))]
+    columns = [(_label_cells(ids), _KeyCodes(matrices.key, *step)) for ids, step in zip(labels, steps)]
     for block in matrices.legs:
         absent = np.isnan(block[:, 0])
         columns += [_cells(block[:, f], absent | np.isnan(block[:, f]) if f == 4 else absent) for f in range(5)]
@@ -915,17 +954,8 @@ def params_json(params: HubParams) -> dict:
 
 # after lat and lon, the HubRecord fields of the same names
 HUB_RECORD_COLUMNS = (
-    "hub_id",
-    "lat",
-    "lon",
-    "car_share_available",
-    "bike_share_available",
-    "backend_trips_per_month",
-    "days_per_month",
-    "service_share",
-    "survey_responses",
-    "survey_days",
-    "sample_rate",
+    "hub_id", "lat", "lon", "car_share_available", "bike_share_available", "backend_trips_per_month",
+    "days_per_month", "service_share", "survey_responses", "survey_days", "sample_rate",
 )
 
 
@@ -1006,35 +1036,3 @@ def write_hub_records(records: Sequence[HubRecord], path: str | Path) -> Path:
         for r in sorted(records, key=lambda r: r.hub_id)
     ]
     return write_csv(path, HUB_RECORD_COLUMNS, rows)
-
-
-# ----------------------------------------------------------------------
-# geojson
-# ----------------------------------------------------------------------
-
-
-def candidates_geojson(candidates: Sequence[Candidate], reference_ids: Sequence[str] = ()) -> dict:
-    """FeatureCollection of candidate points with their metrics."""
-    from .siting import METRIC_KEYS
-
-    refs = set(reference_ids)
-    features = []
-    for c in sorted(candidates, key=lambda c: c.candidate_id):
-        props = {
-            "candidate_id": c.candidate_id,
-            "member_stop_ids": list(c.member_stop_ids),
-            "car_share_available": c.car_share_available,
-            "bike_share_available": c.bike_share_available,
-            "reference": c.candidate_id in refs,
-        }
-        if c.metrics is not None:
-            props.update({key: c.metrics.get(key) for key in METRIC_KEYS})
-            props["no_potential_trips"] = c.metrics.no_potential_trips
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": [c.location.lon, c.location.lat]},
-                "properties": props,
-            }
-        )
-    return {"type": "FeatureCollection", "features": features}

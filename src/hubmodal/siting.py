@@ -329,3 +329,28 @@ def rank_and_summarize(
         references[ref] = {key: pcts[ref][key] for key in METRIC_KEYS}
     summary = {"n_ranked": n, "metrics": summary_metrics, "references": references}
     return rows, summary
+
+
+def candidates_geojson(candidates: Sequence[Candidate], reference_ids: Sequence[str] = ()) -> dict:
+    """FeatureCollection of candidate points with their metrics."""
+    refs = set(reference_ids)
+    features = []
+    for c in sorted(candidates, key=lambda c: c.candidate_id):
+        props = {
+            "candidate_id": c.candidate_id,
+            "member_stop_ids": list(c.member_stop_ids),
+            "car_share_available": c.car_share_available,
+            "bike_share_available": c.bike_share_available,
+            "reference": c.candidate_id in refs,
+        }
+        if c.metrics is not None:
+            props.update({key: c.metrics.get(key) for key in METRIC_KEYS})
+            props["no_potential_trips"] = c.metrics.no_potential_trips
+        features.append(
+            {
+                "type": "Feature",
+                "geometry": {"type": "Point", "coordinates": [c.location.lon, c.location.lat]},
+                "properties": props,
+            }
+        )
+    return {"type": "FeatureCollection", "features": features}

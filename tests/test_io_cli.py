@@ -1554,10 +1554,11 @@ def _permute_records(path: Path, seed: int) -> None:
     path.write_text(header + "".join(records[i] for i in order), encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", ["matrices.csv", "markets.csv"])
+@pytest.mark.parametrize("name", ["matrices.csv", "markets.csv", "survey.csv", "stops.csv"])
 def test_permuted_input_rows_change_only_the_inputs_digests(tmp_path, monkeypatch, name):
-    """The order of the markets or of the leg-matrix rows carries no
-    information: with the rows of one file shuffled, assess's and rank's
+    """The order of the markets, of the leg-matrix rows, of the survey's
+    responses or of the stops carries no information: with the rows of
+    one file shuffled, assess's and rank's
     reports (with the fit) are the pinned ones byte for byte, once that
     file's digest in ``inputs`` is put back."""
     monkeypatch.chdir(tmp_path)
