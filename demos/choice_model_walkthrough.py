@@ -22,6 +22,7 @@ from hubmodal import (
     Mode,
     Segment,
     mode_utility,
+    unimodal_terms,
 )
 
 # taste coefficients by name, as mode_utility reads them
@@ -79,7 +80,7 @@ hub = Hub(id="hub", location=here, car_share_available=False, bike_share_availab
 ordered = hub.sorted_combos()
 setup = HubChoiceSetup(
     [hub], np.zeros(1, dtype=np.int64), np.array([segment]), np.ones(1), np.ones(1),
-    uni_row[None, :], np.array([[combos[c] for c in ordered]]),
+    uni_row[None, :], unimodal_terms(uni_row[None, :]), np.array([[combos[c] for c in ordered]]),
     np.zeros((1, len(ordered), 2)), np.zeros((1, len(ordered), 2)), np.full(1, taste["beta_cost"]), bounds=(0, 1),
 )
 car_bus = setup.combos.index(ComboId(Mode.CAR, Mode.BUS))

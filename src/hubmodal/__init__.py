@@ -68,6 +68,7 @@ _EXPORTS = {
         "build_combos",
         "leg_cost_usd",
         "prepare_hub",
+        "unimodal_terms",
     ),
     "impacts": (
         "ConsumerSurplusResult",

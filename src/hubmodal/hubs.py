@@ -649,6 +649,7 @@ class MarketTable:
             u = mode_utility(self.taste, mode, **{f: self.attrs[f][:, j] for f in ATTR_FIELDS})
             uni[:, j] = np.where(self.available[:, j], u, -np.inf)
         self._unimodal_utilities = uni
+        self.uni_terms = unimodal_terms(uni)  # once per market: no term depends on a hub
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -656,6 +657,24 @@ class MarketTable:
     def unimodal_utilities(self) -> np.ndarray:
         """(n, 6) systematic utilities over MAIN_MODES, -inf where unavailable."""
         return self._unimodal_utilities
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Row maxima of an (m, k) array, -inf where k = 0: an exact fold of np.maximum, faster than max(axis=1) on short rows."""
+    out = np.full(len(a), -np.inf)
+    for column in a.T:
+        np.maximum(out, column, out=out)
+    return out
+
+
+def unimodal_terms(uni_util: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The no-hub softmax of (m, 6) unimodal utilities, row by row: the
+    row maximum, the logsum ``logsum_j`` and the (m, 6) shares ``before``."""
+    uni_max = _row_max(uni_util)
+    before = np.exp(uni_util - uni_max[:, None])
+    sum_j = before.sum(axis=1)
+    before /= sum_j[:, None]
+    return uni_max, uni_max + np.log(sum_j), before
 
 
 # ----------------------------------------------------------------------
@@ -750,11 +769,12 @@ class HubChoiceSetup:
     (``_ComboLayout``) is its map from combos to legs, so ``combos`` is
     ``layout.combos``, the k columns of every (m, k) array.
 
-    The softmax terms that do not depend on the parameters (which markets
-    have a reachable combo, the combo utilities shifted by their row
-    maximum, the unimodal row maximum) are computed once here, so each
-    evaluation during calibration does only the parameter-dependent work.
-    The utility arrays are treated as read-only after construction.
+    ``uni_terms`` is ``unimodal_terms(uni_util)``, gathered by ``prepare_hub``
+    from its MarketTable and kept as ``logsum_j`` and ``before``.  The nest
+    is evaluated on the live rows alone, those with a reachable combo, from
+    terms gathered once here; the other rows take an empty nest's closed
+    form: hub share 0, ``upper`` equal to ``before``, ``v_hub`` -inf and no
+    surplus gain.  The arrays are treated as read-only after construction.
     """
 
     def __init__(
@@ -765,6 +785,7 @@ class HubChoiceSetup:
         trips: np.ndarray,
         drive_miles: np.ndarray,
         uni_util: np.ndarray,
+        uni_terms: tuple[np.ndarray, np.ndarray, np.ndarray],
         combo_util: np.ndarray,
         vmt_miles: np.ndarray,
         entry_fraction: np.ndarray,
@@ -784,16 +805,18 @@ class HubChoiceSetup:
         self.trips = trips
         self.drive_miles = drive_miles
         self.uni_util = uni_util
+        uni_max, self.logsum_j, self.before = uni_terms
         self.combo_util = combo_util
         self.vmt_miles = vmt_miles
         self.entry_fraction = entry_fraction
         self.beta_cost = beta_cost
         with np.errstate(invalid="ignore"):
-            c_max = combo_util.max(axis=1, initial=-np.inf)
-        self._has = np.isfinite(c_max)
-        self._anchor = np.where(self._has, c_max, 0.0)
-        self._c_shift = combo_util - self._anchor[:, None]
-        self._uni_max = uni_util.max(axis=1)
+            c_max = _row_max(combo_util)
+        live = self._live = np.flatnonzero(np.isfinite(c_max))
+        self._anchor = c_max[live]
+        self._c_shift = combo_util[live]  # C-ordered: each row sums in one order
+        self._c_shift -= self._anchor[:, None]
+        self._segments, self._uni_max, self._uni_util = segment_codes[live], uni_max[live], uni_util[live]
 
     @property
     def n_markets(self) -> int:
@@ -812,28 +835,31 @@ class HubChoiceSetup:
 
     def _upper_level(self, params):
         """Pieces of the upper-level softmax over the unimodal modes and the
-        hub nest: the nest utility, the shifted exponentials and their
-        total, and the within-nest exponentials exp(c~/beta) with their
-        row sums S (1 where the nest is empty)."""
+        hub nest, on the live rows: the nest utility, the shifted exponentials
+        and their total, and the within-nest exp(c~/beta) with their sums S."""
         beta = params.beta_hub
         if not 0.0 < beta <= 1.0:
             raise ValueError(f"invalid nesting coefficient: {beta}")
-        has, anchor = self._has, self._anchor
         e_c = np.exp(self._c_shift / beta)
-        sum_c = np.where(has, e_c.sum(axis=1), 1.0)
-        logsum = np.where(has, anchor + beta * np.log(sum_c), -np.inf)
-        asc = np.array([params.asc_by_segment[s] for s in SEGMENTS])[self.segment_codes]
-        v_hub = np.where(has, logsum + asc, -np.inf)
+        sum_c = e_c.sum(axis=1)
+        asc = np.array([params.asc_by_segment[s] for s in SEGMENTS])[self._segments]
+        v_hub = self._anchor + beta * np.log(sum_c) + asc
 
         m_all = np.maximum(self._uni_max, v_hub)
-        e_u = np.exp(self.uni_util - m_all[:, None])
-        e_h = np.where(has, np.exp(v_hub - m_all), 0.0)
+        e_u = np.exp(self._uni_util - m_all[:, None])
+        e_h = np.exp(v_hub - m_all)
         return v_hub, e_u, e_h, e_u.sum(axis=1) + e_h, e_c, sum_c
+
+    def _spread(self, live: np.ndarray, fill) -> np.ndarray:
+        """A full-length array of ``fill`` with the live rows' ``live`` in place."""
+        out = np.full((self.n_markets, *live.shape[1:]), fill)
+        out[self._live] = live
+        return out
 
     def hub_nest_share(self, params) -> np.ndarray:
         """(m,) upper-level probability of the hub nest."""
         _, _, e_h, total, _, _ = self._upper_level(params)
-        return e_h / total
+        return self._spread(np.divide(e_h, total, out=e_h), 0.0)
 
     def hub_nest_share_and_gradient(self, params) -> tuple[np.ndarray, np.ndarray]:
         """(m,) hub nest share s, as ``hub_nest_share`` gives it, and its
@@ -853,32 +879,25 @@ class HubChoiceSetup:
         slope = share * (e_u.sum(axis=1) / total)  # s (1 - s) without cancellation
         d_logsum = np.log(sum_c) - (e_c * self._c_shift_finite).sum(axis=1) / (sum_c * params.beta_hub)
         grad = np.zeros((self.n_markets, len(HubParams.NAMES)))
-        grad[:, 0] = slope * d_logsum
-        grad[np.arange(self.n_markets), 1 + self.segment_codes] = slope
-        return share, grad
+        grad[self._live, 0] = slope * d_logsum
+        grad[self._live, 1 + self._segments] = slope
+        return self._spread(share, 0.0), grad
 
     def choice_shares(self, params) -> HubShares:
         """Full before/after share arrays for one parameter vector."""
         v_hub, e_u, e_h, total, e_l, sum_l = self._upper_level(params)
-        m_j = self._uni_max
-        e_j = np.exp(self.uni_util - m_j[:, None])
-        sum_j = e_j.sum(axis=1)
-        logsum_j = m_j + np.log(sum_j)
-
-        # The within-nest split reuses the nest's exp(c~/beta); S is 1 on empty rows.
-        lower = np.where(self._has[:, None], e_l / sum_l[:, None], 0.0)
-
+        upper = self.before.copy()
+        upper[self._live] = np.divide(e_u, total[:, None], out=e_u)
         # logaddexp keeps the logsum gain non-negative in floating point
-        # and exactly zero where the nest is empty.
-        cs_gain = np.logaddexp(0.0, v_hub - logsum_j)
+        cs_gain = np.logaddexp(0.0, v_hub - self.logsum_j[self._live])
         return HubShares(
-            before=e_j / sum_j[:, None],
-            upper=e_u / total[:, None],
-            hub=e_h / total,
-            lower=lower,
-            logsum_j=logsum_j,
-            v_hub=v_hub,
-            cs_gain_util=cs_gain,
+            before=self.before,
+            upper=upper,
+            hub=self._spread(np.divide(e_h, total, out=e_h), 0.0),
+            lower=self._spread(np.divide(e_l, sum_l[:, None], out=e_l), 0.0),
+            logsum_j=self.logsum_j,
+            v_hub=self._spread(v_hub, -np.inf),
+            cs_gain_util=self._spread(cs_gain, 0.0),
         )
 
 
@@ -1001,6 +1020,7 @@ def prepare_hub(
         table.trips[idx],
         table.drive_miles[idx],
         table.unimodal_utilities()[idx],
+        tuple(term[idx] for term in table.uni_terms),
         combo_util,
         vmt_miles,
         entry_fraction.T,

@@ -178,16 +178,18 @@ def candidate_hub(candidate: Candidate) -> Hub:
 
 # Market x combo cells scored in one stacked pass; a candidate larger than
 # this is scored in a pass of its own.  It bounds the working set of a
-# pass whatever the number of candidates.  15,000 is the largest budget
-# whose (rows, combos) float arrays (117 KiB) stay under glibc's default
-# 128 KiB mmap threshold, so one pass's temporaries are reused on the
-# heap by the next.  On the rank-1k fixture (1,000 markets x 100
-# candidates; fresh processes pinned to one CPU) rank peaked at 48.3 MB
-# on a sidecar hit with 32,768 cells, 46.1 with 16,384, 45.9 with 15,000
-# and 45.4 with 8,192.  Scoring at 15,000 or 12,288 cells took as long as
-# 32,768-cell passes did when a pass's fixed cost was about 0.5 ms (it is
-# 0.3 ms), and 15% longer at 8,192 (in process).
-CHUNK_CELLS = 15_000
+# pass whatever the number of candidates.  At 12,288 cells a pass's
+# (rows, combos) float arrays (96 KiB) stay under glibc's default 128 KiB
+# mmap threshold, so one pass's temporaries are reused on the heap by the
+# next.  With the nest evaluated on live rows only, rank on the rank-1k
+# fixture (1,000 markets x 100 candidates; fresh processes pinned to one
+# CPU, 6 runs each) peaked on a sidecar hit at 45.1 MB with 12,288 cells,
+# 45.6-45.7 with 15,000 and 45.4-45.6 with 16,384, and at 45.7 and 45.9 MB
+# on the parsing run with 12,288 and 15,000 cells; evaluate_candidates
+# took 46-47, 45-46 and 46 ms of CPU (in process).  Over 3 alternating
+# perfbench rank-1k runs, 12,288 cells read 45.7 MB and 0.282 s against
+# 46.1 MB and 0.288 s at 15,000.
+CHUNK_CELLS = 12_288
 
 _NO_TRIPS = CandidateMetrics(
     potential_demand=0.0, transit_delta=0.0, vmt_reduced=0.0, cs_total=0.0, no_potential_trips=True

@@ -54,6 +54,7 @@ from hubmodal import (
     percent_difference,
     predict_hub_proportion,
     transit_delta,
+    unimodal_terms,
 )
 from hubmodal.cli import main
 
@@ -188,13 +189,15 @@ def _one_row_setup(uni, combos, segment: Segment) -> HubChoiceSetup:
     each absent mode, and the combos in sorted order."""
     hub = make_hub(combos=tuple(combos))
     ordered = hub.sorted_combos()
+    uni_util = np.array([[uni.get(m, -np.inf) for m in MAIN_MODES]])
     return HubChoiceSetup(
         [hub],
         np.zeros(1, dtype=np.int64),
         np.array([SEGMENTS.index(segment)]),
         np.ones(1),
         np.ones(1),
-        np.array([[uni.get(m, -np.inf) for m in MAIN_MODES]]),
+        uni_util,
+        unimodal_terms(uni_util),
         np.array([[combos[c] for c in ordered]]),
         np.zeros((1, len(ordered), 2)),
         np.zeros((1, len(ordered), 2)),

@@ -32,6 +32,7 @@ from hubmodal import (
     percent_difference,
     predict_hub_proportion,
     prepare_hub,
+    unimodal_terms,
     validate_leg_counts,
 )
 from hubmodal.cli import main
@@ -414,7 +415,7 @@ def test_nest_share_gradient_with_unavailable_combos():
     util[1, :] = -np.inf  # no combo at all: empty nest, zero share and gradient
     setup = HubChoiceSetup(
         base.hubs, base.rows, base.segment_codes, base.trips, base.drive_miles, base.uni_util,
-        util, base.vmt_miles, base.entry_fraction, base.beta_cost, bounds=(0, base.n_markets),
+        unimodal_terms(base.uni_util), util, base.vmt_miles, base.entry_fraction, base.beta_cost, bounds=(0, base.n_markets),
     )
     with np.errstate(invalid="raise", divide="raise"):
         grad = _assert_gradient_matches(setup, make_params(beta=0.4, asc=-3.0))

@@ -3,21 +3,26 @@ vectorized choice setup checked against the scalar reference model."""
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     every_market,
+    full_attrs,
     full_matrices,
     make_hub,
     make_market,
     make_params,
     make_taste,
     one_hub_setup,
+    random_taste,
     simple_fares,
 )
 from reference_model import (
@@ -40,6 +45,7 @@ from hubmodal import (
     GeoPoint,
     Hub,
     HubChoiceSetup,
+    HubParams,
     LegMatrices,
     LegTimes,
     Mode,
@@ -48,7 +54,10 @@ from hubmodal import (
     build_combos,
     leg_cost_usd,
     prepare_hub,
+    unimodal_terms,
 )
+
+from hubmodal.hubs import LEG_MODE_ORDER
 
 P1 = GeoPoint(lat=42.65, lon=-73.76)
 P2 = GeoPoint(lat=42.70, lon=-73.70)
@@ -353,8 +362,8 @@ def test_stacked_hubs_must_share_one_choice_set():
     # a hand-built setup takes its choice set from its hubs, under the same
     # rule; here the second hub keeps no market
     arrays = (
-        setup.rows, setup.segment_codes, setup.trips, setup.drive_miles, setup.uni_util, setup.combo_util,
-        setup.vmt_miles, setup.entry_fraction, setup.beta_cost,
+        setup.rows, setup.segment_codes, setup.trips, setup.drive_miles, setup.uni_util,
+        unimodal_terms(setup.uni_util), setup.combo_util, setup.vmt_miles, setup.entry_fraction, setup.beta_cost,
     )  # fmt: skip
     bounds = (0, setup.n_markets, setup.n_markets)
     with pytest.raises(ValueError, match="^stacked hubs must share one choice set$"):
@@ -508,3 +517,113 @@ def test_choice_shares_before_is_plain_mnl():
     np.testing.assert_allclose(shares.before.sum(axis=1), 1.0, atol=1e-12)
     total = shares.upper.sum(axis=1) + shares.hub
     np.testing.assert_allclose(total, 1.0, atol=1e-12)
+
+
+# --- the unimodal terms and the live-row kernel --------------------------------
+
+
+def _bits(a: np.ndarray) -> tuple:
+    """An array's dtype, shape and bytes: equal exactly when two arrays are
+    equal bit for bit, signed zeros and infinities included."""
+    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+def _assert_terms_are_each_rows_softmax(table, setup) -> None:
+    """The unimodal terms ``prepare_hub`` gathered for ``setup`` are the
+    softmax of each of its rows' utilities taken on its own."""
+    uni_max, logsum_j, before = (term[setup.rows] for term in table.uni_terms)
+    assert _bits(setup.logsum_j) == _bits(logsum_j)
+    assert _bits(setup.before) == _bits(before)
+    for row, util in enumerate(setup.uni_util):
+        top = util.max()
+        e = np.exp(util - top)
+        total = e.sum()
+        assert _bits(uni_max[row]) == _bits(top)
+        assert _bits(logsum_j[row]) == _bits(top + np.log(total))
+        assert _bits(before[row]) == _bits(e / total)
+
+
+def test_gathered_unimodal_terms_are_each_rows_softmax(seed7, rng):
+    for setup in seed7.setups.values():
+        _assert_terms_are_each_rows_softmax(seed7.table, setup)
+    # a table whose markets lack random unimodal modes
+    markets = []
+    for i in range(30):
+        modes = [m for m in MAIN_MODES if rng.uniform() < 0.5] or [MAIN_MODES[i % len(MAIN_MODES)]]
+        attrs = {m: a for m, a in full_attrs(drive_min=float(rng.uniform(5, 40))).items() if m in modes}
+        segment, origin = list(Segment)[i % 4], (42.63 + 0.002 * i, -73.78)
+        markets.append(make_market(od_id=f"od{i}", segment=segment, o=origin, taste=random_taste(rng), attrs=attrs))
+    table = table_from_markets(markets)
+    assert np.isinf(table.unimodal_utilities()).any()
+    hub = make_hub(combos=(ComboId(Mode.WALK_LEG, Mode.BUS),), car_share=False)
+    matrices = full_matrices({z: None for m in markets for z in (m.o_zone, m.d_zone)}, "h1")
+    setup = prepare_hub(table, [hub], every_market(table, [hub]), matrices, simple_fares())
+    _assert_terms_are_each_rows_softmax(table, setup)
+    assert _bits(unimodal_terms(table.unimodal_utilities())[2]) == _bits(table.uni_terms[2])
+
+
+# Three combos over four leg modes, so that a missing leg takes some of a
+# row's combos and missing legs together can take them all.
+_KERNEL_COMBOS = (ComboId(Mode.CAR, Mode.BUS), ComboId(Mode.WALK_LEG, Mode.BUS), ComboId(Mode.BIKE_SHARE, Mode.WALK_LEG))
+
+
+@st.composite
+def _patchy_stacks(draw):
+    """A stack of 1 to 3 hubs over a table of 1 to 5 markets, each hub
+    keeping markets of its own, on matrices that lack every leg, none, or
+    a drawn set: no row, every row or some rows reach a combo."""
+    n, n_hubs = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    ends = [((42.63 + 0.01 * i, -73.78), (42.70, -73.69 - 0.005 * i)) for i in range(n)]
+    markets = [make_market(od_id=f"od{i}", segment=list(Segment)[i % 4], o=o, d=d) for i, (o, d) in enumerate(ends)]
+    hubs = [make_hub(hub_id=f"h{h}", combos=_KERNEL_COMBOS, car_share=False) for h in range(n_hubs)]
+    zones = sorted({z for m in markets for z in (m.o_zone, m.d_zone)})
+    keys = [(z, h, c) for z in range(len(zones)) for h in range(n_hubs) for c in range(len(LEG_MODE_ORDER))]
+    cells = functools.partial(st.lists, min_size=len(keys), max_size=len(keys))
+    legs = draw(st.sampled_from(["none", "all", "some"]))
+    present = draw(cells(st.booleans())) if legs == "some" else [legs == "all"] * len(keys)
+    minutes = draw(cells(st.floats(1.0, 60.0)))
+    rows = [(k, t) for k, t, p in zip(keys, minutes, present) if p]
+    zone, hub, mode = (np.array([k[i] for k, _ in rows], dtype=np.int64) for i in range(3))
+    block = np.zeros((len(rows), 5))
+    block[:, 0] = [t for _, t in rows]
+    block[:, 4] = np.nan  # no network miles: the legs are priced on the great circle
+    matrices = LegMatrices(zones, [h.id for h in hubs], zone, hub, mode, np.stack([block, block * 1.1]))
+    keep = np.array(draw(st.lists(st.booleans(), min_size=n_hubs * n, max_size=n_hubs * n))).reshape(n_hubs, n)
+    table = table_from_markets(markets)
+    return table, hubs, every_market(table, hubs).with_keep(keep), matrices
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_patchy_stacks(), beta=st.floats(0.05, 1.0), asc=st.floats(-6.0, 2.0))
+def test_live_row_kernel_scatters_the_closed_form_of_an_empty_nest(case, beta, asc):
+    """Rows with no reachable combo get an empty nest's closed form, and
+    live rows are bit for bit those of a setup of the live rows alone."""
+    table, hubs, screen, matrices = case
+    params = make_params(beta=beta, asc=asc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = prepare_hub(table, hubs, screen, matrices, simple_fares())
+        live = np.isfinite(stack.combo_util).any(axis=1)
+        dead = int((~live).sum())
+        shares = stack.choice_shares(params)
+        share, grad = stack.hub_nest_share_and_gradient(params)
+        assert _bits(share) == _bits(stack.hub_nest_share(params)) == _bits(shares.hub)
+        for name in ("hub", "cs_gain_util"):
+            assert _bits(getattr(shares, name)[~live]) == _bits(np.zeros(dead)), name
+        assert _bits(shares.lower[~live]) == _bits(np.zeros((dead, stack.n_combos)))
+        assert _bits(shares.v_hub[~live]) == _bits(np.full(dead, -np.inf))
+        assert _bits(shares.upper[~live]) == _bits(shares.before[~live])
+        assert _bits(grad[~live]) == _bits(np.zeros((dead, len(HubParams.NAMES))))
+
+        # the same hubs keeping only the live rows
+        own = np.repeat(np.arange(len(hubs)), [b - a for a, b in stack.spans])
+        keep = np.zeros_like(screen.keep)
+        keep[own[live], stack.rows[live]] = True
+        alone = prepare_hub(table, hubs, screen.with_keep(keep), matrices, simple_fares())
+        assert np.isfinite(alone.combo_util).any(axis=1).all()
+        expected = alone.choice_shares(params)
+        for name in ("before", "upper", "hub", "lower", "logsum_j", "v_hub", "cs_gain_util"):
+            assert _bits(getattr(shares, name)[live]) == _bits(getattr(expected, name)), name
+        alone_share, alone_grad = alone.hub_nest_share_and_gradient(params)
+        assert _bits(share[live]) == _bits(alone_share)
+        assert _bits(grad[live]) == _bits(alone_grad)

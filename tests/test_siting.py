@@ -406,6 +406,14 @@ def test_evaluate_equals_each_candidate_alone_bit_for_bit(rng, monkeypatch):
     fares = simple_fares()
     threshold = 1.4
     table = table_from_markets(markets)
+    # each profile's stack holds rows that reach a combo and rows that reach
+    # none, so the comparison covers the kernel's scatter of an empty nest
+    ordered = sorted(cands, key=lambda c: c.candidate_id)
+    for car_share in (False, True):
+        hubs = [candidate_hub(c) for c in ordered if c.car_share_available == car_share]
+        screen = screen_trips(table, [h.location.lat for h in hubs], [h.location.lon for h in hubs], threshold)
+        stack = prepare_hub(table, hubs, screen, matrices, fares)
+        assert 0 < np.isfinite(stack.combo_util).any(axis=1).sum() < stack.n_markets
     runs = []
     for config in (None, PipelineConfig(**OFF_DEFAULTS)):
         expected = _each_alone(cands, table, params, threshold, matrices, fares, config or PipelineConfig())
