@@ -79,7 +79,7 @@ for c, v in combos.items():
 hub = Hub(id="hub", location=here, car_share_available=False, bike_share_available=False, combos=frozenset(combos))
 ordered = hub.sorted_combos()
 setup = HubChoiceSetup(
-    [hub], np.zeros(1, dtype=np.int64), np.array([segment]), np.ones(1), np.ones(1),
+    [hub], np.zeros(1, dtype=np.int64), np.arange(1), np.array([segment]), np.ones(1), np.ones(1),
     uni_row[None, :], unimodal_terms(uni_row[None, :]), np.array([[combos[c] for c in ordered]]),
     np.zeros((1, len(ordered), 2)), np.zeros((1, len(ordered), 2)), np.full(1, taste["beta_cost"]), bounds=(0, 1),
 )

@@ -474,7 +474,9 @@ def validate_leg_counts(
     """
     _hub_id(setup)
     shares = setup.choice_shares(params)
-    joint_trips = setup.trips[:, None] * shares.joint
+    # every row's joint trips, 0 where no combo can be chosen, so each sum adds the rows it always added
+    joint_trips = np.zeros((setup.n_markets, setup.n_combos))
+    joint_trips[shares.live] = setup.trips[shares.live, None] * shares.joint
     combo, leg = setup.layout.sites[Mode.BUS]
     bus_combos = {"pickup": combo[leg == 1], "dropoff": combo[leg == 0]}
     rows = []

@@ -84,23 +84,25 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _digests(manifest: Manifest, matrix_digests: list[str] | None = None) -> dict:
-    """The sha256 of every input; ``matrix_digests`` are the leg matrix
-    files' when the stage's load has already hashed them."""
+def _digests(manifest: Manifest, hashed: dict | None = None) -> dict:
+    """The sha256 of every input.  ``hashed`` holds those that the stage's
+    loads have already taken, by manifest entry: the markets and
+    taste-parameters files' from ``io.load_markets``, and the leg matrix
+    files' list under "leg_matrices" from ``io.load_matrices``."""
+    hashed = hashed or {}
     out = {}
     for name in ("markets", "taste_parameters", "fares", "stops", "pr_lots", "survey", "observed_usage"):
         p = getattr(manifest, name)
         if p:
-            out[name] = {"path": str(p), "sha256": io.sha256_digest(p)}
-    if matrix_digests is None:
-        matrix_digests = list(map(io.sha256_digest, manifest.leg_matrices))
+            out[name] = {"path": str(p), "sha256": hashed.get(name) or io.sha256_digest(p)}
+    matrix_digests = hashed.get("leg_matrices") or list(map(io.sha256_digest, manifest.leg_matrices))
     for i, (p, digest) in enumerate(zip(manifest.leg_matrices, matrix_digests, strict=True)):
         out[f"leg_matrices[{i}]"] = {"path": str(p), "sha256": digest}
     return out
 
 
-def _report_base(args, manifest: Manifest, config: PipelineConfig, matrix_digests: list[str] | None = None) -> dict:
-    return {"config": config.to_dict(), "inputs": _digests(manifest, matrix_digests), "seed": args.seed}
+def _report_base(args, manifest: Manifest, config: PipelineConfig, hashed: dict | None = None) -> dict:
+    return {"config": config.to_dict(), "inputs": _digests(manifest, hashed), "seed": args.seed}
 
 
 def _resolve_threshold(config: PipelineConfig, survey, hub_locations) -> tuple[float, dict]:
@@ -197,7 +199,8 @@ def _cmd_derive_threshold(args) -> int:
 def _cmd_identify_trips(args) -> int:
     manifest, config = _load_base(args)
     manifest.require("markets", "observed_usage")
-    table = io.load_markets(manifest.markets, manifest.taste_parameters)
+    hashed: dict = {}
+    table = io.load_markets(manifest.markets, manifest.taste_parameters, hashed)
     hub_recs = io.load_hub_records(manifest.observed_usage)
     if config.threshold_override is None:
         manifest.require("survey")
@@ -215,7 +218,7 @@ def _cmd_identify_trips(args) -> int:
 
     out = _out_dir(args)
     trips_path = io.write_csv(out / "trips.csv", ("hub_id", "market_id"), rows)
-    report = {"threshold": thr, **thr_meta, "hubs": hubs_report, **_report_base(args, manifest, config)}
+    report = {"threshold": thr, **thr_meta, "hubs": hubs_report, **_report_base(args, manifest, config, hashed)}
     json_path = io.write_json(out / "identify.json", report)
     print(f"wrote {trips_path}")
     print(f"wrote {json_path}")
@@ -230,21 +233,21 @@ def _load_model_inputs(args, *required: str):
     manifest, config = _load_base(args)
     manifest.require("markets", "fares", "survey", "observed_usage", "leg_matrices", *required)
     # The matrices parse sets the stage's peak RSS: no other input sits under it.
-    matrix_digests: list[str] = []
-    matrices = io.load_matrices(manifest.leg_matrices, matrix_digests)
-    table = io.load_markets(manifest.markets, manifest.taste_parameters)
+    hashed: dict = {"leg_matrices": []}  # each input's sha256, taken by its load
+    matrices = io.load_matrices(manifest.leg_matrices, hashed["leg_matrices"])
+    table = io.load_markets(manifest.markets, manifest.taste_parameters, hashed)
     survey = io.load_survey(manifest.survey)
     hub_recs = io.load_hub_records(manifest.observed_usage)
     fares = io.load_fares(manifest.fares)
     thr, thr_meta = _resolve_threshold(config, survey, {r.hub_id: r.location for r in hub_recs})
     setups = _build_setups(table, hub_recs, survey, matrices, fares, config, thr)
-    return manifest, config, table, hub_recs, matrices, matrix_digests, fares, thr, thr_meta, setups
+    return manifest, config, table, hub_recs, matrices, hashed, fares, thr, thr_meta, setups
 
 
 def _cmd_calibrate(args) -> int:
-    manifest, config, _, hub_recs, _, matrix_digests, _, thr, thr_meta, setups = _load_model_inputs(args)
+    manifest, config, _, hub_recs, _, hashed, _, thr, thr_meta, setups = _load_model_inputs(args)
     result, _, fit = calibration.fit_observed_hubs(setups, hub_recs, config.optimizer)
-    report = {"threshold": thr, **thr_meta, **fit, **_report_base(args, manifest, config, matrix_digests)}
+    report = {"threshold": thr, **thr_meta, **fit, **_report_base(args, manifest, config, hashed)}
     path = io.write_json(_out_dir(args) / "calibration.json", report)
     print(f"objective {result.objective}")
     print(f"wrote {path}")
@@ -273,7 +276,7 @@ def _assess_observed(args, setups, hub_recs, config):
 
 
 def _cmd_assess(args) -> int:
-    manifest, config, _, hub_recs, _, matrix_digests, _, thr, thr_meta, setups = _load_model_inputs(args)
+    manifest, config, _, hub_recs, _, hashed, _, thr, thr_meta, setups = _load_model_inputs(args)
     _, entries, reports = _assess_observed(args, setups, hub_recs, config)
 
     hubs_out = {}
@@ -302,7 +305,7 @@ def _cmd_assess(args) -> int:
         **entries,
         "hubs": hubs_out,
         "totals": totals,
-        **_report_base(args, manifest, config, matrix_digests),
+        **_report_base(args, manifest, config, hashed),
     }
     path = io.write_json(_out_dir(args) / "impacts.json", report)
     print(f"wrote {path}")
@@ -312,7 +315,7 @@ def _cmd_assess(args) -> int:
 def _cmd_rank(args) -> int:
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
-    manifest, config, table, hub_recs, matrices, matrix_digests, fares, thr, thr_meta, setups = _load_model_inputs(
+    manifest, config, table, hub_recs, matrices, hashed, fares, thr, thr_meta, setups = _load_model_inputs(
         args, "stops", "pr_lots"
     )
     stops = io.load_stops(manifest.stops)
@@ -341,6 +344,7 @@ def _cmd_rank(args) -> int:
     evaluated = references + siting.evaluate_candidates(
         candidates, table, params, thr, matrices, fares, config=config, threads=args.threads
     )
+    del matrices  # the reports' writing peaks without the leg store
     ranked, summary = siting.rank_and_summarize(evaluated, reference_ids=reference_ids)
 
     header = ["candidate_id", "is_reference"]
@@ -366,7 +370,7 @@ def _cmd_rank(args) -> int:
         "n_candidates": len(candidates),
         "n_references": len(references),
         "summary": summary,
-        **_report_base(args, manifest, config, matrix_digests),
+        **_report_base(args, manifest, config, hashed),
     }
     json_path = io.write_json(out / "rank_summary.json", report)
     geo_path = io.write_json(out / "candidates.geojson", siting.candidates_geojson(evaluated, reference_ids))

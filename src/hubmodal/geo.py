@@ -53,13 +53,36 @@ class DetourRecord:
 
 
 def haversine_km(lat1, lon1, lat2, lon2):
-    """Great-circle distance in km; accepts scalars or numpy arrays.  No
-    difference outlives its term, so over broadcast arrays at most four
-    arrays of the output's shape are alive at once."""
+    """Great-circle distance in km; accepts scalars or numpy arrays.  Over
+    arrays the terms are built in place, so at most two arrays of the
+    output's shape are alive at once; each operation is the plain
+    formula's, on the same operands, so the bits are those of
+    2R asin(sqrt(clip(sin^2(dlat/2) + cos lat1 cos lat2 sin^2(dlon/2)))),
+    which scalars take as written."""
     lat1, lon1, lat2, lon2 = (np.radians(np.asarray(x, dtype=float)) for x in (lat1, lon1, lat2, lon2))
-    a = np.sin((lat2 - lat1) / 2.0) ** 2
-    a = a + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2.0) ** 2
-    return EARTH_RADIUS_KM * 2.0 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+    shape = np.broadcast(lat1, lon1, lat2, lon2).shape
+    if not shape:  # scalars: numpy's scalar math, in the same operations
+        a = np.sin((lat2 - lat1) / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2.0) ** 2
+        return EARTH_RADIUS_KM * 2.0 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+    # cos lat1 cos lat2 sin^2(dlon / 2)
+    term = np.multiply(np.cos(lat1), np.cos(lat2), out=np.empty(shape))
+    a = np.subtract(lon2, lon1, out=np.empty(shape))
+    a /= 2.0
+    np.sin(a, out=a)
+    np.square(a, out=a)
+    term *= a
+    # sin^2(dlat / 2) + that term
+    np.subtract(lat2, lat1, out=a)
+    a /= 2.0
+    np.sin(a, out=a)
+    np.square(a, out=a)
+    a += term
+    del term
+    np.clip(a, 0.0, 1.0, out=a)
+    np.sqrt(a, out=a)
+    np.arcsin(a, out=a)
+    a *= EARTH_RADIUS_KM * 2.0
+    return a[()]
 
 
 def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:

@@ -429,6 +429,16 @@ class LegMatrices:
         offset = _MODE_OFFSET[codes].take(bits, axis=1)
         return np.where(offset >= 0, first + offset, len(self))
 
+    def paired_zones(self, hubs: np.ndarray) -> np.ndarray:
+        """(len(hubs), len(zone_ids) + 1): whether the store holds any row
+        of each (zone code, hub code) pair, for each of the hub codes
+        ``hubs`` and every zone code.  The last column, which zone code -1
+        reads, and the rows of hub code -1 are False."""
+        bits = self._pair_index()[1][:-1].reshape(len(self.zone_ids), len(self.hub_ids))
+        out = np.zeros((len(hubs), len(self.zone_ids) + 1), dtype=bool)
+        out[hubs >= 0, :-1] = bits[:, hubs[hubs >= 0]].T
+        return out
+
     def _pair_index(self) -> tuple[np.ndarray, np.ndarray]:
         """The first row (int32) and the bitmask of the modes present
         (bit ``code``, uint8) of each (zone, hub) pair, zone * len(hub_ids)
@@ -583,28 +593,20 @@ class MarketTable:
         huge = np.stack([(np.abs(attrs[f]) > VALUE_BOUND) & np.isfinite(attrs[f]) for f in ATTR_FIELDS], axis=2)
         bad_taste = np.stack([~(np.abs(taste[name]) <= VALUE_BOUND) for name in TASTE_FIELDS], axis=1)  # NaN too
 
-        def cell(bad, i):
-            j, f = np.argwhere(bad[i])[0]  # the first in (mode, field) order
-            return f"{MARKET_MODE_COLUMNS[j][0]}_{ATTR_FIELDS[f]}", attrs[ATTR_FIELDS[f]][i, j]
+        def attribute_rule(bad, why):
+            """The rule of the (n, 6, 5) ``bad`` cells: a faulty row's
+            first bad cell in (mode, field) order, and ``why`` of its value."""
 
-        def attribute(i):
-            column, value = cell(bad_attr, i)
-            return column, "empty value" if np.isnan(value) else f"non-finite value {value}"
+            def fault(i):
+                j, f = np.argwhere(bad[i])[0]
+                return f"{MARKET_MODE_COLUMNS[j][0]}_{ATTR_FIELDS[f]}", why(attrs[ATTR_FIELDS[f]][i, j])
 
-        def negative_attribute(i):
-            column, value = cell(negative, i)
-            return column, f"negative value {value}"
-
-        def huge_attribute(i):
-            column, value = cell(huge, i)
-            return column, f"magnitude of {value} above {VALUE_BOUND}"
+            return bad.any(axis=(1, 2)), fault
 
         def taste_fault(i):
             name = TASTE_FIELDS[int(np.argmax(bad_taste[i]))]
             value = taste[name][i]
-            if not np.isfinite(value):
-                return name, f"non-finite value {value}"
-            return name, f"magnitude of {value} above {VALUE_BOUND}"
+            return name, f"magnitude of {value} above {VALUE_BOUND}" if np.isfinite(value) else f"non-finite value {value}"
 
         def trips_fault(i):
             return "trips_per_day", "negative trips" if trips[i] < 0 else f"non-finite trips {trips[i]}"
@@ -614,9 +616,9 @@ class MarketTable:
             (bad_point[0], lambda i: ("o_lat", f"invalid coordinate: ({lat[0, i]}, {lon[0, i]})")),
             (bad_point[1], lambda i: ("d_lat", f"invalid coordinate: ({lat[1, i]}, {lon[1, i]})")),
             (~(np.isfinite(trips) & (trips >= 0)), trips_fault),
-            (bad_attr.any(axis=(1, 2)), attribute),
-            (negative.any(axis=(1, 2)), negative_attribute),
-            (huge.any(axis=(1, 2)), huge_attribute),
+            attribute_rule(bad_attr, lambda v: "empty value" if np.isnan(v) else f"non-finite value {v}"),
+            attribute_rule(negative, lambda v: f"negative value {v}"),
+            attribute_rule(huge, lambda v: f"magnitude of {v} above {VALUE_BOUND}"),
             (bad_taste.any(axis=1), taste_fault),
             (~available.any(axis=1), lambda i: ("driving_available", "needs at least one available mode")),
             (repeated, lambda i: ("od_id", f"duplicate market {ids[i]}")),
@@ -726,15 +728,19 @@ class HubParams:
 class HubShares:
     """Per-market choice probabilities for one hub at given parameters.
 
-    Arrays are (m, 6) over MAIN_MODES, (m,) for the nest, and (m, k) over
-    the hub's sorted combos.  cs_gain_util is the logsum gain
-    logsum(J+) - logsum(J) in utility units (non-negative by construction,
-    exactly zero where no combo is available).
+    Arrays are (m, 6) over MAIN_MODES and (m,) for the nest, over every
+    row of the setup.  ``lower`` is (len(live), k) over the hub's sorted
+    combos, for the rows ``live`` alone (the setup's ``live``): every
+    other row has no combo to choose and a within-nest share of 0.
+    cs_gain_util is the logsum gain logsum(J+) - logsum(J) in utility
+    units (non-negative by construction, exactly zero where no combo is
+    available).
     """
 
     before: np.ndarray
     upper: np.ndarray
     hub: np.ndarray
+    live: np.ndarray
     lower: np.ndarray
     logsum_j: np.ndarray
     v_hub: np.ndarray
@@ -742,9 +748,9 @@ class HubShares:
 
     @cached_property
     def joint(self) -> np.ndarray:
-        """(m, k) unconditional combo probabilities, computed once for
-        every kernel that reads them."""
-        return self.hub[:, None] * self.lower
+        """(len(live), k) unconditional combo probabilities of the live
+        rows, computed once for every kernel that reads them."""
+        return self.hub[self.live, None] * self.lower
 
 
 class HubChoiceSetup:
@@ -758,12 +764,19 @@ class HubChoiceSetup:
     row, so a share pass over a stack is the share pass of each of its
     hubs, and a hub's impact sums are sums over its own rows.
 
-    Combo utilities are -inf where a leg is missing from the matrices.
-    ``vmt_miles`` (m, k, 2) holds each combo's entry and exit leg miles:
-    network miles where the matrices carry them, else great-circle miles
-    times the circuity factor.  ``entry_fraction`` (m, k) is the entry
-    leg's share of the combo's distance, with the great-circle miles
-    taken as they are, and 0.5 where both legs total 0 miles.
+    ``live`` indexes the rows that can choose the hub: those with a combo
+    of finite utility.  Only they have combo arrays: ``combo_util``,
+    ``vmt_miles`` and ``entry_fraction`` are over the live rows, in
+    ``live`` order, and so are a share pass's ``lower`` and ``joint``.
+    The constructor takes them over a superset of its live rows (every
+    row, for a hand-built setup) and drops the rows with no finite combo
+    utility.  Combo utilities are -inf where a leg is missing from the
+    matrices.  ``vmt_miles`` (live, k, 2) holds each combo's entry and exit
+    leg miles: network miles where the matrices carry them, else
+    great-circle miles times the circuity factor.  ``entry_fraction``
+    (live, k) is the entry leg's share of the combo's distance, with the
+    great-circle miles taken as they are, and 0.5 where both legs total
+    0 miles.  Every other array is over all m rows.
 
     The choice set is the hubs' own: they must share one, and ``layout``
     (``_ComboLayout``) is its map from combos to legs, so ``combos`` is
@@ -771,16 +784,17 @@ class HubChoiceSetup:
 
     ``uni_terms`` is ``unimodal_terms(uni_util)``, gathered by ``prepare_hub``
     from its MarketTable and kept as ``logsum_j`` and ``before``.  The nest
-    is evaluated on the live rows alone, those with a reachable combo, from
-    terms gathered once here; the other rows take an empty nest's closed
-    form: hub share 0, ``upper`` equal to ``before``, ``v_hub`` -inf and no
-    surplus gain.  The arrays are treated as read-only after construction.
+    is evaluated on the live rows alone, from terms gathered once here; the
+    other rows take an empty nest's closed form: hub share 0, ``upper``
+    equal to ``before``, ``v_hub`` -inf and no surplus gain.  The arrays
+    are treated as read-only after construction.
     """
 
     def __init__(
         self,
         hubs: Sequence[Hub],
         rows: np.ndarray,
+        live: np.ndarray,
         segment_codes: np.ndarray,
         trips: np.ndarray,
         drive_miles: np.ndarray,
@@ -806,16 +820,17 @@ class HubChoiceSetup:
         self.drive_miles = drive_miles
         self.uni_util = uni_util
         uni_max, self.logsum_j, self.before = uni_terms
-        self.combo_util = combo_util
-        self.vmt_miles = vmt_miles
-        self.entry_fraction = entry_fraction
         self.beta_cost = beta_cost
         with np.errstate(invalid="ignore"):
             c_max = _row_max(combo_util)
-        live = self._live = np.flatnonzero(np.isfinite(c_max))
-        self._anchor = c_max[live]
-        self._c_shift = combo_util[live]  # C-ordered: each row sums in one order
-        self._c_shift -= self._anchor[:, None]
+        finite = np.isfinite(c_max)  # rows whose combos all priced to -inf (or NaN) are dead too
+        arrays = live, combo_util, vmt_miles, entry_fraction, c_max
+        self.live, self.combo_util, self.vmt_miles, self.entry_fraction, self._anchor = (
+            arrays if finite.all() else (a[finite] for a in arrays)
+        )
+        live = self.live
+        # C-ordered: each row sums in one order
+        self._c_shift = np.subtract(self.combo_util, self._anchor[:, None], order="C")
         self._segments, self._uni_max, self._uni_util = segment_codes[live], uni_max[live], uni_util[live]
 
     @property
@@ -853,7 +868,7 @@ class HubChoiceSetup:
     def _spread(self, live: np.ndarray, fill) -> np.ndarray:
         """A full-length array of ``fill`` with the live rows' ``live`` in place."""
         out = np.full((self.n_markets, *live.shape[1:]), fill)
-        out[self._live] = live
+        out[self.live] = live
         return out
 
     def hub_nest_share(self, params) -> np.ndarray:
@@ -879,22 +894,23 @@ class HubChoiceSetup:
         slope = share * (e_u.sum(axis=1) / total)  # s (1 - s) without cancellation
         d_logsum = np.log(sum_c) - (e_c * self._c_shift_finite).sum(axis=1) / (sum_c * params.beta_hub)
         grad = np.zeros((self.n_markets, len(HubParams.NAMES)))
-        grad[self._live, 0] = slope * d_logsum
-        grad[self._live, 1 + self._segments] = slope
+        grad[self.live, 0] = slope * d_logsum
+        grad[self.live, 1 + self._segments] = slope
         return self._spread(share, 0.0), grad
 
     def choice_shares(self, params) -> HubShares:
         """Full before/after share arrays for one parameter vector."""
         v_hub, e_u, e_h, total, e_l, sum_l = self._upper_level(params)
         upper = self.before.copy()
-        upper[self._live] = np.divide(e_u, total[:, None], out=e_u)
+        upper[self.live] = np.divide(e_u, total[:, None], out=e_u)
         # logaddexp keeps the logsum gain non-negative in floating point
-        cs_gain = np.logaddexp(0.0, v_hub - self.logsum_j[self._live])
+        cs_gain = np.logaddexp(0.0, v_hub - self.logsum_j[self.live])
         return HubShares(
             before=self.before,
             upper=upper,
             hub=self._spread(np.divide(e_h, total, out=e_h), 0.0),
-            lower=self._spread(np.divide(e_l, sum_l[:, None], out=e_l), 0.0),
+            live=self.live,
+            lower=np.divide(e_l, sum_l[:, None], out=e_l),
             logsum_j=self.logsum_j,
             v_hub=self._spread(v_hub, -np.inf),
             cs_gain_util=self._spread(cs_gain, 0.0),
@@ -904,24 +920,20 @@ class HubChoiceSetup:
 def _price_legs(
     layout: _ComboLayout,
     taste: Mapping[str, np.ndarray],
-    zones: tuple[np.ndarray, np.ndarray],
-    hub_codes: np.ndarray,
+    found: list[np.ndarray],
     gcs: np.ndarray,
     matrices: LegMatrices,
     fares: FareTable,
     car_cost_per_mile: float,
     circuity_factor: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every leg of ``layout`` over m rows, as (legs, m) blocks: its
+    """Every leg of ``layout`` over n rows, as (legs, n) blocks: its
     utility (-inf where the matrices lack the leg), its VMT miles and its
-    distance weight.  ``zones`` holds each row's zone code in the
-    matrices per direction, ``hub_codes`` its hub's code there, and
-    ``gcs`` its (2, m) great-circle miles per direction.  Each mode's
-    legs are priced in one pass, and the matrices cells gathered here
-    are freed on return."""
-    # rows first: the first lookup of a store builds its pair index
-    found = [matrices.rows(zones[direction], hub_codes, modes) for direction, (modes, _) in enumerate(layout.by_direction)]
-    cells = np.empty((len(layout.legs), len(hub_codes), 5))
+    distance weight.  ``found`` holds the rows' store rows per direction,
+    as ``LegMatrices.rows`` gives them, and ``gcs`` their (2, n)
+    great-circle miles per direction.  Each mode's legs are priced in one
+    pass, and the matrices cells gathered here are freed on return."""
+    cells = np.empty((len(layout.legs), gcs.shape[1], 5))
     for direction, (_, at) in enumerate(layout.by_direction):
         for leg, rows in zip(at.tolist(), found[direction]):
             np.take(matrices._legs[direction], rows, axis=0, out=cells[leg], mode="clip")
@@ -967,7 +979,8 @@ def prepare_hub(
     ``screen`` is ``geo.screen_trips`` of ``table`` against ``hubs``, in
     that order; its (len(hubs), len(table)) ``keep`` mask picks the rows,
     stacked hub by hub, markets in table order, and its great-circle
-    distances price the legs that have no network miles.  ``zone_map`` is
+    distances price the legs that have no network miles.  Legs are priced
+    for the rows that can reach a combo alone.  ``zone_map`` is
     ``matrices.zone_codes(table.zone_ids)``, for callers that build many
     setups over one table.
     """
@@ -978,44 +991,59 @@ def prepare_hub(
         raise ValueError("the screen's distances are not of these hubs and markets")
     own, idx = np.nonzero(keep)
     layout = _shared_layout(hubs)
-    m, k = len(idx), len(layout.combos)
-
-    # Great-circle miles of the entry (to-hub) and exit (from-hub) legs,
-    # from the screen's cells.
-    pair = screen.pair[idx]
-    gcs = np.stack((screen.oh_km[own, pair], screen.hd_km[own, pair])) * MILES_PER_KM
 
     # Zone codes of the rows' origins (to-hub legs) and destinations
-    # (from-hub legs), and hub codes, in the matrices' own coding.
+    # (from-hub legs), and the hubs' codes, in the matrices' own coding.
     if zone_map is None:
         zone_map = matrices.zone_codes(table.zone_ids)
-    hub_codes = matrices.hub_codes([h.id for h in hubs])[own]
     zones = (zone_map[table.o_zone_codes[idx]], zone_map[table.d_zone_codes[idx]])
-    # the rows' taste coefficients price the legs, and are freed after
-    taste = {name: col[idx] for name, col in table.taste.items()}
-    util, vmt, weight = _price_legs(layout, taste, zones, hub_codes, gcs, matrices, fares, car_cost_per_mile, circuity_factor)
-    beta_cost = taste["beta_cost"]
+    hub_codes = matrices.hub_codes([h.id for h in hubs])
+
+    # The live rows, those that can reach a combo: the matrices hold
+    # minutes for the entry leg of one of its combos in the to-hub
+    # direction and for its exit leg in the from-hub direction.  A row
+    # whose origin or destination zone has no leg to its hub is dead
+    # before any per-mode lookup; the others' store rows are looked up per
+    # direction, a (modes, rows) block each, and kept for the live rows.
+    paired = matrices.paired_zones(hub_codes)
+    rows = np.flatnonzero(paired[own, zones[0]] & paired[own, zones[1]])
+    found = [matrices.rows(zones[d][rows], hub_codes[own[rows]], modes) for d, (modes, _) in enumerate(layout.by_direction)]
+    absent = np.empty((len(layout.legs), len(rows)), dtype=bool)
+    for d, (_, at) in enumerate(layout.by_direction):
+        minutes = matrices._legs[d, :, 0]  # the sentinel row's are NaN
+        for leg, store_rows in zip(at.tolist(), found[d]):
+            np.isnan(minutes[store_rows], out=absent[leg])
+    entry, exit = layout.column
+    reach = ~(absent[entry] | absent[exit]).all(axis=0)
+    live, found = rows[reach], [store_rows[:, reach] for store_rows in found]
+
+    # Great-circle miles of the live rows' entry (to-hub) and exit
+    # (from-hub) legs, from the screen's cells.
+    hub, market = own[live], idx[live]
+    pair = screen.pair[market]
+    gcs = np.stack((screen.oh_km[hub, pair], screen.hd_km[hub, pair])) * MILES_PER_KM
+    # the live rows' taste coefficients price the legs, and are freed after
+    taste = {name: col[market] for name, col in table.taste.items()}
+    util, vmt, weight = _price_legs(layout, taste, found, gcs, matrices, fares, car_cost_per_mile, circuity_factor)
     del taste
 
-    # Each combo pairs its entry leg with its exit leg, a (k, m) block
-    # turned (m, k).  combo_util is copied C-ordered: a row sum over the
+    # Each combo pairs its entry leg with its exit leg, a (k, n) block
+    # turned (n, k).  combo_util is copied C-ordered: a row sum over the
     # combos must add in one order.
-    entry, exit = layout.column
     combo_util = util[entry]
     combo_util += util[exit]
     combo_util = np.ascontiguousarray(combo_util.T)
-    vmt_miles = np.empty((m, k, 2))
-    vmt_miles[:, :, 0] = vmt[entry].T
-    vmt_miles[:, :, 1] = vmt[exit].T
+    vmt_miles = np.stack((vmt[entry].T, vmt[exit].T), axis=2)
     w_entry = weight[entry]
     total = weight[exit]
     total += w_entry
-    entry_fraction = np.full((k, m), 0.5)  # legs that total 0 miles split evenly
+    entry_fraction = np.full(total.shape, 0.5)  # legs that total 0 miles split evenly
     np.divide(w_entry, total, out=entry_fraction, where=total > 0.0)
 
     return HubChoiceSetup(
         hubs,
         idx,
+        live,
         table.segment_codes[idx],
         table.trips[idx],
         table.drive_miles[idx],
@@ -1024,6 +1052,6 @@ def prepare_hub(
         combo_util,
         vmt_miles,
         entry_fraction.T,
-        beta_cost,
+        table.taste["beta_cost"][idx],
         bounds=np.searchsorted(own, np.arange(len(hubs) + 1)),
     )

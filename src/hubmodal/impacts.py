@@ -56,8 +56,10 @@ def _hub_sums(setup: HubChoiceSetup, block: np.ndarray) -> list[list[float]]:
     so it adds the same numbers in the same order as a setup of that hub
     alone would, and gives the same float.  That needs ``block`` to be
     C-ordered: a strided row sums in another order.  Callers write their
-    per-market terms straight into its rows, through transposed views
-    where the terms come as (m, p)."""
+    per-market terms straight into its rows, from transposed views where
+    the terms come as (m, p).  Terms of the live rows alone
+    (``setup.live``) are scattered into rows of zeros, so each sum still
+    adds every row of its span, in table order."""
     return [block[:, a:b].sum(axis=1).tolist() for a, b in setup.spans]
 
 
@@ -85,18 +87,22 @@ def mode_shifts(setup: HubChoiceSetup, s: HubShares) -> list[ModeShiftResult]:
     # rows: trips by mode before and after, hub trips, and each combo's
     # entry-leg and exit-leg trips
     block = np.empty((2 * n + 1 + 2 * k, setup.n_markets))
-    d = setup.trips[:, None]
-    np.multiply(d, s.before, out=block[:n].T)
-    np.multiply(d, s.upper, out=block[n : 2 * n].T)
+    np.multiply(s.before.T, setup.trips, out=block[:n])
+    np.multiply(s.upper.T, setup.trips, out=block[n : 2 * n])
     np.multiply(setup.trips, s.hub, out=block[2 * n])
     if k:
-        # joint trips times the entry fraction, and times its complement,
-        # built in place in the two sets of rows
-        entry, exit = block[2 * n + 1 : 2 * n + 1 + k].T, block[2 * n + 1 + k :].T
-        np.multiply(d, s.joint, out=entry)
-        np.subtract(1.0, setup.entry_fraction, out=exit)
+        # the live rows' joint trips times the entry fraction, and times
+        # its complement, as (combo, live row) blocks; the other rows
+        # choose no combo
+        legs = np.empty((2 * k, len(s.live)))
+        entry, exit = legs[:k], legs[k:]
+        np.multiply(s.joint.T, setup.trips[s.live], out=entry)
+        np.subtract(1.0, setup.entry_fraction.T, out=exit)
         exit *= entry
-        entry *= setup.entry_fraction
+        entry *= setup.entry_fraction.T
+        rows = block[2 * n + 1 :]
+        rows.fill(0.0)
+        rows[:, s.live] = legs
 
     out = []
     for sums in _hub_sums(setup, block):
@@ -154,7 +160,7 @@ def vmt_deltas(
     n_bad = int((~ok).sum())
     if n_bad:
         _warn(__name__, "excluded %d market(s) with missing trip distance from VMT", n_bad)
-    w = (setup.trips * np.where(ok, miles, 0.0))[:, None]
+    w = setup.trips * np.where(ok, miles, 0.0)
 
     # driving columns, then carpool
     cols = [_MODE_COL[Mode.DRIVING]]
@@ -169,11 +175,16 @@ def vmt_deltas(
     js, poss = np.concatenate([car, setup.layout.sites[Mode.CAR_SHARE]], axis=1)
     car_end = 2 * n + car.shape[1]
     block = np.empty((2 * n + len(js), setup.n_markets))
-    np.multiply(w, s.before[:, cols], out=block[:n].T)
-    np.multiply(w, s.upper[:, cols], out=block[n : 2 * n].T)
+    np.multiply(s.before[:, cols].T, w, out=block[:n])
+    np.multiply(s.upper[:, cols].T, w, out=block[n : 2 * n])
     if len(js):
-        joint_trips = (setup.trips * ok)[:, None] * s.joint[:, js]
-        np.multiply(joint_trips, setup.vmt_miles[:, js, poss], out=block[2 * n :].T)
+        # the live rows' leg miles, as (leg, live row) blocks; the other
+        # rows choose no combo
+        leg_miles = s.joint[:, js].T * (setup.trips * ok)[s.live]
+        leg_miles *= setup.vmt_miles[:, js, poss].T
+        rows = block[2 * n :]
+        rows.fill(0.0)
+        rows[:, s.live] = leg_miles
 
     out = []
     for sums in _hub_sums(setup, block):

@@ -51,13 +51,17 @@ many rows, which becomes the LegMatrices store, with no further copy
 when the rows arrive in key order.  Files are written back sorted by
 (zone, hub, mode name), an unavailable direction as five blank cells.
 
-A clean parse of a non-empty store also writes the store to a sidecar
-beside the first file, ``.<file name>.<tag>.legs``, whose tag is a
-sha256 over SIDECAR_VERSION and each file's sha256.  The next load of
-the same bytes reads the store back from it instead of parsing; a
-sidecar that does not read back whole is ignored and replaced.  The
-files stay the only input: deleting a sidecar changes nothing but the
-time the next load takes.
+Both the leg matrices and the markets are read through a sidecar
+(``_sidecar_load``).  Each of an input's files is hashed once; a clean
+load of a non-empty input writes what it built to a sidecar beside the
+first file, ``.<file name>.<tag>.<kind>``, whose tag is a sha256 over
+SIDECAR_VERSION, the kind and each file's sha256: the leg store
+(``.legs``), and the markets' converted columns (``.markets``, of the
+markets file and any taste-parameters file), which go through the one
+MarketTable constructor on every load.  The next load of the same bytes
+reads them back instead of parsing; a sidecar that does not read back
+whole is ignored and replaced.  The files stay the only input: deleting
+a sidecar changes nothing but the time the next load takes.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ import itertools
 import json
 import math
 import os
+import re
 from collections import defaultdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
@@ -273,11 +278,13 @@ def sha256_digest(path: str | Path) -> str:
 
 # Cells per batch: a batch's rows are dropped once its columns are
 # converted, so this bounds what a parse holds at once, while each batch
-# pays a cost per column.  At 4,096 cells the first rank-1k `rank`, which
-# parses its leg matrices, peaks at 46.5 MB; 1,024 cells lowered that by
-# 0.15 MB but made every `rank` 15 ms slower, as its 41-column markets
-# file then goes in 24-record batches.
-_BATCH_CELLS = 4096
+# pays a cost per column.  Only a load with no sidecar to read parses, so
+# the cost falls on the first `rank` of new inputs alone: its rank-1k
+# matrices parse in 300 ms at 4,096 cells, 327 at 2,048 and 376 at 1,024,
+# and its markets in 14, 15 and 18 ms (in process, one CPU).  That first
+# rank peaks 0.1-0.2 MB lower at 2,048 than at 4,096 (45.6-45.7 against
+# 45.7-45.8 MB), and 1,024 takes off another 0.05-0.15 MB.
+_BATCH_CELLS = 2048
 
 # Bytes read at a time when counting a file's lines.  Freeing a read this
 # large also lifts glibc's dynamic mmap threshold above the parse's
@@ -541,20 +548,30 @@ def _read_tastes(path: str | Path) -> tuple[dict[tuple[str, int], int], dict[str
     return rows, taste
 
 
-def load_markets(path: str | Path, taste_path: str | Path | None = None) -> MarketTable:
+def load_markets(path: str | Path, taste_path: str | Path | None = None, digests: dict | None = None) -> MarketTable:
     """The markets file as a MarketTable; taste columns inline or joined
     from taste_path by (od_id, segment).  The file's own rules run here
     (cells, the taste join, a negative beta_cost), the market rules in
     MarketTable, and either names the file, row and column: a joined
-    taste coefficient's, those of its taste-parameters file."""
+    taste coefficient's, those of its taste-parameters file.  The
+    converted columns come from the files' sidecar when it reads back
+    whole (``_sidecar_load``); either way they go through the one
+    MarketTable constructor.  The sha256 of ``path`` and ``taste_path``
+    are set in ``digests`` under "markets" and "taste_parameters"."""
+    paths = [path] if taste_path is None else [path, taste_path]
+    table, sums = _sidecar_load(paths, "markets", lambda: _parse_markets(path, taste_path), _market_table)
+    if digests is not None:
+        digests.update(zip(("markets", "taste_parameters"), sums))
+    return table
+
+
+def _parse_markets(path: str | Path, taste_path: str | Path | None) -> tuple:
+    """The markets file's MarketTable, and its ids and number columns as
+    the sidecar holds them (``_market_table``), both None for no records."""
     table = _read_columns(path, _MARKET_CELLS, {**_TASTE_CELLS, "o_zone": str.strip, "d_zone": str.strip})
     if not table:  # a header and no records
-        modes = len(MARKET_MODE_COLUMNS)
-        return MarketTable(
-            [], np.empty(0, dtype=np.int64), *np.empty((6, 0)), attrs=dict.fromkeys(ATTR_FIELDS, np.empty((0, modes))),
-            available=np.empty((0, modes), dtype=bool), taste=dict.fromkeys(TASTE_FIELDS, np.empty(0)), o_zones=[],
-            d_zones=[],
-        )
+        empty = (np.empty(0, np.int64), np.empty((6, 0)), np.empty((5, 0, 6)), np.empty((0, 6), bool), np.empty((12, 0)))
+        return _market_table([[]] * 3, *empty), None, None
     od_ids, segments = table["od_id"], table["segment"]
     pick = None  # each market's row of a joined taste-parameters file
     if all(name in table for name in TASTE_FIELDS):
@@ -572,21 +589,35 @@ def load_markets(path: str | Path, taste_path: str | Path | None = None) -> Mark
         taste = {name: column[pick] for name, column in tastes.items()}
     zeros = np.zeros(len(od_ids))
     modes = [prefix for prefix, _, _ in MARKET_MODE_COLUMNS]
+    ids = [od_ids, table.get("o_zone", [""] * len(od_ids)), table.get("d_zone", [""] * len(od_ids))]
+    columns = [
+        segments,
+        np.stack([table[col] for col in MARKET_BASE_COLUMNS[2:]]),
+        np.stack([np.stack([table.get(f"{m}_{f}", zeros) for m in modes], axis=1) for f in ATTR_FIELDS]),
+        np.stack([table[f"{m}_available"] for m in modes], axis=1),
+        np.stack([taste[name] for name in TASTE_FIELDS]),
+    ]
     try:
-        return MarketTable(
-            od_ids,
-            segments,
-            *(table[col] for col in MARKET_BASE_COLUMNS[2:]),
-            attrs={f: np.stack([table.get(f"{m}_{f}", zeros) for m in modes], axis=1) for f in ATTR_FIELDS},
-            available=np.stack([table[f"{m}_available"] for m in modes], axis=1),
-            taste=taste,
-            o_zones=table.get("o_zone", [""] * len(od_ids)),
-            d_zones=table.get("d_zone", [""] * len(od_ids)),
-        )
+        return _market_table(ids, *columns), ids, columns
     except MarketError as err:
         if err.column in TASTE_FIELDS and pick is not None:
             raise _row_error(taste_path, int(pick[err.row]), err.column, err.why) from None
         raise _row_error(path, err.row, err.column, err.why) from None
+
+
+def _market_table(ids, segments, numbers, attrs, available, taste) -> MarketTable:
+    """The MarketTable of its columns as the markets sidecar holds them:
+    the od, origin zone and destination zone ids, the segment codes, the
+    (6, n) base numbers in MARKET_BASE_COLUMNS order, the (fields, n,
+    modes) attributes, the (n, modes) available flags and the (12, n)
+    taste coefficients.  Columns that do not match raise."""
+    n = len(segments)
+    if [len(c) for c in ids] != [n] * 3 or numbers.shape != (6, n) or taste.shape != (12, n):
+        raise ValueError("the columns do not match")
+    return MarketTable(
+        ids[0], segments, *numbers, attrs=dict(zip(ATTR_FIELDS, attrs)), available=available,
+        taste=dict(zip(TASTE_FIELDS, taste)), o_zones=ids[1], d_zones=ids[2],
+    )
 
 
 def write_markets(t: MarketTable, path: str | Path) -> Path:
@@ -630,13 +661,13 @@ def load_survey(path: str | Path) -> list[SurveyRecord]:
     )
     return [
         SurveyRecord(
-            hub_id=hub_id,
-            origin=_point(path, i, o_lat, o_lon, "o_lat"),
-            destination=_point(path, i, d_lat, d_lon, "d_lat"),
-            entry_mode=LEG_MODE_ORDER[entry],
-            exit_mode=LEG_MODE_ORDER[exit_],
-            segment=segment,
-            complete=complete,
+            hub_id,
+            _point(path, i, o_lat, o_lon, "o_lat"),
+            _point(path, i, d_lat, d_lon, "d_lat"),
+            LEG_MODE_ORDER[entry],
+            LEG_MODE_ORDER[exit_],
+            segment,
+            complete,
         )
         for i, (hub_id, o_lat, o_lon, d_lat, d_lon, entry, exit_, segment, complete) in enumerate(rows)
     ]
@@ -644,8 +675,8 @@ def load_survey(path: str | Path) -> list[SurveyRecord]:
 
 def write_survey(records: Sequence[SurveyRecord], path: str | Path) -> Path:
     rows = [
-        (r.hub_id, r.origin.lat, r.origin.lon, r.destination.lat, r.destination.lon, r.entry_mode.value)
-        + (r.exit_mode.value, r.segment.value if r.segment else "", r.complete)
+        (r.hub_id, r.origin.lat, r.origin.lon, r.destination.lat, r.destination.lon, r.entry_mode.value,
+         r.exit_mode.value, r.segment.value if r.segment else "", r.complete)
         for r in records
     ]
     return write_csv(path, SURVEY_COLUMNS, rows)
@@ -710,32 +741,33 @@ def _max_records(path: str | Path) -> int:
 
 def load_matrices(paths: Sequence[str | Path], digests: list[str] | None = None) -> LegMatrices:
     """Merge one or more leg matrix files; a key repeated within or across
-    files is an error.  Each file is hashed once, and the store is read
-    from the sidecar of those digests when it reads back whole, else
-    parsed and then written to that sidecar.  Each file's sha256 is
-    appended to ``digests`` when one is given, in ``paths`` order."""
+    files is an error.  The store comes from the files' sidecar when it
+    reads back whole (``_sidecar_load``), else from a parse.  Each file's
+    sha256 is appended to ``digests`` when one is given, in ``paths``
+    order."""
     paths = list(paths)  # read thrice: hashed, counted, then parsed
-    stamps = list(map(_stamp, paths))
-    sums = list(map(sha256_digest, paths))
-    if digests is not None:
-        digests.extend(sums)
     if not paths:
         return LegMatrices()
-    tag = hashlib.sha256(" ".join([f"hubmodal leg store v{SIDECAR_VERSION}", *sums]).encode()).hexdigest()
-    first = Path(paths[0])
-    sidecar = first.with_name(f".{first.name}.{tag[:_TAG_CHARS]}{_SIDECAR_SUFFIX}")
-    matrices = _read_sidecar(sidecar, tag)
-    if matrices is None:
-        matrices = _parse_matrices(paths)
-        # A file that changed while it was read gives no sidecar.
-        if len(matrices) and list(map(_stamp, paths)) == stamps:
-            _write_sidecar(sidecar, tag, matrices)
+
+    def parse():  # the store, and its parts as the sidecar holds them (none for an empty store)
+        store = _parse_matrices(paths)
+        return store, [store.zone_ids, store.hub_ids, _LEG_MODE_NAMES], [store._key, store._legs] if len(store) else None
+
+    matrices, sums = _sidecar_load(paths, "legs", parse, _leg_store)
+    if digests is not None:
+        digests.extend(sums)
     return matrices
 
 
-def _stamp(path: str | Path) -> tuple[int, int, int]:
-    stat = os.stat(path)
-    return stat.st_ino, stat.st_size, stat.st_mtime_ns
+def _leg_store(names, key, legs) -> LegMatrices:
+    """The store of its parts as the leg sidecar holds them: the zone
+    ids, hub ids and leg mode names, and the key and leg block, each with
+    the sentinel row.  Parts that make no store, or other mode names,
+    raise."""
+    zone_ids, hub_ids, modes = names
+    if modes != _LEG_MODE_NAMES:
+        raise ValueError("a store of other leg modes")
+    return LegMatrices.from_store(zone_ids, hub_ids, key, legs)
 
 
 def _parse_matrices(paths: list[str | Path]) -> LegMatrices:
@@ -796,65 +828,78 @@ def _raise_repeated_key(zone_ids, hub_ids, zone, hub, mode, row_files) -> None:
 
 
 # ----------------------------------------------------------------------
-# leg matrix sidecar
+# sidecars
 # ----------------------------------------------------------------------
 
-# The sidecar format.  Bump it whenever the matrix rules or the store
+# The sidecar format.  Bump it whenever the cell rules or a sidecar's
 # layout change: it enters each sidecar's tag, so no load reads a sidecar
 # of another version.
 SIDECAR_VERSION = 1
-_SIDECAR_SUFFIX = ".legs"
 _TAG_CHARS = 16  # of the tag in the file name; the header holds all of it
 
 
-def _read_sidecar(path: Path, tag: str) -> LegMatrices | None:
-    """The store in the sidecar at ``path``, or None when there is none,
-    or it is cut short, has another tag or mode names, or does not make a
-    store.  Its four .npy arrays are the header (the tag), the zone ids,
-    hub ids and mode names as UTF-8 JSON, the store's key and its leg
-    block, both with the sentinel row."""
+def _sidecar_load(paths: list, kind: str, parse: Callable, read: Callable) -> tuple:
+    """An input's value and each of its files' sha256, every file hashed
+    once.  The value is ``read`` from the names and arrays of the sidecar
+    of those digests, ``.<first file name>.<tag>.<kind>`` beside the first
+    file, when there is one that reads back whole; else it is ``parse()``d,
+    which also gives the names and the arrays to cache (or None), and
+    they are written to that sidecar unless a file changed while it was
+    read."""
+    stamp = lambda: [(st.st_ino, st.st_size, st.st_mtime_ns) for st in map(os.stat, paths)]
+    stamps = stamp()
+    sums = list(map(sha256_digest, paths))
+    tag = hashlib.sha256(" ".join([f"hubmodal {kind} v{SIDECAR_VERSION}", *sums]).encode()).hexdigest()
+    first = Path(paths[0])
+    sidecar = first.with_name(f".{first.name}.{tag[:_TAG_CHARS]}.{kind}")
     try:
-        with open(path, "rb") as fh:
-            if np.lib.format.read_array(fh, allow_pickle=False).tobytes() != tag.encode():
-                return None
-            names, key, legs = (np.lib.format.read_array(fh, allow_pickle=False) for _ in range(3))
-            if fh.read(1):
-                return None
-            zone_ids, hub_ids, modes = json.loads(names.tobytes())
-        if modes != _LEG_MODE_NAMES or not all(type(i) is str for ids in (zone_ids, hub_ids) for i in ids):
-            return None
-        return LegMatrices.from_store(zone_ids, hub_ids, key, legs)
-    # A missing file, a short or malformed array, a header asking for more
-    # than memory holds, or parts that make no store.
-    except (OSError, ValueError, TypeError, MemoryError):
-        return None
+        return read(*_read_sidecar(sidecar, tag)), sums
+    # A missing file, another tag, a short or malformed array, a header
+    # asking for more than memory holds, or parts that make no value.
+    except (OSError, ValueError, TypeError, IndexError, KeyError, MemoryError):
+        pass
+    value, names, arrays = parse()
+    if arrays is not None and stamp() == stamps:
+        _write_sidecar(sidecar, tag, [np.frombuffer(json.dumps(names).encode(), np.uint8), *arrays])
+    return value, sums
 
 
-def _write_sidecar(path: Path, tag: str, matrices: LegMatrices) -> None:
-    """Write ``matrices`` to the sidecar at ``path`` as ``_read_sidecar``
-    reads it, then delete the other sidecars of the same first file.
-    Each array goes to the file with ``tofile``, with no copy; the leg
-    block one direction at a time, as a view of the parse's block is not
-    contiguous.  A directory that cannot be written gets no sidecar."""
-    names = json.dumps([matrices.zone_ids, matrices.hub_ids, _LEG_MODE_NAMES]).encode()
+def _read_sidecar(path: Path, tag: str) -> list:
+    """What follows the header (the tag as UTF-8 bytes) in the sidecar at
+    ``path``: the names, as UTF-8 JSON, and the .npy arrays to its end; a
+    ValueError for another tag."""
+    with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
+        arrays = []
+        while fh.tell() < end:
+            arrays.append(np.lib.format.read_array(fh, allow_pickle=False))
+    if arrays[0].tobytes() != tag.encode():
+        raise ValueError("another tag")
+    return [json.loads(arrays[1].tobytes()), *arrays[2:]]
+
+
+def _write_sidecar(path: Path, tag: str, arrays: list) -> None:
+    """Write the header and ``arrays`` to the sidecar at ``path`` as
+    ``_read_sidecar`` reads them, then delete the other sidecars of the
+    same kind and first file.  Each array goes to the file with
+    ``tofile``, with no copy: one that is not contiguous (a view of the
+    parse's leg block) a row at a time.  A directory that cannot be
+    written gets no sidecar."""
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            for array in (np.frombuffer(tag.encode(), np.uint8), np.frombuffer(names, np.uint8), matrices._key):
-                np.lib.format.write_array(fh, array, allow_pickle=False)
-            np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(matrices._legs))
-            for direction in matrices._legs:
-                direction.tofile(fh)
+            for array in (np.frombuffer(tag.encode(), np.uint8), *arrays):
+                np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(array))
+                for part in (array,) if array.flags.c_contiguous else array:
+                    part.tofile(fh)
         os.replace(tmp, path)
     except OSError:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         return
-    prefix = path.name[: -len(_SIDECAR_SUFFIX) - _TAG_CHARS]
+    stale = re.escape(path.name).replace(tag[:_TAG_CHARS], f"[0-9a-f]{{{_TAG_CHARS}}}")
     for name in os.listdir(path.parent):
-        tag_chars = name[len(prefix) : -len(_SIDECAR_SUFFIX)]
-        stale = name.startswith(prefix) and name.endswith(_SIDECAR_SUFFIX) and len(tag_chars) == _TAG_CHARS
-        if stale and name != path.name and set(tag_chars) <= set("0123456789abcdef"):
+        if name != path.name and re.fullmatch(stale, name):
             with contextlib.suppress(OSError):
                 os.unlink(path.parent / name)
 

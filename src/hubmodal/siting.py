@@ -176,20 +176,20 @@ def candidate_hub(candidate: Candidate) -> Hub:
     )
 
 
-# Market x combo cells scored in one stacked pass; a candidate larger than
-# this is scored in a pass of its own.  It bounds the working set of a
-# pass whatever the number of candidates.  At 12,288 cells a pass's
-# (rows, combos) float arrays (96 KiB) stay under glibc's default 128 KiB
-# mmap threshold, so one pass's temporaries are reused on the heap by the
-# next.  With the nest evaluated on live rows only, rank on the rank-1k
-# fixture (1,000 markets x 100 candidates; fresh processes pinned to one
-# CPU, 6 runs each) peaked on a sidecar hit at 45.1 MB with 12,288 cells,
-# 45.6-45.7 with 15,000 and 45.4-45.6 with 16,384, and at 45.7 and 45.9 MB
-# on the parsing run with 12,288 and 15,000 cells; evaluate_candidates
-# took 46-47, 45-46 and 46 ms of CPU (in process).  Over 3 alternating
-# perfbench rank-1k runs, 12,288 cells read 45.7 MB and 0.282 s against
-# 46.1 MB and 0.288 s at 15,000.
-CHUNK_CELLS = 12_288
+# Live-row x combo cells scored in one stacked pass; a candidate larger
+# than this is scored in a pass of its own.  A setup holds combo arrays
+# for its live rows alone, so a candidate counts the combo cells of its
+# kept markets whose origin and destination zones both have legs to it
+# (every live row, and on rank-1k 708 of the 18,832 dead ones).  This
+# bounds the working set of a pass whatever the number of candidates.
+# On the rank-1k fixture (1,000 markets x 100 candidates; in-process
+# `rank --params` on one CPU, parsing its inputs), the first rank peaked
+# at 45.6-45.7 MB with 8,192 cells and at 46.4-46.6 with 12,288, against
+# 45.9 at the parent's 12,288 market x combo cells; evaluate_candidates
+# took 43, 38-42 and 35-40 ms of CPU at 6,144, 8,192 and 12,288 cells
+# (in process, sidecar hits).  On rank-5k the size does not move the
+# peak, set by the candidates' screen (81.8-81.9 MB from 6,144 to 12,288).
+CHUNK_CELLS = 8_192
 
 _NO_TRIPS = CandidateMetrics(
     potential_demand=0.0, transit_delta=0.0, vmt_reduced=0.0, cs_total=0.0, no_potential_trips=True
@@ -228,7 +228,9 @@ def evaluate_candidates(
     setups of at most CHUNK_CELLS market x combo cells, and each stack
     gets one share pass; each candidate's metrics are sums over its own
     rows, so they equal ``prepare_hub`` + ``assess_hubs`` on a setup of
-    that candidate alone, bit for bit.
+    that candidate alone, bit for bit.  A setup holds combo cells for its
+    live rows alone, so a candidate's cells count the kept markets whose
+    origin and destination zones both have legs to it in the matrices.
     Candidates with no potential trips get zero metrics and a flag.
     ``threads`` is accepted for compatibility; the passes run in the
     calling thread whatever its value, and no result depends on it.
@@ -247,7 +249,10 @@ def evaluate_candidates(
     )
     n_kept = screen.keep.sum(axis=1)
     zone_map = matrices.zone_codes(table.zone_ids)
+    # each market's origin and destination zone in the matrices (-1: none)
+    o_zones, d_zones = zone_map[table.o_zone_codes], zone_map[table.d_zone_codes]
     hubs = [candidate_hub(c) for c in ordered]
+    hub_codes = matrices.hub_codes([h.id for h in hubs])
     profiles: dict[frozenset, list[int]] = {}
     for i, hub in enumerate(hubs):
         if n_kept[i]:
@@ -255,7 +260,11 @@ def evaluate_candidates(
 
     metrics = [_NO_TRIPS] * len(ordered)
     for combos, members in profiles.items():
-        for chunk in _chunks(members, n_kept[members] * len(combos)):
+        paired = matrices.paired_zones(hub_codes[members])
+        reach = screen.keep[members] & paired[:, o_zones] & paired[:, d_zones]
+        cells = np.count_nonzero(reach, axis=1) * len(combos)
+        del paired, reach
+        for chunk in _chunks(members, cells):
             setup = prepare_hub(
                 table, [hubs[i] for i in chunk], screen[chunk], matrices, fares, zone_map=zone_map, **setup_options
             )

@@ -193,6 +193,7 @@ def _one_row_setup(uni, combos, segment: Segment) -> HubChoiceSetup:
     return HubChoiceSetup(
         [hub],
         np.zeros(1, dtype=np.int64),
+        np.arange(1),
         np.array([SEGMENTS.index(segment)]),
         np.ones(1),
         np.ones(1),

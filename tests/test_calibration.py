@@ -414,7 +414,7 @@ def test_nest_share_gradient_with_unavailable_combos():
     util[0, 1] = -np.inf  # one combo missing: its weight and its term are 0
     util[1, :] = -np.inf  # no combo at all: empty nest, zero share and gradient
     setup = HubChoiceSetup(
-        base.hubs, base.rows, base.segment_codes, base.trips, base.drive_miles, base.uni_util,
+        base.hubs, base.rows, base.live, base.segment_codes, base.trips, base.drive_miles, base.uni_util,
         unimodal_terms(base.uni_util), util, base.vmt_miles, base.entry_fraction, base.beta_cost, bounds=(0, base.n_markets),
     )
     with np.errstate(invalid="raise", divide="raise"):

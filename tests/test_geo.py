@@ -352,3 +352,26 @@ def test_screen_peak_memory_is_bounded_per_distinct_pair():
     assert keep.shape == (100, 1000)
     # 60 bytes a (hub, distinct pair) cell and the mask's byte a (hub, market)
     assert peak <= 60 * 100 * 250 + keep.size
+
+
+def test_screen_holds_at_most_three_float_arrays_of_its_cells():
+    # 100 hubs against 1,250 distinct OD pairs, one market each: the
+    # distances of one (hub, pair) cell take 8 bytes an array.  The screen
+    # keeps its two distance arrays and at its peak builds the third (the
+    # haversine's second term, or the detour sum), beside a few byte masks
+    # over the same cells.  Four float arrays at once, as a haversine with
+    # out-of-place terms holds, exceed the bound.
+    rng = np.random.default_rng(11)
+    table = _pair_table(*_random_pairs(rng, 1250), segments=SEGMENTS[:1])
+    hub_lat, hub_lon = 42.65 + rng.uniform(-0.1, 0.1, 100), -73.75 + rng.uniform(-0.1, 0.1, 100)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        keep = screen_trips(table, hub_lat, hub_lon, 1.3).keep
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    cells = 100 * 1250
+    assert keep.shape == (100, 1250)
+    assert peak <= (3 * 8 + 4) * cells

@@ -57,7 +57,9 @@ from hubmodal import (
     unimodal_terms,
 )
 
+import hubmodal.hubs
 from hubmodal.hubs import LEG_MODE_ORDER
+from hubmodal.impacts import assess_hubs
 
 P1 = GeoPoint(lat=42.65, lon=-73.76)
 P2 = GeoPoint(lat=42.70, lon=-73.70)
@@ -307,6 +309,9 @@ def test_setup_evaluations_carry_no_state_between_parameter_sets():
         for params in (make_params(beta=0.4, asc=-3.0), make_params(beta=0.9, asc=-5.0, senior=-1.0)):
             nest = setup.hub_nest_share(params)
             shares = setup.choice_shares(params)
+            lower = np.zeros((setup.n_markets, setup.n_combos))  # the live rows' within-nest shares, 0 elsewhere
+            lower[shares.live] = shares.lower
+            assert unreachable not in shares.live
             assert nest[unreachable] == 0.0
             assert shares.hub[unreachable] == 0.0
             for row, market in enumerate(ordered):
@@ -320,7 +325,7 @@ def test_setup_evaluations_carry_no_state_between_parameter_sets():
                 assert nest[row] == pytest.approx(ns.hub_share, abs=1e-12)
                 assert shares.hub[row] == pytest.approx(ns.hub_share, abs=1e-12)
                 for j, combo in enumerate(setup.combos):
-                    assert shares.lower[row, j] == pytest.approx(ns.lower.get(combo, 0.0), abs=1e-12)
+                    assert lower[row, j] == pytest.approx(ns.lower.get(combo, 0.0), abs=1e-12)
                 for col, mode in enumerate(MAIN_MODES):
                     assert shares.upper[row, col] == pytest.approx(ns.upper[mode], abs=1e-12)
     np.testing.assert_array_equal(setup.combo_util, combo_util)
@@ -362,7 +367,7 @@ def test_stacked_hubs_must_share_one_choice_set():
     # a hand-built setup takes its choice set from its hubs, under the same
     # rule; here the second hub keeps no market
     arrays = (
-        setup.rows, setup.segment_codes, setup.trips, setup.drive_miles, setup.uni_util,
+        setup.rows, setup.live, setup.segment_codes, setup.trips, setup.drive_miles, setup.uni_util,
         unimodal_terms(setup.uni_util), setup.combo_util, setup.vmt_miles, setup.entry_fraction, setup.beta_cost,
     )  # fmt: skip
     bounds = (0, setup.n_markets, setup.n_markets)
@@ -415,11 +420,12 @@ def test_prepare_hub_marks_missing_legs_unavailable():
     setup = one_hub_setup(markets, hub, sparse, simple_fares())
     j = setup.combos.index(ComboId(Mode.WALK_LEG, Mode.BUS))
     row0 = sorted(m.market_id for m in markets).index(m0.market_id)
-    assert np.isfinite(setup.combo_util[row0, j])
+    # the other market reaches no combo: it has no combo row, and none of its legs is priced
+    assert setup.live.tolist() == [row0]
+    assert np.isfinite(setup.combo_util[0, j])
     other = [c for c in range(setup.n_combos) if c != j]
-    assert np.isneginf(setup.combo_util[row0, other]).all()
+    assert np.isneginf(setup.combo_util[0, other]).all()
     row1 = 1 - row0
-    assert np.isneginf(setup.combo_util[row1]).all()
     # a market with no reachable combo contributes zero nest share
     assert setup.hub_nest_share(make_params())[row1] == 0.0
 
@@ -603,14 +609,16 @@ def test_live_row_kernel_scatters_the_closed_form_of_an_empty_nest(case, beta, a
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         stack = prepare_hub(table, hubs, screen, matrices, simple_fares())
-        live = np.isfinite(stack.combo_util).any(axis=1)
+        assert np.isfinite(stack.combo_util).any(axis=1).all()  # the combo rows are the live rows'
+        live = np.zeros(stack.n_markets, dtype=bool)
+        live[stack.live] = True
         dead = int((~live).sum())
         shares = stack.choice_shares(params)
         share, grad = stack.hub_nest_share_and_gradient(params)
         assert _bits(share) == _bits(stack.hub_nest_share(params)) == _bits(shares.hub)
         for name in ("hub", "cs_gain_util"):
             assert _bits(getattr(shares, name)[~live]) == _bits(np.zeros(dead)), name
-        assert _bits(shares.lower[~live]) == _bits(np.zeros((dead, stack.n_combos)))
+        assert shares.lower.shape == (len(stack.live), stack.n_combos)
         assert _bits(shares.v_hub[~live]) == _bits(np.full(dead, -np.inf))
         assert _bits(shares.upper[~live]) == _bits(shares.before[~live])
         assert _bits(grad[~live]) == _bits(np.zeros((dead, len(HubParams.NAMES))))
@@ -620,10 +628,78 @@ def test_live_row_kernel_scatters_the_closed_form_of_an_empty_nest(case, beta, a
         keep = np.zeros_like(screen.keep)
         keep[own[live], stack.rows[live]] = True
         alone = prepare_hub(table, hubs, screen.with_keep(keep), matrices, simple_fares())
-        assert np.isfinite(alone.combo_util).any(axis=1).all()
+        assert alone.live.tolist() == list(range(alone.n_markets))
         expected = alone.choice_shares(params)
-        for name in ("before", "upper", "hub", "lower", "logsum_j", "v_hub", "cs_gain_util"):
+        for name in ("before", "upper", "hub", "logsum_j", "v_hub", "cs_gain_util"):
             assert _bits(getattr(shares, name)[live]) == _bits(getattr(expected, name)), name
+        assert _bits(shares.lower) == _bits(expected.lower)
         alone_share, alone_grad = alone.hub_nest_share_and_gradient(params)
         assert _bits(share[live]) == _bits(alone_share)
         assert _bits(grad[live]) == _bits(alone_grad)
+
+
+# Why a (market, hub) row of _dead_row_stacks can or cannot reach one of
+# _KERNEL_COMBOS: its origin or destination (zone, hub) pair has no matrix
+# row; the pairs have rows of every leg mode, but no minutes either way;
+# the rows carry minutes the wrong way only (from the hub at the origin,
+# to it at the destination); or it is live.
+_ROW_KINDS = ("missing_pair", "nan_minutes", "one_way", "live")
+
+
+@st.composite
+def _dead_row_stacks(draw):
+    """A stack of 1 to 3 hubs over 2 to 6 markets, each row of a drawn
+    kind (_ROW_KINDS), at least one dead, and each hub keeping a drawn set
+    of markets; with the set of live rows as (hub, market) pairs."""
+    n, n_hubs = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    markets = [make_market(od_id=f"od{i}", segment=list(Segment)[i % 4], o=(42.63 + 0.01 * i, -73.78), d=(42.70, -73.69 - 0.005 * i)) for i in range(n)]
+    kinds = draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=n * n_hubs, max_size=n * n_hubs).filter(lambda k: "live" != min(k)))
+    hubs = [make_hub(hub_id=f"h{h}", combos=_KERNEL_COMBOS, car_share=False) for h in range(n_hubs)]
+    zones = sorted({z for m in markets for z in (m.o_zone, m.d_zone)})
+    entry, exit = {c.entry for c in _KERNEL_COMBOS}, {c.exit for c in _KERNEL_COMBOS}
+    rows = []  # (zone, hub, mode, to-hub minutes, from-hub minutes)
+    for (h, i), kind in zip([(h, i) for h in range(n_hubs) for i in range(n)], kinds):
+        ends = [(zones.index(markets[i].o_zone), entry, 0), (zones.index(markets[i].d_zone), exit, 1)]
+        if kind == "missing_pair":
+            del ends[draw(st.integers(0, 1))]
+        for zone, modes, way in ends:
+            for mode in modes:
+                minutes = [np.nan, np.nan]
+                if kind != "nan_minutes":
+                    minutes[1 - way if kind == "one_way" else way] = draw(st.floats(1.0, 60.0))
+                rows.append((zone, h, LEG_MODE_ORDER.index(mode), *minutes))
+    zone, hub, mode = (np.array([r[k] for r in rows], dtype=np.int64) for k in range(3))
+    legs = np.zeros((2, len(rows), 5))
+    legs[:, :, 0] = np.array([r[3:] for r in rows]).T
+    legs[:, :, 4] = np.nan  # no network miles: the legs are priced on the great circle
+    matrices = LegMatrices(zones, [h.id for h in hubs], zone, hub, mode, legs)
+    keep = np.array(draw(st.lists(st.booleans(), min_size=n * n_hubs, max_size=n * n_hubs))).reshape(n_hubs, n)
+    table = table_from_markets(markets)
+    market_row = [table.ids.index(m.market_id) for m in markets]
+    live = {(h, market_row[i]) for (h, i), kind in zip([(h, i) for h in range(n_hubs) for i in range(n)], kinds) if kind == "live"}
+    return table, hubs, every_market(table, hubs).with_keep(keep), matrices, live
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_dead_row_stacks())
+def test_legs_are_priced_for_live_rows_alone_and_the_stack_scores_as_each_hub_alone(case):
+    """A stacked setup prices the legs of the rows that can reach a combo
+    and of no other, whichever way a row is dead, and each hub's impact
+    figures equal those of a setup of that hub alone, bit for bit."""
+    table, hubs, screen, matrices, live = case
+    params = make_params(beta=0.6, asc=-1.5)
+    priced = []  # the rows of each leg utility the pricing computes
+    utility = hubmodal.hubs.mode_utility
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hubmodal.hubs, "mode_utility", lambda *a, **k: priced.append(np.shape(k["ivt_min"])[-1]) or utility(*a, **k))
+        stack = prepare_hub(table, hubs, screen, matrices, simple_fares())
+    own = np.repeat(np.arange(len(hubs)), [b - a for a, b in stack.spans])
+    kept_live = sorted((h, r) for h, r in zip(own.tolist(), stack.rows.tolist()) if (h, r) in live)
+    assert priced and set(priced) == {len(kept_live)}
+    assert sorted(zip(own[stack.live].tolist(), stack.rows[stack.live].tolist())) == kept_live
+    reports = assess_hubs(stack, params)
+    for h, (hub, report) in enumerate(zip(hubs, reports)):
+        alone = prepare_hub(table, [hub], screen[h : h + 1], matrices, simple_fares())
+        (expected,) = assess_hubs(alone, params)
+        assert repr(report.to_dict()) == repr(expected.to_dict())
+        assert _bits(stack.hub_nest_share(params)[own == h]) == _bits(alone.hub_nest_share(params))

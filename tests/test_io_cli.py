@@ -1463,13 +1463,18 @@ def test_cli_threshold_override(fixture_dir, tmp_path):
 
 
 def test_reports_are_byte_identical_with_and_without_a_leg_matrix_sidecar(fixture_dir, tmp_path, monkeypatch):
+    """Both sidecars, the leg store's and the markets columns', change no
+    report byte: the reports of a first load (which parses and writes
+    them), of a load that reads them, and of a load after they are gone
+    are the same."""
     inputs = tmp_path / "fx"
     shutil.copytree(fixture_dir, inputs)
-    for sidecar in inputs.glob(".*.legs"):
+    for sidecar in [*inputs.glob(".*.legs"), *inputs.glob(".*.markets")]:
         sidecar.unlink()
     parses = []
-    parse = hubmodal.io._parse_matrices
-    monkeypatch.setattr(hubmodal.io, "_parse_matrices", lambda paths: parses.append(paths) or parse(paths))
+    parse, parse_markets = hubmodal.io._parse_matrices, hubmodal.io._parse_markets
+    monkeypatch.setattr(hubmodal.io, "_parse_matrices", lambda paths: parses.append("legs") or parse(paths))
+    monkeypatch.setattr(hubmodal.io, "_parse_markets", lambda *args: parses.append("markets") or parse_markets(*args))
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"beta_hub": 0.3, "asc_by_segment": {s.value: -4.0 for s in Segment}}))
     manifest = str(inputs / "manifest.json")
@@ -1480,15 +1485,53 @@ def test_reports_are_byte_identical_with_and_without_a_leg_matrix_sidecar(fixtur
         assert main(["rank", "--manifest", manifest, "--params", str(params), "--out-dir", str(out)]) == 0
         return _tree_digest(out)
 
-    absent = reports("absent")  # the first load parses and writes the sidecar
-    assert len(parses) == 1 and len(list(inputs.glob(".matrices.csv.*.legs"))) == 1
+    absent = reports("absent")  # the first loads parse and write the sidecars
+    assert parses == ["legs", "markets"]
+    assert len(list(inputs.glob(".matrices.csv.*.legs"))) == len(list(inputs.glob(".markets.csv.*.markets"))) == 1
     assert reports("present") == absent
-    assert len(parses) == 1
-    for sidecar in inputs.glob(".*.legs"):
+    assert parses == ["legs", "markets"]
+    for sidecar in [*inputs.glob(".*.legs"), *inputs.glob(".*.markets")]:
         sidecar.unlink()
     assert reports("deleted") == absent
-    assert len(parses) == 2
+    assert parses == ["legs", "markets"] * 2
     assert sorted(absent) == ["candidates.geojson", "impacts.json", "rank_summary.json", "ranking.csv"]
+
+
+# Each stage's reports, and the stage arguments beyond the manifest and
+# output directory: assess and rank read the calibrate stage's report.
+_STAGE_REPORTS = {
+    "derive-threshold": (["threshold.json"], []),
+    "identify-trips": (["identify.json", "trips.csv"], []),
+    "calibrate": (["calibration.json"], []),
+    "assess": (["impacts.json"], ["--params", "calibrate/calibration.json"]),
+    "rank": (["candidates.geojson", "rank_summary.json", "ranking.csv"], ["--params", "calibrate/calibration.json"]),
+}
+
+
+def test_every_stage_leaves_its_reports_and_at_most_one_sidecar_per_cached_input(tmp_path, monkeypatch):
+    """Each stage, run twice on the seed-7 fixture, leaves in its output
+    directory exactly its reports, and in the fixture directory its
+    inputs and at most one sidecar of each cached input, the leg matrices
+    and the markets; no temp file anywhere, and the same listing twice."""
+    monkeypatch.chdir(tmp_path)
+    inputs = ["config.json", "fares.json", "manifest.json", "markets.csv", "matrices.csv", "observed_usage.csv"]
+    inputs += ["pr_lots.csv", "stops.csv", "survey.csv"]
+    sidecar = re.compile(r"\.(matrices\.csv\.[0-9a-f]{16}\.legs|markets\.csv\.[0-9a-f]{16}\.markets)")
+    listings = []
+    for _ in range(2):
+        assert main(["gen-fixture", "--seed", "7", "--out-dir", "fx"]) == 0
+        for stage, (names, extra) in _STAGE_REPORTS.items():
+            assert main([stage, "--manifest", "fx/manifest.json", "--out-dir", stage, *extra]) == 0
+            assert sorted(p.name for p in Path(stage).iterdir()) == names
+            files = sorted(p.name for p in Path("fx").iterdir())
+            cached = [name for name in files if name not in inputs]
+            assert [name for name in files if name in inputs] == inputs
+            assert all(sidecar.fullmatch(name) for name in cached), cached
+            assert len({name.rsplit(".", 1)[1] for name in cached}) == len(cached)  # one a cached input
+        assert not list(tmp_path.rglob("*.tmp"))
+        listings.append(sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")))
+    assert listings[0] == listings[1]
+    assert sum(".legs" in name or ".markets" in name for name in listings[0]) == 2
 
 
 def test_rank_hashes_each_input_once(fixture_dir, tmp_path, monkeypatch):

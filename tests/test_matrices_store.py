@@ -9,7 +9,9 @@ loader's peak memory stays near the store it returns.
 A clean parse writes the store to a sidecar beside the first file, and
 the next load of the same bytes reads it back: the same store, bit for
 bit.  A sidecar that does not read back whole is parsed over and
-replaced, never an error, and a load that fails writes none.
+replaced, never an error, and a load that fails writes none.  The
+markets go through the same sidecar code: their converted columns, read
+back, make the same MarketTable through its one constructor.
 
 ``rows`` answers a lookup from an index of the store's (zone, hub)
 pairs, built on the first lookup; it finds the rows that the former
@@ -23,18 +25,20 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_batched, snapshot
-from reference_model import add_leg, leg_rows
-from hubmodal import LegMatrices, LegTimes, Mode, ParseError, load_matrices, sha256_digest, write_matrices
+from conftest import full_attrs, load_batched, make_market, random_taste, snapshot
+from reference_model import add_leg, leg_rows, table_from_markets
+from hubmodal import TASTE_FIELDS, LegMatrices, LegTimes, Mode, ParseError, Segment, load_markets, load_matrices, sha256_digest, write_matrices
 from hubmodal.fixtures import generate_fixture
 from hubmodal.hubs import LEG_MODE_ORDER
 import hubmodal.hubs
@@ -665,3 +669,182 @@ def test_pair_index_build_peak_stays_near_the_index():
     finally:
         tracemalloc.stop()
     assert peak <= first.nbytes + bits.nbytes + (1 << 20)
+
+
+# ----------------------------------------------------------------------
+# the markets sidecar
+# ----------------------------------------------------------------------
+
+
+def _market_sidecars(directory) -> list:
+    return sorted(p.name for p in directory.glob(".*.markets"))
+
+
+def _count_market_parses(monkeypatch) -> list:
+    """A list that gets one entry per parse of a markets file."""
+    parses = []
+    parse = hubmodal.io._parse_markets
+    monkeypatch.setattr(hubmodal.io, "_parse_markets", lambda *args: parses.append(args) or parse(*args))
+    return parses
+
+
+def _markets_files(directory, taste_file: bool = False) -> list:
+    """A markets file of 24 markets, some with unavailable modes, blank
+    zones and ids needing quotes, and with ``taste_file`` its taste
+    columns moved to a taste-parameters file: the load's arguments."""
+    rng = np.random.default_rng(17)
+    markets = []
+    for i in range(24):
+        attrs = full_attrs()
+        for mode in list(attrs)[1:]:
+            if rng.uniform() < 0.3:
+                attrs[mode] = replace(attrs[mode], available=False)
+        markets.append(
+            make_market(
+                od_id=f"od,{i // 2}" if i % 5 == 0 else f"od{i // 2}", segment=list(Segment)[i % 4],
+                o=(42.6 + rng.uniform(0, 0.1), -73.8 + rng.uniform(0, 0.1)), d=(42.6 + rng.uniform(0, 0.1), -73.8),
+                trips=float(rng.uniform(0, 30)), taste=random_taste(rng), attrs=attrs,
+            )
+        )  # fmt: skip
+    path = directory / "markets.csv"
+    hubmodal.io.write_markets(table_from_markets(markets), path)
+    if not taste_file:
+        return [path]
+    header, *rows = _records(path)
+    keep = [i for i, name in enumerate(header) if name not in TASTE_FIELDS]
+    taste = [header.index(name) for name in ("od_id", "segment", *TASTE_FIELDS)]
+    path.write_text(_csv_text([[row[i] for i in keep] for row in [header, *rows]]))
+    taste_path = directory / "taste.csv"
+    taste_path.write_text(_csv_text([[row[i] for i in taste] for row in [header, *reversed(rows)]]))
+    return [path, taste_path]
+
+
+@pytest.mark.parametrize("taste_file", [False, True], ids=["inline_taste", "taste_file"])
+def test_second_markets_load_reads_the_sidecar_and_gives_equal_columns_and_table(tmp_path, monkeypatch, taste_file):
+    parses = _count_market_parses(monkeypatch)
+    columns = []  # the constructor's columns, parsed then read back
+    table_of = hubmodal.io._market_table
+    monkeypatch.setattr(hubmodal.io, "_market_table", lambda *args: columns.append(snapshot(list(args))) or table_of(*args))
+    paths = _markets_files(tmp_path, taste_file)
+    digests = {}
+    parsed = load_markets(*paths, digests=digests)
+    (name,) = _market_sidecars(tmp_path)
+    assert re.fullmatch(r"\.markets\.csv\.[0-9a-f]{16}\.markets", name)
+    assert list(digests.values()) == [sha256_digest(p) for p in paths]
+    read = load_markets(*paths)
+    assert len(parses) == 1 and len(columns) == 2
+    assert columns[0] == columns[1]
+    assert snapshot(read) == snapshot(parsed)
+    assert not read.available.all()  # unavailable modes round-trip as well
+
+
+@pytest.mark.parametrize("changed", [0, 1], ids=["markets_file", "taste_file"])
+def test_changed_markets_byte_gives_a_new_tag_and_deletes_the_stale_sidecar(tmp_path, monkeypatch, changed):
+    parses = _count_market_parses(monkeypatch)
+    paths = _markets_files(tmp_path, taste_file=True)
+    expected = snapshot(load_markets(*paths))
+    (before,) = _market_sidecars(tmp_path)
+    kept = [".markets.csv.keep.markets", f".markets.csv.{'f' * 17}.markets", ".markets.csv.0123456789abcdef.legs"]
+    for name in kept:  # no sidecar name of this kind
+        (tmp_path / name).write_bytes(b"x")
+    paths[changed].write_bytes(paths[changed].read_bytes()[:-1] + b"\r")  # the last line ended by a lone CR
+    changed_table = load_markets(*paths)
+    assert len(parses) == 2
+    (after,) = [name for name in _market_sidecars(tmp_path) if name not in kept]
+    assert after != before and not (tmp_path / before).exists()
+    assert all((tmp_path / name).is_file() for name in kept)
+    assert snapshot(changed_table) == snapshot(load_markets(*paths)) == expected
+    assert len(parses) == 2
+
+
+def _short_ids(path, hubmodal_io, monkeypatch):
+    """A well-formed markets sidecar whose od ids are one short."""
+    with open(path, "rb") as fh:  # the tag, the ids, then five column arrays
+        arrays = [np.lib.format.read_array(fh) for _ in range(7)]
+    ids = json.loads(arrays[1].tobytes())
+    ids[0] = ids[0][:-1]
+    arrays[1] = np.frombuffer(json.dumps(ids).encode(), np.uint8)
+    with open(path, "wb") as fh:
+        for array in arrays:
+            np.lib.format.write_array(fh, array)
+
+
+def _other_market_version(path, hubmodal_io, monkeypatch):
+    """The same files' markets sidecar as a later format version writes
+    it, put where this version looks for its own."""
+    markets = path.parent / "markets.csv"
+    path.unlink()
+    with monkeypatch.context() as mp:
+        mp.setattr(hubmodal_io, "SIDECAR_VERSION", hubmodal_io.SIDECAR_VERSION + 1)
+        load_markets(markets)
+    (written,) = path.parent.glob(".*.markets")
+    written.rename(path)
+
+
+@pytest.mark.parametrize("damage", [_truncate, _cut_header, _trailing_bytes, _garbage, _other_market_version, _short_ids])
+def test_unreadable_markets_sidecar_is_parsed_and_rewritten(tmp_path, monkeypatch, damage):
+    (path,) = _markets_files(tmp_path)
+    expected = snapshot(load_markets(path))
+    (sidecar,) = tmp_path.glob(".*.markets")
+    damage(sidecar, hubmodal.io, monkeypatch)
+    parses = _count_market_parses(monkeypatch)
+    assert snapshot(load_markets(path)) == expected
+    assert len(parses) == 1
+    # rewritten: the next load reads it
+    assert snapshot(load_markets(path)) == expected
+    assert len(parses) == 1 and _market_sidecars(tmp_path) == [sidecar.name]
+
+
+def test_read_only_directory_loads_markets_with_no_sidecar(tmp_path, monkeypatch):
+    directory = tmp_path / "ro"
+    directory.mkdir()
+    (path,) = _markets_files(directory)
+    expected = snapshot(load_markets(path))
+    for sidecar in directory.glob(".*.markets"):
+        sidecar.unlink()
+    directory.chmod(0o555)
+    try:
+        if os.access(directory, os.W_OK):  # a superuser writes anyway: refuse the sidecar's create as the OS would
+            monkeypatch.setattr(hubmodal.io, "open", _refuse_create, raising=False)
+        assert snapshot(load_markets(path)) == expected
+        assert snapshot(load_markets(path)) == expected
+    finally:
+        directory.chmod(0o755)
+    assert sorted(p.name for p in directory.iterdir()) == ["markets.csv"]
+
+
+@pytest.mark.parametrize(
+    "cell, error",
+    [
+        ("trips_per_day", r"row 3: negative trips in column 'trips_per_day'$"),  # a market rule
+        ("o_lat", r"row 3: malformed number 'abc' in column 'o_lat'$"),  # a cell rule
+        ("beta_cost", r"row 3: beta_cost must be negative, got 0.5 in column 'beta_cost'$"),  # a file rule
+    ],
+)
+def test_failed_markets_load_writes_no_sidecar(tmp_path, cell, error):
+    (path,) = _markets_files(tmp_path)
+    header, *rows = _records(path)
+    rows[1][header.index(cell)] = {"trips_per_day": "-1.0", "o_lat": "abc", "beta_cost": "0.5"}[cell]
+    path.write_text(_csv_text([header, *rows]))
+    for _ in range(2):  # each load raises the same error
+        with pytest.raises(ParseError, match=error):
+            load_markets(path)
+    header_only = tmp_path / "empty.csv"
+    header_only.write_text(",".join(header) + "\n")
+    assert len(load_markets(header_only)) == 0
+    assert _market_sidecars(tmp_path) == []
+
+
+def test_markets_file_changed_during_the_parse_writes_no_sidecar(tmp_path, monkeypatch):
+    (path,) = _markets_files(tmp_path)
+    parse = hubmodal.io._parse_markets
+
+    def parse_then_append(*args):
+        parsed = parse(*args)
+        with open(path, "a") as fh:  # a writer appends while the loader works
+            fh.write("\n")
+        return parsed
+
+    monkeypatch.setattr(hubmodal.io, "_parse_markets", parse_then_append)
+    load_markets(path)
+    assert _market_sidecars(tmp_path) == []

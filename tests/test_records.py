@@ -279,10 +279,10 @@ def test_pickle_and_copy_round_trip(obj):
 def test_cached_property_on_a_frozen_record():
     rng = np.random.default_rng(0)
     arrays = {name: rng.random((3, 2)) for name in ("before", "upper", "lower", "logsum_j", "v_hub", "cs_gain_util")}
-    shares = HubShares(hub=rng.random(3), **arrays)
+    shares = HubShares(hub=rng.random(3), live=np.arange(3), **arrays)
     joint = shares.joint
     assert joint is shares.joint  # computed once
-    np.testing.assert_array_equal(joint, shares.hub[:, None] * shares.lower)
+    np.testing.assert_array_equal(joint, shares.hub[shares.live, None] * shares.lower)
     assert "joint" in vars(shares)
     with pytest.raises(FrozenInstanceError):
         shares.hub = None

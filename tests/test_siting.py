@@ -10,6 +10,7 @@ by hand.
 from __future__ import annotations
 
 import collections
+import copy
 import weakref
 
 import numpy as np
@@ -445,8 +446,9 @@ def test_stacked_setup_prices_each_row_from_its_own_screen_cell(rng):
     lat, lon = np.array([h.location.lat for h in hubs]), np.array([h.location.lon for h in hubs])
     screen = screen_trips(table, lat, lon, 1.4)
     setup = prepare_hub(table, hubs, screen, matrices, simple_fares(), circuity_factor=1.3)
-    own = np.repeat(np.arange(len(hubs)), [b - a for a, b in setup.spans])
-    rows = setup.rows
+    # legs are priced for the live rows alone
+    own = np.repeat(np.arange(len(hubs)), [b - a for a, b in setup.spans])[setup.live]
+    rows = setup.rows[setup.live]
     assert len(set(np.array(table.od_ids)[rows].tolist())) < len(rows)  # pairs of several markets are kept
     to_hub = haversine_km(table.o_lat[rows], table.o_lon[rows], lat[own], lon[own]) * MILES_PER_KM * 1.3
     from_hub = haversine_km(lat[own], lon[own], table.d_lat[rows], table.d_lon[rows]) * MILES_PER_KM * 1.3
@@ -477,9 +479,9 @@ def test_evaluate_runs_one_share_pass_per_chunk(rng, monkeypatch):
 
 
 def test_evaluate_holds_one_bounded_chunk_at_a_time(rng, monkeypatch):
-    """Every stacked setup holds at most CHUNK_CELLS market x combo cells
-    unless it holds a single candidate, and each is freed, shares and
-    all, before the next one is built."""
+    """Every stacked setup holds at most CHUNK_CELLS live-row x combo
+    cells unless it holds a single candidate, and each is freed, shares
+    and all, before the next one is built."""
     markets, cands, matrices = _mixed_case(rng)
     built, sizes = [], []
     real = siting.prepare_hub
@@ -488,7 +490,7 @@ def test_evaluate_holds_one_bounded_chunk_at_a_time(rng, monkeypatch):
         assert [ref() for ref in built if ref() is not None] == []  # no earlier chunk's setup is alive
         setup = real(*args, **kwargs)
         built.append(weakref.ref(setup))
-        sizes.append((len(setup.hubs), setup.n_markets * setup.n_combos))
+        sizes.append((len(setup.hubs), len(setup.live) * setup.n_combos))
         return setup
 
     monkeypatch.setattr(siting, "prepare_hub", recording)
@@ -506,6 +508,89 @@ def test_evaluate_warns_about_degenerate_pairs_once(rng, caplog):
         evaluate_candidates(cands, table_from_markets(markets), make_params(), 1.4, matrices, simple_fares())
     degenerate = [r for r in caplog.records if "degenerate OD" in r.getMessage()]
     assert [r.getMessage() for r in degenerate] == ["excluded 1 market(s) with degenerate OD pairs"]
+
+
+# ----------------------------------------------------------------------
+# scaling every market's trips
+# ----------------------------------------------------------------------
+
+# ImpactReport.to_dict entries that are ratios or counts, not trips, miles
+# or money: scaling the trips leaves their bits as they are.
+_TRIP_FREE = ("hub_id", "n_markets", "hub_trip_proportion", "consumer_surplus_per_trip_usd")
+
+
+def _trips_times(table, factor: float):
+    """``table`` with every market's trips times ``factor``."""
+    scaled = copy.copy(table)
+    scaled.trips = table.trips * factor
+    return scaled
+
+
+def _assert_scaled(got, base, factor: float) -> None:
+    """Each number of ``got`` is that of ``base`` times ``factor``, bit for
+    bit, through nested dicts; the _TRIP_FREE entries are ``base``'s own."""
+    if isinstance(base, list):
+        assert len(got) == len(base)
+        for a, b in zip(got, base):
+            _assert_scaled(a, b, factor)
+    elif isinstance(base, dict):
+        assert list(got) == list(base)
+        for key in base:
+            _assert_scaled(got[key], base[key], 1.0 if key in _TRIP_FREE else factor)
+    elif isinstance(base, float):
+        assert np.float64(got).tobytes() == np.float64(base * factor).tobytes()
+    else:
+        assert got == base
+
+
+def _reports(table, hubs, threshold, matrices, fares, params, config) -> tuple:
+    """Each hub's impact report, from one stacked setup of ``hubs``, and
+    that setup."""
+    screen = screen_trips(table, [h.location.lat for h in hubs], [h.location.lon for h in hubs], threshold, **config.screen_options())
+    setup = prepare_hub(table, hubs, screen, matrices, fares, **config.setup_options())
+    return [r.to_dict() for r in assess_hubs(setup, params, **config.impact_options())], setup
+
+
+def _assert_metrics_scaled(got, base, factor: float) -> None:
+    for a, b in zip(got, base, strict=True):
+        assert a.candidate_id == b.candidate_id and a.metrics.no_potential_trips == b.metrics.no_potential_trips
+        _assert_scaled({key: a.metrics.get(key) for key in siting.METRIC_KEYS}, {key: b.metrics.get(key) for key in siting.METRIC_KEYS}, factor)
+
+
+def test_scaling_every_markets_trips_by_a_power_of_two_scales_the_seed7_figures_exactly(seed7):
+    """Trips enter every figure linearly, and a power of two scales a
+    float without rounding: each trips, VMT and surplus figure of the
+    observed hubs' impact reports and of the candidates' metrics scales
+    by 2**j, bit for bit, and the proportions keep their bits."""
+    config, params = seed7.config, seed7.result.params
+    hubs = [setup.hubs[0] for setup in seed7.setups.values()]
+    cands = assign_services(cluster_stops(seed7.stops), seed7.lots)
+    args = (seed7.threshold, seed7.matrices, seed7.fares)
+    base = [_reports(seed7.table, [hub], *args, params, config)[0] for hub in hubs]  # each its own choice set
+    base_metrics = evaluate_candidates(cands, seed7.table, params, *args, config=config)
+    assert sum(not c.metrics.no_potential_trips for c in base_metrics) >= 2
+    for j in range(-3, 4):
+        table = _trips_times(seed7.table, 2.0**j)
+        _assert_scaled([_reports(table, [hub], *args, params, config)[0] for hub in hubs], base, 2.0**j)
+        _assert_metrics_scaled(evaluate_candidates(cands, table, params, *args, config=config), base_metrics, 2.0**j)
+
+
+def test_scaling_every_markets_trips_scales_a_stack_of_live_and_dead_rows_exactly(rng):
+    """The same property on stacks whose rows are live and dead: a dead
+    row must add an exact zero to every trips and VMT sum, whatever its
+    trips."""
+    markets, cands, matrices = _mixed_case(rng)
+    table, params, fares, config = table_from_markets(markets), make_params(beta=0.45, asc=-2.5), simple_fares(), PipelineConfig()
+    ordered = sorted(cands, key=lambda c: c.candidate_id)
+    stacks = [[candidate_hub(c) for c in ordered if c.car_share_available == car_share] for car_share in (False, True)]
+    base = [_reports(table, hubs, 1.4, matrices, fares, params, config) for hubs in stacks]
+    assert all(0 < len(setup.live) < setup.n_markets for _, setup in base)
+    base_metrics = evaluate_candidates(cands, table, params, 1.4, matrices, fares)
+    for j in range(-3, 4):
+        scaled = _trips_times(table, 2.0**j)
+        for hubs, (reports, _) in zip(stacks, base):
+            _assert_scaled(_reports(scaled, hubs, 1.4, matrices, fares, params, config)[0], reports, 2.0**j)
+        _assert_metrics_scaled(evaluate_candidates(cands, scaled, params, 1.4, matrices, fares), base_metrics, 2.0**j)
 
 
 def _cands_with_metrics(values):
