@@ -107,6 +107,9 @@ class _ComboLayout:
     ``direction`` is each leg's direction, and ``by_direction`` each
     direction's leg modes and their places in ``legs``.  ``column`` is
     each combo's entry and exit leg, a (2, k) index into ``legs``.
+    ``reaches[a, b]`` says whether some combo's entry mode is in the
+    bitmask ``a`` (bit ``code`` into LEG_MODE_ORDER) and its exit mode in
+    ``b``: whether a row whose timed legs are those can reach a combo.
     ``sites`` maps each leg mode to where the combos use it: a (2, n)
     array of combo indices over leg positions (0 entry, 1 exit), in combo
     order, entry first.  Every later figure that reads a leg mode (VMT,
@@ -130,7 +133,11 @@ class _ComboLayout:
                 for mode in LEG_MODES
             }
         )
-        for index in (self.column, self.direction, *(at for _, at in self.by_direction), *self.sites.values()):
+        masks = np.arange(1 << len(LEG_MODE_ORDER))
+        self.reaches = np.zeros((len(masks), len(masks)), dtype=bool)
+        for entry, exit in self.combos:
+            self.reaches |= np.outer(masks >> _LEG_MODE_CODE[entry] & 1, masks >> _LEG_MODE_CODE[exit] & 1).astype(bool)
+        for index in (self.column, self.direction, self.reaches, *(at for _, at in self.by_direction), *self.sites.values()):
             index.flags.writeable = False  # one layout serves every setup of its choice set
 
 
@@ -429,21 +436,25 @@ class LegMatrices:
         offset = _MODE_OFFSET[codes].take(bits, axis=1)
         return np.where(offset >= 0, first + offset, len(self))
 
-    def paired_zones(self, hubs: np.ndarray) -> np.ndarray:
-        """(len(hubs), len(zone_ids) + 1): whether the store holds any row
-        of each (zone code, hub code) pair, for each of the hub codes
-        ``hubs`` and every zone code.  The last column, which zone code -1
-        reads, and the rows of hub code -1 are False."""
-        bits = self._pair_index()[1][:-1].reshape(len(self.zone_ids), len(self.hub_ids))
-        out = np.zeros((len(hubs), len(self.zone_ids) + 1), dtype=bool)
-        out[hubs >= 0, :-1] = bits[:, hubs[hubs >= 0]].T
+    def timed_zones(self, direction: int, hubs: np.ndarray) -> np.ndarray:
+        """(len(hubs), len(zone_ids) + 1): the bitmask (bit ``code``,
+        uint8) of the leg modes whose minutes in ``direction`` (0 to the
+        hub, 1 from it) the store holds for each (zone code, hub code) pair,
+        for each of the hub codes ``hubs`` and every zone code.  A row with
+        NaN minutes in that direction does not count.  The last column,
+        which zone code -1 reads, and the rows of hub code -1 are 0."""
+        self._pair_index()
+        out = np.zeros((len(hubs), len(self.zone_ids) + 1), dtype=np.uint8)
+        out[hubs >= 0, :-1] = self._timed[direction, :-1].reshape(len(self.zone_ids), len(self.hub_ids))[:, hubs[hubs >= 0]].T
         return out
 
     def _pair_index(self) -> tuple[np.ndarray, np.ndarray]:
         """The first row (int32) and the bitmask of the modes present
         (bit ``code``, uint8) of each (zone, hub) pair, zone * len(hub_ids)
-        + hub, plus an empty last entry: 5 bytes a pair.  Built from
-        ``key`` on the first lookup and kept until the store changes.
+        + hub, plus an empty last entry.  Beside them it keeps, as
+        ``_timed``, each direction's bitmask of the modes whose minutes are
+        not NaN: 7 bytes a pair in all.  Built from ``key`` and the minutes
+        on the first lookup and kept until the store changes.
 
         The sorted key is read in blocks of _INDEX_BLOCK rows, decoded to
         an int32 pair and a uint8 mode code, so the build's working memory
@@ -453,13 +464,17 @@ class LegMatrices:
             pairs = len(self.zone_ids) * len(self.hub_ids)
             first = np.zeros(pairs + 1, dtype=np.int32)
             bits = np.zeros(pairs + 1, dtype=np.uint8)
+            timed = np.zeros((2, pairs + 1), dtype=np.uint8)
             last = -1  # the pair of the row before the block
             for start in range(0, len(self.key), _INDEX_BLOCK):
                 block = self.key[start : start + _INDEX_BLOCK]
                 pair = (block // len(LEG_MODE_ORDER)).astype(np.int32)
                 code = (block - pair * len(LEG_MODE_ORDER)).astype(np.uint8)
                 # each key is distinct, so a pair's mode bits are each added once
-                np.add.at(bits, pair, np.left_shift(np.uint8(1), code))
+                mode_bit = np.left_shift(np.uint8(1), code)
+                np.add.at(bits, pair, mode_bit)
+                for d in (0, 1):  # and those of the rows with minutes that way
+                    np.add.at(timed[d], pair, mode_bit * ~np.isnan(self.legs[d, start : start + _INDEX_BLOCK, 0]))
                 # the key is sorted: each pair's rows are one run, which may
                 # have begun in the block before
                 run_start = np.empty(len(pair), dtype=bool)
@@ -469,6 +484,7 @@ class LegMatrices:
                 first[pair[starts]] = starts + start
                 last = pair[-1]
             self._index = first, bits
+            self._timed = timed
         return self._index
 
     def _row(self, zone_id: str, hub_id: str, mode: Mode) -> int:
@@ -1001,21 +1017,12 @@ def prepare_hub(
 
     # The live rows, those that can reach a combo: the matrices hold
     # minutes for the entry leg of one of its combos in the to-hub
-    # direction and for its exit leg in the from-hub direction.  A row
-    # whose origin or destination zone has no leg to its hub is dead
-    # before any per-mode lookup; the others' store rows are looked up per
-    # direction, a (modes, rows) block each, and kept for the live rows.
-    paired = matrices.paired_zones(hub_codes)
-    rows = np.flatnonzero(paired[own, zones[0]] & paired[own, zones[1]])
-    found = [matrices.rows(zones[d][rows], hub_codes[own[rows]], modes) for d, (modes, _) in enumerate(layout.by_direction)]
-    absent = np.empty((len(layout.legs), len(rows)), dtype=bool)
-    for d, (_, at) in enumerate(layout.by_direction):
-        minutes = matrices._legs[d, :, 0]  # the sentinel row's are NaN
-        for leg, store_rows in zip(at.tolist(), found[d]):
-            np.isnan(minutes[store_rows], out=absent[leg])
-    entry, exit = layout.column
-    reach = ~(absent[entry] | absent[exit]).all(axis=0)
-    live, found = rows[reach], [store_rows[:, reach] for store_rows in found]
+    # direction and for its exit leg in the from-hub direction, as the
+    # pair index's timed modes tell before any leg is looked up.  The live
+    # rows' store rows are then looked up per direction, a (modes, rows)
+    # block each.
+    live = np.flatnonzero(layout.reaches[tuple(matrices.timed_zones(d, hub_codes)[own, zones[d]] for d in (0, 1))])
+    found = [matrices.rows(zones[d][live], hub_codes[own[live]], modes) for d, (modes, _) in enumerate(layout.by_direction)]
 
     # Great-circle miles of the live rows' entry (to-hub) and exit
     # (from-hub) legs, from the screen's cells.
@@ -1030,6 +1037,7 @@ def prepare_hub(
     # Each combo pairs its entry leg with its exit leg, a (k, n) block
     # turned (n, k).  combo_util is copied C-ordered: a row sum over the
     # combos must add in one order.
+    entry, exit = layout.column
     combo_util = util[entry]
     combo_util += util[exit]
     combo_util = np.ascontiguousarray(combo_util.T)

@@ -84,28 +84,31 @@ def mode_shifts(setup: HubChoiceSetup, s: HubShares) -> list[ModeShiftResult]:
     level; the two-level shares conserve total trips exactly.
     """
     n, k = len(MAIN_MODES), setup.n_combos
-    # rows: trips by mode before and after, hub trips, and each combo's
-    # entry-leg and exit-leg trips
-    block = np.empty((2 * n + 1 + 2 * k, setup.n_markets))
+    # Two blocks of rows, each summed and dropped before the next is
+    # built: trips by mode before and after and hub trips, then each
+    # combo's entry-leg and exit-leg trips.
+    block = np.empty((2 * n + 1, setup.n_markets))
     np.multiply(s.before.T, setup.trips, out=block[:n])
     np.multiply(s.upper.T, setup.trips, out=block[n : 2 * n])
     np.multiply(setup.trips, s.hub, out=block[2 * n])
+    mode_sums = _hub_sums(setup, block)
+    del block
+    # the live rows' joint trips times the entry fraction, and times its
+    # complement, as (combo, live row) blocks; the other rows choose no
+    # combo
+    block = np.zeros((2 * k, setup.n_markets))
     if k:
-        # the live rows' joint trips times the entry fraction, and times
-        # its complement, as (combo, live row) blocks; the other rows
-        # choose no combo
         legs = np.empty((2 * k, len(s.live)))
         entry, exit = legs[:k], legs[k:]
         np.multiply(s.joint.T, setup.trips[s.live], out=entry)
         np.subtract(1.0, setup.entry_fraction.T, out=exit)
         exit *= entry
         entry *= setup.entry_fraction.T
-        rows = block[2 * n + 1 :]
-        rows.fill(0.0)
-        rows[:, s.live] = legs
+        block[:, s.live] = legs
+    hub_sums = [a + b for a, b in zip(mode_sums, _hub_sums(setup, block))]
 
     out = []
-    for sums in _hub_sums(setup, block):
+    for sums in hub_sums:
         leg_trips: dict[Mode, float] = {}
         entry, exit = sums[2 * n + 1 : 2 * n + 1 + k], sums[2 * n + 1 + k :]
         for combo, entry_t, exit_t in zip(setup.combos, entry, exit):
@@ -174,7 +177,7 @@ def vmt_deltas(
     car = setup.layout.sites[Mode.CAR]
     js, poss = np.concatenate([car, setup.layout.sites[Mode.CAR_SHARE]], axis=1)
     car_end = 2 * n + car.shape[1]
-    block = np.empty((2 * n + len(js), setup.n_markets))
+    block = np.zeros((2 * n + len(js), setup.n_markets))  # the leg rows' dead rows stay 0
     np.multiply(s.before[:, cols].T, w, out=block[:n])
     np.multiply(s.upper[:, cols].T, w, out=block[n : 2 * n])
     if len(js):
@@ -182,9 +185,7 @@ def vmt_deltas(
         # rows choose no combo
         leg_miles = s.joint[:, js].T * (setup.trips * ok)[s.live]
         leg_miles *= setup.vmt_miles[:, js, poss].T
-        rows = block[2 * n :]
-        rows.fill(0.0)
-        rows[:, s.live] = leg_miles
+        block[2 * n :, s.live] = leg_miles
 
     out = []
     for sums in _hub_sums(setup, block):

@@ -278,12 +278,13 @@ def sha256_digest(path: str | Path) -> str:
 
 # Cells per batch: a batch's rows are dropped once its columns are
 # converted, so this bounds what a parse holds at once, while each batch
-# pays a cost per column.  Only a load with no sidecar to read parses, so
-# the cost falls on the first `rank` of new inputs alone: its rank-1k
-# matrices parse in 300 ms at 4,096 cells, 327 at 2,048 and 376 at 1,024,
-# and its markets in 14, 15 and 18 ms (in process, one CPU).  That first
-# rank peaks 0.1-0.2 MB lower at 2,048 than at 4,096 (45.6-45.7 against
-# 45.7-45.8 MB), and 1,024 takes off another 0.05-0.15 MB.
+# pays a cost per column.  A load that reads its sidecar parses nothing,
+# markets included, so the cost falls on the first load of new inputs
+# alone: rank-1k's matrices parse in 288, 354-363 and 383-398 ms at
+# 4,096, 2,048 and 1,024 cells, and its markets in 13-14, 15-16 and
+# 19-20 ms (in process, one CPU).  The first rank of those inputs peaks
+# 0.15 MB lower at 2,048 than at 4,096 (45.31-45.39 against 45.49-45.55
+# MB), and 1,024 takes off another 0.05-0.1 MB.
 _BATCH_CELLS = 2048
 
 # Bytes read at a time when counting a file's lines.  Freeing a read this

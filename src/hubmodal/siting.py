@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _warn
+from .choice import MAIN_MODES
 from .config import PipelineConfig
 from .geo import GeoPoint, haversine_km, screen_trips
 from .hubs import (
@@ -26,6 +27,7 @@ from .hubs import (
     HubParams,
     LegMatrices,
     MarketTable,
+    _combo_layout,
     prepare_hub,
 )
 from .records import record
@@ -176,20 +178,20 @@ def candidate_hub(candidate: Candidate) -> Hub:
     )
 
 
-# Live-row x combo cells scored in one stacked pass; a candidate larger
-# than this is scored in a pass of its own.  A setup holds combo arrays
-# for its live rows alone, so a candidate counts the combo cells of its
-# kept markets whose origin and destination zones both have legs to it
-# (every live row, and on rank-1k 708 of the 18,832 dead ones).  This
-# bounds the working set of a pass whatever the number of candidates.
-# On the rank-1k fixture (1,000 markets x 100 candidates; in-process
-# `rank --params` on one CPU, parsing its inputs), the first rank peaked
-# at 45.6-45.7 MB with 8,192 cells and at 46.4-46.6 with 12,288, against
-# 45.9 at the parent's 12,288 market x combo cells; evaluate_candidates
-# took 43, 38-42 and 35-40 ms of CPU at 6,144, 8,192 and 12,288 cells
-# (in process, sidecar hits).  On rank-5k the size does not move the
-# peak, set by the candidates' screen (81.8-81.9 MB from 6,144 to 12,288).
-CHUNK_CELLS = 8_192
+# Cells one stacked pass holds; a candidate larger than this is scored
+# in a pass of its own.  A setup holds (rows, 6) unimodal arrays over
+# every kept market and its combo arrays over its live rows alone, so a
+# candidate counts six cells a kept market and one a live row's combo:
+# dead rows count too, and so bound the pass whatever their share (half
+# of rank-1k's rows, and a chunk's dead rows ran to 1.75 times its live
+# ones when only combo cells counted).  On the rank-1k fixture (1,000
+# markets x 100 candidates, in process, one CPU), evaluate_candidates
+# peaks 1.56, 1.88 and 2.12 MB above its start at 12,288, 16,384 and
+# 20,480 cells (tracemalloc), against 2.31 MB at 8,192 combo cells
+# alone and 2.01 MB before legs were priced for live rows alone, and at
+# 16,384 it takes 2% less CPU than at 8,192 combo cells (median of 40
+# alternating calls).
+CHUNK_CELLS = 16_384
 
 _NO_TRIPS = CandidateMetrics(
     potential_demand=0.0, transit_delta=0.0, vmt_reduced=0.0, cs_total=0.0, no_potential_trips=True
@@ -225,13 +227,13 @@ def evaluate_candidates(
     One detour screen covers every market of ``table`` for every
     candidate, and its distances price every setup's legs.  Candidates
     that share a service profile are stacked, in candidate-id order, into
-    setups of at most CHUNK_CELLS market x combo cells, and each stack
-    gets one share pass; each candidate's metrics are sums over its own
-    rows, so they equal ``prepare_hub`` + ``assess_hubs`` on a setup of
-    that candidate alone, bit for bit.  A setup holds combo cells for its
-    live rows alone, so a candidate's cells count the kept markets whose
-    origin and destination zones both have legs to it in the matrices.
-    Candidates with no potential trips get zero metrics and a flag.
+    setups of at most CHUNK_CELLS cells, and each stack gets one share
+    pass; each candidate's metrics are sums over its own rows, so they
+    equal ``prepare_hub`` + ``assess_hubs`` on a setup of that candidate
+    alone, bit for bit.  A candidate's cells are those its rows hold: six
+    unimodal cells a kept market and one a combo of each live row, a kept
+    market that can reach one of its combos in the matrices.  Candidates
+    with no potential trips get zero metrics and a flag.
     ``threads`` is accepted for compatibility; the passes run in the
     calling thread whatever its value, and no result depends on it.
     """
@@ -260,10 +262,12 @@ def evaluate_candidates(
 
     metrics = [_NO_TRIPS] * len(ordered)
     for combos, members in profiles.items():
-        paired = matrices.paired_zones(hub_codes[members])
-        reach = screen.keep[members] & paired[:, o_zones] & paired[:, d_zones]
-        cells = np.count_nonzero(reach, axis=1) * len(combos)
-        del paired, reach
+        # each member's live rows: kept markets that can reach one of its combos
+        to_hub = matrices.timed_zones(0, hub_codes[members])[:, o_zones]
+        from_hub = matrices.timed_zones(1, hub_codes[members])[:, d_zones]
+        live = screen.keep[members] & _combo_layout(combos).reaches[to_hub, from_hub]
+        cells = n_kept[members] * len(MAIN_MODES) + np.count_nonzero(live, axis=1) * len(combos)
+        del to_hub, from_hub, live
         for chunk in _chunks(members, cells):
             setup = prepare_hub(
                 table, [hubs[i] for i in chunk], screen[chunk], matrices, fares, zone_map=zone_map, **setup_options

@@ -598,6 +598,14 @@ def _assert_rows_are_the_brute_force_lookup(store: LegMatrices) -> None:
     codes = [LEG_MODE_ORDER.index(m) if m in LEG_MODE_ORDER else -1 for m in modes]
     expected = [[lookup.get((z, h, c), len(store)) for z, h in grid] for c in codes]
     assert store.rows(zones, hubs, modes).tolist() == expected
+    # each direction's timed modes: those of the pair's rows with minutes that way
+    hub_codes = np.arange(-1, len(store.hub_ids))
+    for d in (0, 1):
+        timed = np.zeros((len(store.hub_ids) + 1, len(store.zone_ids) + 1), dtype=np.uint8)  # code -1 last
+        for (z, h, c), row in lookup.items():
+            if not np.isnan(store.legs[d, row, 0]):
+                timed[h, z] |= 1 << c
+        assert store.timed_zones(d, hub_codes).tolist() == timed[hub_codes].tolist()
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -605,23 +613,28 @@ def _assert_rows_are_the_brute_force_lookup(store: LegMatrices) -> None:
     n_zones=st.integers(0, 5),
     n_hubs=st.integers(0, 5),
     picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)), max_size=60),
+    untimed=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 1)), max_size=20),
     block=st.integers(1, 9),
 )
-def test_rows_equal_a_brute_force_lookup_at_every_block_size(n_zones, n_hubs, picks, block):
-    # rows in any order, keys repeated, ids that do not arrive sorted
+def test_rows_equal_a_brute_force_lookup_at_every_block_size(n_zones, n_hubs, picks, untimed, block):
+    # rows in any order, keys repeated, ids that do not arrive sorted, and
+    # some rows without minutes one way or both
     keys = [(z, h, m) for z, h, m in picks if z < n_zones and h < n_hubs]
+    legs = np.arange(2 * len(keys) * 5, dtype=float).reshape(2, len(keys), 5)
+    for row, d in untimed if keys else ():
+        legs[d, row % len(keys), 0] = np.nan
     store = LegMatrices(
         [f"z{(7 * i) % 5}{i}" for i in range(n_zones)],
         [f"h{(3 * i) % 5}{i}" for i in range(n_hubs)],
         *(np.array(column, dtype=np.int64) for column in (zip(*keys) if keys else ((), (), ()))),
-        np.arange(2 * len(keys) * 5, dtype=float).reshape(2, len(keys), 5),
+        legs,
     )
-    whole = tuple(a.copy() for a in store._pair_index())
+    whole = tuple(a.copy() for a in store._pair_index()) + (store._timed.copy(),)
     store._index = None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hubmodal.hubs, "_INDEX_BLOCK", block)
         _assert_rows_are_the_brute_force_lookup(store)
-        assert all(np.array_equal(a, b) for a, b in zip(store._pair_index(), whole))
+        assert all(np.array_equal(a, b) for a, b in zip((*store._pair_index(), store._timed), whole))
 
 
 def _runs_store() -> LegMatrices:

@@ -28,6 +28,7 @@ from hubmodal import (
     CandidateMetrics,
     EmissionFactor,
     GeoPoint,
+    MAIN_MODES,
     MILES_PER_KM,
     HubChoiceSetup,
     LegMatrices,
@@ -479,9 +480,10 @@ def test_evaluate_runs_one_share_pass_per_chunk(rng, monkeypatch):
 
 
 def test_evaluate_holds_one_bounded_chunk_at_a_time(rng, monkeypatch):
-    """Every stacked setup holds at most CHUNK_CELLS live-row x combo
-    cells unless it holds a single candidate, and each is freed, shares
-    and all, before the next one is built."""
+    """Every stacked setup holds at most CHUNK_CELLS cells, its market x
+    unimodal-mode cells and its live-row x combo cells, unless it holds a
+    single candidate, and each is freed, shares and all, before the next
+    one is built."""
     markets, cands, matrices = _mixed_case(rng)
     built, sizes = [], []
     real = siting.prepare_hub
@@ -490,11 +492,11 @@ def test_evaluate_holds_one_bounded_chunk_at_a_time(rng, monkeypatch):
         assert [ref() for ref in built if ref() is not None] == []  # no earlier chunk's setup is alive
         setup = real(*args, **kwargs)
         built.append(weakref.ref(setup))
-        sizes.append((len(setup.hubs), len(setup.live) * setup.n_combos))
+        sizes.append((len(setup.hubs), setup.n_markets * len(MAIN_MODES) + len(setup.live) * setup.n_combos))
         return setup
 
     monkeypatch.setattr(siting, "prepare_hub", recording)
-    monkeypatch.setattr(siting, "CHUNK_CELLS", 350)
+    monkeypatch.setattr(siting, "CHUNK_CELLS", 500)
     evaluate_candidates(cands, table_from_markets(markets), make_params(), 1.4, matrices, simple_fares())
     assert all(cells <= siting.CHUNK_CELLS or n_hubs == 1 for n_hubs, cells in sizes), sizes
     # the case has chunks of several candidates and a candidate over the budget
