@@ -27,7 +27,7 @@ from hubmodal import (
     prepare_hub,
     screen_trips,
 )
-from hubmodal.hubs import LEG_MODE_ORDER
+from hubmodal.choice import LEG_MODE_ORDER
 
 TRUTH = HubParams(
     beta_hub=0.3,

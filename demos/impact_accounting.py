@@ -24,7 +24,7 @@ from hubmodal import (
     prepare_hub,
     screen_trips,
 )
-from hubmodal.hubs import LEG_MODE_ORDER
+from hubmodal.choice import LEG_MODE_ORDER
 
 rng = np.random.default_rng(21)
 TASTE = dict(

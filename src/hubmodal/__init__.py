@@ -55,18 +55,14 @@ _EXPORTS = {
     "hubs": (
         "CAR_SHARE_PROFILE_COMBOS",
         "STANDARD_PROFILE_COMBOS",
-        "FareTable",
         "Hub",
         "HubChoiceSetup",
         "HubParams",
         "HubShares",
-        "LegMatrices",
-        "LegTimes",
         "MarketError",
         "MarketTable",
         "SurveyRecord",
         "build_combos",
-        "leg_cost_usd",
         "prepare_hub",
         "unimodal_terms",
     ),
@@ -85,7 +81,6 @@ _EXPORTS = {
     "io": (
         "HubRecord",
         "ParseError",
-        "fmt",
         "load_fares",
         "load_hub_records",
         "load_markets",
@@ -96,16 +91,9 @@ _EXPORTS = {
         "load_survey",
         "params_json",
         "sha256_digest",
-        "write_csv",
-        "write_fares",
-        "write_hub_records",
         "write_json",
-        "write_markets",
-        "write_matrices",
-        "write_pr_lots",
-        "write_stops",
-        "write_survey",
     ),
+    "legs": ("FareTable", "LegMatrices", "LegTimes", "leg_cost_usd"),
     "siting": (
         "Candidate",
         "CandidateMetrics",
@@ -117,6 +105,17 @@ _EXPORTS = {
         "cluster_stops",
         "evaluate_candidates",
         "rank_and_summarize",
+    ),
+    "writers": (
+        "fmt",
+        "write_csv",
+        "write_fares",
+        "write_hub_records",
+        "write_markets",
+        "write_matrices",
+        "write_pr_lots",
+        "write_stops",
+        "write_survey",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -70,6 +70,10 @@ MAIN_MODES: tuple[Mode, ...] = (
     Mode.CARPOOL,
 )
 LEG_MODES: tuple[Mode, ...] = (Mode.BUS, Mode.CAR, Mode.CAR_SHARE, Mode.BIKE_SHARE, Mode.WALK_LEG)
+# Leg modes in the order of their names.  A row's mode code indexes this
+# tuple, so rows sorted by code are sorted by mode name.
+LEG_MODE_ORDER: tuple[Mode, ...] = tuple(sorted(LEG_MODES, key=lambda m: m.value))
+_LEG_MODE_CODE = {mode: i for i, mode in enumerate(LEG_MODE_ORDER)}
 
 _AUTO = "auto"
 _TRANSIT = "transit"

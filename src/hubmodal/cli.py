@@ -59,15 +59,17 @@ def _lazy(name: str) -> ModuleType:
     return module
 
 
-# Every stage loads the modules above.  These four run only in some
+# Every stage loads the modules above.  These five run only in some
 # stages, which alone pay for compiling and running them: calibration in
 # the stages that fit (calibrate, and assess and rank without --params);
 # impacts in assess and rank; siting in rank and gen-fixture; fixtures in
-# gen-fixture.
+# gen-fixture; writers in the stages that write a CSV file (identify-trips,
+# rank and gen-fixture).
 calibration = _lazy("calibration")
 impacts = _lazy("impacts")
 siting = _lazy("siting")
 fixtures = _lazy("fixtures")
+writers = _lazy("writers")
 
 
 def _load_base(args) -> tuple[Manifest, PipelineConfig]:
@@ -217,7 +219,7 @@ def _cmd_identify_trips(args) -> int:
         rows.extend((rec.hub_id, table.ids[i]) for i in idx.tolist())
 
     out = _out_dir(args)
-    trips_path = io.write_csv(out / "trips.csv", ("hub_id", "market_id"), rows)
+    trips_path = writers.write_csv(out / "trips.csv", ("hub_id", "market_id"), rows)
     report = {"threshold": thr, **thr_meta, "hubs": hubs_report, **_report_base(args, manifest, config, hashed)}
     json_path = io.write_json(out / "identify.json", report)
     print(f"wrote {trips_path}")
@@ -362,7 +364,7 @@ def _cmd_rank(args) -> int:
         rows.append(row)
 
     out = _out_dir(args)
-    csv_path = io.write_csv(out / "ranking.csv", header, rows)
+    csv_path = writers.write_csv(out / "ranking.csv", header, rows)
     report = {
         "threshold": thr,
         **thr_meta,

@@ -21,23 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .choice import MAIN_MODES, SEGMENTS, ComboId, Mode
+from .choice import LEG_MODE_ORDER, MAIN_MODES, SEGMENTS, ComboId, Mode
 from .config import PipelineConfig
 from .geo import MILES_PER_KM, GeoPoint, haversine_km
-from .hubs import ATTR_FIELDS, CAR_SHARE_PROFILE_COMBOS, LEG_MODE_ORDER, STANDARD_PROFILE_COMBOS, FareTable
-from .hubs import LegMatrices, MarketTable, SurveyRecord
-from .io import (
-    HubRecord,
-    write_fares,
-    write_hub_records,
-    write_json,
-    write_markets,
-    write_matrices,
-    write_pr_lots,
-    write_stops,
-    write_survey,
-)
+from .hubs import ATTR_FIELDS, CAR_SHARE_PROFILE_COMBOS, STANDARD_PROFILE_COMBOS, MarketTable, SurveyRecord
+from .io import HubRecord, write_json
+from .legs import FareTable, LegMatrices
 from .siting import StopRecord, assign_services, cluster_stops
+from .writers import write_fares, write_hub_records, write_markets, write_matrices, write_pr_lots, write_stops, write_survey
 
 _CENTER_LAT = 42.652
 _CENTER_LON = -73.757

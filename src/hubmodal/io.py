@@ -1,10 +1,9 @@
-"""File formats, atomic writes, and input digests.
+"""File formats, the readers, atomic writes, and input digests.
 
 All tabular inputs are UTF-8 CSV with a header row and dot decimal
-separators; fares, params and the manifest are JSON.  Floats are
-emitted with repr (shortest round-trip form), so loading and re-emitting
-a file is lossless; every writer goes through a temp-file-then-rename so
-readers never observe a partial file.
+separators; fares, params and the manifest are JSON.  Every output goes
+through a temp-file-then-rename (``atomic_write_text``) so readers never
+observe a partial file.  The CSV writers are in ``writers``.
 
 Every CSV file is read by one parser with one set of rules, those of
 the csv module: a leading byte-order mark is dropped, lines may end in
@@ -24,10 +23,7 @@ column the same way; MarketTable runs the markets' own rules.
 csv.reader reads a file in batches of ``_BATCH_CELLS // len(header)``
 records (one at least); a batch's cells are converted, numbers in bulk
 and text once per distinct value, and then dropped.  The batch size
-bounds the parse's memory and changes no value and no error.  Writers
-quote a text cell holding a comma, a quote or a line break as the csv
-module does, so what they write reads back.  They format a column at a
-time, once per distinct value, and write ``_WRITE_ROWS`` rows at a time.
+bounds the parse's memory and changes no value and no error.
 
 Markets columns, in order: od_id, segment, o_lat, o_lon, d_lat, d_lon,
 trips_per_day, driving_miles, the per-mode attribute columns, the twelve
@@ -48,8 +44,7 @@ network distance is known.  The files' lines are counted first (LF,
 CRLF and lone CR ends, as csv.reader splits them), which bounds their
 records; the batches are parsed straight into one leg block of that
 many rows, which becomes the LegMatrices store, with no further copy
-when the rows arrive in key order.  Files are written back sorted by
-(zone, hub, mode name), an unavailable direction as five blank cells.
+when the rows arrive in key order.
 
 Both the leg matrices and the markets are read through a sidecar
 (``_sidecar_load``).  Each of an input's files is hashed once; a clean
@@ -80,10 +75,10 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 import numpy as np
 
-from .choice import SEGMENTS, TASTE_FIELDS, Segment
+from .choice import LEG_MODE_ORDER, SEGMENTS, TASTE_FIELDS, Segment
 from .geo import GeoPoint
-from .hubs import ATTR_FIELDS, LEG_MODE_ORDER, MARKET_MODE_COLUMNS, VALUE_BOUND, FareTable, LegMatrices, SurveyRecord
-from .hubs import HubParams, MarketError, MarketTable
+from .hubs import ATTR_FIELDS, MARKET_MODE_COLUMNS, VALUE_BOUND, HubParams, MarketError, MarketTable, SurveyRecord
+from .legs import FareTable, LegMatrices
 from .records import record
 
 if TYPE_CHECKING:  # siting runs only in rank and gen-fixture
@@ -99,22 +94,6 @@ class ParseError(ValueError):
 # ----------------------------------------------------------------------
 # primitives
 # ----------------------------------------------------------------------
-
-
-def fmt(value) -> str:
-    """Shortest round-trip text form of a value for CSV cells."""
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
-        value = float(value)  # plain-float repr, not the numpy scalar repr
-        if value != value:
-            raise ValueError("refusing to write NaN")
-        return repr(value)
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
 
 
 def _json_value(obj):
@@ -180,84 +159,6 @@ def check_number(key: str, value) -> float:
     if not is_finite_number(value):
         raise ValueError(f"{key} must be a finite number, got {value!r}")
     return float(value)
-
-
-def _csv_cell(text: str) -> str:
-    """``text`` as a CSV cell: quoted, inner quotes doubled, when it holds
-    a comma, a quote or a line break, as the csv module writes it."""
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _cells(column, blank: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """A column's CSV cells as a table of cell texts (an object array) and
-    each row's code into it, in the narrowest unsigned dtype: each value
-    as ``fmt`` writes it, quoted as ``_csv_cell`` quotes it; for an array,
-    the empty cell where ``blank`` is set.  A number or bool array is
-    formatted once per distinct value, floats by their bits so that -0.0
-    stays -0.0; any other sequence once per distinct ``fmt`` text, a str
-    being its own."""
-    if not (isinstance(column, np.ndarray) and column.dtype.kind in "biuf"):
-        values = column.tolist() if isinstance(column, np.ndarray) else list(column)
-        if not all(type(v) is str for v in values):
-            values = list(map(fmt, values))
-        index = {v: i for i, v in enumerate(dict.fromkeys(values))}
-        codes = np.fromiter(map(index.__getitem__, values), np.min_scalar_type(max(len(index) - 1, 0)), len(values))
-        return np.array(list(map(_csv_cell, index)), dtype=object), codes
-    floats = column.dtype.kind == "f"
-    if floats:
-        column = column.astype(float, copy=False) if blank is None else np.where(blank, 0.0, column)
-    distinct, inverse = np.unique(column.view(np.int64) if floats else column, return_inverse=True)
-    if floats:
-        distinct = distinct.view(float)
-        if np.isnan(distinct).any():
-            raise ValueError("refusing to write NaN")
-    texts = list(map(repr if floats else fmt, distinct.tolist()))
-    codes = inverse.astype(np.min_scalar_type(len(texts)))
-    if blank is not None:
-        codes[blank] = len(texts)
-    return np.array([*texts, ""], dtype=object), codes
-
-
-def _label_cells(labels: Sequence[str]) -> np.ndarray:
-    """Each label's CSV cell, an object array indexed by label code."""
-    return np.array(list(map(_csv_cell, labels)), dtype=object)
-
-
-# Rows written at a time: a write holds each column's cell table and
-# codes, and one block's cells and text.  The rank-1k matrices write in
-# the same time in blocks of 2,048 to 16,384 rows; their traced peak is
-# 8.1 MB at 16,384 and 19.9 MB at 65,536.
-_WRITE_ROWS = 16384
-
-
-def _write_cells(path: str | Path, header: Sequence[str], columns: Sequence[tuple]) -> Path:
-    """Write ``header`` and the rows of ``columns``, (cell texts, codes)
-    pairs as ``_cells`` gives them, ``_WRITE_ROWS`` rows at a time; codes
-    are an array or any sequence that a slice of rows reads.  Each text
-    is given the comma or line end that follows its cell once, and a
-    block's cells are interleaved into one list and joined once."""
-    n = len(columns[0][1]) if columns else 0
-    width = len(columns)
-    ends = [texts + ("," if j < width - 1 else "\n") for j, (texts, _) in enumerate(columns)]
-
-    def chunks() -> Iterator[str]:
-        yield ",".join(header) + "\n"
-        for start in range(0, n, _WRITE_ROWS):
-            rows = slice(start, min(start + _WRITE_ROWS, n))
-            line = [""] * (width * (rows.stop - start))
-            for j, (texts, (_, codes)) in enumerate(zip(ends, columns)):
-                line[j::width] = texts[codes[rows]].tolist()
-            yield "".join(line)
-
-    return atomic_write_text(path, chunks())
-
-
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Header and rows of one length, formatted and quoted column by column
-    (``_cells``)."""
-    return _write_cells(path, header, [_cells(column) for column in zip(*rows, strict=True)])
 
 
 def write_json(path: str | Path, obj) -> Path:
@@ -621,20 +522,6 @@ def _market_table(ids, segments, numbers, attrs, available, taste) -> MarketTabl
     )
 
 
-def write_markets(t: MarketTable, path: str | Path) -> Path:
-    """The table's markets in market-id order, written column by column;
-    NaN is refused."""
-    columns = [t.o_lat, t.o_lon, t.d_lat, t.d_lon, t.trips, t.drive_miles]
-    for j, (_, _, fields_) in enumerate(MARKET_MODE_COLUMNS):
-        columns += [*(t.attrs[f][:, j] for f in fields_), t.available[:, j]]
-    columns += [t.taste[name] for name in TASTE_FIELDS]
-    segments = _label_cells([s.value for s in SEGMENTS])
-    cells = [_cells(t.od_ids), (segments, t.segment_codes), *map(_cells, columns)]
-    zones = _label_cells(t.zone_ids)
-    cells += [(zones, t.o_zone_codes), (zones, t.d_zone_codes)]
-    return _write_cells(path, MARKET_COLUMNS, cells)
-
-
 # ----------------------------------------------------------------------
 # survey
 # ----------------------------------------------------------------------
@@ -674,15 +561,6 @@ def load_survey(path: str | Path) -> list[SurveyRecord]:
     ]
 
 
-def write_survey(records: Sequence[SurveyRecord], path: str | Path) -> Path:
-    rows = [
-        (r.hub_id, r.origin.lat, r.origin.lon, r.destination.lat, r.destination.lon, r.entry_mode.value,
-         r.exit_mode.value, r.segment.value if r.segment else "", r.complete)
-        for r in records
-    ]
-    return write_csv(path, SURVEY_COLUMNS, rows)
-
-
 # ----------------------------------------------------------------------
 # stops and lots
 # ----------------------------------------------------------------------
@@ -698,18 +576,10 @@ def load_stops(path: str | Path) -> list[StopRecord]:
     return [StopRecord(stop_id, _point(path, i, lat, lon, "lat")) for i, (stop_id, lat, lon) in enumerate(rows)]
 
 
-def write_stops(stops: Sequence[StopRecord], path: str | Path) -> Path:
-    return write_csv(path, ("stop_id", "lat", "lon"), [[s.stop_id, s.location.lat, s.location.lon] for s in stops])
-
-
 def load_pr_lots(path: str | Path) -> list[GeoPoint]:
     # lot ids are not kept; the column is still part of the format
     table = _read_table(path, {"lot_id": str, **_LAT_LON_CELLS})
     return [_point(path, i, lat, lon, "lat") for i, (lat, lon) in enumerate(zip(table["lat"], table["lon"]))]
-
-
-def write_pr_lots(lots: Sequence[GeoPoint], path: str | Path) -> Path:
-    return write_csv(path, ("lot_id", "lat", "lon"), [[f"lot{i:04d}", p.lat, p.lon] for i, p in enumerate(lots)])
 
 
 # ----------------------------------------------------------------------
@@ -905,35 +775,6 @@ def _write_sidecar(path: Path, tag: str, arrays: list) -> None:
                 os.unlink(path.parent / name)
 
 
-class _KeyCodes:
-    """Each row's code ``key // step % count``, one of the zone, hub and
-    mode codes a leg store's key holds, decoded for the rows a slice reads."""
-
-    def __init__(self, key: np.ndarray, step: int, count: int):
-        self.key, self.step, self.count = key, step, count
-
-    def __len__(self) -> int:
-        return len(self.key)
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return self.key[rows] // self.step % self.count
-
-
-def write_matrices(matrices: LegMatrices, path: str | Path) -> Path:
-    """Rows in (zone, hub, mode name) order; an absent direction is five
-    blank cells and unknown miles one.  Ids and modes are looked up from
-    the codes decoded from the key a block of rows at a time, and NaN
-    elsewhere in a present direction is refused."""
-    hubs, modes = len(matrices.hub_ids), len(LEG_MODE_ORDER)
-    steps = [(hubs * modes, len(matrices.zone_ids)), (modes, hubs), (1, modes)]
-    labels = (matrices.zone_ids, matrices.hub_ids, _LEG_MODE_NAMES)
-    columns = [(_label_cells(ids), _KeyCodes(matrices.key, *step)) for ids, step in zip(labels, steps)]
-    for block in matrices.legs:
-        absent = np.isnan(block[:, 0])
-        columns += [_cells(block[:, f], absent | np.isnan(block[:, f]) if f == 4 else absent) for f in range(5)]
-    return _write_cells(path, MATRIX_COLUMNS, columns)
-
-
 # ----------------------------------------------------------------------
 # fares and params
 # ----------------------------------------------------------------------
@@ -960,12 +801,6 @@ def load_fares(path: str | Path) -> FareTable:
         )
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError(f"{path}: malformed fares: {err}") from None
-
-
-def write_fares(fares: FareTable, path: str | Path) -> Path:
-    steps = [{"up_to_min": None if math.isinf(up) else up, "fare_usd": fare} for up, fare in fares.bike_share_steps]
-    prices = {"bus_fare_usd": fares.bus_fare_usd, "car_share_usd_per_hour": fares.car_share_usd_per_hour}
-    return write_json(path, {**prices, "bike_share_steps": steps})
 
 
 def load_params(path: str | Path) -> HubParams:
@@ -1074,11 +909,3 @@ def load_hub_records(path: str | Path) -> list[HubRecord]:
     if not out:
         raise ParseError(f"{path}: no hub rows")
     return out
-
-
-def write_hub_records(records: Sequence[HubRecord], path: str | Path) -> Path:
-    rows = [
-        [r.hub_id, r.location.lat, r.location.lon, *(getattr(r, col) for col in HUB_RECORD_COLUMNS[3:])]
-        for r in sorted(records, key=lambda r: r.hub_id)
-    ]
-    return write_csv(path, HUB_RECORD_COLUMNS, rows)

@@ -22,14 +22,13 @@ from .geo import GeoPoint, haversine_km, screen_trips
 from .hubs import (
     CAR_SHARE_PROFILE_COMBOS,
     STANDARD_PROFILE_COMBOS,
-    FareTable,
     Hub,
     HubParams,
-    LegMatrices,
     MarketTable,
     _combo_layout,
     prepare_hub,
 )
+from .legs import FareTable, LegMatrices
 from .records import record
 
 METRIC_KEYS = ("potential_demand", "transit_delta", "vmt_reduced", "cs_total")

@@ -31,7 +31,7 @@ from hubmodal import (
     prepare_hub,
     screen_trips,
 )
-from hubmodal.hubs import LEG_MODE_ORDER
+from hubmodal.choice import LEG_MODE_ORDER
 
 BASE_TASTE = dict(
     beta_auto_tt=-0.05,

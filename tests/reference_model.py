@@ -27,20 +27,21 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from hubmodal.choice import MAIN_MODES, SEGMENTS, TASTE_FIELDS, ComboId, Mode, Segment, combo_sort_key, mode_utility
-from hubmodal.geo import CONDITION2_MODES, EARTH_RADIUS_KM, MILES_PER_KM, GeoPoint, haversine_km
-from hubmodal.hubs import (
+from hubmodal.choice import (
     _LEG_MODE_CODE,
-    ATTR_FIELDS,
     LEG_MODE_ORDER,
-    FareTable,
-    Hub,
-    HubParams,
-    LegMatrices,
-    LegTimes,
-    MarketTable,
-    leg_cost_usd,
+    MAIN_MODES,
+    SEGMENTS,
+    TASTE_FIELDS,
+    ComboId,
+    Mode,
+    Segment,
+    combo_sort_key,
+    mode_utility,
 )
+from hubmodal.geo import CONDITION2_MODES, EARTH_RADIUS_KM, MILES_PER_KM, GeoPoint, haversine_km
+from hubmodal.hubs import ATTR_FIELDS, Hub, HubParams, MarketTable
+from hubmodal.legs import FareTable, LegMatrices, LegTimes, leg_cost_usd
 from hubmodal.siting import Candidate, StopRecord, _UnionFind
 
 # ----------------------------------------------------------------------

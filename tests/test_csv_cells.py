@@ -1,17 +1,17 @@
 """The CSV writers' column formatter against ``fmt``, cell by cell, and
 the block writer against a row-by-row rendering.
 
-``io._cells`` formats a whole column at once: a number or bool array once
-per distinct value (floats by their bits), a column of text once per
-distinct value.  It gives a table of cell texts and each row's code into
-it, in the narrowest unsigned dtype that holds the table's last code.
-Each cell, the table at its code, must be the text ``fmt`` gives that
-value, quoted as ``_csv_cell`` quotes it, and NaN is refused wherever
-``fmt`` refuses it: in ``write_csv``, and in ``write_matrices`` in a
-present direction's access, egress and transfers cells.  The writers
-then write ``io._WRITE_ROWS`` rows at a time; the bytes must not depend
-on that size, a failed write must leave the target as it was, and the
-write's memory must grow with the rows by at most a stated bound.
+``writers._cells`` formats a whole column at once: a number or bool
+array once per distinct value (floats by their bits), a column of text
+once per distinct value.  It gives a table of cell texts and each row's
+code into it, in the narrowest unsigned dtype that holds the table's
+last code.  Each cell, the table at its code, must be the text ``fmt``
+gives that value, quoted as ``_csv_cell`` quotes it, and NaN is refused
+wherever ``fmt`` refuses it: in ``write_csv``, and in ``write_matrices``
+in a present direction's access, egress and transfers cells.  The writers
+then write ``writers._WRITE_ROWS`` rows at a time; the bytes must not
+depend on that size, a failed write must leave the target as it was, and
+the write's memory must grow with the rows by at most a stated bound.
 """
 
 from __future__ import annotations
@@ -29,10 +29,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hubmodal.io
+import hubmodal.writers
 from hubmodal import LegMatrices, fmt, load_markets, write_csv, write_markets, write_matrices
+from hubmodal.choice import LEG_MODE_ORDER
 from hubmodal.fixtures import generate_fixture
-from hubmodal.hubs import LEG_MODE_ORDER
-from hubmodal.io import MATRIX_COLUMNS, _cells, _csv_cell, _label_cells
+from hubmodal.io import MATRIX_COLUMNS
+from hubmodal.writers import _cells, _csv_cell, _label_cells
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None)
 
@@ -167,13 +169,13 @@ CSV_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("write_rows", [1, 7, hubmodal.io._WRITE_ROWS], ids=["one_row", "seven_rows", "default"])
+@pytest.mark.parametrize("write_rows", [1, 7, hubmodal.writers._WRITE_ROWS], ids=["one_row", "seven_rows", "default"])
 def test_writers_write_the_same_bytes_at_every_block_size(tmp_path, monkeypatch, write_rows):
     """write_matrices and write_csv write what a row-by-row rendering
     gives, and write_markets what it wrote at the default block size."""
     generate_fixture(tmp_path / "fx", seed=3, od_pairs=5)  # 20 markets
     markets = tmp_path / "fx" / "markets.csv"
-    monkeypatch.setattr(hubmodal.io, "_WRITE_ROWS", write_rows)
+    monkeypatch.setattr(hubmodal.writers, "_WRITE_ROWS", write_rows)
     store = _awkward_store()
     assert write_matrices(store, tmp_path / "m.csv").read_text() == _csv_text(_matrix_rows(store))
     expected = _csv_text([["i", "id", "x", "flag"], *([fmt(v) for v in row] for row in CSV_ROWS)])
@@ -214,7 +216,7 @@ def test_a_failed_block_write_keeps_the_target_and_leaves_no_temp_file(tmp_path,
         files.append(_FailingFile(open(*args, **kwargs), fail_at=3))  # the header, the first block, the second
         return files[-1]
 
-    monkeypatch.setattr(hubmodal.io, "_WRITE_ROWS", 7)
+    monkeypatch.setattr(hubmodal.writers, "_WRITE_ROWS", 7)
     monkeypatch.setattr(hubmodal.io, "open", failing_open, raising=False)
     with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
         if writer == "write_csv":

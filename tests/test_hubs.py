@@ -58,7 +58,7 @@ from hubmodal import (
 )
 
 import hubmodal.hubs
-from hubmodal.hubs import LEG_MODE_ORDER
+from hubmodal.choice import LEG_MODE_ORDER
 from hubmodal.impacts import assess_hubs
 
 P1 = GeoPoint(lat=42.65, lon=-73.76)

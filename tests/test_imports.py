@@ -294,21 +294,21 @@ def test_bare_package_import_loads_no_submodule(tmp_path):
 def test_hub_params_resolve_without_the_calibration_module(tmp_path):
     # the params a --params stage reads live beside the kernels that read them
     code = f"import sys, types, hubmodal; hubmodal.HubParams; print({HUBMODAL_LOADED})"
-    assert _fresh_python(code, tmp_path).strip() == str(["choice", "geo", "hubs", "records"])
+    assert _fresh_python(code, tmp_path).strip() == str(["choice", "geo", "hubs", "legs", "records"])
 
 
 GEN_FIXTURE = ["gen-fixture", "--seed", "3", "--od-pairs", "12", "--stops", "6"]
 FX = ["--manifest", "fx/manifest.json"]
 PARAMS = ["--params", "params.json"]
-COMMON = ["cli", "config", "geo", "choice", "hubs", "io", "records"]
+COMMON = ["cli", "config", "geo", "choice", "hubs", "io", "legs", "records"]
 # stage -> (argv, the hubmodal modules it loads)
 STAGES = {
     "derive-threshold": (["derive-threshold", *FX], COMMON),
-    "identify-trips": (["identify-trips", *FX], COMMON),
+    "identify-trips": (["identify-trips", *FX], [*COMMON, "writers"]),
     "calibrate": (["calibrate", *FX], [*COMMON, "calibration"]),
     "assess --params": (["assess", *FX, *PARAMS], [*COMMON, "impacts"]),
-    "rank --params": (["rank", *FX, *PARAMS], [*COMMON, "impacts", "siting"]),
-    "gen-fixture": (GEN_FIXTURE, [*COMMON, "siting", "fixtures"]),
+    "rank --params": (["rank", *FX, *PARAMS], [*COMMON, "impacts", "siting", "writers"]),
+    "gen-fixture": (GEN_FIXTURE, [*COMMON, "siting", "fixtures", "writers"]),
 }
 
 

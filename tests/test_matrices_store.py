@@ -40,9 +40,10 @@ from conftest import full_attrs, load_batched, make_market, random_taste, snapsh
 from reference_model import add_leg, leg_rows, table_from_markets
 from hubmodal import TASTE_FIELDS, LegMatrices, LegTimes, Mode, ParseError, Segment, load_markets, load_matrices, sha256_digest, write_matrices
 from hubmodal.fixtures import generate_fixture
-from hubmodal.hubs import LEG_MODE_ORDER
-import hubmodal.hubs
+from hubmodal.choice import LEG_MODE_ORDER
 import hubmodal.io
+import hubmodal.legs
+import hubmodal.writers
 
 KEY_MAX = np.iinfo(np.int64).max
 
@@ -68,7 +69,7 @@ def _records(path) -> list[list[str]]:
 def _csv_text(records, line_end: str = "\n") -> str:
     """The records as CSV lines ended by ``line_end``, a cell holding a
     comma, a quote or a line break quoted."""
-    return "".join(",".join(map(hubmodal.io._csv_cell, record)) + line_end for record in records)
+    return "".join(",".join(map(hubmodal.writers._csv_cell, record)) + line_end for record in records)
 
 
 def _first_seen(values) -> list[str]:
@@ -536,7 +537,7 @@ def test_rows_finds_the_rows_the_searchsorted_walk_finds(case):
 
 
 def test_rows_of_empty_and_one_row_stores(monkeypatch):
-    monkeypatch.setattr(hubmodal.hubs, "_INDEX_BLOCK", 1)
+    monkeypatch.setattr(hubmodal.legs, "_INDEX_BLOCK", 1)
     empty = LegMatrices()
     _assert_rows_match_the_oracle(empty, [-1, -1], [-1, 0])
     assert empty.rows(np.array([-1]), np.array([-1]), [Mode.BUS]).tolist() == [[0]]
@@ -632,7 +633,7 @@ def test_rows_equal_a_brute_force_lookup_at_every_block_size(n_zones, n_hubs, pi
     whole = tuple(a.copy() for a in store._pair_index()) + (store._timed.copy(),)
     store._index = None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hubmodal.hubs, "_INDEX_BLOCK", block)
+        mp.setattr(hubmodal.legs, "_INDEX_BLOCK", block)
         _assert_rows_are_the_brute_force_lookup(store)
         assert all(np.array_equal(a, b) for a, b in zip((*store._pair_index(), store._timed), whole))
 
@@ -652,7 +653,7 @@ def test_pair_runs_cut_at_every_offset_index_as_whole_runs(monkeypatch, block):
     # of its offsets, and 16 holds the key in one block
     store = _runs_store()
     assert len(store) == 15
-    monkeypatch.setattr(hubmodal.hubs, "_INDEX_BLOCK", block)
+    monkeypatch.setattr(hubmodal.legs, "_INDEX_BLOCK", block)
     _assert_rows_are_the_brute_force_lookup(store)
     first, bits = store._pair_index()
     assert first.dtype == np.int32 and bits.dtype == np.uint8
@@ -720,7 +721,7 @@ def _markets_files(directory, taste_file: bool = False) -> list:
             )
         )  # fmt: skip
     path = directory / "markets.csv"
-    hubmodal.io.write_markets(table_from_markets(markets), path)
+    hubmodal.writers.write_markets(table_from_markets(markets), path)
     if not taste_file:
         return [path]
     header, *rows = _records(path)

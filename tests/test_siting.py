@@ -47,7 +47,7 @@ from hubmodal import (
     rank_and_summarize,
     screen_trips,
 )
-from hubmodal.hubs import LEG_MODE_ORDER
+from hubmodal.choice import LEG_MODE_ORDER
 
 CENTER = GeoPoint(lat=42.652, lon=-73.757)
 
