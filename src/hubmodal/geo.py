@@ -62,7 +62,7 @@ def haversine_km(lat1, lon1, lat2, lon2):
     lat1, lon1, lat2, lon2 = (np.radians(np.asarray(x, dtype=float)) for x in (lat1, lon1, lat2, lon2))
     shape = np.broadcast(lat1, lon1, lat2, lon2).shape
     if not shape:  # scalars: numpy's scalar math, in the same operations
-        a = np.sin((lat2 - lat1) / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2.0) ** 2
+        a = np.square(np.sin((lat2 - lat1) / 2.0)) + np.cos(lat1) * np.cos(lat2) * np.square(np.sin((lon2 - lon1) / 2.0))
         return EARTH_RADIUS_KM * 2.0 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
     # cos lat1 cos lat2 sin^2(dlon / 2)
     term = np.multiply(np.cos(lat1), np.cos(lat2), out=np.empty(shape))

@@ -50,8 +50,9 @@ Both the leg matrices and the markets are read through a sidecar
 (``_sidecar_load``).  Each of an input's files is hashed once; a clean
 load of a non-empty input writes what it built to a sidecar beside the
 first file, ``.<file name>.<tag>.<kind>``, whose tag is a sha256 over
-SIDECAR_VERSION, the kind and each file's sha256: the leg store
-(``.legs``), and the markets' converted columns (``.markets``, of the
+SIDECAR_VERSION, the kind and each file's sha256: the leg store's pair
+index and leg block (``.legs``), which a load checks and adopts with no
+rebuild, and the markets' converted columns (``.markets``, of the
 markets file and any taste-parameters file), which go through the one
 MarketTable constructor on every load.  The next load of the same bytes
 reads them back instead of parsing; a sidecar that does not read back
@@ -622,7 +623,7 @@ def load_matrices(paths: Sequence[str | Path], digests: list[str] | None = None)
 
     def parse():  # the store, and its parts as the sidecar holds them (none for an empty store)
         store = _parse_matrices(paths)
-        return store, [store.zone_ids, store.hub_ids, _LEG_MODE_NAMES], [store._key, store._legs] if len(store) else None
+        return store, [store.zone_ids, store.hub_ids, _LEG_MODE_NAMES], list(store.arrays) if len(store) else None
 
     matrices, sums = _sidecar_load(paths, "legs", parse, _leg_store)
     if digests is not None:
@@ -630,15 +631,15 @@ def load_matrices(paths: Sequence[str | Path], digests: list[str] | None = None)
     return matrices
 
 
-def _leg_store(names, key, legs) -> LegMatrices:
+def _leg_store(names, *arrays) -> LegMatrices:
     """The store of its parts as the leg sidecar holds them: the zone
-    ids, hub ids and leg mode names, and the key and leg block, each with
-    the sentinel row.  Parts that make no store, or other mode names,
-    raise."""
+    ids, hub ids and leg mode names, and the store's ``arrays`` (its pair
+    index and leg block), adopted with no rebuild.  Parts that make no
+    store, or other mode names, raise."""
     zone_ids, hub_ids, modes = names
     if modes != _LEG_MODE_NAMES:
         raise ValueError("a store of other leg modes")
-    return LegMatrices.from_store(zone_ids, hub_ids, key, legs)
+    return LegMatrices.from_store(zone_ids, hub_ids, *arrays)
 
 
 def _parse_matrices(paths: list[str | Path]) -> LegMatrices:
@@ -705,7 +706,7 @@ def _raise_repeated_key(zone_ids, hub_ids, zone, hub, mode, row_files) -> None:
 # The sidecar format.  Bump it whenever the cell rules or a sidecar's
 # layout change: it enters each sidecar's tag, so no load reads a sidecar
 # of another version.
-SIDECAR_VERSION = 1
+SIDECAR_VERSION = 2
 _TAG_CHARS = 16  # of the tag in the file name; the header holds all of it
 
 
@@ -805,10 +806,16 @@ def load_fares(path: str | Path) -> FareTable:
 
 def load_params(path: str | Path) -> HubParams:
     """Nest parameters from a params file: ``params_json``'s object, at
-    the top level or under ``"params"``, as a calibration report holds it."""
+    the top level or under ``"params"``, as a calibration report holds it.
+    Any other key in that object is a ParseError, as is a malformed one."""
     data = read_json(path, "params file")
     node = data.get("params", data)
     try:
+        if not isinstance(node, dict):
+            raise TypeError(f"params must be an object, got {node!r}")
+        unknown = sorted(set(node) - {"beta_hub", "asc_by_segment"})
+        if unknown:
+            raise ValueError(f"unknown keys: {unknown}")
         beta_hub = check_number("beta_hub", node["beta_hub"])
         asc = node["asc_by_segment"]
         if not isinstance(asc, dict):
@@ -818,7 +825,7 @@ def load_params(path: str | Path) -> HubParams:
             asc_by_segment={Segment(k): check_number(f"asc_by_segment.{k}", v) for k, v in asc.items()},
         )
     except (KeyError, TypeError, ValueError) as err:
-        raise ValueError(f"{path}: malformed params: {err}") from None
+        raise ParseError(f"{path}: malformed params: {err}") from None
 
 
 def params_json(params: HubParams) -> dict:

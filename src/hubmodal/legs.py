@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -84,8 +84,15 @@ _MODE_OFFSET = np.array(
 )
 
 
-# Rows of the key that LegMatrices._pair_index decodes at a time.
-_INDEX_BLOCK = 16384
+# _POPCOUNT[bits]: how many bits ``bits`` sets, which is how many rows a
+# (zone, hub) pair with those mode bits holds.
+_POPCOUNT = np.array([bin(bits).count("1") for bits in range(256)], dtype=np.uint8)
+
+# Rows of the key that _pair_index decodes, and pairs of the index that
+# _first_rows counts, at a time.  Either holds only a few block-length
+# arrays (the largest int64, 16 KiB) whatever the store's length, so the
+# checks of a sidecar hit stay within 64 KiB of working memory.
+_INDEX_BLOCK = 2048
 
 
 def _sorted_ids(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -130,18 +137,66 @@ def _leg_times(cells: np.ndarray) -> LegTimes | None:
     return LegTimes(minutes, access, egress, transfers, None if miles != miles else miles)
 
 
+def _pair_index(key: np.ndarray, legs: np.ndarray, pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair index of a store of ``pairs`` (zone, hub) pairs whose rows
+    have the strictly increasing ``key`` and the leg block ``legs``: each
+    pair's first row (int32), the bitmask of its modes (bit ``code``,
+    uint8) and each direction's bitmask of the modes whose minutes are not
+    NaN, plus an empty last entry whose first row is the row count.  A pair
+    with no rows has the first row the next pair would have.
+
+    The key is read in blocks of _INDEX_BLOCK rows, decoded to an int32
+    pair and a uint8 mode code, so no temporary is as long as the key."""
+    bits = np.zeros(pairs + 1, dtype=np.uint8)
+    timed = np.zeros((2, pairs + 1), dtype=np.uint8)
+    for start in range(0, len(key), _INDEX_BLOCK):
+        block = key[start : start + _INDEX_BLOCK]
+        pair = (block // len(LEG_MODE_ORDER)).astype(np.int32)
+        mode_bit = np.left_shift(np.uint8(1), (block - pair * len(LEG_MODE_ORDER)).astype(np.uint8))
+        # each key is distinct, so a pair's mode bits are each added once
+        np.add.at(bits, pair, mode_bit)
+        for d in (0, 1):  # and those of the rows with minutes that way
+            np.add.at(timed[d], pair, mode_bit * ~np.isnan(legs[d, start : start + len(block), 0]))
+    first = np.empty(pairs + 1, dtype=np.int32)
+    for start, rows in _first_rows(bits):
+        first[start : start + len(rows)] = rows
+    return first, bits, timed
+
+
+def _first_rows(bits: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, rows) for each block of _INDEX_BLOCK pairs of the mode
+    bitmasks ``bits``: the block's first pair, and for each of its pairs
+    the count (int64) of the rows that the pairs before it hold, which is
+    its first row."""
+    total = 0
+    for start in range(0, len(bits), _INDEX_BLOCK):
+        counts = _POPCOUNT[bits[start : start + _INDEX_BLOCK]]
+        rows = np.cumsum(counts, dtype=np.int64)
+        rows += total
+        total = int(rows[-1])
+        rows -= counts
+        yield start, rows
+
+
 class LegMatrices:
     """Zone-to-hub leg store: one row per (zone, hub, leg mode), held as a
-    key column and a leg block.
+    pair index and a leg block.
 
-    ``zone_ids`` and ``hub_ids`` are sorted.  Each row is held as its
-    ``key``, (zone * len(hub_ids) + hub) * len(LEG_MODE_ORDER) + mode, so
-    rows sorted by key are sorted by (zone, hub, mode name), and its
-    ``legs``: ``legs[0]`` and ``legs[1]`` are the to-hub and from-hub
-    (n, 5) blocks of minutes, access, egress, transfers and miles.  NaN
-    minutes means the direction is absent, NaN miles that no network
-    distance is known.  The ``zone``, ``hub`` and ``mode`` codes, into
-    ``zone_ids``, ``hub_ids`` and LEG_MODE_ORDER, are decoded from the key.
+    ``zone_ids`` and ``hub_ids`` are sorted.  The rows are sorted by
+    (zone, hub, mode name).  ``legs[0]`` and ``legs[1]`` are their to-hub
+    and from-hub (n, 5) blocks of minutes, access, egress, transfers and
+    miles.  NaN minutes means the direction is absent, NaN miles that no
+    network distance is known.
+
+    The pair index is the store's one row directory: for each (zone, hub)
+    pair, zone * len(hub_ids) + hub, its first row (int32), the bitmask of
+    the leg modes it holds (bit ``code`` for LEG_MODE_ORDER[code], uint8)
+    and each direction's bitmask of those whose minutes are not NaN (uint8
+    each), 7 bytes a pair, plus an empty last entry that code -1 reads.  A
+    pair's rows are its modes in code order, from its first row on.  Each
+    row's ``key``, (zone * len(hub_ids) + hub) * len(LEG_MODE_ORDER) +
+    mode, and its ``zone``, ``hub`` and ``mode`` codes are derived from the
+    index when asked for; no lookup reads them.
 
     The constructor takes rows column-wise: ``zone``/``hub`` codes into
     ``zone_ids``/``hub_ids`` (in any order, repeats allowed), ``mode``
@@ -150,9 +205,10 @@ class LegMatrices:
     with rows to spare past the n given becomes the store's block: rows
     that arrive in strictly increasing key order are kept where they are,
     others are sorted in place, and the first spare row becomes the
-    sentinel.  Any other ``legs`` is copied.  The store is complete once
-    built; lookups never change it.  The first lookup builds an index of
-    its (zone, hub) pairs from ``key``.
+    sentinel, an all-NaN leg that absent rows read.  Any other ``legs`` is
+    copied.  The constructor builds the index from the rows' keys, then
+    drops the keys.  The store is complete once built; lookups never
+    change it.
     """
 
     def __init__(
@@ -170,46 +226,65 @@ class LegMatrices:
         legs = np.empty((2, 0, 5)) if legs is None else np.asarray(legs, dtype=float)
         if legs.shape[1] <= n:  # no spare row: copy into a block with one
             legs = np.concatenate([legs, np.empty((2, 1, 5))], axis=1)
-        key = np.empty(n + 1, dtype=np.int64)
-        rows = key[:n]
-        rows[:] = zone_rank[_int_codes(zone)]
-        rows *= len(self.hub_ids)
-        rows += hub_rank[_int_codes(hub)]
-        rows *= len(LEG_MODE_ORDER)
-        rows += _int_codes(mode)
-        if (rows[1:] <= rows[:-1]).any():
+        key = zone_rank[_int_codes(zone)]
+        key *= len(self.hub_ids)
+        key += hub_rank[_int_codes(hub)]
+        key *= len(LEG_MODE_ORDER)
+        key += _int_codes(mode)
+        if (key[1:] <= key[:-1]).any():
             n = _sort_rows(key, legs, n)
-        self._adopt(key[: n + 1], legs[:, : n + 1])
+        pairs = len(self.zone_ids) * len(self.hub_ids)
+        self._adopt(legs[:, : n + 1], *_pair_index(key[:n], legs, pairs))
 
     @classmethod
-    def from_store(cls, zone_ids: Sequence[str], hub_ids: Sequence[str], key: np.ndarray, legs: np.ndarray):
-        """The store another store held: its sorted ids, and its key and
-        leg block each with the sentinel row, adopted without a copy.
-        Raises ValueError when they do not make a store."""
+    def from_store(cls, zone_ids: Sequence[str], hub_ids: Sequence[str], first, bits, timed, legs):
+        """The store another store held: its sorted ids, then its
+        ``arrays``, adopted without a copy or a rebuild.  Raises ValueError
+        when they do not make a store.  The checks read the index a block
+        of _INDEX_BLOCK pairs at a time."""
         self = cls.__new__(cls)
         self.zone_ids, self.hub_ids = tuple(zone_ids), tuple(hub_ids)
         for ids in (self.zone_ids, self.hub_ids):
             if any(a >= b for a, b in zip(ids, ids[1:])):
                 raise ValueError("ids are not sorted and distinct")
-        if key.dtype != np.int64 or key.ndim != 1 or legs.dtype != np.float64 or legs.shape != (2, len(key), 5):
-            raise ValueError("key and legs do not match")
-        rows = key[:-1]
-        keys = len(self.zone_ids) * len(self.hub_ids) * len(LEG_MODE_ORDER)
-        if not len(key) or len(rows) and not (rows[0] >= 0 and rows[-1] < keys and (rows[1:] > rows[:-1]).all()):
-            raise ValueError("the key is not strictly increasing within its range")
-        self._adopt(key, legs)
+        entries = (len(self.zone_ids) * len(self.hub_ids) + 1,)
+        index = [(a.dtype, a.shape) for a in (first, bits, timed)]
+        if index != [(np.int32, entries), (np.uint8, entries), (np.uint8, (2, *entries))] or legs.dtype != np.float64:
+            raise ValueError("the pair index and the leg block do not match")
+        if bits[-1] or timed[:, -1].any():
+            raise ValueError("the pair index's last entry is not empty")
+        for start, rows in _first_rows(bits):
+            pairs = slice(start, start + len(rows))
+            if (bits[pairs] >> len(LEG_MODE_ORDER)).any() or (timed[:, pairs] & ~bits[pairs]).any():
+                raise ValueError("a pair times a mode that is not one of its leg modes")
+            if (first[pairs] != rows).any():
+                raise ValueError("a pair's first row is not the count of the rows before it")
+        # the last entry's first row, checked above, is the row count
+        if legs.shape != (2, int(first[-1]) + 1, 5):
+            raise ValueError("the leg block does not hold the pair index's rows")
+        self._adopt(legs, first, bits, timed)
         return self
 
-    def _adopt(self, key: np.ndarray, legs: np.ndarray) -> None:
-        """Hold ``key`` and ``legs``, whose last row becomes the sentinel:
-        an all-NaN leg for absent keys and a key no lookup can equal."""
-        key[-1] = np.iinfo(np.int64).max
+    def _adopt(self, legs: np.ndarray, first: np.ndarray, bits: np.ndarray, timed: np.ndarray) -> None:
+        """Hold ``legs``, whose last row becomes the sentinel, and the pair
+        index ``first``, ``bits`` and ``timed``."""
         legs[:, -1] = np.nan
-        self._legs, self._key = legs, key
-        self.legs, self.key = legs[:, :-1], key[:-1]
+        self._legs, self.legs = legs, legs[:, :-1]
+        self._first, self._bits, self._timed = first, bits, timed
         self._zone_code = {z: i for i, z in enumerate(self.zone_ids)}
         self._hub_code = {h: i for i, h in enumerate(self.hub_ids)}
-        self._index = None  # built on the first lookup
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """What ``from_store`` adopts after the ids: the pair index's
+        ``first``, ``bits`` and ``timed``, and the leg block with the
+        sentinel row."""
+        return self._first, self._bits, self._timed, self._legs
+
+    @property
+    def key(self) -> np.ndarray:
+        """Each row's key, strictly increasing, derived from the pair index."""
+        return np.flatnonzero(self._bits[:-1, None] >> np.arange(len(LEG_MODE_ORDER), dtype=np.uint8) & 1)
 
     @property
     def zone(self) -> np.ndarray:
@@ -227,7 +302,7 @@ class LegMatrices:
         return self.key % len(LEG_MODE_ORDER)
 
     def __len__(self) -> int:
-        return len(self.key)
+        return self.legs.shape[1]
 
     @property
     def entries(self) -> Mapping[tuple[str, str, Mode], tuple[LegTimes | None, LegTimes | None]]:
@@ -250,10 +325,9 @@ class LegMatrices:
         Each pair's first row and mode bits are gathered once from the
         pair index; a mode's row is then that first row plus the count of
         the pair's modes that sort before it."""
-        first, bits = self._pair_index()
         # Code -1 reads the index's empty last entry.
-        pair = np.where((zones < 0) | (hubs < 0), len(first) - 1, zones * len(self.hub_ids) + hubs)
-        first, bits = first[pair], bits[pair]
+        pair = np.where((zones < 0) | (hubs < 0), len(self._bits) - 1, zones * len(self.hub_ids) + hubs)
+        first, bits = self._first[pair], self._bits[pair]
         codes = np.array([_LEG_MODE_CODE.get(mode, len(LEG_MODE_ORDER)) for mode in modes], dtype=np.intp)
         offset = _MODE_OFFSET[codes].take(bits, axis=1)
         return np.where(offset >= 0, first + offset, len(self))
@@ -265,49 +339,9 @@ class LegMatrices:
         for each of the hub codes ``hubs`` and every zone code.  A row with
         NaN minutes in that direction does not count.  The last column,
         which zone code -1 reads, and the rows of hub code -1 are 0."""
-        self._pair_index()
         out = np.zeros((len(hubs), len(self.zone_ids) + 1), dtype=np.uint8)
         out[hubs >= 0, :-1] = self._timed[direction, :-1].reshape(len(self.zone_ids), len(self.hub_ids))[:, hubs[hubs >= 0]].T
         return out
-
-    def _pair_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The first row (int32) and the bitmask of the modes present
-        (bit ``code``, uint8) of each (zone, hub) pair, zone * len(hub_ids)
-        + hub, plus an empty last entry.  Beside them it keeps, as
-        ``_timed``, each direction's bitmask of the modes whose minutes are
-        not NaN: 7 bytes a pair in all.  Built from ``key`` and the minutes
-        on the first lookup and kept until the store changes.
-
-        The sorted key is read in blocks of _INDEX_BLOCK rows, decoded to
-        an int32 pair and a uint8 mode code, so the build's working memory
-        beyond the index is a few block-length arrays, about 0.4 MiB
-        whatever the store's length: no temporary is as long as the key."""
-        if self._index is None:
-            pairs = len(self.zone_ids) * len(self.hub_ids)
-            first = np.zeros(pairs + 1, dtype=np.int32)
-            bits = np.zeros(pairs + 1, dtype=np.uint8)
-            timed = np.zeros((2, pairs + 1), dtype=np.uint8)
-            last = -1  # the pair of the row before the block
-            for start in range(0, len(self.key), _INDEX_BLOCK):
-                block = self.key[start : start + _INDEX_BLOCK]
-                pair = (block // len(LEG_MODE_ORDER)).astype(np.int32)
-                code = (block - pair * len(LEG_MODE_ORDER)).astype(np.uint8)
-                # each key is distinct, so a pair's mode bits are each added once
-                mode_bit = np.left_shift(np.uint8(1), code)
-                np.add.at(bits, pair, mode_bit)
-                for d in (0, 1):  # and those of the rows with minutes that way
-                    np.add.at(timed[d], pair, mode_bit * ~np.isnan(self.legs[d, start : start + _INDEX_BLOCK, 0]))
-                # the key is sorted: each pair's rows are one run, which may
-                # have begun in the block before
-                run_start = np.empty(len(pair), dtype=bool)
-                run_start[0] = pair[0] != last
-                np.not_equal(pair[1:], pair[:-1], out=run_start[1:])
-                starts = np.flatnonzero(run_start)
-                first[pair[starts]] = starts + start
-                last = pair[-1]
-            self._index = first, bits
-            self._timed = timed
-        return self._index
 
     def _row(self, zone_id: str, hub_id: str, mode: Mode) -> int:
         return int(self.rows(self.zone_codes([zone_id]), self.hub_codes([hub_id]), [mode])[0, 0])

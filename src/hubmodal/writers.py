@@ -172,12 +172,14 @@ class _KeyCodes:
 def write_matrices(matrices: LegMatrices, path: str | Path) -> Path:
     """Rows in (zone, hub, mode name) order; an absent direction is five
     blank cells and unknown miles one.  Ids and modes are looked up from
-    the codes decoded from the key a block of rows at a time, and NaN
-    elsewhere in a present direction is refused."""
+    the codes decoded from the key (derived once from the store's pair
+    index) a block of rows at a time, and NaN elsewhere in a present
+    direction is refused."""
     hubs, modes = len(matrices.hub_ids), len(LEG_MODE_ORDER)
     steps = [(hubs * modes, len(matrices.zone_ids)), (modes, hubs), (1, modes)]
     labels = (matrices.zone_ids, matrices.hub_ids, _LEG_MODE_NAMES)
-    columns = [(_label_cells(ids), _KeyCodes(matrices.key, *step)) for ids, step in zip(labels, steps)]
+    key = matrices.key
+    columns = [(_label_cells(ids), _KeyCodes(key, *step)) for ids, step in zip(labels, steps)]
     for block in matrices.legs:
         absent = np.isnan(block[:, 0])
         columns += [_cells(block[:, f], absent | np.isnan(block[:, f]) if f == 4 else absent) for f in range(5)]

@@ -369,7 +369,7 @@ def haversine_expr(lat1, lon1, lat2, lon2):
     lat1, lon1, lat2, lon2 = (np.radians(np.asarray(x, dtype=float)) for x in (lat1, lon1, lat2, lon2))
     dlat = lat2 - lat1
     dlon = lon2 - lon1
-    a = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
+    a = np.square(np.sin(dlat / 2.0)) + np.cos(lat1) * np.cos(lat2) * np.square(np.sin(dlon / 2.0))
     return EARTH_RADIUS_KM * 2.0 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
@@ -383,6 +383,7 @@ def leg_rows(self: LegMatrices, zones: np.ndarray, hubs: np.ndarray, modes: Iter
     base = np.where((zones < 0) | (hubs < 0), -1, zones * len(self.hub_ids) + hubs)
     order = np.argsort(base, kind="stable")
     base = base[order] * len(LEG_MODE_ORDER)
+    keys = np.append(self.key, np.iinfo(np.int64).max)  # a last key no query equals
     out = {}
     for mode in modes:
         found = np.full(len(base), len(self))
@@ -390,8 +391,8 @@ def leg_rows(self: LegMatrices, zones: np.ndarray, hubs: np.ndarray, modes: Iter
         if code is not None:
             # Code -1 gives a negative key, which matches no row.
             key = base + code
-            pos = np.searchsorted(self.key, key)
-            found[order] = np.where(self._key[pos] == key, pos, len(self))
+            pos = np.searchsorted(keys[:-1], key)
+            found[order] = np.where(keys[pos] == key, pos, len(self))
         out[mode] = found
     return out
 

@@ -84,12 +84,16 @@ def test_distance_symmetry_and_triangle_inequality(rng):
         assert ab <= great_circle_km(a, c) + great_circle_km(c, b) + 1e-9
 
 
-def test_haversine_vectorized_matches_scalar(rng):
-    lats = rng.uniform(-70, 70, size=50)
-    lons = rng.uniform(-170, 170, size=50)
-    vec = haversine_km(lats, lons, 10.0, 20.0)
-    for i in range(50):
-        assert vec[i] == great_circle_km(GeoPoint(lats[i], lons[i]), GeoPoint(10.0, 20.0))
+def test_haversine_vectorized_matches_scalar():
+    # 20,000 pairs of Albany-area points: squaring with the scalar ``** 2``
+    # missed the array branch's last bit on 6 of them
+    rng = np.random.default_rng(0)
+    n = 20_000
+    lat1, lat2 = rng.uniform(42.5, 42.9, (2, n))
+    lon1, lon2 = rng.uniform(-73.8, -73.4, (2, n))
+    vec = haversine_km(lat1, lon1, lat2, lon2)
+    scalar = [great_circle_km(GeoPoint(*a), GeoPoint(*b)) for a, b in zip(zip(lat1, lon1), zip(lat2, lon2))]
+    assert [i for i in range(n) if vec[i] != scalar[i]] == []
 
 
 def test_detour_ratio_via_midpoint_is_one():

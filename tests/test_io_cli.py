@@ -1146,14 +1146,14 @@ def test_params_file_value_that_is_not_a_finite_number_names_the_file_and_key(tm
     # "beta_hub": true once ran with beta 1.0, and "low_income": false with a constant of 0.0
     path = _json_with(tmp_path, "params.json", PARAMS_OK, key_path, literal)
     error = f"{path}: malformed params: {key} must be a finite number, got "
-    with pytest.raises(ValueError, match=rf"^{re.escape(error)}"):
+    with pytest.raises(ParseError, match=rf"^{re.escape(error)}"):
         load_params(path)
 
 
 @pytest.mark.parametrize("asc", ["[-4.0]", '"-4"', "3"])
 def test_params_file_segment_constants_must_be_an_object(tmp_path, asc):
     path = _json_with(tmp_path, "params.json", PARAMS_OK, ["asc_by_segment"], asc)
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: malformed params: asc_by_segment must be an object"):
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: malformed params: asc_by_segment must be an object"):
         load_params(path)
 
 
@@ -1163,6 +1163,32 @@ def test_params_file_takes_json_integers_as_numbers(tmp_path):
     params = load_params(path)
     assert params == load_params(_json_with(tmp_path, "float.json", PARAMS_OK, ["beta_hub"], "1.0"))
     assert type(params.beta_hub) is float and {type(v) for v in params.asc_by_segment.values()} == {float}
+
+
+@pytest.mark.parametrize(
+    "params, why",
+    [
+        ({"params": {**PARAMS_OK, "asc_by_hub": {"hub-a": -1.0}}}, "unknown keys: ['asc_by_hub']"),  # a later item's key
+        ({**PARAMS_OK, "beta": 0.5, "asc_by_segmnet": {}}, "unknown keys: ['asc_by_segmnet', 'beta']"),  # typos
+        ({"params": ["beta_hub", "asc_by_segment"]}, "params must be an object, got ['beta_hub', 'asc_by_segment']"),
+    ],
+    ids=["hub_constants", "typos", "not_an_object"],
+)
+def test_params_file_with_another_key_is_a_parse_error(tmp_path, params, why):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    with pytest.raises(ParseError, match=rf"^{re.escape(f'{path}: malformed params: {why}')}$"):
+        load_params(path)
+
+
+def test_cli_malformed_params_is_a_parse_error_naming_the_file(fixture_dir, tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({**PARAMS_OK, "beta_hub": "0.3"}))
+    args = ["--manifest", str(fixture_dir / "manifest.json"), "--params", str(params), "--out-dir", str(tmp_path / "o")]
+    assert main(["assess", *args]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    message = f"{params}: malformed params: beta_hub must be a finite number, got '0.3'"
+    assert record == {"error": "ParseError", "message": message}
 
 
 FARE_KEYS = [

@@ -13,17 +13,21 @@ replaced, never an error, and a load that fails writes none.  The
 markets go through the same sidecar code: their converted columns, read
 back, make the same MarketTable through its one constructor.
 
-``rows`` answers a lookup from an index of the store's (zone, hub)
-pairs, built on the first lookup; it finds the rows that the former
-``searchsorted`` walk (``reference_model.leg_rows``) found, and a store
-rebuilt by ``add`` is looked up afresh.  The index is built in blocks of
-the key: every block size gives the rows a brute-force dict lookup
-gives, and the build's traced peak stays within 1 MiB of the index.
+The store keeps an index of its (zone, hub) pairs, not its key: the
+constructor builds it from the rows' keys and a sidecar hit adopts it
+after checking it, and a sidecar whose index does not count the rows in
+order is parsed over.  ``rows`` answers a lookup from that index; it
+finds the rows that the former ``searchsorted`` walk
+(``reference_model.leg_rows``) found, and a store rebuilt by ``add`` is
+looked up afresh.  The index is built in blocks of the key: every block
+size gives the rows a brute-force dict lookup gives, and the build's
+traced peak stays within 1 MiB of the index.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -146,7 +150,14 @@ def test_line_ends_give_the_store_of_the_lf_twin(tmp_path, monkeypatch, zone, li
     assert load_batched(lambda p: load_matrices([p]), path) == (expected, expected)
     store = load_matrices([path])
     assert store._legs.shape == (2, len(store) + 1, 5)
-    assert np.isnan(store._legs[:, -1]).all() and store._key[-1] == KEY_MAX
+    _assert_sentinels(store)
+
+
+def _assert_sentinels(store: LegMatrices) -> None:
+    """The leg block's last row is all NaN, and the index's last entry,
+    which code -1 reads, holds no mode and the row count."""
+    assert np.isnan(store._legs[:, -1]).all()
+    assert store._bits[-1] == 0 and not store._timed[:, -1].any() and store._first[-1] == len(store)
 
 
 def test_constructor_adopts_a_block_with_a_spare_row():
@@ -184,7 +195,8 @@ def test_later_row_replaces_an_earlier_one_in_a_given_block():
     assert len(replaced) == n
     assert replaced.legs[:, 0].tobytes() == (store.legs[:, 0] + 1.0).tobytes()
     assert replaced.legs[:, 1:].tobytes() == store.legs[:, 1:].tobytes()
-    assert np.isnan(replaced._legs[:, n]).all() and replaced._key[n] == KEY_MAX
+    assert replaced._legs.shape[1] == n + 1
+    _assert_sentinels(replaced)
 
 
 def _held_bytes(store: LegMatrices) -> int:
@@ -263,7 +275,7 @@ def _count_parses(monkeypatch) -> list:
 
 
 def _store_bits(store: LegMatrices) -> tuple:
-    return store.zone_ids, store.hub_ids, store._key.tobytes(), store._legs.tobytes(), store._legs.shape
+    return store.zone_ids, store.hub_ids, *(snapshot(a) for a in store.arrays)
 
 
 def test_second_load_reads_the_sidecar_and_returns_an_equal_store(tmp_path, monkeypatch):
@@ -275,7 +287,7 @@ def test_second_load_reads_the_sidecar_and_returns_an_equal_store(tmp_path, monk
     assert re.fullmatch(r"\.m\.csv\.[0-9a-f]{16}\.legs", name)
     read = load_matrices([path])
     assert len(parses) == 1
-    # ids, key and the leg bits, NaNs and the sentinel row included
+    # ids, pair index and the leg bits, NaNs and the sentinel rows included
     assert np.isnan(read.legs).any()
     assert _store_bits(read) == _store_bits(parsed)
     assert snapshot(read) == snapshot(parsed)
@@ -364,20 +376,54 @@ def _other_mode_names(path, hubmodal_io, monkeypatch):
     assert path.is_file()
 
 
-def _unsorted_key(path, hubmodal_io, monkeypatch):
-    """A well-formed sidecar whose key does not make a store."""
-    with open(path, "rb") as fh:
-        head, names, key, legs = (np.lib.format.read_array(fh) for _ in range(4))
-    key[:2] = key[1::-1]
-    with open(path, "wb") as fh:
-        for array in (head, names, key, legs):
-            np.lib.format.write_array(fh, array)
+def _index_edit(edit):
+    """Damage that leaves a well-formed sidecar whose pair index and leg
+    block do not make a store: ``edit`` changes its ``first``, ``bits``,
+    ``timed`` and ``legs`` arrays in place, or returns the arrays to write
+    in their place."""
+
+    def damage(path, hubmodal_io, monkeypatch):
+        with open(path, "rb") as fh:
+            head, names, *arrays = (np.lib.format.read_array(fh) for _ in range(6))
+        LegMatrices.from_store(*json.loads(names.tobytes())[:2], *arrays)  # a store before the edit
+        arrays = edit(*arrays) or arrays
+        with open(path, "wb") as fh:
+            for array in (head, names, *arrays):
+                np.lib.format.write_array(fh, array)
+
+    damage.__name__ = edit.__name__
+    return damage
+
+
+def _first_off_by_one(first, bits, timed, legs):
+    pair = np.flatnonzero(bits)[1]
+    first[pair] += 1
+
+
+def _timed_outside_bits(first, bits, timed, legs):
+    pair = np.flatnonzero(bits & 1 == 0)[0]  # a pair without mode code 0
+    timed[1, pair] |= 1
+
+
+def _sentinel_not_empty(first, bits, timed, legs):
+    bits[-1] = 1
+
+
+def _short_first(first, bits, timed, legs):
+    return first[:-1], bits, timed, legs
+
+
+def _short_leg_block(first, bits, timed, legs):
+    return first, bits, timed, legs[:, :-1]
 
 
 @pytest.mark.parametrize(
     "damage",
-    [_truncate, _cut_header, _trailing_bytes, _garbage, _other_version, _other_mode_names, _unsorted_key],
-)
+    [
+        _truncate, _cut_header, _trailing_bytes, _garbage, _other_version, _other_mode_names,
+        *map(_index_edit, [_first_off_by_one, _timed_outside_bits, _sentinel_not_empty, _short_first, _short_leg_block]),
+    ],
+)  # fmt: skip
 def test_unreadable_sidecar_is_parsed_and_rewritten(tmp_path, monkeypatch, damage):
     path = tmp_path / "m.csv"
     write_matrices(_store(), path)
@@ -480,7 +526,11 @@ def test_load_matrices_hands_back_each_files_digest(tmp_path):
 
 
 def test_load_matrices_peak_memory_stays_near_the_store_on_a_sidecar_hit(tmp_path, monkeypatch):
-    """The hit-path twin of the test above, with the same bound."""
+    """The hit-path twin of the test above, with the same bound.  A hit
+    reads no key: the store keeps its leg block and pair index, and beyond
+    them only its ids and their code dicts (about 120 bytes an id here),
+    and the load's traced peak exceeds what it keeps by at most 64 KiB.
+    The key (8 bytes a row, 650 KiB here) fits under neither bound."""
     generate_fixture(tmp_path, seed=11, od_pairs=250, stops=100, pr_lots=5)
     path = tmp_path / "matrices.csv"
     load_matrices([path])
@@ -488,7 +538,7 @@ def test_load_matrices_peak_memory_stays_near_the_store_on_a_sidecar_hit(tmp_pat
     tracemalloc.start()
     try:
         store = load_matrices([path])
-        _, peak = tracemalloc.get_traced_memory()
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert parses == []
@@ -496,6 +546,9 @@ def test_load_matrices_peak_memory_stays_near_the_store_on_a_sidecar_hit(tmp_pat
     assert len(store) > 80_000
     assert held <= 90 * len(store)
     assert peak <= 1.5 * held
+    assert held == store._legs.nbytes + sum(a.nbytes for a in store.arrays[:3])
+    assert current <= held + 256 * (len(store.zone_ids) + len(store.hub_ids))
+    assert peak <= current + (64 << 10)
 
 
 def _assert_rows_match_the_oracle(store: LegMatrices, zones, hubs) -> None:
@@ -514,16 +567,33 @@ def _stores_and_queries(draw):
     n_zones, n_hubs = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     every = [(z, h, m) for z in range(n_zones) for h in range(n_hubs) for m in range(len(LEG_MODE_ORDER))]
     keys = draw(st.lists(st.sampled_from(every), unique=True, max_size=len(every))) if every else []
+    legs = np.arange(2 * len(keys) * 5, dtype=float).reshape(2, len(keys), 5)
     store = LegMatrices(
         [f"z{i}" for i in range(n_zones)],
         [f"h{i}" for i in range(n_hubs)],
         *(np.array(column, dtype=np.int64) for column in (zip(*keys) if keys else ((), (), ()))),
-        np.arange(2 * len(keys) * 5, dtype=float).reshape(2, len(keys), 5),
+        legs,
     )
+    _assert_store_holds(store, store.zone_ids, store.hub_ids, keys, legs)
     n = draw(st.integers(0, 30))
     zones = draw(st.lists(st.integers(-1, n_zones - 1), min_size=n, max_size=n))
     hubs = draw(st.lists(st.integers(-1, n_hubs - 1), min_size=n, max_size=n))
     return store, zones, hubs
+
+
+def _assert_store_holds(store: LegMatrices, zone_ids, hub_ids, keys, legs) -> None:
+    """``store`` holds the rows given as ``keys``, (zone, hub, mode) codes
+    into ``zone_ids``, ``hub_ids`` and LEG_MODE_ORDER, with their ``legs``,
+    a later row replacing an earlier one with its key, and no others.  It
+    checks the pair index against the rows given, not against the key
+    that the index gives back."""
+    expected = {}
+    for row, (z, h, m) in enumerate(keys):
+        expected[zone_ids[z], hub_ids[h], LEG_MODE_ORDER[m]] = legs[:, row].tobytes()
+    assert list(store.entries) == sorted(expected, key=lambda k: (k[0], k[1], LEG_MODE_ORDER.index(k[2])))
+    assert len(store) == len(expected)
+    for key, cells in expected.items():
+        assert store.legs[:, store._row(*key)].tobytes() == cells, key
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -532,7 +602,7 @@ def test_rows_finds_the_rows_the_searchsorted_walk_finds(case):
     store, zones, hubs = case
     _assert_rows_match_the_oracle(store, zones, hubs)
     # the same store adopted from its arrays, as a sidecar read builds it
-    adopted = LegMatrices.from_store(store.zone_ids, store.hub_ids, store._key.copy(), store._legs.copy())
+    adopted = LegMatrices.from_store(store.zone_ids, store.hub_ids, *(a.copy() for a in store.arrays))
     _assert_rows_match_the_oracle(adopted, zones, hubs)
 
 
@@ -541,14 +611,22 @@ def test_rows_of_empty_and_one_row_stores(monkeypatch):
     empty = LegMatrices()
     _assert_rows_match_the_oracle(empty, [-1, -1], [-1, 0])
     assert empty.rows(np.array([-1]), np.array([-1]), [Mode.BUS]).tolist() == [[0]]
-    assert [a.tolist() for a in empty._pair_index()] == [[0], [0]]
+    assert _index_lists(empty) == ([0], [0], [[0], [0]])
     no_rows = LegMatrices(["z"], ["h"])
     _assert_rows_are_the_brute_force_lookup(no_rows)
-    assert [a.tolist() for a in no_rows._pair_index()] == [[0, 0], [0, 0]]
+    assert _index_lists(no_rows) == ([0, 0], [0, 0], [[0, 0], [0, 0]])
     one = LegMatrices(["z"], ["h"], [0], [0], [LEG_MODE_ORDER.index(Mode.CAR)], np.ones((2, 1, 5)))
     _assert_rows_match_the_oracle(one, [0, 0, -1, 0], [0, -1, 0, 0])
     assert one.rows(np.array([0]), np.array([0]), [Mode.CAR, Mode.BUS]).tolist() == [[0], [1]]
-    assert [a.tolist() for a in one._pair_index()] == [[0, 0], [1 << LEG_MODE_ORDER.index(Mode.CAR), 0]]
+    car = 1 << LEG_MODE_ORDER.index(Mode.CAR)
+    assert _index_lists(one) == ([0, 1], [car, 0], [[car, 0], [car, 0]])
+    for store in (empty, no_rows, one):
+        _assert_sentinels(store)
+
+
+def _index_lists(store: LegMatrices) -> tuple:
+    """The store's pair index: ``first``, ``bits`` and ``timed``, as lists."""
+    return tuple(a.tolist() for a in store.arrays[:3])
 
 
 def test_rows_of_a_store_read_from_its_sidecar(tmp_path, monkeypatch):
@@ -624,18 +702,16 @@ def test_rows_equal_a_brute_force_lookup_at_every_block_size(n_zones, n_hubs, pi
     legs = np.arange(2 * len(keys) * 5, dtype=float).reshape(2, len(keys), 5)
     for row, d in untimed if keys else ():
         legs[d, row % len(keys), 0] = np.nan
-    store = LegMatrices(
-        [f"z{(7 * i) % 5}{i}" for i in range(n_zones)],
-        [f"h{(3 * i) % 5}{i}" for i in range(n_hubs)],
-        *(np.array(column, dtype=np.int64) for column in (zip(*keys) if keys else ((), (), ()))),
-        legs,
-    )
-    whole = tuple(a.copy() for a in store._pair_index()) + (store._timed.copy(),)
-    store._index = None
+    zone_ids = [f"z{(7 * i) % 5}{i}" for i in range(n_zones)]
+    hub_ids = [f"h{(3 * i) % 5}{i}" for i in range(n_hubs)]
+    columns = [np.array(column, dtype=np.int64) for column in (zip(*keys) if keys else ((), (), ()))]
+    store = LegMatrices(zone_ids, hub_ids, *columns, legs)
+    _assert_store_holds(store, zone_ids, hub_ids, keys, legs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hubmodal.legs, "_INDEX_BLOCK", block)
-        _assert_rows_are_the_brute_force_lookup(store)
-        assert all(np.array_equal(a, b) for a, b in zip((*store._pair_index(), store._timed), whole))
+        blocked = LegMatrices(zone_ids, hub_ids, *columns, legs)
+    _assert_rows_are_the_brute_force_lookup(blocked)
+    assert _store_bits(blocked) == _store_bits(store)
 
 
 def _runs_store() -> LegMatrices:
@@ -651,38 +727,108 @@ def _runs_store() -> LegMatrices:
 def test_pair_runs_cut_at_every_offset_index_as_whole_runs(monkeypatch, block):
     # 15 rows: the block sizes 1 to 15 cut each run of 2 to 5 rows at each
     # of its offsets, and 16 holds the key in one block
+    monkeypatch.setattr(hubmodal.legs, "_INDEX_BLOCK", block)
     store = _runs_store()
     assert len(store) == 15
-    monkeypatch.setattr(hubmodal.legs, "_INDEX_BLOCK", block)
     _assert_rows_are_the_brute_force_lookup(store)
-    first, bits = store._pair_index()
-    assert first.dtype == np.int32 and bits.dtype == np.uint8
-    assert first.tolist() == [0, 1, 3, 6, 10, 0, 0]
+    first, bits, timed = store.arrays[:3]
+    assert first.dtype == np.int32 and bits.dtype == timed.dtype == np.uint8
+    # a pair with no rows, and the last entry, start where the next rows would
+    assert first.tolist() == [0, 1, 3, 6, 10, 15, 15]
     assert bits.tolist() == [0b1, 0b1010, 0b10101, 0b11110, 0b11111, 0, 0]
+    assert timed.tolist() == [bits.tolist()] * 2
 
 
 def test_pair_index_build_peak_stays_near_the_index():
     """On a store of over 300,000 rows, the traced peak of building the
-    pair index exceeds the arrays it returns by at most 1 MiB: no
+    pair index exceeds its first rows and mode bits by at most 1 MiB: no
     temporary is as long as the key."""
     rng = np.random.default_rng(31)
     zones, hubs = 400, 200
     present = rng.uniform(size=zones * hubs * len(LEG_MODE_ORDER)) < 0.8
-    key = np.append(np.flatnonzero(present), 0)  # and the sentinel row
-    store = LegMatrices.from_store(
-        [f"z{i:03d}" for i in range(zones)],
-        [f"h{i:03d}" for i in range(hubs)],
-        key,
-        np.zeros((2, len(key), 5)),
-    )
-    assert len(store) >= 300_000
+    key = np.flatnonzero(present)
+    legs = np.zeros((2, len(key) + 1, 5))  # and the sentinel row
+    assert len(key) >= 300_000
     tracemalloc.start()
     try:
-        first, bits = store._pair_index()
+        first, bits, timed = hubmodal.legs._pair_index(key, legs, zones * hubs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= first.nbytes + bits.nbytes + (1 << 20)
+    # the index of those rows, as a store adopts it
+    ids = [f"z{i:03d}" for i in range(zones)], [f"h{i:03d}" for i in range(hubs)]
+    assert LegMatrices.from_store(*ids, first, bits, timed, legs).key.tolist() == key.tolist()
+
+
+# ----------------------------------------------------------------------
+# the pair index in the sidecar
+# ----------------------------------------------------------------------
+
+
+def _seed_7_fixture(directory):
+    generate_fixture(directory, seed=7)
+    return directory / "matrices.csv"
+
+
+def _written(store_of):
+    def write(directory):
+        return write_matrices(store_of(), directory / "m.csv")
+
+    write.__name__ = store_of.__name__
+    return write
+
+
+def _other_ids():
+    return _store(zones=("z1\x00", "z1", "z\x002"), hubs=("h1", "h1\x00\x00"), seed=6)
+
+
+@pytest.mark.parametrize("matrices", [_seed_7_fixture, *map(_written, [_store, _runs_store, _other_ids])])
+def test_sidecar_hit_gives_the_parsed_store(tmp_path, monkeypatch, matrices):
+    """The store a hit adopts equals the one the parse built: its index,
+    timed masks, leg block, the key and codes derived from them, and every
+    ``rows`` and ``timed_zones`` lookup, code -1 and a non-leg mode
+    included."""
+    parses = _count_parses(monkeypatch)
+    path = matrices(tmp_path)
+    parsed = load_matrices([path])
+    read = load_matrices([path])
+    assert len(parses) == 1 and len(read) > 10
+    assert _store_bits(read) == _store_bits(parsed)
+    for name in ("key", "zone", "hub", "mode"):
+        assert snapshot(getattr(read, name)) == snapshot(getattr(parsed, name)), name
+    grid = [(z, h) for z in range(-1, len(parsed.zone_ids)) for h in range(-1, len(parsed.hub_ids))]
+    zones, hubs = (np.array(column, dtype=np.int64) for column in zip(*grid))
+    modes = (*LEG_MODE_ORDER, Mode.DRIVING)
+    assert snapshot(read.rows(zones, hubs, modes)) == snapshot(parsed.rows(zones, hubs, modes))
+    hub_codes = np.arange(-1, len(parsed.hub_ids))
+    for d in (0, 1):
+        assert snapshot(read.timed_zones(d, hub_codes)) == snapshot(parsed.timed_zones(d, hub_codes))
+
+
+def test_version_1_sidecar_is_ignored_and_deleted(tmp_path, monkeypatch):
+    """A sidecar of the former layout (the key and the leg block, under a
+    version-1 tag) beside the file is not read: the load parses, and the
+    version-2 sidecar it writes replaces it."""
+    path = tmp_path / "m.csv"
+    write_matrices(_store(), path)
+    store = load_matrices([path])
+    expected = snapshot(store)
+    for sidecar in tmp_path.glob(".*.legs"):
+        sidecar.unlink()
+    tag = hashlib.sha256(f"hubmodal legs v1 {sha256_digest(path)}".encode()).hexdigest()
+    names = json.dumps([store.zone_ids, store.hub_ids, hubmodal.io._LEG_MODE_NAMES]).encode()
+    old = tmp_path / f".m.csv.{tag[:16]}.legs"
+    with open(old, "wb") as fh:
+        for array in (tag.encode(), names, np.append(store.key, KEY_MAX), store._legs):
+            np.lib.format.write_array(fh, np.frombuffer(array, np.uint8) if isinstance(array, bytes) else array)
+    parses = _count_parses(monkeypatch)
+    assert snapshot(load_matrices([path])) == expected
+    assert len(parses) == 1
+    (name,) = _sidecars(tmp_path)
+    assert name != old.name and not old.exists()
+    assert snapshot(load_matrices([path])) == expected
+    assert len(parses) == 1
 
 
 # ----------------------------------------------------------------------
